@@ -7,6 +7,8 @@ Conventions used throughout the package:
 * real-space coordinates are centered on the grid, ``x[i] = (i - nx/2) * dx``,
 * spectral transforms are unitary (``norm="ortho"``), so Parseval holds to
   machine precision and unitary propagation steps conserve power exactly.
+  They run on ``scipy.fft`` with one worker; this module is the only one
+  that names the FFT backend.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft
 
 UNIT_TAGS = ("physical", "dimensionless")
 
@@ -157,14 +160,15 @@ class Field2D:
         return self
 
 
-def fft2(values: np.ndarray) -> np.ndarray:
-    """Unitary forward transform."""
-    return np.fft.fft2(values, norm="ortho")
+def fft2(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Unitary forward transform. With overwrite_x the result may reuse the
+    memory of values, which the caller must own."""
+    return scipy.fft.fft2(values, norm="ortho", overwrite_x=overwrite_x, workers=1)
 
 
-def ifft2(values: np.ndarray) -> np.ndarray:
-    """Unitary inverse transform."""
-    return np.fft.ifft2(values, norm="ortho")
+def ifft2(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Unitary inverse transform; overwrite_x as for fft2."""
+    return scipy.fft.ifft2(values, norm="ortho", overwrite_x=overwrite_x, workers=1)
 
 
 def spectral_power(spectrum: np.ndarray, grid: Grid) -> float:

@@ -10,6 +10,13 @@ chi_eff = chi3 / (1 + I/I_sat). Each step is a Strang composition: half a
 kinetic step in spectral space, a full pointwise nonlinear step, half a
 kinetic step. Adjacent half steps are merged between snapshots, so the
 inner loop costs one forward and one inverse transform per step.
+
+One SplitStepKernel per propagate call precomputes the kinetic factors, the
+Kerr coefficient dz k0 chi3 / (2 n0) and a static potential's phase and
+amplitude terms (without a potential, the loss exp(-alpha dz/2) is a
+scalar). Its kick writes cos and sin of the phase into a preallocated
+buffer and multiplies the field in place; the transforms (scipy.fft, one
+worker) overwrite buffers the kernel owns. The input is never written to.
 """
 
 from __future__ import annotations
@@ -17,10 +24,11 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .grid import Field2D, fft2, ifft2
+from .grid import Field2D, Grid, fft2, ifft2
 from .medium import MediumParams, density_to_intensity
 
 # Fraction of total spectral power a mode must carry to count as occupied
@@ -42,7 +50,6 @@ class StepPlan:
 
     n_steps: int
     dz: float | None = None
-    scheme: str = "symmetric_strang"
     snapshot_every: int = 0
 
     def __post_init__(self):
@@ -50,8 +57,6 @@ class StepPlan:
             raise ValueError(f"n_steps must be non-negative, got {self.n_steps}")
         if self.dz is not None and self.dz <= 0:
             raise ValueError(f"dz must be positive, got {self.dz}")
-        if self.scheme != "symmetric_strang":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be non-negative")
 
@@ -84,16 +89,114 @@ class PropagationRecord:
         return [f for _, f in self.snapshots]
 
 
+def kinetic_multiplier(grid: Grid, dz: float, k0: float, n0: float) -> np.ndarray:
+    """Spectral factor exp(-i |k|^2 dz / (2 n0 k0)) for a kinetic step of length
+    dz, built as the outer product of its separable y and x factors."""
+    c = dz / (2.0 * n0 * k0)
+    return np.outer(np.exp(-1j * c * grid.ky() ** 2), np.exp(-1j * c * grid.kx() ** 2))
+
+
+class SplitStepKernel:
+    """Precomputed factors and owned buffers for split steps of length dz."""
+
+    def __init__(self, grid: Grid, medium: MediumParams, dz: float):
+        self.grid, self.medium, self.dz = grid, medium, dz
+        self.kerr = dz * medium.g
+        self.saturation = (None if medium.i_sat is None
+                           else density_to_intensity(1.0, medium.n0) / medium.i_sat)
+        self.static = None if callable(medium.potential) else self._potential_terms(0.0)
+        self.density, self.phase = np.empty((2, grid.ny, grid.nx))
+        self.factor = np.empty((grid.ny, grid.nx), dtype=np.complex128)
+
+    @cached_property
+    def kinetic(self) -> tuple[np.ndarray, np.ndarray]:
+        """(half, full) kinetic factors, built on first use: a lone kick skips them."""
+        half = kinetic_multiplier(self.grid, self.dz / 2.0, self.medium.k0, self.medium.n0)
+        return half, half * half
+
+    def _potential_terms(self, z: float):
+        """(phase term or None, amplitude factor) of the potential at z and
+        the loss; the amplitude is a scalar when the decay is uniform."""
+        m = self.medium
+        dn = m.potential_at(z, (self.grid.ny, self.grid.nx))
+        phase = None if dn is None else (self.dz * m.k0) * dn.real
+        decay = 0.5 * m.alpha * self.dz
+        if dn is not None and dn.imag.any():
+            decay = decay + (self.dz * m.k0) * dn.imag
+        gain = -float(np.min(decay))
+        if gain > 0 and np.exp(2.0 * gain) > 10.0:
+            warnings.warn(f"gain profile would grow power by more than 10x in one "
+                          f"step (amplitude factor {np.exp(gain):.3g})", stacklevel=4)
+        return phase, np.exp(-decay)
+
+    def kick(self, values: np.ndarray, z: float) -> float:
+        """Apply the full nonlinear step at z to values in place, with |E|^2
+        frozen at entry; return the largest |phase| it applied."""
+        density, phase, factor = self.density, self.phase, self.factor
+        np.square(np.abs(values, out=density), out=density)
+        np.multiply(density, self.kerr, out=phase)
+        if self.saturation is not None:  # chi_eff = chi3 / (1 + I / I_sat)
+            phase /= 1.0 + self.saturation * density
+        potential_phase, amplitude = self.static or self._potential_terms(z)
+        if potential_phase is not None:
+            phase += potential_phase
+        max_phase = max(float(phase.max()), -float(phase.min()))
+        np.cos(phase, out=factor.real)
+        np.sin(phase, out=factor.imag)
+        values *= factor
+        if np.ndim(amplitude) or amplitude != 1.0:
+            values *= amplitude
+        return max_phase
+
+    def run(self, field_in: Field2D, plan: StepPlan, kinetic_phase: float) -> PropagationRecord:
+        """Take plan.n_steps steps from a copy of field_in, merging adjacent half
+        kinetic factors between snapshots; kinetic_phase is the guard's."""
+        t0 = time.perf_counter()
+        n_steps, every, dz, grid = plan.n_steps, plan.snapshot_every, self.dz, self.grid
+        values = field_in.values.copy()
+        power_trace = np.empty((n_steps + 1, 2))
+        power_trace[0] = (0.0, np.vdot(values, values).real * grid.cell_area)
+        snapshots, max_phase = [], 0.0
+        half_kinetic, full_kinetic = self.kinetic
+        merged = False  # values hold a spectrum carrying this step's leading half kick
+        for step in range(n_steps):
+            z_mid, z_next = (step + 0.5) * dz, (step + 1) * dz
+            if not merged:
+                values = fft2(values, overwrite_x=True)
+                values *= half_kinetic
+            values = ifft2(values, overwrite_x=True)
+            step_phase = self.kick(values, z_mid)
+            if step_phase > ABORT_PHASE_PER_STEP:
+                raise RuntimeError(f"nonlinear phase per step reached {step_phase:.2f} rad "
+                                   f"(> pi) at z = {z_mid:.6g}; refine the stepping plan")
+            max_phase = max(max_phase, step_phase)
+            values = fft2(values, overwrite_x=True)
+            power_trace[step + 1] = (z_next, np.vdot(values, values).real * grid.cell_area)
+            if not np.isfinite(power_trace[step + 1, 1]):
+                raise FloatingPointError(f"non-finite power at z = {z_next:.6g}; "
+                                         f"propagation aborted")
+            snapshot = every and (step + 1) % every == 0 and step != n_steps - 1
+            merged = not snapshot and step != n_steps - 1
+            values *= full_kinetic if merged else half_kinetic
+            if not merged:
+                values = ifft2(values, overwrite_x=True)
+            if snapshot:
+                snapshots.append((z_next, field_in.with_values(values.copy())))
+        final = field_in.with_values(values).validate_finite()
+        if every:
+            snapshots.append((self.medium.length, final.copy()))
+        return PropagationRecord(
+            final_field=final, z_final=self.medium.length, n_steps=n_steps, dz=dz,
+            power_trace=power_trace, snapshots=snapshots,
+            max_phase_per_step=kinetic_phase + max_phase,
+            wall_time=time.perf_counter() - t0)
+
+
 def kinetic_half_step(field_in: Field2D, dz: float, k0: float, n0: float) -> Field2D:
     """Apply half a kinetic step: exp(-i |k|^2 dz / (4 n0 k0)) in k-space."""
     spectrum = fft2(field_in.values)
-    spectrum *= kinetic_multiplier(field_in.grid.k_squared(), dz / 2.0, k0, n0)
-    return field_in.with_values(ifft2(spectrum))
-
-
-def kinetic_multiplier(k_squared: np.ndarray, dz: float, k0: float, n0: float) -> np.ndarray:
-    """Spectral factor for a kinetic step of length dz."""
-    return np.exp(-1j * k_squared * dz / (2.0 * n0 * k0))
+    spectrum *= kinetic_multiplier(field_in.grid, dz / 2.0, k0, n0)
+    return field_in.with_values(ifft2(spectrum, overwrite_x=True))
 
 
 def nonlinear_step(field_in: Field2D, dz: float, medium: MediumParams,
@@ -104,36 +207,9 @@ def nonlinear_step(field_in: Field2D, dz: float, medium: MediumParams,
     exp(i dz (k0 Re dn + k0/(2 n0) chi_eff |E|^2)) *
     exp(-dz (alpha/2 + k0 Im dn)).
     """
-    values, _ = _nonlinear_apply(field_in.values, dz, medium, z)
-    out = field_in.with_values(values)
-    out.validate_finite()
-    return out
-
-
-def _nonlinear_apply(values: np.ndarray, dz: float, medium: MediumParams,
-                     z: float) -> tuple[np.ndarray, float]:
-    k0 = medium.k0
-    density = np.abs(values) ** 2
-    if medium.i_sat is None:
-        chi_eff = medium.chi3
-    else:
-        chi_eff = medium.chi3 / (1.0 + density_to_intensity(density, medium.n0) / medium.i_sat)
-    phase = dz * (k0 / (2.0 * medium.n0)) * chi_eff * density
-    decay = np.full_like(density, 0.5 * medium.alpha * dz)
-    dn = medium.potential_at(z, values.shape)
-    if dn is not None:
-        phase = phase + dz * k0 * dn.real
-        decay = decay + dz * k0 * dn.imag
-    max_phase = float(np.max(np.abs(phase))) if phase.size else 0.0
-    gain = -float(np.min(decay))
-    if gain > 0 and np.exp(2.0 * gain) > 10.0:
-        warnings.warn(
-            f"gain profile would grow power by more than 10x in one step "
-            f"(amplitude factor {np.exp(gain):.3g})",
-            stacklevel=3,
-        )
-    out = values * np.exp(1j * phase - decay)
-    return out, max_phase
+    values = field_in.values.copy()
+    SplitStepKernel(field_in.grid, medium, dz).kick(values, z)
+    return field_in.with_values(values).validate_finite()
 
 
 def occupied_kinetic_rate(field_in: Field2D, k0: float, n0: float) -> float:
@@ -157,107 +233,28 @@ def propagate(field_in: Field2D, medium: MediumParams, plan: StepPlan) -> Propag
 
     Snapshots are recorded every plan.snapshot_every steps (and at z = L).
     The power trace has one row per step boundary, computed in spectral
-    space where it costs nothing extra. Raises FloatingPointError on
-    non-finite samples and RuntimeError when the per-step phase exceeds
-    ABORT_PHASE_PER_STEP.
+    space where it costs nothing extra. field_in is never written to.
+    Raises FloatingPointError on non-finite samples and RuntimeError when
+    the per-step phase exceeds ABORT_PHASE_PER_STEP.
     """
     field_in.validate_finite()
-    length = medium.length
-    n_steps = plan.n_steps
-    if n_steps == 0:
-        out = field_in.copy()
-        trace = np.array([[0.0, out.power()]])
-        return PropagationRecord(final_field=out, z_final=0.0, n_steps=0, dz=0.0,
-                                 power_trace=trace)
-    dz = plan.resolve_dz(length)
-    grid = field_in.grid
-    k0, n0 = medium.k0, medium.n0
-
-    kinetic_rate = occupied_kinetic_rate(field_in, k0, n0)
-    nl_rate = _nonlinear_rate(field_in, medium)
-    fastest = dz * max(kinetic_rate, nl_rate)
+    if plan.n_steps == 0:
+        return PropagationRecord(final_field=field_in.copy(), z_final=0.0, n_steps=0,
+                                 dz=0.0, power_trace=np.array([[0.0, field_in.power()]]))
+    dz = plan.resolve_dz(medium.length)
+    kinetic_rate = occupied_kinetic_rate(field_in, medium.k0, medium.n0)
+    fastest = dz * max(kinetic_rate, _nonlinear_rate(field_in, medium))
     if fastest >= WARN_PHASE_PER_STEP:
-        warnings.warn(
-            f"step size dz={dz:.3g} gives {fastest:.2f} rad of phase per step "
-            f"on occupied modes; results may be under-resolved",
-            stacklevel=2,
-        )
+        warnings.warn(f"step size dz={dz:.3g} gives {fastest:.2f} rad of phase per step "
+                      f"on occupied modes; results may be under-resolved", stacklevel=2)
     if fastest > ABORT_PHASE_PER_STEP:
-        raise RuntimeError(
-            f"step size dz={dz:.3g} gives {fastest:.2f} rad of phase per step "
-            f"(> pi); refine the stepping plan"
-        )
-
-    k2 = grid.k_squared()
-    half_kick = kinetic_multiplier(k2, dz / 2.0, k0, n0)
-    full_kick = kinetic_multiplier(k2, dz, k0, n0)
-    cell_area = grid.cell_area
-
-    t0 = time.perf_counter()
-    values = field_in.values.copy()
-    power_trace = np.empty((n_steps + 1, 2))
-    power_trace[0] = (0.0, float(np.sum(np.abs(values) ** 2) * cell_area))
-    snapshots: list[tuple[float, Field2D]] = []
-    max_phase = dz * kinetic_rate
-
-    every = plan.snapshot_every
-    pending = None  # spectrum carrying this step's leading half kick, if merged
-    for step in range(n_steps):
-        z_mid = (step + 0.5) * dz
-        if pending is None:
-            spectrum = fft2(values)
-            spectrum *= half_kick
-        else:
-            spectrum = pending
-            pending = None
-        values = ifft2(spectrum)
-        values, step_phase = _nonlinear_apply(values, dz, medium, z_mid)
-        max_phase = max(max_phase, step_phase + dz * kinetic_rate)
-        if step_phase > ABORT_PHASE_PER_STEP:
-            raise RuntimeError(
-                f"nonlinear phase per step reached {step_phase:.2f} rad (> pi) "
-                f"at z = {z_mid:.6g}; refine the stepping plan"
-            )
-        z_next = (step + 1) * dz
-        boundary = (every and (step + 1) % every == 0) or step == n_steps - 1
-        if boundary:
-            spectrum = fft2(values)
-            spectrum *= half_kick
-            values = ifft2(spectrum)
-            power = float(np.sum(np.abs(values) ** 2) * cell_area)
-            if every and (step + 1) % every == 0 and step != n_steps - 1:
-                snapshots.append((z_next, Field2D(grid=grid, values=values.copy(),
-                                                  unit_tag=field_in.unit_tag)))
-        else:
-            # merge this step's trailing half kick with the next one's leading half
-            pending = fft2(values)
-            power = float(np.sum(np.abs(pending) ** 2) * cell_area)
-            pending *= full_kick
-        power_trace[step + 1] = (z_next, power)
-        if not np.isfinite(power):
-            raise FloatingPointError(
-                f"non-finite power at z = {z_next:.6g}; propagation aborted"
-            )
-
-    final = Field2D(grid=grid, values=values, unit_tag=field_in.unit_tag)
-    final.validate_finite()
-    if every:
-        snapshots.append((length, final.copy()))
-    return PropagationRecord(
-        final_field=final,
-        z_final=length,
-        n_steps=n_steps,
-        dz=dz,
-        power_trace=power_trace,
-        snapshots=snapshots,
-        max_phase_per_step=max_phase,
-        wall_time=time.perf_counter() - t0,
-    )
+        raise RuntimeError(f"step size dz={dz:.3g} gives {fastest:.2f} rad of phase per "
+                           f"step (> pi); refine the stepping plan")
+    return SplitStepKernel(field_in.grid, medium, dz).run(field_in, plan, dz * kinetic_rate)
 
 
 def _nonlinear_rate(field_in: Field2D, medium: MediumParams) -> float:
-    density_max = float(np.max(np.abs(field_in.values) ** 2))
-    rate = abs(medium.g) * density_max
+    rate = abs(medium.g) * float(np.max(np.abs(field_in.values) ** 2))
     dn = medium.potential_at(0.0, field_in.values.shape)
     if dn is not None:
         rate += medium.k0 * float(np.max(np.abs(dn.real)))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pfl.grid import Field2D, make_grid
-from pfl.medium import MediumParams
-from pfl.solver import (StepPlan, fluid_scales, kinetic_half_step, nonlinear_step,
-                        propagate, rescale_dimensionless)
+from pfl.medium import MediumParams, density_to_intensity
+from pfl.solver import (SplitStepKernel, StepPlan, fluid_scales, kinetic_half_step,
+                        nonlinear_step, propagate, rescale_dimensionless)
 from pfl.sources import gaussian_beam, plane_wave
 
 from conftest import WAVELENGTH, defocusing_setup
@@ -88,6 +88,45 @@ class TestNonlinearStep:
         full = np.angle(nonlinear_step(f, 1e-3, med).values / f.values)[0, 0]
         sat = np.angle(nonlinear_step(f, 1e-3, med_sat).values / f.values)[0, 0]
         assert sat == pytest.approx(full / 2.0, rel=1e-10)  # I = I_sat halves chi
+
+    @pytest.mark.parametrize("case", ["loss", "static_loss", "static_gain",
+                                      "callable", "saturation"])
+    def test_kick_matches_literal_formula(self, small_grid, case):
+        # each fast path of the kick against values * exp(1j*phase - decay)
+        xx, yy = small_grid.meshgrid()
+        rng = np.random.default_rng(5)
+        values = (1.0 + 0.5 * np.exp(-(xx**2 + yy**2) / (1.5e-4) ** 2)) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, xx.shape))
+        f = Field2D(grid=small_grid, values=values)
+        density = np.abs(values) ** 2
+        k0 = 2 * np.pi / WAVELENGTH
+        dz, z = 1e-3, 0.37e-3
+        chi3 = -0.3 * 2.0 / (k0 * dz * np.max(density))  # up to 0.3 rad of Kerr phase
+        landscape = 2e-6 * np.cos(xx / 4e-5) * np.sin(yy / 7e-5)
+        potential = {"static_loss": landscape + 1e-5j * (1.0 + np.sin(xx / 5e-5)),
+                     "static_gain": landscape - 3e-5j * np.exp(-(yy / 1e-4) ** 2),
+                     "callable": lambda zz: (1.0 + 100.0 * zz) * (landscape + 1e-5j)}.get(case)
+        i_sat = float(density_to_intensity(np.mean(density), 1.3))  # I_sat at the mean density
+        med = MediumParams(wavelength=WAVELENGTH, n0=1.3, chi3=chi3, alpha=40.0, length=1.0,
+                           potential=potential, i_sat=i_sat if case == "saturation" else None)
+
+        chi_eff = chi3
+        if med.i_sat is not None:
+            chi_eff = chi3 / (1.0 + density_to_intensity(density, med.n0) / med.i_sat)
+            assert np.ptp(chi_eff / chi3) > 0.1  # saturation is far from negligible
+        phase = dz * (k0 / (2.0 * med.n0)) * chi_eff * density
+        decay = np.full_like(density, 0.5 * med.alpha * dz)
+        dn = med.potential_at(z, values.shape)
+        if dn is not None:
+            phase = phase + dz * k0 * dn.real
+            decay = decay + dz * k0 * dn.imag
+        assert (np.min(decay) < 0) == (case == "static_gain")
+        expected = values * np.exp(1j * phase - decay)
+
+        out = nonlinear_step(f, dz, med, z=z)
+        np.testing.assert_allclose(out.values, expected, rtol=1e-13, atol=0)
+        max_phase = SplitStepKernel(small_grid, med, dz).kick(values.copy(), z)
+        assert max_phase == pytest.approx(np.max(np.abs(phase)), rel=1e-13)
 
 
 class TestPropagate:
@@ -216,6 +255,27 @@ class TestPropagate:
         assert len(record.snapshots) == len(plain_snapshots) + 1
         for (z, snap), plain in zip(record.snapshots, plain_snapshots):
             assert np.allclose(snap.values, plain, atol=1e-12 * scale)
+
+    def test_input_and_snapshots_own_their_arrays(self):
+        # transforms overwrite the kernel's buffers in place; neither the
+        # input nor an earlier snapshot may share memory with them
+        grid, medium, _, _ = defocusing_setup(nx=64, dx=5e-6, xi_cells=3.0, tau=2.0)
+        xx, _ = grid.meshgrid()
+        start = Field2D(grid=grid, values=1.0 + 0.3 * np.exp(-(xx / 4e-5) ** 2 + 0.2j))
+        original = start.values.copy()
+        record = propagate(start, medium, StepPlan(n_steps=12, snapshot_every=5))
+        assert np.array_equal(start.values, original)
+        snaps = record.snapshot_fields()
+        assert len(snaps) == 3
+        kept = [s.values.copy() for s in snaps]
+        record.final_field.values[:] = 7.0
+        for snap, values in zip(snaps, kept):
+            assert np.array_equal(snap.values, values)
+        for later in (2, 1):
+            snaps[later].values[:] = -3.0
+            for earlier in range(later):
+                assert np.array_equal(snaps[earlier].values, kept[earlier])
+        assert np.array_equal(start.values, original)
 
     def test_snapshots_strictly_increasing(self):
         grid, medium, background, _ = defocusing_setup(nx=64, xi_cells=3.0, tau=5.0)
