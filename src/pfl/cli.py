@@ -43,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"run the {name} scenario")
         sp.add_argument("--config", required=True, help="configuration file")
         sp.add_argument("--jobs", type=int, default=None,
-                        help="concurrent jobs for independent members")
+                        help="FFT worker threads (default run.jobs, 1); "
+                             "results do not depend on it")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override run.seed")
     return parser

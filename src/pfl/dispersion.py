@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
 
-from .grid import Field2D
+from .grid import Field2D, fft, ifft
 from .medium import MediumParams
 from .sources import add_probe
 from .solver import PropagationRecord, StepPlan, fluid_scales, propagate
@@ -138,7 +137,7 @@ def demodulated_envelope(profile: np.ndarray, x: np.ndarray, k_carrier: float,
     k_axis = 2.0 * np.pi * np.fft.fftfreq(len(x), d=dx)
     k_cut = min(k_carrier, 4.0 / waist)
     window = np.exp(-((k_axis / k_cut) ** 2))
-    return np.abs(np.fft.ifft(np.fft.fft(signal) * window))
+    return np.abs(ifft(fft(signal) * window))
 
 
 def _parabolic_peak(envelope: np.ndarray, x: np.ndarray, idx: int, dx: float,
@@ -254,6 +253,8 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
         start = min(max(start, 0), n - 3)
         sel = np.zeros(n, dtype=bool)
         sel[start:] = True
+    from scipy import stats  # imported here: slow, and only fits need it
+
     fit = stats.linregress(z_samples[sel], displacements[sel])
     span = max(float(np.ptp(displacements[sel])), grid.dx)
     residuals = displacements[sel] - (fit.intercept + fit.slope * z_samples[sel])
@@ -338,6 +339,8 @@ def dispersion_from_group_velocity(samples, medium: MediumParams) -> DispersionC
         return bogoliubov_omega(kk, k0, n0, abs(dn))
 
     dn_guess = max(np.max(v) ** 2 * n0, 1e-18)
+    from scipy import optimize  # imported here: slow, and only fits need it
+
     try:
         popt, pcov = optimize.curve_fit(model, k, omega, p0=[dn_guess], maxfev=10000)
     except RuntimeError as exc:
@@ -394,6 +397,8 @@ def sound_speed_scaling(densities, medium: MediumParams, grid,
                           power_ratio=power_ratio)
         m = measure_group_velocity(background, probe, run_medium, plan)
         speeds.append(m.v_g)
+    from scipy import stats  # imported here: slow, and only fits need it
+
     speeds = np.asarray(speeds)
     fit = stats.linregress(np.log(densities), np.log(speeds))
     return SoundSpeedScaling(densities=densities, sound_speeds=speeds,

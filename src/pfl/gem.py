@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 MIN_LATTICE = 32
 
@@ -347,6 +346,8 @@ def fifo_filo_experiment(config: GemConfig, train: PulseTrain, mode: str,
     recall_start = (config.eta_flips[0] if mode == "FILO" else config.eta_flips[1])
     sel = t > recall_start
     distance = max(1, int(0.5 * gap / config.dt))
+    from scipy.signal import find_peaks  # imported here: slow, and only this needs it
+
     peaks, _ = find_peaks(np.where(sel, power, 0.0),
                           height=rel_height * float(np.max(power[sel])),
                           distance=distance)

@@ -7,8 +7,10 @@ Conventions used throughout the package:
 * real-space coordinates are centered on the grid, ``x[i] = (i - nx/2) * dx``,
 * spectral transforms are unitary (``norm="ortho"``), so Parseval holds to
   machine precision and unitary propagation steps conserve power exactly.
-  They run on ``scipy.fft`` with one worker; this module is the only one
-  that names the FFT backend.
+  They run on ``scipy.fft`` over the last axis (1D) or the last two axes
+  (2D), so a stack of fields transforms in one call; this module is the
+  only one that runs transforms. The worker count is one unless
+  ``fft_workers`` sets it; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -161,14 +163,30 @@ class Field2D:
 
 
 def fft2(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """Unitary forward transform. With overwrite_x the result may reuse the
-    memory of values, which the caller must own."""
-    return scipy.fft.fft2(values, norm="ortho", overwrite_x=overwrite_x, workers=1)
+    """Unitary forward transform over the last two axes. With overwrite_x the
+    result may reuse the memory of values, which the caller must own."""
+    return scipy.fft.fft2(values, norm="ortho", overwrite_x=overwrite_x)
 
 
 def ifft2(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """Unitary inverse transform; overwrite_x as for fft2."""
-    return scipy.fft.ifft2(values, norm="ortho", overwrite_x=overwrite_x, workers=1)
+    """Unitary inverse transform over the last two axes; overwrite_x as for fft2."""
+    return scipy.fft.ifft2(values, norm="ortho", overwrite_x=overwrite_x)
+
+
+def fft(values: np.ndarray) -> np.ndarray:
+    """Unitary forward transform over the last axis."""
+    return scipy.fft.fft(values, norm="ortho")
+
+
+def ifft(values: np.ndarray) -> np.ndarray:
+    """Unitary inverse transform over the last axis."""
+    return scipy.fft.ifft(values, norm="ortho")
+
+
+def fft_workers(workers: int):
+    """Context manager in which the transforms above run on this many
+    threads; their results are the same for any count."""
+    return scipy.fft.set_workers(workers)
 
 
 def spectral_power(spectrum: np.ndarray, grid: Grid) -> float:

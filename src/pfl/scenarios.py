@@ -3,8 +3,6 @@ artifacts, and emit a manifest of exactly the files produced."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .config import RunConfig
@@ -13,7 +11,7 @@ from .dispersion import (ProbeSpec, dispersion_from_group_velocity,
 from .fileio import ArtifactWriter, fmt, load_field
 from .gem import (GaussianPulse, GemConfig, PulseTrain, fifo_filo_experiment,
                   gem_efficiency_measured, gem_efficiency_theory, gem_evolve)
-from .grid import Field2D, Grid, fft2, ifft2, make_grid
+from .grid import Field2D, Grid, fft2, fft_workers, ifft2, make_grid
 from .hydro import detect_vortices
 from .medium import MediumParams, intensity_to_density
 from .potentials import build_potential
@@ -21,6 +19,12 @@ from .seeding import stream_rng, stream_seed
 from .solver import StepPlan, fluid_scales, propagate
 from .sources import gaussian_beam, imprint_dark_stripe, imprint_vortex, plane_wave, speckle
 from .stats import intensity_statistics, coherence_g1, structure_factor
+
+# Ensemble members are propagated in stacks of about this many lattice sites
+# (8 members at 64^2, one at 256^2 and above): enough to amortize the
+# per-call and per-step overhead of small grids, while a stack's fields and
+# kernel buffers stay near a megabyte each.
+STACK_SITES = 2**15
 
 
 def build_grid(cfg: RunConfig) -> Grid:
@@ -78,19 +82,20 @@ def build_source(cfg: RunConfig, grid: Grid, medium: MediumParams,
                    seed=stream_seed(cfg.seed, "source", member), n0=medium.n0)
 
 
-def _map_jobs(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _stacks(members, grid: Grid) -> list:
+    """Consecutive slices of members of about STACK_SITES lattice sites each."""
+    size = max(1, STACK_SITES // (grid.nx * grid.ny))
+    return [members[start:start + size] for start in range(0, len(members), size)]
 
 
 def run_scenario(cfg: RunConfig, out_dir) -> ArtifactWriter:
     """Dispatch a validated RunConfig; returns the writer after the manifest
-    is on disk. Raises on any failure (the CLI maps that to exit code 3)."""
+    is on disk. run.jobs is the FFT worker count. Raises on any failure (the
+    CLI maps that to exit code 3)."""
     writer = ArtifactWriter(out_dir)
     handler = _HANDLERS[cfg.scenario]
-    handler(cfg, writer)
+    with fft_workers(cfg.jobs):
+        handler(cfg, writer)
     writer.write_manifest()
     return writer
 
@@ -122,14 +127,13 @@ def _scenario_dispersion(cfg: RunConfig, w: ArtifactWriter):
     background = build_source(cfg, grid, medium)
     background_record = propagate(background, medium, plan)
 
-    def measure(k_perp):
+    samples = []
+    for k_perp in sorted(cfg.params["k_perp_list"]):
         probe = ProbeSpec(waist=cfg.params["probe_waist"], k_perp=k_perp,
                           power_ratio=cfg.params["power_ratio"])
         m = measure_group_velocity(background, probe, medium, plan,
                                    background_record=background_record)
-        return (m.k_perp, m.v_g)
-
-    samples = _map_jobs(measure, sorted(cfg.params["k_perp_list"]), cfg.jobs)
+        samples.append((m.k_perp, m.v_g))
     curve = dispersion_from_group_velocity(samples, medium)
     if cfg.emit_csv:
         w.csv("dispersion.csv", ["k_perp", "v_g", "omega"], curve.rows())
@@ -169,11 +173,8 @@ def _scenario_precondensation(cfg: RunConfig, w: ArtifactWriter):
     for tau in sorted(p["tau_list"]):
         run_medium = medium.with_length(tau * z_nl)
         plan = build_plan(cfg)
-
-        def evolve(field):
-            return propagate(field, run_medium, plan).final_field
-
-        finals = _map_jobs(evolve, members, cfg.jobs)
+        finals = [record.final_field for stack in _stacks(members, grid)
+                  for record in propagate(stack, run_medium, plan)]
         stats = intensity_statistics(finals, bins=p["bins"])
         tag = fmt(tau).replace(".", "p")
         if cfg.emit_csv:
@@ -201,14 +202,13 @@ def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
         white = (rng.standard_normal((grid.ny, grid.nx))
                  + 1j * rng.standard_normal((grid.ny, grid.nx))) / np.sqrt(2.0)
         noise = ifft2(fft2(white * eps) * band)
-        field = Field2D(grid=grid, values=amplitude + noise)
-        reference = field.density()
-        signal = propagate(field, medium, plan).final_field.density()
-        return signal, reference
+        return Field2D(grid=grid, values=amplitude + noise)
 
-    results = _map_jobs(member, list(range(p["realizations"])), cfg.jobs)
-    signal = [r[0] for r in results]
-    reference = [r[1] for r in results]
+    signal, reference = [], []
+    for indices in _stacks(range(p["realizations"]), grid):
+        fields = [member(i) for i in indices]
+        reference += [f.density() for f in fields]
+        signal += [r.final_field.density() for r in propagate(fields, medium, plan)]
     sf = structure_factor(signal, reference, grid=grid, nbins=p["nbins"],
                           min_realizations=min(p["realizations"], 100))
     if cfg.emit_csv:
@@ -281,7 +281,8 @@ def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
 def _scenario_gem_sweep(cfg: RunConfig, w: ArtifactWriter):
     p = cfg.params
 
-    def run(ratio):
+    rows = []
+    for ratio in sorted(p["ratios"]):
         g_n = ratio * abs(p["eta0"]) / (2.0 * np.pi)
         g = density = float(np.sqrt(g_n))
         gem_cfg = GemConfig(g=g, density=density, eta0=p["eta0"],
@@ -291,9 +292,7 @@ def _scenario_gem_sweep(cfg: RunConfig, w: ArtifactWriter):
         pulse = GaussianPulse(center=p["pulse_center"], width=p["pulse_width"])
         measured = gem_efficiency_measured(gem_cfg, pulse)
         theory = gem_efficiency_theory(g, density, p["eta0"])
-        return (ratio, theory, measured.sigma)
-
-    rows = _map_jobs(run, sorted(p["ratios"]), cfg.jobs)
+        rows.append((ratio, theory, measured.sigma))
     if cfg.emit_csv:
         w.csv("efficiency_sweep.csv", ["ratio", "sigma_theory", "sigma_sim"], rows)
 

@@ -8,21 +8,25 @@ The propagation equation integrated here is
 with dn complex (Im dn > 0 is loss) and an optional saturable nonlinearity
 chi_eff = chi3 / (1 + I/I_sat). Each step is a Strang composition: half a
 kinetic step in spectral space, a full pointwise nonlinear step, half a
-kinetic step. Adjacent half steps are merged between snapshots, so the
-inner loop costs one forward and one inverse transform per step.
+kinetic step. Between steps the field stays in spectral space with the
+adjacent half steps merged, so a step costs one forward and one inverse
+transform; a snapshot costs one more inverse transform.
 
 One SplitStepKernel per propagate call precomputes the kinetic factors, the
 Kerr coefficient dz k0 chi3 / (2 n0) and a static potential's phase and
 amplitude terms (without a potential, the loss exp(-alpha dz/2) is a
-scalar). Its kick writes cos and sin of the phase into a preallocated
-buffer and multiplies the field in place; the transforms (scipy.fft, one
-worker) overwrite buffers the kernel owns. The input is never written to.
+scalar). It steps a stack of fields (B, ny, nx) that share the grid and
+the medium; a lone field is the stack B = 1. Its kick builds exp(i phase)
+from tan(phase / 2) in preallocated buffers and multiplies the field in
+place; the transforms (scipy.fft over the last two axes) overwrite
+buffers the kernel owns. The input is never written to.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -97,16 +101,17 @@ def kinetic_multiplier(grid: Grid, dz: float, k0: float, n0: float) -> np.ndarra
 
 
 class SplitStepKernel:
-    """Precomputed factors and owned buffers for split steps of length dz."""
+    """Precomputed factors and owned buffers for split steps of length dz on
+    one field (ny, nx) or a stack of fields (B, ny, nx) sharing the medium."""
 
     def __init__(self, grid: Grid, medium: MediumParams, dz: float):
         self.grid, self.medium, self.dz = grid, medium, dz
-        self.kerr = dz * medium.g
+        # the kick works on half the phase (halving is exact), see kick
+        self.half_kerr = 0.5 * dz * medium.g
         self.saturation = (None if medium.i_sat is None
                            else density_to_intensity(1.0, medium.n0) / medium.i_sat)
         self.static = None if callable(medium.potential) else self._potential_terms(0.0)
-        self.density, self.phase = np.empty((2, grid.ny, grid.nx))
-        self.factor = np.empty((grid.ny, grid.nx), dtype=np.complex128)
+        self.density = self.phase = self.factor = None  # sized by the first kick
 
     @cached_property
     def kinetic(self) -> tuple[np.ndarray, np.ndarray]:
@@ -115,11 +120,11 @@ class SplitStepKernel:
         return half, half * half
 
     def _potential_terms(self, z: float):
-        """(phase term or None, amplitude factor) of the potential at z and
-        the loss; the amplitude is a scalar when the decay is uniform."""
+        """(half phase term or None, amplitude factor) of the potential at z
+        and the loss; the amplitude is a scalar when the decay is uniform."""
         m = self.medium
         dn = m.potential_at(z, (self.grid.ny, self.grid.nx))
-        phase = None if dn is None else (self.dz * m.k0) * dn.real
+        half_phase = None if dn is None else (0.5 * self.dz * m.k0) * dn.real
         decay = 0.5 * m.alpha * self.dz
         if dn is not None and dn.imag.any():
             decay = decay + (self.dz * m.k0) * dn.imag
@@ -127,69 +132,75 @@ class SplitStepKernel:
         if gain > 0 and np.exp(2.0 * gain) > 10.0:
             warnings.warn(f"gain profile would grow power by more than 10x in one "
                           f"step (amplitude factor {np.exp(gain):.3g})", stacklevel=4)
-        return phase, np.exp(-decay)
+        return half_phase, np.exp(-decay)
 
-    def kick(self, values: np.ndarray, z: float) -> float:
+    def kick(self, values: np.ndarray, z: float) -> np.ndarray:
         """Apply the full nonlinear step at z to values in place, with |E|^2
-        frozen at entry; return the largest |phase| it applied."""
-        density, phase, factor = self.density, self.phase, self.factor
-        np.square(np.abs(values, out=density), out=density)
-        np.multiply(density, self.kerr, out=phase)
+        frozen at entry; return the largest |phase| it applied to each field
+        of a stack (a scalar for one field).
+
+        exp(i phase) comes from one transcendental, t = tan(phase / 2):
+        cos = (1 - t^2) / (1 + t^2) = 2 / (1 + t^2) - 1, sin = 2 t / (1 + t^2).
+        """
+        if self.factor is None or self.factor.shape != values.shape:
+            self.density, self.phase = np.empty((2, *values.shape))
+            self.factor = np.empty(values.shape, dtype=np.complex128)
+        density, half, factor = self.density, self.phase, self.factor
+        # |E|^2 = re^2 + im^2, squared into the factor buffer as scratch
+        np.square(values.view(np.float64), out=factor.view(np.float64))
+        np.add(factor.real, factor.imag, out=density)
+        np.multiply(density, self.half_kerr, out=half)
         if self.saturation is not None:  # chi_eff = chi3 / (1 + I / I_sat)
-            phase /= 1.0 + self.saturation * density
-        potential_phase, amplitude = self.static or self._potential_terms(z)
-        if potential_phase is not None:
-            phase += potential_phase
-        max_phase = max(float(phase.max()), -float(phase.min()))
-        np.cos(phase, out=factor.real)
-        np.sin(phase, out=factor.imag)
+            half /= 1.0 + self.saturation * density
+        potential_half, amplitude = self.static or self._potential_terms(z)
+        if potential_half is not None:
+            half += potential_half
+        max_phase = 2.0 * np.maximum(half.max(axis=(-2, -1)), -half.min(axis=(-2, -1)))
+        t, r = np.tan(half, out=half), density
+        np.multiply(t, t, out=r)
+        r += 1.0
+        np.divide(2.0, r, out=r)
+        np.multiply(t, r, out=factor.imag)
+        np.subtract(r, 1.0, out=factor.real)
         values *= factor
         if np.ndim(amplitude) or amplitude != 1.0:
             values *= amplitude
         return max_phase
 
-    def run(self, field_in: Field2D, plan: StepPlan, kinetic_phase: float) -> PropagationRecord:
-        """Take plan.n_steps steps from a copy of field_in, merging adjacent half
-        kinetic factors between snapshots; kinetic_phase is the guard's."""
-        t0 = time.perf_counter()
-        n_steps, every, dz, grid = plan.n_steps, plan.snapshot_every, self.dz, self.grid
-        values = field_in.values.copy()
-        power_trace = np.empty((n_steps + 1, 2))
-        power_trace[0] = (0.0, np.vdot(values, values).real * grid.cell_area)
-        snapshots, max_phase = [], 0.0
+    def run(self, values: np.ndarray, plan: StepPlan) -> tuple:
+        """Take plan.n_steps steps of the stack values (B, ny, nx), which the
+        kernel owns and overwrites. Returns the final stack, [(z, snapshot
+        stack)], the power per step boundary and member (n_steps + 1, B) and
+        each member's largest kick phase."""
+        n_steps, every, dz = plan.n_steps, plan.snapshot_every, self.dz
         half_kinetic, full_kinetic = self.kinetic
-        merged = False  # values hold a spectrum carrying this step's leading half kick
+        power = np.empty((n_steps + 1, len(values)))
+        power[0] = self._power(values)
+        max_phase = np.zeros(len(values))
+        snapshots = []
+        spectrum = fft2(values, overwrite_x=True)
+        spectrum *= half_kinetic
         for step in range(n_steps):
             z_mid, z_next = (step + 0.5) * dz, (step + 1) * dz
-            if not merged:
-                values = fft2(values, overwrite_x=True)
-                values *= half_kinetic
-            values = ifft2(values, overwrite_x=True)
+            values = ifft2(spectrum, overwrite_x=True)
             step_phase = self.kick(values, z_mid)
-            if step_phase > ABORT_PHASE_PER_STEP:
-                raise RuntimeError(f"nonlinear phase per step reached {step_phase:.2f} rad "
-                                   f"(> pi) at z = {z_mid:.6g}; refine the stepping plan")
-            max_phase = max(max_phase, step_phase)
-            values = fft2(values, overwrite_x=True)
-            power_trace[step + 1] = (z_next, np.vdot(values, values).real * grid.cell_area)
-            if not np.isfinite(power_trace[step + 1, 1]):
+            if step_phase.max() > ABORT_PHASE_PER_STEP:
+                raise RuntimeError(f"nonlinear phase per step reached {step_phase.max():.2f} "
+                                   f"rad (> pi) at z = {z_mid:.6g}; refine the stepping plan")
+            np.maximum(max_phase, step_phase, out=max_phase)
+            spectrum = fft2(values, overwrite_x=True)
+            power[step + 1] = self._power(spectrum)
+            if not np.isfinite(power[step + 1]).all():
                 raise FloatingPointError(f"non-finite power at z = {z_next:.6g}; "
                                          f"propagation aborted")
-            snapshot = every and (step + 1) % every == 0 and step != n_steps - 1
-            merged = not snapshot and step != n_steps - 1
-            values *= full_kinetic if merged else half_kinetic
-            if not merged:
-                values = ifft2(values, overwrite_x=True)
-            if snapshot:
-                snapshots.append((z_next, field_in.with_values(values.copy())))
-        final = field_in.with_values(values).validate_finite()
-        if every:
-            snapshots.append((self.medium.length, final.copy()))
-        return PropagationRecord(
-            final_field=final, z_final=self.medium.length, n_steps=n_steps, dz=dz,
-            power_trace=power_trace, snapshots=snapshots,
-            max_phase_per_step=kinetic_phase + max_phase,
-            wall_time=time.perf_counter() - t0)
+            last = step == n_steps - 1
+            if every and (step + 1) % every == 0 and not last:
+                snapshots.append((z_next, ifft2(spectrum * half_kinetic, overwrite_x=True)))
+            spectrum *= half_kinetic if last else full_kinetic
+        return ifft2(spectrum, overwrite_x=True), snapshots, power, max_phase
+
+    def _power(self, values: np.ndarray) -> np.ndarray:
+        return np.array([np.vdot(v, v).real for v in values]) * self.grid.cell_area
 
 
 def kinetic_half_step(field_in: Field2D, dz: float, k0: float, n0: float) -> Field2D:
@@ -212,50 +223,80 @@ def nonlinear_step(field_in: Field2D, dz: float, medium: MediumParams,
     return field_in.with_values(values).validate_finite()
 
 
-def occupied_kinetic_rate(field_in: Field2D, k0: float, n0: float) -> float:
-    """Largest kinetic phase rate |k|^2 / (2 n0 k0) over occupied modes.
+def occupied_kinetic_rate(values: np.ndarray, grid: Grid, k0: float,
+                          n0: float) -> np.ndarray:
+    """Largest kinetic phase rate |k|^2 / (2 n0 k0) over occupied modes, one
+    per field of the stack values (..., ny, nx).
 
     A mode counts as occupied when it carries more than OCCUPIED_MODE_FLOOR
-    of the total spectral power; this keeps the step-resolution guard tied
+    of its field's spectral power; this keeps the step-resolution guard tied
     to the field rather than to the grid Nyquist.
     """
-    spectrum_power = np.abs(fft2(field_in.values)) ** 2
-    total = float(np.sum(spectrum_power))
-    if total == 0.0:
-        return 0.0
-    occupied = spectrum_power > OCCUPIED_MODE_FLOOR * total
-    k2_max = float(np.max(field_in.grid.k_squared()[occupied]))
-    return k2_max / (2.0 * n0 * k0)
+    mode_power = np.abs(fft2(values.copy(), overwrite_x=True))
+    mode_power *= mode_power
+    occupied = mode_power > OCCUPIED_MODE_FLOOR * mode_power.sum(axis=(-2, -1),
+                                                                 keepdims=True)
+    k2 = np.add.outer(grid.ky() ** 2, grid.kx() ** 2)
+    return np.where(occupied, k2, 0.0).max(axis=(-2, -1)) / (2.0 * n0 * k0)
 
 
-def propagate(field_in: Field2D, medium: MediumParams, plan: StepPlan) -> PropagationRecord:
+def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
+              plan: StepPlan) -> PropagationRecord | list[PropagationRecord]:
     """Propagate through the medium with symmetric Strang splitting.
 
+    field_in is one field, or a sequence of fields on one grid that runs as
+    one (B, ny, nx) stack through the same step loop and returns a list of
+    records in member order. Each member's final field and snapshots equal
+    those of a lone call bit for bit; wall_time is the whole stack's.
     Snapshots are recorded every plan.snapshot_every steps (and at z = L).
     The power trace has one row per step boundary, computed in spectral
     space where it costs nothing extra. field_in is never written to.
     Raises FloatingPointError on non-finite samples and RuntimeError when
     the per-step phase exceeds ABORT_PHASE_PER_STEP.
     """
-    field_in.validate_finite()
+    lone = isinstance(field_in, Field2D)
+    fields = [field_in] if lone else list(field_in)
+    if not fields:
+        raise ValueError("propagate needs at least one field")
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("stacked fields must share one grid")
+    values = np.stack([f.validate_finite().values for f in fields])
     if plan.n_steps == 0:
-        return PropagationRecord(final_field=field_in.copy(), z_final=0.0, n_steps=0,
-                                 dz=0.0, power_trace=np.array([[0.0, field_in.power()]]))
+        records = [PropagationRecord(final_field=f.copy(), z_final=0.0, n_steps=0, dz=0.0,
+                                     power_trace=np.array([[0.0, f.power()]]))
+                   for f in fields]
+        return records[0] if lone else records
     dz = plan.resolve_dz(medium.length)
-    kinetic_rate = occupied_kinetic_rate(field_in, medium.k0, medium.n0)
-    fastest = dz * max(kinetic_rate, _nonlinear_rate(field_in, medium))
+    kinetic_rate = occupied_kinetic_rate(values, grid, medium.k0, medium.n0)
+    fastest = dz * max(float(kinetic_rate.max()), _nonlinear_rate(values, medium))
     if fastest >= WARN_PHASE_PER_STEP:
         warnings.warn(f"step size dz={dz:.3g} gives {fastest:.2f} rad of phase per step "
                       f"on occupied modes; results may be under-resolved", stacklevel=2)
     if fastest > ABORT_PHASE_PER_STEP:
         raise RuntimeError(f"step size dz={dz:.3g} gives {fastest:.2f} rad of phase per "
                            f"step (> pi); refine the stepping plan")
-    return SplitStepKernel(field_in.grid, medium, dz).run(field_in, plan, dz * kinetic_rate)
+    t0 = time.perf_counter()
+    final, snapshots, power, max_phase = SplitStepKernel(grid, medium, dz).run(values, plan)
+    wall_time = time.perf_counter() - t0
+    z = np.arange(plan.n_steps + 1) * dz
+    records = []
+    for b, f in enumerate(fields):
+        record = PropagationRecord(
+            final_field=f.with_values(final[b]).validate_finite(), z_final=medium.length,
+            n_steps=plan.n_steps, dz=dz, power_trace=np.column_stack((z, power[:, b])),
+            snapshots=[(z_snap, f.with_values(snap[b])) for z_snap, snap in snapshots],
+            max_phase_per_step=float(dz * kinetic_rate[b] + max_phase[b]),
+            wall_time=wall_time)
+        if plan.snapshot_every:
+            record.snapshots.append((medium.length, record.final_field.copy()))
+        records.append(record)
+    return records[0] if lone else records
 
 
-def _nonlinear_rate(field_in: Field2D, medium: MediumParams) -> float:
-    rate = abs(medium.g) * float(np.max(np.abs(field_in.values) ** 2))
-    dn = medium.potential_at(0.0, field_in.values.shape)
+def _nonlinear_rate(values: np.ndarray, medium: MediumParams) -> float:
+    rate = abs(medium.g) * float(np.max(np.abs(values) ** 2))
+    dn = medium.potential_at(0.0, values.shape[-2:])
     if dn is not None:
         rate += medium.k0 * float(np.max(np.abs(dn.real)))
     return rate

@@ -188,3 +188,13 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "ok" in proc.stdout
+
+    def test_cli_import_defers_heavy_scipy_modules(self):
+        # scipy.stats, scipy.optimize and scipy.signal are imported where
+        # they are used, so starting the CLI does not pay for them
+        heavy = ("scipy.stats", "scipy.optimize", "scipy.signal")
+        code = ("import sys, pfl.cli; "
+                f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""

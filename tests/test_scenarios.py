@@ -4,6 +4,7 @@ emitted artifact formats."""
 import numpy as np
 import pytest
 
+from pfl import scenarios
 from pfl.config import parse_config
 from pfl.fileio import load_field
 from pfl.scenarios import run_scenario
@@ -225,6 +226,44 @@ nbins = 8
     header, rows = read_csv(out1 / "structure_factor.csv")
     assert header == ["k", "s_k", "sigma"]
     assert all(float(r[1]) > 0 for r in rows)
+
+
+def test_structure_factor_scenario_independent_of_stack_size(tmp_path, monkeypatch):
+    # members run in stacks of STACK_SITES lattice sites; one member per
+    # stack and eight per stack must write the same bytes
+    text = """
+[run]
+scenario = structure-factor
+seed = 5
+
+[grid]
+nx = 32
+ny = 32
+dx = 5e-6
+
+[medium]
+lambda = 780e-9
+n0 = 1.0
+chi3 = -7.706e-13
+length = 0.00483
+
+[plan]
+n_steps = 30
+
+[source]
+kind = plane
+intensity = 132720.0
+
+[structure-factor]
+realizations = 20
+nbins = 8
+"""
+    outputs = []
+    for members in (1, 8):
+        monkeypatch.setattr(scenarios, "STACK_SITES", members * 32 * 32)
+        _, _, out = run(tmp_path, text, f"stack{members}")
+        outputs.append((out / "structure_factor.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_vortices_scenario(tmp_path):

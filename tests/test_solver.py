@@ -90,9 +90,10 @@ class TestNonlinearStep:
         assert sat == pytest.approx(full / 2.0, rel=1e-10)  # I = I_sat halves chi
 
     @pytest.mark.parametrize("case", ["loss", "static_loss", "static_gain",
-                                      "callable", "saturation"])
+                                      "callable", "saturation", "large_phase"])
     def test_kick_matches_literal_formula(self, small_grid, case):
-        # each fast path of the kick against values * exp(1j*phase - decay)
+        # each fast path of the kick against values * exp(1j*phase - decay);
+        # large_phase drives tan(phase / 2) of the half-angle kick far from 0
         xx, yy = small_grid.meshgrid()
         rng = np.random.default_rng(5)
         values = (1.0 + 0.5 * np.exp(-(xx**2 + yy**2) / (1.5e-4) ** 2)) * np.exp(
@@ -101,7 +102,8 @@ class TestNonlinearStep:
         density = np.abs(values) ** 2
         k0 = 2 * np.pi / WAVELENGTH
         dz, z = 1e-3, 0.37e-3
-        chi3 = -0.3 * 2.0 / (k0 * dz * np.max(density))  # up to 0.3 rad of Kerr phase
+        kerr_rad = 4.0 if case == "large_phase" else 0.3  # Kerr phase up to kerr_rad / n0
+        chi3 = -kerr_rad * 2.0 / (k0 * dz * np.max(density))
         landscape = 2e-6 * np.cos(xx / 4e-5) * np.sin(yy / 7e-5)
         potential = {"static_loss": landscape + 1e-5j * (1.0 + np.sin(xx / 5e-5)),
                      "static_gain": landscape - 3e-5j * np.exp(-(yy / 1e-4) ** 2),
@@ -121,12 +123,16 @@ class TestNonlinearStep:
             phase = phase + dz * k0 * dn.real
             decay = decay + dz * k0 * dn.imag
         assert (np.min(decay) < 0) == (case == "static_gain")
+        assert (np.max(np.abs(phase)) > 3.0) == (case == "large_phase")
         expected = values * np.exp(1j * phase - decay)
 
         out = nonlinear_step(f, dz, med, z=z)
         np.testing.assert_allclose(out.values, expected, rtol=1e-13, atol=0)
-        max_phase = SplitStepKernel(small_grid, med, dz).kick(values.copy(), z)
+        kernel = SplitStepKernel(small_grid, med, dz)
+        max_phase = kernel.kick(values.copy(), z)
         assert max_phase == pytest.approx(np.max(np.abs(phase)), rel=1e-13)
+        # the phase factor built from tan(phase / 2) is unimodular to a few ulp
+        assert np.max(np.abs(np.abs(kernel.factor) - 1.0)) <= 4 * np.finfo(float).eps
 
 
 class TestPropagate:
@@ -255,6 +261,55 @@ class TestPropagate:
         assert len(record.snapshots) == len(plain_snapshots) + 1
         for (z, snap), plain in zip(record.snapshots, plain_snapshots):
             assert np.allclose(snap.values, plain, atol=1e-12 * scale)
+
+    def test_stack_matches_lone_calls_bit_for_bit(self):
+        # five members stepped as one stack give exactly the records of five
+        # lone calls; 18 x 10 sites puts member boundaries off SIMD widths
+        grid = make_grid(18, 10, 2e-5)
+        k0 = 2 * np.pi / WAVELENGTH
+        xx, yy = grid.meshgrid()
+        landscape = 1e-5 * np.cos(xx / 8e-5) + 2e-6j * (1.0 + np.sin(yy / 4e-5))
+        medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-2.0 / (k0 * 2e-3),
+                              alpha=5.0, potential=landscape, length=1e-3)
+        rng = np.random.default_rng(11)
+        members = [Field2D(grid=grid, values=1.0 + 0.2 * (rng.standard_normal(xx.shape)
+                                                         + 1j * rng.standard_normal(xx.shape)))
+                   for _ in range(5)]
+        plan = StepPlan(n_steps=9, snapshot_every=4)
+        stacked = propagate(members, medium, plan)
+        assert len(stacked) == 5
+        for member, record in zip(members, stacked):
+            lone = propagate(member, medium, plan)
+            assert np.array_equal(record.final_field.values, lone.final_field.values)
+            assert np.array_equal(record.power_trace, lone.power_trace)
+            assert record.max_phase_per_step == lone.max_phase_per_step
+            assert len(record.snapshots) == len(lone.snapshots) == 3
+            for (z_s, s_s), (z_l, s_l) in zip(record.snapshots, lone.snapshots):
+                assert z_s == z_l and np.array_equal(s_s.values, s_l.values)
+
+    def test_stack_rejects_mixed_grids_and_empty_input(self):
+        grid, medium, background, _ = defocusing_setup(nx=16, xi_cells=3.0, tau=1.0)
+        other = Field2D(grid=make_grid(16, 16, 6e-6), values=background.values)
+        with pytest.raises(ValueError, match="one grid"):
+            propagate([background, other], medium, StepPlan(n_steps=4))
+        with pytest.raises(ValueError, match="at least one"):
+            propagate([], medium, StepPlan(n_steps=4))
+
+    def test_snapshot_matches_run_of_its_length(self):
+        # a snapshot is the spectrum times a half kinetic factor, taken off
+        # the merged path; it must equal a run that ends there
+        grid, medium, _, _ = defocusing_setup(nx=64, dx=5e-6, xi_cells=3.0, tau=2.0)
+        xx, yy = grid.meshgrid()
+        start = Field2D(grid=grid, values=1.0 + 0.3 * np.exp(-(xx**2 + yy**2) / 4e-5**2))
+        n_steps, every = 12, 5
+        record = propagate(start, medium, StepPlan(n_steps=n_steps, snapshot_every=every))
+        dz = medium.length / n_steps
+        for i, (z, snap) in enumerate(record.snapshots[:-1]):
+            steps = (i + 1) * every
+            assert z == pytest.approx(steps * dz, rel=1e-15)
+            short = propagate(start, medium.with_length(steps * dz), StepPlan(n_steps=steps))
+            scale = np.abs(short.final_field.values).max()
+            assert np.max(np.abs(snap.values - short.final_field.values)) <= 1e-12 * scale
 
     def test_input_and_snapshots_own_their_arrays(self):
         # transforms overwrite the kernel's buffers in place; neither the
