@@ -15,7 +15,7 @@ from .hydro import (FluidDiagnostics, VortexSet, circulation, circulation_batch,
                     detect_vortices, madelung)
 from .dispersion import (DispersionCurve, ProbeSpec, bogoliubov_omega,
                          bogoliubov_sound_speed, dispersion_from_group_velocity,
-                         measure_group_velocity, sound_speed_scaling)
+                         measure_group_velocity, snapshot_density, sound_speed_scaling)
 from .stats import coherence_g1, intensity_statistics, structure_factor
 from .gem import (GaussianPulse, GemConfig, GemState, PulseTrain, fifo_filo_experiment,
                   gem_efficiency_measured, gem_efficiency_theory, gem_evolve)
@@ -33,7 +33,8 @@ __all__ = [
     "FluidDiagnostics", "VortexSet", "madelung", "detect_vortices",
     "circulation", "circulation_batch",
     "ProbeSpec", "DispersionCurve", "bogoliubov_omega", "bogoliubov_sound_speed",
-    "measure_group_velocity", "dispersion_from_group_velocity", "sound_speed_scaling",
+    "measure_group_velocity", "snapshot_density", "dispersion_from_group_velocity",
+    "sound_speed_scaling",
     "intensity_statistics", "coherence_g1", "structure_factor",
     "GemConfig", "GemState", "GaussianPulse", "PulseTrain", "gem_evolve",
     "gem_efficiency_theory", "gem_efficiency_measured", "fifo_filo_experiment",

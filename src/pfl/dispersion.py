@@ -107,12 +107,19 @@ def _wrap_coord(delta: np.ndarray, extent: float) -> np.ndarray:
 def _trailing_run(flags: np.ndarray) -> np.ndarray:
     """Mask selecting the unbroken run of True values ending at the last
     sample (empty if the last sample is False)."""
-    out = np.zeros(len(flags), dtype=bool)
-    for i in range(len(flags) - 1, -1, -1):
-        if not flags[i]:
-            break
-        out[i] = True
-    return out
+    return np.logical_and.accumulate(np.asarray(flags, dtype=bool)[::-1])[::-1]
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y = intercept + slope x: (slope, intercept,
+    standard error of the slope), with scipy.stats.linregress's arithmetic
+    (a constant y has standard error 0 here, nan there)."""
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=True).flat
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    r = 0.0 if ssym == 0.0 else np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))
+    return float(slope), float(intercept), float(stderr)
 
 
 def _centroid(profile: np.ndarray, x: np.ndarray, extent: float) -> float:
@@ -208,6 +215,12 @@ def packet_displacement(envelope: np.ndarray, x: np.ndarray,
     return islands[0][0], False
 
 
+def snapshot_density(z: float, field: Field2D) -> np.ndarray:
+    """keep for propagate that stores a snapshot's density |E|^2: the
+    background record measure_group_velocity expects."""
+    return field.density()
+
+
 def measure_group_velocity(background: Field2D, probe: ProbeSpec,
                            medium: MediumParams, plan: StepPlan,
                            background_record: PropagationRecord | None = None,
@@ -217,8 +230,11 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
 
     Runs the background with and without the probe (snapshots along z),
     subtracts densities and fits the transverse drift of the |delta rho|
-    wavepacket. The background run can be passed in to amortize sweeps; it
-    must use the same plan.
+    wavepacket. Each probe snapshot is reduced to its y-summed density
+    change as it is made, so the probe run holds no full field. The
+    background run, propagate(background, medium, plan,
+    keep=snapshot_density), can be passed in to amortize sweeps; it must
+    use the same plan.
     """
     grid = background.grid
     if plan.snapshot_every <= 0:
@@ -227,9 +243,12 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
         raise ValueError("probe k_perp is at or beyond the grid Nyquist wavevector")
 
     if background_record is None:
-        background_record = propagate(background, medium, plan)
+        background_record = propagate(background, medium, plan, keep=snapshot_density)
     elif background_record.n_steps != plan.n_steps:
         raise ValueError("background record does not match the stepping plan")
+    elif not all(isinstance(rho, np.ndarray) for _, rho in background_record.snapshots):
+        raise TypeError("background_record must hold snapshot densities; propagate "
+                        "the background with keep=snapshot_density")
 
     # peak probe intensity = power_ratio * mean background intensity
     mean_intensity = float(np.mean(medium.intensity(background.values)))
@@ -237,10 +256,19 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
     angle = np.arcsin(probe.k_perp / medium.k0) if probe.k_perp else 0.0
     with_probe = add_probe(background, probe.waist, probe_watts, angle,
                            medium.wavelength, medium.n0)
-    probe_record = propagate(with_probe, medium, plan)
+    background_snapshots = iter(background_record.snapshots)
 
-    z_samples, displacements, paired = _packet_displacements(
-        background_record, probe_record, probe, grid)
+    def density_change(z: float, field: Field2D) -> np.ndarray:
+        z_b, rho_b = next(background_snapshots, (np.nan, None))
+        if not abs(z_b - z) <= 1e-12 * max(z_b, 1.0):
+            raise ValueError("background and probe snapshots are misaligned in z")
+        delta = field.density() - rho_b
+        if probe.k_perp == 0.0:
+            return np.abs(delta).sum(axis=0)
+        return delta.sum(axis=0)  # signed, carrier demodulated later
+
+    probe_record = propagate(with_probe, medium, plan, keep=density_change)
+    z_samples, displacements, paired = _packet_displacements(probe_record, probe, grid)
 
     n = len(z_samples)
     trailing = _trailing_run(paired)
@@ -253,11 +281,9 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
         start = min(max(start, 0), n - 3)
         sel = np.zeros(n, dtype=bool)
         sel[start:] = True
-    from scipy import stats  # imported here: slow, and only fits need it
-
-    fit = stats.linregress(z_samples[sel], displacements[sel])
+    slope, intercept, stderr = _line_fit(z_samples[sel], displacements[sel])
     span = max(float(np.ptp(displacements[sel])), grid.dx)
-    residuals = displacements[sel] - (fit.intercept + fit.slope * z_samples[sel])
+    residuals = displacements[sel] - (intercept + slope * z_samples[sel])
     rel_residual = float(np.sqrt(np.mean(residuals**2))) / span
     if rel_residual > max_residual:
         raise RuntimeError(
@@ -267,32 +293,21 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
     if np.max(np.abs(displacements)) > 0.4 * grid.extent_x:
         raise RuntimeError("probe packet wrapped around the grid; shorten the run")
     return GroupVelocityMeasurement(
-        k_perp=probe.k_perp, v_g=float(fit.slope), stderr=float(fit.stderr),
+        k_perp=probe.k_perp, v_g=slope, stderr=stderr,
         z_samples=z_samples, displacements=displacements,
         fit_start_index=int(np.argmax(sel)))
 
 
-def _packet_displacements(background_record: PropagationRecord,
-                          probe_record: PropagationRecord, probe: ProbeSpec,
-                          grid) -> tuple[np.ndarray, np.ndarray]:
+def _packet_displacements(probe_record: PropagationRecord, probe: ProbeSpec,
+                          grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, displacement, paired) per snapshot of a probe run whose record
+    keeps the y-summed density change against the background."""
     x = grid.x_coords()
     extent = grid.extent_x
-    z_list = []
-    profiles = []
-    pairs = list(zip(background_record.snapshots, probe_record.snapshots))
-    for (z_b, f_b), (z_p, f_p) in pairs:
-        if abs(z_b - z_p) > 1e-12 * max(z_b, 1.0):
-            raise ValueError("background and probe snapshots are misaligned in z")
-        delta = f_p.density() - f_b.density()
-        if probe.k_perp == 0.0:
-            profiles.append(np.abs(delta).sum(axis=0))
-        else:
-            profiles.append(delta.sum(axis=0))  # signed, carrier demodulated later
-        z_list.append(z_b)
-    if len(profiles) < 4:
+    if len(probe_record.snapshots) < 4:
         raise ValueError("need at least 4 snapshots to fit a displacement slope")
-    z_samples = np.asarray(z_list)
-    profiles = np.asarray(profiles)
+    z_samples = np.array([z for z, _ in probe_record.snapshots])
+    profiles = [profile for _, profile in probe_record.snapshots]
 
     if probe.k_perp == 0.0:
         displacements = np.array([_centroid(p, x, extent) for p in profiles])
@@ -335,18 +350,7 @@ def dispersion_from_group_velocity(samples, medium: MediumParams) -> DispersionC
 
     k0, n0 = medium.k0, medium.n0
 
-    def model(kk, dn):
-        return bogoliubov_omega(kk, k0, n0, abs(dn))
-
-    dn_guess = max(np.max(v) ** 2 * n0, 1e-18)
-    from scipy import optimize  # imported here: slow, and only fits need it
-
-    try:
-        popt, pcov = optimize.curve_fit(model, k, omega, p0=[dn_guess], maxfev=10000)
-    except RuntimeError as exc:
-        raise RuntimeError(f"Bogoliubov fit did not converge: {exc}") from exc
-    dn_fit = abs(float(popt[0]))
-    dn_err = float(np.sqrt(pcov[0, 0])) if np.isfinite(pcov[0, 0]) else np.inf
+    dn_fit, dn_err = _fit_bogoliubov(k, omega, k0, n0, max(np.max(v) ** 2 * n0, 1e-18))
     c_s = bogoliubov_sound_speed(n0, dn_fit)
     c_s_err = 0.5 * c_s * dn_err / dn_fit if dn_fit > 0 else np.inf
     z_nl = 1.0 / (k0 * dn_fit) if dn_fit > 0 else np.inf
@@ -354,6 +358,52 @@ def dispersion_from_group_velocity(samples, medium: MediumParams) -> DispersionC
     return DispersionCurve(k_perp=k, v_g=v, omega=omega, dn_fit=dn_fit,
                            dn_stderr=dn_err, c_s=c_s, c_s_stderr=c_s_err,
                            xi_fit=xi_fit)
+
+
+def _fit_bogoliubov(k: np.ndarray, omega: np.ndarray, k0: float, n0: float,
+                    dn_guess: float) -> tuple[float, float]:
+    """Least-squares dn >= 0 of bogoliubov_omega to (k, omega) and its
+    standard error sqrt(SSR / (n - 1) / sum(J^2)), J = dOmega/d dn.
+
+    The minimum is a zero of the gradient G = sum(r J) of the residuals
+    r = Omega - omega. Newton steps on G, with G' = sum(J^2 omega / Omega),
+    stay inside a sign-change bracket, grown from [0, dn_guess], and fall
+    back to bisection when they leave it. When G(0) >= 0 the minimum is the
+    boundary dn = 0. A k = 0 sample has Omega = 0 for every dn and adds
+    nothing to G or J. Non-finite samples end in the RuntimeError.
+    """
+    e_k = k**2 / (2.0 * k0 * n0)
+
+    def terms(dn: float):
+        fitted = bogoliubov_omega(k, k0, n0, dn)
+        safe = np.where(fitted > 0.0, fitted, 1.0)
+        jac = k0 * e_k / safe
+        r = fitted - omega
+        return r, jac, float(r @ jac), float(jac**2 @ (omega / safe))
+
+    lo, hi = 0.0, dn_guess
+    dn, (r, jac, grad, curv) = 0.0, terms(0.0)
+    if not grad >= 0.0:
+        while terms(hi)[2] < 0.0 and hi < 1e300:
+            lo, hi = hi, 2.0 * hi
+        dn = hi
+        for _ in range(200):
+            r, jac, grad, curv = terms(dn)
+            if grad == 0.0:
+                break
+            if grad < 0.0:
+                lo = dn
+            else:
+                hi = dn
+            step = dn - grad / curv if curv > 0.0 else np.nan
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            if abs(step - dn) <= 4.0 * np.finfo(float).eps * dn:
+                break
+            dn = step
+        else:
+            raise RuntimeError(f"Bogoliubov fit did not converge (dn = {dn:.6g})")
+    return dn, float(np.sqrt((r @ r) / (len(k) - 1) / (jac @ jac)))
 
 
 @dataclass
@@ -397,9 +447,7 @@ def sound_speed_scaling(densities, medium: MediumParams, grid,
                           power_ratio=power_ratio)
         m = measure_group_velocity(background, probe, run_medium, plan)
         speeds.append(m.v_g)
-    from scipy import stats  # imported here: slow, and only fits need it
-
     speeds = np.asarray(speeds)
-    fit = stats.linregress(np.log(densities), np.log(speeds))
+    exponent, _, stderr = _line_fit(np.log(densities), np.log(speeds))
     return SoundSpeedScaling(densities=densities, sound_speeds=speeds,
-                             exponent=float(fit.slope), stderr=float(fit.stderr))
+                             exponent=exponent, stderr=stderr)

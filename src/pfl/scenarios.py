@@ -3,11 +3,13 @@ artifacts, and emit a manifest of exactly the files produced."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .config import RunConfig
 from .dispersion import (ProbeSpec, dispersion_from_group_velocity,
-                         measure_group_velocity, sound_speed_scaling)
+                         measure_group_velocity, snapshot_density, sound_speed_scaling)
 from .fileio import ArtifactWriter, fmt, load_field
 from .gem import (GaussianPulse, GemConfig, PulseTrain, fifo_filo_experiment,
                   gem_efficiency_measured, gem_efficiency_theory, gem_evolve)
@@ -105,12 +107,15 @@ def _scenario_propagate(cfg: RunConfig, w: ArtifactWriter):
     medium = build_medium(cfg, grid)
     plan = build_plan(cfg)
     field = build_source(cfg, grid, medium)
-    record = propagate(field, medium, plan)
     w.field("input.pfl1", field, 0.0)
+    index = itertools.count()
+
+    def write_snapshot(z: float, snap: Field2D):
+        if cfg.emit_snapshots:
+            w.field(f"snapshot_{next(index):04d}.pfl1", snap, z)
+
+    record = propagate(field, medium, plan, keep=write_snapshot)
     w.field("final.pfl1", record.final_field, record.z_final)
-    if cfg.emit_snapshots:
-        for i, (z, snap) in enumerate(record.snapshots):
-            w.field(f"snapshot_{i:04d}.pfl1", snap, z)
     if cfg.emit_csv:
         w.csv("power.csv", ["z", "power"], record.power_trace)
     if cfg.emit_pgm:
@@ -125,7 +130,7 @@ def _scenario_dispersion(cfg: RunConfig, w: ArtifactWriter):
     if plan.snapshot_every <= 0:
         raise ValueError("dispersion needs plan.snapshot_every > 0 to track packets")
     background = build_source(cfg, grid, medium)
-    background_record = propagate(background, medium, plan)
+    background_record = propagate(background, medium, plan, keep=snapshot_density)
 
     samples = []
     for k_perp in sorted(cfg.params["k_perp_list"]):

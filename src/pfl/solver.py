@@ -19,16 +19,20 @@ scalar). It steps a stack of fields (B, ny, nx) that share the grid and
 the medium; a lone field is the stack B = 1. Its kick builds exp(i phase)
 from tan(phase / 2) in preallocated buffers and multiplies the field in
 place; the transforms (scipy.fft over the last two axes) overwrite
-buffers the kernel owns. The input is never written to.
+buffers the kernel owns. The input is never written to. Each snapshot
+leaves the step loop as it is made: propagate hands every member's field
+to a keep callback and stores only what keep returns, so a run that keeps
+a density or a profile per snapshot never holds a list of full fields.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Any
 
 import numpy as np
 
@@ -85,7 +89,8 @@ class PropagationRecord:
     n_steps: int
     dz: float
     power_trace: np.ndarray            # columns (z, power), one row per step boundary
-    snapshots: list[tuple[float, Field2D]] = field(default_factory=list)
+    # (z, keep(z, field)) per snapshot: the field itself unless propagate got a keep
+    snapshots: list[tuple[float, Any]] = field(default_factory=list)
     max_phase_per_step: float = 0.0
     wall_time: float = 0.0
 
@@ -167,17 +172,19 @@ class SplitStepKernel:
             values *= amplitude
         return max_phase
 
-    def run(self, values: np.ndarray, plan: StepPlan) -> tuple:
+    def run(self, values: np.ndarray, plan: StepPlan,
+            on_snapshot: Callable[[float, np.ndarray], None]) -> tuple:
         """Take plan.n_steps steps of the stack values (B, ny, nx), which the
-        kernel owns and overwrites. Returns the final stack, [(z, snapshot
-        stack)], the power per step boundary and member (n_steps + 1, B) and
-        each member's largest kick phase."""
+        kernel owns and overwrites. Each snapshot stack before the last step
+        goes to on_snapshot(z, stack) as it is made; the stack is a new array
+        the callee may keep. Returns the final stack, the power per step
+        boundary and member (n_steps + 1, B) and each member's largest kick
+        phase."""
         n_steps, every, dz = plan.n_steps, plan.snapshot_every, self.dz
         half_kinetic, full_kinetic = self.kinetic
         power = np.empty((n_steps + 1, len(values)))
         power[0] = self._power(values)
         max_phase = np.zeros(len(values))
-        snapshots = []
         spectrum = fft2(values, overwrite_x=True)
         spectrum *= half_kinetic
         for step in range(n_steps):
@@ -195,9 +202,9 @@ class SplitStepKernel:
                                          f"propagation aborted")
             last = step == n_steps - 1
             if every and (step + 1) % every == 0 and not last:
-                snapshots.append((z_next, ifft2(spectrum * half_kinetic, overwrite_x=True)))
+                on_snapshot(z_next, ifft2(spectrum * half_kinetic, overwrite_x=True))
             spectrum *= half_kinetic if last else full_kinetic
-        return ifft2(spectrum, overwrite_x=True), snapshots, power, max_phase
+        return ifft2(spectrum, overwrite_x=True), power, max_phase
 
     def _power(self, values: np.ndarray) -> np.ndarray:
         return np.array([np.vdot(v, v).real for v in values]) * self.grid.cell_area
@@ -241,16 +248,22 @@ def occupied_kinetic_rate(values: np.ndarray, grid: Grid, k0: float,
 
 
 def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
-              plan: StepPlan) -> PropagationRecord | list[PropagationRecord]:
+              plan: StepPlan, keep: Callable[[float, Field2D], Any] | None = None
+              ) -> PropagationRecord | list[PropagationRecord]:
     """Propagate through the medium with symmetric Strang splitting.
 
     field_in is one field, or a sequence of fields on one grid that runs as
     one (B, ny, nx) stack through the same step loop and returns a list of
     records in member order. Each member's final field and snapshots equal
-    those of a lone call bit for bit; wall_time is the whole stack's.
-    Snapshots are recorded every plan.snapshot_every steps (and at z = L).
-    The power trace has one row per step boundary, computed in spectral
-    space where it costs nothing extra. field_in is never written to.
+    those of a lone call bit for bit; wall_time is the whole stack's and
+    includes the keep calls.
+    Snapshots are taken every plan.snapshot_every steps and at z = L. Each
+    member's record stores (z, keep(z, member_field)) as the snapshot is
+    made, so nothing else holds the field once keep returns; the default
+    keep stores the field itself. keep is called in z order and, at each z,
+    in member order; the field it gets is its own to keep. The power trace
+    has one row per step boundary, computed in spectral space where it
+    costs nothing extra. field_in is never written to.
     Raises FloatingPointError on non-finite samples and RuntimeError when
     the per-step phase exceeds ABORT_PHASE_PER_STEP.
     """
@@ -276,22 +289,30 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
     if fastest > ABORT_PHASE_PER_STEP:
         raise RuntimeError(f"step size dz={dz:.3g} gives {fastest:.2f} rad of phase per "
                            f"step (> pi); refine the stepping plan")
+    keep = keep or _keep_field
+    snapshots = [[] for _ in fields]
+
+    def hand_off(z: float, stack: np.ndarray):
+        for f, member, kept in zip(fields, stack, snapshots):
+            kept.append((z, keep(z, f.with_values(member))))
+
     t0 = time.perf_counter()
-    final, snapshots, power, max_phase = SplitStepKernel(grid, medium, dz).run(values, plan)
+    final, power, max_phase = SplitStepKernel(grid, medium, dz).run(values, plan, hand_off)
+    finals = [f.with_values(v).validate_finite() for f, v in zip(fields, final)]
+    if plan.snapshot_every:
+        hand_off(medium.length, final.copy())
     wall_time = time.perf_counter() - t0
     z = np.arange(plan.n_steps + 1) * dz
-    records = []
-    for b, f in enumerate(fields):
-        record = PropagationRecord(
-            final_field=f.with_values(final[b]).validate_finite(), z_final=medium.length,
-            n_steps=plan.n_steps, dz=dz, power_trace=np.column_stack((z, power[:, b])),
-            snapshots=[(z_snap, f.with_values(snap[b])) for z_snap, snap in snapshots],
-            max_phase_per_step=float(dz * kinetic_rate[b] + max_phase[b]),
-            wall_time=wall_time)
-        if plan.snapshot_every:
-            record.snapshots.append((medium.length, record.final_field.copy()))
-        records.append(record)
+    records = [PropagationRecord(
+        final_field=final_field, z_final=medium.length, n_steps=plan.n_steps, dz=dz,
+        power_trace=np.column_stack((z, power[:, b])), snapshots=snapshots[b],
+        max_phase_per_step=float(dz * kinetic_rate[b] + max_phase[b]), wall_time=wall_time)
+        for b, final_field in enumerate(finals)]
     return records[0] if lone else records
+
+
+def _keep_field(z: float, field: Field2D) -> Field2D:
+    return field
 
 
 def _nonlinear_rate(values: np.ndarray, medium: MediumParams) -> float:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,37 @@ n_steps = 20
 kind = plane
 intensity = 100.0
 """
+
+GOOD_DISPERSION = """
+[run]
+scenario = dispersion
+seed = 5
+
+[grid]
+nx = 128
+ny = 128
+dx = 5e-6
+
+[medium]
+lambda = 780e-9
+n0 = 1.0
+chi3 = -3.082e-12
+length = 0.012888
+
+[plan]
+n_steps = 240
+snapshot_every = 8
+
+[source]
+kind = plane
+intensity = 132720.0
+
+[dispersion]
+k_perp_list = 20000, 30000, 40000, 60000, 90000
+probe_waist = 1e-4
+"""
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
 
 GOOD_GEM = """
 [run]
@@ -189,12 +221,33 @@ class TestCli:
         assert proc.returncode == 0
         assert "ok" in proc.stdout
 
-    def test_cli_import_defers_heavy_scipy_modules(self):
-        # scipy.stats, scipy.optimize and scipy.signal are imported where
-        # they are used, so starting the CLI does not pay for them
+    def test_cli_import_defers_heavy_scipy_modules(self, tmp_path):
+        # scipy.signal is imported where it is used, so starting the CLI
+        # does not pay for it; the dispersion fits are plain numpy, so a
+        # whole dispersion run loads neither scipy.stats nor scipy.optimize
         heavy = ("scipy.stats", "scipy.optimize", "scipy.signal")
         code = ("import sys, pfl.cli; "
                 f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
+
+        cfg = tmp_path / "dispersion.ini"
+        cfg.write_text(GOOD_DISPERSION)
+        fits = ("scipy.stats", "scipy.optimize")
+        code = ("import sys; from pfl.cli import main; "
+                f"code = main(['dispersion', '--config', {str(cfg)!r}, "
+                f"'--out', {str(tmp_path / 'out')!r}]); "
+                f"print('exit', code, [m for m in {fits!r} if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "exit 0 []"
+        assert (tmp_path / "out" / "fit.txt").exists()
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=[c.name for c in CONFIGS])
+    def test_shipped_config_validates(self, config, capsys):
+        assert cli_main(["validate", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("ok: scenario")
+
+    def test_configs_are_shipped(self):
+        assert len(CONFIGS) >= 3

@@ -1,12 +1,16 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from pfl.dispersion import (ProbeSpec, bogoliubov_group_velocity, bogoliubov_omega,
+from pfl.dispersion import (ProbeSpec, _fit_bogoliubov, _line_fit, _trailing_run,
+                            bogoliubov_group_velocity, bogoliubov_omega,
                             bogoliubov_sound_speed, dispersion_from_group_velocity,
                             measure_group_velocity, packet_displacement,
-                            demodulated_envelope)
+                            demodulated_envelope, snapshot_density)
 from pfl.medium import MediumParams
-from pfl.solver import StepPlan
+from pfl.solver import StepPlan, propagate
 
 from conftest import WAVELENGTH, defocusing_setup
 
@@ -65,6 +69,22 @@ class TestDispersionIntegration:
                                           rel=0.01)
         assert curve.xi_fit == pytest.approx(xi, rel=0.02)
 
+    def test_sonic_line_fit_sits_on_the_boundary(self):
+        # the sonic line c k falls below E_k at high k, where any dn > 0
+        # widens the misfit: the constrained minimum is dn = 0, with a
+        # finite stderr
+        med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
+        k = np.linspace(1e4, 1e5, 8)
+        curve = dispersion_from_group_velocity([(kk, 3.3e-3) for kk in k], med)
+        assert curve.dn_fit == 0.0
+        assert 0.0 < curve.dn_stderr < np.inf
+
+    def test_non_finite_samples_do_not_converge(self):
+        med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
+        samples = [(k, np.nan if k == 3e4 else 1e-3) for k in np.linspace(1e4, 5e4, 5)]
+        with pytest.raises(RuntimeError, match="Bogoliubov fit did not converge"):
+            dispersion_from_group_velocity(samples, med)
+
     def test_rejects_sparse_or_unsorted(self):
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
         with pytest.raises(ValueError, match="at least 5"):
@@ -72,6 +92,77 @@ class TestDispersionIntegration:
         bad = [(1.0, 1.0), (2.0, 1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)]
         with pytest.raises(ValueError, match="strictly increasing"):
             dispersion_from_group_velocity(bad, med)
+
+
+def _noisy_bogoliubov_curve(seed, dn_true=7.3e-5, n=8, with_k0=False):
+    """A dispersion curve integrated from Bogoliubov v_g with 3% noise."""
+    med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
+    rng = np.random.default_rng(seed)
+    xi = 1.0 / np.sqrt(K0**2 * dn_true)
+    k = np.sort(rng.uniform(0.05, 3.0, n)) / xi
+    if with_k0:
+        k[0] = 0.0
+    v = bogoliubov_group_velocity(k, K0, 1.0, dn_true) * (1 + 0.03 * rng.standard_normal(n))
+    return dispersion_from_group_velocity(list(zip(k, v)), med), v
+
+
+class TestFitsAgainstScipy:
+    """The numpy fits against the scipy routines they replace."""
+
+    def test_line_fit_matches_linregress(self):
+        from scipy import stats
+        rng = np.random.default_rng(21)
+        cases = [(np.arange(5.0), 2.0 * np.arange(5.0) + 1.0)]  # exact line
+        for n in (3, 5, 12, 53):
+            x = np.sort(rng.uniform(0.0, 1e-2, n))
+            cases.append((x, 3e-3 * x - 2e-6 + 1e-7 * rng.standard_normal(n)))
+        for x, y in cases:
+            ref = stats.linregress(x, y)
+            np.testing.assert_allclose(_line_fit(x, y), (ref.slope, ref.intercept, ref.stderr),
+                                       rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed, dn_true, with_k0", [
+        (1, 7.3e-5, False), (2, 2.0e-4, False), (3, 1.5e-5, True), (4, 7.3e-5, True)])
+    def test_bogoliubov_fit_matches_curve_fit(self, seed, dn_true, with_k0):
+        from scipy import optimize
+        curve, v = _noisy_bogoliubov_curve(seed, dn_true, with_k0=with_k0)
+        assert curve.k_perp[0] == 0.0 if with_k0 else curve.k_perp[0] > 0.0
+        # the call the numpy fit replaces
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            popt, pcov = optimize.curve_fit(
+                lambda kk, dn: bogoliubov_omega(kk, K0, 1.0, abs(dn)), curve.k_perp,
+                curve.omega, p0=[max(np.max(v) ** 2, 1e-18)], maxfev=10000)
+        assert 0.5 < curve.dn_fit / dn_true < 2.0  # an interior minimum
+        assert curve.dn_fit == pytest.approx(abs(popt[0]), rel=1e-6)
+        assert curve.dn_stderr == pytest.approx(np.sqrt(pcov[0, 0]), rel=1e-4)
+
+    def test_bogoliubov_fit_zeroes_the_gradient(self):
+        curve, _ = _noisy_bogoliubov_curve(5)
+        dn, _ = _fit_bogoliubov(curve.k_perp, curve.omega, K0, 1.0, 1e-4)
+        h = 1e-6 * dn
+        ssr = [np.sum((bogoliubov_omega(curve.k_perp, K0, 1.0, d) - curve.omega) ** 2)
+               for d in (dn - h, dn, dn + h)]
+        assert ssr[1] <= min(ssr[0], ssr[2])
+
+
+def _trailing_run_loop(flags):
+    out = np.zeros(len(flags), dtype=bool)
+    for i in range(len(flags) - 1, -1, -1):
+        if not flags[i]:
+            break
+        out[i] = True
+    return out
+
+
+def test_trailing_run_matches_loop():
+    rng = np.random.default_rng(8)
+    cases = [np.ones(7, bool), np.zeros(7, bool), np.array([True] * 6 + [False]),
+             np.array([], bool), np.array([True]), np.array([False])]
+    cases += [rng.random(n) < p for n in (1, 5, 53) for p in (0.3, 0.8, 0.95)
+              for _ in range(10)]
+    for flags in cases:
+        assert np.array_equal(_trailing_run(flags), _trailing_run_loop(flags))
 
 
 class TestEnvelopeTools:
@@ -131,6 +222,38 @@ class TestMeasurement:
         vg_true = bogoliubov_group_velocity(np.array([k]), K0, 1.0,
                                             scales["dn_nl"])[0]
         assert m.v_g == pytest.approx(vg_true, rel=0.05)
+
+    def test_holds_less_than_one_list_of_full_snapshots(self):
+        # the background keeps densities and the probe run 1-D profiles, so
+        # a 40-snapshot measurement peaks below 40 full complex fields
+        grid, medium, background, _ = defocusing_setup(nx=64, dx=5e-6, xi_cells=2.0,
+                                                       tau=8.0)
+        free = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, length=medium.length)
+        plan = StepPlan(n_steps=120, snapshot_every=3)
+        k = 6 * grid.dk_x
+        probe = ProbeSpec(waist=6e-5, k_perp=k, power_ratio=1e-4)
+        one_list = (plan.n_steps // plan.snapshot_every) * 16 * grid.nx * grid.ny
+        tracemalloc.start()
+        try:
+            m = measure_group_velocity(background, probe, free, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(m.z_samples) == 40
+        assert m.v_g == pytest.approx(k / K0, rel=0.02)
+        assert peak < one_list
+
+    def test_background_record_must_keep_densities(self):
+        grid, medium, background, scales = defocusing_setup(nx=64)
+        plan = StepPlan(n_steps=40, snapshot_every=10)
+        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1e5)
+        with pytest.raises(TypeError, match="keep=snapshot_density"):
+            measure_group_velocity(background, probe, medium, plan,
+                                   background_record=propagate(background, medium, plan))
+        other = propagate(background, medium, StepPlan(n_steps=40, snapshot_every=8),
+                          keep=snapshot_density)
+        with pytest.raises(ValueError, match="misaligned"):
+            measure_group_velocity(background, probe, medium, plan, background_record=other)
 
     def test_requires_snapshots(self):
         grid, medium, background, scales = defocusing_setup(nx=64)

@@ -6,8 +6,9 @@ import pytest
 
 from pfl import scenarios
 from pfl.config import parse_config
-from pfl.fileio import load_field
+from pfl.fileio import load_field, save_field
 from pfl.scenarios import run_scenario
+from pfl.solver import propagate
 
 FIELD_SECTIONS = """
 [grid]
@@ -110,6 +111,33 @@ intensity = 50.0
     header, rows = read_csv(out / "power.csv")
     assert header == ["z", "power"]
     assert len(rows) == 81
+
+
+def test_propagate_streams_snapshot_files(tmp_path):
+    # each snapshot is written as the step loop hands it over; the files
+    # equal save_field of the default record's snapshots, z = L included
+    text = """
+[run]
+scenario = propagate
+seed = 1
+snapshots = true
+""" + FIELD_SECTIONS + """
+[source]
+kind = gaussian
+waist = 1.2e-4
+power = 1e-3
+"""
+    cfg, writer, out = run(tmp_path, text)
+    grid = scenarios.build_grid(cfg)
+    medium = scenarios.build_medium(cfg, grid)
+    record = propagate(scenarios.build_source(cfg, grid, medium), medium,
+                       scenarios.build_plan(cfg))
+    assert len(record.snapshots) == 10
+    for i, (z, snap) in enumerate(record.snapshots):
+        expected = save_field(tmp_path / "expected.pfl1", snap, z).read_bytes()
+        assert (out / f"snapshot_{i:04d}.pfl1").read_bytes() == expected
+    assert not (out / f"snapshot_{len(record.snapshots):04d}.pfl1").exists()
+    assert (out / "final.pfl1").read_bytes() == expected
 
 
 def test_dispersion_scenario(tmp_path):

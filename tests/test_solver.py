@@ -332,6 +332,32 @@ class TestPropagate:
                 assert np.array_equal(snaps[earlier].values, kept[earlier])
         assert np.array_equal(start.values, original)
 
+    def test_keep_maps_each_snapshot_as_the_default_record_would(self):
+        # keep(z, field) sees every snapshot, z = L included, and the record
+        # stores what it returns: the default record's snapshots mapped
+        # afterwards, bit for bit, for a lone field and for a stack
+        grid, medium, _, _ = defocusing_setup(nx=64, dx=5e-6, xi_cells=3.0, tau=2.0)
+        xx, yy = grid.meshgrid()
+        members = [Field2D(grid=grid, values=1.0 + 0.3j * np.exp(-((xx - x0)**2 + yy**2) / 4e-5**2))
+                   for x0 in (-2e-5, 0.0, 3e-5)]
+        plan = StepPlan(n_steps=12, snapshot_every=3)
+
+        def profile(z, f):
+            return z, f.density().sum(axis=0)
+
+        lone = (propagate(members[0], medium, plan),
+                propagate(members[0], medium, plan, keep=profile))
+        stacked = (propagate(members, medium, plan), propagate(members, medium, plan, keep=profile))
+        for plain, kept in ([lone[0]], [lone[1]]), stacked:
+            assert len(plain) == len(kept)
+            for p, k in zip(plain, kept):
+                assert np.array_equal(k.final_field.values, p.final_field.values)
+                assert len(k.snapshots) == len(p.snapshots) == 4
+                assert k.snapshots[-1][0] == medium.length
+                for (z_p, f_p), (z_k, (z_seen, seen)) in zip(p.snapshots, k.snapshots):
+                    assert z_k == z_seen == z_p
+                    assert np.array_equal(seen, profile(z_p, f_p)[1])
+
     def test_snapshots_strictly_increasing(self):
         grid, medium, background, _ = defocusing_setup(nx=64, xi_cells=3.0, tau=5.0)
         rec = propagate(background, medium, StepPlan(n_steps=50, snapshot_every=10))
