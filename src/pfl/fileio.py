@@ -36,10 +36,12 @@ def save_field(path, field: Field2D, z: float = 0.0) -> Path:
         "<QQddQd", grid.nx, grid.ny, grid.dx, grid.dy,
         _UNIT_CODES[field.unit_tag], float(z),
     )
-    interleaved = np.empty((grid.ny, grid.nx, 2), dtype="<f8")
-    interleaved[..., 0] = field.values.real
-    interleaved[..., 1] = field.values.imag
-    path.write_bytes(header + interleaved.tobytes())
+    # "<c16" samples are the interleaved little-endian (re, im) float64 pairs;
+    # for a contiguous complex128 field this is the field's own memory
+    samples = np.ascontiguousarray(field.values, dtype="<c16")
+    with path.open("wb") as fh:
+        fh.write(header)
+        fh.write(samples.data)
     return path
 
 
@@ -53,8 +55,7 @@ def load_field(path) -> tuple[Field2D, float]:
     expected = 4 + 48 + nx * ny * 16
     if len(raw) != expected:
         raise ValueError(f"{path}: truncated snapshot ({len(raw)} of {expected} bytes)")
-    flat = np.frombuffer(raw, dtype="<f8", offset=52).reshape(ny, nx, 2)
-    values = flat[..., 0] + 1j * flat[..., 1]
+    values = np.frombuffer(raw, dtype="<c16", offset=52).reshape(ny, nx).astype(np.complex128)
     grid = make_grid(int(nx), int(ny), float(dx), float(dy))
     return Field2D(grid=grid, values=values, unit_tag=_UNIT_NAMES[unit_code]), float(z)
 

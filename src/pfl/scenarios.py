@@ -18,15 +18,15 @@ from .hydro import detect_vortices
 from .medium import MediumParams, intensity_to_density
 from .potentials import build_potential
 from .seeding import stream_rng, stream_seed
-from .solver import StepPlan, fluid_scales, propagate
+from .solver import BLOCK_SITES, StepPlan, fluid_scales, propagate
 from .sources import gaussian_beam, imprint_dark_stripe, imprint_vortex, plane_wave, speckle
 from .stats import intensity_statistics, coherence_g1, structure_factor
 
 # Ensemble members are propagated in stacks of about this many lattice sites
 # (8 members at 64^2, one at 256^2 and above): enough to amortize the
-# per-call and per-step overhead of small grids, while a stack's fields and
-# kernel buffers stay near a megabyte each.
-STACK_SITES = 2**15
+# per-call and per-step overhead of small grids, while a stack of small
+# fields is one block of the kernel's kick.
+STACK_SITES = BLOCK_SITES
 
 
 def build_grid(cfg: RunConfig) -> Grid:

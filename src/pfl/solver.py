@@ -17,12 +17,13 @@ Kerr coefficient dz k0 chi3 / (2 n0) and a static potential's phase and
 amplitude terms (without a potential, the loss exp(-alpha dz/2) is a
 scalar). It steps a stack of fields (B, ny, nx) that share the grid and
 the medium; a lone field is the stack B = 1. Its kick builds exp(i phase)
-from tan(phase / 2) in preallocated buffers and multiplies the field in
-place; the transforms (scipy.fft over the last two axes) overwrite
-buffers the kernel owns. The input is never written to. Each snapshot
-leaves the step loop as it is made: propagate hands every member's field
-to a keep callback and stores only what keep returns, so a run that keeps
-a density or a profile per snapshot never holds a list of full fields.
+from tan(phase / 2) and multiplies the field in place, block by block,
+in preallocated buffers of one block of BLOCK_SITES sites; the transforms
+(scipy.fft over the last two axes) overwrite buffers the kernel owns.
+The input is never written to. Each snapshot leaves the step loop as it
+is made: propagate hands every member's field to a keep callback and
+stores only what keep returns, so a run that keeps a density or a profile
+per snapshot never holds a list of full fields.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ OCCUPIED_MODE_FLOOR = 1e-9
 
 WARN_PHASE_PER_STEP = 0.5
 ABORT_PHASE_PER_STEP = np.pi
+
+# Lattice sites per block of the kick's pointwise passes (and per stack of
+# ensemble members in scenarios): 2^15 sites keep the block's complex field,
+# factor and real buffers at about 1.5 MB, inside a 2 MB L2 cache.
+BLOCK_SITES = 2**15
 
 
 @dataclass
@@ -105,6 +111,20 @@ def kinetic_multiplier(grid: Grid, dz: float, k0: float, n0: float) -> np.ndarra
     return np.outer(np.exp(-1j * c * grid.ky() ** 2), np.exp(-1j * c * grid.kx() ** 2))
 
 
+def block_slices(n_members: int, ny: int, nx: int) -> list[tuple[slice, slice]]:
+    """(members, rows) index pairs that cover a stack (B, ny, nx) in blocks of
+    about BLOCK_SITES sites: runs of whole members when a field is smaller
+    (8 members at 64^2), runs of rows of one member when it is larger (64
+    rows at 512^2). Only the last block of a run may be smaller."""
+    if ny * nx <= BLOCK_SITES:
+        size = BLOCK_SITES // (ny * nx)
+        return [(slice(m, min(m + size, n_members)), slice(None))
+                for m in range(0, n_members, size)]
+    rows = max(1, BLOCK_SITES // nx)
+    return [(slice(m, m + 1), slice(r, min(r + rows, ny)))
+            for m in range(n_members) for r in range(0, ny, rows)]
+
+
 class SplitStepKernel:
     """Precomputed factors and owned buffers for split steps of length dz on
     one field (ny, nx) or a stack of fields (B, ny, nx) sharing the medium."""
@@ -116,7 +136,8 @@ class SplitStepKernel:
         self.saturation = (None if medium.i_sat is None
                            else density_to_intensity(1.0, medium.n0) / medium.i_sat)
         self.static = None if callable(medium.potential) else self._potential_terms(0.0)
-        self.density = self.phase = self.factor = None  # sized by the first kick
+        # block buffers and ((B, ny, nx), per-block views), set by the first kick
+        self.density = self.phase = self.factor = self.blocks = None
 
     @cached_property
     def kinetic(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,31 +167,54 @@ class SplitStepKernel:
 
         exp(i phase) comes from one transcendental, t = tan(phase / 2):
         cos = (1 - t^2) / (1 + t^2) = 2 / (1 + t^2) - 1, sin = 2 t / (1 + t^2).
+        The passes run block by block (see block_slices), so the buffers are
+        one block, not one stack; every operation is pointwise, so the result
+        does not depend on the blocking.
         """
-        if self.factor is None or self.factor.shape != values.shape:
-            self.density, self.phase = np.empty((2, *values.shape))
-            self.factor = np.empty(values.shape, dtype=np.complex128)
-        density, half, factor = self.density, self.phase, self.factor
-        # |E|^2 = re^2 + im^2, squared into the factor buffer as scratch
-        np.square(values.view(np.float64), out=factor.view(np.float64))
-        np.add(factor.real, factor.imag, out=density)
-        np.multiply(density, self.half_kerr, out=half)
-        if self.saturation is not None:  # chi_eff = chi3 / (1 + I / I_sat)
-            half /= 1.0 + self.saturation * density
+        stack = values if values.ndim == 3 else values[None]
+        if self.blocks is None or self.blocks[0] != stack.shape:
+            self._size_blocks(stack)
         potential_half, amplitude = self.static or self._potential_terms(z)
-        if potential_half is not None:
-            half += potential_half
-        max_phase = 2.0 * np.maximum(half.max(axis=(-2, -1)), -half.min(axis=(-2, -1)))
-        t, r = np.tan(half, out=half), density
-        np.multiply(t, t, out=r)
-        r += 1.0
-        np.divide(2.0, r, out=r)
-        np.multiply(t, r, out=factor.imag)
-        np.subtract(r, 1.0, out=factor.real)
-        values *= factor
-        if np.ndim(amplitude) or amplitude != 1.0:
-            values *= amplitude
-        return max_phase
+        max_phase = np.zeros(len(stack))
+        for members, rows, density, half, factor, re, im in self.blocks[1]:
+            block = stack[members, rows]
+            # |E|^2 = re^2 + im^2, squared into the factor buffer as scratch
+            np.square(block.view(np.float64), out=factor.view(np.float64))
+            np.add(re, im, out=density)
+            np.multiply(density, self.half_kerr, out=half)
+            if self.saturation is not None:  # chi_eff = chi3 / (1 + I / I_sat)
+                half /= 1.0 + self.saturation * density
+            if potential_half is not None:
+                half += potential_half[rows]
+            peak = 2.0 * np.maximum(half.max(axis=(-2, -1)), -half.min(axis=(-2, -1)))
+            np.maximum(max_phase[members], peak, out=max_phase[members])
+            t, r = np.tan(half, out=half), density
+            np.multiply(t, t, out=r)
+            r += 1.0
+            np.divide(2.0, r, out=r)
+            np.multiply(t, r, out=im)
+            np.subtract(r, 1.0, out=re)
+            block *= factor
+            if np.ndim(amplitude):
+                block *= amplitude[rows]
+            elif amplitude != 1.0:
+                block *= amplitude
+        return max_phase if values.ndim == 3 else max_phase[0]
+
+    def _size_blocks(self, stack: np.ndarray):
+        """Allocate buffers for the largest block of the stack and record,
+        per block, its (members, rows) and its views of the buffers."""
+        blocks = block_slices(*stack.shape)
+        shape = stack[blocks[0]].shape  # the first block is the largest
+        self.density, self.phase = np.empty((2, *shape))
+        self.factor = np.empty(shape, dtype=np.complex128)
+        views = []
+        for members, rows in blocks:
+            n_members, n_rows = stack[members, rows].shape[:2]
+            density, half, factor = (buffer[:n_members, :n_rows]
+                                     for buffer in (self.density, self.phase, self.factor))
+            views.append((members, rows, density, half, factor, factor.real, factor.imag))
+        self.blocks = (stack.shape, views)
 
     def run(self, values: np.ndarray, plan: StepPlan,
             on_snapshot: Callable[[float, np.ndarray], None]) -> tuple:

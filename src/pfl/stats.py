@@ -19,7 +19,8 @@ def _as_density_list(fields) -> list[np.ndarray]:
             out.append(f.density())
         else:
             arr = np.asarray(f)
-            out.append(np.abs(arr) ** 2 if np.iscomplexobj(arr) else arr.astype(float))
+            out.append(np.abs(arr) ** 2 if np.iscomplexobj(arr)
+                       else arr.astype(float, copy=False))
     return out
 
 
@@ -240,8 +241,13 @@ def structure_factor(signal_fields, reference_fields, grid=None, nbins: int = 0,
 
 def _fluctuation_spectrum(densities: list[np.ndarray]):
     """Per-mode mean and variance of |fft(rho - <rho>)|^2 over an ensemble."""
-    mean_rho = np.mean(densities, axis=0)
+    # a running sum holds one density, not a stacked ensemble; np.mean over
+    # the stacked axis adds the members in the same order, to the same bits
     n = len(densities)
+    mean_rho = np.zeros_like(densities[0])
+    for rho in densities:
+        mean_rho += rho
+    mean_rho /= n
     acc = np.zeros_like(mean_rho)
     acc2 = np.zeros_like(mean_rho)
     for rho in densities:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pfl import solver
 from pfl.grid import Field2D, make_grid
 from pfl.medium import MediumParams, density_to_intensity
 from pfl.solver import (SplitStepKernel, StepPlan, fluid_scales, kinetic_half_step,
@@ -16,6 +19,30 @@ def measured_waist(field):
     x = field.grid.x_coords()
     marg = rho.sum(axis=0)
     return 2.0 * np.sqrt(float((marg * x**2).sum() / marg.sum()))
+
+
+KICK_CASES = ["loss", "static_loss", "static_gain", "callable", "saturation", "large_phase"]
+KICK_DZ, KICK_Z = 1e-3, 0.37e-3
+
+
+def kick_case(grid, case):
+    """(values, medium) of one fast path of the kick on grid."""
+    xx, yy = grid.meshgrid()
+    rng = np.random.default_rng(5)
+    values = (1.0 + 0.5 * np.exp(-(xx**2 + yy**2) / (1.5e-4) ** 2)) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, xx.shape))
+    density = np.abs(values) ** 2
+    k0 = 2 * np.pi / WAVELENGTH
+    kerr_rad = 4.0 if case == "large_phase" else 0.3  # Kerr phase up to kerr_rad / n0
+    chi3 = -kerr_rad * 2.0 / (k0 * KICK_DZ * np.max(density))
+    landscape = 2e-6 * np.cos(xx / 4e-5) * np.sin(yy / 7e-5)
+    potential = {"static_loss": landscape + 1e-5j * (1.0 + np.sin(xx / 5e-5)),
+                 "static_gain": landscape - 3e-5j * np.exp(-(yy / 1e-4) ** 2),
+                 "callable": lambda zz: (1.0 + 100.0 * zz) * (landscape + 1e-5j)}.get(case)
+    i_sat = float(density_to_intensity(np.mean(density), 1.3))  # I_sat at the mean density
+    med = MediumParams(wavelength=WAVELENGTH, n0=1.3, chi3=chi3, alpha=40.0, length=1.0,
+                       potential=potential, i_sat=i_sat if case == "saturation" else None)
+    return values, med
 
 
 class TestKineticStep:
@@ -89,28 +116,15 @@ class TestNonlinearStep:
         sat = np.angle(nonlinear_step(f, 1e-3, med_sat).values / f.values)[0, 0]
         assert sat == pytest.approx(full / 2.0, rel=1e-10)  # I = I_sat halves chi
 
-    @pytest.mark.parametrize("case", ["loss", "static_loss", "static_gain",
-                                      "callable", "saturation", "large_phase"])
+    @pytest.mark.parametrize("case", KICK_CASES)
     def test_kick_matches_literal_formula(self, small_grid, case):
         # each fast path of the kick against values * exp(1j*phase - decay);
         # large_phase drives tan(phase / 2) of the half-angle kick far from 0
-        xx, yy = small_grid.meshgrid()
-        rng = np.random.default_rng(5)
-        values = (1.0 + 0.5 * np.exp(-(xx**2 + yy**2) / (1.5e-4) ** 2)) * np.exp(
-            1j * rng.uniform(-np.pi, np.pi, xx.shape))
+        values, med = kick_case(small_grid, case)
         f = Field2D(grid=small_grid, values=values)
         density = np.abs(values) ** 2
         k0 = 2 * np.pi / WAVELENGTH
-        dz, z = 1e-3, 0.37e-3
-        kerr_rad = 4.0 if case == "large_phase" else 0.3  # Kerr phase up to kerr_rad / n0
-        chi3 = -kerr_rad * 2.0 / (k0 * dz * np.max(density))
-        landscape = 2e-6 * np.cos(xx / 4e-5) * np.sin(yy / 7e-5)
-        potential = {"static_loss": landscape + 1e-5j * (1.0 + np.sin(xx / 5e-5)),
-                     "static_gain": landscape - 3e-5j * np.exp(-(yy / 1e-4) ** 2),
-                     "callable": lambda zz: (1.0 + 100.0 * zz) * (landscape + 1e-5j)}.get(case)
-        i_sat = float(density_to_intensity(np.mean(density), 1.3))  # I_sat at the mean density
-        med = MediumParams(wavelength=WAVELENGTH, n0=1.3, chi3=chi3, alpha=40.0, length=1.0,
-                           potential=potential, i_sat=i_sat if case == "saturation" else None)
+        dz, z, chi3 = KICK_DZ, KICK_Z, med.chi3
 
         chi_eff = chi3
         if med.i_sat is not None:
@@ -133,6 +147,87 @@ class TestNonlinearStep:
         assert max_phase == pytest.approx(np.max(np.abs(phase)), rel=1e-13)
         # the phase factor built from tan(phase / 2) is unimodular to a few ulp
         assert np.max(np.abs(np.abs(kernel.factor) - 1.0)) <= 4 * np.finfo(float).eps
+
+
+class TestBlockedKick:
+    """The kick runs its passes over blocks of about BLOCK_SITES sites; the
+    blocking must not change a bit of the result, and its buffers must stay
+    one block in size."""
+
+    @staticmethod
+    def kick(monkeypatch, block_sites, grid, medium, values):
+        monkeypatch.setattr(solver, "BLOCK_SITES", block_sites)
+        values = values.copy()
+        max_phase = SplitStepKernel(grid, medium, KICK_DZ).kick(values, KICK_Z)
+        return values, max_phase
+
+    def test_block_slices_cover_the_stack(self, monkeypatch):
+        monkeypatch.setattr(solver, "BLOCK_SITES", 24 * 64)
+        assert solver.block_slices(1, 64, 64) == [
+            (slice(0, 1), slice(0, 24)), (slice(0, 1), slice(24, 48)),
+            (slice(0, 1), slice(48, 64))]
+        monkeypatch.setattr(solver, "BLOCK_SITES", 2**15)
+        assert solver.block_slices(10, 64, 64) == [(slice(0, 8), slice(None)),
+                                                  (slice(8, 10), slice(None))]
+        assert len(solver.block_slices(2, 512, 512)) == 16  # 64 rows of each member
+        assert solver.block_slices(1, 3, 2**16) == [(slice(0, 1), slice(r, r + 1))
+                                                   for r in range(3)]  # rows wider than a block
+
+    @pytest.mark.parametrize("case", KICK_CASES)
+    def test_blocked_kick_matches_single_block(self, small_grid, case, monkeypatch):
+        values, med = kick_case(small_grid, case)
+        stack = np.stack([values, 0.8 * values[::-1], 1.1 * np.conj(values)])
+        whole = 3 * 64 * 64  # the stack is one block
+        for field in (values, stack):
+            ref, ref_phase = self.kick(monkeypatch, whole, small_grid, med, field)
+            # 24 + 24 + 16 rows of each member, then runs of 2 + 1 members
+            for block_sites in (24 * 64, 2 * 64 * 64):
+                out, phase = self.kick(monkeypatch, block_sites, small_grid, med, field)
+                assert np.array_equal(out, ref)
+                assert np.array_equal(phase, ref_phase)
+                assert np.shape(phase) == np.shape(ref_phase) == field.shape[:-2]
+
+    def test_blocked_propagate_matches_unblocked(self, monkeypatch):
+        grid, medium, _, _ = defocusing_setup(nx=64, dx=5e-6, xi_cells=3.0, tau=2.0)
+        xx, yy = grid.meshgrid()
+        landscape = 1e-7 * np.cos(xx / 3e-5) + 2e-8j * (1.0 + np.sin(yy / 5e-5))
+        medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=medium.chi3, alpha=5.0,
+                              potential=landscape, length=medium.length)
+        members = [Field2D(grid=grid, values=1.0 + 0.3 * np.exp(-((xx - x0)**2 + yy**2)
+                                                                 / 4e-5**2 + 0.4j))
+                   for x0 in (-3e-5, 1e-5)]
+        plan = StepPlan(n_steps=12, snapshot_every=5)
+        records = {}
+        for block_sites in (2**15, 24 * 64):  # one block against 24 + 24 + 16 rows
+            monkeypatch.setattr(solver, "BLOCK_SITES", block_sites)
+            records[block_sites] = [propagate(members[0], medium, plan),
+                                    *propagate(members, medium, plan)]
+        for whole, blocked in zip(records[2**15], records[24 * 64]):
+            assert np.array_equal(blocked.final_field.values, whole.final_field.values)
+            assert np.array_equal(blocked.power_trace, whole.power_trace)
+            assert blocked.max_phase_per_step == whole.max_phase_per_step
+            assert len(blocked.snapshots) == len(whole.snapshots) == 3
+            for (z_b, s_b), (z_w, s_w) in zip(blocked.snapshots, whole.snapshots):
+                assert z_b == z_w and np.array_equal(s_b.values, s_w.values)
+
+    def test_kick_allocates_less_than_one_real_field(self):
+        # at 512^2 the kick's buffers are one 64-row block, not the field:
+        # its peak stays below one float64 field (2 MB), where full-size
+        # density, phase and factor buffers took 8 MB
+        grid = make_grid(512, 512, 5e-6)
+        xx, yy = grid.meshgrid()
+        landscape = 1e-7 * np.cos(xx / 3e-5) + 2e-8j * (1.0 + np.sin(yy / 5e-5))
+        medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-10, alpha=5.0,
+                              potential=landscape, length=1.0)
+        values = np.exp(0.1j * xx / 5e-6) * (1.0 + 0.1 * np.cos(yy / 4e-5))
+        kernel = SplitStepKernel(grid, medium, KICK_DZ)
+        tracemalloc.start()
+        try:
+            kernel.kick(values, KICK_Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 512 * 8
 
 
 class TestPropagate:
