@@ -18,8 +18,11 @@ known probe carrier and follows the envelope: when both packets are
 resolved, their half separation is the displacement; a lone packet is
 followed by its peak; the slope is fitted over the trailing run of
 snapshots where the packets stay resolved. At k_perp = 0 there is no
-preferred direction and the whole-plane centroid is kept, so symmetric
-spreading reads v_g = 0.
+preferred direction and the centroid of |sum_y delta rho| over the whole
+line is kept, so symmetric spreading reads v_g = 0.
+
+Both runs are reduced to line densities sum_y |E|^2 as their snapshots are
+made: the tracker only ever uses the y-integrated density change.
 """
 
 from __future__ import annotations
@@ -216,9 +219,11 @@ def packet_displacement(envelope: np.ndarray, x: np.ndarray,
 
 
 def snapshot_density(z: float, field: Field2D) -> np.ndarray:
-    """keep for propagate that stores a snapshot's density |E|^2: the
-    background record measure_group_velocity expects."""
-    return field.density()
+    """keep for propagate that stores a snapshot's line density
+    sum_y |E|^2, shape (nx,): the background record measure_group_velocity
+    expects. The probe subtracts it from its own line density, and at
+    k_perp = 0 tracks |sum_y delta rho|."""
+    return field.density().sum(axis=0)
 
 
 def measure_group_velocity(background: Field2D, probe: ProbeSpec,
@@ -229,12 +234,11 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
     """Group velocity of a weak probe at probe.k_perp on the background.
 
     Runs the background with and without the probe (snapshots along z),
-    subtracts densities and fits the transverse drift of the |delta rho|
-    wavepacket. Each probe snapshot is reduced to its y-summed density
-    change as it is made, so the probe run holds no full field. The
-    background run, propagate(background, medium, plan,
-    keep=snapshot_density), can be passed in to amortize sweeps; it must
-    use the same plan.
+    subtracts line densities and fits the transverse drift of the density
+    change wavepacket. Both runs reduce each snapshot to its line density
+    as it is made, so neither holds a full field. The background run,
+    propagate(background, medium, plan, keep=snapshot_density), can be
+    passed in to amortize sweeps; it must use the same plan.
     """
     grid = background.grid
     if plan.snapshot_every <= 0:
@@ -246,28 +250,41 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
         background_record = propagate(background, medium, plan, keep=snapshot_density)
     elif background_record.n_steps != plan.n_steps:
         raise ValueError("background record does not match the stepping plan")
-    elif not all(isinstance(rho, np.ndarray) for _, rho in background_record.snapshots):
-        raise TypeError("background_record must hold snapshot densities; propagate "
-                        "the background with keep=snapshot_density")
+    elif not all(isinstance(rho, np.ndarray) and rho.shape == (grid.nx,)
+                 for _, rho in background_record.snapshots):
+        raise TypeError("background_record must hold snapshot line densities of shape "
+                        "(nx,); propagate the background with keep=snapshot_density")
 
-    # peak probe intensity = power_ratio * mean background intensity
-    mean_intensity = float(np.mean(medium.intensity(background.values)))
-    probe_watts = probe.power_ratio * mean_intensity * np.pi * probe.waist**2 / 2.0
-    angle = np.arcsin(probe.k_perp / medium.k0) if probe.k_perp else 0.0
-    with_probe = add_probe(background, probe.waist, probe_watts, angle,
-                           medium.wavelength, medium.n0)
     background_snapshots = iter(background_record.snapshots)
 
     def density_change(z: float, field: Field2D) -> np.ndarray:
         z_b, rho_b = next(background_snapshots, (np.nan, None))
         if not abs(z_b - z) <= 1e-12 * max(z_b, 1.0):
             raise ValueError("background and probe snapshots are misaligned in z")
-        delta = field.density() - rho_b
+        delta = field.density().sum(axis=0) - rho_b
         if probe.k_perp == 0.0:
-            return np.abs(delta).sum(axis=0)
-        return delta.sum(axis=0)  # signed, carrier demodulated later
+            return np.abs(delta)
+        return delta  # signed, carrier demodulated later
 
-    probe_record = propagate(with_probe, medium, plan, keep=density_change)
+    probe_record = propagate(_with_probe(background, probe, medium), medium, plan,
+                             keep=density_change)
+    return _fit_drift(probe_record, probe, grid, fit_fraction, max_residual)
+
+
+def _with_probe(background: Field2D, probe: ProbeSpec, medium: MediumParams) -> Field2D:
+    """The background with the probe beam added; its peak intensity is
+    probe.power_ratio times the mean background intensity."""
+    mean_intensity = float(np.mean(medium.intensity(background.values)))
+    probe_watts = probe.power_ratio * mean_intensity * np.pi * probe.waist**2 / 2.0
+    angle = np.arcsin(probe.k_perp / medium.k0) if probe.k_perp else 0.0
+    return add_probe(background, probe.waist, probe_watts, angle,
+                     medium.wavelength, medium.n0)
+
+
+def _fit_drift(probe_record: PropagationRecord, probe: ProbeSpec, grid,
+               fit_fraction: float, max_residual: float) -> GroupVelocityMeasurement:
+    """Fit the packet displacement of a probe run (see _packet_displacements)
+    against z: the slope is the group velocity."""
     z_samples, displacements, paired = _packet_displacements(probe_record, probe, grid)
 
     n = len(z_samples)
@@ -301,7 +318,7 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
 def _packet_displacements(probe_record: PropagationRecord, probe: ProbeSpec,
                           grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z, displacement, paired) per snapshot of a probe run whose record
-    keeps the y-summed density change against the background."""
+    keeps the line density change against the background."""
     x = grid.x_coords()
     extent = grid.extent_x
     if len(probe_record.snapshots) < 4:

@@ -17,6 +17,7 @@ byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from pathlib import Path
 
@@ -46,16 +47,25 @@ def save_field(path, field: Field2D, z: float = 0.0) -> Path:
 
 
 def load_field(path) -> tuple[Field2D, float]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != PFL1_MAGIC:
-        raise ValueError(f"{path}: not a PFL1 snapshot (bad magic {raw[:4]!r})")
-    nx, ny, dx, dy, unit_code, z = struct.unpack("<QQddQd", raw[4:4 + 48])
-    if unit_code not in _UNIT_NAMES:
-        raise ValueError(f"{path}: unknown unit tag code {unit_code}")
-    expected = 4 + 48 + nx * ny * 16
-    if len(raw) != expected:
-        raise ValueError(f"{path}: truncated snapshot ({len(raw)} of {expected} bytes)")
-    values = np.frombuffer(raw, dtype="<c16", offset=52).reshape(ny, nx).astype(np.complex128)
+    """Read a PFL1 snapshot: the header, then the samples straight into the
+    field's array, so the load holds one field."""
+    with Path(path).open("rb") as fh:
+        header = fh.read(52)
+        if header[:4] != PFL1_MAGIC:
+            raise ValueError(f"{path}: not a PFL1 snapshot (bad magic {header[:4]!r})")
+        if len(header) < 52:
+            raise ValueError(f"{path}: truncated snapshot ({len(header)} of 52 header bytes)")
+        nx, ny, dx, dy, unit_code, z = struct.unpack("<QQddQd", header[4:])
+        if unit_code not in _UNIT_NAMES:
+            raise ValueError(f"{path}: unknown unit tag code {unit_code}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = 52 + nx * ny * 16
+        if size != expected:
+            raise ValueError(f"{path}: truncated snapshot ({size} of {expected} bytes)")
+        samples = np.empty((ny, nx), dtype="<c16")
+        if fh.readinto(samples) != samples.nbytes:
+            raise ValueError(f"{path}: truncated snapshot while reading")
+    values = samples.astype(np.complex128, copy=False)
     grid = make_grid(int(nx), int(ny), float(dx), float(dy))
     return Field2D(grid=grid, values=values, unit_tag=_UNIT_NAMES[unit_code]), float(z)
 

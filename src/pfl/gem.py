@@ -143,11 +143,6 @@ class GemConfig:
                 return 1.0
         return 0.0
 
-    @property
-    def pi_pulse_ratio(self) -> float:
-        """The figure of merit 2 pi g N / |eta| entering the efficiency."""
-        return 2.0 * np.pi * self.g * self.density / abs(self.eta0)
-
 
 @dataclass
 class GemState:

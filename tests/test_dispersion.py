@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from pfl.dispersion import (ProbeSpec, _fit_bogoliubov, _line_fit, _trailing_run,
+from pfl.dispersion import (ProbeSpec, _fit_bogoliubov, _fit_drift, _line_fit,
+                            _trailing_run, _with_probe,
                             bogoliubov_group_velocity, bogoliubov_omega,
                             bogoliubov_sound_speed, dispersion_from_group_velocity,
                             measure_group_velocity, packet_displacement,
@@ -254,6 +255,52 @@ class TestMeasurement:
                           keep=snapshot_density)
         with pytest.raises(ValueError, match="misaligned"):
             measure_group_velocity(background, probe, medium, plan, background_record=other)
+
+    def test_background_record_keeps_line_densities(self):
+        # 40 snapshots of a 128^2 background: one (nx,) line density each,
+        # less in all than one float64 density of the plane
+        grid, medium, background, _ = defocusing_setup(nx=128, dx=5e-6, xi_cells=2.0,
+                                                       tau=8.0)
+        plan = StepPlan(n_steps=120, snapshot_every=3)
+        record = propagate(background, medium, plan, keep=snapshot_density)
+        assert len(record.snapshots) == 40
+        assert all(rho.shape == (grid.nx,) for _, rho in record.snapshots)
+        assert sum(rho.nbytes for _, rho in record.snapshots) < 8 * grid.nx * grid.ny
+
+    def test_rejects_a_record_of_plane_densities(self):
+        grid, medium, background, scales = defocusing_setup(nx=64)
+        plan = StepPlan(n_steps=40, snapshot_every=10)
+        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1e5)
+        planes = propagate(background, medium, plan, keep=lambda z, f: f.density())
+        with pytest.raises(TypeError, match="keep=snapshot_density"):
+            measure_group_velocity(background, probe, medium, plan,
+                                   background_record=planes)
+
+    @pytest.mark.parametrize("k_xi", [0.0, 1.0])
+    def test_line_densities_match_plane_densities(self, k_xi):
+        # reference: the background keeps whole densities and the probe
+        # sums their difference over y, signed at k != 0 and in absolute
+        # value at k = 0; the line-density tracker reads the same v_g
+        grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
+                                                            xi_cells=2.0, tau=8.0)
+        plan = StepPlan(n_steps=160, snapshot_every=16)
+        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=k_xi / scales["xi"],
+                          power_ratio=1e-4)
+        planes = iter(propagate(background, medium, plan,
+                                keep=lambda z, f: f.density()).snapshots)
+
+        def plane_change(z, field):
+            delta = field.density() - next(planes)[1]
+            return np.abs(delta).sum(axis=0) if k_xi == 0.0 else delta.sum(axis=0)
+
+        reference = _fit_drift(propagate(_with_probe(background, probe, medium), medium,
+                                         plan, keep=plane_change),
+                               probe, grid, fit_fraction=0.5, max_residual=0.15)
+        m = measure_group_velocity(background, probe, medium, plan)
+        if k_xi == 0.0:
+            assert abs(m.v_g - reference.v_g) < 1e-3 * scales["c_s"]
+        else:
+            assert m.v_g == pytest.approx(reference.v_g, rel=1e-9)
 
     def test_requires_snapshots(self):
         grid, medium, background, scales = defocusing_setup(nx=64)

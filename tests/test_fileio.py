@@ -73,6 +73,23 @@ def test_save_field_writes_without_copies(tmp_path):
         assert np.array_equal(loaded.values, f.values)
 
 
+def test_load_field_holds_one_field(tmp_path):
+    # a 512^2 snapshot (4.2 MB) is read straight into the field's array;
+    # holding the file's bytes as well took about 8.4 MB
+    g = make_grid(512, 512, 1.0)
+    rng = np.random.default_rng(5)
+    f = Field2D(grid=g, values=rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512)))
+    path = save_field(tmp_path / "big.pfl1", f)
+    tracemalloc.start()
+    try:
+        loaded, _ = load_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5e6
+    assert np.array_equal(loaded.values, f.values)
+
+
 def test_pfl1_bad_magic(tmp_path):
     p = tmp_path / "x.pfl1"
     p.write_bytes(b"NOPE" + b"\x00" * 60)
