@@ -261,7 +261,7 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
         z_b, rho_b = next(background_snapshots, (np.nan, None))
         if not abs(z_b - z) <= 1e-12 * max(z_b, 1.0):
             raise ValueError("background and probe snapshots are misaligned in z")
-        delta = field.density().sum(axis=0) - rho_b
+        delta = snapshot_density(z, field) - rho_b
         if probe.k_perp == 0.0:
             return np.abs(delta)
         return delta  # signed, carrier demodulated later

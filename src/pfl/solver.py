@@ -184,14 +184,9 @@ class SplitStepKernel:
             np.multiply(density, self.half_kerr, out=half)
             if self.saturation is not None:  # chi_eff = chi3 / (1 + I / I_sat)
                 half /= 1.0 + self.saturation * density
-            if potential_half is None:
-                # half has the sign of half_kerr everywhere (the saturation
-                # divisor is positive), so one reduction finds the peak
-                extreme = half.min if self.half_kerr < 0.0 else half.max
-                peak = 2.0 * np.abs(extreme(axis=(-2, -1)))
-            else:
+            if potential_half is not None:
                 half += potential_half[rows]
-                peak = 2.0 * np.maximum(half.max(axis=(-2, -1)), -half.min(axis=(-2, -1)))
+            peak = 2.0 * np.maximum(half.max(axis=(-2, -1)), -half.min(axis=(-2, -1)))
             np.maximum(max_phase[members], peak, out=max_phase[members])
             t, r = np.tan(half, out=half), density
             np.multiply(t, t, out=r)

@@ -107,6 +107,13 @@ def test_pfl1_truncated(tmp_path):
         load_field(p)
 
 
+def test_pfl1_short_header_is_truncated(tmp_path):
+    p = tmp_path / "h.pfl1"
+    p.write_bytes(b"PFL1" + b"\x00" * 20)
+    with pytest.raises(ValueError, match="truncated"):
+        load_field(p)
+
+
 def test_pgm_format_and_sidecar(tmp_path):
     g = make_grid(16, 8, 1.0)
     values = np.linspace(0, 1, 16 * 8).reshape(8, 16).astype(complex)
