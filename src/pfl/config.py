@@ -393,9 +393,19 @@ def _validate_scenario_params(cfg: RunConfig):
         if cfg.plan is not None and cfg.plan["snapshot_every"] <= 0:
             raise ConfigError("dispersion requires plan.snapshot_every > 0 "
                               "to track the probe packet")
+        # the probe rides a homogeneous fluid (see measure_group_velocity)
+        if cfg.source is None or cfg.source["kind"] != "plane":
+            raise ConfigError("dispersion needs a [source] of kind 'plane': the "
+                              "background must be a homogeneous fluid")
+        if cfg.potential is not None:
+            raise ConfigError("dispersion takes no [potential] section: the "
+                              "background must be a homogeneous fluid")
     elif s == "sound-scaling":
         if len(p["intensities"]) < 4:
             raise ConfigError("sound-scaling.intensities needs at least 4 values")
+        if cfg.potential is not None:
+            raise ConfigError("sound-scaling takes no [potential] section: the "
+                              "background must be a homogeneous fluid")
     elif s == "precondensation":
         if not p["tau_list"]:
             raise ConfigError("precondensation.tau_list must not be empty")

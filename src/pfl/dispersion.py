@@ -21,8 +21,13 @@ snapshots where the packets stay resolved. At k_perp = 0 there is no
 preferred direction and the centroid of |sum_y delta rho| over the whole
 line is kept, so symmetric spreading reads v_g = 0.
 
-Both runs are reduced to line densities sum_y |E|^2 as their snapshots are
-made: the tracker only ever uses the y-integrated density change.
+Only the run with the probe is propagated. The background is a uniform
+field in a medium without a potential, so its line density is known in
+closed form: the kinetic factor is 1 on the k = 0 mode and the kick
+multiplies every site by the same unit phase times the loss, giving
+sum_y |E|^2 (z) = sum_y |E0|^2 exp(-alpha z). Each probe snapshot is reduced
+to its line density minus that as it is made: the tracker only ever uses
+the y-integrated density change.
 """
 
 from __future__ import annotations
@@ -220,48 +225,41 @@ def packet_displacement(envelope: np.ndarray, x: np.ndarray,
 
 def snapshot_density(z: float, field: Field2D) -> np.ndarray:
     """keep for propagate that stores a snapshot's line density
-    sum_y |E|^2, shape (nx,): the background record measure_group_velocity
-    expects. The probe subtracts it from its own line density, and at
-    k_perp = 0 tracks |sum_y delta rho|."""
+    sum_y |E|^2, shape (nx,). The probe run of measure_group_velocity
+    subtracts the background's from it, and at k_perp = 0 tracks
+    |sum_y delta rho|."""
     return field.density().sum(axis=0)
 
 
 def measure_group_velocity(background: Field2D, probe: ProbeSpec,
                            medium: MediumParams, plan: StepPlan,
-                           background_record: PropagationRecord | None = None,
                            fit_fraction: float = 0.5,
                            max_residual: float = 0.15) -> GroupVelocityMeasurement:
     """Group velocity of a weak probe at probe.k_perp on the background.
 
-    Runs the background with and without the probe (snapshots along z),
-    subtracts line densities and fits the transverse drift of the density
-    change wavepacket. Both runs reduce each snapshot to its line density
-    as it is made, so neither holds a full field. The background run,
-    propagate(background, medium, plan, keep=snapshot_density), can be
-    passed in to amortize sweeps; it must use the same plan.
+    The background must be a homogeneous fluid: one uniform value in a
+    medium without a potential (ValueError otherwise). Its line density at
+    depth z is then snapshot_density(0, background) * exp(-alpha z), so only
+    the background with the probe is propagated (snapshots along z). Each
+    snapshot is reduced to its line density minus the background's as it
+    is made, and the transverse drift of that density change wavepacket is
+    fitted.
     """
     grid = background.grid
     if plan.snapshot_every <= 0:
         raise ValueError("plan.snapshot_every must be positive to track the packet")
     if probe.k_perp >= grid.k_nyquist_x:
         raise ValueError("probe k_perp is at or beyond the grid Nyquist wavevector")
+    if medium.potential is not None:
+        raise ValueError("the background must be homogeneous: the medium has a potential")
+    if np.any(background.values != background.values.flat[0]):
+        raise ValueError("the background must be homogeneous: its field is not one "
+                         "uniform value")
 
-    if background_record is None:
-        background_record = propagate(background, medium, plan, keep=snapshot_density)
-    elif background_record.n_steps != plan.n_steps:
-        raise ValueError("background record does not match the stepping plan")
-    elif not all(isinstance(rho, np.ndarray) and rho.shape == (grid.nx,)
-                 for _, rho in background_record.snapshots):
-        raise TypeError("background_record must hold snapshot line densities of shape "
-                        "(nx,); propagate the background with keep=snapshot_density")
-
-    background_snapshots = iter(background_record.snapshots)
+    background_line = snapshot_density(0.0, background)
 
     def density_change(z: float, field: Field2D) -> np.ndarray:
-        z_b, rho_b = next(background_snapshots, (np.nan, None))
-        if not abs(z_b - z) <= 1e-12 * max(z_b, 1.0):
-            raise ValueError("background and probe snapshots are misaligned in z")
-        delta = snapshot_density(z, field) - rho_b
+        delta = snapshot_density(z, field) - background_line * np.exp(-medium.alpha * z)
         if probe.k_perp == 0.0:
             return np.abs(delta)
         return delta  # signed, carrier demodulated later

@@ -10,7 +10,9 @@ Conventions used throughout the package:
   They run on ``scipy.fft`` over the last axis (1D) or the last two axes
   (2D), so a stack of fields transforms in one call; this module is the
   only one that runs transforms. The worker count is one unless
-  ``fft_workers`` sets it; results do not depend on it.
+  ``fft_workers`` sets it; results do not depend on it. ``scipy.fft`` is
+  imported on the first transform, not with this module, so commands that
+  run none (``pfl validate``, ``pfl version``) do not pay for its import.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft
 
 UNIT_TAGS = ("physical", "dimensionless")
 
@@ -165,27 +166,32 @@ class Field2D:
 def fft2(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Unitary forward transform over the last two axes. With overwrite_x the
     result may reuse the memory of values, which the caller must own."""
+    import scipy.fft
     return scipy.fft.fft2(values, norm="ortho", overwrite_x=overwrite_x)
 
 
 def ifft2(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Unitary inverse transform over the last two axes; overwrite_x as for fft2."""
+    import scipy.fft
     return scipy.fft.ifft2(values, norm="ortho", overwrite_x=overwrite_x)
 
 
 def fft(values: np.ndarray) -> np.ndarray:
     """Unitary forward transform over the last axis."""
+    import scipy.fft
     return scipy.fft.fft(values, norm="ortho")
 
 
 def ifft(values: np.ndarray) -> np.ndarray:
     """Unitary inverse transform over the last axis."""
+    import scipy.fft
     return scipy.fft.ifft(values, norm="ortho")
 
 
 def fft_workers(workers: int):
     """Context manager in which the transforms above run on this many
     threads; their results are the same for any count."""
+    import scipy.fft
     return scipy.fft.set_workers(workers)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import RunConfig
 from .dispersion import (ProbeSpec, dispersion_from_group_velocity,
-                         measure_group_velocity, snapshot_density, sound_speed_scaling)
+                         measure_group_velocity, sound_speed_scaling)
 from .fileio import ArtifactWriter, fmt, load_field
 from .gem import (GaussianPulse, GemConfig, PulseTrain, fifo_filo_experiment,
                   gem_efficiency_measured, gem_efficiency_theory, gem_evolve)
@@ -127,17 +127,13 @@ def _scenario_dispersion(cfg: RunConfig, w: ArtifactWriter):
     grid = build_grid(cfg)
     medium = build_medium(cfg, grid)
     plan = build_plan(cfg)
-    if plan.snapshot_every <= 0:
-        raise ValueError("dispersion needs plan.snapshot_every > 0 to track packets")
     background = build_source(cfg, grid, medium)
-    background_record = propagate(background, medium, plan, keep=snapshot_density)
 
     samples = []
     for k_perp in sorted(cfg.params["k_perp_list"]):
         probe = ProbeSpec(waist=cfg.params["probe_waist"], k_perp=k_perp,
                           power_ratio=cfg.params["power_ratio"])
-        m = measure_group_velocity(background, probe, medium, plan,
-                                   background_record=background_record)
+        m = measure_group_velocity(background, probe, medium, plan)
         samples.append((m.k_perp, m.v_g))
     curve = dispersion_from_group_velocity(samples, medium)
     if cfg.emit_csv:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,30 @@ intensity = 132720.0
 k_perp_list = 20000, 30000, 40000, 60000, 90000
 probe_waist = 1e-4
 """
+
+GOOD_SOUND_SCALING = """
+[run]
+scenario = sound-scaling
+
+[grid]
+nx = 64
+ny = 64
+dx = 5e-6
+
+[medium]
+lambda = 780e-9
+n0 = 1.0
+chi3 = -7.890e-12
+length = 1.0
+
+[plan]
+n_steps = 1
+
+[sound-scaling]
+intensities = 33180, 66360, 165900, 331800
+"""
+
+POTENTIAL = "\n[potential]\nkind = uniform\nvalue_re = 1e-6\n"
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
 
@@ -132,6 +157,26 @@ class TestParsing:
         bad = GOOD_PROPAGATE.replace("length = 0.01\n", "")
         with pytest.raises(ConfigError, match="length"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("text, message", [
+        (GOOD_DISPERSION.replace("kind = plane", "kind = speckle\ncorrelation_length = 6e-5"),
+         "kind 'plane'"),
+        (GOOD_DISPERSION.replace("[source]\nkind = plane\nintensity = 132720.0\n", ""),
+         "kind 'plane'"),
+        (GOOD_DISPERSION + POTENTIAL, r"dispersion takes no \[potential\]"),
+        (GOOD_SOUND_SCALING + POTENTIAL, r"sound-scaling takes no \[potential\]"),
+    ], ids=["dispersion-speckle", "dispersion-no-source", "dispersion-potential",
+            "sound-scaling-potential"])
+    def test_probe_scenarios_need_a_homogeneous_fluid(self, text, message, tmp_path,
+                                                      capsys):
+        for good in (GOOD_DISPERSION, GOOD_SOUND_SCALING):
+            parse_config(good)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert cli_main(["validate", "--config", str(cfg)]) == 2
+        assert "homogeneous fluid" in capsys.readouterr().err
 
     def test_type_errors_are_reported(self):
         bad = GOOD_PROPAGATE.replace("n_steps = 20", "n_steps = twenty")
@@ -243,6 +288,36 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "exit 0 []"
         assert (tmp_path / "out" / "fit.txt").exists()
+
+        # grid imports scipy.fft on the first transform; validate runs none
+        code = ("import sys; from pfl.cli import main; "
+                f"code = main(['validate', '--config', {str(cfg)!r}]); "
+                "print('exit', code, 'scipy.fft' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "exit 0 False"
+
+    def test_shipped_dispersion_config_runs(self, tmp_path, monkeypatch):
+        # one propagation per probe: the background is not propagated
+        from pfl import dispersion, scenarios
+        from pfl.solver import propagate
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(dispersion, "propagate", counted)
+        monkeypatch.setattr(scenarios, "propagate", counted)
+        config = next(c for c in CONFIGS if c.name == "bogoliubov_dispersion.ini")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no resolution or boundary warning
+            assert cli_main(["dispersion", "--config", str(config), "--out", str(out)]) == 0
+        k_perp_list = parse_config(config.read_text()).params["k_perp_list"]
+        assert len(calls) == len(k_perp_list) == 5
+        fit = dict(line.split(" = ") for line in (out / "fit.txt").read_text().splitlines())
+        assert float(fit["c_s"]) == pytest.approx(0.0124, rel=0.05)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=[c.name for c in CONFIGS])
     def test_shipped_config_validates(self, config, capsys):

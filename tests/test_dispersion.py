@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -244,17 +245,74 @@ class TestMeasurement:
         assert m.v_g == pytest.approx(k / K0, rel=0.02)
         assert peak < one_list
 
-    def test_background_record_must_keep_densities(self):
+    @pytest.mark.parametrize("alpha, i_sat", [(0.0, None), (40.0, None), (0.0, 1e-3)],
+                             ids=["lossless", "lossy", "saturable"])
+    def test_background_line_density_has_a_closed_form(self, alpha, i_sat):
+        # the closed form measure_group_velocity subtracts: a propagated
+        # plane wave keeps sum_y |E|^2 = rho_line(0) exp(-alpha z) at every
+        # snapshot (i_sat = 1e-3 W/m^2 is below the fluid's 1.3e-3 W/m^2)
+        grid, medium, background, _ = defocusing_setup(nx=64, dx=5e-6, xi_cells=2.0,
+                                                       tau=8.0)
+        medium = dataclasses.replace(medium, alpha=alpha, i_sat=i_sat)
+        plan = StepPlan(n_steps=160, snapshot_every=10)
+        record = propagate(background, medium, plan, keep=snapshot_density)
+        line0 = snapshot_density(0.0, background)
+        assert len(record.snapshots) == 16
+        for z, rho in record.snapshots:
+            expected = line0 * np.exp(-alpha * z)
+            assert np.max(np.abs(rho / expected - 1.0)) < 1e-12
+        if alpha:
+            assert record.snapshots[-1][1][0] < 0.8 * line0[0]
+
+    def test_one_propagation_per_probe(self, monkeypatch):
+        from pfl import dispersion
+        calls = []
+
+        def counted(field, medium, plan, **kwargs):
+            calls.append(plan)
+            return propagate(field, medium, plan, **kwargs)
+
+        monkeypatch.setattr(dispersion, "propagate", counted)
+        grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
+                                                            xi_cells=2.0, tau=8.0)
+        plan = StepPlan(n_steps=160, snapshot_every=16)
+        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1.0 / scales["xi"],
+                          power_ratio=1e-4)
+        measure_group_velocity(background, probe, medium, plan)
+        assert calls == [plan]
+
+    def test_lossy_background_matches_a_propagated_reference(self):
+        # reference: the background is propagated and its line density
+        # subtracted; the closed form exp(-alpha z) reads the same v_g
+        grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
+                                                            xi_cells=2.0, tau=8.0)
+        medium = dataclasses.replace(medium, alpha=0.2 / medium.length)
+        plan = StepPlan(n_steps=160, snapshot_every=16)
+        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1.0 / scales["xi"],
+                          power_ratio=1e-4)
+        lines = iter(propagate(background, medium, plan, keep=snapshot_density).snapshots)
+
+        def line_change(z, field):
+            return snapshot_density(z, field) - next(lines)[1]
+
+        reference = _fit_drift(propagate(_with_probe(background, probe, medium), medium,
+                                         plan, keep=line_change),
+                               probe, grid, fit_fraction=0.5, max_residual=0.15)
+        m = measure_group_velocity(background, probe, medium, plan)
+        assert m.v_g == pytest.approx(reference.v_g, rel=1e-9)
+
+    def test_rejects_an_inhomogeneous_background(self):
         grid, medium, background, scales = defocusing_setup(nx=64)
         plan = StepPlan(n_steps=40, snapshot_every=10)
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1e5)
-        with pytest.raises(TypeError, match="keep=snapshot_density"):
-            measure_group_velocity(background, probe, medium, plan,
-                                   background_record=propagate(background, medium, plan))
-        other = propagate(background, medium, StepPlan(n_steps=40, snapshot_every=8),
-                          keep=snapshot_density)
-        with pytest.raises(ValueError, match="misaligned"):
-            measure_group_velocity(background, probe, medium, plan, background_record=other)
+        bumpy = background.values.copy()
+        bumpy[3, 5] *= 1.01
+        with pytest.raises(ValueError, match="not one uniform value"):
+            measure_group_velocity(background.with_values(bumpy), probe, medium, plan)
+        flat = np.zeros((grid.ny, grid.nx), dtype=np.complex128)
+        with pytest.raises(ValueError, match="has a potential"):
+            measure_group_velocity(background, probe,
+                                   dataclasses.replace(medium, potential=flat), plan)
 
     def test_background_record_keeps_line_densities(self):
         # 40 snapshots of a 128^2 background: one (nx,) line density each,
@@ -266,15 +324,6 @@ class TestMeasurement:
         assert len(record.snapshots) == 40
         assert all(rho.shape == (grid.nx,) for _, rho in record.snapshots)
         assert sum(rho.nbytes for _, rho in record.snapshots) < 8 * grid.nx * grid.ny
-
-    def test_rejects_a_record_of_plane_densities(self):
-        grid, medium, background, scales = defocusing_setup(nx=64)
-        plan = StepPlan(n_steps=40, snapshot_every=10)
-        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1e5)
-        planes = propagate(background, medium, plan, keep=lambda z, f: f.density())
-        with pytest.raises(TypeError, match="keep=snapshot_density"):
-            measure_group_velocity(background, probe, medium, plan,
-                                   background_record=planes)
 
     @pytest.mark.parametrize("k_xi", [0.0, 1.0])
     def test_line_densities_match_plane_densities(self, k_xi):
@@ -311,7 +360,6 @@ class TestMeasurement:
     def test_chi3_and_density_enter_through_product(self):
         # doubling chi3 at fixed density and doubling density at fixed chi3
         # give the same sound speed: both enter through |g| rho
-        import dataclasses
         grid, medium, background, scales = defocusing_setup(nx=192, dx=5e-6,
                                                             xi_cells=1.8, rho=1.0,
                                                             tau=25.0)
