@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import __version__
 from .config import SCENARIOS, ConfigError, parse_config
-from .scenarios import run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,6 +95,8 @@ def main(argv=None) -> int:
             print("config error: --jobs must be at least 1", file=sys.stderr)
             return EXIT_CONFIG
         cfg = replace(cfg, jobs=args.jobs)
+
+    from .scenarios import run_scenario  # loads numpy and the solver
 
     out_dir = _resolve_out_dir(cfg, args.out)
     try:

@@ -11,8 +11,10 @@ Conventions used throughout the package:
   (2D), so a stack of fields transforms in one call; this module is the
   only one that runs transforms. The worker count is one unless
   ``fft_workers`` sets it; results do not depend on it. ``scipy.fft`` is
-  imported on the first transform, not with this module, so commands that
-  run none (``pfl validate``, ``pfl version``) do not pay for its import.
+  imported on the first transform, not with this module. The commands that
+  run none (``pfl validate``, ``pfl version``) import neither this module
+  nor numpy: the package exports resolve on first access and the CLI
+  imports the scenarios only to run one.
 """
 
 from __future__ import annotations

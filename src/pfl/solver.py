@@ -254,13 +254,6 @@ class SplitStepKernel:
         return np.array([np.vdot(v, v).real for v in values]) * self.grid.cell_area
 
 
-def kinetic_half_step(field_in: Field2D, dz: float, k0: float, n0: float) -> Field2D:
-    """Apply half a kinetic step: exp(-i |k|^2 dz / (4 n0 k0)) in k-space."""
-    spectrum = fft2(field_in.values)
-    spectrum *= kinetic_multiplier(field_in.grid, dz / 2.0, k0, n0)
-    return field_in.with_values(ifft2(spectrum, overwrite_x=True))
-
-
 def nonlinear_step(field_in: Field2D, dz: float, medium: MediumParams,
                    z: float = 0.0) -> Field2D:
     """Full pointwise step: Kerr phase, potential phase, loss and gain.

@@ -289,13 +289,26 @@ class TestCli:
         assert proc.stdout.splitlines()[-1] == "exit 0 []"
         assert (tmp_path / "out" / "fit.txt").exists()
 
-        # grid imports scipy.fft on the first transform; validate runs none
+        # grid imports scipy.fft on the first transform and the package
+        # exports load numpy on first access; validate needs neither
         code = ("import sys; from pfl.cli import main; "
                 f"code = main(['validate', '--config', {str(cfg)!r}]); "
-                "print('exit', code, 'scipy.fft' in sys.modules)")
+                "print('exit', code, 'scipy.fft' in sys.modules, 'numpy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "exit 0 False"
+        assert proc.stdout.splitlines()[-1] == "exit 0 False False"
+
+    def test_validate_and_version_load_neither_numpy_nor_scipy(self):
+        # the CLI imports the scenarios only to run one, and the package
+        # exports resolve on first access, so these commands touch no array
+        commands = [["validate", "--config", str(c)] for c in CONFIGS] + [["version"]]
+        code = ("import sys; from pfl.cli import main; "
+                f"codes = [main(argv) for argv in {commands!r}]; "
+                "print(codes, sorted(m for m in sys.modules "
+                "if m.partition('.')[0] in ('numpy', 'scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
 
     def test_shipped_dispersion_config_runs(self, tmp_path, monkeypatch):
         # one propagation per probe: the background is not propagated
