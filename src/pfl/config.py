@@ -110,6 +110,21 @@ _POTENTIAL = {
     "pt_symmetrize": Key("bool", False),
 }
 
+# the memory and its schedule, shared by the gem and fifo-filo scenarios
+_GEM = {
+    "g": Key("float"),
+    "density": Key("float"),
+    "eta0": Key("float"),
+    "z_extent": Key("float", 2.0),
+    "nz": Key("int", 256),
+    "t_extent": Key("float"),
+    "nt": Key("int", 1600),
+    "flip_times": Key("floats"),
+    "coupling_windows": Key("floats", ()),
+    "pulse_centers": Key("floats"),
+    "pulse_widths": Key("floats"),
+}
+
 _SCENARIO_SCHEMAS: dict[str, dict[str, Key]] = {
     "propagate": {},
     "dispersion": {
@@ -146,21 +161,7 @@ _SCENARIO_SCHEMAS: dict[str, dict[str, Key]] = {
         "stripe_contrast": Key("float", 1.0),
         "evolve": Key("bool", True),
     },
-    "gem": {
-        "g": Key("float"),
-        "density": Key("float"),
-        "eta0": Key("float"),
-        "z_extent": Key("float", 2.0),
-        "nz": Key("int", 256),
-        "t_extent": Key("float"),
-        "nt": Key("int", 1600),
-        "flip_times": Key("floats"),
-        "coupling_windows": Key("floats", ()),
-        "decay": Key("float", 0.0),
-        "pulse_centers": Key("floats"),
-        "pulse_widths": Key("floats"),
-        "pulse_labels": Key("strs", ()),
-    },
+    "gem": {**_GEM, "decay": Key("float", 0.0), "pulse_labels": Key("strs", ())},
     "gem-efficiency-sweep": {
         "ratios": Key("floats"),
         "eta0": Key("float", 20.0),
@@ -172,21 +173,8 @@ _SCENARIO_SCHEMAS: dict[str, dict[str, Key]] = {
         "pulse_center": Key("float", 1.5),
         "pulse_width": Key("float", 0.18),
     },
-    "fifo-filo": {
-        "mode": Key("str"),
-        "g": Key("float"),
-        "density": Key("float"),
-        "eta0": Key("float"),
-        "z_extent": Key("float", 2.0),
-        "nz": Key("int", 256),
-        "t_extent": Key("float"),
-        "nt": Key("int", 2400),
-        "flip_times": Key("floats"),
-        "coupling_windows": Key("floats", ()),
-        "pulse_centers": Key("floats"),
-        "pulse_widths": Key("floats"),
-        "pulse_labels": Key("strs", ("A", "B")),
-    },
+    "fifo-filo": {"mode": Key("str"), **_GEM, "nt": Key("int", 2400),
+                  "pulse_labels": Key("strs", ("A", "B"))},
 }
 
 _SECTION_ORDER = ["run", "grid", "medium", "plan", "source", "potential"]

@@ -41,6 +41,9 @@ from .medium import MediumParams
 from .sources import add_probe
 from .solver import PropagationRecord, StepPlan, fluid_scales, propagate
 
+# sound_speed_scaling takes this many propagation steps per nonlinear length
+STEPS_PER_Z_NL = 15
+
 
 @dataclass(frozen=True)
 class ProbeSpec:
@@ -168,15 +171,16 @@ def _parabolic_peak(envelope: np.ndarray, x: np.ndarray, idx: int, dx: float,
     return float(_wrap_coord(np.array([x[idx] + shift * dx]), extent)[0])
 
 
-def _threshold_islands(envelope: np.ndarray, x: np.ndarray, extent: float,
-                       rel_height: float = 0.35) -> list[tuple[float, float]]:
-    """(peak position, mass) of contiguous above-threshold islands, periodic.
+def _threshold_islands(envelope: np.ndarray, x: np.ndarray,
+                       extent: float) -> list[tuple[float, float]]:
+    """(peak position, mass) of contiguous islands above 0.35 of the maximum,
+    periodic.
 
     Positions are parabolic refinements of each island's maximum, which are
     insensitive to how the threshold slices overlapping tails.
     """
     dx = float(x[1] - x[0])
-    mask = envelope > rel_height * float(np.max(envelope))
+    mask = envelope > 0.35 * float(np.max(envelope))
     if mask.all():
         idx = int(np.argmax(envelope))
         return [(_parabolic_peak(envelope, x, idx, dx, extent), float(np.sum(envelope)))]
@@ -429,8 +433,7 @@ class SoundSpeedScaling:
     stderr: float
 
 
-def sound_speed_scaling(densities, medium: MediumParams, grid,
-                        tau: float = 25.0, steps_per_z_nl: int = 15,
+def sound_speed_scaling(densities, medium: MediumParams, grid, tau: float = 25.0,
                         k_perp_xi: float = 0.2, probe_waist_xi: float = 10.0,
                         power_ratio: float = 1e-5) -> SoundSpeedScaling:
     """Fit the scaling exponent of the sound speed against the density.
@@ -453,7 +456,7 @@ def sound_speed_scaling(densities, medium: MediumParams, grid,
     for rho in densities:
         z_nl, xi, _ = fluid_scales(medium, rho)
         run_medium = medium.with_length(tau * z_nl)
-        n_steps = int(np.ceil(tau * steps_per_z_nl))
+        n_steps = int(np.ceil(tau * STEPS_PER_Z_NL))
         every = max(1, n_steps // 50)
         plan = StepPlan(n_steps=n_steps, snapshot_every=every)
         values = np.full((grid.ny, grid.nx), np.sqrt(rho), dtype=np.complex128)

@@ -105,7 +105,7 @@ def write_csv(path, header: list[str], rows) -> Path:
     return path
 
 
-def write_metrics(path, record, extra: dict | None = None) -> Path:
+def write_metrics(path, record) -> Path:
     """Per-run metrics: key = value block, then a (z, power) CSV trace."""
     path = Path(path)
     lines = [
@@ -114,8 +114,6 @@ def write_metrics(path, record, extra: dict | None = None) -> Path:
         f"max_phase_per_step = {fmt(record.max_phase_per_step)}",
         f"wall_time = {fmt(record.wall_time)}",
     ]
-    for key, value in (extra or {}).items():
-        lines.append(f"{key} = {fmt(value) if not isinstance(value, str) else value}")
     lines.append("")
     lines.append("z,power")
     for z, power in record.power_trace:
@@ -159,8 +157,8 @@ class ArtifactWriter:
         self.register(out.with_suffix(out.suffix + ".scale.txt"))
         return out
 
-    def metrics(self, name: str, record, extra: dict | None = None) -> Path:
-        return write_metrics(self.path(name), record, extra)
+    def metrics(self, name: str, record) -> Path:
+        return write_metrics(self.path(name), record)
 
     def text(self, name: str, content: str) -> Path:
         p = self.path(name)

@@ -15,10 +15,11 @@ The z lattice is centered, z in [-z_extent/2, +z_extent/2], so the gradient
 detuning covers the pulse spectrum symmetrically about its carrier.
 
 Integration is operator-split per time step: the stiff gradient phase is
-applied as an exact rotation (using the exact piecewise integral of eta, so
-flip times need not align with the time grid), and the coupling terms are
-advanced with a Heun (trapezoidal predictor-corrector) kick at the midpoint,
-second order in dt and dz overall.
+applied as an exact rotation, and the coupling terms are advanced with a
+Heun (trapezoidal predictor-corrector) kick at the midpoint, second order in
+dt and dz overall. The schedule is built once per run as arrays: the exact
+piecewise integral of eta over every half step (so flip times need not align
+with the time grid) and the gate C(t) at every midpoint and grid time.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 MIN_LATTICE = 32
+# the input and echo energies are integrated over center +- this many widths
+ECHO_WINDOW_WIDTHS = 4.0
+# an ordering-experiment echo peak must reach this fraction of the highest
+PEAK_REL_HEIGHT = 0.2
 
 
 @dataclass(frozen=True)
@@ -123,26 +128,6 @@ class GemConfig:
     def t_coords(self) -> np.ndarray:
         return np.linspace(0.0, self.t_extent, self.nt)
 
-    def eta_at(self, t: float) -> float:
-        flips = np.searchsorted(np.asarray(self.eta_flips), t, side="right")
-        return self.eta0 * (-1.0) ** flips
-
-    def eta_integral(self, t0: float, t1: float) -> float:
-        """Exact integral of eta over [t0, t1] across any sign flips."""
-        edges = [t0] + [t for t in self.eta_flips if t0 < t < t1] + [t1]
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            total += self.eta_at(0.5 * (a + b)) * (b - a)
-        return total
-
-    def coupling_at(self, t: float) -> float:
-        if self.coupling_windows is None:
-            return 1.0
-        for t_on, t_off in self.coupling_windows:
-            if t_on <= t <= t_off:
-                return 1.0
-        return 0.0
-
 
 @dataclass
 class GemState:
@@ -173,45 +158,65 @@ def _field_from_alpha(alpha: np.ndarray, e_in: complex, coupling: float,
     return e_in + 1j * density * coupling * cumulative
 
 
+def _gate(config: GemConfig, times) -> np.ndarray:
+    """Coupling gate C(t) at each of the times; a window includes its edges."""
+    times = np.asarray(times, dtype=float)[:, None]
+    if config.coupling_windows is None:
+        return np.ones(len(times))
+    on, off = np.transpose(config.coupling_windows)
+    return np.any((times >= on) & (times <= off), axis=1).astype(float)
+
+
+def _schedule(config: GemConfig, t: np.ndarray):
+    """(phase, t_mid, c_mid, c_node) of the grid t: phase[2n] and phase[2n+1]
+    integrate eta exactly over [t_n, t_mid_n] and [t_mid_n, t_n+1], piece by
+    piece between flips; c_mid and c_node gate the midpoints and the times t."""
+    t_mid = 0.5 * (t[:-1] + t[1:])
+    nodes = np.empty(2 * len(t) - 1)
+    nodes[0::2], nodes[1::2] = t, t_mid
+    flips = np.asarray(config.eta_flips, dtype=float)
+    edges = np.union1d(nodes, flips[(flips > t[0]) & (flips < t[-1])])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    eta = config.eta0 * (-1.0) ** np.searchsorted(flips, mid, side="right")
+    phase = np.add.reduceat(eta * np.diff(edges), np.searchsorted(edges, nodes[:-1]))
+    return phase, t_mid, _gate(config, t_mid), _gate(config, t)
+
+
 def gem_evolve(config: GemConfig, pulses: PulseTrain, store_state: bool = True) -> GemResult:
     """Integrate the memory equations for one input pulse train."""
     pulses.validate(config.t_extent)
     dt, dz = config.dt, config.dz
     z = config.z_coords()
     t = config.t_coords()
+    phase, t_mid, c_mid, c_node = (a.tolist() for a in _schedule(config, t))
 
     e_in = pulses.sample(t)
     alpha = np.zeros(config.nz, dtype=np.complex128)
     output = np.empty(config.nt, dtype=np.complex128)
+    e_full = _field_from_alpha(alpha, e_in[0], c_node[0], config.density, dz)
+    output[0] = e_full[-1]
     if store_state:
         alpha_zt = np.zeros((config.nz, config.nt), dtype=np.complex128)
         field_zt = np.zeros((config.nz, config.nt), dtype=np.complex128)
-        field_zt[:, 0] = _field_from_alpha(alpha, e_in[0], config.coupling_at(0.0),
-                                           config.density, dz)
-    output[0] = _field_from_alpha(alpha, e_in[0], config.coupling_at(0.0),
-                                  config.density, dz)[-1]
+        field_zt[:, 0] = e_full
 
     g, density, gamma = config.g, config.density, config.decay
     for n in range(config.nt - 1):
-        t0, t1 = t[n], t[n + 1]
-        t_mid = 0.5 * (t0 + t1)
-        coupling = config.coupling_at(t_mid)
+        t0, tm, t1 = t[n], t_mid[n], t[n + 1]
+        coupling = c_mid[n]
         e_mid = 0.5 * (e_in[n] + e_in[n + 1])
 
-        phase_first = config.eta_integral(t0, t_mid)
-        phase_second = config.eta_integral(t_mid, t1)
-        alpha = alpha * np.exp(-1j * z * phase_first - gamma * (t_mid - t0))
+        alpha = alpha * np.exp(-1j * z * phase[2 * n] - gamma * (tm - t0))
         if coupling != 0.0:
             e1 = _field_from_alpha(alpha, e_mid, coupling, density, dz)
             predictor = alpha + dt * 1j * g * coupling * e1
             e2 = _field_from_alpha(predictor, e_mid, coupling, density, dz)
             alpha = alpha + dt * 1j * g * coupling * 0.5 * (e1 + e2)
-        alpha = alpha * np.exp(-1j * z * phase_second - gamma * (t1 - t_mid))
+        alpha = alpha * np.exp(-1j * z * phase[2 * n + 1] - gamma * (t1 - tm))
 
         if not np.all(np.isfinite(alpha)):
             raise FloatingPointError(f"non-finite polarization at t = {t1:.6g}")
-        coupling_out = config.coupling_at(t1)
-        e_full = _field_from_alpha(alpha, e_in[n + 1], coupling_out, density, dz)
+        e_full = _field_from_alpha(alpha, e_in[n + 1], c_node[n + 1], density, dz)
         output[n + 1] = e_full[-1]
         if store_state:
             alpha_zt[:, n + 1] = alpha
@@ -242,22 +247,20 @@ class EfficiencyMeasurement:
     result: GemResult
 
 
-def gem_efficiency_measured(config: GemConfig, pulse: GaussianPulse,
-                            n_widths: float = 4.0) -> EfficiencyMeasurement:
+def gem_efficiency_measured(config: GemConfig, pulse: GaussianPulse) -> EfficiencyMeasurement:
     """Recall efficiency as the echo-to-input energy ratio.
 
     The config must contain exactly one gradient flip, at time tau; the echo
-    is integrated over 2 tau - center +- n_widths * width and the input over
-    center +- n_widths * width. The windows must not overlap.
+    is integrated over 2 tau - center +- ECHO_WINDOW_WIDTHS * width and the
+    input over center +- ECHO_WINDOW_WIDTHS * width. The windows must not overlap.
     """
     if len(config.eta_flips) != 1:
         raise ValueError("efficiency measurement expects exactly one gradient flip")
     tau = config.eta_flips[0]
     echo_center = 2.0 * tau - pulse.center
-    input_window = (pulse.center - n_widths * pulse.width,
-                    pulse.center + n_widths * pulse.width)
-    echo_window = (echo_center - n_widths * pulse.width,
-                   echo_center + n_widths * pulse.width)
+    half = ECHO_WINDOW_WIDTHS * pulse.width
+    input_window = (pulse.center - half, pulse.center + half)
+    echo_window = (echo_center - half, echo_center + half)
     if echo_window[0] <= input_window[1]:
         raise ValueError(
             f"echo window {echo_window} overlaps the input window {input_window}; "
@@ -291,8 +294,7 @@ class PulseOrderingResult:
     result: GemResult
 
 
-def fifo_filo_experiment(config: GemConfig, train: PulseTrain, mode: str,
-                         rel_height: float = 0.2) -> PulseOrderingResult:
+def fifo_filo_experiment(config: GemConfig, train: PulseTrain, mode: str) -> PulseOrderingResult:
     """Run a two-pulse store-and-recall and verify the recall ordering.
 
     FILO: one gradient flip at tau, coupling always on; pulse stored at
@@ -344,7 +346,7 @@ def fifo_filo_experiment(config: GemConfig, train: PulseTrain, mode: str,
     from scipy.signal import find_peaks  # imported here: slow, and only this needs it
 
     peaks, _ = find_peaks(np.where(sel, power, 0.0),
-                          height=rel_height * float(np.max(power[sel])),
+                          height=PEAK_REL_HEIGHT * float(np.max(power[sel])),
                           distance=distance)
     peak_times = [float(t[i]) for i in peaks]
     if len(peak_times) != 2:
@@ -370,8 +372,8 @@ def _check_fifo_schedule(config: GemConfig, first: GaussianPulse, second: Gaussi
                          tau: float, tau2: float):
     """The off window must cover both suppressed first-flip echoes."""
     filo_echoes = (2.0 * tau - second.center, 2.0 * tau - first.center)
-    for echo in filo_echoes:
-        if config.coupling_at(echo) != 0.0:
+    for echo, coupling in zip(filo_echoes, _gate(config, filo_echoes)):
+        if coupling != 0.0:
             raise ValueError(
                 f"coupling is on at the suppressed echo time {echo}; gate it "
                 "off across both first-flip echoes for FIFO recall"

@@ -132,37 +132,32 @@ def detect_vortices(field: Field2D, density_floor: float = DEFAULT_DENSITY_FLOOR
 
 
 def circulation(field: Field2D, ix0: int, iy0: int, ix1: int, iy1: int) -> float:
-    """Phase circulation around the rectangular grid loop with corners
-    (ix0, iy0) and (ix1, iy1), counterclockwise.
-
-    Computed by summing wrapped phase differences along the loop edges, the
-    lattice form of the line integral of the velocity; closed loops give
-    exact integer multiples of 2*pi up to float rounding.
-    """
-    if not (ix0 < ix1 and iy0 < iy1):
-        raise ValueError("need ix0 < ix1 and iy0 < iy1")
-    phase = field.phase()
-    bottom = wrap_phase(np.diff(phase[iy0, ix0:ix1 + 1]))
-    right = wrap_phase(np.diff(phase[iy0:iy1 + 1, ix1]))
-    top = wrap_phase(np.diff(phase[iy1, ix0:ix1 + 1]))
-    left = wrap_phase(np.diff(phase[iy0:iy1 + 1, ix0]))
-    return float(bottom.sum() + right.sum() - top.sum() - left.sum())
+    """Phase circulation around one rectangular grid loop with corners
+    (ix0, iy0) and (ix1, iy1), counterclockwise (see circulation_batch)."""
+    return float(circulation_batch(field, [[ix0, iy0, ix1, iy1]])[0])
 
 
 def circulation_batch(field: Field2D, loops: np.ndarray) -> np.ndarray:
-    """Circulations of many rectangular loops, rows (ix0, iy0, ix1, iy1).
+    """Circulations of many rectangular loops, rows (ix0, iy0, ix1, iy1),
+    counterclockwise.
 
-    Uses cumulative sums of the wrapped link phases so the cost per loop is
-    O(1) after an O(N) setup.
+    Each is the sum of the wrapped phase differences along the loop edges,
+    the lattice form of the line integral of the velocity; closed loops give
+    exact integer multiples of 2*pi up to float rounding. Cumulative sums of
+    the wrapped link phases make the cost per loop O(1) after an O(N) setup.
+    Raises ValueError unless 0 <= ix0 < ix1 < nx and 0 <= iy0 < iy1 < ny.
     """
+    ix0, iy0, ix1, iy1 = np.asarray(loops, dtype=int).T
+    nx, ny = field.grid.nx, field.grid.ny
+    if not (np.all((0 <= ix0) & (ix0 < ix1) & (ix1 < nx))
+            and np.all((0 <= iy0) & (iy0 < iy1) & (iy1 < ny))):
+        raise ValueError(f"loops need 0 <= ix0 < ix1 < {nx} and 0 <= iy0 < iy1 < {ny}")
     phase = field.phase()
     dpx = wrap_phase(np.diff(phase, axis=1))
     dpy = wrap_phase(np.diff(phase, axis=0))
     # prepend a zero column/row so cum[i] = sum of links with index < i
-    cum_x = np.concatenate([np.zeros((phase.shape[0], 1)), np.cumsum(dpx, axis=1)], axis=1)
-    cum_y = np.concatenate([np.zeros((1, phase.shape[1])), np.cumsum(dpy, axis=0)], axis=0)
-    loops = np.asarray(loops, dtype=int)
-    ix0, iy0, ix1, iy1 = loops.T
+    cum_x = np.concatenate([np.zeros((ny, 1)), np.cumsum(dpx, axis=1)], axis=1)
+    cum_y = np.concatenate([np.zeros((1, nx)), np.cumsum(dpy, axis=0)], axis=0)
     bottom = cum_x[iy0, ix1] - cum_x[iy0, ix0]
     top = cum_x[iy1, ix1] - cum_x[iy1, ix0]
     right = cum_y[iy1, ix1] - cum_y[iy0, ix1]

@@ -242,8 +242,8 @@ def _scenario_vortices(cfg: RunConfig, w: ArtifactWriter):
         w.pgm("density.pgm", field)
 
 
-def _gem_config_from_params(p: dict, decay_key: bool = True) -> GemConfig:
-    windows = p.get("coupling_windows", ())
+def _gem_config_from_params(p: dict) -> GemConfig:
+    windows = p["coupling_windows"]
     coupling = None
     if windows:
         coupling = tuple((windows[i], windows[i + 1]) for i in range(0, len(windows), 2))
@@ -252,30 +252,33 @@ def _gem_config_from_params(p: dict, decay_key: bool = True) -> GemConfig:
         z_extent=p["z_extent"], nz=p["nz"], t_extent=p["t_extent"], nt=p["nt"],
         eta_flips=tuple(p["flip_times"]),
         coupling_windows=coupling,
-        decay=p.get("decay", 0.0),
+        decay=p.get("decay", 0.0),  # fifo-filo has no decay key
     )
 
 
 def _pulse_train_from_params(p: dict) -> PulseTrain:
-    labels = list(p.get("pulse_labels", ())) or [
+    labels = list(p["pulse_labels"]) or [
         chr(ord("A") + i) for i in range(len(p["pulse_centers"]))]
     pulses = [GaussianPulse(center=c, width=wd, label=lb)
               for c, wd, lb in zip(p["pulse_centers"], p["pulse_widths"], labels)]
     return PulseTrain(pulses)
 
 
+def _write_trace(w: ArtifactWriter, name: str, times, field):
+    """A complex time trace as (t, re, im, power) CSV rows."""
+    w.csv(name, ["t", "re", "im", "power"],
+          ((t, e.real, e.imag, abs(e) ** 2) for t, e in zip(times, field)))
+
+
 def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
     gem_cfg = _gem_config_from_params(cfg.params)
     train = _pulse_train_from_params(cfg.params)
-    result = gem_evolve(gem_cfg, train, store_state=True)
+    # the z-resolved state is read only for the polarization image
+    result = gem_evolve(gem_cfg, train, store_state=cfg.emit_pgm)
     if cfg.emit_csv:
-        w.csv("input.csv", ["t", "re", "im", "power"],
-              ((t, e.real, e.imag, abs(e) ** 2)
-               for t, e in zip(result.times, result.input_field)))
-        w.csv("output.csv", ["t", "re", "im", "power"],
-              ((t, e.real, e.imag, abs(e) ** 2)
-               for t, e in zip(result.times, result.output_field)))
-    if cfg.emit_pgm and result.state is not None:
+        _write_trace(w, "input.csv", result.times, result.input_field)
+        _write_trace(w, "output.csv", result.times, result.output_field)
+    if cfg.emit_pgm:
         w.pgm("polarization.pgm", np.abs(result.state.alpha))
 
 
@@ -303,9 +306,7 @@ def _scenario_fifo_filo(cfg: RunConfig, w: ArtifactWriter):
     train = _pulse_train_from_params(cfg.params)
     result = fifo_filo_experiment(gem_cfg, train, cfg.params["mode"])
     if cfg.emit_csv:
-        w.csv("output.csv", ["t", "re", "im", "power"],
-              ((t, e.real, e.imag, abs(e) ** 2)
-               for t, e in zip(result.result.times, result.result.output_field)))
+        _write_trace(w, "output.csv", result.result.times, result.result.output_field)
         w.csv("peaks.csv", ["time", "label"],
               zip(result.peak_times, result.labels))
     w.text("ordering.txt",

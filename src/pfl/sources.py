@@ -126,11 +126,11 @@ def imprint_vortex(field: Field2D, charge: int, center: tuple[float, float] = (0
 
 
 def imprint_dark_stripe(field: Field2D, position: float = 0.0, angle: float = 0.0,
-                        contrast: float = 1.0, width: float | None = None) -> Field2D:
+                        contrast: float = 1.0) -> Field2D:
     """Imprint a gray-soliton stripe: tanh amplitude dip plus a phase step.
 
     The multiplier along the signed distance s from the stripe line is
-    m(s) = sin(phi) - i cos(phi) tanh(s cos(phi) / w) with
+    m(s) = sin(phi) - i cos(phi) tanh(s cos(phi) / w) with w = 4 dx and
     phi = pi (1 - contrast) / 2, so the phase step is pi*contrast and the
     on-line density dips to cos^2(pi*contrast/2) of the background.
     angle orients the stripe normal in the plane (0 = stripe along y).
@@ -142,8 +142,7 @@ def imprint_dark_stripe(field: Field2D, position: float = 0.0, angle: float = 0.
     if contrast == 0.0:
         return field.copy()
     grid = field.grid
-    if width is None:
-        width = 4.0 * grid.dx
+    width = 4.0 * grid.dx
     xx, yy = grid.meshgrid()
     s = xx * np.cos(angle) + yy * np.sin(angle) - position
     phi = 0.5 * np.pi * (1.0 - contrast)
@@ -159,9 +158,8 @@ def stripe_min_density_factor(contrast: float) -> float:
 
 
 def add_probe(field: Field2D, probe_waist: float, probe_power: float, angle: float,
-              wavelength: float, n0: float,
-              center: tuple[float, float] = (0.0, 0.0)) -> Field2D:
-    """Superpose a weak Gaussian probe carrying a transverse phase ramp.
+              wavelength: float, n0: float) -> Field2D:
+    """Superpose a weak centered Gaussian probe carrying a transverse phase ramp.
 
     The ramp is exp(i k_perp x) with k_perp = k0 sin(angle); k_perp must
     stay below the grid Nyquist wavevector.
@@ -179,16 +177,9 @@ def add_probe(field: Field2D, probe_waist: float, probe_power: float, angle: flo
     if probe_power == 0.0:
         return field.copy()
     probe = gaussian_beam(grid, probe_waist, probe_power, n0, wavelength)
-    x0, y0 = center
-    xx, yy = grid.meshgrid()
-    if x0 or y0:
-        envelope = np.exp(-((xx - x0) ** 2 + (yy - y0) ** 2) / probe_waist**2)
-        peak = np.max(np.abs(probe.values))
-        probe_values = peak * envelope
-    else:
-        probe_values = probe.values
+    xx, _ = grid.meshgrid()
     ramp = np.exp(1j * k_perp * xx)
-    return field.with_values(field.values + probe_values * ramp).validate_finite()
+    return field.with_values(field.values + probe.values * ramp).validate_finite()
 
 
 def probe_wavevector(wavelength: float, angle: float) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from pfl.cli import main as cli_main
-from pfl.config import ConfigError, parse_config, serialize_config
+from pfl.config import REQUIRED, ConfigError, _SCENARIO_SCHEMAS, parse_config, serialize_config
 
 GOOD_PROPAGATE = """
 [run]
@@ -100,7 +100,29 @@ nt = 800
 """
 
 
+GEM_DEFAULTS = {"g": REQUIRED, "density": REQUIRED, "eta0": REQUIRED, "z_extent": 2.0,
+                "nz": 256, "t_extent": REQUIRED, "flip_times": REQUIRED,
+                "coupling_windows": (), "pulse_centers": REQUIRED,
+                "pulse_widths": REQUIRED}
+
+
 class TestParsing:
+    @pytest.mark.parametrize("scenario, own", [
+        ("gem", {"nt": 1600, "decay": 0.0, "pulse_labels": ()}),
+        ("fifo-filo", {"nt": 2400, "mode": REQUIRED, "pulse_labels": ("A", "B")}),
+    ])
+    def test_gem_schemas_share_keys_and_keep_defaults(self, scenario, own):
+        schema = _SCENARIO_SCHEMAS[scenario]
+        assert {k: spec.default for k, spec in schema.items()} == {**GEM_DEFAULTS, **own}
+        text = (f"[run]\nscenario = {scenario}\n[{scenario}]\n"
+                + ("mode = FILO\n" if scenario == "fifo-filo" else "")
+                + "g = 1.0\ndensity = 1.0\neta0 = 20.0\nt_extent = 7.0\n"
+                "flip_times = 3.0\npulse_centers = 1.0\npulse_widths = 0.15\n")
+        cfg = parse_config(text)
+        assert cfg.params["nt"] == own["nt"]
+        assert cfg.params["pulse_labels"] == own["pulse_labels"]
+        assert parse_config(serialize_config(cfg)) == cfg
+
     def test_round_trip_is_identity(self):
         cfg = parse_config(GOOD_PROPAGATE)
         text = serialize_config(cfg)
@@ -331,6 +353,16 @@ class TestCli:
         assert len(calls) == len(k_perp_list) == 5
         fit = dict(line.split(" = ") for line in (out / "fit.txt").read_text().splitlines())
         assert float(fit["c_s"]) == pytest.approx(0.0124, rel=0.05)
+
+    def test_shipped_fifo_config_recalls_in_input_order(self, tmp_path):
+        config = next(c for c in CONFIGS if c.name == "fifo_filo.ini")
+        out = tmp_path / "out"
+        assert cli_main(["fifo-filo", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "ordering.txt").read_text() == "mode = FIFO\norder = A,B\n"
+        peaks = [float(line.split(",")[0])
+                 for line in (out / "peaks.csv").read_text().splitlines()[1:]]
+        # echoes of pulses stored at 1 and 2 land at t_p + 2 (5.5 - 3.0)
+        assert peaks == pytest.approx([6.0, 7.0], abs=0.1)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=[c.name for c in CONFIGS])
     def test_shipped_config_validates(self, config, capsys):

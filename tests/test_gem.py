@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pfl.gem import (GaussianPulse, GemConfig, PulseTrain, fifo_filo_experiment,
-                     gem_efficiency_measured, gem_efficiency_theory, gem_evolve)
+from pfl.gem import (GaussianPulse, GemConfig, PulseTrain, _schedule,
+                     fifo_filo_experiment, gem_efficiency_measured, gem_efficiency_theory,
+                     gem_evolve)
 
 ETA = 20.0
 
@@ -14,6 +15,58 @@ def make_config(ratio=1.0, **overrides):
                 t_extent=8.0, nt=1200, eta_flips=(3.0,))
     base.update(overrides)
     return GemConfig(**base)
+
+
+def eta_integral(config, t0, t1):
+    """Scalar reference: exact integral of eta over [t0, t1], one piece per
+    stretch between sign flips, summed in time order."""
+    def eta_at(t):
+        return config.eta0 * (-1.0) ** np.searchsorted(np.asarray(config.eta_flips), t,
+                                                       side="right")
+    edges = [t0] + [t for t in config.eta_flips if t0 < t < t1] + [t1]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        total += eta_at(0.5 * (a + b)) * (b - a)
+    return total
+
+
+def coupling_at(config, t):
+    """Scalar reference: the coupling gate at one time."""
+    if config.coupling_windows is None:
+        return 1.0
+    for t_on, t_off in config.coupling_windows:
+        if t_on <= t <= t_off:
+            return 1.0
+    return 0.0
+
+
+class TestSchedule:
+    # nt = 801 over t_extent = 8: the grid times are linspace nodes, and the
+    # flips and window edges below are taken from the grid itself
+    T = np.linspace(0.0, 8.0, 801)
+    T_MID = 0.5 * (T[:-1] + T[1:])
+
+    @pytest.mark.parametrize("flips, windows", [
+        ((), None),                                     # no flip
+        ((3.0037,), None),                              # between nodes
+        ((T[300], T_MID[450]), None),                   # on a grid and a half-step node
+        ((0.0, 3.0, 8.0), None),                        # at 0 and at t_extent
+        ((3.0, 5.5), ((0.0, T[320]), (T[570], 8.0))),   # window edges on grid nodes
+        ((3.0, 5.5), ((T_MID[100], 3.2), (5.7, 9.0))),  # and on a half-step node
+    ])
+    def test_matches_scalar_reference_bit_for_bit(self, flips, windows):
+        cfg = make_config(nz=64, nt=801, eta_flips=tuple(float(f) for f in flips),
+                          coupling_windows=windows)
+        t = cfg.t_coords()
+        assert t.tobytes() == self.T.tobytes()
+        phase, t_mid, c_mid, c_node = _schedule(cfg, t)
+        assert t_mid.tobytes() == self.T_MID.tobytes()
+        halves = []
+        for t0, tm, t1 in zip(t[:-1], t_mid, t[1:]):
+            halves += [eta_integral(cfg, t0, tm), eta_integral(cfg, tm, t1)]
+        assert phase.tobytes() == np.array(halves).tobytes()
+        assert c_mid.tolist() == [coupling_at(cfg, tm) for tm in t_mid]
+        assert c_node.tolist() == [coupling_at(cfg, tn) for tn in t]
 
 
 class TestTheoryFormula:

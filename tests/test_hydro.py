@@ -105,6 +105,17 @@ class TestDetectVortices:
         assert np.array_equal(found.positions, ref.positions)
 
 
+def edge_sum_circulation(field, ix0, iy0, ix1, iy1):
+    """Reference: wrapped phase differences summed edge by edge around the
+    loop, counterclockwise."""
+    phase = field.phase()
+    bottom = wrap_phase(np.diff(phase[iy0, ix0:ix1 + 1]))
+    right = wrap_phase(np.diff(phase[iy0:iy1 + 1, ix1]))
+    top = wrap_phase(np.diff(phase[iy1, ix0:ix1 + 1]))
+    left = wrap_phase(np.diff(phase[iy0:iy1 + 1, ix0]))
+    return float(bottom.sum() + right.sum() - top.sum() - left.sum())
+
+
 class TestCirculation:
     def test_quantization_random_loops(self):
         grid = make_grid(128, 128, 1e-5)
@@ -126,8 +137,26 @@ class TestCirculation:
         f = imprint_vortex(base, +2, center=(0.5e-5, 0.5e-5))
         loops = np.array([[4, 6, 50, 40], [10, 10, 20, 20]])
         batch = circulation_batch(f, loops)
-        singles = [circulation(f, *loop) for loop in loops]
+        singles = [edge_sum_circulation(f, *loop) for loop in loops]
         assert np.allclose(batch, singles, atol=1e-12)
+        assert [circulation(f, *loop) for loop in loops] == batch.tolist()
+
+    @pytest.mark.parametrize("loop", [
+        (48, 48, 16, 16),   # reversed corners
+        (16, 48, 48, 16),   # reversed in y only
+        (16, 16, 16, 48),   # zero width
+        (-10, 16, 48, 48),  # negative index
+        (16, -1, 48, 48),
+        (16, 16, 64, 48),   # past the edge
+        (16, 16, 48, 64),
+    ])
+    def test_invalid_loops_rejected(self, small_grid, loop):
+        base = plane_wave(small_grid, 10.0, 1.0, WAVELENGTH)
+        f = imprint_vortex(base, +1, center=(0.5e-5, 0.5e-5))
+        with pytest.raises(ValueError, match="loops need"):
+            circulation(f, *loop)
+        with pytest.raises(ValueError, match="loops need"):
+            circulation_batch(f, np.array([[8, 8, 56, 56], loop]))
 
     def test_enclosed_charge(self, small_grid):
         base = plane_wave(small_grid, 10.0, 1.0, WAVELENGTH)
