@@ -11,11 +11,11 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {  # module: the public names it defines
-    "grid": ("Field2D", "Grid", "make_grid", "zero_field"),
+    "grid": ("Field2D", "Grid", "make_grid"),
     "medium": ("MediumParams", "intensity_to_density", "density_to_intensity", "optical_power"),
     "sources": ("gaussian_beam", "plane_wave", "speckle", "imprint_vortex",
                 "imprint_dark_stripe", "add_probe"),
-    "potentials": ("build_potential", "pt_symmetrize"),
+    "potentials": ("uniform_potential", "gaussian_defect", "lattice_potential", "pt_symmetrize"),
     "solver": ("StepPlan", "PropagationRecord", "nonlinear_step", "propagate",
                "rescale_dimensionless", "fluid_scales"),
     "hydro": ("FluidDiagnostics", "VortexSet", "madelung", "detect_vortices", "circulation",

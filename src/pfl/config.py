@@ -37,7 +37,6 @@ SCENARIOS = (
 # scenarios that propagate a transverse field and therefore need the
 # grid/medium/plan/source sections
 FIELD_SCENARIOS = SCENARIOS[:6]
-GEM_SCENARIOS = SCENARIOS[6:]
 
 
 class ConfigError(Exception):
@@ -83,7 +82,6 @@ _MEDIUM = {
 
 _PLAN = {
     "n_steps": Key("int"),
-    "dz": Key("float", None),
     "snapshot_every": Key("int", 0),
 }
 
@@ -176,9 +174,6 @@ _SCENARIO_SCHEMAS: dict[str, dict[str, Key]] = {
     "fifo-filo": {"mode": Key("str"), **_GEM, "nt": Key("int", 2400),
                   "pulse_labels": Key("strs", ("A", "B"))},
 }
-
-_SECTION_ORDER = ["run", "grid", "medium", "plan", "source", "potential"]
-
 
 @dataclass
 class RunConfig:
@@ -347,8 +342,6 @@ def validate_config(cfg: RunConfig):
     if cfg.plan is not None:
         if cfg.plan["n_steps"] < 0:
             raise ConfigError("plan.n_steps must be non-negative")
-        if cfg.plan["dz"] is not None and cfg.plan["dz"] <= 0:
-            raise ConfigError("plan.dz must be positive when given")
         if cfg.plan["snapshot_every"] < 0:
             raise ConfigError("plan.snapshot_every must be non-negative")
     if cfg.source is not None:
@@ -363,10 +356,14 @@ def validate_config(cfg: RunConfig):
             if cfg.source[key] in (None, ""):
                 raise ConfigError(f"source.{key} is required for kind {kind!r}")
     if cfg.potential is not None:
-        if cfg.potential["kind"] not in ("uniform", "gaussian_defect", "lattice"):
+        kind = cfg.potential["kind"]
+        needed = {"uniform": (), "gaussian_defect": ("width",), "lattice": ("period",)}
+        if kind not in needed:
             raise ConfigError(
-                f"potential.kind must be uniform, gaussian_defect or lattice, "
-                f"got {cfg.potential['kind']!r}")
+                f"potential.kind must be uniform, gaussian_defect or lattice, got {kind!r}")
+        for key in needed[kind]:
+            if cfg.potential[key] is None:
+                raise ConfigError(f"potential.{key} is required for kind {kind!r}")
     _validate_scenario_params(cfg)
 
 
@@ -419,8 +416,18 @@ def _validate_scenario_params(cfg: RunConfig):
             raise ConfigError(f"{s}.pulse_centers and pulse_widths must have equal lengths")
         if len(p["coupling_windows"]) % 2:
             raise ConfigError(f"{s}.coupling_windows must list (on, off) pairs")
-        if s == "fifo-filo" and p["mode"].upper() not in ("FIFO", "FILO"):
-            raise ConfigError("fifo-filo.mode must be FIFO or FILO")
+        if s == "fifo-filo":
+            mode = p["mode"].upper()
+            if mode not in ("FIFO", "FILO"):
+                raise ConfigError("fifo-filo.mode must be FIFO or FILO")
+            # the flips and coupling windows each mode needs (gem.fifo_filo_experiment)
+            flips, windows = len(p["flip_times"]), len(p["coupling_windows"])
+            if mode == "FILO" and (flips != 1 or windows):
+                raise ConfigError("fifo-filo mode FILO needs exactly one flip_times "
+                                  "value and no coupling_windows")
+            if mode == "FIFO" and (flips != 2 or not windows):
+                raise ConfigError("fifo-filo mode FIFO needs two flip_times values "
+                                  "and at least one coupling_windows pair")
     elif s == "gem-efficiency-sweep":
         if not p["ratios"]:
             raise ConfigError("gem-efficiency-sweep.ratios must not be empty")

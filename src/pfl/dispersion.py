@@ -43,6 +43,11 @@ from .solver import PropagationRecord, StepPlan, fluid_scales, propagate
 
 # sound_speed_scaling takes this many propagation steps per nonlinear length
 STEPS_PER_Z_NL = 15
+# Unless the packets stay paired over the trailing snapshots, the drift is
+# fitted over this last fraction of them; a fit whose RMS residual exceeds
+# MAX_RESIDUAL of the displacement span is not a ballistic packet.
+FIT_FRACTION = 0.5
+MAX_RESIDUAL = 0.15
 
 
 @dataclass(frozen=True)
@@ -236,9 +241,7 @@ def snapshot_density(z: float, field: Field2D) -> np.ndarray:
 
 
 def measure_group_velocity(background: Field2D, probe: ProbeSpec,
-                           medium: MediumParams, plan: StepPlan,
-                           fit_fraction: float = 0.5,
-                           max_residual: float = 0.15) -> GroupVelocityMeasurement:
+                           medium: MediumParams, plan: StepPlan) -> GroupVelocityMeasurement:
     """Group velocity of a weak probe at probe.k_perp on the background.
 
     The background must be a homogeneous fluid: one uniform value in a
@@ -270,7 +273,7 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
 
     probe_record = propagate(_with_probe(background, probe, medium), medium, plan,
                              keep=density_change)
-    return _fit_drift(probe_record, probe, grid, fit_fraction, max_residual)
+    return _fit_drift(probe_record, probe, grid)
 
 
 def _with_probe(background: Field2D, probe: ProbeSpec, medium: MediumParams) -> Field2D:
@@ -283,8 +286,8 @@ def _with_probe(background: Field2D, probe: ProbeSpec, medium: MediumParams) -> 
                      medium.wavelength, medium.n0)
 
 
-def _fit_drift(probe_record: PropagationRecord, probe: ProbeSpec, grid,
-               fit_fraction: float, max_residual: float) -> GroupVelocityMeasurement:
+def _fit_drift(probe_record: PropagationRecord, probe: ProbeSpec,
+               grid) -> GroupVelocityMeasurement:
     """Fit the packet displacement of a probe run (see _packet_displacements)
     against z: the slope is the group velocity."""
     z_samples, displacements, paired = _packet_displacements(probe_record, probe, grid)
@@ -296,7 +299,7 @@ def _fit_drift(probe_record: PropagationRecord, probe: ProbeSpec, grid,
         # run: their half separation is the clean displacement observable
         sel = trailing
     else:
-        start = int(np.floor(n * (1.0 - fit_fraction)))
+        start = int(np.floor(n * (1.0 - FIT_FRACTION)))
         start = min(max(start, 0), n - 3)
         sel = np.zeros(n, dtype=bool)
         sel[start:] = True
@@ -304,10 +307,10 @@ def _fit_drift(probe_record: PropagationRecord, probe: ProbeSpec, grid,
     span = max(float(np.ptp(displacements[sel])), grid.dx)
     residuals = displacements[sel] - (intercept + slope * z_samples[sel])
     rel_residual = float(np.sqrt(np.mean(residuals**2))) / span
-    if rel_residual > max_residual:
+    if rel_residual > MAX_RESIDUAL:
         raise RuntimeError(
             f"packet tracking fit residual {rel_residual:.3f} exceeds "
-            f"{max_residual}; the wavepacket is not moving ballistically"
+            f"{MAX_RESIDUAL}; the wavepacket is not moving ballistically"
         )
     if np.max(np.abs(displacements)) > 0.4 * grid.extent_x:
         raise RuntimeError("probe packet wrapped around the grid; shorten the run")

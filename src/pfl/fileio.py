@@ -70,8 +70,9 @@ def load_field(path) -> tuple[Field2D, float]:
     return Field2D(grid=grid, values=values, unit_tag=_UNIT_NAMES[unit_code]), float(z)
 
 
-def write_density_pgm(path, array_or_field, sidecar: bool = True) -> Path:
-    """Write a density map as 16-bit binary PGM, max-scaled per frame."""
+def write_density_pgm(path, array_or_field) -> Path:
+    """Write a density map as 16-bit binary PGM, max-scaled per frame, and
+    its scale to the sidecar file path + ".scale.txt"."""
     path = Path(path)
     if isinstance(array_or_field, Field2D):
         density = array_or_field.density()
@@ -83,9 +84,8 @@ def write_density_pgm(path, array_or_field, sidecar: bool = True) -> Path:
     header = f"P5\n{nx} {ny}\n65535\n".encode("ascii")
     samples = np.round(density / scale * 65535.0).astype(">u2")
     path.write_bytes(header + samples.tobytes())
-    if sidecar:
-        path.with_suffix(path.suffix + ".scale.txt").write_text(
-            f"max_value = {fmt(scale)}\nmaxval_code = 65535\n")
+    path.with_suffix(path.suffix + ".scale.txt").write_text(
+        f"max_value = {fmt(scale)}\nmaxval_code = 65535\n")
     return path
 
 
@@ -112,7 +112,6 @@ def write_metrics(path, record) -> Path:
         f"n_steps = {record.n_steps}",
         f"dz = {fmt(record.dz)}",
         f"max_phase_per_step = {fmt(record.max_phase_per_step)}",
-        f"wall_time = {fmt(record.wall_time)}",
     ]
     lines.append("")
     lines.append("z,power")
@@ -152,7 +151,7 @@ class ArtifactWriter:
         return save_field(self.path(name), field, z)
 
     def pgm(self, name: str, density) -> Path:
-        out = write_density_pgm(self.out_dir / name, density, sidecar=True)
+        out = write_density_pgm(self.out_dir / name, density)
         self.register(out)
         self.register(out.with_suffix(out.suffix + ".scale.txt"))
         return out

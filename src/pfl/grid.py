@@ -156,9 +156,6 @@ class Field2D:
         """Discrete power integral sum(|E|^2) * dx * dy."""
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.cell_area)
 
-    def spectrum(self) -> np.ndarray:
-        return fft2(self.values)
-
     def validate_finite(self) -> "Field2D":
         if not np.all(np.isfinite(self.values)):
             raise FloatingPointError("field contains non-finite samples")
@@ -195,14 +192,3 @@ def fft_workers(workers: int):
     threads; their results are the same for any count."""
     import scipy.fft
     return scipy.fft.set_workers(workers)
-
-
-def spectral_power(spectrum: np.ndarray, grid: Grid) -> float:
-    """Power computed in spectral space; equals Field2D.power under the
-    unitary convention."""
-    return float(np.sum(np.abs(spectrum) ** 2) * grid.cell_area)
-
-
-def zero_field(grid: Grid, unit_tag: str = "physical") -> Field2D:
-    return Field2D(grid=grid, values=np.zeros((grid.ny, grid.nx), dtype=np.complex128),
-                   unit_tag=unit_tag)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field2D, fft2, ifft2
-from .medium import MediumParams
-from .solver import fluid_scales
 
 DEFAULT_DENSITY_FLOOR = 1e-3
 
@@ -24,8 +22,7 @@ class FluidDiagnostics:
     """Density, wrapped phase and velocity of a fluid-of-light field.
 
     velocity components are zeroed (and flagged in mask) where the density
-    falls below density_floor * max(density). The scalar fluid scales are
-    filled when medium parameters are supplied.
+    falls below density_floor * max(density).
     """
 
     density: np.ndarray
@@ -34,13 +31,9 @@ class FluidDiagnostics:
     velocity_y: np.ndarray
     mask: np.ndarray
     density_floor: float
-    xi: float | None = None
-    z_nl: float | None = None
-    sound_speed: float | None = None
 
 
-def madelung(field: Field2D, density_floor: float = DEFAULT_DENSITY_FLOOR,
-             medium: MediumParams | None = None) -> FluidDiagnostics:
+def madelung(field: Field2D, density_floor: float = DEFAULT_DENSITY_FLOOR) -> FluidDiagnostics:
     """Decompose a field into density, phase and velocity.
 
     The velocity is computed as Im(psi* grad psi)/|psi|^2 with spectral
@@ -62,12 +55,8 @@ def madelung(field: Field2D, density_floor: float = DEFAULT_DENSITY_FLOOR,
     safe = np.where(mask, density, 1.0)
     vx = np.where(mask, np.imag(np.conj(values) * grad_x) / safe, 0.0)
     vy = np.where(mask, np.imag(np.conj(values) * grad_y) / safe, 0.0)
-    xi = z_nl = c_s = None
-    if medium is not None and medium.chi3 != 0.0:
-        z_nl, xi, c_s = fluid_scales(medium, float(np.mean(density)))
     return FluidDiagnostics(density=density, phase=phase, velocity_x=vx,
-                            velocity_y=vy, mask=mask, density_floor=density_floor,
-                            xi=xi, z_nl=z_nl, sound_speed=c_s)
+                            velocity_y=vy, mask=mask, density_floor=density_floor)
 
 
 @dataclass

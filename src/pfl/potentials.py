@@ -2,9 +2,9 @@
 
 The real part of delta_n shifts the linear index (attractive when positive
 under the sign convention of the propagation equation); the imaginary part
-encodes loss (positive) or gain (negative). Setting pt_symmetrize=True
-enforces delta_n(-x, y) = conj(delta_n(x, y)) exactly, the parity-time
-symmetric combination of an even real part and odd imaginary part.
+encodes loss (positive) or gain (negative). pt_symmetrize enforces
+delta_n(-x, y) = conj(delta_n(x, y)) exactly, the parity-time symmetric
+combination of an even real part and odd imaginary part.
 """
 
 from __future__ import annotations
@@ -13,34 +13,16 @@ import numpy as np
 
 from .grid import Grid
 
-POTENTIAL_KINDS = ("uniform", "gaussian_defect", "lattice", "custom_samples")
 
-
-def build_potential(grid: Grid, kind: str, params: dict | None = None) -> np.ndarray:
-    """Sample a complex delta_n(r_perp) of the given kind on the grid."""
-    params = dict(params or {})
-    pt = bool(params.pop("pt_symmetrize", False))
-    builders = {"uniform": _uniform, "gaussian_defect": _gaussian_defect,
-                "lattice": _lattice, "custom_samples": _custom}
-    if kind not in builders:
-        raise ValueError(f"unknown potential kind {kind!r}; valid: {POTENTIAL_KINDS}")
-    try:
-        dn = builders[kind](grid, **params)
-    except TypeError as exc:
-        raise ValueError(f"potential kind {kind!r}: {exc}") from exc
-    if pt:
-        dn = pt_symmetrize(dn)
-    if not np.all(np.isfinite(dn)):
-        raise FloatingPointError("potential contains non-finite samples")
-    return dn
-
-
-def _uniform(grid: Grid, value: complex = 0.0) -> np.ndarray:
+def uniform_potential(grid: Grid, value: complex = 0.0) -> np.ndarray:
+    """delta_n = value at every sample."""
     return np.full((grid.ny, grid.nx), complex(value), dtype=np.complex128)
 
 
-def _gaussian_defect(grid: Grid, amplitude: complex, width: float,
-                     center: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
+def gaussian_defect(grid: Grid, amplitude: complex, width: float,
+                    center: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
+    """amplitude * exp(-|r - center|^2 / width^2); the width must span at
+    least two cells."""
     if width < 2.0 * max(grid.dx, grid.dy):
         raise ValueError(f"defect width {width} unresolved on this grid")
     x0, y0 = center
@@ -48,8 +30,8 @@ def _gaussian_defect(grid: Grid, amplitude: complex, width: float,
     return complex(amplitude) * np.exp(-((xx - x0) ** 2 + (yy - y0) ** 2) / width**2)
 
 
-def _lattice(grid: Grid, amplitude: complex, period: float,
-             orientation: float = 0.0) -> np.ndarray:
+def lattice_potential(grid: Grid, amplitude: complex, period: float,
+                      orientation: float = 0.0) -> np.ndarray:
     """Triangular/honeycomb intensity pattern of three interfering plane
     waves at 120 degrees; the three wavevectors sum to zero.
 
@@ -71,24 +53,13 @@ def _lattice(grid: Grid, amplitude: complex, period: float,
     return complex(amplitude) * np.abs(total) ** 2 / 9.0
 
 
-def _custom(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    dn = np.asarray(samples, dtype=np.complex128)
-    if dn.shape != (grid.ny, grid.nx):
-        raise ValueError(
-            f"custom samples shape {dn.shape} does not match grid "
-            f"({grid.ny}, {grid.nx})"
-        )
-    return dn.copy()
-
-
 def pt_symmetrize(dn: np.ndarray) -> np.ndarray:
     """Project onto delta_n(-x, y) = conj(delta_n(x, y)) exactly.
 
     The x -> -x map on centered periodic coordinates is the index
     permutation i -> (nx - i) mod nx, so the projection is exact.
     """
-    mirrored = np.roll(dn[:, ::-1], 1, axis=1)
-    return 0.5 * (dn + np.conj(mirrored))
+    return 0.5 * (dn + np.conj(mirror_x(dn)))
 
 
 def mirror_x(values: np.ndarray) -> np.ndarray:

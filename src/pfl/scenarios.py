@@ -16,7 +16,7 @@ from .gem import (GaussianPulse, GemConfig, PulseTrain, fifo_filo_experiment,
 from .grid import Field2D, Grid, fft2, fft_workers, ifft2, make_grid
 from .hydro import detect_vortices
 from .medium import MediumParams, intensity_to_density
-from .potentials import build_potential
+from .potentials import gaussian_defect, lattice_potential, pt_symmetrize, uniform_potential
 from .seeding import stream_rng, stream_seed
 from .solver import BLOCK_SITES, StepPlan, fluid_scales, propagate
 from .sources import gaussian_beam, imprint_dark_stripe, imprint_vortex, plane_wave, speckle
@@ -46,22 +46,23 @@ def build_medium(cfg: RunConfig, grid: Grid | None = None) -> MediumParams:
 
 def _build_potential(cfg: RunConfig, grid: Grid) -> np.ndarray:
     p = cfg.potential
-    kind = p["kind"]
-    params: dict = {"pt_symmetrize": p["pt_symmetrize"]}
-    if kind == "uniform":
-        params["value"] = complex(p["value_re"], p["value_im"])
-    elif kind == "gaussian_defect":
-        params.update(amplitude=complex(p["amplitude_re"], p["amplitude_im"]),
-                      width=p["width"], center=(p["center_x"], p["center_y"]))
-    elif kind == "lattice":
-        params.update(amplitude=complex(p["amplitude_re"], p["amplitude_im"]),
-                      period=p["period"], orientation=p["orientation"])
-    return build_potential(grid, kind, params)
+    amplitude = complex(p["amplitude_re"], p["amplitude_im"])
+    if p["kind"] == "uniform":
+        dn = uniform_potential(grid, complex(p["value_re"], p["value_im"]))
+    elif p["kind"] == "gaussian_defect":
+        dn = gaussian_defect(grid, amplitude, p["width"], center=(p["center_x"], p["center_y"]))
+    else:
+        dn = lattice_potential(grid, amplitude, p["period"], p["orientation"])
+    if p["pt_symmetrize"]:
+        dn = pt_symmetrize(dn)
+    if not np.all(np.isfinite(dn)):
+        raise FloatingPointError("potential contains non-finite samples")
+    return dn
 
 
 def build_plan(cfg: RunConfig) -> StepPlan:
     p = cfg.plan
-    return StepPlan(n_steps=p["n_steps"], dz=p["dz"], snapshot_every=p["snapshot_every"])
+    return StepPlan(n_steps=p["n_steps"], snapshot_every=p["snapshot_every"])
 
 
 def build_source(cfg: RunConfig, grid: Grid, medium: MediumParams,
@@ -70,9 +71,9 @@ def build_source(cfg: RunConfig, grid: Grid, medium: MediumParams,
     if s is None:
         raise ValueError(f"scenario {cfg.scenario!r} needs a [source] section")
     if s["kind"] == "gaussian":
-        return gaussian_beam(grid, s["waist"], s["power"], medium.n0, medium.wavelength)
+        return gaussian_beam(grid, s["waist"], s["power"], medium.n0)
     if s["kind"] == "plane":
-        return plane_wave(grid, s["intensity"], medium.n0, medium.wavelength)
+        return plane_wave(grid, s["intensity"], medium.n0)
     if s["kind"] == "file":
         field, _ = load_field(s["path"])
         if field.grid != grid:

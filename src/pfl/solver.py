@@ -28,7 +28,6 @@ per snapshot never holds a list of full fields.
 
 from __future__ import annotations
 
-import time
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -55,35 +54,23 @@ BLOCK_SITES = 2**15
 
 @dataclass
 class StepPlan:
-    """Stepping schedule for one propagation.
-
-    dz defaults to length / n_steps; when given explicitly it must satisfy
-    n_steps * dz = length to 1e-12 relative. snapshot_every = 0 disables
-    intermediate snapshots.
+    """Stepping schedule for one propagation: n_steps equal steps of
+    dz = length / n_steps. snapshot_every = 0 disables intermediate
+    snapshots.
     """
 
     n_steps: int
-    dz: float | None = None
     snapshot_every: int = 0
 
     def __post_init__(self):
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {self.n_steps}")
-        if self.dz is not None and self.dz <= 0:
-            raise ValueError(f"dz must be positive, got {self.dz}")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be non-negative")
 
     def resolve_dz(self, length: float) -> float:
-        if self.n_steps == 0:
-            return 0.0
-        dz = length / self.n_steps if self.dz is None else self.dz
-        if abs(self.n_steps * dz - length) > 1e-12 * max(abs(length), 1.0):
-            raise ValueError(
-                f"n_steps * dz = {self.n_steps * dz!r} does not match the "
-                f"medium length {length!r}"
-            )
-        return dz
+        """The step length over a medium of this length (0 without steps)."""
+        return length / self.n_steps if self.n_steps else 0.0
 
 
 @dataclass
@@ -98,10 +85,6 @@ class PropagationRecord:
     # (z, keep(z, field)) per snapshot: the field itself unless propagate got a keep
     snapshots: list[tuple[float, Any]] = field(default_factory=list)
     max_phase_per_step: float = 0.0
-    wall_time: float = 0.0
-
-    def snapshot_fields(self) -> list[Field2D]:
-        return [f for _, f in self.snapshots]
 
 
 def kinetic_multiplier(grid: Grid, dz: float, k0: float, n0: float) -> np.ndarray:
@@ -292,8 +275,7 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
     field_in is one field, or a sequence of fields on one grid that runs as
     one (B, ny, nx) stack through the same step loop and returns a list of
     records in member order. Each member's final field and snapshots equal
-    those of a lone call bit for bit; wall_time is the whole stack's and
-    includes the keep calls.
+    those of a lone call bit for bit.
     Snapshots are taken every plan.snapshot_every steps and at z = L. Each
     member's record stores (z, keep(z, member_field)) as the snapshot is
     made, so nothing else holds the field once keep returns; the default
@@ -333,17 +315,15 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
         for f, member, kept in zip(fields, stack, snapshots):
             kept.append((z, keep(z, f.with_values(member))))
 
-    t0 = time.perf_counter()
     final, power, max_phase = SplitStepKernel(grid, medium, dz).run(values, plan, hand_off)
     finals = [f.with_values(v).validate_finite() for f, v in zip(fields, final)]
     if plan.snapshot_every:
         hand_off(medium.length, final.copy())
-    wall_time = time.perf_counter() - t0
     z = np.arange(plan.n_steps + 1) * dz
     records = [PropagationRecord(
         final_field=final_field, z_final=medium.length, n_steps=plan.n_steps, dz=dz,
         power_trace=np.column_stack((z, power[:, b])), snapshots=snapshots[b],
-        max_phase_per_step=float(dz * kinetic_rate[b] + max_phase[b]), wall_time=wall_time)
+        max_phase_per_step=float(dz * kinetic_rate[b] + max_phase[b]))
         for b, final_field in enumerate(finals)]
     return records[0] if lone else records
 
@@ -376,8 +356,8 @@ def rescale_dimensionless(field_in: Field2D, medium: MediumParams,
     """Normalize by the output density and return the fluid scales.
 
     density defaults to the spatial mean of |E|^2 on the grid (appropriate
-    for quasi-homogeneous fluids). The returned scales are
-    z_nl = 1 / (|g| rho), xi = sqrt(z_nl / (n0 k0)), tau = L / z_nl.
+    for quasi-homogeneous fluids). The returned scales are fluid_scales'
+    z_nl and xi, and tau = L / z_nl.
     """
     if medium.chi3 == 0.0:
         raise ValueError("rescaling requires a nonzero chi3")
@@ -385,14 +365,11 @@ def rescale_dimensionless(field_in: Field2D, medium: MediumParams,
         density = float(np.mean(np.abs(field_in.values) ** 2))
     if density <= 0.0:
         raise ValueError("rescaling requires a positive output density")
-    g_abs = abs(medium.g)
-    z_nl = 1.0 / (g_abs * density)
-    xi = np.sqrt(z_nl / medium.k_medium)
-    tau = medium.length / z_nl
+    z_nl, xi, _ = fluid_scales(medium, density)
     psi = Field2D(grid=field_in.grid,
                   values=field_in.values / np.sqrt(density),
                   unit_tag="dimensionless")
-    return RescaledField(psi=psi, tau=tau, xi=float(xi), z_nl=float(z_nl),
+    return RescaledField(psi=psi, tau=medium.length / z_nl, xi=xi, z_nl=z_nl,
                          density=float(density))
 
 

@@ -16,8 +16,7 @@ from .medium import intensity_to_density
 TWO_PI = 2.0 * np.pi
 
 
-def gaussian_beam(grid: Grid, waist: float, power: float, n0: float,
-                  wavelength: float) -> Field2D:
+def gaussian_beam(grid: Grid, waist: float, power: float, n0: float) -> Field2D:
     """Gaussian beam E = E_peak * exp(-r^2 / w0^2) centered on the grid.
 
     E_peak is the closed-form value 'sqrt(4 P / (n0 c eps0 pi w0^2))' that
@@ -56,8 +55,7 @@ def gaussian_beam(grid: Grid, waist: float, power: float, n0: float,
     return Field2D(grid=grid, values=values).validate_finite()
 
 
-def plane_wave(grid: Grid, intensity: float, n0: float,
-               wavelength: float | None = None) -> Field2D:
+def plane_wave(grid: Grid, intensity: float, n0: float) -> Field2D:
     """Spatially constant field with zero phase and the given intensity."""
     if intensity < 0:
         raise ValueError(f"intensity must be non-negative, got {intensity}")
@@ -99,17 +97,13 @@ def speckle(grid: Grid, correlation_length: float, mean_intensity: float,
 
 
 def imprint_vortex(field: Field2D, charge: int, center: tuple[float, float] = (0.0, 0.0),
-                   core_width: float | None = None,
-                   allow_zero_charge: bool = False) -> Field2D:
+                   core_width: float | None = None) -> Field2D:
     """Multiply by exp(i q theta) and a tanh core of the given width.
 
     core_width defaults to 4*dx; pass the healing length when one is known.
     """
     if charge == 0:
-        if not allow_zero_charge:
-            raise ValueError("charge must satisfy |charge| >= 1 "
-                             "(pass allow_zero_charge=True for the identity)")
-        return field.copy()
+        raise ValueError("charge must satisfy |charge| >= 1")
     grid = field.grid
     x0, y0 = center
     if not (-grid.extent_x / 2 <= x0 < grid.extent_x / 2) or \
@@ -176,12 +170,7 @@ def add_probe(field: Field2D, probe_waist: float, probe_power: float, angle: flo
         )
     if probe_power == 0.0:
         return field.copy()
-    probe = gaussian_beam(grid, probe_waist, probe_power, n0, wavelength)
+    probe = gaussian_beam(grid, probe_waist, probe_power, n0)
     xx, _ = grid.meshgrid()
     ramp = np.exp(1j * k_perp * xx)
     return field.with_values(field.values + probe.values * ramp).validate_finite()
-
-
-def probe_wavevector(wavelength: float, angle: float) -> float:
-    """k_perp = k0 sin(theta) of a probe injected at the given angle."""
-    return TWO_PI / wavelength * np.sin(angle)

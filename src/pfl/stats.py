@@ -7,28 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field2D, fft2, ifft2
+from .grid import Field2D, Grid, fft2, ifft2
 
 
-def _as_density_list(fields) -> list[np.ndarray]:
-    if isinstance(fields, Field2D):
-        fields = [fields]
-    out = []
-    for f in fields:
-        if isinstance(f, Field2D):
-            out.append(f.density())
-        else:
-            arr = np.asarray(f)
-            out.append(np.abs(arr) ** 2 if np.iscomplexobj(arr)
-                       else arr.astype(float, copy=False))
-    return out
-
-
-def _as_value_list(fields) -> list[np.ndarray]:
-    if isinstance(fields, Field2D):
-        fields = [fields]
-    return [f.values if isinstance(f, Field2D) else np.asarray(f, dtype=np.complex128)
-            for f in fields]
+def _as_list(fields) -> list[Field2D]:
+    return [fields] if isinstance(fields, Field2D) else list(fields)
 
 
 @dataclass
@@ -52,8 +35,9 @@ class IntensityStatistics:
 
 
 def intensity_statistics(fields, bins: int = 64) -> IntensityStatistics:
-    """Histogram P(I) and normalized second moment g2 = <I^2>/<I>^2."""
-    samples = np.concatenate([d.ravel() for d in _as_density_list(fields)])
+    """Histogram P(I) and normalized second moment g2 = <I^2>/<I>^2 of a
+    Field2D or a list of them."""
+    samples = np.concatenate([f.density().ravel() for f in _as_list(fields)])
     if samples.size == 0 or not np.any(samples):
         raise ValueError("intensity statistics need a nonzero field")
     mean = float(np.mean(samples))
@@ -83,10 +67,10 @@ def coherence_g1(fields, method: str = "rotate_pair", nbins: int = 0) -> Coheren
     between points separated by dr = 2 r. ensemble averages
     <psi(r) psi*(r + dr)> over realizations (at least two fields).
     Both profiles are radially binned and normalized to g1 in [0, 1].
+    fields is a Field2D or a list of them on one grid.
     """
-    values = _as_value_list(fields)
-    grid = fields.grid if isinstance(fields, Field2D) else (
-        fields[0].grid if isinstance(fields[0], Field2D) else None)
+    fields = _as_list(fields)
+    values, grid = [f.values for f in fields], fields[0].grid
     if method == "rotate_pair":
         return _g1_rotate_pair(values, grid, nbins)
     if method == "ensemble":
@@ -103,9 +87,7 @@ def _radial_bins(rr: np.ndarray, nbins: int, r_max: float):
 
 
 def _g1_rotate_pair(values: list[np.ndarray], grid, nbins: int) -> CoherenceProfile:
-    ny, nx = values[0].shape
-    dx = grid.dx if grid is not None else 1.0
-    dy = grid.dy if grid is not None else 1.0
+    ny, nx, dx, dy = grid.ny, grid.nx, grid.dx, grid.dy
     x = (np.arange(nx) - nx // 2) * dx
     y = (np.arange(ny) - ny // 2) * dy
     xx, yy = np.meshgrid(x, y)
@@ -133,9 +115,7 @@ def _g1_rotate_pair(values: list[np.ndarray], grid, nbins: int) -> CoherenceProf
 
 
 def _g1_ensemble(values: list[np.ndarray], grid, nbins: int) -> CoherenceProfile:
-    ny, nx = values[0].shape
-    dx = grid.dx if grid is not None else 1.0
-    dy = grid.dy if grid is not None else 1.0
+    ny, nx, dx, dy = grid.ny, grid.nx, grid.dx, grid.dy
     corr = np.zeros((ny, nx), dtype=np.complex128)
     for v in values:
         spec = fft2(v)
@@ -173,8 +153,8 @@ class StructureFactor:
         return zip(self.k, self.s_k, self.sigma)
 
 
-def structure_factor(signal_fields, reference_fields, grid=None, nbins: int = 0,
-                     min_realizations: int = 100) -> StructureFactor:
+def structure_factor(signal: list[np.ndarray], reference: list[np.ndarray], grid: Grid,
+                     nbins: int = 0, min_realizations: int = 100) -> StructureFactor:
     """Static structure factor of a signal ensemble against a reference.
 
     S(k) is the radially averaged ratio of the density-fluctuation power
@@ -182,13 +162,9 @@ def structure_factor(signal_fields, reference_fields, grid=None, nbins: int = 0,
     separately. The reference plays the role of the shot-noise calibration
     (a coherent state carrying the same injected noise, unpropagated).
     sigma is the per-bin standard error propagated from the realization
-    scatter of both ensembles.
+    scatter of both ensembles. signal and reference are lists of densities
+    |E|^2 sampled on grid.
     """
-    signal = _as_density_list(signal_fields)
-    reference = _as_density_list(reference_fields)
-    if isinstance(signal_fields, (list, tuple)) and signal_fields and \
-            isinstance(signal_fields[0], Field2D):
-        grid = signal_fields[0].grid
     if len(signal) < min_realizations or len(reference) < min_realizations:
         raise ValueError(
             f"need at least {min_realizations} realizations per ensemble "
@@ -203,20 +179,13 @@ def structure_factor(signal_fields, reference_fields, grid=None, nbins: int = 0,
         raise ValueError("reference ensemble has vanishing density fluctuations; "
                          "the normalization S(k) would be 0/0")
 
-    ny, nx = signal[0].shape
-    if grid is not None:
-        kx = grid.kx()
-        ky = grid.ky()
-    else:
-        kx = 2.0 * np.pi * np.fft.fftfreq(nx)
-        ky = 2.0 * np.pi * np.fft.fftfreq(ny)
+    kx, ky = grid.kx(), grid.ky()
     kxx, kyy = np.meshgrid(kx, ky)
     kk = np.hypot(kxx, kyy)
     k_max = float(min(np.max(np.abs(kx)), np.max(np.abs(ky))))
     if nbins <= 0:
-        nbins = min(nx, ny) // 8
-    edges = np.linspace(0.0, k_max, nbins + 1)
-    idx = np.clip(np.digitize(kk.ravel(), edges) - 1, 0, nbins - 1)
+        nbins = min(grid.nx, grid.ny) // 8
+    edges, idx = _radial_bins(kk, nbins, k_max)
     keep = (kk.ravel() > 0) & (kk.ravel() <= k_max)  # drop the k = 0 mean mode
 
     s_num = np.bincount(idx[keep], weights=sig_mean.ravel()[keep], minlength=nbins)

@@ -16,7 +16,7 @@ from pfl.gem import (GaussianPulse, GemConfig, PulseTrain, fifo_filo_experiment,
 from pfl.grid import Field2D, fft2, ifft2, make_grid
 from pfl.hydro import circulation_batch, detect_vortices
 from pfl.medium import MediumParams
-from pfl.potentials import build_potential
+from pfl.potentials import lattice_potential
 from pfl.solver import StepPlan, propagate
 from pfl.sources import gaussian_beam, imprint_vortex, speckle
 from pfl.stats import intensity_statistics, structure_factor
@@ -36,7 +36,7 @@ def test_criterion_01_free_diffraction_oracle():
     w0 = 100e-6
     z_r = np.pi * w0**2 / WAVELENGTH
     grid = make_grid(256, 256, 5e-6)
-    beam = gaussian_beam(grid, w0, 1.0, 1.0, WAVELENGTH)
+    beam = gaussian_beam(grid, w0, 1.0, 1.0)
     medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, length=2 * z_r)
     t0 = time.perf_counter()
     record = propagate(beam, medium, StepPlan(n_steps=64))
@@ -58,9 +58,7 @@ def test_criterion_02_unitarity():
     # alpha = 0, real potential, defocusing run of 1000 steps
     grid, medium, background, scales = defocusing_setup(nx=64, dx=5e-6,
                                                         xi_cells=3.0, tau=10.0)
-    dn = build_potential(grid, "lattice",
-                         {"amplitude": 0.05 / (medium.k0 * medium.length),
-                          "period": 16 * grid.dx})
+    dn = lattice_potential(grid, 0.05 / (medium.k0 * medium.length), 16 * grid.dx)
     medium.potential = dn.real.astype(complex)
     record = propagate(background, medium, StepPlan(n_steps=1000))
     power = record.power_trace[:, 1]
@@ -72,7 +70,7 @@ def test_criterion_02_unitarity():
 
 def test_criterion_03_loss_law():
     grid = make_grid(128, 128, 5e-6)
-    beam = gaussian_beam(grid, 1.2e-4, 1.0, 1.0, WAVELENGTH)
+    beam = gaussian_beam(grid, 1.2e-4, 1.0, 1.0)
     alpha, length = 37.0, 0.042
     medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, alpha=alpha,
                           length=length)
@@ -87,7 +85,7 @@ def test_criterion_03_loss_law():
 
 def test_criterion_04_strang_order():
     grid, medium, _, scales = defocusing_setup(nx=64, dx=5e-6, xi_cells=3.0, tau=5.0)
-    beam = gaussian_beam(grid, 8e-5, 1e-4, 1.0, WAVELENGTH)
+    beam = gaussian_beam(grid, 8e-5, 1e-4, 1.0)
     bump = Field2D(grid=grid,
                    values=1.0 + 0.4 * beam.values / np.abs(beam.values).max())
     ref = propagate(bump, medium, StepPlan(n_steps=1280)).final_field.values
@@ -218,7 +216,7 @@ def test_criterion_09_fifo_filo():
 
 def test_criterion_10_vortex_invariants():
     grid = make_grid(128, 128, 1e-5)
-    base = gaussian_beam(grid, 2.4e-4, 1.0, 1.0, WAVELENGTH)
+    base = gaussian_beam(grid, 2.4e-4, 1.0, 1.0)
     recovered = {}
     for charge in (-3, -2, -1, 1, 2, 3):
         f = imprint_vortex(base, charge, center=(0.5e-5, 0.5e-5), core_width=3e-5)
@@ -227,7 +225,7 @@ def test_criterion_10_vortex_invariants():
 
     # circulation quantization on 1e4 random loops avoiding the cores
     from pfl.sources import plane_wave
-    field = plane_wave(grid, 10.0, 1.0, WAVELENGTH)
+    field = plane_wave(grid, 10.0, 1.0)
     cores = [(84, 64), (44, 64)]  # grid indices of the two cores below
     field = imprint_vortex(field, +1, center=(20.5e-5, 0.5e-5))
     field = imprint_vortex(field, -1, center=(-19.5e-5, 0.5e-5))
@@ -355,16 +353,15 @@ correlation_length = 6e-5
         assert cli_main(["propagate", "--config", str(cfg_path),
                          "--out", str(out)]) == 0
         outs.append(out)
-    csvs = sorted(p.name for p in outs[0].iterdir() if p.suffix == ".csv")
-    identical = all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
-                    for n in csvs)
-    fields = sorted(p.name for p in outs[0].iterdir() if p.suffix == ".pfl1")
-    identical_fields = all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
-                           for n in fields)
-    ok = identical and identical_fields and csvs
-    report(12, "seeded reproducibility", bool(ok),
-           f"{len(csvs)} CSV and {len(fields)} snapshot artifacts byte-identical "
-           f"across repeated runs")
-    assert csvs
+    # the whole run directory, manifest.txt and metrics.txt included
+    names = sorted(p.name for p in outs[0].iterdir())
+    expected = {"manifest.txt", "metrics.txt", "power.csv", "input.pfl1", "final.pfl1"}
+    identical = (names == sorted(p.name for p in outs[1].iterdir())
+                 and all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
+                         for n in names))
+    ok = identical and expected <= set(names)
+    report(12, "seeded reproducibility", ok,
+           f"all {len(names)} files of the run directory, manifest.txt and "
+           f"metrics.txt included, byte-identical across repeated runs")
+    assert expected <= set(names)
     assert identical
-    assert identical_fields

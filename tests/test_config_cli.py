@@ -200,6 +200,25 @@ class TestParsing:
         assert cli_main(["validate", "--config", str(cfg)]) == 2
         assert "homogeneous fluid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, flips, windows", [
+        ("FIFO", "3.0", "0.0, 3.2, 5.7, 9.0"),
+        ("FIFO", "3.0, 5.5", ""),
+        ("FILO", "3.0, 5.5", ""),
+        ("FILO", "3.0", "0.0, 3.2"),
+    ], ids=["fifo-one-flip", "fifo-no-window", "filo-two-flips", "filo-window"])
+    def test_fifo_filo_schedule_must_fit_its_mode(self, mode, flips, windows, tmp_path):
+        shipped = next(c for c in CONFIGS if c.name == "fifo_filo.ini").read_text()
+        text = (shipped.replace("mode = FIFO", f"mode = {mode}")
+                .replace("flip_times = 3.0, 5.5", f"flip_times = {flips}")
+                .replace("coupling_windows = 0.0, 3.2, 5.7, 9.0",
+                         f"coupling_windows = {windows}"))
+        assert text != shipped
+        with pytest.raises(ConfigError, match=f"fifo-filo mode {mode} needs"):
+            parse_config(text)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert cli_main(["validate", "--config", str(cfg)]) == 2
+
     def test_type_errors_are_reported(self):
         bad = GOOD_PROPAGATE.replace("n_steps = 20", "n_steps = twenty")
         with pytest.raises(ConfigError, match="n_steps"):
@@ -270,10 +289,10 @@ class TestCli:
             assert cli_main(["propagate", "--config", str(cfg),
                              "--out", str(out)]) == 0
             outs.append(out)
-        # every data artifact is byte-identical (metrics.txt carries wall time)
-        names = sorted(p.name for p in outs[0].iterdir()
-                       if p.suffix in (".csv", ".pfl1", ".pgm"))
-        assert "power.csv" in names and "final.pfl1" in names
+        # every file of the run directory, manifest.txt and metrics.txt included
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert {"manifest.txt", "metrics.txt", "power.csv", "final.pfl1"} <= set(names)
         for fname in names:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 

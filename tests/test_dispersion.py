@@ -297,7 +297,7 @@ class TestMeasurement:
 
         reference = _fit_drift(propagate(_with_probe(background, probe, medium), medium,
                                          plan, keep=line_change),
-                               probe, grid, fit_fraction=0.5, max_residual=0.15)
+                               probe, grid)
         m = measure_group_velocity(background, probe, medium, plan)
         assert m.v_g == pytest.approx(reference.v_g, rel=1e-9)
 
@@ -344,7 +344,7 @@ class TestMeasurement:
 
         reference = _fit_drift(propagate(_with_probe(background, probe, medium), medium,
                                          plan, keep=plane_change),
-                               probe, grid, fit_fraction=0.5, max_residual=0.15)
+                               probe, grid)
         m = measure_group_velocity(background, probe, medium, plan)
         if k_xi == 0.0:
             assert abs(m.v_g - reference.v_g) < 1e-3 * scales["c_s"]

@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 from pfl.grid import Field2D, make_grid
 from pfl.hydro import (circulation, circulation_batch, detect_vortices, madelung,
                        wrap_phase)
-from pfl.medium import MediumParams
 from pfl.sources import gaussian_beam, imprint_vortex, plane_wave
-
-from conftest import WAVELENGTH
-
 
 class TestMadelung:
     def test_phase_ramp_velocity(self, small_grid):
@@ -22,19 +18,19 @@ class TestMadelung:
         assert np.allclose(d.velocity_y, 0.0, atol=1e-10 * k_x)
 
     def test_real_field_zero_velocity(self, small_grid):
-        f = gaussian_beam(small_grid, 1e-4, 1.0, 1.0, WAVELENGTH)
+        f = gaussian_beam(small_grid, 1e-4, 1.0, 1.0)
         d = madelung(f)
         scale = np.max(np.abs(d.velocity_x)) + np.max(np.abs(d.velocity_y))
         assert scale < 1e-12 / small_grid.dx
 
     def test_vortex_circulation(self, small_grid):
-        base = plane_wave(small_grid, 10.0, 1.0, WAVELENGTH)
+        base = plane_wave(small_grid, 10.0, 1.0)
         v = imprint_vortex(base, +1, center=(0.5e-5, 0.5e-5))
         circ = circulation(v, 8, 8, 56, 56)
         assert circ == pytest.approx(2 * np.pi, abs=1e-9)
 
     def test_density_floor_masking(self, small_grid):
-        f = gaussian_beam(small_grid, 8e-5, 1.0, 1.0, WAVELENGTH)
+        f = gaussian_beam(small_grid, 8e-5, 1.0, 1.0)
         d = madelung(f, density_floor=1e-3)
         assert not d.mask.all()
         assert np.all(d.velocity_x[~d.mask] == 0.0)
@@ -55,17 +51,10 @@ class TestMadelung:
         with pytest.raises(ValueError):
             madelung(f)
 
-    def test_scales_filled_with_medium(self, small_grid):
-        med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
-        f = plane_wave(small_grid, 100.0, 1.0, WAVELENGTH)
-        d = madelung(f, medium=med)
-        assert d.xi is not None and d.z_nl is not None
-        assert d.sound_speed == pytest.approx(d.xi / d.z_nl, rel=1e-12)
-
 
 class TestDetectVortices:
     def test_single_vortex_position(self, small_grid):
-        base = plane_wave(small_grid, 10.0, 1.0, WAVELENGTH)
+        base = plane_wave(small_grid, 10.0, 1.0)
         center = (7.5e-5, -4.5e-5)
         found = detect_vortices(imprint_vortex(base, +1, center=center))
         assert len(found) == 1
@@ -74,7 +63,7 @@ class TestDetectVortices:
         assert abs(found.positions[0, 1] - center[1]) <= small_grid.dy
 
     def test_vortex_antivortex_pair(self, small_grid):
-        base = plane_wave(small_grid, 10.0, 1.0, WAVELENGTH)
+        base = plane_wave(small_grid, 10.0, 1.0)
         f = imprint_vortex(base, +1, center=(-5.5e-5, 0.5e-5))
         f = imprint_vortex(f, -1, center=(4.5e-5, 0.5e-5))
         found = detect_vortices(f)
@@ -83,20 +72,20 @@ class TestDetectVortices:
         assert sorted(found.charges) == [-1, 1]
 
     def test_smooth_field_empty(self, small_grid):
-        f = gaussian_beam(small_grid, 1e-4, 1.0, 1.0, WAVELENGTH)
+        f = gaussian_beam(small_grid, 1e-4, 1.0, 1.0)
         assert len(detect_vortices(f)) == 0
 
     @pytest.mark.parametrize("charge", [-3, -2, -1, 1, 2, 3])
     def test_total_winding_exact(self, charge):
         grid = make_grid(128, 128, 1e-5)
-        base = gaussian_beam(grid, 2.4e-4, 1.0, 1.0, WAVELENGTH)
+        base = gaussian_beam(grid, 2.4e-4, 1.0, 1.0)
         f = imprint_vortex(base, charge, center=(0.5e-5, 0.5e-5), core_width=3e-5)
         found = detect_vortices(f)
         assert found.total_winding == charge
         assert np.all(np.abs(found.charges) == 1)
 
     def test_invariance_under_global_phase_and_scale(self, small_grid):
-        base = plane_wave(small_grid, 10.0, 1.0, WAVELENGTH)
+        base = plane_wave(small_grid, 10.0, 1.0)
         f = imprint_vortex(base, +1, center=(2.5e-5, -1.5e-5))
         ref = detect_vortices(f)
         rotated = f.with_values(2.7 * np.exp(1j * 1.23) * f.values)
@@ -119,7 +108,7 @@ def edge_sum_circulation(field, ix0, iy0, ix1, iy1):
 class TestCirculation:
     def test_quantization_random_loops(self):
         grid = make_grid(128, 128, 1e-5)
-        base = plane_wave(grid, 10.0, 1.0, WAVELENGTH)
+        base = plane_wave(grid, 10.0, 1.0)
         f = imprint_vortex(base, +1, center=(10.5e-5, 0.5e-5))
         f = imprint_vortex(f, -1, center=(-10.5e-5, 0.5e-5))
         rng = np.random.default_rng(12)
@@ -133,7 +122,7 @@ class TestCirculation:
         assert np.max(np.abs(windings - np.rint(windings))) < 1e-6
 
     def test_batch_matches_single(self, small_grid):
-        base = plane_wave(small_grid, 10.0, 1.0, WAVELENGTH)
+        base = plane_wave(small_grid, 10.0, 1.0)
         f = imprint_vortex(base, +2, center=(0.5e-5, 0.5e-5))
         loops = np.array([[4, 6, 50, 40], [10, 10, 20, 20]])
         batch = circulation_batch(f, loops)
@@ -151,7 +140,7 @@ class TestCirculation:
         (16, 16, 48, 64),
     ])
     def test_invalid_loops_rejected(self, small_grid, loop):
-        base = plane_wave(small_grid, 10.0, 1.0, WAVELENGTH)
+        base = plane_wave(small_grid, 10.0, 1.0)
         f = imprint_vortex(base, +1, center=(0.5e-5, 0.5e-5))
         with pytest.raises(ValueError, match="loops need"):
             circulation(f, *loop)
@@ -159,7 +148,7 @@ class TestCirculation:
             circulation_batch(f, np.array([[8, 8, 56, 56], loop]))
 
     def test_enclosed_charge(self, small_grid):
-        base = plane_wave(small_grid, 10.0, 1.0, WAVELENGTH)
+        base = plane_wave(small_grid, 10.0, 1.0)
         f = imprint_vortex(base, +1, center=(0.5e-5, 0.5e-5))
         enclosing = circulation(f, 16, 16, 48, 48)
         missing = circulation(f, 40, 40, 60, 60)

@@ -106,7 +106,7 @@ intensity = 50.0
     cfg, writer, out = run(tmp_path, text)
     metrics = (out / "metrics.txt").read_text().splitlines()
     keys = [line.split("=")[0].strip() for line in metrics if "=" in line]
-    assert {"n_steps", "dz", "max_phase_per_step", "wall_time"} <= set(keys)
+    assert keys == ["n_steps", "dz", "max_phase_per_step"]  # no wall_time: reruns match
     assert "z,power" in metrics
     header, rows = read_csv(out / "power.csv")
     assert header == ["z", "power"]

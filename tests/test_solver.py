@@ -53,7 +53,7 @@ def kick_case(grid, case):
 
 class TestKineticStep:
     def test_plane_wave_unchanged(self, small_grid):
-        f = plane_wave(small_grid, 100.0, 1.0, WAVELENGTH)
+        f = plane_wave(small_grid, 100.0, 1.0)
         out = half_kinetic(f, 1e-3, 2 * np.pi / WAVELENGTH, 1.0)
         assert np.allclose(out.values, f.values, atol=1e-13)
 
@@ -70,7 +70,7 @@ class TestKineticStep:
         z_r = np.pi * w0**2 / WAVELENGTH
         assert z_r == pytest.approx(40.27e-3, rel=1e-3)
         g = make_grid(256, 256, 4e-6)
-        beam = gaussian_beam(g, w0, 1.0, 1.0, WAVELENGTH)
+        beam = gaussian_beam(g, w0, 1.0, 1.0)
         k0 = 2 * np.pi / WAVELENGTH
         n_steps = 32
         dz = z_r / n_steps
@@ -82,13 +82,13 @@ class TestKineticStep:
 
 class TestNonlinearStep:
     def test_identity_when_all_zero(self, small_grid):
-        f = plane_wave(small_grid, 50.0, 1.0, WAVELENGTH)
+        f = plane_wave(small_grid, 50.0, 1.0)
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, length=1.0)
         out = nonlinear_step(f, 1e-3, med)
         assert np.array_equal(out.values, f.values)
 
     def test_plane_wave_global_phase_only(self, small_grid):
-        f = plane_wave(small_grid, 50.0, 1.0, WAVELENGTH)
+        f = plane_wave(small_grid, 50.0, 1.0)
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=1.0)
         out = nonlinear_step(f, 1e-3, med)
         assert np.allclose(out.density(), f.density(), rtol=1e-14)
@@ -97,7 +97,7 @@ class TestNonlinearStep:
 
     def test_absorption_factor(self, small_grid):
         # P ratio per step is exp(-alpha dz) = exp(-0.1) ~ 0.904837
-        f = plane_wave(small_grid, 50.0, 1.0, WAVELENGTH)
+        f = plane_wave(small_grid, 50.0, 1.0)
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, alpha=10.0,
                            length=1.0)
         out = nonlinear_step(f, 0.01, med)
@@ -105,7 +105,7 @@ class TestNonlinearStep:
         assert np.exp(-0.1) == pytest.approx(0.904837, rel=1e-6)
 
     def test_gain_warns_when_explosive(self, small_grid):
-        f = plane_wave(small_grid, 50.0, 1.0, WAVELENGTH)
+        f = plane_wave(small_grid, 50.0, 1.0)
         gain = np.full((64, 64), -1.0e-5j)  # negative Im dn = gain
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0,
                            potential=gain, length=1.0)
@@ -114,7 +114,7 @@ class TestNonlinearStep:
         assert out.power() > 10.0 * f.power()
 
     def test_saturation_reduces_phase(self, small_grid):
-        f = plane_wave(small_grid, 5e4, 1.0, WAVELENGTH)
+        f = plane_wave(small_grid, 5e4, 1.0)
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=1.0)
         med_sat = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20,
                                length=1.0, i_sat=5e4)
@@ -238,7 +238,7 @@ class TestBlockedKick:
 
 class TestPropagate:
     def test_zero_steps_identity(self, small_grid):
-        f = plane_wave(small_grid, 10.0, 1.0, WAVELENGTH)
+        f = plane_wave(small_grid, 10.0, 1.0)
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, length=0.01)
         rec = propagate(f, med, StepPlan(n_steps=0))
         assert np.array_equal(rec.final_field.values, f.values)
@@ -253,7 +253,7 @@ class TestPropagate:
 
     def test_loss_law_exact(self):
         g = make_grid(64, 64, 1e-5)
-        beam = gaussian_beam(g, 1e-4, 1.0, 1.0, WAVELENGTH)
+        beam = gaussian_beam(g, 1e-4, 1.0, 1.0)
         alpha, length = 23.0, 0.05
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, alpha=alpha,
                            length=length)
@@ -265,7 +265,7 @@ class TestPropagate:
         w0 = 100e-6
         z_r = np.pi * w0**2 / WAVELENGTH
         g = make_grid(256, 256, 5e-6)
-        beam = gaussian_beam(g, w0, 1.0, 1.0, WAVELENGTH)
+        beam = gaussian_beam(g, w0, 1.0, 1.0)
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, length=2 * z_r)
         rec = propagate(beam, med, StepPlan(n_steps=64))
         expected = w0 * np.sqrt(1.0 + 4.0)
@@ -277,7 +277,7 @@ class TestPropagate:
         # every grid mode) so the pure h^2 term dominates
         grid, medium, _, scales = defocusing_setup(nx=64, dx=5e-6, xi_cells=3.0,
                                                    tau=5.0)
-        beam = gaussian_beam(grid, 8e-5, 1e-4, 1.0, WAVELENGTH)
+        beam = gaussian_beam(grid, 8e-5, 1e-4, 1.0)
         bump = Field2D(grid=grid,
                        values=1.0 + 0.4 * beam.values / np.abs(beam.values).max())
         ref = propagate(bump, medium, StepPlan(n_steps=1280)).final_field.values
@@ -290,7 +290,7 @@ class TestPropagate:
     def test_galilean_tilt_translates_density(self):
         grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6, xi_cells=3.0,
                                                    tau=6.0)
-        beam = gaussian_beam(grid, 1.2e-4, 1e-4, 1.0, WAVELENGTH)
+        beam = gaussian_beam(grid, 1.2e-4, 1e-4, 1.0)
         bump = Field2D(grid=grid, values=1.0 + 0.5 * beam.values / np.abs(beam.values).max())
         k_x = 6 * grid.dk_x
         xx, _ = grid.meshgrid()
@@ -327,12 +327,6 @@ class TestPropagate:
                                                             tau=40.0)
         with pytest.warns(UserWarning, match="phase per step"):
             propagate(background, medium, StepPlan(n_steps=60))
-
-    def test_plan_dz_mismatch_rejected(self):
-        med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, length=0.01)
-        f = plane_wave(make_grid(8, 8, 1e-5), 1.0, 1.0, WAVELENGTH)
-        with pytest.raises(ValueError, match="does not match"):
-            propagate(f, med, StepPlan(n_steps=10, dz=0.5e-3))
 
     def test_merged_kicks_match_plain_composition(self):
         # the inner loop merges adjacent half kicks between snapshots; it
@@ -421,7 +415,7 @@ class TestPropagate:
         original = start.values.copy()
         record = propagate(start, medium, StepPlan(n_steps=12, snapshot_every=5))
         assert np.array_equal(start.values, original)
-        snaps = record.snapshot_fields()
+        snaps = [f for _, f in record.snapshots]
         assert len(snaps) == 3
         kept = [s.values.copy() for s in snaps]
         record.final_field.values[:] = 7.0
@@ -477,7 +471,7 @@ class TestPropagate:
 
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0,
                            potential=potential, length=0.01)
-        f = plane_wave(grid, 1.0, 1.0, WAVELENGTH)
+        f = plane_wave(grid, 1.0, 1.0)
         propagate(f, med, StepPlan(n_steps=4))
         mids = [z for z in seen if z > 0]
         assert mids == pytest.approx([0.00125, 0.00375, 0.00625, 0.00875])
@@ -491,7 +485,7 @@ class TestRescale:
         rho = 1.0
         chi3 = -100.0 * 2 * n0 / (k0 * rho)
         med = MediumParams(wavelength=WAVELENGTH, n0=n0, chi3=chi3, length=0.07)
-        f = plane_wave(small_grid, 1.0, n0, WAVELENGTH)
+        f = plane_wave(small_grid, 1.0, n0)
         f = Field2D(grid=small_grid, values=np.full((64, 64), 1.0 + 0j))
         out = rescale_dimensionless(f, med)
         assert out.tau == pytest.approx(7.0, rel=1e-12)

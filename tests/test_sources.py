@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from pfl.grid import make_grid
+from pfl.grid import fft2, make_grid
 from pfl.hydro import circulation, detect_vortices
 from pfl.medium import intensity_to_density, optical_power
 from pfl.sources import (add_probe, gaussian_beam, imprint_dark_stripe,
-                         imprint_vortex, plane_wave, probe_wavevector, speckle,
+                         imprint_vortex, plane_wave, speckle,
                          stripe_min_density_factor)
 
 LAM = 780e-9
@@ -16,56 +16,56 @@ class TestGaussianBeam:
     def test_discrete_power_matches_closed_form(self):
         # oracle: continuous integral of I = I_pk exp(-2 r^2/w^2) equals P
         g = make_grid(512, 512, 4e-6)
-        beam = gaussian_beam(g, 100e-6, 1.0, 1.0, LAM)
+        beam = gaussian_beam(g, 100e-6, 1.0, 1.0)
         assert optical_power(beam, 1.0) == pytest.approx(1.0, rel=1e-3)
 
     def test_zero_power_gives_zero_field(self):
         g = make_grid(64, 64, 1e-5)
-        beam = gaussian_beam(g, 100e-6, 0.0, 1.0, LAM)
+        beam = gaussian_beam(g, 100e-6, 0.0, 1.0)
         assert not np.any(beam.values)
 
     def test_amplitude_scales_as_sqrt_power(self):
         g = make_grid(64, 64, 1e-5)
-        one = gaussian_beam(g, 100e-6, 1.0, 1.0, LAM)
-        two = gaussian_beam(g, 100e-6, 2.0, 1.0, LAM)
+        one = gaussian_beam(g, 100e-6, 1.0, 1.0)
+        two = gaussian_beam(g, 100e-6, 2.0, 1.0)
         assert np.allclose(two.values, np.sqrt(2.0) * one.values, rtol=1e-14)
 
     def test_unresolved_waist_rejected(self):
         g = make_grid(64, 64, 1e-5)
         with pytest.raises(ValueError, match="unresolved"):
-            gaussian_beam(g, 3e-5, 1.0, 1.0, LAM)
+            gaussian_beam(g, 3e-5, 1.0, 1.0)
 
     def test_wraparound_waist_rejected(self):
         g = make_grid(64, 64, 1e-5)
         with pytest.raises(ValueError, match="half the grid extent"):
-            gaussian_beam(g, 4e-4, 1.0, 1.0, LAM)
+            gaussian_beam(g, 4e-4, 1.0, 1.0)
 
     def test_boundary_proximity_warns(self):
         g = make_grid(64, 64, 1e-5)
         with pytest.warns(UserWarning, match="4 waists"):
-            gaussian_beam(g, 1.2e-4, 1.0, 1.0, LAM)
+            gaussian_beam(g, 1.2e-4, 1.0, 1.0)
 
 
 class TestPlaneWave:
     def test_zero_intensity(self, small_grid):
-        f = plane_wave(small_grid, 0.0, 1.0, LAM)
+        f = plane_wave(small_grid, 0.0, 1.0)
         assert not np.any(f.values)
 
     def test_density_from_intensity(self, small_grid):
         intensity = 250.0
-        f = plane_wave(small_grid, intensity, 1.45, LAM)
+        f = plane_wave(small_grid, intensity, 1.45)
         expected = intensity_to_density(intensity, 1.45)
         assert np.allclose(f.density(), expected, rtol=1e-14)
         assert np.all(f.values.imag == 0.0)
 
     def test_all_power_in_dc_mode(self, small_grid):
-        f = plane_wave(small_grid, 100.0, 1.0, LAM)
-        spec = np.abs(f.spectrum()) ** 2
+        f = plane_wave(small_grid, 100.0, 1.0)
+        spec = np.abs(fft2(f.values)) ** 2
         assert spec[0, 0] == pytest.approx(float(np.sum(spec)), rel=1e-12)
 
     def test_negative_intensity_rejected(self, small_grid):
         with pytest.raises(ValueError):
-            plane_wave(small_grid, -1.0, 1.0, LAM)
+            plane_wave(small_grid, -1.0, 1.0)
 
 
 class TestSpeckle:
@@ -112,21 +112,19 @@ class TestSpeckle:
         # 3x3 spectral block
         g = make_grid(128, 128, 1e-5)
         f = speckle(g, g.extent_x, 5.0, seed=5)
-        spec = np.abs(f.spectrum()) ** 2
+        spec = np.abs(fft2(f.values)) ** 2
         block = spec[np.ix_([0, 1, -1], [0, 1, -1])].sum()
         assert block > 0.99 * spec.sum()
 
 
 class TestImprintVortex:
     def test_zero_charge_requires_override(self, small_grid):
-        base = plane_wave(small_grid, 10.0, 1.0, LAM)
+        base = plane_wave(small_grid, 10.0, 1.0)
         with pytest.raises(ValueError):
             imprint_vortex(base, 0)
-        same = imprint_vortex(base, 0, allow_zero_charge=True)
-        assert np.array_equal(same.values, base.values)
 
     def test_winding_single_charge(self, small_grid):
-        base = plane_wave(small_grid, 10.0, 1.0, LAM)
+        base = plane_wave(small_grid, 10.0, 1.0)
         v = imprint_vortex(base, +1, center=(5e-5, -3e-5))
         circ = circulation(v, 4, 4, 60, 60)
         assert circ == pytest.approx(2.0 * np.pi, abs=1e-9)
@@ -134,26 +132,26 @@ class TestImprintVortex:
     def test_double_charge_detected(self, small_grid):
         # detector reports plaquette charges of +-1; a |q|=2 core splits
         # into two unit detections whose total winding is exact
-        base = plane_wave(small_grid, 10.0, 1.0, LAM)
+        base = plane_wave(small_grid, 10.0, 1.0)
         v = imprint_vortex(base, -2, center=(1.5e-5, 0.5e-5))
         found = detect_vortices(v)
         assert found.total_winding == -2
         assert np.all(np.abs(found.charges) == 1)
 
     def test_center_outside_grid_rejected(self, small_grid):
-        base = plane_wave(small_grid, 10.0, 1.0, LAM)
+        base = plane_wave(small_grid, 10.0, 1.0)
         with pytest.raises(ValueError, match="outside"):
             imprint_vortex(base, 1, center=(1.0, 0.0))
 
 
 class TestDarkStripe:
     def test_zero_contrast_identity(self, small_grid):
-        base = plane_wave(small_grid, 10.0, 1.0, LAM)
+        base = plane_wave(small_grid, 10.0, 1.0)
         out = imprint_dark_stripe(base, contrast=0.0)
         assert np.array_equal(out.values, base.values)
 
     def test_black_stripe(self, small_grid):
-        base = plane_wave(small_grid, 10.0, 1.0, LAM)
+        base = plane_wave(small_grid, 10.0, 1.0)
         out = imprint_dark_stripe(base, position=0.0, angle=0.0, contrast=1.0)
         x = small_grid.x_coords()
         col = np.argmin(np.abs(x))
@@ -165,43 +163,42 @@ class TestDarkStripe:
     @pytest.mark.parametrize("contrast", [0.25, 0.5, 0.8])
     def test_min_density_matches_construction(self, small_grid, contrast):
         # oracle: evaluate the stripe multiplier at its center
-        base = plane_wave(small_grid, 10.0, 1.0, LAM)
+        base = plane_wave(small_grid, 10.0, 1.0)
         out = imprint_dark_stripe(base, contrast=contrast)
         background = base.density()[0, 0]
         expected = background * stripe_min_density_factor(contrast)
         assert out.density().min() == pytest.approx(expected, rel=1e-6)
 
     def test_contrast_out_of_range(self, small_grid):
-        base = plane_wave(small_grid, 10.0, 1.0, LAM)
+        base = plane_wave(small_grid, 10.0, 1.0)
         with pytest.raises(ValueError):
             imprint_dark_stripe(base, contrast=1.5)
 
     def test_zero_field_rejected(self, small_grid):
-        base = plane_wave(small_grid, 0.0, 1.0, LAM)
+        base = plane_wave(small_grid, 0.0, 1.0)
         with pytest.raises(ValueError):
             imprint_dark_stripe(base, contrast=0.5)
 
 
 class TestAddProbe:
     def test_zero_angle_no_phase_ramp(self, small_grid):
-        base = plane_wave(small_grid, 100.0, 1.0, LAM)
+        base = plane_wave(small_grid, 100.0, 1.0)
         out = add_probe(base, 1e-4, 1e-4, 0.0, LAM, 1.0)
         delta = out.values - base.values
         assert np.max(np.abs(delta.imag)) < 1e-12 * np.max(np.abs(delta.real))
 
     def test_zero_power_identity(self, small_grid):
-        base = plane_wave(small_grid, 100.0, 1.0, LAM)
+        base = plane_wave(small_grid, 100.0, 1.0)
         out = add_probe(base, 1e-4, 0.0, 0.01, LAM, 1.0)
         assert np.array_equal(out.values, base.values)
 
     def test_spectral_peak_at_probe_wavevector(self):
         # perturbation wavelength 50 um -> k_perp = 2 pi / 50e-6 rad/m
         g = make_grid(256, 256, 5e-6)
-        base = plane_wave(g, 100.0, 1.0, LAM)
+        base = plane_wave(g, 100.0, 1.0)
         k_target = 2.0 * np.pi / 50e-6
         assert k_target == pytest.approx(1.2566e5, rel=1e-4)
         angle = np.arcsin(k_target / (2.0 * np.pi / LAM))
-        assert probe_wavevector(LAM, angle) == pytest.approx(k_target, rel=1e-12)
         out = add_probe(base, 1.5e-4, 1e-3, angle, LAM, 1.0)
         delta_spec = np.abs(np.fft.fft2(out.values - base.values)) ** 2
         iy, ix = np.unravel_index(np.argmax(delta_spec), delta_spec.shape)
@@ -211,5 +208,5 @@ class TestAddProbe:
 
     def test_aliasing_rejected(self, small_grid):
         with pytest.raises(ValueError, match="alias"):
-            add_probe(plane_wave(small_grid, 1.0, 1.0, LAM), 1e-4, 1e-3,
+            add_probe(plane_wave(small_grid, 1.0, 1.0), 1e-4, 1e-3,
                       np.pi / 4, LAM, 1.0)
