@@ -12,16 +12,15 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # module: the public names it defines
     "grid": ("Field2D", "Grid", "make_grid"),
-    "medium": ("MediumParams", "intensity_to_density", "density_to_intensity", "optical_power"),
+    "medium": ("MediumParams", "intensity_to_density", "density_to_intensity"),
     "sources": ("gaussian_beam", "plane_wave", "speckle", "imprint_vortex",
-                "imprint_dark_stripe", "add_probe"),
+                "imprint_dark_stripe"),
     "potentials": ("uniform_potential", "gaussian_defect", "lattice_potential", "pt_symmetrize"),
-    "solver": ("StepPlan", "PropagationRecord", "nonlinear_step", "propagate",
-               "rescale_dimensionless", "fluid_scales"),
+    "solver": ("StepPlan", "PropagationRecord", "nonlinear_step", "propagate", "fluid_scales"),
     "hydro": ("FluidDiagnostics", "VortexSet", "madelung", "detect_vortices", "circulation",
               "circulation_batch"),
     "dispersion": ("ProbeSpec", "DispersionCurve", "bogoliubov_omega", "bogoliubov_sound_speed",
-                   "measure_group_velocity", "snapshot_density",
+                   "measure_group_velocity", "probe_line", "snapshot_density",
                    "dispersion_from_group_velocity", "sound_speed_scaling"),
     "stats": ("intensity_statistics", "coherence_g1", "structure_factor"),
     "gem": ("GemConfig", "GemState", "GaussianPulse", "PulseTrain", "gem_evolve",

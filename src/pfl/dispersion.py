@@ -21,13 +21,19 @@ snapshots where the packets stay resolved. At k_perp = 0 there is no
 preferred direction and the centroid of |sum_y delta rho| over the whole
 line is kept, so symmetric spreading reads v_g = 0.
 
-Only the run with the probe is propagated. The background is a uniform
-field in a medium without a potential, so its line density is known in
-closed form: the kinetic factor is 1 on the k = 0 mode and the kick
+Only the k_y = 0 line of the probe run is propagated. The background is a
+uniform field in a medium without a potential, so its line density is known
+in closed form: the kinetic factor is 1 on the k = 0 mode and the kick
 multiplies every site by the same unit phase times the loss, giving
-sum_y |E|^2 (z) = sum_y |E0|^2 exp(-alpha z). Each probe snapshot is reduced
-to its line density minus that as it is made: the tracker only ever uses
-the y-integrated density change.
+sum_y |E|^2 (z) = sum_y |E0|^2 exp(-alpha z). To linear order in the probe
+amplitude each transverse mode of the perturbation then evolves on its own,
+and the k_y = 0 line of the density change is seeded only by the y-mean of
+the perturbation field: sum_y delta rho = 2 Re(E0* sum_y delta E) plus
+terms quadratic in delta E. So the y-mean of the probed field is propagated
+on a one-row grid Grid(nx, 1, dx, dy), and each snapshot is reduced to ny
+times its line density minus the background's as it is made: the tracker
+only ever uses the y-integrated density change. The quadratic terms the
+line drops shrink with the probe amplitude, sqrt(power_ratio).
 """
 
 from __future__ import annotations
@@ -36,9 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field2D, fft, ifft
+from .grid import Field2D, Grid, fft, ifft
 from .medium import MediumParams
-from .sources import add_probe
 from .solver import PropagationRecord, StepPlan, fluid_scales, propagate
 
 # sound_speed_scaling takes this many propagation steps per nonlinear length
@@ -234,10 +239,24 @@ def packet_displacement(envelope: np.ndarray, x: np.ndarray,
 
 def snapshot_density(z: float, field: Field2D) -> np.ndarray:
     """keep for propagate that stores a snapshot's line density
-    sum_y |E|^2, shape (nx,). The probe run of measure_group_velocity
-    subtracts the background's from it, and at k_perp = 0 tracks
+    sum_y |E|^2, shape (nx,). The probe line of measure_group_velocity
+    subtracts the background's from ny times it, and at k_perp = 0 tracks
     |sum_y delta rho|."""
     return field.density().sum(axis=0)
+
+
+def probe_line(background: Field2D, probe: ProbeSpec) -> Field2D:
+    """The y-mean of the background plus the probe, on the one-row grid
+    Grid(nx, 1, dx, dy): E0 + sqrt(power_ratio) |E0| exp(-x^2 / w^2)
+    exp(i k_perp x) times the sampled y-mean of exp(-y^2 / w^2), for the
+    background's value E0. The probe's peak intensity is power_ratio times
+    the background's."""
+    grid = background.grid
+    e0 = complex(background.values.flat[0])
+    x, w = grid.x_coords(), probe.waist
+    peak = np.sqrt(probe.power_ratio) * abs(e0) * np.mean(np.exp(-(grid.y_coords() / w) ** 2))
+    line = e0 + peak * np.exp(-(x / w) ** 2) * np.exp(1j * probe.k_perp * x)
+    return Field2D(grid=Grid(grid.nx, 1, grid.dx, grid.dy), values=line[None])
 
 
 def measure_group_velocity(background: Field2D, probe: ProbeSpec,
@@ -246,17 +265,22 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
 
     The background must be a homogeneous fluid: one uniform value in a
     medium without a potential (ValueError otherwise). Its line density at
-    depth z is then snapshot_density(0, background) * exp(-alpha z), so only
-    the background with the probe is propagated (snapshots along z). Each
-    snapshot is reduced to its line density minus the background's as it
-    is made, and the transverse drift of that density change wavepacket is
-    fitted.
+    depth z is then snapshot_density(0, background) * exp(-alpha z), and
+    only the probe line (see probe_line) is propagated, with snapshots
+    along z. Each snapshot is reduced to ny times its line density minus
+    the background's as it is made, and the transverse drift of that
+    density change wavepacket is fitted.
     """
     grid = background.grid
     if plan.snapshot_every <= 0:
         raise ValueError("plan.snapshot_every must be positive to track the packet")
-    if probe.k_perp >= grid.k_nyquist_x:
-        raise ValueError("probe k_perp is at or beyond the grid Nyquist wavevector")
+    if abs(probe.k_perp) >= grid.k_nyquist_x:
+        raise ValueError("probe |k_perp| is at or beyond the grid Nyquist wavevector")
+    if probe.power_ratio < 0:
+        raise ValueError(f"probe power_ratio must be non-negative, got {probe.power_ratio}")
+    if not 4.0 * max(grid.dx, grid.dy) <= probe.waist <= 0.5 * min(grid.extent_x, grid.extent_y):
+        raise ValueError(f"probe waist {probe.waist} must lie between 4 cells and half "
+                         f"the grid extent")
     if medium.potential is not None:
         raise ValueError("the background must be homogeneous: the medium has a potential")
     if np.any(background.values != background.values.flat[0]):
@@ -266,24 +290,13 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
     background_line = snapshot_density(0.0, background)
 
     def density_change(z: float, field: Field2D) -> np.ndarray:
-        delta = snapshot_density(z, field) - background_line * np.exp(-medium.alpha * z)
+        delta = grid.ny * snapshot_density(z, field) - background_line * np.exp(-medium.alpha * z)
         if probe.k_perp == 0.0:
             return np.abs(delta)
         return delta  # signed, carrier demodulated later
 
-    probe_record = propagate(_with_probe(background, probe, medium), medium, plan,
-                             keep=density_change)
+    probe_record = propagate(probe_line(background, probe), medium, plan, keep=density_change)
     return _fit_drift(probe_record, probe, grid)
-
-
-def _with_probe(background: Field2D, probe: ProbeSpec, medium: MediumParams) -> Field2D:
-    """The background with the probe beam added; its peak intensity is
-    probe.power_ratio times the mean background intensity."""
-    mean_intensity = float(np.mean(medium.intensity(background.values)))
-    probe_watts = probe.power_ratio * mean_intensity * np.pi * probe.waist**2 / 2.0
-    angle = np.arcsin(probe.k_perp / medium.k0) if probe.k_perp else 0.0
-    return add_probe(background, probe.waist, probe_watts, angle,
-                     medium.wavelength, medium.n0)
 
 
 def _fit_drift(probe_record: PropagationRecord, probe: ProbeSpec,

@@ -97,11 +97,6 @@ class MediumParams:
         return replace(self, length=length)
 
 
-def optical_power(field, n0: float) -> float:
-    """Power in watts: the discrete integral of I = (1/2) n0 c eps0 |E|^2."""
-    return 0.5 * n0 * C_LIGHT * EPS0 * field.power()
-
-
 def intensity_to_density(intensity, n0: float):
     """|E|^2 for a given optical intensity under I = (1/2) n0 c eps0 |E|^2."""
     return 2.0 * np.asarray(intensity, dtype=float) / (n0 * C_LIGHT * EPS0)

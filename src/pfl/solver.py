@@ -340,39 +340,6 @@ def _nonlinear_rate(values: np.ndarray, medium: MediumParams) -> float:
     return rate
 
 
-@dataclass
-class RescaledField:
-    """Dimensionless form of an output field with its fluid scales."""
-
-    psi: Field2D
-    tau: float
-    xi: float
-    z_nl: float
-    density: float
-
-
-def rescale_dimensionless(field_in: Field2D, medium: MediumParams,
-                          density: float | None = None) -> RescaledField:
-    """Normalize by the output density and return the fluid scales.
-
-    density defaults to the spatial mean of |E|^2 on the grid (appropriate
-    for quasi-homogeneous fluids). The returned scales are fluid_scales'
-    z_nl and xi, and tau = L / z_nl.
-    """
-    if medium.chi3 == 0.0:
-        raise ValueError("rescaling requires a nonzero chi3")
-    if density is None:
-        density = float(np.mean(np.abs(field_in.values) ** 2))
-    if density <= 0.0:
-        raise ValueError("rescaling requires a positive output density")
-    z_nl, xi, _ = fluid_scales(medium, density)
-    psi = Field2D(grid=field_in.grid,
-                  values=field_in.values / np.sqrt(density),
-                  unit_tag="dimensionless")
-    return RescaledField(psi=psi, tau=medium.length / z_nl, xi=xi, z_nl=z_nl,
-                         density=float(density))
-
-
 def fluid_scales(medium: MediumParams, density: float) -> tuple[float, float, float]:
     """(z_nl, xi, c_s) for a homogeneous fluid of the given density."""
     g_abs = abs(medium.g)

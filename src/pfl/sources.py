@@ -1,4 +1,4 @@
-"""Initial-condition builders: beams, speckle, probes and phase imprints.
+"""Initial-condition builders: beams, speckle and phase imprints.
 
 All builders are pure functions of their arguments (plus an explicit seed
 where randomness is involved) and return new Field2D instances.
@@ -12,8 +12,6 @@ import numpy as np
 
 from .grid import Field2D, Grid, ifft2
 from .medium import intensity_to_density
-
-TWO_PI = 2.0 * np.pi
 
 
 def gaussian_beam(grid: Grid, waist: float, power: float, n0: float) -> Field2D:
@@ -149,28 +147,3 @@ def imprint_dark_stripe(field: Field2D, position: float = 0.0, angle: float = 0.
 def stripe_min_density_factor(contrast: float) -> float:
     """Density at the stripe line relative to the background, as constructed."""
     return float(np.cos(0.5 * np.pi * contrast) ** 2)
-
-
-def add_probe(field: Field2D, probe_waist: float, probe_power: float, angle: float,
-              wavelength: float, n0: float) -> Field2D:
-    """Superpose a weak centered Gaussian probe carrying a transverse phase ramp.
-
-    The ramp is exp(i k_perp x) with k_perp = k0 sin(angle); k_perp must
-    stay below the grid Nyquist wavevector.
-    """
-    if probe_power < 0:
-        raise ValueError(f"probe_power must be non-negative, got {probe_power}")
-    grid = field.grid
-    k0 = TWO_PI / wavelength
-    k_perp = k0 * np.sin(angle)
-    if abs(k_perp) >= grid.k_nyquist_x:
-        raise ValueError(
-            f"probe wavevector {k_perp:.6g} rad/m aliases: grid Nyquist is "
-            f"{grid.k_nyquist_x:.6g} rad/m"
-        )
-    if probe_power == 0.0:
-        return field.copy()
-    probe = gaussian_beam(grid, probe_waist, probe_power, n0)
-    xx, _ = grid.meshgrid()
-    ramp = np.exp(1j * k_perp * xx)
-    return field.with_values(field.values + probe.values * ramp).validate_finite()

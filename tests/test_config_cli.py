@@ -373,6 +373,16 @@ class TestCli:
         fit = dict(line.split(" = ") for line in (out / "fit.txt").read_text().splitlines())
         assert float(fit["c_s"]) == pytest.approx(0.0124, rel=0.05)
 
+    def test_shipped_sound_scaling_config_runs(self, tmp_path):
+        # criterion 06's set-up: c_s grows as the square root of the density
+        config = next(c for c in CONFIGS if c.name == "sound_scaling.ini")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no resolution or boundary warning
+            assert cli_main(["sound-scaling", "--config", str(config), "--out", str(out)]) == 0
+        fit = dict(line.split(" = ") for line in (out / "fit.txt").read_text().splitlines())
+        assert float(fit["exponent"]) == pytest.approx(0.50, abs=0.05)
+
     def test_shipped_fifo_config_recalls_in_input_order(self, tmp_path):
         config = next(c for c in CONFIGS if c.name == "fifo_filo.ini")
         out = tmp_path / "out"

@@ -6,17 +6,44 @@ import numpy as np
 import pytest
 
 from pfl.dispersion import (ProbeSpec, _fit_bogoliubov, _fit_drift, _line_fit,
-                            _trailing_run, _with_probe,
-                            bogoliubov_group_velocity, bogoliubov_omega,
+                            _trailing_run, bogoliubov_group_velocity, bogoliubov_omega,
                             bogoliubov_sound_speed, dispersion_from_group_velocity,
                             measure_group_velocity, packet_displacement,
-                            demodulated_envelope, snapshot_density)
+                            demodulated_envelope, probe_line, snapshot_density)
+from pfl.grid import Field2D, make_grid
 from pfl.medium import MediumParams
 from pfl.solver import StepPlan, propagate
 
 from conftest import WAVELENGTH, defocusing_setup
 
+# a UserWarning fails these tests, also one that pyproject.toml filters out
+pytestmark = pytest.mark.filterwarnings("error::UserWarning")
+
 K0 = 2 * np.pi / WAVELENGTH
+
+
+def _probe_plane(background, probe):
+    """The 2D field whose y-mean probe_line propagates: the background plus
+    sqrt(power_ratio) |E0| exp(-r^2 / w^2) exp(i k_perp x)."""
+    xx, yy = background.grid.meshgrid()
+    e0 = background.values[0, 0]
+    bump = np.sqrt(probe.power_ratio) * abs(e0) * np.exp(-(xx**2 + yy**2) / probe.waist**2)
+    return background.with_values(e0 + bump * np.exp(1j * probe.k_perp * xx))
+
+
+def _plane_reference(background, probe, medium, plan, signed=True):
+    """Drift fitted from the 2D probe run: the background is propagated
+    with whole densities kept, and the probe sums their difference over y,
+    signed or (at k = 0) in absolute value."""
+    planes = iter(propagate(background, medium, plan,
+                            keep=lambda z, f: f.density()).snapshots)
+
+    def plane_change(z, field):
+        delta = field.density() - next(planes)[1]
+        return delta.sum(axis=0) if signed else np.abs(delta).sum(axis=0)
+
+    return _fit_drift(propagate(_probe_plane(background, probe), medium, plan,
+                                keep=plane_change), probe, background.grid)
 
 
 class TestBogoliubovForms:
@@ -193,6 +220,28 @@ class TestEnvelopeTools:
         assert d == pytest.approx(12.0, abs=0.5)
 
 
+class TestProbeLine:
+    def test_is_the_y_mean_of_the_plane_probe(self):
+        grid, _, background, scales = defocusing_setup(nx=64, dx=5e-6, xi_cells=2.0)
+        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=3 * grid.dk_x, power_ratio=1e-4)
+        line = probe_line(background, probe)
+        assert line.grid == dataclasses.replace(grid, ny=1)
+        np.testing.assert_allclose(line.values[0],
+                                   _probe_plane(background, probe).values.mean(axis=0),
+                                   rtol=1e-15, atol=0.0)
+
+    def test_peak_set_by_the_power_ratio(self):
+        # the probe's peak intensity is power_ratio times the background's;
+        # the line carries it times the y-mean of exp(-y^2 / w^2)
+        g = make_grid(256, 256, 5e-6)
+        background = Field2D(grid=g, values=np.full((256, 256), 3.0 + 0j))
+        probe = ProbeSpec(waist=1e-4, k_perp=0.0, power_ratio=1e-3)
+        delta = probe_line(background, probe).values[0] - 3.0
+        y_mean = np.mean(np.exp(-(g.y_coords() / 1e-4) ** 2))
+        assert y_mean == pytest.approx(np.sqrt(np.pi) * 1e-4 / g.extent_y, rel=1e-12)
+        assert np.max(np.abs(delta)) == pytest.approx(np.sqrt(1e-3) * 3.0 * y_mean, rel=1e-14)
+
+
 class TestMeasurement:
     def test_free_particle_slope(self):
         # chi3 = 0: v_g = k / (k0 n0) exactly
@@ -282,24 +331,20 @@ class TestMeasurement:
         assert calls == [plan]
 
     def test_lossy_background_matches_a_propagated_reference(self):
-        # reference: the background is propagated and its line density
-        # subtracted; the closed form exp(-alpha z) reads the same v_g
+        # reference: the 2D probe run, with the background propagated and
+        # its density subtracted; the closed form exp(-alpha z) on the probe
+        # line reads the same v_g up to the 2D probe's own nonlinearity,
+        # about 9e-4 relative at power_ratio 1e-4 (see the gap test), so
+        # the bound is 2e-3
         grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
                                                             xi_cells=2.0, tau=8.0)
         medium = dataclasses.replace(medium, alpha=0.2 / medium.length)
         plan = StepPlan(n_steps=160, snapshot_every=16)
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1.0 / scales["xi"],
                           power_ratio=1e-4)
-        lines = iter(propagate(background, medium, plan, keep=snapshot_density).snapshots)
-
-        def line_change(z, field):
-            return snapshot_density(z, field) - next(lines)[1]
-
-        reference = _fit_drift(propagate(_with_probe(background, probe, medium), medium,
-                                         plan, keep=line_change),
-                               probe, grid)
+        reference = _plane_reference(background, probe, medium, plan)
         m = measure_group_velocity(background, probe, medium, plan)
-        assert m.v_g == pytest.approx(reference.v_g, rel=1e-9)
+        assert m.v_g == pytest.approx(reference.v_g, rel=2e-3)
 
     def test_rejects_an_inhomogeneous_background(self):
         grid, medium, background, scales = defocusing_setup(nx=64)
@@ -327,29 +372,55 @@ class TestMeasurement:
 
     @pytest.mark.parametrize("k_xi", [0.0, 1.0])
     def test_line_densities_match_plane_densities(self, k_xi):
-        # reference: the background keeps whole densities and the probe
-        # sums their difference over y, signed at k != 0 and in absolute
-        # value at k = 0; the line-density tracker reads the same v_g
+        # reference: the 2D probe run, whose background keeps whole
+        # densities and whose probe sums their difference over y; the probe
+        # line reads the same v_g up to the 2D probe's own nonlinearity,
+        # about 9e-4 relative at k xi = 1 and power_ratio 1e-4, so the
+        # bound is 2e-3
         grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
                                                             xi_cells=2.0, tau=8.0)
         plan = StepPlan(n_steps=160, snapshot_every=16)
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=k_xi / scales["xi"],
                           power_ratio=1e-4)
-        planes = iter(propagate(background, medium, plan,
-                                keep=lambda z, f: f.density()).snapshots)
-
-        def plane_change(z, field):
-            delta = field.density() - next(planes)[1]
-            return np.abs(delta).sum(axis=0) if k_xi == 0.0 else delta.sum(axis=0)
-
-        reference = _fit_drift(propagate(_with_probe(background, probe, medium), medium,
-                                         plan, keep=plane_change),
-                               probe, grid)
+        reference = _plane_reference(background, probe, medium, plan, signed=k_xi != 0.0)
         m = measure_group_velocity(background, probe, medium, plan)
         if k_xi == 0.0:
             assert abs(m.v_g - reference.v_g) < 1e-3 * scales["c_s"]
         else:
-            assert m.v_g == pytest.approx(reference.v_g, rel=1e-9)
+            assert m.v_g == pytest.approx(reference.v_g, rel=2e-3)
+
+    def test_line_plane_gap_is_the_plane_probes_nonlinearity(self):
+        # the probe line is exact in linear response, so its gap to the 2D
+        # probe run shrinks with the probe amplitude: each decade of
+        # power_ratio at least halves it (1.0e-3, 3.3e-4, 1.1e-4 and 3.4e-5
+        # measured from 1e-4 to 1e-7: a factor sqrt(10) per decade)
+        grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
+                                                            xi_cells=2.0, tau=16.0)
+        plan = StepPlan(n_steps=240, snapshot_every=10)
+        gaps = []
+        for ratio in (1e-4, 1e-5, 1e-6, 1e-7):
+            probe = ProbeSpec(waist=8 * scales["xi"], k_perp=0.3 / scales["xi"],
+                              power_ratio=ratio)
+            reference = _plane_reference(background, probe, medium, plan)
+            m = measure_group_velocity(background, probe, medium, plan)
+            gaps.append(abs(m.v_g / reference.v_g - 1.0))
+        assert all(small < 0.5 * large for large, small in zip(gaps, gaps[1:]))
+
+    def test_rejects_a_negative_power_ratio(self):
+        grid, medium, background, scales = defocusing_setup(nx=64)
+        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1e4, power_ratio=-1e-5)
+        with pytest.raises(ValueError, match="power_ratio must be non-negative"):
+            measure_group_velocity(background, probe, medium,
+                                   StepPlan(n_steps=10, snapshot_every=2))
+
+    @pytest.mark.parametrize("cells", [3.9, 32.5])
+    def test_rejects_an_unresolved_or_wrapping_waist(self, cells):
+        # 4 cells at least, half the 64-cell grid at most
+        grid, medium, background, _ = defocusing_setup(nx=64)
+        probe = ProbeSpec(waist=cells * grid.dx, k_perp=1e4)
+        with pytest.raises(ValueError, match="waist"):
+            measure_group_velocity(background, probe, medium,
+                                   StepPlan(n_steps=10, snapshot_every=2))
 
     def test_requires_snapshots(self):
         grid, medium, background, scales = defocusing_setup(nx=64)

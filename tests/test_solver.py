@@ -7,7 +7,7 @@ from pfl import solver
 from pfl.grid import Field2D, fft2, ifft2, make_grid
 from pfl.medium import MediumParams, density_to_intensity
 from pfl.solver import (SplitStepKernel, StepPlan, fluid_scales, kinetic_multiplier,
-                        nonlinear_step, propagate, rescale_dimensionless)
+                        nonlinear_step, propagate)
 from pfl.sources import gaussian_beam, plane_wave
 
 from conftest import WAVELENGTH, defocusing_setup
@@ -478,42 +478,34 @@ class TestPropagate:
 
 
 class TestRescale:
-    def test_tau_and_scales(self, small_grid):
+    """The dimensionless scales of a homogeneous fluid, from fluid_scales."""
+
+    def test_tau_and_scales(self):
         # |g| rho = 100 1/m over L = 0.07 m gives tau = 7
         n0 = 1.0
         k0 = 2 * np.pi / WAVELENGTH
         rho = 1.0
         chi3 = -100.0 * 2 * n0 / (k0 * rho)
         med = MediumParams(wavelength=WAVELENGTH, n0=n0, chi3=chi3, length=0.07)
-        f = plane_wave(small_grid, 1.0, n0)
-        f = Field2D(grid=small_grid, values=np.full((64, 64), 1.0 + 0j))
-        out = rescale_dimensionless(f, med)
-        assert out.tau == pytest.approx(7.0, rel=1e-12)
-        assert out.z_nl == pytest.approx(0.01, rel=1e-12)
-        assert out.xi == pytest.approx(np.sqrt(0.01 / (k0 * n0)), rel=1e-12)
-        assert out.psi.unit_tag == "dimensionless"
-        assert np.allclose(np.abs(out.psi.values) ** 2, 1.0, rtol=1e-12)
+        z_nl, xi, _ = fluid_scales(med, rho)
+        assert med.length / z_nl == pytest.approx(7.0, rel=1e-12)
+        assert z_nl == pytest.approx(0.01, rel=1e-12)
+        assert xi == pytest.approx(np.sqrt(0.01 / (k0 * n0)), rel=1e-12)
 
-    def test_density_scaling_relations(self, small_grid):
+    def test_density_scaling_relations(self):
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
-        f1 = Field2D(grid=small_grid, values=np.full((64, 64), 1.0 + 0j))
-        f2 = Field2D(grid=small_grid, values=np.full((64, 64), np.sqrt(2.0) + 0j))
-        r1 = rescale_dimensionless(f1, med)
-        r2 = rescale_dimensionless(f2, med)
-        assert r2.z_nl == pytest.approx(r1.z_nl / 2.0, rel=1e-12)
-        assert r2.xi == pytest.approx(r1.xi / np.sqrt(2.0), rel=1e-12)
+        z_nl1, xi1, _ = fluid_scales(med, 1.0)
+        z_nl2, xi2, _ = fluid_scales(med, 2.0)
+        assert z_nl2 == pytest.approx(z_nl1 / 2.0, rel=1e-12)
+        assert xi2 == pytest.approx(xi1 / np.sqrt(2.0), rel=1e-12)
 
-    def test_zero_nonlinearity_rejected(self, small_grid):
+    def test_zero_nonlinearity_has_no_fluid_scales(self):
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, length=0.01)
-        f = Field2D(grid=small_grid, values=np.ones((64, 64), dtype=complex))
-        with pytest.raises(ValueError):
-            rescale_dimensionless(f, med)
+        assert fluid_scales(med, 1.0) == (np.inf, np.inf, 0.0)
 
-    def test_zero_density_rejected(self, small_grid):
+    def test_zero_density_has_no_fluid_scales(self):
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
-        f = Field2D(grid=small_grid, values=np.zeros((64, 64), dtype=complex))
-        with pytest.raises(ValueError):
-            rescale_dimensionless(f, med)
+        assert fluid_scales(med, 0.0) == (np.inf, np.inf, 0.0)
 
     def test_fluid_scales_consistency(self):
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)

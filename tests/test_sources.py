@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from pfl.dispersion import ProbeSpec, measure_group_velocity, probe_line
 from pfl.grid import fft2, make_grid
 from pfl.hydro import circulation, detect_vortices
-from pfl.medium import intensity_to_density, optical_power
-from pfl.sources import (add_probe, gaussian_beam, imprint_dark_stripe,
+from pfl.medium import MediumParams, density_to_intensity, intensity_to_density
+from pfl.solver import StepPlan
+from pfl.sources import (gaussian_beam, imprint_dark_stripe,
                          imprint_vortex, plane_wave, speckle,
                          stripe_min_density_factor)
-
-LAM = 780e-9
 
 
 class TestGaussianBeam:
@@ -17,7 +17,7 @@ class TestGaussianBeam:
         # oracle: continuous integral of I = I_pk exp(-2 r^2/w^2) equals P
         g = make_grid(512, 512, 4e-6)
         beam = gaussian_beam(g, 100e-6, 1.0, 1.0)
-        assert optical_power(beam, 1.0) == pytest.approx(1.0, rel=1e-3)
+        assert density_to_intensity(beam.power(), 1.0) == pytest.approx(1.0, rel=1e-3)
 
     def test_zero_power_gives_zero_field(self):
         g = make_grid(64, 64, 1e-5)
@@ -103,7 +103,7 @@ class TestSpeckle:
     def test_ensemble_mean_intensity(self):
         g = make_grid(128, 128, 1e-5)
         target = 30.0
-        means = [optical_power(speckle(g, 4e-5, target, seed=s), 1.0)
+        means = [density_to_intensity(speckle(g, 4e-5, target, seed=s).power(), 1.0)
                  / (g.extent_x * g.extent_y) for s in range(40)]
         assert np.mean(means) == pytest.approx(target, rel=0.02)
 
@@ -181,16 +181,19 @@ class TestDarkStripe:
 
 
 class TestAddProbe:
+    """The weak probe the dispersion measurement adds to its background,
+    built as the y-mean line of the probed plane (dispersion.probe_line)."""
+
     def test_zero_angle_no_phase_ramp(self, small_grid):
         base = plane_wave(small_grid, 100.0, 1.0)
-        out = add_probe(base, 1e-4, 1e-4, 0.0, LAM, 1.0)
-        delta = out.values - base.values
+        out = probe_line(base, ProbeSpec(waist=1e-4, k_perp=0.0, power_ratio=1e-4))
+        delta = out.values - base.values[0, 0]
         assert np.max(np.abs(delta.imag)) < 1e-12 * np.max(np.abs(delta.real))
 
     def test_zero_power_identity(self, small_grid):
         base = plane_wave(small_grid, 100.0, 1.0)
-        out = add_probe(base, 1e-4, 0.0, 0.01, LAM, 1.0)
-        assert np.array_equal(out.values, base.values)
+        out = probe_line(base, ProbeSpec(waist=1e-4, k_perp=1e4, power_ratio=0.0))
+        assert np.array_equal(out.values, base.values[:1])
 
     def test_spectral_peak_at_probe_wavevector(self):
         # perturbation wavelength 50 um -> k_perp = 2 pi / 50e-6 rad/m
@@ -198,15 +201,16 @@ class TestAddProbe:
         base = plane_wave(g, 100.0, 1.0)
         k_target = 2.0 * np.pi / 50e-6
         assert k_target == pytest.approx(1.2566e5, rel=1e-4)
-        angle = np.arcsin(k_target / (2.0 * np.pi / LAM))
-        out = add_probe(base, 1.5e-4, 1e-3, angle, LAM, 1.0)
-        delta_spec = np.abs(np.fft.fft2(out.values - base.values)) ** 2
-        iy, ix = np.unravel_index(np.argmax(delta_spec), delta_spec.shape)
-        kx = 2.0 * np.pi * np.fft.fftfreq(g.nx, d=g.dx)
-        assert iy == 0
-        assert kx[ix] == pytest.approx(k_target, abs=g.dk_x)
+        out = probe_line(base, ProbeSpec(waist=1.5e-4, k_perp=k_target, power_ratio=1e-3))
+        delta_spec = np.abs(np.fft.fft(out.values[0] - base.values[0, 0])) ** 2
+        assert g.kx()[np.argmax(delta_spec)] == pytest.approx(k_target, abs=g.dk_x)
 
     def test_aliasing_rejected(self, small_grid):
-        with pytest.raises(ValueError, match="alias"):
-            add_probe(plane_wave(small_grid, 1.0, 1.0), 1e-4, 1e-3,
-                      np.pi / 4, LAM, 1.0)
+        # |k_perp| at or past the x Nyquist wavevector, on either side
+        medium = MediumParams(wavelength=780e-9, n0=1.0, chi3=-1e-20, length=0.01)
+        plan = StepPlan(n_steps=10, snapshot_every=2)
+        for k_perp in (small_grid.k_nyquist_x, -small_grid.k_nyquist_x,
+                       -1.5 * small_grid.k_nyquist_x):
+            probe = ProbeSpec(waist=1e-4, k_perp=k_perp)
+            with pytest.raises(ValueError, match="Nyquist"):
+                measure_group_velocity(plane_wave(small_grid, 1.0, 1.0), probe, medium, plan)
