@@ -17,8 +17,7 @@ _EXPORTS = {  # module: the public names it defines
                 "imprint_dark_stripe"),
     "potentials": ("uniform_potential", "gaussian_defect", "lattice_potential", "pt_symmetrize"),
     "solver": ("StepPlan", "PropagationRecord", "nonlinear_step", "propagate", "fluid_scales"),
-    "hydro": ("FluidDiagnostics", "VortexSet", "madelung", "detect_vortices", "circulation",
-              "circulation_batch"),
+    "hydro": ("VortexSet", "detect_vortices", "circulation", "circulation_batch"),
     "dispersion": ("ProbeSpec", "DispersionCurve", "bogoliubov_omega", "bogoliubov_sound_speed",
                    "measure_group_velocity", "probe_line", "snapshot_density",
                    "dispersion_from_group_velocity", "sound_speed_scaling"),

@@ -39,6 +39,21 @@ SCENARIOS = (
 FIELD_SCENARIOS = SCENARIOS[:6]
 
 
+# what a scenario sets itself, so that its config may not bind it: a whole
+# section or a section.key, with what sets the value
+_SET_BY_SCENARIO = {
+    "sound-scaling": {
+        "medium.length": "each density propagates over tau * z_nl of that density",
+        "plan": "each density takes ceil(15 tau) steps, with a snapshot every "
+                "max(1, n_steps // 50)",
+    },
+    "precondensation": {
+        "medium.length": "each tau in tau_list propagates over tau * z_nl of the "
+                         "source density",
+    },
+}
+
+
 class ConfigError(Exception):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -285,13 +300,24 @@ def parse_config(text: str) -> RunConfig:
 
     needs_field = scenario in FIELD_SCENARIOS
     grid = medium = plan = source = potential = None
+    set_by_scenario = _SET_BY_SCENARIO.get(scenario, {})
+    for name, what in set_by_scenario.items():
+        section, _, key = name.partition(".")
+        if key in sections.get(section, {}):
+            raise ConfigError(f"{scenario} takes no {name}: {what}", sections[section][key][1])
+        if not key and section in sections:
+            raise ConfigError(f"{scenario} takes no [{section}] section: {what}")
     if needs_field:
         for name in ("grid", "medium", "plan"):
-            if name not in sections:
+            if name not in sections and name not in set_by_scenario:
                 raise ConfigError(f"scenario {scenario!r} requires a [{name}] section")
         grid = _apply_schema("grid", sections.pop("grid"), _GRID)
-        medium = _apply_schema("medium", sections.pop("medium"), _MEDIUM)
-        plan = _apply_schema("plan", sections.pop("plan"), _PLAN)
+        medium_schema = _MEDIUM
+        if "medium.length" in set_by_scenario:
+            medium_schema = {**_MEDIUM, "length": Key("float", None)}
+        medium = _apply_schema("medium", sections.pop("medium"), medium_schema)
+        if "plan" not in set_by_scenario:
+            plan = _apply_schema("plan", sections.pop("plan"), _PLAN)
         if "source" in sections:
             source = _apply_schema("source", sections.pop("source"), _SOURCE)
         if "potential" in sections:
@@ -333,7 +359,7 @@ def validate_config(cfg: RunConfig):
             raise ConfigError(f"medium.lambda must be positive, got {m['lambda']}")
         if m["n0"] <= 0:
             raise ConfigError(f"medium.n0 must be positive, got {m['n0']}")
-        if m["length"] < 0:
+        if m["length"] is not None and m["length"] < 0:
             raise ConfigError("medium.length must be non-negative")
         if (m["chi3"] is None) == (m["n2"] is None):
             raise ConfigError("medium needs exactly one of chi3 or n2")

@@ -2,9 +2,9 @@
 
 PFL1 layout (all little-endian): 4-byte magic "PFL1", then six 8-byte
 header words nx (uint64), ny (uint64), dx (float64), dy (float64),
-unit_tag (uint64: 0 physical, 1 dimensionless), z (float64), followed by
-nx*ny interleaved (re, im) float64 pairs, row-major (y rows, x within a
-row).
+unit (uint64, always 0: the field in V/m), z (float64), followed by nx*ny
+interleaved (re, im) float64 pairs, row-major (y rows, x within a row).
+load_field rejects any other unit code.
 
 Density dumps are binary PGM (P5) with maxval 65535, scaled so the frame
 maximum maps to 65535; the scale is recorded in a sidecar text file next
@@ -26,8 +26,6 @@ import numpy as np
 from .grid import Field2D, make_grid
 
 PFL1_MAGIC = b"PFL1"
-_UNIT_CODES = {"physical": 0, "dimensionless": 1}
-_UNIT_NAMES = {v: k for k, v in _UNIT_CODES.items()}
 
 
 def save_field(path, field: Field2D, z: float = 0.0) -> Path:
@@ -35,7 +33,7 @@ def save_field(path, field: Field2D, z: float = 0.0) -> Path:
     grid = field.grid
     header = PFL1_MAGIC + struct.pack(
         "<QQddQd", grid.nx, grid.ny, grid.dx, grid.dy,
-        _UNIT_CODES[field.unit_tag], float(z),
+        0, float(z),  # unit code 0: the field in V/m
     )
     # "<c16" samples are the interleaved little-endian (re, im) float64 pairs;
     # for a contiguous complex128 field this is the field's own memory
@@ -56,8 +54,8 @@ def load_field(path) -> tuple[Field2D, float]:
         if len(header) < 52:
             raise ValueError(f"{path}: truncated snapshot ({len(header)} of 52 header bytes)")
         nx, ny, dx, dy, unit_code, z = struct.unpack("<QQddQd", header[4:])
-        if unit_code not in _UNIT_NAMES:
-            raise ValueError(f"{path}: unknown unit tag code {unit_code}")
+        if unit_code != 0:
+            raise ValueError(f"{path}: unit code {unit_code} is not 0 (a field in V/m)")
         size = os.fstat(fh.fileno()).st_size
         expected = 52 + nx * ny * 16
         if size != expected:
@@ -67,7 +65,7 @@ def load_field(path) -> tuple[Field2D, float]:
             raise ValueError(f"{path}: truncated snapshot while reading")
     values = samples.astype(np.complex128, copy=False)
     grid = make_grid(int(nx), int(ny), float(dx), float(dy))
-    return Field2D(grid=grid, values=values, unit_tag=_UNIT_NAMES[unit_code]), float(z)
+    return Field2D(grid=grid, values=values), float(z)
 
 
 def write_density_pgm(path, array_or_field) -> Path:

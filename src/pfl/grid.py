@@ -23,8 +23,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-UNIT_TAGS = ("physical", "dimensionless")
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -75,19 +73,6 @@ class Grid:
     def k_meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.kx(), self.ky())
 
-    def gradient_k_meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Wavenumbers for spectral first derivatives.
-
-        The unpaired Nyquist mode of an even grid is zeroed: its sampled
-        cosine has zero derivative at the nodes, and keeping it would leak
-        a spurious imaginary component into derivatives of real fields.
-        """
-        kx = self.kx()
-        ky = self.ky()
-        kx[self.nx // 2] = 0.0
-        ky[self.ny // 2] = 0.0
-        return np.meshgrid(kx, ky)
-
     def k_squared(self) -> np.ndarray:
         kxx, kyy = self.k_meshgrid()
         return kxx**2 + kyy**2
@@ -119,17 +104,13 @@ def make_grid(nx: int, ny: int, dx: float, dy: float | None = None) -> Grid:
 class Field2D:
     """Complex scalar field sampled on a Grid.
 
-    ``values`` has shape (ny, nx). ``unit_tag`` is "physical" (V/m) or
-    "dimensionless" (after rescaling by the output density).
+    ``values`` has shape (ny, nx), in V/m.
     """
 
     grid: Grid
     values: np.ndarray
-    unit_tag: str = "physical"
 
     def __post_init__(self):
-        if self.unit_tag not in UNIT_TAGS:
-            raise ValueError(f"unit_tag must be one of {UNIT_TAGS}, got {self.unit_tag!r}")
         values = np.asarray(self.values, dtype=np.complex128)
         if values.shape != (self.grid.ny, self.grid.nx):
             raise ValueError(
@@ -142,9 +123,8 @@ class Field2D:
         return replace(self, values=self.values.copy())
 
     def with_values(self, values: np.ndarray) -> "Field2D":
-        """New field on the same grid with the same unit tag."""
-        return Field2D(grid=self.grid, values=np.asarray(values, dtype=np.complex128),
-                       unit_tag=self.unit_tag)
+        """New field on the same grid."""
+        return Field2D(grid=self.grid, values=np.asarray(values, dtype=np.complex128))
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2

@@ -1,4 +1,4 @@
-"""Madelung decomposition, velocity fields and quantized-vortex detection.
+"""Quantized-vortex detection and phase circulation.
 
 Velocity sign convention: v = +Im(psi* grad psi) / |psi|^2, the probability
 current divided by the density. A field carrying a phase ramp exp(i k x)
@@ -12,51 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field2D, fft2, ifft2
+from .grid import Field2D
 
 DEFAULT_DENSITY_FLOOR = 1e-3
-
-
-@dataclass
-class FluidDiagnostics:
-    """Density, wrapped phase and velocity of a fluid-of-light field.
-
-    velocity components are zeroed (and flagged in mask) where the density
-    falls below density_floor * max(density).
-    """
-
-    density: np.ndarray
-    phase: np.ndarray
-    velocity_x: np.ndarray
-    velocity_y: np.ndarray
-    mask: np.ndarray
-    density_floor: float
-
-
-def madelung(field: Field2D, density_floor: float = DEFAULT_DENSITY_FLOOR) -> FluidDiagnostics:
-    """Decompose a field into density, phase and velocity.
-
-    The velocity is computed as Im(psi* grad psi)/|psi|^2 with spectral
-    derivatives, which equals grad(phase) without any unwrapping.
-    """
-    field.validate_finite()
-    values = field.values
-    density = np.abs(values) ** 2
-    peak = float(np.max(density))
-    if peak == 0.0:
-        raise ValueError("cannot decompose an identically zero field")
-    phase = np.angle(values)
-    grid = field.grid
-    kxx, kyy = grid.gradient_k_meshgrid()
-    spectrum = fft2(values)
-    grad_x = ifft2(1j * kxx * spectrum)
-    grad_y = ifft2(1j * kyy * spectrum)
-    mask = density >= density_floor * peak
-    safe = np.where(mask, density, 1.0)
-    vx = np.where(mask, np.imag(np.conj(values) * grad_x) / safe, 0.0)
-    vy = np.where(mask, np.imag(np.conj(values) * grad_y) / safe, 0.0)
-    return FluidDiagnostics(density=density, phase=phase, velocity_x=vx,
-                            velocity_y=vy, mask=mask, density_floor=density_floor)
 
 
 @dataclass

@@ -73,10 +73,6 @@ class MediumParams:
     def n2(self) -> float:
         return self.chi3 / (self.n0**2 * C_LIGHT * EPS0)
 
-    def intensity(self, field_values: np.ndarray) -> np.ndarray:
-        """Optical intensity (W/m^2) of a physical field."""
-        return 0.5 * self.n0 * C_LIGHT * EPS0 * np.abs(field_values) ** 2
-
     def nonlinear_index_shift(self, density: float) -> float:
         """|Delta n_NL| = |chi3| * rho / (2 n0) for a fluid density rho = |E|^2."""
         return abs(self.chi3) * density / (2.0 * self.n0)

@@ -36,7 +36,8 @@ def build_grid(cfg: RunConfig) -> Grid:
 
 def build_medium(cfg: RunConfig, grid: Grid | None = None) -> MediumParams:
     m = cfg.medium
-    kwargs = dict(alpha=m["alpha"], length=m["length"], i_sat=m["isat"])
+    # no length where the scenario sets it (config._SET_BY_SCENARIO)
+    kwargs = dict(alpha=m["alpha"], length=m["length"] or 0.0, i_sat=m["isat"])
     if cfg.potential is not None and grid is not None:
         kwargs["potential"] = _build_potential(cfg, grid)
     if m["chi3"] is not None:

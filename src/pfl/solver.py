@@ -24,6 +24,11 @@ The input is never written to. Each snapshot leaves the step loop as it
 is made: propagate hands every member's field to a keep callback and
 stores only what keep returns, so a run that keeps a density or a profile
 per snapshot never holds a list of full fields.
+
+The step-resolution guard (the step-size limit of time-splitting spectral
+methods; Bao, Jaksch and Markowich, J. Comput. Phys. 187 (2003)) runs in
+SplitStepKernel.run on what the loop computes anyway: the kinetic phase
+from the first forward transform, and the kick's peak phase at every step.
 """
 
 from __future__ import annotations
@@ -205,22 +210,26 @@ class SplitStepKernel:
         kernel owns and overwrites. Each snapshot stack before the last step
         goes to on_snapshot(z, stack) as it is made; the stack is a new array
         the callee may keep. Returns the final stack, the power per step
-        boundary and member (n_steps + 1, B) and each member's largest kick
-        phase."""
+        boundary and member (n_steps + 1, B) and each member's
+        max_phase_per_step: its kinetic phase per step plus its largest kick
+        phase. Both pass the step-resolution guard (_guard) as they are made."""
         n_steps, every, dz = plan.n_steps, plan.snapshot_every, self.dz
-        half_kinetic, full_kinetic = self.kinetic
         power = np.empty((n_steps + 1, len(values)))
         power[0] = self._power(values)
         max_phase = np.zeros(len(values))
         spectrum = fft2(values, overwrite_x=True)
+        # before the kinetic factors exist, so its temporaries add no peak memory
+        kinetic = self._kinetic_phase(spectrum)
+        warned = self._guard(kinetic, False)
+        half_kinetic, full_kinetic = self.kinetic
         spectrum *= half_kinetic
         for step in range(n_steps):
             z_mid, z_next = (step + 0.5) * dz, (step + 1) * dz
             values = ifft2(spectrum, overwrite_x=True)
             step_phase = self.kick(values, z_mid)
-            if step_phase.max() > ABORT_PHASE_PER_STEP:
-                raise RuntimeError(f"nonlinear phase per step reached {step_phase.max():.2f} "
-                                   f"rad (> pi) at z = {z_mid:.6g}; refine the stepping plan")
+            if step == 0:
+                first_phase = step_phase
+            warned = self._guard(step_phase, warned, z_mid, first_phase)
             np.maximum(max_phase, step_phase, out=max_phase)
             spectrum = fft2(values, overwrite_x=True)
             power[step + 1] = self._power(spectrum)
@@ -231,7 +240,37 @@ class SplitStepKernel:
             if every and (step + 1) % every == 0 and not last:
                 on_snapshot(z_next, ifft2(spectrum * half_kinetic, overwrite_x=True))
             spectrum *= half_kinetic if last else full_kinetic
-        return ifft2(spectrum, overwrite_x=True), power, max_phase
+        return ifft2(spectrum, overwrite_x=True), power, kinetic + max_phase
+
+    def _guard(self, phase: np.ndarray, warned: bool, z: float | None = None,
+               first: np.ndarray | None = None) -> bool:
+        """The step-resolution guard on each member's phase per step: the
+        kinetic phase (z None), or the kick's at z with the first kick's.
+        Raises RuntimeError above ABORT_PHASE_PER_STEP, checked first; else
+        warns at or above WARN_PHASE_PER_STEP unless warned. Returns warned."""
+        peak = float(phase.max())
+        if peak > ABORT_PHASE_PER_STEP:
+            at = ("" if z is None else
+                  f" at z = {z:.6g}, from {first[phase.argmax()]:.2f} rad at the first step")
+            raise RuntimeError(f"step size dz={self.dz:.3g} gives {peak:.2f} rad of phase per "
+                               f"step (> pi){at}; refine the stepping plan")
+        if peak >= WARN_PHASE_PER_STEP and not warned:
+            where = "on occupied modes" if z is None else f"at z = {z:.6g}"
+            warnings.warn(f"step size dz={self.dz:.3g} gives {peak:.2f} rad of phase per step "
+                          f"{where}; results may be under-resolved", stacklevel=4)
+            return True
+        return warned
+
+    def _kinetic_phase(self, spectrum: np.ndarray) -> np.ndarray:
+        """dz |k|^2 / (2 n0 k0) at each member's highest occupied |k| (see
+        OCCUPIED_MODE_FLOOR), which ties the guard to the field, not the grid."""
+        mode_power = np.abs(spectrum)
+        mode_power *= mode_power
+        occupied = mode_power > OCCUPIED_MODE_FLOOR * mode_power.sum(axis=(-2, -1),
+                                                                     keepdims=True)
+        k2 = np.add.outer(self.grid.ky() ** 2, self.grid.kx() ** 2)
+        m = self.medium
+        return self.dz * (np.where(occupied, k2, 0.0).max(axis=(-2, -1)) / (2.0 * m.n0 * m.k0))
 
     def _power(self, values: np.ndarray) -> np.ndarray:
         return np.array([np.vdot(v, v).real for v in values]) * self.grid.cell_area
@@ -248,23 +287,6 @@ def nonlinear_step(field_in: Field2D, dz: float, medium: MediumParams,
     values = field_in.values.copy()
     SplitStepKernel(field_in.grid, medium, dz).kick(values, z)
     return field_in.with_values(values).validate_finite()
-
-
-def occupied_kinetic_rate(values: np.ndarray, grid: Grid, k0: float,
-                          n0: float) -> np.ndarray:
-    """Largest kinetic phase rate |k|^2 / (2 n0 k0) over occupied modes, one
-    per field of the stack values (..., ny, nx).
-
-    A mode counts as occupied when it carries more than OCCUPIED_MODE_FLOOR
-    of its field's spectral power; this keeps the step-resolution guard tied
-    to the field rather than to the grid Nyquist.
-    """
-    mode_power = np.abs(fft2(values.copy(), overwrite_x=True))
-    mode_power *= mode_power
-    occupied = mode_power > OCCUPIED_MODE_FLOOR * mode_power.sum(axis=(-2, -1),
-                                                                 keepdims=True)
-    k2 = np.add.outer(grid.ky() ** 2, grid.kx() ** 2)
-    return np.where(occupied, k2, 0.0).max(axis=(-2, -1)) / (2.0 * n0 * k0)
 
 
 def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
@@ -300,14 +322,6 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
                    for f in fields]
         return records[0] if lone else records
     dz = plan.resolve_dz(medium.length)
-    kinetic_rate = occupied_kinetic_rate(values, grid, medium.k0, medium.n0)
-    fastest = dz * max(float(kinetic_rate.max()), _nonlinear_rate(values, medium))
-    if fastest >= WARN_PHASE_PER_STEP:
-        warnings.warn(f"step size dz={dz:.3g} gives {fastest:.2f} rad of phase per step "
-                      f"on occupied modes; results may be under-resolved", stacklevel=2)
-    if fastest > ABORT_PHASE_PER_STEP:
-        raise RuntimeError(f"step size dz={dz:.3g} gives {fastest:.2f} rad of phase per "
-                           f"step (> pi); refine the stepping plan")
     keep = keep or _keep_field
     snapshots = [[] for _ in fields]
 
@@ -323,21 +337,13 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
     records = [PropagationRecord(
         final_field=final_field, z_final=medium.length, n_steps=plan.n_steps, dz=dz,
         power_trace=np.column_stack((z, power[:, b])), snapshots=snapshots[b],
-        max_phase_per_step=float(dz * kinetic_rate[b] + max_phase[b]))
+        max_phase_per_step=float(max_phase[b]))
         for b, final_field in enumerate(finals)]
     return records[0] if lone else records
 
 
 def _keep_field(z: float, field: Field2D) -> Field2D:
     return field
-
-
-def _nonlinear_rate(values: np.ndarray, medium: MediumParams) -> float:
-    rate = abs(medium.g) * float(np.max(np.abs(values) ** 2))
-    dn = medium.potential_at(0.0, values.shape[-2:])
-    if dn is not None:
-        rate += medium.k0 * float(np.max(np.abs(dn.real)))
-    return rate
 
 
 def fluid_scales(medium: MediumParams, density: float) -> tuple[float, float, float]:

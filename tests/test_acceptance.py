@@ -277,7 +277,7 @@ def test_criterion_11_structure_factor():
     xi = scales["xi"]
     length = medium.length
     band = np.sqrt(grid.k_squared()) <= 0.75 * np.pi / grid.dx
-    plan = StepPlan(n_steps=160)
+    plan = StepPlan(n_steps=180)  # 0.46 rad of kinetic phase per step
     signal, reference = [], []
     rng = np.random.default_rng(1234)
     for _ in range(200):

@@ -75,13 +75,35 @@ dx = 5e-6
 lambda = 780e-9
 n0 = 1.0
 chi3 = -7.890e-12
-length = 1.0
-
-[plan]
-n_steps = 1
 
 [sound-scaling]
 intensities = 33180, 66360, 165900, 331800
+"""
+
+GOOD_PRECONDENSATION = """
+[run]
+scenario = precondensation
+
+[grid]
+nx = 64
+ny = 64
+dx = 1.6e-5
+
+[medium]
+lambda = 780e-9
+n0 = 1.0
+chi3 = -2.488e-10
+
+[plan]
+n_steps = 90
+
+[source]
+kind = speckle
+intensity = 132.7
+correlation_length = 3.2e-4
+
+[precondensation]
+tau_list = 1, 3
 """
 
 POTENTIAL = "\n[potential]\nkind = uniform\nvalue_re = 1e-6\n"
@@ -199,6 +221,34 @@ class TestParsing:
         cfg.write_text(text)
         assert cli_main(["validate", "--config", str(cfg)]) == 2
         assert "homogeneous fluid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (GOOD_SOUND_SCALING.replace("chi3 = -7.890e-12\n", "chi3 = -7.890e-12\nlength = 1.0\n"),
+         r"line 14: sound-scaling takes no medium.length: each density propagates over "
+         r"tau \* z_nl"),
+        (GOOD_SOUND_SCALING + "\n[plan]\nn_steps = 1\n",
+         r"sound-scaling takes no \[plan\] section: each density takes ceil\(15 tau\) steps"),
+        (GOOD_PRECONDENSATION.replace("chi3 = -2.488e-10\n", "chi3 = -2.488e-10\nlength = 1.0\n"),
+         r"line 14: precondensation takes no medium.length: each tau in tau_list propagates"),
+    ], ids=["sound-scaling-length", "sound-scaling-plan", "precondensation-length"])
+    def test_values_the_scenario_sets_are_rejected(self, text, message, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert cli_main(["validate", "--config", str(cfg)]) == 2
+        assert "takes no" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [GOOD_SOUND_SCALING, GOOD_PRECONDENSATION],
+                             ids=["sound-scaling", "precondensation"])
+    def test_round_trip_without_the_values_the_scenario_sets(self, text):
+        cfg = parse_config(text)
+        assert cfg.medium["length"] is None
+        assert (cfg.plan is None) == (cfg.scenario == "sound-scaling")
+        serialized = serialize_config(cfg)
+        assert "\nlength =" not in serialized
+        assert ("[plan]" in serialized) == (cfg.plan is not None)
+        assert parse_config(serialized) == cfg
 
     @pytest.mark.parametrize("mode, flips, windows", [
         ("FIFO", "3.0", "0.0, 3.2, 5.7, 9.0"),

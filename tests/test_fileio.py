@@ -17,14 +17,12 @@ def test_pfl1_round_trip(tmp_path):
     loaded, z = load_field(path)
     assert z == 0.0123
     assert loaded.grid == g
-    assert loaded.unit_tag == f.unit_tag
     assert np.array_equal(loaded.values, f.values)
 
 
 def test_pfl1_header_layout(tmp_path):
     g = make_grid(8, 8, 1.0)
-    f = Field2D(grid=g, values=np.zeros((8, 8), dtype=complex),
-                unit_tag="dimensionless")
+    f = Field2D(grid=g, values=np.zeros((8, 8), dtype=complex))
     path = tmp_path / "t.pfl1"
     save_field(path, f, z=2.0)
     raw = path.read_bytes()
@@ -32,8 +30,19 @@ def test_pfl1_header_layout(tmp_path):
     assert int.from_bytes(raw[4:12], "little") == 8    # nx
     assert int.from_bytes(raw[12:20], "little") == 8   # ny
     assert np.frombuffer(raw[20:28], "<f8")[0] == 1.0  # dx
-    assert int.from_bytes(raw[36:44], "little") == 1   # unit tag
+    assert int.from_bytes(raw[36:44], "little") == 0   # unit code: V/m
     assert len(raw) == 52 + 8 * 8 * 16
+
+
+def test_pfl1_unit_code_other_than_0_rejected(tmp_path):
+    # code 1 once tagged a dimensionless field; nothing writes one now
+    path = tmp_path / "t.pfl1"
+    save_field(path, Field2D(grid=make_grid(8, 8, 1.0), values=np.ones((8, 8))), z=2.0)
+    raw = bytearray(path.read_bytes())
+    raw[36:44] = (1).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="unit code 1"):
+        load_field(path)
 
 
 def test_pfl1_round_trip_is_bit_exact(tmp_path):

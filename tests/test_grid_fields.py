@@ -41,12 +41,6 @@ def test_field_shape_checked(small_grid):
         Field2D(grid=small_grid, values=np.zeros((8, 8), dtype=complex))
 
 
-def test_field_unit_tag_checked(small_grid):
-    with pytest.raises(ValueError):
-        Field2D(grid=small_grid, values=np.zeros((64, 64), dtype=complex),
-                unit_tag="furlongs")
-
-
 def test_power_is_density_integral(small_grid):
     f = Field2D(grid=small_grid, values=np.full((64, 64), 2.0, dtype=complex))
     assert f.power() == pytest.approx(4.0 * 64 * 64 * 1e-10)
@@ -62,7 +56,6 @@ def test_validate_finite_raises(small_grid):
 def test_zero_field(small_grid):
     f = Field2D(grid=small_grid, values=np.zeros((small_grid.ny, small_grid.nx)))
     assert f.power() == 0.0
-    assert f.unit_tag == "physical"
 
 
 @settings(max_examples=20, deadline=None)

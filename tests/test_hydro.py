@@ -4,53 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfl.grid import Field2D, make_grid
-from pfl.hydro import (circulation, circulation_batch, detect_vortices, madelung,
-                       wrap_phase)
+from pfl.hydro import circulation, circulation_batch, detect_vortices, wrap_phase
 from pfl.sources import gaussian_beam, imprint_vortex, plane_wave
-
-class TestMadelung:
-    def test_phase_ramp_velocity(self, small_grid):
-        k_x = 5 * small_grid.dk_x
-        xx, _ = small_grid.meshgrid()
-        f = Field2D(grid=small_grid, values=np.exp(1j * k_x * xx))
-        d = madelung(f)
-        assert np.allclose(d.velocity_x, k_x, rtol=1e-10)
-        assert np.allclose(d.velocity_y, 0.0, atol=1e-10 * k_x)
-
-    def test_real_field_zero_velocity(self, small_grid):
-        f = gaussian_beam(small_grid, 1e-4, 1.0, 1.0)
-        d = madelung(f)
-        scale = np.max(np.abs(d.velocity_x)) + np.max(np.abs(d.velocity_y))
-        assert scale < 1e-12 / small_grid.dx
-
-    def test_vortex_circulation(self, small_grid):
-        base = plane_wave(small_grid, 10.0, 1.0)
-        v = imprint_vortex(base, +1, center=(0.5e-5, 0.5e-5))
-        circ = circulation(v, 8, 8, 56, 56)
-        assert circ == pytest.approx(2 * np.pi, abs=1e-9)
-
-    def test_density_floor_masking(self, small_grid):
-        f = gaussian_beam(small_grid, 8e-5, 1.0, 1.0)
-        d = madelung(f, density_floor=1e-3)
-        assert not d.mask.all()
-        assert np.all(d.velocity_x[~d.mask] == 0.0)
-
-    def test_round_trip_density_and_velocity(self, small_grid):
-        # construct a field from (rho, phi), decompose, recover both
-        xx, yy = small_grid.meshgrid()
-        rho = 1.0 + 0.3 * np.cos(2 * np.pi * xx / small_grid.extent_x)
-        k_x = 3 * small_grid.dk_x
-        phi = k_x * xx
-        f = Field2D(grid=small_grid, values=np.sqrt(rho) * np.exp(1j * phi))
-        d = madelung(f)
-        assert np.allclose(d.density, rho, rtol=1e-12)
-        assert np.allclose(d.velocity_x[d.mask], k_x, rtol=1e-6)
-
-    def test_zero_field_rejected(self, small_grid):
-        f = Field2D(grid=small_grid, values=np.zeros((64, 64), dtype=complex))
-        with pytest.raises(ValueError):
-            madelung(f)
-
 
 class TestDetectVortices:
     def test_single_vortex_position(self, small_grid):
@@ -106,6 +61,12 @@ def edge_sum_circulation(field, ix0, iy0, ix1, iy1):
 
 
 class TestCirculation:
+    def test_vortex_circulation(self, small_grid):
+        base = plane_wave(small_grid, 10.0, 1.0)
+        v = imprint_vortex(base, +1, center=(0.5e-5, 0.5e-5))
+        circ = circulation(v, 8, 8, 56, 56)
+        assert circ == pytest.approx(2 * np.pi, abs=1e-9)
+
     def test_quantization_random_loops(self):
         grid = make_grid(128, 128, 1e-5)
         base = plane_wave(grid, 10.0, 1.0)

@@ -195,7 +195,6 @@ dx = 1.6e-5
 lambda = 780e-9
 n0 = 1.0
 chi3 = -2.488e-10
-length = 1.0
 
 [plan]
 n_steps = 90
@@ -235,7 +234,7 @@ chi3 = -7.706e-13
 length = 0.00483
 
 [plan]
-n_steps = 60
+n_steps = 140
 
 [source]
 kind = plane
@@ -276,7 +275,7 @@ chi3 = -7.706e-13
 length = 0.00483
 
 [plan]
-n_steps = 30
+n_steps = 140
 
 [source]
 kind = plane
@@ -457,10 +456,6 @@ dx = 5e-6
 lambda = 780e-9
 n0 = 1.0
 chi3 = -7.890e-12
-length = 1.0
-
-[plan]
-n_steps = 1
 
 [source]
 kind = plane

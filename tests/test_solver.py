@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -327,6 +328,52 @@ class TestPropagate:
                                                             tau=40.0)
         with pytest.warns(UserWarning, match="phase per step"):
             propagate(background, medium, StepPlan(n_steps=60))
+
+    def test_late_steep_potential_warns(self):
+        # flat until L/2, then 1 rad of potential phase per step: a guard
+        # that samples the potential only at z = 0 sees nothing
+        grid = make_grid(64, 64, 1e-5)
+        length, n_steps = 0.01, 40
+        k0 = 2.0 * np.pi / WAVELENGTH
+        xx, yy = grid.meshgrid()
+        steep = np.exp(-(xx**2 + yy**2) / (1e-4) ** 2) / (k0 * length / n_steps)
+
+        def potential(z):
+            return np.zeros((64, 64)) if z < length / 2 else steep
+
+        med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0,
+                           potential=potential, length=length)
+        with pytest.warns(UserWarning, match=r"gives 1.00 rad of phase per step at z = 0.005125"):
+            propagate(plane_wave(grid, 1.0, 1.0), med, StepPlan(n_steps=n_steps))
+
+    def test_collapse_warns_before_the_abort(self):
+        # 3 times the Townes power in a focusing medium: the kick phase grows
+        # step by step until it passes pi
+        grid = make_grid(128, 128, 5e-6)
+        n2 = 1e-10
+        townes = 1.8962 * WAVELENGTH**2 / (4.0 * np.pi * n2)
+        medium = MediumParams.from_n2(WAVELENGTH, 1.0, n2, length=0.05)
+        beam = gaussian_beam(grid, 60e-6, 3.0 * townes, 1.0)
+        with pytest.warns(UserWarning, match="rad of phase per step at z =") as warned:
+            with pytest.raises(RuntimeError, match="at the first step") as aborted:
+                propagate(beam, medium, StepPlan(n_steps=400))
+        assert len(warned) == 1
+        reached, first = re.search(r"gives ([\d.]+) rad .* from ([\d.]+) rad at the first",
+                                   str(aborted.value)).groups()
+        assert float(first) < solver.WARN_PHASE_PER_STEP
+        assert float(reached) > solver.ABORT_PHASE_PER_STEP
+
+    def test_one_transform_pair_per_step(self, monkeypatch):
+        # the guard reads the loop's first spectrum: no transform of its own
+        calls = {"fft2": 0, "ifft2": 0}
+        for name in calls:
+            def counted(values, overwrite_x=False, name=name, transform=getattr(solver, name)):
+                calls[name] += 1
+                return transform(values, overwrite_x=overwrite_x)
+            monkeypatch.setattr(solver, name, counted)
+        grid, medium, background, _ = defocusing_setup(nx=16, xi_cells=3.0, tau=1.0)
+        propagate(background, medium, StepPlan(n_steps=7))
+        assert calls == {"fft2": 8, "ifft2": 8}
 
     def test_merged_kicks_match_plain_composition(self):
         # the inner loop merges adjacent half kicks between snapshots; it
