@@ -4,8 +4,8 @@ Grammar (normative): the file is a sequence of lines. A line is blank, a
 comment (first non-space character '#'), a section header '[name]', or a
 binding 'key = value'. A trailing '# ...' comment is stripped from header
 and binding lines, so '#' cannot appear inside a value. Keys and section
-names are case-sensitive. Unknown sections and unknown keys are errors, as
-are duplicate bindings.
+names are case-sensitive. A section or key the scenario does not read is
+an error, as are duplicate bindings.
 
 Value syntax per declared type: int (no decimal point), float, bool
 ("true"/"false"), str (verbatim, trimmed), and comma-separated lists of
@@ -22,37 +22,6 @@ from typing import Any
 
 REQUIRED = object()
 
-SCENARIOS = (
-    "propagate",
-    "dispersion",
-    "sound-scaling",
-    "precondensation",
-    "structure-factor",
-    "vortices",
-    "gem",
-    "gem-efficiency-sweep",
-    "fifo-filo",
-)
-
-# scenarios that propagate a transverse field and therefore need the
-# grid/medium/plan/source sections
-FIELD_SCENARIOS = SCENARIOS[:6]
-
-
-# what a scenario sets itself, so that its config may not bind it: a whole
-# section or a section.key, with what sets the value
-_SET_BY_SCENARIO = {
-    "sound-scaling": {
-        "medium.length": "each density propagates over tau * z_nl of that density",
-        "plan": "each density takes ceil(15 tau) steps, with a snapshot every "
-                "max(1, n_steps // 50)",
-    },
-    "precondensation": {
-        "medium.length": "each tau in tau_list propagates over tau * z_nl of the "
-                         "source density",
-    },
-}
-
 
 class ConfigError(Exception):
     def __init__(self, message: str, line: int | None = None):
@@ -66,6 +35,20 @@ class Key:
 
     type: str
     default: Any = REQUIRED
+
+
+@dataclass(frozen=True)
+class Kinds:
+    """A section whose `kind` key picks its other keys: the keys of each
+    kind a scenario takes, why it takes no other, and whether the section
+    may be left out."""
+
+    keys: dict[str, dict[str, Key]]
+    why: str = ""
+    optional: bool = False
+
+    def only(self, *kinds: str, why: str) -> Kinds:
+        return Kinds({kind: self.keys[kind] for kind in kinds}, why)
 
 
 _RUN = {
@@ -100,17 +83,14 @@ _PLAN = {
     "snapshot_every": Key("int", 0),
 }
 
-_SOURCE = {
-    "kind": Key("str"),  # gaussian | plane | speckle | file
-    "waist": Key("float", None),
-    "power": Key("float", None),
-    "intensity": Key("float", None),
-    "correlation_length": Key("float", None),
-    "path": Key("str", ""),  # PFL1 snapshot, kind = file
-}
+_SOURCE = Kinds({
+    "gaussian": {"waist": Key("float"), "power": Key("float")},
+    "plane": {"intensity": Key("float")},
+    "speckle": {"intensity": Key("float"), "correlation_length": Key("float")},
+    "file": {"path": Key("str")},  # a PFL1 snapshot
+})
 
-_POTENTIAL = {
-    "kind": Key("str"),
+_POTENTIAL_KEYS = {
     "value_re": Key("float", 0.0),
     "value_im": Key("float", 0.0),
     "amplitude_re": Key("float", 0.0),
@@ -122,6 +102,12 @@ _POTENTIAL = {
     "orientation": Key("float", 0.0),
     "pt_symmetrize": Key("bool", False),
 }
+
+_POTENTIAL = Kinds({
+    "uniform": _POTENTIAL_KEYS,
+    "gaussian_defect": {**_POTENTIAL_KEYS, "width": Key("float")},
+    "lattice": {**_POTENTIAL_KEYS, "period": Key("float")},
+}, optional=True)
 
 # the memory and its schedule, shared by the gem and fifo-filo scenarios
 _GEM = {
@@ -138,57 +124,103 @@ _GEM = {
     "pulse_widths": Key("floats"),
 }
 
-_SCENARIO_SCHEMAS: dict[str, dict[str, Key]] = {
-    "propagate": {},
+_FIELD = {"grid": _GRID, "medium": _MEDIUM, "plan": _PLAN}
+_HOMOGENEOUS = "the background must be a homogeneous fluid"
+_FINAL_FIELDS = "only the final field of each member is read"
+
+# Every section each scenario reads besides [run], in serialization order:
+# its keys, or for a Kinds section the keys of each kind it takes. A string
+# entry names a section or a 'section.key' the scenario does not read and
+# says why; a 'section.key' entry takes that key out of its section. Any
+# section or key the table does not give a scenario is an error.
+SCENARIOS: dict[str, dict[str, Any]] = {
+    "propagate": {**_FIELD, "source": _SOURCE, "potential": _POTENTIAL},
     "dispersion": {
-        "k_perp_list": Key("floats"),
-        "probe_waist": Key("float"),
-        "power_ratio": Key("float", 1e-5),
+        **_FIELD,
+        "source": _SOURCE.only("plane", why=_HOMOGENEOUS),
+        "potential": _HOMOGENEOUS,
+        "dispersion": {
+            "k_perp_list": Key("floats"),
+            "probe_waist": Key("float"),
+            "power_ratio": Key("float", 1e-5),
+        },
     },
     "sound-scaling": {
-        "intensities": Key("floats"),
-        "tau": Key("float", 25.0),
-        "k_perp_xi": Key("float", 0.2),
-        "probe_waist_xi": Key("float", 10.0),
-        "power_ratio": Key("float", 1e-5),
+        **_FIELD,
+        "medium.length": "each density propagates over tau * z_nl of that density",
+        "plan": "each density takes ceil(15 tau) steps, with a snapshot every "
+                "max(1, n_steps // 50)",
+        "source": "each background is a plane wave at one of sound-scaling.intensities",
+        "potential": _HOMOGENEOUS,
+        "sound-scaling": {
+            "intensities": Key("floats"),
+            "tau": Key("float", 25.0),
+            "k_perp_xi": Key("float", 0.2),
+            "probe_waist_xi": Key("float", 10.0),
+            "power_ratio": Key("float", 1e-5),
+        },
     },
     "precondensation": {
-        "tau_list": Key("floats"),
-        "realizations": Key("int", 4),
-        "bins": Key("int", 64),
+        **_FIELD,
+        "medium.length": "each tau in tau_list propagates over tau * z_nl of the "
+                         "source density",
+        "plan.snapshot_every": _FINAL_FIELDS,
+        "source": _SOURCE.only("plane", "speckle", why="the density is read from "
+                               "source.intensity"),
+        "potential": _POTENTIAL,
+        "precondensation": {
+            "tau_list": Key("floats"),
+            "realizations": Key("int", 4),
+            "bins": Key("int", 64),
+        },
     },
     "structure-factor": {
-        "realizations": Key("int", 200),
-        "noise_amplitude": Key("float", 1e-3),
-        "band_fraction": Key("float", 0.75),
-        "nbins": Key("int", 24),
+        **_FIELD,
+        "plan.snapshot_every": _FINAL_FIELDS,
+        "source": _SOURCE.only("plane", why="each member is a plane wave of "
+                               "source.intensity plus noise"),
+        "potential": _POTENTIAL,
+        "structure-factor": {
+            "realizations": Key("int", 200),
+            "noise_amplitude": Key("float", 1e-3),
+            "band_fraction": Key("float", 0.75),
+            "nbins": Key("int", 24),
+        },
     },
     "vortices": {
-        "mode": Key("str", "imprint"),  # imprint | stripe
-        "charges": Key("ints", ()),
-        "xs": Key("floats", ()),
-        "ys": Key("floats", ()),
-        "core_width": Key("float", None),
-        "stripe_position": Key("float", 0.0),
-        "stripe_angle": Key("float", 0.0),
-        "stripe_contrast": Key("float", 1.0),
-        "evolve": Key("bool", True),
+        **_FIELD,
+        "source": _SOURCE,
+        "potential": _POTENTIAL,
+        "vortices": {
+            "mode": Key("str", "imprint"),  # imprint | stripe
+            "charges": Key("ints", ()),
+            "xs": Key("floats", ()),
+            "ys": Key("floats", ()),
+            "core_width": Key("float", None),
+            "stripe_position": Key("float", 0.0),
+            "stripe_angle": Key("float", 0.0),
+            "stripe_contrast": Key("float", 1.0),
+            "evolve": Key("bool", True),
+        },
     },
-    "gem": {**_GEM, "decay": Key("float", 0.0), "pulse_labels": Key("strs", ())},
+    "gem": {"gem": {**_GEM, "decay": Key("float", 0.0), "pulse_labels": Key("strs", ())}},
     "gem-efficiency-sweep": {
-        "ratios": Key("floats"),
-        "eta0": Key("float", 20.0),
-        "z_extent": Key("float", 2.0),
-        "nz": Key("int", 256),
-        "t_extent": Key("float", 8.0),
-        "nt": Key("int", 1600),
-        "flip_time": Key("float", 3.0),
-        "pulse_center": Key("float", 1.5),
-        "pulse_width": Key("float", 0.18),
+        "gem-efficiency-sweep": {
+            "ratios": Key("floats"),
+            "eta0": Key("float", 20.0),
+            "z_extent": Key("float", 2.0),
+            "nz": Key("int", 256),
+            "t_extent": Key("float", 8.0),
+            "nt": Key("int", 1600),
+            "flip_time": Key("float", 3.0),
+            "pulse_center": Key("float", 1.5),
+            "pulse_width": Key("float", 0.18),
+        },
     },
-    "fifo-filo": {"mode": Key("str"), **_GEM, "nt": Key("int", 2400),
-                  "pulse_labels": Key("strs", ("A", "B"))},
+    "fifo-filo": {"fifo-filo": {"mode": Key("str"), **_GEM, "nt": Key("int", 2400),
+                                "pulse_labels": Key("strs", ("A", "B"))}},
 }
+
 
 @dataclass
 class RunConfig:
@@ -199,11 +231,11 @@ class RunConfig:
     emit_csv: bool
     emit_pgm: bool
     jobs: int
-    grid: dict | None
-    medium: dict | None
-    plan: dict | None
-    source: dict | None
-    potential: dict | None
+    grid: dict | None = None
+    medium: dict | None = None
+    plan: dict | None = None
+    source: dict | None = None
+    potential: dict | None = None
     params: dict = dc_field(default_factory=dict)
 
 
@@ -268,19 +300,35 @@ def _read_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _apply_schema(section: str, bindings: dict[str, tuple[str, int]],
-                  schema: dict[str, Key]) -> dict:
+def _read_section(scenario: str, reads: dict[str, Any], name: str,
+                  bindings: dict[str, tuple[str, int]] | None) -> dict | None:
+    """One section's values: its bindings parsed against what the scenario
+    reads there, defaults filling the keys not bound; None for an absent
+    optional section."""
+    schema, context = reads[name], ""
+    if isinstance(schema, Kinds):
+        if bindings is None and schema.optional:
+            return None
+        kind = (bindings or {}).get("kind", ("",))[0]
+        if kind not in schema.keys:
+            kinds = " or ".join(map(repr, schema.keys))
+            raise ConfigError(f"{scenario} needs a [{name}] of kind {kinds}"
+                              + (f", not {kind!r}" if kind else "")
+                              + (f": {schema.why}" if schema.why else ""))
+        schema, context = {"kind": Key("str"), **schema.keys[kind]}, f" for kind {kind!r}"
+    schema = {key: spec for key, spec in schema.items() if f"{name}.{key}" not in reads}
     out = {}
-    for key, (raw, lineno) in bindings.items():
+    for key, (raw, lineno) in (bindings or {}).items():
         if key not in schema:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
-        out[key] = _parse_value(raw, schema[key].type, f"{section}.{key}", lineno)
+            why = reads.get(f"{name}.{key}")
+            raise ConfigError(f"{scenario} takes no {name}.{key}{context}"
+                              + (f": {why}" if why else ""), lineno)
+        out[key] = _parse_value(raw, schema[key].type, f"{name}.{key}", lineno)
     for key, spec in schema.items():
-        if key in out:
-            continue
-        if spec.default is REQUIRED:
-            raise ConfigError(f"section [{section}] is missing required key {key!r}")
-        out[key] = spec.default
+        if key not in out:
+            if spec.default is REQUIRED:
+                raise ConfigError(f"{name}.{key} is required{context} in {scenario}")
+            out[key] = spec.default
     return out
 
 
@@ -290,53 +338,24 @@ def parse_config(text: str) -> RunConfig:
     sections = _read_sections(text)
     if "run" not in sections:
         raise ConfigError("missing [run] section")
-    run = _apply_schema("run", sections.pop("run"), _RUN)
-    scenario = run["scenario"]
-    if not scenario:
-        raise ConfigError("scenario required")
+    scenario = sections["run"].get("scenario", ("",))[0]
     if scenario not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario {scenario!r}; valid scenarios: {', '.join(SCENARIOS)}")
-
-    needs_field = scenario in FIELD_SCENARIOS
-    grid = medium = plan = source = potential = None
-    set_by_scenario = _SET_BY_SCENARIO.get(scenario, {})
-    for name, what in set_by_scenario.items():
-        section, _, key = name.partition(".")
-        if key in sections.get(section, {}):
-            raise ConfigError(f"{scenario} takes no {name}: {what}", sections[section][key][1])
-        if not key and section in sections:
-            raise ConfigError(f"{scenario} takes no [{section}] section: {what}")
-    if needs_field:
-        for name in ("grid", "medium", "plan"):
-            if name not in sections and name not in set_by_scenario:
-                raise ConfigError(f"scenario {scenario!r} requires a [{name}] section")
-        grid = _apply_schema("grid", sections.pop("grid"), _GRID)
-        medium_schema = _MEDIUM
-        if "medium.length" in set_by_scenario:
-            medium_schema = {**_MEDIUM, "length": Key("float", None)}
-        medium = _apply_schema("medium", sections.pop("medium"), medium_schema)
-        if "plan" not in set_by_scenario:
-            plan = _apply_schema("plan", sections.pop("plan"), _PLAN)
-        if "source" in sections:
-            source = _apply_schema("source", sections.pop("source"), _SOURCE)
-        if "potential" in sections:
-            potential = _apply_schema("potential", sections.pop("potential"), _POTENTIAL)
-    schema = _SCENARIO_SCHEMAS[scenario]
-    params = {}
-    if scenario in sections:
-        params = _apply_schema(scenario, sections.pop(scenario), schema)
-    else:
-        params = _apply_schema(scenario, {}, schema)
-    if sections:
-        name = next(iter(sections))
-        raise ConfigError(f"unknown section [{name}]")
-
+    reads = {"run": _RUN, **SCENARIOS[scenario]}
+    for name in sections:
+        if isinstance(reads.get(name), str):
+            raise ConfigError(f"{scenario} takes no [{name}] section: {reads[name]}")
+        if name not in reads:
+            listed = ", ".join(f"[{n}]" for n, spec in reads.items() if not isinstance(spec, str))
+            raise ConfigError(f"unknown section [{name}]: {scenario} reads {listed}")
+    values = {name: _read_section(scenario, reads, name, sections.get(name))
+              for name, spec in reads.items() if not isinstance(spec, str)}
+    run = values.pop("run")
     cfg = RunConfig(
         scenario=scenario, seed=run["seed"], out_dir=run["out_dir"],
         emit_snapshots=run["snapshots"], emit_csv=run["csv"], emit_pgm=run["pgm"],
-        jobs=run["jobs"], grid=grid, medium=medium, plan=plan, source=source,
-        potential=potential, params=params,
+        jobs=run["jobs"], params=values.pop(scenario, {}), **values,
     )
     validate_config(cfg)
     return cfg
@@ -359,37 +378,15 @@ def validate_config(cfg: RunConfig):
             raise ConfigError(f"medium.lambda must be positive, got {m['lambda']}")
         if m["n0"] <= 0:
             raise ConfigError(f"medium.n0 must be positive, got {m['n0']}")
-        if m["length"] is not None and m["length"] < 0:
+        if m.get("length", 0.0) < 0:
             raise ConfigError("medium.length must be non-negative")
         if (m["chi3"] is None) == (m["n2"] is None):
             raise ConfigError("medium needs exactly one of chi3 or n2")
         if m["isat"] is not None and m["isat"] <= 0:
             raise ConfigError("medium.isat must be positive when given")
-    if cfg.plan is not None:
-        if cfg.plan["n_steps"] < 0:
-            raise ConfigError("plan.n_steps must be non-negative")
-        if cfg.plan["snapshot_every"] < 0:
-            raise ConfigError("plan.snapshot_every must be non-negative")
-    if cfg.source is not None:
-        kind = cfg.source["kind"]
-        if kind not in ("gaussian", "plane", "speckle", "file"):
-            raise ConfigError(
-                f"source.kind must be gaussian, plane, speckle or file, got {kind!r}")
-        needed = {"gaussian": ("waist", "power"), "plane": ("intensity",),
-                  "speckle": ("correlation_length", "intensity"),
-                  "file": ("path",)}[kind]
-        for key in needed:
-            if cfg.source[key] in (None, ""):
-                raise ConfigError(f"source.{key} is required for kind {kind!r}")
-    if cfg.potential is not None:
-        kind = cfg.potential["kind"]
-        needed = {"uniform": (), "gaussian_defect": ("width",), "lattice": ("period",)}
-        if kind not in needed:
-            raise ConfigError(
-                f"potential.kind must be uniform, gaussian_defect or lattice, got {kind!r}")
-        for key in needed[kind]:
-            if cfg.potential[key] is None:
-                raise ConfigError(f"potential.{key} is required for kind {kind!r}")
+    for key, value in (cfg.plan or {}).items():
+        if value < 0:
+            raise ConfigError(f"plan.{key} must be non-negative")
     _validate_scenario_params(cfg)
 
 
@@ -401,22 +398,12 @@ def _validate_scenario_params(cfg: RunConfig):
             raise ConfigError("dispersion.k_perp_list needs at least 5 values")
         if p["probe_waist"] <= 0:
             raise ConfigError("dispersion.probe_waist must be positive")
-        if cfg.plan is not None and cfg.plan["snapshot_every"] <= 0:
+        if cfg.plan["snapshot_every"] <= 0:
             raise ConfigError("dispersion requires plan.snapshot_every > 0 "
                               "to track the probe packet")
-        # the probe rides a homogeneous fluid (see measure_group_velocity)
-        if cfg.source is None or cfg.source["kind"] != "plane":
-            raise ConfigError("dispersion needs a [source] of kind 'plane': the "
-                              "background must be a homogeneous fluid")
-        if cfg.potential is not None:
-            raise ConfigError("dispersion takes no [potential] section: the "
-                              "background must be a homogeneous fluid")
     elif s == "sound-scaling":
         if len(p["intensities"]) < 4:
             raise ConfigError("sound-scaling.intensities needs at least 4 values")
-        if cfg.potential is not None:
-            raise ConfigError("sound-scaling takes no [potential] section: the "
-                              "background must be a homogeneous fluid")
     elif s == "precondensation":
         if not p["tau_list"]:
             raise ConfigError("precondensation.tau_list must not be empty")
@@ -461,35 +448,25 @@ def _validate_scenario_params(cfg: RunConfig):
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) equals cfg."""
+    values = {**vars(cfg), cfg.scenario: cfg.params, "run": {
+        "scenario": cfg.scenario, "seed": cfg.seed, "out_dir": cfg.out_dir,
+        "snapshots": cfg.emit_snapshots, "csv": cfg.emit_csv, "pgm": cfg.emit_pgm,
+        "jobs": cfg.jobs,
+    }}
     lines: list[str] = []
-
-    def emit(section: str, data: dict, schema: dict[str, Key]):
-        lines.append(f"[{section}]")
+    for name, schema in {"run": _RUN, **SCENARIOS[cfg.scenario]}.items():
+        data = values.get(name)
+        if isinstance(schema, str) or data is None:
+            continue
+        if isinstance(schema, Kinds):
+            schema = {"kind": Key("str"), **schema.keys[data["kind"]]}
+        lines.append(f"[{name}]")
         for key, spec in schema.items():
-            value = data[key]
+            value = data.get(key)
             if value is None or (spec.type == "str" and value == ""):
                 continue
             lines.append(f"{key} = {_format_value(value, spec.type)}")
         lines.append("")
-
-    emit("run", {
-        "scenario": cfg.scenario, "seed": cfg.seed, "out_dir": cfg.out_dir,
-        "snapshots": cfg.emit_snapshots, "csv": cfg.emit_csv, "pgm": cfg.emit_pgm,
-        "jobs": cfg.jobs,
-    }, _RUN)
-    if cfg.grid is not None:
-        emit("grid", cfg.grid, _GRID)
-    if cfg.medium is not None:
-        emit("medium", cfg.medium, _MEDIUM)
-    if cfg.plan is not None:
-        emit("plan", cfg.plan, _PLAN)
-    if cfg.source is not None:
-        emit("source", cfg.source, _SOURCE)
-    if cfg.potential is not None:
-        emit("potential", cfg.potential, _POTENTIAL)
-    schema = _SCENARIO_SCHEMAS[cfg.scenario]
-    if schema:
-        emit(cfg.scenario, cfg.params, schema)
     return "\n".join(lines)
 
 

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from .config import RunConfig
+from .config import SCENARIOS, RunConfig
 from .dispersion import (ProbeSpec, dispersion_from_group_velocity,
                          measure_group_velocity, sound_speed_scaling)
 from .fileio import ArtifactWriter, fmt, load_field
@@ -22,12 +22,6 @@ from .solver import BLOCK_SITES, StepPlan, fluid_scales, propagate
 from .sources import gaussian_beam, imprint_dark_stripe, imprint_vortex, plane_wave, speckle
 from .stats import intensity_statistics, coherence_g1, structure_factor
 
-# Ensemble members are propagated in stacks of about this many lattice sites
-# (8 members at 64^2, one at 256^2 and above): enough to amortize the
-# per-call and per-step overhead of small grids, while a stack of small
-# fields is one block of the kernel's kick.
-STACK_SITES = BLOCK_SITES
-
 
 def build_grid(cfg: RunConfig) -> Grid:
     g = cfg.grid
@@ -36,8 +30,9 @@ def build_grid(cfg: RunConfig) -> Grid:
 
 def build_medium(cfg: RunConfig, grid: Grid | None = None) -> MediumParams:
     m = cfg.medium
-    # no length where the scenario sets it (config._SET_BY_SCENARIO)
-    kwargs = dict(alpha=m["alpha"], length=m["length"] or 0.0, i_sat=m["isat"])
+    kwargs = dict(alpha=m["alpha"], i_sat=m["isat"])
+    if "length" in m:  # absent where the scenario sets the length of each run
+        kwargs["length"] = m["length"]
     if cfg.potential is not None and grid is not None:
         kwargs["potential"] = _build_potential(cfg, grid)
     if m["chi3"] is not None:
@@ -62,15 +57,12 @@ def _build_potential(cfg: RunConfig, grid: Grid) -> np.ndarray:
 
 
 def build_plan(cfg: RunConfig) -> StepPlan:
-    p = cfg.plan
-    return StepPlan(n_steps=p["n_steps"], snapshot_every=p["snapshot_every"])
+    return StepPlan(**cfg.plan)
 
 
 def build_source(cfg: RunConfig, grid: Grid, medium: MediumParams,
                  member: int = 0) -> Field2D:
     s = cfg.source
-    if s is None:
-        raise ValueError(f"scenario {cfg.scenario!r} needs a [source] section")
     if s["kind"] == "gaussian":
         return gaussian_beam(grid, s["waist"], s["power"], medium.n0)
     if s["kind"] == "plane":
@@ -87,8 +79,11 @@ def build_source(cfg: RunConfig, grid: Grid, medium: MediumParams,
 
 
 def _stacks(members, grid: Grid) -> list:
-    """Consecutive slices of members of about STACK_SITES lattice sites each."""
-    size = max(1, STACK_SITES // (grid.nx * grid.ny))
+    """Consecutive slices of members of about BLOCK_SITES lattice sites each
+    (8 members at 64^2, one at 256^2 and above): enough to amortize the
+    per-call and per-step overhead of small grids, while a stack of small
+    fields is one block of the kernel's kick."""
+    size = max(1, BLOCK_SITES // (grid.nx * grid.ny))
     return [members[start:start + size] for start in range(0, len(members), size)]
 
 
@@ -284,7 +279,7 @@ def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
         w.pgm("polarization.pgm", np.abs(result.state.alpha))
 
 
-def _scenario_gem_sweep(cfg: RunConfig, w: ArtifactWriter):
+def _scenario_gem_efficiency_sweep(cfg: RunConfig, w: ArtifactWriter):
     p = cfg.params
 
     rows = []
@@ -315,14 +310,5 @@ def _scenario_fifo_filo(cfg: RunConfig, w: ArtifactWriter):
            f"mode = {result.mode}\norder = {','.join(result.labels)}\n")
 
 
-_HANDLERS = {
-    "propagate": _scenario_propagate,
-    "dispersion": _scenario_dispersion,
-    "sound-scaling": _scenario_sound_scaling,
-    "precondensation": _scenario_precondensation,
-    "structure-factor": _scenario_structure_factor,
-    "vortices": _scenario_vortices,
-    "gem": _scenario_gem,
-    "gem-efficiency-sweep": _scenario_gem_sweep,
-    "fifo-filo": _scenario_fifo_filo,
-}
+# each scenario of config.SCENARIOS runs _scenario_<name, '-' as '_'>
+_HANDLERS = {name: globals()["_scenario_" + name.replace("-", "_")] for name in SCENARIOS}

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from pfl.cli import main as cli_main
-from pfl.config import REQUIRED, ConfigError, _SCENARIO_SCHEMAS, parse_config, serialize_config
+from pfl.config import REQUIRED, SCENARIOS, ConfigError, parse_config, serialize_config
 
 GOOD_PROPAGATE = """
 [run]
@@ -106,9 +107,39 @@ correlation_length = 3.2e-4
 tau_list = 1, 3
 """
 
-POTENTIAL = "\n[potential]\nkind = uniform\nvalue_re = 1e-6\n"
+GOOD_STRUCTURE_FACTOR = """
+[run]
+scenario = structure-factor
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+[grid]
+nx = 32
+ny = 32
+dx = 5e-6
+
+[medium]
+lambda = 780e-9
+n0 = 1.0
+chi3 = -7.706e-13
+length = 0.00483
+
+[plan]
+n_steps = 140
+
+[source]
+kind = plane
+intensity = 132720.0
+
+[structure-factor]
+realizations = 40
+"""
+
+POTENTIAL = "\n[potential]\nkind = uniform\nvalue_re = 1e-6\n"
+PLANE_SOURCE = "[source]\nkind = plane\nintensity = 100.0\n"
+SPECKLE_SOURCE = "[source]\nkind = speckle\nintensity = 132.7\ncorrelation_length = 3.2e-4\n"
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.ini"))
+VORTEX_PAIR = (ROOT / "configs" / "vortex_pair.ini").read_text()
 
 GOOD_GEM = """
 [run]
@@ -134,7 +165,7 @@ class TestParsing:
         ("fifo-filo", {"nt": 2400, "mode": REQUIRED, "pulse_labels": ("A", "B")}),
     ])
     def test_gem_schemas_share_keys_and_keep_defaults(self, scenario, own):
-        schema = _SCENARIO_SCHEMAS[scenario]
+        schema = SCENARIOS[scenario][scenario]
         assert {k: spec.default for k, spec in schema.items()} == {**GEM_DEFAULTS, **own}
         text = (f"[run]\nscenario = {scenario}\n[{scenario}]\n"
                 + ("mode = FILO\n" if scenario == "fifo-filo" else "")
@@ -230,7 +261,15 @@ class TestParsing:
          r"sound-scaling takes no \[plan\] section: each density takes ceil\(15 tau\) steps"),
         (GOOD_PRECONDENSATION.replace("chi3 = -2.488e-10\n", "chi3 = -2.488e-10\nlength = 1.0\n"),
          r"line 14: precondensation takes no medium.length: each tau in tau_list propagates"),
-    ], ids=["sound-scaling-length", "sound-scaling-plan", "precondensation-length"])
+        (GOOD_SOUND_SCALING + "\n" + PLANE_SOURCE,
+         r"sound-scaling takes no \[source\] section: each background is a plane wave"),
+        (GOOD_STRUCTURE_FACTOR.replace("n_steps = 140", "n_steps = 140\nsnapshot_every = 1"),
+         r"line 18: structure-factor takes no plan.snapshot_every: only the final field"),
+        (GOOD_PRECONDENSATION.replace("n_steps = 90", "n_steps = 90\nsnapshot_every = 1"),
+         r"line 17: precondensation takes no plan.snapshot_every: only the final field"),
+    ], ids=["sound-scaling-length", "sound-scaling-plan", "precondensation-length",
+            "sound-scaling-source", "structure-factor-snapshot-every",
+            "precondensation-snapshot-every"])
     def test_values_the_scenario_sets_are_rejected(self, text, message, tmp_path, capsys):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
@@ -239,11 +278,60 @@ class TestParsing:
         assert cli_main(["validate", "--config", str(cfg)]) == 2
         assert "takes no" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        (GOOD_PROPAGATE.replace(PLANE_SOURCE, ""), r"propagate needs a \[source\] of kind "
+         r"'gaussian' or 'plane' or 'speckle' or 'file'$"),
+        (VORTEX_PAIR.replace("[source]\nkind = plane\nintensity = 132720.0\n", ""),
+         r"vortices needs a \[source\] of kind 'gaussian' or 'plane'"),
+        (GOOD_STRUCTURE_FACTOR.replace("kind = plane", "kind = speckle\ncorrelation_length = 6e-5"),
+         r"structure-factor needs a \[source\] of kind 'plane', not 'speckle': each member "
+         r"is a plane wave"),
+        (GOOD_STRUCTURE_FACTOR.replace("kind = plane\nintensity = 132720.0",
+                                       "kind = gaussian\nwaist = 5e-5\npower = 1e-3"),
+         r"structure-factor needs a \[source\] of kind 'plane', not 'gaussian'"),
+        (GOOD_PRECONDENSATION.replace(SPECKLE_SOURCE,
+                                      "[source]\nkind = gaussian\nwaist = 2e-4\npower = 1e-3\n"),
+         r"precondensation needs a \[source\] of kind 'plane' or 'speckle', not 'gaussian'"),
+        (GOOD_PROPAGATE.replace(PLANE_SOURCE, "[source]\nkind = gaussian\nwaist = 1e-4\n"
+                                "power = 1e-3\nintensity = 100.0\n"),
+         r"line 24: propagate takes no source.intensity for kind 'gaussian'$"),
+        (GOOD_PROPAGATE.replace(PLANE_SOURCE, "[source]\nkind = gaussian\nwaist = 1e-4\n"
+                                "power = 1e-3\ncorrelation_length = 6e-5\n"),
+         r"line 24: propagate takes no source.correlation_length for kind 'gaussian'$"),
+    ], ids=["propagate-no-source", "vortices-no-source", "structure-factor-speckle",
+            "structure-factor-gaussian", "precondensation-gaussian",
+            "gaussian-intensity", "gaussian-correlation-length"])
+    def test_source_must_be_of_a_kind_the_scenario_takes(self, text, message, tmp_path,
+                                                         capsys):
+        for good in (GOOD_PROPAGATE, VORTEX_PAIR, GOOD_STRUCTURE_FACTOR, GOOD_PRECONDENSATION):
+            parse_config(good)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert cli_main(["validate", "--config", str(cfg)]) == 2
+        assert "source" in capsys.readouterr().err
+
+    def test_benchmark_workload_inis_parse(self, monkeypatch):
+        # the benchmark runs pfl on the INIs perfbench/workloads.py writes;
+        # one that stops parsing would fail every benchmark run
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up in sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for name in ("beam-512", "sf-ensemble-64", "bogoliubov-256"):
+            workload = workloads.WORKLOADS[name]
+            for seed in range(5):
+                cfg = parse_config(workload.inputs(seed).ini)
+                assert (cfg.scenario, cfg.seed) == (workload.scenario, seed)
+
     @pytest.mark.parametrize("text", [GOOD_SOUND_SCALING, GOOD_PRECONDENSATION],
                              ids=["sound-scaling", "precondensation"])
     def test_round_trip_without_the_values_the_scenario_sets(self, text):
         cfg = parse_config(text)
-        assert cfg.medium["length"] is None
+        assert "length" not in cfg.medium
         assert (cfg.plan is None) == (cfg.scenario == "sound-scaling")
         serialized = serialize_config(cfg)
         assert "\nlength =" not in serialized

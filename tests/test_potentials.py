@@ -88,7 +88,8 @@ intensity = 1.0
 
 
 def test_unknown_kind():
-    with pytest.raises(ConfigError, match="potential.kind must be"):
+    with pytest.raises(ConfigError, match=r"propagate needs a \[potential\] of kind "
+                       r"'uniform' or 'gaussian_defect' or 'lattice', not 'moat'"):
         parse_config(POTENTIAL_CONFIG + "kind = moat\n")
 
 

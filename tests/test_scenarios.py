@@ -256,7 +256,7 @@ nbins = 8
 
 
 def test_structure_factor_scenario_independent_of_stack_size(tmp_path, monkeypatch):
-    # members run in stacks of STACK_SITES lattice sites; one member per
+    # members run in stacks of BLOCK_SITES lattice sites; one member per
     # stack and eight per stack must write the same bytes
     text = """
 [run]
@@ -287,7 +287,7 @@ nbins = 8
 """
     outputs = []
     for members in (1, 8):
-        monkeypatch.setattr(scenarios, "STACK_SITES", members * 32 * 32)
+        monkeypatch.setattr(scenarios, "BLOCK_SITES", members * 32 * 32)
         _, _, out = run(tmp_path, text, f"stack{members}")
         outputs.append((out / "structure_factor.csv").read_bytes())
     assert outputs[0] == outputs[1]
@@ -456,10 +456,6 @@ dx = 5e-6
 lambda = 780e-9
 n0 = 1.0
 chi3 = -7.890e-12
-
-[source]
-kind = plane
-intensity = 132720.0
 
 [sound-scaling]
 intensities = 33180, 66360, 165900, 331800
