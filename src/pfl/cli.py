@@ -4,9 +4,8 @@
     pfl validate --config FILE
     pfl version
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error. The default
-output root is $PFL_OUT (falling back to ./pfl-out) when neither --out nor
-run.out_dir is set.
+Exit codes: 0 success, 2 configuration error, 3 runtime error. Without
+--out, a run writes to $PFL_OUT/<scenario> ($PFL_OUT defaults to ./pfl-out).
 """
 
 from __future__ import annotations
@@ -41,9 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SCENARIOS:
         sp = sub.add_parser(name, help=f"run the {name} scenario")
         sp.add_argument("--config", required=True, help="configuration file")
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="FFT worker threads (default run.jobs, 1); "
-                             "results do not depend on it")
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="FFT worker threads (default 1); results do not depend on it")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override run.seed")
     return parser
@@ -55,15 +53,6 @@ def _load_config(path: str):
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     return parse_config(text)
-
-
-def _resolve_out_dir(cfg, cli_out: str | None) -> Path:
-    if cli_out:
-        return Path(cli_out)
-    if cfg.out_dir:
-        return Path(cfg.out_dir)
-    root = os.environ.get("PFL_OUT", "pfl-out")
-    return Path(root) / cfg.scenario
 
 
 def main(argv=None) -> int:
@@ -80,7 +69,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     if args.command == "validate":
-        print(f"ok: scenario {cfg.scenario!r}, seed {cfg.seed}")
+        print(f"ok: scenario {cfg.scenario!r}, seed {cfg.run['seed']}")
         return EXIT_OK
 
     if cfg.scenario != args.command:
@@ -89,18 +78,16 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.jobs is not None:
-        if args.jobs < 1:
-            print("config error: --jobs must be at least 1", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg = replace(cfg, jobs=args.jobs)
+        cfg = replace(cfg, run={**cfg.run, "seed": args.seed})
+    if args.jobs < 1:
+        print("config error: --jobs must be at least 1", file=sys.stderr)
+        return EXIT_CONFIG
 
     from .scenarios import run_scenario  # loads numpy and the solver
 
-    out_dir = _resolve_out_dir(cfg, args.out)
+    out_dir = Path(args.out or Path(os.environ.get("PFL_OUT", "pfl-out")) / cfg.scenario)
     try:
-        writer = run_scenario(cfg, out_dir)
+        writer = run_scenario(cfg, out_dir, args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,9 +7,9 @@ and binding lines, so '#' cannot appear inside a value. Keys and section
 names are case-sensitive. A section or key the scenario does not read is
 an error, as are duplicate bindings.
 
-Value syntax per declared type: int (no decimal point), float, bool
-("true"/"false"), str (verbatim, trimmed), and comma-separated lists of
-float/int/str.
+Value syntax per declared type: int (no decimal point), float (finite),
+bool ("true"/"false"), str (verbatim, trimmed), and comma-separated lists
+of float/int/str.
 
 parse -> serialize -> parse is the identity: serialization writes every
 resolved key (defaults included) in a canonical order.
@@ -17,6 +17,7 @@ resolved key (defaults included) in a canonical order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Any
 
@@ -54,11 +55,9 @@ class Kinds:
 _RUN = {
     "scenario": Key("str"),
     "seed": Key("int", 0),
-    "out_dir": Key("str", ""),
     "snapshots": Key("bool", False),
     "csv": Key("bool", True),
     "pgm": Key("bool", False),
-    "jobs": Key("int", 1),
 }
 
 _GRID = {
@@ -124,18 +123,25 @@ _GEM = {
     "pulse_widths": Key("floats"),
 }
 
+# the [run] entries of a scenario that writes snapshots, an image and CSV
+# files; the CLI sets the worker count and the output directory
+_RUN_SNAPSHOTS = {"run": _RUN, "run.jobs": "use --jobs for the FFT worker count",
+                  "run.out_dir": "use --out or $PFL_OUT for the output directory"}
+_RUN_IMAGE = {**_RUN_SNAPSHOTS, "run.snapshots": "only propagate writes snapshots"}
+_RUN_CSV = {**_RUN_IMAGE, "run.pgm": "only propagate, vortices and gem write an image"}
 _FIELD = {"grid": _GRID, "medium": _MEDIUM, "plan": _PLAN}
 _HOMOGENEOUS = "the background must be a homogeneous fluid"
-_FINAL_FIELDS = "only the final field of each member is read"
+_FINAL_FIELDS = "only the final field is read"
 
-# Every section each scenario reads besides [run], in serialization order:
-# its keys, or for a Kinds section the keys of each kind it takes. A string
-# entry names a section or a 'section.key' the scenario does not read and
-# says why; a 'section.key' entry takes that key out of its section. Any
-# section or key the table does not give a scenario is an error.
+# Every section each scenario reads, in serialization order: its keys, or
+# for a Kinds section the keys of each kind it takes. A string entry names
+# a section or a 'section.key' the scenario does not read and says why; a
+# 'section.key' entry takes that key out of its section. Any section or key
+# the table does not give a scenario is an error.
 SCENARIOS: dict[str, dict[str, Any]] = {
-    "propagate": {**_FIELD, "source": _SOURCE, "potential": _POTENTIAL},
+    "propagate": {**_RUN_SNAPSHOTS, **_FIELD, "source": _SOURCE, "potential": _POTENTIAL},
     "dispersion": {
+        **_RUN_CSV,
         **_FIELD,
         "source": _SOURCE.only("plane", why=_HOMOGENEOUS),
         "potential": _HOMOGENEOUS,
@@ -146,6 +152,7 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         },
     },
     "sound-scaling": {
+        **_RUN_CSV,
         **_FIELD,
         "medium.length": "each density propagates over tau * z_nl of that density",
         "plan": "each density takes ceil(15 tau) steps, with a snapshot every "
@@ -161,6 +168,7 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         },
     },
     "precondensation": {
+        **_RUN_CSV,
         **_FIELD,
         "medium.length": "each tau in tau_list propagates over tau * z_nl of the "
                          "source density",
@@ -175,6 +183,7 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         },
     },
     "structure-factor": {
+        **_RUN_CSV,
         **_FIELD,
         "plan.snapshot_every": _FINAL_FIELDS,
         "source": _SOURCE.only("plane", why="each member is a plane wave of "
@@ -188,7 +197,9 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         },
     },
     "vortices": {
+        **_RUN_IMAGE,
         **_FIELD,
+        "plan.snapshot_every": _FINAL_FIELDS,
         "source": _SOURCE,
         "potential": _POTENTIAL,
         "vortices": {
@@ -200,11 +211,13 @@ SCENARIOS: dict[str, dict[str, Any]] = {
             "stripe_position": Key("float", 0.0),
             "stripe_angle": Key("float", 0.0),
             "stripe_contrast": Key("float", 1.0),
-            "evolve": Key("bool", True),
         },
+        "vortices.evolve": "set plan.n_steps = 0 for no evolution",
     },
-    "gem": {"gem": {**_GEM, "decay": Key("float", 0.0), "pulse_labels": Key("strs", ())}},
+    "gem": {**_RUN_IMAGE,
+            "gem": {**_GEM, "decay": Key("float", 0.0), "pulse_labels": Key("strs", ())}},
     "gem-efficiency-sweep": {
+        **_RUN_CSV,
         "gem-efficiency-sweep": {
             "ratios": Key("floats"),
             "eta0": Key("float", 20.0),
@@ -217,26 +230,28 @@ SCENARIOS: dict[str, dict[str, Any]] = {
             "pulse_width": Key("float", 0.18),
         },
     },
-    "fifo-filo": {"fifo-filo": {"mode": Key("str"), **_GEM, "nt": Key("int", 2400),
-                                "pulse_labels": Key("strs", ("A", "B"))}},
+    "fifo-filo": {
+        **_RUN_CSV,
+        "fifo-filo": {**_GEM, "nt": Key("int", 2400), "pulse_labels": Key("strs", ("A", "B"))},
+        "fifo-filo.mode": "the schedule sets it: one flip and no coupling windows is FILO, "
+                          "two flips and at least one window FIFO",
+    },
 }
 
 
 @dataclass
 class RunConfig:
-    scenario: str
-    seed: int
-    out_dir: str
-    emit_snapshots: bool
-    emit_csv: bool
-    emit_pgm: bool
-    jobs: int
+    run: dict
     grid: dict | None = None
     medium: dict | None = None
     plan: dict | None = None
     source: dict | None = None
     potential: dict | None = None
     params: dict = dc_field(default_factory=dict)
+
+    @property
+    def scenario(self) -> str:
+        return self.run["scenario"]
 
 
 def _parse_value(raw: str, kind: str, key: str, line: int):
@@ -247,7 +262,9 @@ def _parse_value(raw: str, kind: str, key: str, line: int):
                 raise ValueError
             return int(raw)
         if kind == "float":
-            return float(raw)
+            if not math.isfinite(value := float(raw)):
+                raise ValueError
+            return value
         if kind == "bool":
             if raw.lower() in ("true", "false"):
                 return raw.lower() == "true"
@@ -256,15 +273,13 @@ def _parse_value(raw: str, kind: str, key: str, line: int):
             if not raw:
                 raise ValueError
             return raw
-        if kind == "floats":
-            return tuple(float(p.strip()) for p in raw.split(",") if p.strip())
-        if kind == "ints":
-            return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-        if kind == "strs":
-            return tuple(p.strip() for p in raw.split(",") if p.strip())
+        if kind in ("floats", "ints", "strs"):  # each item as its own kind
+            return tuple(_parse_value(p, kind[:-1], key, line) for p in raw.split(",")
+                         if p.strip())
     except ValueError:
         pass
-    raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}", line)
+    finite = "finite " if kind == "float" else ""
+    raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {finite}{kind}", line)
 
 
 def _read_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -342,7 +357,7 @@ def parse_config(text: str) -> RunConfig:
     if scenario not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario {scenario!r}; valid scenarios: {', '.join(SCENARIOS)}")
-    reads = {"run": _RUN, **SCENARIOS[scenario]}
+    reads = SCENARIOS[scenario]
     for name in sections:
         if isinstance(reads.get(name), str):
             raise ConfigError(f"{scenario} takes no [{name}] section: {reads[name]}")
@@ -351,20 +366,13 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"unknown section [{name}]: {scenario} reads {listed}")
     values = {name: _read_section(scenario, reads, name, sections.get(name))
               for name, spec in reads.items() if not isinstance(spec, str)}
-    run = values.pop("run")
-    cfg = RunConfig(
-        scenario=scenario, seed=run["seed"], out_dir=run["out_dir"],
-        emit_snapshots=run["snapshots"], emit_csv=run["csv"], emit_pgm=run["pgm"],
-        jobs=run["jobs"], params=values.pop(scenario, {}), **values,
-    )
+    cfg = RunConfig(params=values.pop(scenario, {}), **values)
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: RunConfig):
     """Check physical parameters against module preconditions up front."""
-    if cfg.jobs < 1:
-        raise ConfigError("run.jobs must be at least 1")
     if cfg.grid is not None:
         g = cfg.grid
         for key in ("nx", "ny"):
@@ -429,18 +437,12 @@ def _validate_scenario_params(cfg: RunConfig):
             raise ConfigError(f"{s}.pulse_centers and pulse_widths must have equal lengths")
         if len(p["coupling_windows"]) % 2:
             raise ConfigError(f"{s}.coupling_windows must list (on, off) pairs")
-        if s == "fifo-filo":
-            mode = p["mode"].upper()
-            if mode not in ("FIFO", "FILO"):
-                raise ConfigError("fifo-filo.mode must be FIFO or FILO")
-            # the flips and coupling windows each mode needs (gem.fifo_filo_experiment)
-            flips, windows = len(p["flip_times"]), len(p["coupling_windows"])
-            if mode == "FILO" and (flips != 1 or windows):
-                raise ConfigError("fifo-filo mode FILO needs exactly one flip_times "
-                                  "value and no coupling_windows")
-            if mode == "FIFO" and (flips != 2 or not windows):
-                raise ConfigError("fifo-filo mode FIFO needs two flip_times values "
-                                  "and at least one coupling_windows pair")
+        # the schedules of the two modes (gem.fifo_filo_experiment)
+        shape = (len(p["flip_times"]), bool(p["coupling_windows"]))
+        if s == "fifo-filo" and shape not in ((1, False), (2, True)):
+            raise ConfigError("fifo-filo needs one flip_times value and no coupling_windows "
+                              "(FILO), or two flip_times values and at least one "
+                              "coupling_windows pair (FIFO)")
     elif s == "gem-efficiency-sweep":
         if not p["ratios"]:
             raise ConfigError("gem-efficiency-sweep.ratios must not be empty")
@@ -448,13 +450,9 @@ def _validate_scenario_params(cfg: RunConfig):
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) equals cfg."""
-    values = {**vars(cfg), cfg.scenario: cfg.params, "run": {
-        "scenario": cfg.scenario, "seed": cfg.seed, "out_dir": cfg.out_dir,
-        "snapshots": cfg.emit_snapshots, "csv": cfg.emit_csv, "pgm": cfg.emit_pgm,
-        "jobs": cfg.jobs,
-    }}
+    values = {**vars(cfg), cfg.scenario: cfg.params}
     lines: list[str] = []
-    for name, schema in {"run": _RUN, **SCENARIOS[cfg.scenario]}.items():
+    for name, schema in SCENARIOS[cfg.scenario].items():
         data = values.get(name)
         if isinstance(schema, str) or data is None:
             continue
@@ -463,7 +461,7 @@ def serialize_config(cfg: RunConfig) -> str:
         lines.append(f"[{name}]")
         for key, spec in schema.items():
             value = data.get(key)
-            if value is None or (spec.type == "str" and value == ""):
+            if value is None:
                 continue
             lines.append(f"{key} = {_format_value(value, spec.type)}")
         lines.append("")

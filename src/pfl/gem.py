@@ -294,8 +294,9 @@ class PulseOrderingResult:
     result: GemResult
 
 
-def fifo_filo_experiment(config: GemConfig, train: PulseTrain, mode: str) -> PulseOrderingResult:
-    """Run a two-pulse store-and-recall and verify the recall ordering.
+def fifo_filo_experiment(config: GemConfig, train: PulseTrain) -> PulseOrderingResult:
+    """Run a two-pulse store-and-recall and verify the recall ordering. The
+    schedule sets the mode.
 
     FILO: one gradient flip at tau, coupling always on; pulse stored at
     time t_p re-emits at 2 tau - t_p, so the later pulse exits first.
@@ -303,11 +304,9 @@ def fifo_filo_experiment(config: GemConfig, train: PulseTrain, mode: str) -> Pul
     at tau2, coupling restored; the echo of a pulse stored at t_p then lands
     at t_p + 2 (tau2 - tau), preserving the input order.
 
-    Raises RuntimeError when the detected ordering does not match the mode.
+    Raises ValueError for any other schedule, and RuntimeError when the
+    detected ordering does not match the mode.
     """
-    mode = mode.upper()
-    if mode not in ("FIFO", "FILO"):
-        raise ValueError(f"mode must be FIFO or FILO, got {mode!r}")
     if len(train.pulses) != 2:
         raise ValueError("the ordering experiment expects exactly two pulses")
     first, second = sorted(train.pulses, key=lambda p: p.center)
@@ -318,29 +317,26 @@ def fifo_filo_experiment(config: GemConfig, train: PulseTrain, mode: str) -> Pul
             f"pulses are not temporally resolved: separation {gap} < 4 widths"
         )
 
-    if mode == "FILO":
-        if len(config.eta_flips) != 1:
-            raise ValueError("FILO expects exactly one gradient flip")
-        if config.coupling_windows is not None:
-            raise ValueError("FILO expects the coupling on throughout")
-        tau = config.eta_flips[0]
+    flips, gated = len(config.eta_flips), config.coupling_windows is not None
+    if (flips, gated) == (1, False):
+        mode, tau = "FILO", config.eta_flips[0]
         expected = [(2.0 * tau - second.center, second.label or "B"),
                     (2.0 * tau - first.center, first.label or "A")]
-    else:
-        if len(config.eta_flips) != 2:
-            raise ValueError("FIFO expects two gradient flips")
-        if config.coupling_windows is None:
-            raise ValueError("FIFO expects a coupling-off window")
-        tau, tau2 = config.eta_flips
+    elif (flips, gated) == (2, True):
+        mode, (tau, tau2) = "FIFO", config.eta_flips
         delay = 2.0 * (tau2 - tau)
         expected = [(first.center + delay, first.label or "A"),
                     (second.center + delay, second.label or "B")]
         _check_fifo_schedule(config, first, second, tau, tau2)
+    else:
+        raise ValueError(f"{flips} gradient flip(s) {'with' if gated else 'without'} "
+                         "coupling windows is neither FILO (one flip, coupling on "
+                         "throughout) nor FIFO (two flips and a coupling-off window)")
 
     result = gem_evolve(config, train, store_state=False)
     t = result.times
     power = np.abs(result.output_field) ** 2
-    recall_start = (config.eta_flips[0] if mode == "FILO" else config.eta_flips[1])
+    recall_start = config.eta_flips[-1]
     sel = t > recall_start
     distance = max(1, int(0.5 * gap / config.dt))
     from scipy.signal import find_peaks  # imported here: slow, and only this needs it

@@ -75,7 +75,7 @@ def build_source(cfg: RunConfig, grid: Grid, medium: MediumParams,
                 f"configured grid {grid}")
         return field
     return speckle(grid, s["correlation_length"], s["intensity"],
-                   seed=stream_seed(cfg.seed, "source", member), n0=medium.n0)
+                   seed=stream_seed(cfg.run["seed"], "source", member), n0=medium.n0)
 
 
 def _stacks(members, grid: Grid) -> list:
@@ -87,13 +87,13 @@ def _stacks(members, grid: Grid) -> list:
     return [members[start:start + size] for start in range(0, len(members), size)]
 
 
-def run_scenario(cfg: RunConfig, out_dir) -> ArtifactWriter:
+def run_scenario(cfg: RunConfig, out_dir, jobs: int = 1) -> ArtifactWriter:
     """Dispatch a validated RunConfig; returns the writer after the manifest
-    is on disk. run.jobs is the FFT worker count. Raises on any failure (the
+    is on disk. jobs is the FFT worker count. Raises on any failure (the
     CLI maps that to exit code 3)."""
     writer = ArtifactWriter(out_dir)
     handler = _HANDLERS[cfg.scenario]
-    with fft_workers(cfg.jobs):
+    with fft_workers(jobs):
         handler(cfg, writer)
     writer.write_manifest()
     return writer
@@ -108,14 +108,14 @@ def _scenario_propagate(cfg: RunConfig, w: ArtifactWriter):
     index = itertools.count()
 
     def write_snapshot(z: float, snap: Field2D):
-        if cfg.emit_snapshots:
+        if cfg.run["snapshots"]:
             w.field(f"snapshot_{next(index):04d}.pfl1", snap, z)
 
     record = propagate(field, medium, plan, keep=write_snapshot)
     w.field("final.pfl1", record.final_field, record.z_final)
-    if cfg.emit_csv:
+    if cfg.run["csv"]:
         w.csv("power.csv", ["z", "power"], record.power_trace)
-    if cfg.emit_pgm:
+    if cfg.run["pgm"]:
         w.pgm("final_density.pgm", record.final_field)
     w.metrics("metrics.txt", record)
 
@@ -133,7 +133,7 @@ def _scenario_dispersion(cfg: RunConfig, w: ArtifactWriter):
         m = measure_group_velocity(background, probe, medium, plan)
         samples.append((m.k_perp, m.v_g))
     curve = dispersion_from_group_velocity(samples, medium)
-    if cfg.emit_csv:
+    if cfg.run["csv"]:
         w.csv("dispersion.csv", ["k_perp", "v_g", "omega"], curve.rows())
     w.text("fit.txt", "\n".join([
         f"c_s = {fmt(curve.c_s)}",
@@ -152,7 +152,7 @@ def _scenario_sound_scaling(cfg: RunConfig, w: ArtifactWriter):
                                  k_perp_xi=p["k_perp_xi"],
                                  probe_waist_xi=p["probe_waist_xi"],
                                  power_ratio=p["power_ratio"])
-    if cfg.emit_csv:
+    if cfg.run["csv"]:
         w.csv("sound_scaling.csv", ["density", "c_s"],
               zip(result.densities, result.sound_speeds))
     w.text("fit.txt", f"exponent = {fmt(result.exponent)}\n"
@@ -175,12 +175,12 @@ def _scenario_precondensation(cfg: RunConfig, w: ArtifactWriter):
                   for record in propagate(stack, run_medium, plan)]
         stats = intensity_statistics(finals, bins=p["bins"])
         tag = fmt(tau).replace(".", "p")
-        if cfg.emit_csv:
+        if cfg.run["csv"]:
             w.csv(f"pi_hist_tau{tag}.csv", ["intensity", "pdf"], stats.rows())
             g1 = coherence_g1(finals, method="rotate_pair" if n_real == 1 else "ensemble")
             w.csv(f"g1_tau{tag}.csv", ["separation", "g1"], g1.rows())
         moments.append((tau, stats.mode, stats.g2))
-    if cfg.emit_csv:
+    if cfg.run["csv"]:
         w.csv("moments.csv", ["tau", "mode", "g2"], moments)
 
 
@@ -196,7 +196,7 @@ def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
     eps = p["noise_amplitude"] * amplitude
 
     def member(i):
-        rng = stream_rng(cfg.seed, "sf-noise", i)
+        rng = stream_rng(cfg.run["seed"], "sf-noise", i)
         white = (rng.standard_normal((grid.ny, grid.nx))
                  + 1j * rng.standard_normal((grid.ny, grid.nx))) / np.sqrt(2.0)
         noise = ifft2(fft2(white * eps) * band)
@@ -209,7 +209,7 @@ def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
         signal += [r.final_field.density() for r in propagate(fields, medium, plan)]
     sf = structure_factor(signal, reference, grid=grid, nbins=p["nbins"],
                           min_realizations=min(p["realizations"], 100))
-    if cfg.emit_csv:
+    if cfg.run["csv"]:
         w.csv("structure_factor.csv", ["k", "s_k", "sigma"], sf.rows())
 
 
@@ -227,15 +227,14 @@ def _scenario_vortices(cfg: RunConfig, w: ArtifactWriter):
                                     angle=p["stripe_angle"],
                                     contrast=p["stripe_contrast"])
     w.field("initial.pfl1", field, 0.0)
-    if p["evolve"]:
-        record = propagate(field, medium, build_plan(cfg))
-        field = record.final_field
-        w.metrics("metrics.txt", record)
-        w.field("final.pfl1", field, record.z_final)
+    record = propagate(field, medium, build_plan(cfg))
+    field = record.final_field
+    w.metrics("metrics.txt", record)
+    w.field("final.pfl1", field, record.z_final)
     vortices = detect_vortices(field)
-    if cfg.emit_csv:
+    if cfg.run["csv"]:
         w.csv("vortices.csv", ["x", "y", "charge"], vortices.as_rows())
-    if cfg.emit_pgm:
+    if cfg.run["pgm"]:
         w.pgm("density.pgm", field)
 
 
@@ -271,11 +270,11 @@ def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
     gem_cfg = _gem_config_from_params(cfg.params)
     train = _pulse_train_from_params(cfg.params)
     # the z-resolved state is read only for the polarization image
-    result = gem_evolve(gem_cfg, train, store_state=cfg.emit_pgm)
-    if cfg.emit_csv:
+    result = gem_evolve(gem_cfg, train, store_state=cfg.run["pgm"])
+    if cfg.run["csv"]:
         _write_trace(w, "input.csv", result.times, result.input_field)
         _write_trace(w, "output.csv", result.times, result.output_field)
-    if cfg.emit_pgm:
+    if cfg.run["pgm"]:
         w.pgm("polarization.pgm", np.abs(result.state.alpha))
 
 
@@ -294,15 +293,15 @@ def _scenario_gem_efficiency_sweep(cfg: RunConfig, w: ArtifactWriter):
         measured = gem_efficiency_measured(gem_cfg, pulse)
         theory = gem_efficiency_theory(g, density, p["eta0"])
         rows.append((ratio, theory, measured.sigma))
-    if cfg.emit_csv:
+    if cfg.run["csv"]:
         w.csv("efficiency_sweep.csv", ["ratio", "sigma_theory", "sigma_sim"], rows)
 
 
 def _scenario_fifo_filo(cfg: RunConfig, w: ArtifactWriter):
     gem_cfg = _gem_config_from_params(cfg.params)
     train = _pulse_train_from_params(cfg.params)
-    result = fifo_filo_experiment(gem_cfg, train, cfg.params["mode"])
-    if cfg.emit_csv:
+    result = fifo_filo_experiment(gem_cfg, train)
+    if cfg.run["csv"]:
         _write_trace(w, "output.csv", result.result.times, result.result.output_field)
         w.csv("peaks.csv", ["time", "label"],
               zip(result.peak_times, result.labels))

@@ -215,7 +215,7 @@ class SplitStepKernel:
         phase. Both pass the step-resolution guard (_guard) as they are made."""
         n_steps, every, dz = plan.n_steps, plan.snapshot_every, self.dz
         power = np.empty((n_steps + 1, len(values)))
-        power[0] = self._power(values)
+        power[0] = _stack_power(values, self.grid)
         max_phase = np.zeros(len(values))
         spectrum = fft2(values, overwrite_x=True)
         # before the kinetic factors exist, so its temporaries add no peak memory
@@ -232,7 +232,7 @@ class SplitStepKernel:
             warned = self._guard(step_phase, warned, z_mid, first_phase)
             np.maximum(max_phase, step_phase, out=max_phase)
             spectrum = fft2(values, overwrite_x=True)
-            power[step + 1] = self._power(spectrum)
+            power[step + 1] = _stack_power(spectrum, self.grid)
             if not np.isfinite(power[step + 1]).all():
                 raise FloatingPointError(f"non-finite power at z = {z_next:.6g}; "
                                          f"propagation aborted")
@@ -272,8 +272,10 @@ class SplitStepKernel:
         m = self.medium
         return self.dz * (np.where(occupied, k2, 0.0).max(axis=(-2, -1)) / (2.0 * m.n0 * m.k0))
 
-    def _power(self, values: np.ndarray) -> np.ndarray:
-        return np.array([np.vdot(v, v).real for v in values]) * self.grid.cell_area
+
+def _stack_power(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """The power of each field of a stack (B, ny, nx), or of its spectrum."""
+    return np.array([np.vdot(v, v).real for v in values]) * grid.cell_area
 
 
 def nonlinear_step(field_in: Field2D, dz: float, medium: MediumParams,
@@ -318,8 +320,8 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
     values = np.stack([f.validate_finite().values for f in fields])
     if plan.n_steps == 0:
         records = [PropagationRecord(final_field=f.copy(), z_final=0.0, n_steps=0, dz=0.0,
-                                     power_trace=np.array([[0.0, f.power()]]))
-                   for f in fields]
+                                     power_trace=np.array([[0.0, p0]]))
+                   for f, p0 in zip(fields, _stack_power(values, grid))]
         return records[0] if lone else records
     dz = plan.resolve_dz(medium.length)
     keep = keep or _keep_field

@@ -200,11 +200,11 @@ def test_criterion_09_fifo_filo():
                         GaussianPulse(2.0, 0.15, label="B")])
     filo_cfg = GemConfig(g=g, density=density, eta0=eta, z_extent=2.0, nz=256,
                          t_extent=7.0, nt=1400, eta_flips=(3.0,))
-    filo = fifo_filo_experiment(filo_cfg, train, "FILO")
+    filo = fifo_filo_experiment(filo_cfg, train)
     fifo_cfg = GemConfig(g=g, density=density, eta0=eta, z_extent=2.0, nz=256,
                          t_extent=9.0, nt=2000, eta_flips=(3.0, 5.5),
                          coupling_windows=((0.0, 3.2), (5.7, 9.0)))
-    fifo = fifo_filo_experiment(fifo_cfg, train, "FIFO")
+    fifo = fifo_filo_experiment(fifo_cfg, train)
     ok = filo.labels == ["B", "A"] and fifo.labels == ["A", "B"]
     report(9, "FIFO/FILO pulse ordering", ok,
            f"FILO peaks {[f'{t:.3f}' for t in filo.peak_times]} -> "
@@ -212,6 +212,7 @@ def test_criterion_09_fifo_filo():
            f"{[f'{t:.3f}' for t in fifo.peak_times]} -> {','.join(fifo.labels)}")
     assert filo.labels == ["B", "A"]
     assert fifo.labels == ["A", "B"]
+    assert (filo.mode, fifo.mode) == ("FILO", "FIFO")  # the schedule sets the mode
 
 
 def test_criterion_10_vortex_invariants():

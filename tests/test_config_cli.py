@@ -140,6 +140,7 @@ SPECKLE_SOURCE = "[source]\nkind = speckle\nintensity = 132.7\ncorrelation_lengt
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.ini"))
 VORTEX_PAIR = (ROOT / "configs" / "vortex_pair.ini").read_text()
+FIFO_FILO = (ROOT / "configs" / "fifo_filo.ini").read_text()
 
 GOOD_GEM = """
 [run]
@@ -162,14 +163,13 @@ GEM_DEFAULTS = {"g": REQUIRED, "density": REQUIRED, "eta0": REQUIRED, "z_extent"
 class TestParsing:
     @pytest.mark.parametrize("scenario, own", [
         ("gem", {"nt": 1600, "decay": 0.0, "pulse_labels": ()}),
-        ("fifo-filo", {"nt": 2400, "mode": REQUIRED, "pulse_labels": ("A", "B")}),
+        ("fifo-filo", {"nt": 2400, "pulse_labels": ("A", "B")}),
     ])
     def test_gem_schemas_share_keys_and_keep_defaults(self, scenario, own):
         schema = SCENARIOS[scenario][scenario]
         assert {k: spec.default for k, spec in schema.items()} == {**GEM_DEFAULTS, **own}
         text = (f"[run]\nscenario = {scenario}\n[{scenario}]\n"
-                + ("mode = FILO\n" if scenario == "fifo-filo" else "")
-                + "g = 1.0\ndensity = 1.0\neta0 = 20.0\nt_extent = 7.0\n"
+                "g = 1.0\ndensity = 1.0\neta0 = 20.0\nt_extent = 7.0\n"
                 "flip_times = 3.0\npulse_centers = 1.0\npulse_widths = 0.15\n")
         cfg = parse_config(text)
         assert cfg.params["nt"] == own["nt"]
@@ -221,7 +221,7 @@ class TestParsing:
     def test_comments_and_blank_lines(self):
         text = "# header\n" + GOOD_GEM.replace("seed = 9", "seed = 9  # trailing")
         cfg = parse_config(text)
-        assert cfg.seed == 9
+        assert cfg.run["seed"] == 9
 
     def test_odd_grid_rejected(self):
         bad = GOOD_PROPAGATE.replace("nx = 64", "nx = 63")
@@ -267,9 +267,25 @@ class TestParsing:
          r"line 18: structure-factor takes no plan.snapshot_every: only the final field"),
         (GOOD_PRECONDENSATION.replace("n_steps = 90", "n_steps = 90\nsnapshot_every = 1"),
          r"line 17: precondensation takes no plan.snapshot_every: only the final field"),
+        (VORTEX_PAIR.replace("n_steps = 200", "n_steps = 200\nsnapshot_every = 1"),
+         r"line 23: vortices takes no plan.snapshot_every: only the final field"),
+        (GOOD_DISPERSION.replace("seed = 5", "seed = 5\nsnapshots = true"),
+         r"line 5: dispersion takes no run.snapshots: only propagate writes snapshots"),
+        (GOOD_DISPERSION.replace("seed = 5", "seed = 5\npgm = true"),
+         r"line 5: dispersion takes no run.pgm: only propagate, vortices and gem write"),
+        (GOOD_PROPAGATE.replace("seed = 42", "seed = 42\njobs = 2"),
+         r"line 5: propagate takes no run.jobs: use --jobs for the FFT worker count"),
+        (GOOD_GEM.replace("seed = 9", "seed = 9\nout_dir = runs"),
+         r"line 5: gem-efficiency-sweep takes no run.out_dir: use --out or \$PFL_OUT"),
+        (VORTEX_PAIR + "evolve = false\n",
+         r"line 33: vortices takes no vortices.evolve: set plan.n_steps = 0 for no evolution"),
+        (FIFO_FILO.replace("[fifo-filo]\n", "[fifo-filo]\nmode = FIFO\n"),
+         r"line 14: fifo-filo takes no fifo-filo.mode: the schedule sets it: one flip"),
     ], ids=["sound-scaling-length", "sound-scaling-plan", "precondensation-length",
             "sound-scaling-source", "structure-factor-snapshot-every",
-            "precondensation-snapshot-every"])
+            "precondensation-snapshot-every", "vortices-snapshot-every",
+            "dispersion-snapshots", "dispersion-pgm", "propagate-jobs", "out-dir",
+            "vortices-evolve", "fifo-filo-mode"])
     def test_values_the_scenario_sets_are_rejected(self, text, message, tmp_path, capsys):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
@@ -325,7 +341,7 @@ class TestParsing:
             workload = workloads.WORKLOADS[name]
             for seed in range(5):
                 cfg = parse_config(workload.inputs(seed).ini)
-                assert (cfg.scenario, cfg.seed) == (workload.scenario, seed)
+                assert (cfg.scenario, cfg.run["seed"]) == (workload.scenario, seed)
 
     @pytest.mark.parametrize("text", [GOOD_SOUND_SCALING, GOOD_PRECONDENSATION],
                              ids=["sound-scaling", "precondensation"])
@@ -338,29 +354,39 @@ class TestParsing:
         assert ("[plan]" in serialized) == (cfg.plan is not None)
         assert parse_config(serialized) == cfg
 
-    @pytest.mark.parametrize("mode, flips, windows", [
-        ("FIFO", "3.0", "0.0, 3.2, 5.7, 9.0"),
-        ("FIFO", "3.0, 5.5", ""),
-        ("FILO", "3.0, 5.5", ""),
-        ("FILO", "3.0", "0.0, 3.2"),
-    ], ids=["fifo-one-flip", "fifo-no-window", "filo-two-flips", "filo-window"])
-    def test_fifo_filo_schedule_must_fit_its_mode(self, mode, flips, windows, tmp_path):
+    @pytest.mark.parametrize("flips, windows", [
+        ("3.0", "0.0, 3.2, 5.7, 9.0"),
+        ("3.0, 5.5", ""),
+    ], ids=["one-flip-with-window", "two-flips-without-window"])
+    def test_fifo_filo_schedule_must_be_filo_or_fifo(self, flips, windows, tmp_path):
         shipped = next(c for c in CONFIGS if c.name == "fifo_filo.ini").read_text()
-        text = (shipped.replace("mode = FIFO", f"mode = {mode}")
-                .replace("flip_times = 3.0, 5.5", f"flip_times = {flips}")
+        text = (shipped.replace("flip_times = 3.0, 5.5", f"flip_times = {flips}")
                 .replace("coupling_windows = 0.0, 3.2, 5.7, 9.0",
                          f"coupling_windows = {windows}"))
         assert text != shipped
-        with pytest.raises(ConfigError, match=f"fifo-filo mode {mode} needs"):
+        with pytest.raises(ConfigError, match=r"fifo-filo needs one flip_times value and "
+                                              r"no coupling_windows \(FILO\), or two"):
             parse_config(text)
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
         assert cli_main(["validate", "--config", str(cfg)]) == 2
 
-    def test_type_errors_are_reported(self):
-        bad = GOOD_PROPAGATE.replace("n_steps = 20", "n_steps = twenty")
-        with pytest.raises(ConfigError, match="n_steps"):
-            parse_config(bad)
+    def test_type_errors_are_reported(self, tmp_path):
+        shipped = next(c for c in CONFIGS if c.name == "propagate_gaussian.ini").read_text()
+        dispersion = GOOD_DISPERSION.replace("20000, 30000", "20000, -inf")
+        for text, message in [
+            (GOOD_PROPAGATE.replace("n_steps = 20", "n_steps = twenty"), "n_steps"),
+            (shipped.replace("dx = 5e-6", "dx = nan"), "line 14: key 'grid.dx': cannot "
+                                                       "parse 'nan' as finite float"),
+            (shipped.replace("dx = 5e-6", "dx = inf"), "'grid.dx'.*'inf'"),
+            (shipped.replace("length = 0.075", "length = nan"), "'medium.length'.*'nan'"),
+            (dispersion, "'dispersion.k_perp_list': cannot parse '-inf' as finite float"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                parse_config(text)
+            cfg = tmp_path / "bad.ini"
+            cfg.write_text(text)
+            assert cli_main(["validate", "--config", str(cfg)]) == 2
 
 
 class TestCli:

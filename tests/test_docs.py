@@ -25,11 +25,14 @@ def test_readme_ini_example_parses():
 
 
 def test_readme_scenario_table_lists_the_source_kinds_of_each_scenario():
-    rows = re.findall(r"^\| (`.*?) \| .*? \| (.*?) \|$", README.read_text(), re.M)
+    rows = re.findall(r"^\| (`.*?) \| (.*?) \| .*? \| (.*?) \|$", README.read_text(), re.M)
     listed = set()
-    for names, kinds in rows:
+    for names, flags, kinds in rows:
         for name in re.findall(r"`([a-z-]+)`", names):
-            source = SCENARIOS[name].get("source")
+            reads = SCENARIOS[name]
+            source = reads.get("source")
             assert kinds == (", ".join(source.keys) if isinstance(source, Kinds) else "none")
+            assert flags == ", ".join(key for key, spec in reads["run"].items()
+                                      if spec.type == "bool" and f"run.{key}" not in reads)
             listed.add(name)
     assert listed == set(SCENARIOS)

@@ -217,8 +217,8 @@ class TestOrdering:
 
     def test_filo_b_before_a(self):
         cfg = make_config(ratio=1.5, t_extent=7.0, nt=1400, eta_flips=(3.0,))
-        result = fifo_filo_experiment(cfg, self._train(), "FILO")
-        assert result.labels == ["B", "A"]
+        result = fifo_filo_experiment(cfg, self._train())
+        assert (result.mode, result.labels) == ("FILO", ["B", "A"])
         # rephasing arithmetic: echoes at 2 tau - t_p = 4 and 5
         assert result.peak_times[0] == pytest.approx(4.0, abs=0.1)
         assert result.peak_times[1] == pytest.approx(5.0, abs=0.1)
@@ -227,8 +227,8 @@ class TestOrdering:
         cfg = make_config(ratio=1.5, t_extent=9.0, nt=2000,
                           eta_flips=(3.0, 5.5),
                           coupling_windows=((0.0, 3.2), (5.7, 9.0)))
-        result = fifo_filo_experiment(cfg, self._train(), "FIFO")
-        assert result.labels == ["A", "B"]
+        result = fifo_filo_experiment(cfg, self._train())
+        assert (result.mode, result.labels) == ("FIFO", ["A", "B"])
         assert result.peak_times[0] == pytest.approx(6.0, abs=0.1)
         assert result.peak_times[1] == pytest.approx(7.0, abs=0.1)
 
@@ -236,7 +236,7 @@ class TestOrdering:
         train = PulseTrain([GaussianPulse(1.0, 0.15, label="A", amplitude=1.0),
                             GaussianPulse(2.0, 0.15, label="B", amplitude=1.0)])
         cfg = make_config(ratio=1.5, t_extent=7.0, nt=1400, eta_flips=(3.0,))
-        result = fifo_filo_experiment(cfg, train, "FILO")
+        result = fifo_filo_experiment(cfg, train)
         assert result.labels == ["B", "A"]
 
     def test_unresolved_pulses_rejected(self):
@@ -244,14 +244,20 @@ class TestOrdering:
                             GaussianPulse(2.0, 0.15, label="B")])
         cfg = make_config(ratio=1.5, t_extent=7.0, nt=1400)
         with pytest.raises(ValueError, match="resolved"):
-            fifo_filo_experiment(cfg, train, "FILO")
+            fifo_filo_experiment(cfg, train)
 
     def test_fifo_schedule_sanity_checked(self):
-        cfg = make_config(ratio=1.5, t_extent=9.0, nt=2000, eta_flips=(3.0, 5.5))
-        with pytest.raises(ValueError, match="coupling"):
-            fifo_filo_experiment(cfg, self._train(), "FIFO")
+        # two flips need a coupling-off window, and it must cover both
+        # first-flip echoes (at 4 and 5)
+        for windows, message in [(None, "coupling"),
+                                 (((0.0, 3.2), (4.5, 9.0)), "suppressed echo time 5")]:
+            cfg = make_config(ratio=1.5, t_extent=9.0, nt=2000, eta_flips=(3.0, 5.5),
+                              coupling_windows=windows)
+            with pytest.raises(ValueError, match=message):
+                fifo_filo_experiment(cfg, self._train())
 
     def test_unknown_mode(self):
-        cfg = make_config()
-        with pytest.raises(ValueError, match="FIFO or FILO"):
-            fifo_filo_experiment(cfg, self._train(), "LIFO")
+        # the schedule sets the mode; one flip with a coupling window has none
+        cfg = make_config(eta_flips=(3.0,), coupling_windows=((0.0, 3.2),))
+        with pytest.raises(ValueError, match="neither FILO .* nor FIFO"):
+            fifo_filo_experiment(cfg, self._train())

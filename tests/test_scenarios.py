@@ -244,9 +244,8 @@ intensity = 132720.0
 realizations = 40
 nbins = 8
 """
-    cfg1, _, out1 = run(tmp_path, text, "jobs1")
-    cfg2 = parse_config(text.replace("seed = 3", "seed = 3\njobs = 4"))
-    run_scenario(cfg2, tmp_path / "jobs4")
+    cfg, _, out1 = run(tmp_path, text, "jobs1")
+    run_scenario(cfg, tmp_path / "jobs4", jobs=4)
     a = (out1 / "structure_factor.csv").read_bytes()
     b = (tmp_path / "jobs4" / "structure_factor.csv").read_bytes()
     assert a == b  # member ordering and seeds independent of --jobs
@@ -312,7 +311,7 @@ chi3 = -1e-20
 length = 0.001
 
 [plan]
-n_steps = 40
+n_steps = 0
 
 [source]
 kind = plane
@@ -322,9 +321,11 @@ intensity = 100.0
 charges = 1, -1
 xs = 1.05e-4, -9.5e-5
 ys = 0.5e-5, 0.5e-5
-evolve = false
 """
     cfg, writer, out = run(tmp_path, text)
+    # no steps: the final field is the imprinted one
+    assert (out / "final.pfl1").read_bytes() == (out / "initial.pfl1").read_bytes()
+    assert (out / "metrics.txt").exists()
     header, rows = read_csv(out / "vortices.csv")
     assert header == ["x", "y", "charge"]
     charges = sorted(int(r[2]) for r in rows)
@@ -360,7 +361,6 @@ intensity = 100.0
 [vortices]
 mode = stripe
 stripe_contrast = 0.8
-evolve = true
 """
     cfg, writer, out = run(tmp_path, text)
     assert (out / "vortices.csv").exists()
@@ -403,7 +403,6 @@ scenario = fifo-filo
 seed = 1
 
 [fifo-filo]
-mode = FILO
 g = 2.19
 density = 2.19
 eta0 = 20.0
@@ -419,7 +418,7 @@ pulse_labels = A, B
     header, rows = read_csv(out / "peaks.csv")
     assert header == ["time", "label"]
     assert [r[1] for r in rows] == ["B", "A"]
-    assert "order = B,A" in (out / "ordering.txt").read_text()
+    assert (out / "ordering.txt").read_text() == "mode = FILO\norder = B,A\n"
 
 
 def test_gem_sweep_scenario_row_count(tmp_path):

@@ -245,6 +245,16 @@ class TestPropagate:
         assert np.array_equal(rec.final_field.values, f.values)
         assert rec.n_steps == 0
 
+    def test_zero_steps_power_is_the_kernels(self):
+        # the beam of configs/propagate_gaussian.ini: its z = 0 power reads
+        # the same bits without steps as before the first step
+        g = make_grid(256, 256, 5e-6)
+        beam = gaussian_beam(g, 150e-6, 0.5, 1.0)
+        med = MediumParams.from_n2(wavelength=780e-9, n0=1.0, n2=-5e-12, alpha=10.0,
+                                   length=0.075 / 300)
+        rows = [propagate(beam, med, StepPlan(n_steps=n)).power_trace[0] for n in (0, 1)]
+        assert rows[0].tolist() == rows[1].tolist()
+
     def test_power_conserved_unitary(self):
         grid, medium, background, _ = defocusing_setup(nx=64, xi_cells=3.0, tau=10.0)
         plan = StepPlan(n_steps=1000)
