@@ -354,15 +354,20 @@ class TestParsing:
         assert ("[plan]" in serialized) == (cfg.plan is not None)
         assert parse_config(serialized) == cfg
 
+    # the schedule sets the mode (FILO: one flip, no coupling windows; FIFO:
+    # two flips, at least one window); each case mixes the two. None drops
+    # the coupling_windows line, as a FILO config would.
     @pytest.mark.parametrize("flips, windows", [
         ("3.0", "0.0, 3.2, 5.7, 9.0"),
         ("3.0, 5.5", ""),
-    ], ids=["one-flip-with-window", "two-flips-without-window"])
-    def test_fifo_filo_schedule_must_be_filo_or_fifo(self, flips, windows, tmp_path):
+        ("3.0, 5.5", None),
+        ("3.0", "0.0, 3.2"),
+    ], ids=["fifo-one-flip", "fifo-no-window", "filo-two-flips", "filo-window"])
+    def test_fifo_filo_schedule_must_fit_its_mode(self, flips, windows, tmp_path):
         shipped = next(c for c in CONFIGS if c.name == "fifo_filo.ini").read_text()
+        line = "" if windows is None else f"coupling_windows = {windows}\n"
         text = (shipped.replace("flip_times = 3.0, 5.5", f"flip_times = {flips}")
-                .replace("coupling_windows = 0.0, 3.2, 5.7, 9.0",
-                         f"coupling_windows = {windows}"))
+                .replace("coupling_windows = 0.0, 3.2, 5.7, 9.0\n", line))
         assert text != shipped
         with pytest.raises(ConfigError, match=r"fifo-filo needs one flip_times value and "
                                               r"no coupling_windows \(FILO\), or two"):
