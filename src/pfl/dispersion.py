@@ -34,10 +34,19 @@ on a one-row grid Grid(nx, 1, dx, dy), and each snapshot is reduced to ny
 times its line density minus the background's as it is made: the tracker
 only ever uses the y-integrated density change. The quadratic terms the
 line drops shrink with the probe amplitude, sqrt(power_ratio).
+
+A sweep passes its probes to measure_group_velocity as one sequence. Their
+lines run as one (K, 1, nx) stack through a single propagate call, whose
+per-step cost on a 1D line is mostly dispatch, and each member's snapshots
+equal those of a lone call bit for bit. The keep callback reduces every
+snapshot straight to its (displacement, paired) pair, so a sweep holds K
+short tracks rather than K times the snapshots' line profiles.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,28 +268,38 @@ def probe_line(background: Field2D, probe: ProbeSpec) -> Field2D:
     return Field2D(grid=Grid(grid.nx, 1, grid.dx, grid.dy), values=line[None])
 
 
-def measure_group_velocity(background: Field2D, probe: ProbeSpec,
-                           medium: MediumParams, plan: StepPlan) -> GroupVelocityMeasurement:
+def measure_group_velocity(background: Field2D, probe: ProbeSpec | Sequence[ProbeSpec],
+                           medium: MediumParams, plan: StepPlan
+                           ) -> GroupVelocityMeasurement | list[GroupVelocityMeasurement]:
     """Group velocity of a weak probe at probe.k_perp on the background.
+
+    probe is one ProbeSpec, or a sequence of them that runs as one
+    (K, 1, nx) stack of probe lines through a single propagate call and
+    returns a list of measurements in probe order; each equals that of a
+    lone call bit for bit. Every probe is checked before anything
+    propagates.
 
     The background must be a homogeneous fluid: one uniform value in a
     medium without a potential (ValueError otherwise). Its line density at
     depth z is then snapshot_density(0, background) * exp(-alpha z), and
     only the probe line (see probe_line) is propagated, with snapshots
-    along z. Each snapshot is reduced to ny times its line density minus
-    the background's as it is made, and the transverse drift of that
-    density change wavepacket is fitted.
+    along z. Each snapshot is reduced as it is made, to ny times its line
+    density minus the background's and then to the packet displacement
+    (see _probe_displacement), and the transverse drift is fitted.
     """
+    lone = isinstance(probe, ProbeSpec)
+    probes = [probe] if lone else list(probe)
     grid = background.grid
     if plan.snapshot_every <= 0:
         raise ValueError("plan.snapshot_every must be positive to track the packet")
-    if abs(probe.k_perp) >= grid.k_nyquist_x:
-        raise ValueError("probe |k_perp| is at or beyond the grid Nyquist wavevector")
-    if probe.power_ratio < 0:
-        raise ValueError(f"probe power_ratio must be non-negative, got {probe.power_ratio}")
-    if not 4.0 * max(grid.dx, grid.dy) <= probe.waist <= 0.5 * min(grid.extent_x, grid.extent_y):
-        raise ValueError(f"probe waist {probe.waist} must lie between 4 cells and half "
-                         f"the grid extent")
+    for p in probes:
+        if abs(p.k_perp) >= grid.k_nyquist_x:
+            raise ValueError("probe |k_perp| is at or beyond the grid Nyquist wavevector")
+        if p.power_ratio < 0:
+            raise ValueError(f"probe power_ratio must be non-negative, got {p.power_ratio}")
+        if not 4.0 * max(grid.dx, grid.dy) <= p.waist <= 0.5 * min(grid.extent_x, grid.extent_y):
+            raise ValueError(f"probe waist {p.waist} must lie between 4 cells and half "
+                             f"the grid extent")
     if medium.potential is not None:
         raise ValueError("the background must be homogeneous: the medium has a potential")
     if np.any(background.values != background.values.flat[0]):
@@ -288,22 +307,29 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec,
                          "uniform value")
 
     background_line = snapshot_density(0.0, background)
+    # propagate calls keep in member order at each z
+    members = itertools.cycle(probes)
 
-    def density_change(z: float, field: Field2D) -> np.ndarray:
+    def displacement(z: float, field: Field2D) -> tuple[float, bool]:
         delta = grid.ny * snapshot_density(z, field) - background_line * np.exp(-medium.alpha * z)
-        if probe.k_perp == 0.0:
-            return np.abs(delta)
-        return delta  # signed, carrier demodulated later
+        return _probe_displacement(delta, next(members), grid)
 
-    probe_record = propagate(probe_line(background, probe), medium, plan, keep=density_change)
-    return _fit_drift(probe_record, probe, grid)
+    records = propagate([probe_line(background, p) for p in probes], medium, plan,
+                        keep=displacement)
+    measurements = [_fit_drift(r, p, grid) for r, p in zip(records, probes)]
+    return measurements[0] if lone else measurements
 
 
 def _fit_drift(probe_record: PropagationRecord, probe: ProbeSpec,
                grid) -> GroupVelocityMeasurement:
-    """Fit the packet displacement of a probe run (see _packet_displacements)
+    """Fit the packet displacement of a probe run, whose record keeps the
+    (displacement, paired) pair of each snapshot (see _probe_displacement),
     against z: the slope is the group velocity."""
-    z_samples, displacements, paired = _packet_displacements(probe_record, probe, grid)
+    if len(probe_record.snapshots) < 4:
+        raise ValueError("need at least 4 snapshots to fit a displacement slope")
+    z_samples = np.array([z for z, _ in probe_record.snapshots])
+    displacements = np.array([d for _, (d, _) in probe_record.snapshots])
+    paired = np.array([p for _, (_, p) in probe_record.snapshots], dtype=bool)
 
     n = len(z_samples)
     trailing = _trailing_run(paired)
@@ -333,27 +359,15 @@ def _fit_drift(probe_record: PropagationRecord, probe: ProbeSpec,
         fit_start_index=int(np.argmax(sel)))
 
 
-def _packet_displacements(probe_record: PropagationRecord, probe: ProbeSpec,
-                          grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z, displacement, paired) per snapshot of a probe run whose record
-    keeps the line density change against the background."""
+def _probe_displacement(delta: np.ndarray, probe: ProbeSpec, grid) -> tuple[float, bool]:
+    """(displacement, paired) of one snapshot's line density change delta
+    against the background, signed: at k_perp = 0 the centroid of |delta|,
+    else the packet displacement of its envelope at the probe carrier."""
     x = grid.x_coords()
-    extent = grid.extent_x
-    if len(probe_record.snapshots) < 4:
-        raise ValueError("need at least 4 snapshots to fit a displacement slope")
-    z_samples = np.array([z for z, _ in probe_record.snapshots])
-    profiles = [profile for _, profile in probe_record.snapshots]
-
     if probe.k_perp == 0.0:
-        displacements = np.array([_centroid(p, x, extent) for p in profiles])
-        paired = np.zeros(len(profiles), dtype=bool)
-    else:
-        displacements = np.empty(len(profiles))
-        paired = np.empty(len(profiles), dtype=bool)
-        for j, p in enumerate(profiles):
-            env = demodulated_envelope(p, x, probe.k_perp, probe.waist)
-            displacements[j], paired[j] = packet_displacement(env, x, extent)
-    return z_samples, displacements, paired
+        return _centroid(np.abs(delta), x, grid.extent_x), False
+    env = demodulated_envelope(delta, x, probe.k_perp, probe.waist)
+    return packet_displacement(env, x, grid.extent_x)
 
 
 def dispersion_from_group_velocity(samples, medium: MediumParams) -> DispersionCurve:
@@ -458,7 +472,9 @@ def sound_speed_scaling(densities, medium: MediumParams, grid, tau: float = 25.0
     for the same number of nonlinear lengths (so every member is measured
     at the same dimensionless depth) and the group velocity of a probe at
     k_perp = k_perp_xi / xi is taken as the sound speed. Returns the
-    log-log slope with its standard error.
+    log-log slope with its standard error. Each density has its own length
+    and so its own dz, which a stack shares: the probes run one
+    measure_group_velocity call per density.
     """
     densities = np.asarray(sorted(float(d) for d in densities))
     if len(densities) < 4:

@@ -126,12 +126,11 @@ def _scenario_dispersion(cfg: RunConfig, w: ArtifactWriter):
     plan = build_plan(cfg)
     background = build_source(cfg, grid, medium)
 
-    samples = []
-    for k_perp in sorted(cfg.params["k_perp_list"]):
-        probe = ProbeSpec(waist=cfg.params["probe_waist"], k_perp=k_perp,
-                          power_ratio=cfg.params["power_ratio"])
-        m = measure_group_velocity(background, probe, medium, plan)
-        samples.append((m.k_perp, m.v_g))
+    probes = [ProbeSpec(waist=cfg.params["probe_waist"], k_perp=k_perp,
+                        power_ratio=cfg.params["power_ratio"])
+              for k_perp in sorted(cfg.params["k_perp_list"])]
+    samples = [(m.k_perp, m.v_g)
+               for m in measure_group_velocity(background, probes, medium, plan)]
     curve = dispersion_from_group_velocity(samples, medium)
     if cfg.run["csv"]:
         w.csv("dispersion.csv", ["k_perp", "v_g", "omega"], curve.rows())

@@ -521,7 +521,8 @@ class TestCli:
         assert proc.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
 
     def test_shipped_dispersion_config_runs(self, tmp_path, monkeypatch):
-        # one propagation per probe: the background is not propagated
+        # one stacked propagation of one line per probe: the background is
+        # not propagated
         from pfl import dispersion, scenarios
         from pfl.solver import propagate
         calls = []
@@ -538,7 +539,7 @@ class TestCli:
             warnings.simplefilter("error")  # no resolution or boundary warning
             assert cli_main(["dispersion", "--config", str(config), "--out", str(out)]) == 0
         k_perp_list = parse_config(config.read_text()).params["k_perp_list"]
-        assert len(calls) == len(k_perp_list) == 5
+        assert [len(fields) for fields, *_ in calls] == [len(k_perp_list)] == [5]
         fit = dict(line.split(" = ") for line in (out / "fit.txt").read_text().splitlines())
         assert float(fit["c_s"]) == pytest.approx(0.0124, rel=0.05)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pfl.dispersion import (ProbeSpec, _fit_bogoliubov, _fit_drift, _line_fit,
-                            _trailing_run, bogoliubov_group_velocity, bogoliubov_omega,
+                            _probe_displacement, _trailing_run,
+                            bogoliubov_group_velocity, bogoliubov_omega,
                             bogoliubov_sound_speed, dispersion_from_group_velocity,
                             measure_group_velocity, packet_displacement,
                             demodulated_envelope, probe_line, snapshot_density)
@@ -40,7 +41,8 @@ def _plane_reference(background, probe, medium, plan, signed=True):
 
     def plane_change(z, field):
         delta = field.density() - next(planes)[1]
-        return delta.sum(axis=0) if signed else np.abs(delta).sum(axis=0)
+        line = delta.sum(axis=0) if signed else np.abs(delta).sum(axis=0)
+        return _probe_displacement(line, probe, background.grid)
 
     return _fit_drift(propagate(_probe_plane(background, probe), medium, plan,
                                 keep=plane_change), probe, background.grid)
@@ -220,6 +222,18 @@ class TestEnvelopeTools:
         assert d == pytest.approx(12.0, abs=0.5)
 
 
+def test_zero_k_displacement_is_the_centroid_of_the_magnitude():
+    # a dip counts as mass at k_perp = 0: a bump at +a with a half-depth
+    # dip at -a has its |delta| centroid at a/3 (the signed one is at 3a)
+    g = make_grid(256, 8, 1.0)
+    x = g.x_coords()
+    bump = lambda c: np.exp(-((x - c) ** 2) / (2 * 4.0**2))
+    delta = bump(30.0) - 0.5 * bump(-30.0)
+    d, paired = _probe_displacement(delta, ProbeSpec(waist=8.0, k_perp=0.0), g)
+    assert not paired
+    assert d == pytest.approx(10.0, rel=1e-9)
+
+
 class TestProbeLine:
     def test_is_the_y_mean_of_the_plane_probe(self):
         grid, _, background, scales = defocusing_setup(nx=64, dx=5e-6, xi_cells=2.0)
@@ -330,6 +344,74 @@ class TestMeasurement:
         measure_group_velocity(background, probe, medium, plan)
         assert calls == [plan]
 
+    def test_one_propagation_per_sweep(self, monkeypatch):
+        from pfl import dispersion
+        calls = []
+
+        def counted(fields, medium, plan, **kwargs):
+            calls.append(len(fields))
+            return propagate(fields, medium, plan, **kwargs)
+
+        monkeypatch.setattr(dispersion, "propagate", counted)
+        grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
+                                                            xi_cells=2.0, tau=8.0)
+        plan = StepPlan(n_steps=160, snapshot_every=16)
+        probes = [ProbeSpec(waist=10 * scales["xi"], k_perp=k_xi / scales["xi"],
+                            power_ratio=1e-4) for k_xi in (0.5, 1.0, 1.5)]
+        measured = measure_group_velocity(background, probes, medium, plan)
+        assert calls == [3]
+        assert [m.k_perp for m in measured] == [p.k_perp for p in probes]
+
+    def test_a_sweep_equals_lone_calls(self):
+        # each member of the stack reads what a lone call reads, bit for bit,
+        # with k_perp = 0 (centroid of |delta rho|) between signed probes
+        grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
+                                                            xi_cells=2.0, tau=8.0)
+        plan = StepPlan(n_steps=160, snapshot_every=16)
+        probes = [ProbeSpec(waist=10 * scales["xi"], k_perp=k_xi / scales["xi"],
+                            power_ratio=1e-4) for k_xi in (1.0, 0.0, 0.5)]
+        swept = measure_group_velocity(background, probes, medium, plan)
+        assert len(swept) == len(probes)
+        for probe, m in zip(probes, swept):
+            lone = measure_group_velocity(background, probe, medium, plan)
+            assert m.k_perp == lone.k_perp
+            assert m.v_g == lone.v_g
+            assert m.stderr == lone.stderr
+            assert np.array_equal(m.z_samples, lone.z_samples)
+            assert np.array_equal(m.displacements, lone.displacements)
+            assert m.fit_start_index == lone.fit_start_index
+
+    def test_a_sweep_of_one_returns_a_list(self):
+        grid, medium, background, scales = defocusing_setup(nx=64, dx=5e-6, xi_cells=2.0,
+                                                            tau=8.0)
+        plan = StepPlan(n_steps=160, snapshot_every=16)
+        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1.0 / scales["xi"],
+                          power_ratio=1e-4)
+        swept = measure_group_velocity(background, (probe,), medium, plan)
+        assert isinstance(swept, list) and len(swept) == 1
+        assert swept[0].v_g == measure_group_velocity(background, probe, medium, plan).v_g
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"k_perp": 1e9}, "Nyquist"), ({"power_ratio": -1e-5}, "power_ratio"),
+        ({"waist": 1e-6}, "waist")], ids=["k_perp", "power_ratio", "waist"])
+    def test_a_bad_probe_fails_before_anything_propagates(self, monkeypatch, bad, match):
+        from pfl import dispersion
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(dispersion, "propagate", counted)
+        grid, medium, background, scales = defocusing_setup(nx=64)
+        good = ProbeSpec(waist=10 * scales["xi"], k_perp=1e4, power_ratio=1e-4)
+        probes = [good, dataclasses.replace(good, k_perp=2e4),
+                  dataclasses.replace(good, **bad)]
+        with pytest.raises(ValueError, match=match):
+            measure_group_velocity(background, probes, medium,
+                                   StepPlan(n_steps=40, snapshot_every=4))
+        assert calls == []
+
     def test_lossy_background_matches_a_propagated_reference(self):
         # reference: the 2D probe run, with the background propagated and
         # its density subtracted; the closed form exp(-alpha z) on the probe
@@ -397,13 +479,11 @@ class TestMeasurement:
         grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
                                                             xi_cells=2.0, tau=16.0)
         plan = StepPlan(n_steps=240, snapshot_every=10)
-        gaps = []
-        for ratio in (1e-4, 1e-5, 1e-6, 1e-7):
-            probe = ProbeSpec(waist=8 * scales["xi"], k_perp=0.3 / scales["xi"],
-                              power_ratio=ratio)
-            reference = _plane_reference(background, probe, medium, plan)
-            m = measure_group_velocity(background, probe, medium, plan)
-            gaps.append(abs(m.v_g / reference.v_g - 1.0))
+        probes = [ProbeSpec(waist=8 * scales["xi"], k_perp=0.3 / scales["xi"],
+                            power_ratio=ratio) for ratio in (1e-4, 1e-5, 1e-6, 1e-7)]
+        measured = measure_group_velocity(background, probes, medium, plan)
+        gaps = [abs(m.v_g / _plane_reference(background, probe, medium, plan).v_g - 1.0)
+                for probe, m in zip(probes, measured)]
         assert all(small < 0.5 * large for large, small in zip(gaps, gaps[1:]))
 
     def test_rejects_a_negative_power_ratio(self):
