@@ -22,7 +22,7 @@ _EXPORTS = {  # module: the public names it defines
                    "measure_group_velocity", "probe_line", "snapshot_density",
                    "dispersion_from_group_velocity", "sound_speed_scaling"),
     "stats": ("intensity_statistics", "coherence_g1", "structure_factor"),
-    "gem": ("GemConfig", "GemState", "GaussianPulse", "PulseTrain", "gem_evolve",
+    "gem": ("GemConfig", "GaussianPulse", "PulseTrain", "gem_evolve",
             "gem_efficiency_theory", "gem_efficiency_measured", "fifo_filo_experiment"),
     "config": ("RunConfig", "ConfigError", "parse_config", "serialize_config"),
     "fileio": ("save_field", "load_field", "write_density_pgm"),

@@ -202,16 +202,12 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         "plan.snapshot_every": _FINAL_FIELDS,
         "source": _SOURCE,
         "potential": _POTENTIAL,
-        "vortices": {
-            "mode": Key("str", "imprint"),  # imprint | stripe
-            "charges": Key("ints", ()),
-            "xs": Key("floats", ()),
-            "ys": Key("floats", ()),
-            "core_width": Key("float", None),
-            "stripe_position": Key("float", 0.0),
-            "stripe_angle": Key("float", 0.0),
-            "stripe_contrast": Key("float", 1.0),
-        },
+        "vortices": Kinds({
+            "imprint": {"charges": Key("ints"), "xs": Key("floats"), "ys": Key("floats"),
+                        "core_width": Key("float", None)},
+            "stripe": {"stripe_position": Key("float", 0.0), "stripe_angle": Key("float", 0.0),
+                       "stripe_contrast": Key("float", 1.0)},
+        }),
         "vortices.evolve": "set plan.n_steps = 0 for no evolution",
     },
     "gem": {**_RUN_IMAGE,
@@ -336,8 +332,9 @@ def _read_section(scenario: str, reads: dict[str, Any], name: str,
     for key, (raw, lineno) in (bindings or {}).items():
         if key not in schema:
             why = reads.get(f"{name}.{key}")
-            raise ConfigError(f"{scenario} takes no {name}.{key}{context}"
-                              + (f": {why}" if why else ""), lineno)
+            # a key the scenario takes out is rejected for its reason, whatever the kind
+            raise ConfigError(f"{scenario} takes no {name}.{key}"
+                              + (f": {why}" if why else context), lineno)
         out[key] = _parse_value(raw, schema[key].type, f"{name}.{key}", lineno)
     for key, spec in schema.items():
         if key not in out:
@@ -422,19 +419,22 @@ def _validate_scenario_params(cfg: RunConfig):
             raise ConfigError("structure-factor.realizations must be at least 2")
         if not 0 < p["band_fraction"] <= 1:
             raise ConfigError("structure-factor.band_fraction must lie in (0, 1]")
+    elif s == "vortices" and p["kind"] == "imprint":
+        if not (len(p["charges"]) == len(p["xs"]) == len(p["ys"])):
+            raise ConfigError("vortices charges/xs/ys must have equal lengths")
+        if not p["charges"]:
+            raise ConfigError("vortices.charges must not be empty")
     elif s == "vortices":
-        if p["mode"] not in ("imprint", "stripe"):
-            raise ConfigError("vortices.mode must be imprint or stripe")
-        if p["mode"] == "imprint":
-            if not (len(p["charges"]) == len(p["xs"]) == len(p["ys"])):
-                raise ConfigError("vortices charges/xs/ys must have equal lengths")
-            if not p["charges"]:
-                raise ConfigError("vortices.charges must not be empty in imprint mode")
         if not 0 <= p["stripe_contrast"] <= 1:
             raise ConfigError("vortices.stripe_contrast must lie in [0, 1]")
     elif s in ("gem", "fifo-filo"):
-        if len(p["pulse_centers"]) != len(p["pulse_widths"]):
+        pulses = len(p["pulse_centers"])
+        if pulses != len(p["pulse_widths"]):
             raise ConfigError(f"{s}.pulse_centers and pulse_widths must have equal lengths")
+        if s == "fifo-filo" and pulses != 2:
+            raise ConfigError(f"fifo-filo needs exactly two pulses, got {pulses}")
+        if p["pulse_labels"] and len(p["pulse_labels"]) != pulses:
+            raise ConfigError(f"{s}.pulse_labels needs one label per pulse or none")
         if len(p["coupling_windows"]) % 2:
             raise ConfigError(f"{s}.coupling_windows must list (on, off) pairs")
         # the schedules of the two modes (gem.fifo_filo_experiment)

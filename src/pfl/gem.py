@@ -45,10 +45,6 @@ class GaussianPulse:
     def sample(self, t: np.ndarray) -> np.ndarray:
         return self.amplitude * np.exp(-((t - self.center) ** 2) / (2.0 * self.width**2))
 
-    def energy(self) -> float:
-        """Continuous integral of |amplitude|^2 exp(-(t-c)^2/w^2)."""
-        return float(abs(self.amplitude) ** 2 * self.width * np.sqrt(np.pi))
-
 
 @dataclass
 class PulseTrain:
@@ -130,22 +126,11 @@ class GemConfig:
 
 
 @dataclass
-class GemState:
-    """Polarization and field on the (z, t) lattice."""
-
-    z: np.ndarray
-    t: np.ndarray
-    alpha: np.ndarray  # shape (nz, nt)
-    field: np.ndarray  # shape (nz, nt)
-
-
-@dataclass
 class GemResult:
-    config: GemConfig
     times: np.ndarray
     input_field: np.ndarray
     output_field: np.ndarray
-    state: GemState | None = None
+    polarization: np.ndarray | None = None  # alpha on the (z, t) lattice, (nz, nt)
 
 
 def _field_from_alpha(alpha: np.ndarray, e_in: complex, coupling: float,
@@ -182,7 +167,8 @@ def _schedule(config: GemConfig, t: np.ndarray):
     return phase, t_mid, _gate(config, t_mid), _gate(config, t)
 
 
-def gem_evolve(config: GemConfig, pulses: PulseTrain, store_state: bool = True) -> GemResult:
+def gem_evolve(config: GemConfig, pulses: PulseTrain,
+               store_polarization: bool = True) -> GemResult:
     """Integrate the memory equations for one input pulse train."""
     pulses.validate(config.t_extent)
     dt, dz = config.dt, config.dz
@@ -193,12 +179,10 @@ def gem_evolve(config: GemConfig, pulses: PulseTrain, store_state: bool = True) 
     e_in = pulses.sample(t)
     alpha = np.zeros(config.nz, dtype=np.complex128)
     output = np.empty(config.nt, dtype=np.complex128)
-    e_full = _field_from_alpha(alpha, e_in[0], c_node[0], config.density, dz)
-    output[0] = e_full[-1]
-    if store_state:
-        alpha_zt = np.zeros((config.nz, config.nt), dtype=np.complex128)
-        field_zt = np.zeros((config.nz, config.nt), dtype=np.complex128)
-        field_zt[:, 0] = e_full
+    output[0] = _field_from_alpha(alpha, e_in[0], c_node[0], config.density, dz)[-1]
+    polarization = None
+    if store_polarization:
+        polarization = np.zeros((config.nz, config.nt), dtype=np.complex128)
 
     g, density, gamma = config.g, config.density, config.decay
     for n in range(config.nt - 1):
@@ -216,17 +200,11 @@ def gem_evolve(config: GemConfig, pulses: PulseTrain, store_state: bool = True) 
 
         if not np.all(np.isfinite(alpha)):
             raise FloatingPointError(f"non-finite polarization at t = {t1:.6g}")
-        e_full = _field_from_alpha(alpha, e_in[n + 1], c_node[n + 1], density, dz)
-        output[n + 1] = e_full[-1]
-        if store_state:
-            alpha_zt[:, n + 1] = alpha
-            field_zt[:, n + 1] = e_full
+        output[n + 1] = _field_from_alpha(alpha, e_in[n + 1], c_node[n + 1], density, dz)[-1]
+        if polarization is not None:
+            polarization[:, n + 1] = alpha
 
-    state = None
-    if store_state:
-        state = GemState(z=z, t=t, alpha=alpha_zt, field=field_zt)
-    return GemResult(config=config, times=t, input_field=e_in, output_field=output,
-                     state=state)
+    return GemResult(times=t, input_field=e_in, output_field=output, polarization=polarization)
 
 
 def gem_efficiency_theory(g: float, density: float, eta: float) -> float:
@@ -241,10 +219,7 @@ def gem_efficiency_theory(g: float, density: float, eta: float) -> float:
 @dataclass
 class EfficiencyMeasurement:
     sigma: float
-    echo_window: tuple[float, float]
-    input_window: tuple[float, float]
     echo_time: float
-    result: GemResult
 
 
 def gem_efficiency_measured(config: GemConfig, pulse: GaussianPulse) -> EfficiencyMeasurement:
@@ -269,7 +244,7 @@ def gem_efficiency_measured(config: GemConfig, pulse: GaussianPulse) -> Efficien
     if echo_window[1] > config.t_extent:
         raise ValueError("echo window extends past t_extent")
 
-    result = gem_evolve(config, PulseTrain([pulse]), store_state=False)
+    result = gem_evolve(config, PulseTrain([pulse]), store_polarization=False)
     t = result.times
     in_sel = (t >= input_window[0]) & (t <= input_window[1])
     echo_sel = (t >= echo_window[0]) & (t <= echo_window[1])
@@ -278,11 +253,7 @@ def gem_efficiency_measured(config: GemConfig, pulse: GaussianPulse) -> Efficien
     echo_power = np.abs(result.output_field) ** 2
     masked = np.where(echo_sel, echo_power, 0.0)
     echo_time = float(t[int(np.argmax(masked))])
-    return EfficiencyMeasurement(sigma=energy_echo / energy_in,
-                                 echo_window=echo_window,
-                                 input_window=input_window,
-                                 echo_time=echo_time,
-                                 result=result)
+    return EfficiencyMeasurement(sigma=energy_echo / energy_in, echo_time=echo_time)
 
 
 @dataclass
@@ -290,7 +261,6 @@ class PulseOrderingResult:
     mode: str
     peak_times: list[float]
     labels: list[str]
-    expected_times: list[float]
     result: GemResult
 
 
@@ -333,7 +303,7 @@ def fifo_filo_experiment(config: GemConfig, train: PulseTrain) -> PulseOrderingR
                          "coupling windows is neither FILO (one flip, coupling on "
                          "throughout) nor FIFO (two flips and a coupling-off window)")
 
-    result = gem_evolve(config, train, store_state=False)
+    result = gem_evolve(config, train, store_polarization=False)
     t = result.times
     power = np.abs(result.output_field) ** 2
     recall_start = config.eta_flips[-1]
@@ -360,8 +330,7 @@ def fifo_filo_experiment(config: GemConfig, train: PulseTrain) -> PulseOrderingR
             f"recall ordering {labels} does not match the {mode} expectation "
             f"{expected_labels} (peaks at {peak_times})"
         )
-    return PulseOrderingResult(mode=mode, peak_times=peak_times, labels=labels,
-                               expected_times=[e[0] for e in expected], result=result)
+    return PulseOrderingResult(mode=mode, peak_times=peak_times, labels=labels, result=result)
 
 
 def _check_fifo_schedule(config: GemConfig, first: GaussianPulse, second: GaussianPulse,

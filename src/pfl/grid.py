@@ -42,15 +42,6 @@ class Grid:
         return self.ny * self.dy
 
     @property
-    def dk_x(self) -> float:
-        """Reciprocal spacing 2*pi / (nx*dx)."""
-        return 2.0 * np.pi / (self.nx * self.dx)
-
-    @property
-    def dk_y(self) -> float:
-        return 2.0 * np.pi / (self.ny * self.dy)
-
-    @property
     def cell_area(self) -> float:
         return self.dx * self.dy
 
@@ -70,12 +61,9 @@ class Grid:
     def ky(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.dy)
 
-    def k_meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.kx(), self.ky())
-
     def k_squared(self) -> np.ndarray:
-        kxx, kyy = self.k_meshgrid()
-        return kxx**2 + kyy**2
+        """|k|^2 of shape (ny, nx)."""
+        return np.add.outer(self.ky() ** 2, self.kx() ** 2)
 
     @property
     def k_nyquist_x(self) -> float:
@@ -124,7 +112,7 @@ class Field2D:
 
     def with_values(self, values: np.ndarray) -> "Field2D":
         """New field on the same grid."""
-        return Field2D(grid=self.grid, values=np.asarray(values, dtype=np.complex128))
+        return Field2D(grid=self.grid, values=values)
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2

@@ -217,7 +217,7 @@ def _scenario_vortices(cfg: RunConfig, w: ArtifactWriter):
     medium = build_medium(cfg, grid)
     p = cfg.params
     field = build_source(cfg, grid, medium)
-    if p["mode"] == "imprint":
+    if p["kind"] == "imprint":
         for charge, x, y in zip(p["charges"], p["xs"], p["ys"]):
             field = imprint_vortex(field, charge, center=(x, y),
                                    core_width=p["core_width"])
@@ -268,13 +268,13 @@ def _write_trace(w: ArtifactWriter, name: str, times, field):
 def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
     gem_cfg = _gem_config_from_params(cfg.params)
     train = _pulse_train_from_params(cfg.params)
-    # the z-resolved state is read only for the polarization image
-    result = gem_evolve(gem_cfg, train, store_state=cfg.run["pgm"])
+    # the z-resolved polarization is read only for its image
+    result = gem_evolve(gem_cfg, train, store_polarization=cfg.run["pgm"])
     if cfg.run["csv"]:
         _write_trace(w, "input.csv", result.times, result.input_field)
         _write_trace(w, "output.csv", result.times, result.output_field)
     if cfg.run["pgm"]:
-        w.pgm("polarization.pgm", np.abs(result.state.alpha))
+        w.pgm("polarization.pgm", np.abs(result.polarization))
 
 
 def _scenario_gem_efficiency_sweep(cfg: RunConfig, w: ArtifactWriter):

@@ -268,9 +268,8 @@ class SplitStepKernel:
         mode_power *= mode_power
         occupied = mode_power > OCCUPIED_MODE_FLOOR * mode_power.sum(axis=(-2, -1),
                                                                      keepdims=True)
-        k2 = np.add.outer(self.grid.ky() ** 2, self.grid.kx() ** 2)
         m = self.medium
-        return self.dz * (np.where(occupied, k2, 0.0).max(axis=(-2, -1)) / (2.0 * m.n0 * m.k0))
+        return self.dz * (np.where(occupied, self.grid.k_squared(), 0.0).max(axis=(-2, -1)) / (2.0 * m.n0 * m.k0))
 
 
 def _stack_power(values: np.ndarray, grid: Grid) -> np.ndarray:

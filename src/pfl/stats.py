@@ -52,7 +52,6 @@ def intensity_statistics(fields, bins: int = 64) -> IntensityStatistics:
 class CoherenceProfile:
     separation: np.ndarray
     g1: np.ndarray
-    method: str
 
     def rows(self):
         return zip(self.separation, self.g1)
@@ -87,14 +86,10 @@ def _radial_bins(rr: np.ndarray, nbins: int, r_max: float):
 
 
 def _g1_rotate_pair(values: list[np.ndarray], grid, nbins: int) -> CoherenceProfile:
-    ny, nx, dx, dy = grid.ny, grid.nx, grid.dx, grid.dy
-    x = (np.arange(nx) - nx // 2) * dx
-    y = (np.arange(ny) - ny // 2) * dy
-    xx, yy = np.meshgrid(x, y)
-    rr = np.hypot(xx, yy)
-    r_max = 0.5 * min(nx * dx, ny * dy) / 2.0  # stay clear of the corners
+    rr = np.hypot(*grid.meshgrid())
+    r_max = 0.5 * min(grid.extent_x, grid.extent_y) / 2.0  # stay clear of the corners
     if nbins <= 0:
-        nbins = min(nx, ny) // 8
+        nbins = min(grid.nx, grid.ny) // 8
     edges, idx = _radial_bins(rr, nbins, r_max)
     inside = rr.ravel() < r_max
 
@@ -110,8 +105,7 @@ def _g1_rotate_pair(values: list[np.ndarray], grid, nbins: int) -> CoherenceProf
     g1 = np.zeros(nbins)
     g1[good] = np.abs(num[good]) / den[good]
     separations = (edges[:-1] + 0.5 * np.diff(edges)) * 2.0  # dr = 2 r
-    return CoherenceProfile(separation=separations[good], g1=np.clip(g1[good], 0.0, 1.0),
-                            method="rotate_pair")
+    return CoherenceProfile(separation=separations[good], g1=np.clip(g1[good], 0.0, 1.0))
 
 
 def _g1_ensemble(values: list[np.ndarray], grid, nbins: int) -> CoherenceProfile:
@@ -139,8 +133,7 @@ def _g1_ensemble(values: list[np.ndarray], grid, nbins: int) -> CoherenceProfile
     good = counts > 0
     g1 = np.abs(num[good]) / counts[good]
     separations = (edges[:-1] + 0.5 * np.diff(edges))[good]
-    return CoherenceProfile(separation=separations, g1=np.clip(g1, 0.0, 1.0),
-                            method="ensemble")
+    return CoherenceProfile(separation=separations, g1=np.clip(g1, 0.0, 1.0))
 
 
 @dataclass

@@ -140,6 +140,8 @@ SPECKLE_SOURCE = "[source]\nkind = speckle\nintensity = 132.7\ncorrelation_lengt
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.ini"))
 VORTEX_PAIR = (ROOT / "configs" / "vortex_pair.ini").read_text()
+VORTEX_STRIPE = (VORTEX_PAIR[:VORTEX_PAIR.index("[vortices]")]
+                 + "[vortices]\nkind = stripe\nstripe_contrast = 0.8\n")
 FIFO_FILO = (ROOT / "configs" / "fifo_filo.ini").read_text()
 
 GOOD_GEM = """
@@ -170,7 +172,7 @@ class TestParsing:
         assert {k: spec.default for k, spec in schema.items()} == {**GEM_DEFAULTS, **own}
         text = (f"[run]\nscenario = {scenario}\n[{scenario}]\n"
                 "g = 1.0\ndensity = 1.0\neta0 = 20.0\nt_extent = 7.0\n"
-                "flip_times = 3.0\npulse_centers = 1.0\npulse_widths = 0.15\n")
+                "flip_times = 3.0\npulse_centers = 1.0, 2.0\npulse_widths = 0.15, 0.15\n")
         cfg = parse_config(text)
         assert cfg.params["nt"] == own["nt"]
         assert cfg.params["pulse_labels"] == own["pulse_labels"]
@@ -278,7 +280,7 @@ class TestParsing:
         (GOOD_GEM.replace("seed = 9", "seed = 9\nout_dir = runs"),
          r"line 5: gem-efficiency-sweep takes no run.out_dir: use --out or \$PFL_OUT"),
         (VORTEX_PAIR + "evolve = false\n",
-         r"line 33: vortices takes no vortices.evolve: set plan.n_steps = 0 for no evolution"),
+         r"line 34: vortices takes no vortices.evolve: set plan.n_steps = 0 for no evolution"),
         (FIFO_FILO.replace("[fifo-filo]\n", "[fifo-filo]\nmode = FIFO\n"),
          r"line 14: fifo-filo takes no fifo-filo.mode: the schedule sets it: one flip"),
     ], ids=["sound-scaling-length", "sound-scaling-plan", "precondensation-length",
@@ -371,6 +373,55 @@ class TestParsing:
         assert text != shipped
         with pytest.raises(ConfigError, match=r"fifo-filo needs one flip_times value and "
                                               r"no coupling_windows \(FILO\), or two"):
+            parse_config(text)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert cli_main(["validate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        (VORTEX_PAIR + "stripe_angle = 1.0\n",
+         r"line 34: vortices takes no vortices.stripe_angle for kind 'imprint'"),
+        (VORTEX_STRIPE + "charges = 1, -1\n",
+         r"line 31: vortices takes no vortices.charges for kind 'stripe'"),
+        (VORTEX_PAIR.replace("kind = imprint\n", ""),
+         r"vortices needs a \[vortices\] of kind 'imprint' or 'stripe'$"),
+    ], ids=["imprint-stripe-key", "stripe-charges", "no-kind"])
+    def test_vortices_take_only_the_keys_of_their_kind(self, text, message, tmp_path):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert cli_main(["validate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("text", [VORTEX_PAIR, VORTEX_STRIPE], ids=["imprint", "stripe"])
+    def test_vortices_round_trip_writes_the_kind_first(self, text):
+        cfg = parse_config(text)
+        serialized = serialize_config(cfg)
+        section = serialized[serialized.index("[vortices]"):].splitlines()
+        assert section[1] == f"kind = {cfg.params['kind']}"
+        assert parse_config(serialized) == cfg
+        assert serialize_config(parse_config(serialized)) == serialized
+
+    # every pulse is simulated: a label list names each pulse or is empty,
+    # and the ordering experiment takes exactly two pulses
+    @pytest.mark.parametrize("text, message", [
+        (FIFO_FILO.replace("pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 2.6")
+         .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15"),
+         r"fifo-filo needs exactly two pulses, got 3"),
+        (FIFO_FILO.replace("pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 2.6")
+         .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15")
+         .replace("pulse_labels = A, B", "pulse_labels = A, B, C"),
+         r"fifo-filo needs exactly two pulses, got 3"),
+        (FIFO_FILO.replace("pulse_labels = A, B", "pulse_labels = A"),
+         r"fifo-filo.pulse_labels needs one label per pulse or none"),
+        ("[run]\nscenario = gem\n[gem]\ng = 2.0\ndensity = 2.0\neta0 = 20.0\n"
+         "t_extent = 8.0\nflip_times = 3.0\npulse_centers = 1.0, 2.0\n"
+         "pulse_widths = 0.15, 0.15\npulse_labels = A\n",
+         r"gem.pulse_labels needs one label per pulse or none"),
+    ], ids=["fifo-filo-three-pulses", "fifo-filo-three-labelled-pulses",
+            "fifo-filo-one-label", "gem-one-label"])
+    def test_every_pulse_is_simulated(self, text, message, tmp_path):
+        with pytest.raises(ConfigError, match=message):
             parse_config(text)
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)

@@ -237,7 +237,8 @@ def test_zero_k_displacement_is_the_centroid_of_the_magnitude():
 class TestProbeLine:
     def test_is_the_y_mean_of_the_plane_probe(self):
         grid, _, background, scales = defocusing_setup(nx=64, dx=5e-6, xi_cells=2.0)
-        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=3 * grid.dk_x, power_ratio=1e-4)
+        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=3 * (2 * np.pi / grid.extent_x),
+                          power_ratio=1e-4)
         line = probe_line(background, probe)
         assert line.grid == dataclasses.replace(grid, ny=1)
         np.testing.assert_allclose(line.values[0],
@@ -263,7 +264,7 @@ class TestMeasurement:
                                                             xi_cells=2.0, tau=8.0)
         free = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0,
                             length=medium.length)
-        k = 10 * grid.dk_x
+        k = 10 * (2 * np.pi / grid.extent_x)
         plan = StepPlan(n_steps=120, snapshot_every=10)
         probe = ProbeSpec(waist=12e-5, k_perp=k, power_ratio=1e-4)
         m = measure_group_velocity(background, probe, free, plan)
@@ -295,7 +296,7 @@ class TestMeasurement:
                                                        tau=8.0)
         free = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, length=medium.length)
         plan = StepPlan(n_steps=120, snapshot_every=3)
-        k = 6 * grid.dk_x
+        k = 6 * (2 * np.pi / grid.extent_x)
         probe = ProbeSpec(waist=6e-5, k_perp=k, power_ratio=1e-4)
         one_list = (plan.n_steps // plan.snapshot_every) * 16 * grid.nx * grid.ny
         tracemalloc.start()

@@ -98,13 +98,13 @@ class TestEvolution:
         pulse = GaussianPulse(center=1.5, width=0.2)
         result = gem_evolve(cfg, PulseTrain([pulse]))
         assert np.allclose(result.output_field, result.input_field, atol=1e-12)
-        assert not np.any(result.state.alpha)
+        assert not np.any(result.polarization)
 
     def test_strong_absorption_depth_law(self):
         # intensity transmission during the write follows exp(-2 pi g N / eta)
         cfg = make_config(ratio=4.0)
         pulse = GaussianPulse(center=1.5, width=0.2)
-        result = gem_evolve(cfg, PulseTrain([pulse]), store_state=False)
+        result = gem_evolve(cfg, PulseTrain([pulse]), store_polarization=False)
         t = result.times
         write = (t > 0.7) & (t < 2.3)
         transmitted = np.trapezoid(np.abs(result.output_field[write]) ** 2, t[write])
@@ -115,7 +115,7 @@ class TestEvolution:
     def test_memory_starts_empty(self):
         cfg = make_config()
         result = gem_evolve(cfg, PulseTrain([GaussianPulse(1.5, 0.2)]))
-        assert not np.any(result.state.alpha[:, 0])
+        assert not np.any(result.polarization[:, 0])
 
     def test_coupling_off_freezes_polarization_norm(self):
         cfg = make_config(coupling_windows=((0.0, 2.0),), t_extent=6.0, nt=900,
@@ -124,7 +124,7 @@ class TestEvolution:
         result = gem_evolve(cfg, PulseTrain([pulse]))
         t = result.times
         dz = cfg.dz
-        norms = np.sum(np.abs(result.state.alpha) ** 2, axis=0) * dz
+        norms = np.sum(np.abs(result.polarization) ** 2, axis=0) * dz
         after_off = norms[t >= 2.05]
         assert after_off[0] > 0
         assert np.max(np.abs(after_off / after_off[0] - 1.0)) < 1e-8
@@ -174,7 +174,7 @@ class TestEfficiency:
         outputs = []
         for nz, nt in ((65, 501), (129, 1001), (257, 2001)):
             cfg = make_config(ratio=1.5, nz=nz, nt=nt)
-            result = gem_evolve(cfg, PulseTrain([pulse]), store_state=False)
+            result = gem_evolve(cfg, PulseTrain([pulse]), store_polarization=False)
             outputs.append(result.output_field)
         # compare every level on the coarse time samples
         e_coarse = np.linalg.norm(outputs[0] - outputs[1][::2])

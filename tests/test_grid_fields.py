@@ -8,8 +8,8 @@ from pfl.grid import Field2D, fft2, ifft2, make_grid
 
 def test_make_grid_reciprocal_spacing():
     g = make_grid(256, 256, 1e-5, 1e-5)
-    assert g.dk_x == 2.0 * np.pi / (256 * 1e-5)
-    assert g.dk_y == 2.0 * np.pi / (256 * 1e-5)
+    assert g.kx()[1] == pytest.approx(2.0 * np.pi / (256 * 1e-5), rel=1e-15)
+    assert g.ky()[1] == pytest.approx(2.0 * np.pi / (256 * 1e-5), rel=1e-15)
 
 
 def test_make_grid_minimal():

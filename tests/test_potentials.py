@@ -45,7 +45,7 @@ def test_honeycomb_sixfold_spectrum():
     period = 16e-6
     dn = lattice_potential(g, 1.0, period)
     spec = np.abs(fft2(dn - dn.mean())) ** 2
-    kxx, kyy = g.k_meshgrid()
+    kxx, kyy = np.meshgrid(g.kx(), g.ky())
     # six difference-vector peaks of magnitude sqrt(3) q, 60 degrees apart
     q_diff = np.sqrt(3.0) * 2.0 * np.pi / period
     peaks = spec > 0.1 * spec.max()

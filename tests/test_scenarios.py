@@ -318,6 +318,7 @@ kind = plane
 intensity = 100.0
 
 [vortices]
+kind = imprint
 charges = 1, -1
 xs = 1.05e-4, -9.5e-5
 ys = 0.5e-5, 0.5e-5
@@ -359,7 +360,7 @@ kind = plane
 intensity = 100.0
 
 [vortices]
-mode = stripe
+kind = stripe
 stripe_contrast = 0.8
 """
     cfg, writer, out = run(tmp_path, text)

@@ -60,7 +60,7 @@ class TestKineticStep:
 
     def test_single_mode_pure_phase(self, small_grid):
         xx, _ = small_grid.meshgrid()
-        k = 4 * small_grid.dk_x
+        k = 4 * (2 * np.pi / small_grid.extent_x)
         f = Field2D(grid=small_grid, values=np.exp(1j * k * xx))
         out = half_kinetic(f, 1e-3, 2 * np.pi / WAVELENGTH, 1.0)
         assert np.allclose(np.abs(out.values), 1.0, atol=1e-14)
@@ -303,7 +303,7 @@ class TestPropagate:
                                                    tau=6.0)
         beam = gaussian_beam(grid, 1.2e-4, 1e-4, 1.0)
         bump = Field2D(grid=grid, values=1.0 + 0.5 * beam.values / np.abs(beam.values).max())
-        k_x = 6 * grid.dk_x
+        k_x = 6 * (2 * np.pi / grid.extent_x)
         xx, _ = grid.meshgrid()
         tilted = Field2D(grid=grid, values=bump.values * np.exp(1j * k_x * xx))
         plan = StepPlan(n_steps=120)
@@ -392,7 +392,7 @@ class TestPropagate:
         rng = np.random.default_rng(77)
         smooth = np.fft.ifft2(np.fft.fft2(
             rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
-            * (grid.k_squared() < (8 * grid.dk_x) ** 2))
+            * (grid.k_squared() < (8 * (2 * np.pi / grid.extent_x)) ** 2))
         start = Field2D(grid=grid, values=1.0 + 0.3 * smooth / np.abs(smooth).max())
         n_steps = 12
         plan = StepPlan(n_steps=n_steps, snapshot_every=5)  # non-divisor cadence

@@ -203,7 +203,8 @@ class TestAddProbe:
         assert k_target == pytest.approx(1.2566e5, rel=1e-4)
         out = probe_line(base, ProbeSpec(waist=1.5e-4, k_perp=k_target, power_ratio=1e-3))
         delta_spec = np.abs(np.fft.fft(out.values[0] - base.values[0, 0])) ** 2
-        assert g.kx()[np.argmax(delta_spec)] == pytest.approx(k_target, abs=g.dk_x)
+        dk = 2 * np.pi / g.extent_x
+        assert g.kx()[np.argmax(delta_spec)] == pytest.approx(k_target, abs=dk)
 
     def test_aliasing_rejected(self, small_grid):
         # |k_perp| at or past the x Nyquist wavevector, on either side
