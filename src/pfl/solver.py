@@ -25,6 +25,21 @@ is made: propagate hands every member's field to a keep callback and
 stores only what keep returns, so a run that keeps a density or a profile
 per snapshot never holds a list of full fields.
 
+Planes with rows of PAD_MIN_NX = 256 samples or more are stepped in a
+zero-padded buffer (B, ny, nx + ROW_PAD), ROW_PAD = 4 complex128 (one
+64-byte line per row): unpadded, the rows of a 512^2 plane lie 8 KiB
+apart, so the lines of a column transform map to the same cache sets and
+evict each other (Frigo and Johnson, Proc. IEEE 93 (2005) 216). The
+transforms run in place on the [..., :nx] view, where pocketfft does the
+same arithmetic on a line at any stride, so fields keep their bits. The
+kick, the kinetic multiply and the power sum run over the whole contiguous
+buffer, whose pad starts and stays zero; only the power sums move, in the
+last digits. On one core of a 2-vCPU x86 VM, a transform pair took 20-30%
+less at 512^2 and 1024^2 and 21% less at 256^2 (see README). An (8, 64,
+64) stack stepped no faster padded, and a line (B, 1, nx) has no column
+transform, so both keep rows of nx samples. Fields handed out are
+C-contiguous and unpadded, so a writer stores them without a copy.
+
 The step-resolution guard (the step-size limit of time-splitting spectral
 methods; Bao, Jaksch and Markowich, J. Comput. Phys. 187 (2003)) runs in
 SplitStepKernel.run on what the loop computes anyway: the kinetic phase
@@ -55,6 +70,12 @@ ABORT_PHASE_PER_STEP = np.pi
 # ensemble members in scenarios): 2^15 sites keep the block's complex field,
 # factor and real buffers at about 1.5 MB, inside a 2 MB L2 cache.
 BLOCK_SITES = 2**15
+
+# Zero complex128 samples appended to each row of a kernel stack with rows of
+# at least PAD_MIN_NX samples (one 64-byte cache line), so that the column
+# transforms do not stride by a power of two; see row_pad.
+ROW_PAD = 4
+PAD_MIN_NX = 256
 
 
 @dataclass
@@ -99,6 +120,24 @@ def kinetic_multiplier(grid: Grid, dz: float, k0: float, n0: float) -> np.ndarra
     return np.outer(np.exp(-1j * c * grid.ky() ** 2), np.exp(-1j * c * grid.kx() ** 2))
 
 
+def row_pad(shape: tuple[int, ...]) -> int:
+    """Zero samples the kernel appends to each row of a stack (..., ny, nx):
+    ROW_PAD for planes with rows of PAD_MIN_NX samples or more, else 0
+    (small planes and lines (B, 1, nx) keep rows of nx samples)."""
+    ny, nx = shape[-2:]
+    return ROW_PAD if ny > 1 and nx >= PAD_MIN_NX else 0
+
+
+def kernel_stack(arrays: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
+    """A new stack (B, ny, nx + row_pad) of the (ny, nx) arrays in the
+    kernel's layout, with zeros in the pad; each array is copied once."""
+    width = grid.nx + row_pad((grid.ny, grid.nx))
+    values = np.zeros((len(arrays), grid.ny, width), dtype=np.complex128)
+    for member, array in zip(values, arrays):
+        member[:, :grid.nx] = array
+    return values
+
+
 def block_slices(n_members: int, ny: int, nx: int) -> list[tuple[slice, slice]]:
     """(members, rows) index pairs that cover a stack (B, ny, nx) in blocks of
     about BLOCK_SITES sites: runs of whole members when a field is smaller
@@ -115,10 +154,13 @@ def block_slices(n_members: int, ny: int, nx: int) -> list[tuple[slice, slice]]:
 
 class SplitStepKernel:
     """Precomputed factors and owned buffers for split steps of length dz on
-    one field (ny, nx) or a stack of fields (B, ny, nx) sharing the medium."""
+    one field (ny, nx) or a stack of fields (B, ny, nx) sharing the medium.
+    run steps stacks in the kernel's layout (see kernel_stack): rows of
+    width samples, nx of field and row_pad of zeros."""
 
     def __init__(self, grid: Grid, medium: MediumParams, dz: float):
         self.grid, self.medium, self.dz = grid, medium, dz
+        self.width = grid.nx + row_pad((grid.ny, grid.nx))
         # the kick works on half the phase (halving is exact), see kick
         self.half_kerr = 0.5 * dz * medium.g
         self.saturation = (None if medium.i_sat is None
@@ -130,8 +172,18 @@ class SplitStepKernel:
     @cached_property
     def kinetic(self) -> tuple[np.ndarray, np.ndarray]:
         """(half, full) kinetic factors, built on first use: a lone kick skips them."""
-        half = kinetic_multiplier(self.grid, self.dz / 2.0, self.medium.k0, self.medium.n0)
+        half = self._widen(kinetic_multiplier(self.grid, self.dz / 2.0,
+                                              self.medium.k0, self.medium.n0))
         return half, half * half
+
+    def _widen(self, terms):
+        """An (ny, nx) array as (ny, width) with zeros in the pad; None, a
+        scalar or an array without pad as it is."""
+        if np.ndim(terms) < 2 or terms.shape[-1] == self.width:
+            return terms
+        wide = np.zeros((self.grid.ny, self.width), dtype=terms.dtype)
+        wide[:, :self.grid.nx] = terms
+        return wide
 
     def _potential_terms(self, z: float):
         """(half phase term or None, amplitude factor) of the potential at z
@@ -146,12 +198,14 @@ class SplitStepKernel:
         if gain > 0 and np.exp(2.0 * gain) > 10.0:
             warnings.warn(f"gain profile would grow power by more than 10x in one "
                           f"step (amplitude factor {np.exp(gain):.3g})", stacklevel=4)
-        return half_phase, np.exp(-decay)
+        return self._widen(half_phase), self._widen(np.exp(-decay))
 
     def kick(self, values: np.ndarray, z: float) -> np.ndarray:
         """Apply the full nonlinear step at z to values in place, with |E|^2
         frozen at entry; return the largest |phase| it applied to each field
-        of a stack (a scalar for one field).
+        of a stack (a scalar for one field). Rows of nx samples or of the
+        kernel's width both work: the pad holds zeros, which stay zero and
+        leave the peak phase as it is.
 
         exp(i phase) comes from one transcendental, t = tan(phase / 2):
         cos = (1 - t^2) / (1 + t^2) = 2 / (1 + t^2) - 1, sin = 2 t / (1 + t^2).
@@ -163,6 +217,7 @@ class SplitStepKernel:
         if self.blocks is None or self.blocks[0] != stack.shape:
             self._size_blocks(stack)
         potential_half, amplitude = self.static or self._potential_terms(z)
+        columns = slice(stack.shape[-1])
         max_phase = np.zeros(len(stack))
         for members, rows, density, half, factor, re, im in self.blocks[1]:
             block = stack[members, rows]
@@ -173,7 +228,7 @@ class SplitStepKernel:
             if self.saturation is not None:  # chi_eff = chi3 / (1 + I / I_sat)
                 half /= 1.0 + self.saturation * density
             if potential_half is not None:
-                half += potential_half[rows]
+                half += potential_half[rows, columns]
             peak = 2.0 * np.maximum(half.max(axis=(-2, -1)), -half.min(axis=(-2, -1)))
             np.maximum(max_phase[members], peak, out=max_phase[members])
             t, r = np.tan(half, out=half), density
@@ -184,7 +239,7 @@ class SplitStepKernel:
             np.subtract(r, 1.0, out=re)
             block *= factor
             if np.ndim(amplitude):
-                block *= amplitude[rows]
+                block *= amplitude[rows, columns]
             elif amplitude != 1.0:
                 block *= amplitude
         return max_phase if values.ndim == 3 else max_phase[0]
@@ -206,41 +261,59 @@ class SplitStepKernel:
 
     def run(self, values: np.ndarray, plan: StepPlan,
             on_snapshot: Callable[[float, np.ndarray], None]) -> tuple:
-        """Take plan.n_steps steps of the stack values (B, ny, nx), which the
-        kernel owns and overwrites. Each snapshot stack before the last step
-        goes to on_snapshot(z, stack) as it is made; the stack is a new array
-        the callee may keep. Returns the final stack, the power per step
-        boundary and member (n_steps + 1, B) and each member's
-        max_phase_per_step: its kinetic phase per step plus its largest kick
-        phase. Both pass the step-resolution guard (_guard) as they are made."""
-        n_steps, every, dz = plan.n_steps, plan.snapshot_every, self.dz
+        """Take plan.n_steps steps of the stack values in the kernel's layout
+        (see kernel_stack), which the kernel owns and overwrites: the
+        transforms run in place on its fields, the pointwise passes over the
+        whole buffer. Each snapshot stack before the last step goes to
+        on_snapshot(z, stack) as it is made; the stack is a new C-contiguous
+        (B, ny, nx) array the callee may keep. Returns the final stack,
+        C-contiguous (B, ny, nx), the power per step boundary and member
+        (n_steps + 1, B) and each member's max_phase_per_step: its kinetic
+        phase per step plus its largest kick phase. Both pass the
+        step-resolution guard (_guard) as they are made."""
+        n_steps, every, dz, nx = plan.n_steps, plan.snapshot_every, self.dz, self.grid.nx
         power = np.empty((n_steps + 1, len(values)))
         power[0] = _stack_power(values, self.grid)
         max_phase = np.zeros(len(values))
-        spectrum = fft2(values, overwrite_x=True)
+        self._transform(fft2, values)
         # before the kinetic factors exist, so its temporaries add no peak memory
-        kinetic = self._kinetic_phase(spectrum)
+        kinetic = self._kinetic_phase(values[..., :nx])
         warned = self._guard(kinetic, False)
         half_kinetic, full_kinetic = self.kinetic
-        spectrum *= half_kinetic
+        values *= half_kinetic
         for step in range(n_steps):
             z_mid, z_next = (step + 0.5) * dz, (step + 1) * dz
-            values = ifft2(spectrum, overwrite_x=True)
+            self._transform(ifft2, values)
             step_phase = self.kick(values, z_mid)
             if step == 0:
                 first_phase = step_phase
             warned = self._guard(step_phase, warned, z_mid, first_phase)
             np.maximum(max_phase, step_phase, out=max_phase)
-            spectrum = fft2(values, overwrite_x=True)
-            power[step + 1] = _stack_power(spectrum, self.grid)
+            self._transform(fft2, values)
+            power[step + 1] = _stack_power(values, self.grid)
             if not np.isfinite(power[step + 1]).all():
                 raise FloatingPointError(f"non-finite power at z = {z_next:.6g}; "
                                          f"propagation aborted")
             last = step == n_steps - 1
             if every and (step + 1) % every == 0 and not last:
-                on_snapshot(z_next, ifft2(spectrum * half_kinetic, overwrite_x=True))
-            spectrum *= half_kinetic if last else full_kinetic
-        return ifft2(spectrum, overwrite_x=True), power, kinetic + max_phase
+                # unbound, so that no local holds the stack after the callback
+                on_snapshot(z_next, self._transform(
+                    ifft2, np.multiply(values[..., :nx], half_kinetic[:, :nx])))
+            values *= half_kinetic if last else full_kinetic
+        final = np.ascontiguousarray(self._transform(ifft2, values)[..., :nx])
+        return final, power, kinetic + max_phase
+
+    def _transform(self, transform: Callable, values: np.ndarray) -> np.ndarray:
+        """Apply fft2 or ifft2 in place to the fields values[..., :nx] of a
+        stack, padded or not, and return the stack. pocketfft does the same
+        arithmetic on a line at any stride, so the fields get the bits of a
+        transform of a contiguous copy. A transform that returns new memory
+        is copied back."""
+        fields = values[..., :self.grid.nx]
+        out = transform(fields, overwrite_x=True)
+        if not np.may_share_memory(out, fields):
+            fields[...] = out
+        return values
 
     def _guard(self, phase: np.ndarray, warned: bool, z: float | None = None,
                first: np.ndarray | None = None) -> bool:
@@ -273,9 +346,10 @@ class SplitStepKernel:
 
 
 def _stack_power(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """The power of each field of a stack (B, ny, nx), or of its spectrum.
-    A sum of squares over the float64 view, not through BLAS, so that the
-    result does not depend on the BLAS thread count."""
+    """The power of each field of a contiguous stack (B, ny, width), or of its
+    spectrum, zeros of the pad included. A sum of squares over the float64
+    view, not through BLAS, so that the result does not depend on the BLAS
+    thread count."""
     parts = values.view(np.float64).reshape(len(values), -1)
     return np.einsum("ij,ij->i", parts, parts) * grid.cell_area
 
@@ -319,11 +393,11 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise ValueError("stacked fields must share one grid")
-    values = np.stack([f.validate_finite().values for f in fields])
+    arrays = [f.validate_finite().values for f in fields]
     if plan.n_steps == 0:
         records = [PropagationRecord(final_field=f.copy(), z_final=0.0, n_steps=0, dz=0.0,
                                      power_trace=np.array([[0.0, p0]]))
-                   for f, p0 in zip(fields, _stack_power(values, grid))]
+                   for f, p0 in zip(fields, _stack_power(kernel_stack(arrays, grid), grid))]
         return records[0] if lone else records
     dz = plan.resolve_dz(medium.length)
     keep = keep or _keep_field
@@ -333,7 +407,9 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
         for f, member, kept in zip(fields, stack, snapshots):
             kept.append((z, keep(z, f.with_values(member))))
 
-    final, power, max_phase = SplitStepKernel(grid, medium, dz).run(values, plan, hand_off)
+    # only the kernel holds its stack, which is freed when run returns
+    final, power, max_phase = SplitStepKernel(grid, medium, dz).run(
+        kernel_stack(arrays, grid), plan, hand_off)
     finals = [f.with_values(v).validate_finite() for f, v in zip(fields, final)]
     if plan.snapshot_every:
         hand_off(medium.length, final.copy())

@@ -140,6 +140,47 @@ power = 1e-3
     assert (out / "final.pfl1").read_bytes() == expected
 
 
+def test_padded_propagate_writes_the_same_bytes_for_any_jobs(tmp_path):
+    # at 256^2 the kernel steps rows padded off power-of-two strides; the
+    # transform worker count must not move a byte of the run directory
+    text = """
+[run]
+scenario = propagate
+seed = 1
+snapshots = true
+csv = true
+pgm = true
+
+[grid]
+nx = 256
+ny = 256
+dx = 5e-6
+
+[medium]
+lambda = 780e-9
+n0 = 1.0
+n2 = -5e-12
+alpha = 10.0
+length = 0.005
+
+[plan]
+n_steps = 20
+snapshot_every = 8
+
+[source]
+kind = gaussian
+waist = 1.5e-4
+power = 0.5
+"""
+    cfg, _, out1 = run(tmp_path, text, "jobs1")
+    run_scenario(cfg, tmp_path / "jobs2", jobs=2)
+    names = sorted(p.name for p in out1.iterdir())
+    assert "snapshot_0001.pfl1" in names and "power.csv" in names
+    assert names == sorted(p.name for p in (tmp_path / "jobs2").iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes(), name
+
+
 def test_dispersion_scenario(tmp_path):
     text = """
 [run]

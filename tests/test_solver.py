@@ -237,6 +237,84 @@ class TestBlockedKick:
         assert peak < 512 * 512 * 8
 
 
+def padded_case():
+    """A lossy Kerr run at 256^2, where the kernel pads its rows, with a
+    static complex potential and snapshots: (start, medium, plan)."""
+    grid = make_grid(256, 256, 5e-6)
+    xx, yy = grid.meshgrid()
+    landscape = 1e-7 * np.cos(xx / 3e-5) + 2e-8j * (1.0 + np.sin(yy / 5e-5))
+    k0 = 2 * np.pi / WAVELENGTH
+    medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-0.3 / (k0 * 1e-4),
+                          alpha=5.0, potential=landscape, length=12e-4)
+    start = Field2D(grid=grid, values=np.exp(-(xx**2 + yy**2) / 2e-4**2
+                                             + 0.2j * np.sin(xx / 4e-5)))
+    return start, medium, StepPlan(n_steps=12, snapshot_every=5)
+
+
+class TestPaddedLayout:
+    """Planes with rows of PAD_MIN_NX samples or more are stepped in a
+    buffer whose rows carry ROW_PAD zeros; the fields they give must be the
+    bits of the unpadded arithmetic."""
+
+    def test_padding_rule(self):
+        assert solver.row_pad((1, 512, 512)) == solver.row_pad((1, 256, 256)) == solver.ROW_PAD
+        assert solver.row_pad((8, 64, 64)) == solver.row_pad((5, 1, 256)) == 0
+        grid = make_grid(256, 256, 5e-6)
+        stack = solver.kernel_stack([np.ones((256, 256)), 2j * np.ones((256, 256))], grid)
+        assert stack.shape == (2, 256, 256 + solver.ROW_PAD) and stack.flags.c_contiguous
+        assert not stack[..., 256:].any()
+
+    def test_padded_run_does_the_unpadded_arithmetic(self):
+        # the kernel's order on contiguous arrays: transform, half kinetic,
+        # then per step inverse transform, kick, transform, merged kinetic
+        start, medium, plan = padded_case()
+        record = propagate(start, medium, plan)
+        dz, grid = plan.resolve_dz(medium.length), start.grid
+        kernel = SplitStepKernel(grid, medium, dz)
+        assert kernel.width == grid.nx + solver.ROW_PAD
+        half = kinetic_multiplier(grid, dz / 2.0, medium.k0, medium.n0)
+        full = half * half
+        values = start.values[None].copy()
+        power = [np.sum(np.abs(values) ** 2) * grid.cell_area]
+        spectrum = fft2(values) * half
+        snapshots = []
+        for step in range(plan.n_steps):
+            values = ifft2(spectrum)
+            kernel.kick(values, (step + 0.5) * dz)
+            spectrum = fft2(values)
+            power.append(np.sum(np.abs(spectrum) ** 2) * grid.cell_area)
+            last = step == plan.n_steps - 1
+            if (step + 1) % plan.snapshot_every == 0 and not last:
+                snapshots.append(ifft2(spectrum * half)[0])
+            spectrum = spectrum * (half if last else full)
+        final = ifft2(spectrum)[0]
+        assert np.array_equal(record.final_field.values, final)
+        assert len(record.snapshots) == len(snapshots) + 1 == 3
+        for (_, snap), expected in zip(record.snapshots, [*snapshots, final]):
+            assert np.array_equal(snap.values, expected)
+        np.testing.assert_allclose(record.power_trace[:, 1], power, rtol=1e-13, atol=0)
+
+    def test_transforms_that_return_new_memory_give_the_same_bytes(self, monkeypatch):
+        start, medium, plan = padded_case()
+        records = [propagate(start, medium, plan)]
+        monkeypatch.setattr(solver, "fft2", lambda values, overwrite_x=False: fft2(values))
+        monkeypatch.setattr(solver, "ifft2", lambda values, overwrite_x=False: ifft2(values))
+        records.append(propagate(start, medium, plan))
+        in_place, copied = records
+        assert in_place.final_field.values.tobytes() == copied.final_field.values.tobytes()
+        assert in_place.power_trace.tobytes() == copied.power_trace.tobytes()
+        assert len(in_place.snapshots) == len(copied.snapshots) == 3
+        for (_, a), (_, b) in zip(in_place.snapshots, copied.snapshots):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_fields_handed_out_are_contiguous_and_unpadded(self):
+        start, medium, plan = padded_case()
+        shape = (start.grid.ny, start.grid.nx)
+        for record in (propagate(start, medium, plan), *propagate([start, start], medium, plan)):
+            for field in (record.final_field, *(snap for _, snap in record.snapshots)):
+                assert field.values.shape == shape and field.values.flags.c_contiguous
+
+
 class TestPropagate:
     def test_zero_steps_identity(self, small_grid):
         f = plane_wave(small_grid, 10.0, 1.0)
