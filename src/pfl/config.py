@@ -9,7 +9,9 @@ an error, as are duplicate bindings.
 
 Value syntax per declared type: int (no decimal point), float (finite),
 bool ("true"/"false"), str (verbatim, trimmed), and comma-separated lists
-of float/int/str.
+of float/int/str. A key's range is declared with its type: a number, or
+each item of a list, must lie in the key's interval, and a list must have
+at least its fewest items; a value outside is an error at its line.
 
 parse -> serialize -> parse is the identity: serialization writes every
 resolved key (defaults included) in a canonical order.
@@ -18,7 +20,7 @@ resolved key (defaults included) in a canonical order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Any
 
 REQUIRED = object()
@@ -32,10 +34,31 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class Key:
-    """Schema entry for one key: type, default (REQUIRED if mandatory)."""
+    """Schema entry for one key: type, default (REQUIRED if mandatory), the
+    interval a number or each list item lies in, such as "(0, inf)", and
+    the fewest items a list takes."""
 
     type: str
     default: Any = REQUIRED
+    within: str | None = None
+    items: int = 0
+
+    def check(self, key: str, value, line: int):
+        """Raise a ConfigError at line if value lies outside this key's range."""
+        values = value if isinstance(value, tuple) else (value,)
+        if len(values) < self.items:
+            raise ConfigError(f"{key} needs at least {self.items} value"
+                              f"{'s' * (self.items > 1)}, got {len(values)}", line)
+        for v in values:
+            if self.within is not None and not inside(v, self.within):
+                raise ConfigError(f"{key} must lie in {self.within}, got {v}", line)
+
+
+def inside(value, within: str) -> bool:
+    """Whether a number lies in an interval such as "(0, inf)" or "[0, 1]"."""
+    lo, hi = map(float, within[1:-1].split(","))
+    return ((lo < value if within[0] == "(" else lo <= value)
+            and (value < hi if within[-1] == ")" else value <= hi))
 
 
 @dataclass(frozen=True)
@@ -51,6 +74,12 @@ class Kinds:
     def only(self, *kinds: str, why: str) -> Kinds:
         return Kinds({kind: self.keys[kind] for kind in kinds}, why)
 
+    def section(self, kind: str) -> dict[str, Key]:
+        """The keys of a section of this kind, `kind` first."""
+        return {"kind": Key("str"), **self.keys[kind]}
+
+
+_POSITIVE, _NON_NEGATIVE = "(0, inf)", "[0, inf)"
 
 _RUN = {
     "scenario": Key("str"),
@@ -61,51 +90,44 @@ _RUN = {
 }
 
 _GRID = {
-    "nx": Key("int"),
-    "ny": Key("int"),
-    "dx": Key("float"),
-    "dy": Key("float", None),
+    "nx": Key("int", within="[8, inf)"),
+    "ny": Key("int", within="[8, inf)"),
+    "dx": Key("float", within=_POSITIVE),
+    "dy": Key("float", None, within=_POSITIVE),
 }
 
 _MEDIUM = {
-    "lambda": Key("float"),
-    "n0": Key("float"),
+    "lambda": Key("float", within=_POSITIVE),
+    "n0": Key("float", within=_POSITIVE),
     "chi3": Key("float", None),
     "n2": Key("float", None),
-    "alpha": Key("float", 0.0),
-    "length": Key("float"),
-    "isat": Key("float", None),
+    "alpha": Key("float", 0.0),  # alpha < 0 is gain
+    "length": Key("float", within=_NON_NEGATIVE),
+    "isat": Key("float", None, within=_POSITIVE),
 }
 
 _PLAN = {
-    "n_steps": Key("int"),
-    "snapshot_every": Key("int", 0),
+    "n_steps": Key("int", within=_NON_NEGATIVE),
+    "snapshot_every": Key("int", 0, within=_NON_NEGATIVE),
 }
 
 _SOURCE = Kinds({
-    "gaussian": {"waist": Key("float"), "power": Key("float")},
-    "plane": {"intensity": Key("float")},
-    "speckle": {"intensity": Key("float"), "correlation_length": Key("float")},
+    "gaussian": {"waist": Key("float", within=_POSITIVE),
+                 "power": Key("float", within=_NON_NEGATIVE)},
+    "plane": {"intensity": Key("float", within=_NON_NEGATIVE)},
+    "speckle": {"intensity": Key("float", within=_NON_NEGATIVE),
+                "correlation_length": Key("float", within=_POSITIVE)},
     "file": {"path": Key("str")},  # a PFL1 snapshot
 })
 
-_POTENTIAL_KEYS = {
-    "value_re": Key("float", 0.0),
-    "value_im": Key("float", 0.0),
-    "amplitude_re": Key("float", 0.0),
-    "amplitude_im": Key("float", 0.0),
-    "width": Key("float", None),
-    "center_x": Key("float", 0.0),
-    "center_y": Key("float", 0.0),
-    "period": Key("float", None),
-    "orientation": Key("float", 0.0),
-    "pt_symmetrize": Key("bool", False),
-}
-
+_AMPLITUDE = {"amplitude_re": Key("float", 0.0), "amplitude_im": Key("float", 0.0)}
+_PT = {"pt_symmetrize": Key("bool", False)}
 _POTENTIAL = Kinds({
-    "uniform": _POTENTIAL_KEYS,
-    "gaussian_defect": {**_POTENTIAL_KEYS, "width": Key("float")},
-    "lattice": {**_POTENTIAL_KEYS, "period": Key("float")},
+    "uniform": {"value_re": Key("float", 0.0), "value_im": Key("float", 0.0), **_PT},
+    "gaussian_defect": {**_AMPLITUDE, "width": Key("float", within=_POSITIVE),
+                        "center_x": Key("float", 0.0), "center_y": Key("float", 0.0), **_PT},
+    "lattice": {**_AMPLITUDE, "period": Key("float", within=_POSITIVE),
+                "orientation": Key("float", 0.0), **_PT},
 }, optional=True)
 
 # the memory and its schedule, shared by the gem and fifo-filo scenarios
@@ -113,14 +135,14 @@ _GEM = {
     "g": Key("float"),
     "density": Key("float"),
     "eta0": Key("float"),
-    "z_extent": Key("float", 2.0),
-    "nz": Key("int", 256),
-    "t_extent": Key("float"),
-    "nt": Key("int", 1600),
-    "flip_times": Key("floats"),
+    "z_extent": Key("float", 2.0, within=_POSITIVE),
+    "nz": Key("int", 256, within="[32, inf)"),
+    "t_extent": Key("float", within=_POSITIVE),
+    "nt": Key("int", 1600, within="[32, inf)"),
+    "flip_times": Key("floats", within=_NON_NEGATIVE),
     "coupling_windows": Key("floats", ()),
     "pulse_centers": Key("floats"),
-    "pulse_widths": Key("floats"),
+    "pulse_widths": Key("floats", within=_POSITIVE),
 }
 
 # the [run] entries of a scenario that writes snapshots, an image and CSV
@@ -146,9 +168,9 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         "source": _SOURCE.only("plane", why=_HOMOGENEOUS),
         "potential": _HOMOGENEOUS,
         "dispersion": {
-            "k_perp_list": Key("floats"),
-            "probe_waist": Key("float"),
-            "power_ratio": Key("float", 1e-5),
+            "k_perp_list": Key("floats", within=_NON_NEGATIVE, items=5),
+            "probe_waist": Key("float", within=_POSITIVE),
+            "power_ratio": Key("float", 1e-5, within=_NON_NEGATIVE),
         },
     },
     "sound-scaling": {
@@ -160,11 +182,11 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         "source": "each background is a plane wave at one of sound-scaling.intensities",
         "potential": _HOMOGENEOUS,
         "sound-scaling": {
-            "intensities": Key("floats"),
-            "tau": Key("float", 25.0),
-            "k_perp_xi": Key("float", 0.2),
-            "probe_waist_xi": Key("float", 10.0),
-            "power_ratio": Key("float", 1e-5),
+            "intensities": Key("floats", within=_POSITIVE, items=4),
+            "tau": Key("float", 25.0, within=_POSITIVE),
+            "k_perp_xi": Key("float", 0.2, within=_POSITIVE),
+            "probe_waist_xi": Key("float", 10.0, within=_POSITIVE),
+            "power_ratio": Key("float", 1e-5, within=_NON_NEGATIVE),
         },
     },
     "precondensation": {
@@ -177,9 +199,9 @@ SCENARIOS: dict[str, dict[str, Any]] = {
                                "source.intensity"),
         "potential": _POTENTIAL,
         "precondensation": {
-            "tau_list": Key("floats"),
-            "realizations": Key("int", 4),
-            "bins": Key("int", 64),
+            "tau_list": Key("floats", within=_NON_NEGATIVE, items=1),
+            "realizations": Key("int", 4, within="[1, inf)"),
+            "bins": Key("int", 64, within="[1, inf)"),
         },
     },
     "structure-factor": {
@@ -190,10 +212,10 @@ SCENARIOS: dict[str, dict[str, Any]] = {
                                "source.intensity plus noise"),
         "potential": _POTENTIAL,
         "structure-factor": {
-            "realizations": Key("int", 200),
+            "realizations": Key("int", 200, within="[2, inf)"),
             "noise_amplitude": Key("float", 1e-3),
-            "band_fraction": Key("float", 0.75),
-            "nbins": Key("int", 24),
+            "band_fraction": Key("float", 0.75, within="(0, 1]"),
+            "nbins": Key("int", 24, within="[1, inf)"),
         },
     },
     "vortices": {
@@ -203,32 +225,34 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         "source": _SOURCE,
         "potential": _POTENTIAL,
         "vortices": Kinds({
-            "imprint": {"charges": Key("ints"), "xs": Key("floats"), "ys": Key("floats"),
-                        "core_width": Key("float", None)},
+            "imprint": {"charges": Key("ints", items=1), "xs": Key("floats"),
+                        "ys": Key("floats"), "core_width": Key("float", None, within=_POSITIVE)},
             "stripe": {"stripe_position": Key("float", 0.0), "stripe_angle": Key("float", 0.0),
-                       "stripe_contrast": Key("float", 1.0)},
+                       "stripe_contrast": Key("float", 1.0, within="[0, 1]")},
         }),
         "vortices.evolve": "set plan.n_steps = 0 for no evolution",
     },
     "gem": {**_RUN_IMAGE,
-            "gem": {**_GEM, "decay": Key("float", 0.0), "pulse_labels": Key("strs", ())}},
+            "gem": {**_GEM, "decay": Key("float", 0.0, within=_NON_NEGATIVE),
+                    "pulse_labels": Key("strs", ())}},
     "gem-efficiency-sweep": {
         **_RUN_CSV,
         "gem-efficiency-sweep": {
-            "ratios": Key("floats"),
+            "ratios": Key("floats", within=_NON_NEGATIVE, items=1),
             "eta0": Key("float", 20.0),
-            "z_extent": Key("float", 2.0),
-            "nz": Key("int", 256),
-            "t_extent": Key("float", 8.0),
-            "nt": Key("int", 1600),
-            "flip_time": Key("float", 3.0),
+            "z_extent": _GEM["z_extent"],
+            "nz": _GEM["nz"],
+            "t_extent": replace(_GEM["t_extent"], default=8.0),
+            "nt": _GEM["nt"],
+            "flip_time": Key("float", 3.0, within=_NON_NEGATIVE),
             "pulse_center": Key("float", 1.5),
-            "pulse_width": Key("float", 0.18),
+            "pulse_width": Key("float", 0.18, within=_POSITIVE),
         },
     },
     "fifo-filo": {
         **_RUN_CSV,
-        "fifo-filo": {**_GEM, "nt": Key("int", 2400), "pulse_labels": Key("strs", ("A", "B"))},
+        "fifo-filo": {**_GEM, "nt": replace(_GEM["nt"], default=2400),
+                      "pulse_labels": Key("strs", ("A", "B"))},
         "fifo-filo.mode": "the schedule sets it: one flip and no coupling windows is FILO, "
                           "two flips and at least one window FIFO",
     },
@@ -326,7 +350,7 @@ def _read_section(scenario: str, reads: dict[str, Any], name: str,
             raise ConfigError(f"{scenario} needs a [{name}] of kind {kinds}"
                               + (f", not {kind!r}" if kind else "")
                               + (f": {schema.why}" if schema.why else ""))
-        schema, context = {"kind": Key("str"), **schema.keys[kind]}, f" for kind {kind!r}"
+        schema, context = schema.section(kind), f" for kind {kind!r}"
     schema = {key: spec for key, spec in schema.items() if f"{name}.{key}" not in reads}
     out = {}
     for key, (raw, lineno) in (bindings or {}).items():
@@ -336,6 +360,7 @@ def _read_section(scenario: str, reads: dict[str, Any], name: str,
             raise ConfigError(f"{scenario} takes no {name}.{key}"
                               + (f": {why}" if why else context), lineno)
         out[key] = _parse_value(raw, schema[key].type, f"{name}.{key}", lineno)
+        schema[key].check(f"{name}.{key}", out[key], lineno)
     for key, spec in schema.items():
         if key not in out:
             if spec.default is REQUIRED:
@@ -369,65 +394,20 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig):
-    """Check physical parameters against module preconditions up front."""
-    if cfg.grid is not None:
-        g = cfg.grid
-        for key in ("nx", "ny"):
-            if g[key] < 8 or g[key] % 2:
-                raise ConfigError(f"grid.{key} must be even and at least 8, got {g[key]}")
-        if g["dx"] <= 0 or (g["dy"] is not None and g["dy"] <= 0):
-            raise ConfigError("grid.dx and grid.dy must be positive")
-    if cfg.medium is not None:
-        m = cfg.medium
-        if m["lambda"] <= 0:
-            raise ConfigError(f"medium.lambda must be positive, got {m['lambda']}")
-        if m["n0"] <= 0:
-            raise ConfigError(f"medium.n0 must be positive, got {m['n0']}")
-        if m.get("length", 0.0) < 0:
-            raise ConfigError("medium.length must be non-negative")
-        if (m["chi3"] is None) == (m["n2"] is None):
-            raise ConfigError("medium needs exactly one of chi3 or n2")
-        if m["isat"] is not None and m["isat"] <= 0:
-            raise ConfigError("medium.isat must be positive when given")
-    for key, value in (cfg.plan or {}).items():
-        if value < 0:
-            raise ConfigError(f"plan.{key} must be non-negative")
-    _validate_scenario_params(cfg)
-
-
-def _validate_scenario_params(cfg: RunConfig):
-    p = cfg.params
-    s = cfg.scenario
-    if s == "dispersion":
-        if len(p["k_perp_list"]) < 5:
-            raise ConfigError("dispersion.k_perp_list needs at least 5 values")
-        if p["probe_waist"] <= 0:
-            raise ConfigError("dispersion.probe_waist must be positive")
-        if cfg.plan["snapshot_every"] <= 0:
-            raise ConfigError("dispersion requires plan.snapshot_every > 0 "
-                              "to track the probe packet")
-    elif s == "sound-scaling":
-        if len(p["intensities"]) < 4:
-            raise ConfigError("sound-scaling.intensities needs at least 4 values")
-    elif s == "precondensation":
-        if not p["tau_list"]:
-            raise ConfigError("precondensation.tau_list must not be empty")
-        if p["realizations"] < 1:
-            raise ConfigError("precondensation.realizations must be at least 1")
-    elif s == "structure-factor":
-        if p["realizations"] < 2:
-            raise ConfigError("structure-factor.realizations must be at least 2")
-        if not 0 < p["band_fraction"] <= 1:
-            raise ConfigError("structure-factor.band_fraction must lie in (0, 1]")
-    elif s == "vortices" and p["kind"] == "imprint":
-        if not (len(p["charges"]) == len(p["xs"]) == len(p["ys"])):
-            raise ConfigError("vortices charges/xs/ys must have equal lengths")
-        if not p["charges"]:
-            raise ConfigError("vortices.charges must not be empty")
-    elif s == "vortices":
-        if not 0 <= p["stripe_contrast"] <= 1:
-            raise ConfigError("vortices.stripe_contrast must lie in [0, 1]")
-    elif s in ("gem", "fifo-filo"):
+    """The rules that tie keys together; each key's own range is checked
+    as it is read."""
+    for key in ("nx", "ny"):
+        if cfg.grid is not None and cfg.grid[key] % 2:
+            raise ConfigError(f"grid.{key} must be even, got {cfg.grid[key]}")
+    if cfg.medium is not None and (cfg.medium["chi3"] is None) == (cfg.medium["n2"] is None):
+        raise ConfigError("medium needs exactly one of chi3 or n2")
+    p, s = cfg.params, cfg.scenario
+    if s == "dispersion" and cfg.plan["snapshot_every"] <= 0:
+        raise ConfigError("dispersion requires plan.snapshot_every > 0 "
+                          "to track the probe packet")
+    if p.get("kind") == "imprint" and not len(p["charges"]) == len(p["xs"]) == len(p["ys"]):
+        raise ConfigError("vortices charges/xs/ys must have equal lengths")
+    if s in ("gem", "fifo-filo"):
         pulses = len(p["pulse_centers"])
         if pulses != len(p["pulse_widths"]):
             raise ConfigError(f"{s}.pulse_centers and pulse_widths must have equal lengths")
@@ -443,9 +423,6 @@ def _validate_scenario_params(cfg: RunConfig):
             raise ConfigError("fifo-filo needs one flip_times value and no coupling_windows "
                               "(FILO), or two flip_times values and at least one "
                               "coupling_windows pair (FIFO)")
-    elif s == "gem-efficiency-sweep":
-        if not p["ratios"]:
-            raise ConfigError("gem-efficiency-sweep.ratios must not be empty")
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -457,7 +434,7 @@ def serialize_config(cfg: RunConfig) -> str:
         if isinstance(schema, str) or data is None:
             continue
         if isinstance(schema, Kinds):
-            schema = {"kind": Key("str"), **schema.keys[data["kind"]]}
+            schema = schema.section(data["kind"])
         lines.append(f"[{name}]")
         for key, spec in schema.items():
             value = data.get(key)
@@ -470,16 +447,10 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def _format_value(value, kind: str) -> str:
     from .fileio import fmt
+    if kind in ("floats", "ints", "strs"):  # each item as its own kind
+        return ", ".join(_format_value(v, kind[:-1]) for v in value)
     if kind == "bool":
         return "true" if value else "false"
-    if kind == "int":
-        return str(int(value))
     if kind == "float":
         return fmt(float(value))
-    if kind == "str":
-        return str(value)
-    if kind in ("floats", "ints", "strs"):
-        if kind == "floats":
-            return ", ".join(fmt(float(v)) for v in value)
-        return ", ".join(str(v) for v in value)
-    raise ValueError(f"unhandled kind {kind}")
+    return str(int(value)) if kind == "int" else str(value)

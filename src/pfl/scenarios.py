@@ -42,13 +42,14 @@ def build_medium(cfg: RunConfig, grid: Grid | None = None) -> MediumParams:
 
 def _build_potential(cfg: RunConfig, grid: Grid) -> np.ndarray:
     p = cfg.potential
-    amplitude = complex(p["amplitude_re"], p["amplitude_im"])
     if p["kind"] == "uniform":
         dn = uniform_potential(grid, complex(p["value_re"], p["value_im"]))
     elif p["kind"] == "gaussian_defect":
-        dn = gaussian_defect(grid, amplitude, p["width"], center=(p["center_x"], p["center_y"]))
+        dn = gaussian_defect(grid, complex(p["amplitude_re"], p["amplitude_im"]), p["width"],
+                             center=(p["center_x"], p["center_y"]))
     else:
-        dn = lattice_potential(grid, amplitude, p["period"], p["orientation"])
+        dn = lattice_potential(grid, complex(p["amplitude_re"], p["amplitude_im"]),
+                               p["period"], p["orientation"])
     if p["pt_symmetrize"]:
         dn = pt_symmetrize(dn)
     if not np.all(np.isfinite(dn)):

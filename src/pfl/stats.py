@@ -85,6 +85,14 @@ def _radial_bins(rr: np.ndarray, nbins: int, r_max: float):
     return edges, idx
 
 
+def _bin_sums(idx: np.ndarray, nbins: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """Per-bin sums of weights (counts without), each bin added in sample
+    order; a complex sum adds its real and imaginary parts separately."""
+    if weights is not None and np.iscomplexobj(weights):
+        return _bin_sums(idx, nbins, weights.real) + 1j * _bin_sums(idx, nbins, weights.imag)
+    return np.bincount(idx, weights=weights, minlength=nbins).astype(float)
+
+
 def _g1_rotate_pair(values: list[np.ndarray], grid, nbins: int) -> CoherenceProfile:
     rr = np.hypot(*grid.meshgrid())
     r_max = 0.5 * min(grid.extent_x, grid.extent_y) / 2.0  # stay clear of the corners
@@ -93,14 +101,15 @@ def _g1_rotate_pair(values: list[np.ndarray], grid, nbins: int) -> CoherenceProf
     edges, idx = _radial_bins(rr, nbins, r_max)
     inside = rr.ravel() < r_max
 
-    num = np.zeros(nbins, dtype=np.complex128)
-    den = np.zeros(nbins)
+    prods, dens = [], []
     for v in values:
         mirrored = np.roll(np.roll(v[::-1, ::-1], 1, axis=0), 1, axis=1)  # psi(-r)
-        prod = (v * np.conj(mirrored)).ravel()[inside]
-        dens = (0.5 * (np.abs(v) ** 2 + np.abs(mirrored) ** 2)).ravel()[inside]
-        np.add.at(num, idx[inside], prod)
-        np.add.at(den, idx[inside], dens)
+        prods.append((v * np.conj(mirrored)).ravel()[inside])
+        dens.append((0.5 * (np.abs(v) ** 2 + np.abs(mirrored) ** 2)).ravel()[inside])
+    # the members' samples in member order: each bin adds member after member
+    idx = np.tile(idx[inside], len(values))
+    num = _bin_sums(idx, nbins, np.concatenate(prods))
+    den = _bin_sums(idx, nbins, np.concatenate(dens))
     good = den > 0
     g1 = np.zeros(nbins)
     g1[good] = np.abs(num[good]) / den[good]
@@ -126,10 +135,8 @@ def _g1_ensemble(values: list[np.ndarray], grid, nbins: int) -> CoherenceProfile
         nbins = min(nx, ny) // 4
     edges, idx = _radial_bins(rr, nbins, r_max)
     inside = rr.ravel() < r_max
-    num = np.zeros(nbins, dtype=np.complex128)
-    counts = np.zeros(nbins)
-    np.add.at(num, idx[inside], corr.ravel()[inside])
-    np.add.at(counts, idx[inside], 1.0)
+    num = _bin_sums(idx[inside], nbins, corr.ravel()[inside])
+    counts = _bin_sums(idx[inside], nbins)
     good = counts > 0
     g1 = np.abs(num[good]) / counts[good]
     separations = (edges[:-1] + 0.5 * np.diff(edges))[good]
@@ -181,12 +188,13 @@ def structure_factor(signal: list[np.ndarray], reference: list[np.ndarray], grid
     edges, idx = _radial_bins(kk, nbins, k_max)
     keep = (kk.ravel() > 0) & (kk.ravel() <= k_max)  # drop the k = 0 mean mode
 
-    s_num = np.bincount(idx[keep], weights=sig_mean.ravel()[keep], minlength=nbins)
-    s_den = np.bincount(idx[keep], weights=ref_mean.ravel()[keep], minlength=nbins)
+    idx = idx[keep]
+    s_num = _bin_sums(idx, nbins, sig_mean.ravel()[keep])
+    s_den = _bin_sums(idx, nbins, ref_mean.ravel()[keep])
     # variance of the bin means, realization scatter / (modes * realizations)
-    v_num = np.bincount(idx[keep], weights=sig_var.ravel()[keep], minlength=nbins)
-    v_den = np.bincount(idx[keep], weights=ref_var.ravel()[keep], minlength=nbins)
-    counts = np.bincount(idx[keep], minlength=nbins).astype(float)
+    v_num = _bin_sums(idx, nbins, sig_var.ravel()[keep])
+    v_den = _bin_sums(idx, nbins, ref_var.ravel()[keep])
+    counts = _bin_sums(idx, nbins)
     # bins where the reference carries no noise power are unnormalizable
     good = (counts > 0) & (s_den > 1e-12 * float(np.max(s_den)) * counts)
     if not np.any(good):

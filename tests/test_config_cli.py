@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from pfl.cli import main as cli_main
-from pfl.config import REQUIRED, SCENARIOS, ConfigError, parse_config, serialize_config
+from pfl.config import (REQUIRED, SCENARIOS, ConfigError, Kinds, inside, parse_config,
+                        serialize_config)
 
 GOOD_PROPAGATE = """
 [run]
@@ -143,6 +145,7 @@ VORTEX_PAIR = (ROOT / "configs" / "vortex_pair.ini").read_text()
 VORTEX_STRIPE = (VORTEX_PAIR[:VORTEX_PAIR.index("[vortices]")]
                  + "[vortices]\nkind = stripe\nstripe_contrast = 0.8\n")
 FIFO_FILO = (ROOT / "configs" / "fifo_filo.ini").read_text()
+PROPAGATE_GAUSSIAN = (ROOT / "configs" / "propagate_gaussian.ini").read_text()
 
 GOOD_GEM = """
 [run]
@@ -427,6 +430,74 @@ class TestParsing:
         cfg.write_text(text)
         assert cli_main(["validate", "--config", str(cfg)]) == 2
 
+    def test_every_range_parses_and_holds_its_default(self):
+        # defaults are not checked as a config is read, so they are here
+        specs = [spec for reads in SCENARIOS.values() for section in reads.values()
+                 if not isinstance(section, str)
+                 for keys in (section.keys.values() if isinstance(section, Kinds) else [section])
+                 for spec in keys.values()]
+        assert inside(0, "[0, 1]") and inside(1, "[0, 1]") and inside(1e300, "[0, inf)")
+        assert not inside(0, "(0, 1]") and not inside(1, "[0, 1)")
+        ranged = [spec for spec in specs if spec.within is not None]
+        assert len(ranged) > 30
+        for spec in ranged:
+            assert spec.type in ("int", "float", "ints", "floats")
+            lo, hi = re.fullmatch(r"[(\[](\S+), (\S+)[)\]]", spec.within).groups()
+            assert float(lo) <= float(hi)
+        for spec in specs:
+            if spec.default is not REQUIRED and spec.default is not None:
+                values = spec.default if isinstance(spec.default, tuple) else (spec.default,)
+                assert len(values) >= spec.items
+                assert spec.within is None or all(inside(v, spec.within) for v in values)
+
+    # all but the last passed validation before their key's range was
+    # declared, and the run then failed, replaced the value or ignored the key
+    @pytest.mark.parametrize("text, binding, message", [
+        (GOOD_DISPERSION, "power_ratio = -1e-5",
+         r"dispersion.power_ratio must lie in \[0, inf\), got -1e-05"),
+        (GOOD_GEM.replace("nz = 64\n", ""), "nz = 8",
+         r"gem-efficiency-sweep.nz must lie in \[32, inf\), got 8"),
+        (PROPAGATE_GAUSSIAN.replace("waist = 150e-6\n", ""), "waist = -1e-4",
+         r"source.waist must lie in \(0, inf\), got -0.0001"),
+        (GOOD_PRECONDENSATION, "bins = 0", r"precondensation.bins must lie in \[1, inf\), got 0"),
+        (GOOD_SOUND_SCALING, "tau = -1", r"sound-scaling.tau must lie in \(0, inf\), got -1.0"),
+        (GOOD_STRUCTURE_FACTOR, "nbins = 0",
+         r"structure-factor.nbins must lie in \[1, inf\), got 0"),
+        (GOOD_PROPAGATE + POTENTIAL, "amplitude_re = 5",
+         r"propagate takes no potential.amplitude_re for kind 'uniform'$"),
+        (GOOD_DISPERSION.replace("k_perp_list = 20000, 30000, 40000, 60000, 90000\n", ""),
+         "k_perp_list = 40000, 60000, 90000",
+         r"dispersion.k_perp_list needs at least 5 values, got 3"),
+    ], ids=["dispersion-power-ratio", "gem-nz", "source-waist", "precondensation-bins",
+            "sound-scaling-tau", "structure-factor-nbins", "uniform-amplitude",
+            "dispersion-k-perp-list"])
+    def test_out_of_range_values_are_rejected_at_their_line(self, text, binding, message,
+                                                            tmp_path, capsys):
+        text += binding + "\n"
+        line = text.splitlines().index(binding) + 1
+        with pytest.raises(ConfigError, match=f"line {line}: {message}"):
+            parse_config(text)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert cli_main(["validate", "--config", str(cfg)]) == 2
+        assert f"line {line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, keys", [
+        ("uniform", "value_re = 1e-6\nvalue_im = -2e-7\n"),
+        ("gaussian_defect", "amplitude_re = 1e-6\nwidth = 5e-5\ncenter_x = 1e-5\n"),
+        ("lattice", "amplitude_im = 1e-6\nperiod = 1.6e-4\norientation = 0.3\n"),
+    ], ids=["uniform", "gaussian_defect", "lattice"])
+    def test_potential_round_trip_writes_only_its_kinds_keys(self, kind, keys):
+        cfg = parse_config(f"{GOOD_PROPAGATE}\n[potential]\nkind = {kind}\n{keys}")
+        serialized = serialize_config(cfg)
+        section = serialized[serialized.index("[potential]"):].split("\n\n")[0]
+        written = [line.split(" = ")[0] for line in section.splitlines()[1:]]
+        potential = SCENARIOS["propagate"]["potential"]
+        assert written == list(potential.section(kind))
+        others = {key for other, own in potential.keys.items() if other != kind for key in own}
+        assert not (others - set(potential.keys[kind])) & set(written)
+        assert parse_config(serialized) == cfg
+
     def test_type_errors_are_reported(self, tmp_path):
         shipped = next(c for c in CONFIGS if c.name == "propagate_gaussian.ini").read_text()
         dispersion = GOOD_DISPERSION.replace("20000, 30000", "20000, -inf")
@@ -559,17 +630,22 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "exit 0 False False"
 
-    def test_validate_and_version_load_neither_numpy_nor_scipy(self):
+    def test_validate_and_version_load_neither_numpy_nor_scipy(self, tmp_path):
         # the CLI imports the scenarios only to run one, and the package
-        # exports resolve on first access, so these commands touch no array
-        commands = [["validate", "--config", str(c)] for c in CONFIGS] + [["version"]]
+        # exports resolve on first access, so these commands touch no array;
+        # nor does a range error
+        bad = tmp_path / "bad.ini"
+        bad.write_text(PROPAGATE_GAUSSIAN.replace("n0 = 1.0", "n0 = -1.0"))
+        commands = ([["validate", "--config", str(c)] for c in CONFIGS]
+                    + [["validate", "--config", str(bad)], ["version"]])
         code = ("import sys; from pfl.cli import main; "
                 f"codes = [main(argv) for argv in {commands!r}]; "
                 "print(codes, sorted(m for m in sys.modules "
                 "if m.partition('.')[0] in ('numpy', 'scipy')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
+        assert proc.stdout.splitlines()[-1] == f"{[0] * len(CONFIGS) + [2, 0]} []"
+        assert "line 18: medium.n0 must lie in (0, inf), got -1.0" in proc.stderr
 
     def test_shipped_dispersion_config_runs(self, tmp_path, monkeypatch):
         # one stacked propagation of one line per probe: the background is
