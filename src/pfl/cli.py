@@ -49,9 +49,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a byte-order mark
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason} "
+                          f"at byte {exc.start}") from exc
     return parse_config(text)
 
 

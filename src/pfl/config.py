@@ -407,7 +407,14 @@ def validate_config(cfg: RunConfig):
                           "to track the probe packet")
     if p.get("kind") == "imprint" and not len(p["charges"]) == len(p["xs"]) == len(p["ys"]):
         raise ConfigError("vortices charges/xs/ys must have equal lengths")
+    if s == "gem-efficiency-sweep" and p["flip_time"] > p["t_extent"]:
+        raise ConfigError(f"{s}.flip_time: eta flip times must lie within [0, t_extent]")
     if s in ("gem", "fifo-filo"):
+        flips, windows = p["flip_times"], p["coupling_windows"]
+        if any(b <= a for a, b in zip(flips, flips[1:])):
+            raise ConfigError(f"{s}.flip_times: eta flip times must be strictly increasing")
+        if any(t > p["t_extent"] for t in flips):
+            raise ConfigError(f"{s}.flip_times: eta flip times must lie within [0, t_extent]")
         pulses = len(p["pulse_centers"])
         if pulses != len(p["pulse_widths"]):
             raise ConfigError(f"{s}.pulse_centers and pulse_widths must have equal lengths")
@@ -415,10 +422,13 @@ def validate_config(cfg: RunConfig):
             raise ConfigError(f"fifo-filo needs exactly two pulses, got {pulses}")
         if p["pulse_labels"] and len(p["pulse_labels"]) != pulses:
             raise ConfigError(f"{s}.pulse_labels needs one label per pulse or none")
-        if len(p["coupling_windows"]) % 2:
+        if len(windows) % 2:
             raise ConfigError(f"{s}.coupling_windows must list (on, off) pairs")
+        if list(windows) != sorted(windows):
+            raise ConfigError(f"{s}.coupling_windows: coupling windows must be ordered "
+                              "and disjoint")
         # the schedules of the two modes (gem.fifo_filo_experiment)
-        shape = (len(p["flip_times"]), bool(p["coupling_windows"]))
+        shape = (len(flips), bool(windows))
         if s == "fifo-filo" and shape not in ((1, False), (2, True)):
             raise ConfigError("fifo-filo needs one flip_times value and no coupling_windows "
                               "(FILO), or two flip_times values and at least one "

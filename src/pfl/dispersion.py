@@ -180,14 +180,11 @@ def demodulated_envelope(profile: np.ndarray, x: np.ndarray, k_carrier: float,
 def _parabolic_peak(envelope: np.ndarray, x: np.ndarray, idx: int, dx: float,
                     extent: float) -> float:
     """Sub-cell peak position from a parabola through three samples."""
-    n = len(envelope)
-    em = envelope[(idx - 1) % n]
-    e0 = envelope[idx]
-    ep = envelope[(idx + 1) % n]
+    em, e0, ep = envelope[np.array([idx - 1, idx, idx + 1]) % len(envelope)]
     denom = em - 2.0 * e0 + ep
     shift = 0.0 if denom == 0.0 else 0.5 * (em - ep) / denom
     shift = float(np.clip(shift, -0.5, 0.5))
-    return float(_wrap_coord(np.array([x[idx] + shift * dx]), extent)[0])
+    return float(_wrap_coord(x[idx] + shift * dx, extent))
 
 
 def _threshold_islands(envelope: np.ndarray, x: np.ndarray,
@@ -203,25 +200,16 @@ def _threshold_islands(envelope: np.ndarray, x: np.ndarray,
     if mask.all():
         idx = int(np.argmax(envelope))
         return [(_parabolic_peak(envelope, x, idx, dx, extent), float(np.sum(envelope)))]
-    # rotate so the scan starts in a below-threshold gap
+    # rotate so the scan starts in a below-threshold gap; each island then
+    # runs from a rising to a falling transition of the rotated mask
     start = int(np.argmin(mask))
-    mask_r = np.roll(mask, -start)
     env_r = np.roll(envelope, -start)
+    bounds = np.flatnonzero(np.diff(np.roll(mask, -start), append=False)) + 1
     islands = []
-    i = 0
-    n = len(mask_r)
-    while i < n:
-        if not mask_r[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and mask_r[j]:
-            j += 1
-        seg = slice(i, j)
-        mass = float(np.sum(env_r[seg]))
-        idx = (start + i + int(np.argmax(env_r[seg]))) % n
-        islands.append((_parabolic_peak(envelope, x, idx, dx, extent), mass))
-        i = j
+    for i, j in bounds.reshape(-1, 2).tolist():
+        seg = env_r[i:j]
+        idx = (start + i + int(np.argmax(seg))) % len(envelope)
+        islands.append((_parabolic_peak(envelope, x, idx, dx, extent), float(np.sum(seg))))
     islands.sort(key=lambda t: -t[1])
     return islands
 

@@ -79,18 +79,22 @@ def coherence_g1(fields, method: str = "rotate_pair", nbins: int = 0) -> Coheren
     raise ValueError(f"unknown coherence method {method!r}")
 
 
-def _radial_bins(rr: np.ndarray, nbins: int, r_max: float):
+def _radial_sums(r: np.ndarray, r_max: float, nbins: int, take: np.ndarray, *weights,
+                 members: int = 1):
+    """Centres of nbins equal bins of r on [0, r_max], then the per-bin sums
+    of each weights array over the flat mask take (counts for None). A
+    weights array holds its members' maps in turn and each bin adds them in
+    that order; a complex sum adds real and imaginary parts separately."""
     edges = np.linspace(0.0, r_max, nbins + 1)
-    idx = np.clip(np.digitize(rr.ravel(), edges) - 1, 0, nbins - 1)
-    return edges, idx
+    idx = np.tile(np.clip(np.digitize(r.ravel(), edges) - 1, 0, nbins - 1)[take], members)
 
+    def bin_sum(w):
+        if np.iscomplexobj(w):
+            return bin_sum(w.real) + 1j * bin_sum(w.imag)
+        return np.bincount(idx, weights=w, minlength=nbins).astype(float)
 
-def _bin_sums(idx: np.ndarray, nbins: int, weights: np.ndarray | None = None) -> np.ndarray:
-    """Per-bin sums of weights (counts without), each bin added in sample
-    order; a complex sum adds its real and imaginary parts separately."""
-    if weights is not None and np.iscomplexobj(weights):
-        return _bin_sums(idx, nbins, weights.real) + 1j * _bin_sums(idx, nbins, weights.imag)
-    return np.bincount(idx, weights=weights, minlength=nbins).astype(float)
+    picked = (w if w is None else np.reshape(w, (members, -1))[:, take].ravel() for w in weights)
+    return edges[:-1] + 0.5 * np.diff(edges), *map(bin_sum, picked)
 
 
 def _g1_rotate_pair(values: list[np.ndarray], grid, nbins: int) -> CoherenceProfile:
@@ -98,23 +102,16 @@ def _g1_rotate_pair(values: list[np.ndarray], grid, nbins: int) -> CoherenceProf
     r_max = 0.5 * min(grid.extent_x, grid.extent_y) / 2.0  # stay clear of the corners
     if nbins <= 0:
         nbins = min(grid.nx, grid.ny) // 8
-    edges, idx = _radial_bins(rr, nbins, r_max)
-    inside = rr.ravel() < r_max
-
-    prods, dens = [], []
-    for v in values:
-        mirrored = np.roll(np.roll(v[::-1, ::-1], 1, axis=0), 1, axis=1)  # psi(-r)
-        prods.append((v * np.conj(mirrored)).ravel()[inside])
-        dens.append((0.5 * (np.abs(v) ** 2 + np.abs(mirrored) ** 2)).ravel()[inside])
-    # the members' samples in member order: each bin adds member after member
-    idx = np.tile(idx[inside], len(values))
-    num = _bin_sums(idx, nbins, np.concatenate(prods))
-    den = _bin_sums(idx, nbins, np.concatenate(dens))
+    v = np.stack(values)
+    mirrored = np.roll(v[:, ::-1, ::-1], (1, 1), axis=(1, 2))  # psi(-r)
+    centres, num, den = _radial_sums(rr, r_max, nbins, rr.ravel() < r_max,
+                                     v * np.conj(mirrored),
+                                     0.5 * (np.abs(v) ** 2 + np.abs(mirrored) ** 2),
+                                     members=len(values))
     good = den > 0
-    g1 = np.zeros(nbins)
-    g1[good] = np.abs(num[good]) / den[good]
-    separations = (edges[:-1] + 0.5 * np.diff(edges)) * 2.0  # dr = 2 r
-    return CoherenceProfile(separation=separations[good], g1=np.clip(g1[good], 0.0, 1.0))
+    g1 = np.abs(num[good]) / den[good]
+    return CoherenceProfile(separation=centres[good] * 2.0,  # dr = 2 r
+                            g1=np.clip(g1, 0.0, 1.0))
 
 
 def _g1_ensemble(values: list[np.ndarray], grid, nbins: int) -> CoherenceProfile:
@@ -133,14 +130,10 @@ def _g1_ensemble(values: list[np.ndarray], grid, nbins: int) -> CoherenceProfile
     r_max = 0.5 * min(nx * dx, ny * dy)
     if nbins <= 0:
         nbins = min(nx, ny) // 4
-    edges, idx = _radial_bins(rr, nbins, r_max)
-    inside = rr.ravel() < r_max
-    num = _bin_sums(idx[inside], nbins, corr.ravel()[inside])
-    counts = _bin_sums(idx[inside], nbins)
+    centres, num, counts = _radial_sums(rr, r_max, nbins, rr.ravel() < r_max, corr, None)
     good = counts > 0
     g1 = np.abs(num[good]) / counts[good]
-    separations = (edges[:-1] + 0.5 * np.diff(edges))[good]
-    return CoherenceProfile(separation=separations, g1=np.clip(g1, 0.0, 1.0))
+    return CoherenceProfile(separation=centres[good], g1=np.clip(g1, 0.0, 1.0))
 
 
 @dataclass
@@ -185,16 +178,11 @@ def structure_factor(signal: list[np.ndarray], reference: list[np.ndarray], grid
     k_max = float(min(np.max(np.abs(kx)), np.max(np.abs(ky))))
     if nbins <= 0:
         nbins = min(grid.nx, grid.ny) // 8
-    edges, idx = _radial_bins(kk, nbins, k_max)
-    keep = (kk.ravel() > 0) & (kk.ravel() <= k_max)  # drop the k = 0 mean mode
-
-    idx = idx[keep]
-    s_num = _bin_sums(idx, nbins, sig_mean.ravel()[keep])
-    s_den = _bin_sums(idx, nbins, ref_mean.ravel()[keep])
-    # variance of the bin means, realization scatter / (modes * realizations)
-    v_num = _bin_sums(idx, nbins, sig_var.ravel()[keep])
-    v_den = _bin_sums(idx, nbins, ref_var.ravel()[keep])
-    counts = _bin_sums(idx, nbins)
+    # drop the k = 0 mean mode; v_num and v_den give the variance of the bin
+    # means, realization scatter / (modes * realizations)
+    centres, s_num, s_den, v_num, v_den, counts = _radial_sums(
+        kk, k_max, nbins, (kk.ravel() > 0) & (kk.ravel() <= k_max),
+        sig_mean, ref_mean, sig_var, ref_var, None)
     # bins where the reference carries no noise power are unnormalizable
     good = (counts > 0) & (s_den > 1e-12 * float(np.max(s_den)) * counts)
     if not np.any(good):
@@ -205,8 +193,7 @@ def structure_factor(signal: list[np.ndarray], reference: list[np.ndarray], grid
     rel_var = (v_num[good] / np.maximum(s_num[good], 1e-300) ** 2 / n_sig
                + v_den[good] / np.maximum(s_den[good], 1e-300) ** 2 / n_ref)
     sigma = s_k * np.sqrt(rel_var)
-    centers = (edges[:-1] + 0.5 * np.diff(edges))[good]
-    return StructureFactor(k=centers, s_k=s_k, sigma=sigma)
+    return StructureFactor(k=centres[good], s_k=s_k, sigma=sigma)
 
 
 def _fluctuation_spectrum(densities: list[np.ndarray]):

@@ -7,6 +7,7 @@ with `pytest -s tests/test_acceptance.py` to see them as they complete.
 import time
 
 import numpy as np
+import pytest
 
 from pfl.cli import main as cli_main
 from pfl.dispersion import (ProbeSpec, dispersion_from_group_velocity,
@@ -70,7 +71,8 @@ def test_criterion_02_unitarity():
 
 def test_criterion_03_loss_law():
     grid = make_grid(128, 128, 5e-6)
-    beam = gaussian_beam(grid, 1.2e-4, 1.0, 1.0)
+    with pytest.warns(UserWarning, match="beam waist"):
+        beam = gaussian_beam(grid, 1.2e-4, 1.0, 1.0)
     alpha, length = 37.0, 0.042
     medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, alpha=alpha,
                           length=length)
@@ -85,7 +87,8 @@ def test_criterion_03_loss_law():
 
 def test_criterion_04_strang_order():
     grid, medium, _, scales = defocusing_setup(nx=64, dx=5e-6, xi_cells=3.0, tau=5.0)
-    beam = gaussian_beam(grid, 8e-5, 1e-4, 1.0)
+    with pytest.warns(UserWarning, match="beam waist"):
+        beam = gaussian_beam(grid, 8e-5, 1e-4, 1.0)
     bump = Field2D(grid=grid,
                    values=1.0 + 0.4 * beam.values / np.abs(beam.values).max())
     ref = propagate(bump, medium, StepPlan(n_steps=1280)).final_field.values
@@ -214,7 +217,8 @@ def test_criterion_09_fifo_filo():
 
 def test_criterion_10_vortex_invariants():
     grid = make_grid(128, 128, 1e-5)
-    base = gaussian_beam(grid, 2.4e-4, 1.0, 1.0)
+    with pytest.warns(UserWarning, match="beam waist"):
+        base = gaussian_beam(grid, 2.4e-4, 1.0, 1.0)
     recovered = {}
     for charge in (-3, -2, -1, 1, 2, 3):
         f = imprint_vortex(base, charge, center=(0.5e-5, 0.5e-5), core_width=3e-5)

@@ -381,6 +381,30 @@ class TestParsing:
         cfg.write_text(text)
         assert cli_main(["validate", "--config", str(cfg)]) == 2
 
+    # the schedule rules GemConfig holds library callers to, caught before a run
+    @pytest.mark.parametrize("config, binding, replacement, message", [
+        ("fifo_filo.ini", "coupling_windows = 0.0, 3.2, 5.7, 9.0",
+         "coupling_windows = 0.0, 3.2, 9.0, 5.7",
+         r"fifo-filo.coupling_windows: coupling windows must be ordered and disjoint"),
+        ("fifo_filo.ini", "flip_times = 3.0, 5.5", "flip_times = 5.5, 3.0",
+         r"fifo-filo.flip_times: eta flip times must be strictly increasing"),
+        ("fifo_filo.ini", "flip_times = 3.0, 5.5", "flip_times = 3.0, 9.5",
+         r"fifo-filo.flip_times: eta flip times must lie within \[0, t_extent\]"),
+        ("gem_efficiency_sweep.ini", "flip_time = 3.0", "flip_time = 9.0",
+         r"gem-efficiency-sweep.flip_time: eta flip times must lie within \[0, t_extent\]"),
+    ], ids=["windows-out-of-order", "flips-decreasing", "flip-after-t-extent",
+            "sweep-flip-after-t-extent"])
+    def test_gem_schedule_rules_exit_2(self, config, binding, replacement, message,
+                                       tmp_path):
+        shipped = next(c for c in CONFIGS if c.name == config).read_text()
+        text = shipped.replace(binding, replacement)
+        assert text != shipped
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        assert cli_main(["validate", "--config", str(cfg)]) == 2
+
     @pytest.mark.parametrize("text, message", [
         (VORTEX_PAIR + "stripe_angle = 1.0\n",
          r"line 34: vortices takes no vortices.stripe_angle for kind 'imprint'"),
@@ -533,6 +557,24 @@ class TestCli:
 
     def test_missing_file_exit_2(self):
         assert cli_main(["validate", "--config", "/nonexistent.ini"]) == 2
+
+    def test_byte_order_mark_is_read_as_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bom.ini"
+        cfg.write_bytes(b"\xef\xbb\xbf" + GOOD_GEM.lstrip().encode())
+        assert cli_main(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("ok: scenario 'gem-efficiency-sweep'")
+
+    def test_config_that_is_not_utf8_exits_2_without_numpy(self, tmp_path):
+        cfg = tmp_path / "utf16.ini"
+        cfg.write_bytes(b"\xff\xfe" + GOOD_GEM.encode("utf-16-le"))
+        code = ("import sys; from pfl.cli import main; "
+                f"code = main(['validate', '--config', {str(cfg)!r}]); "
+                "print('exit', code, 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "exit 2 False"
+        assert proc.stderr.startswith(f"config error: config file {cfg} is not UTF-8 text")
+        assert "Traceback" not in proc.stderr
 
     def test_scenario_mismatch_exit_2(self, tmp_path):
         cfg = tmp_path / "gem.ini"

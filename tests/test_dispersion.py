@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pfl.dispersion import (ProbeSpec, _fit_bogoliubov, _fit_drift, _line_fit,
-                            _probe_displacement, _trailing_run,
+                            _parabolic_peak, _probe_displacement, _threshold_islands,
+                            _trailing_run, _wrap_coord,
                             bogoliubov_group_velocity, bogoliubov_omega,
                             bogoliubov_sound_speed, dispersion_from_group_velocity,
                             measure_group_velocity, packet_displacement,
@@ -194,6 +195,48 @@ def test_trailing_run_matches_loop():
               for _ in range(10)]
     for flags in cases:
         assert np.array_equal(_trailing_run(flags), _trailing_run_loop(flags))
+
+
+def _threshold_islands_loop(envelope, x, extent):
+    """Reference island scan, one sample at a time: rotate into a gap, then
+    walk each run of above-threshold samples."""
+    dx = float(x[1] - x[0])
+    mask = envelope > 0.35 * float(np.max(envelope))
+    if mask.all():
+        idx = int(np.argmax(envelope))
+        return [(_parabolic_peak(envelope, x, idx, dx, extent), float(np.sum(envelope)))]
+    start = int(np.argmin(mask))
+    mask_r, env_r, n = np.roll(mask, -start), np.roll(envelope, -start), len(mask)
+    islands, i = [], 0
+    while i < n:
+        if not mask_r[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and mask_r[j]:
+            j += 1
+        idx = (start + i + int(np.argmax(env_r[i:j]))) % n
+        islands.append((_parabolic_peak(envelope, x, idx, dx, extent),
+                        float(np.sum(env_r[i:j]))))
+        i = j
+    islands.sort(key=lambda t: -t[1])
+    return islands
+
+
+def test_threshold_islands_match_loop():
+    n = 128
+    x = (np.arange(n) - n // 2) * 1.0
+    rng = np.random.default_rng(20)
+    seam = np.exp(-(_wrap_coord(x - 63.0, n) / 4.0) ** 2)  # crosses x = +-n/2
+    cases = [seam, 1.0 + 0.01 * rng.random(n), np.zeros(n)]
+    cases += [rng.random(n) ** p for p in (1, 4, 12) for _ in range(20)]
+    cases += [np.convolve(np.tile(rng.random(n), 3), np.ones(7), "same")[n:2 * n]
+              for _ in range(20)]
+    for env in cases:
+        assert _threshold_islands(env, x, n) == _threshold_islands_loop(env, x, n)
+    assert len(_threshold_islands(seam, x, n)) == 1
+    assert len(_threshold_islands(cases[1], x, n)) == 1
+    assert _threshold_islands(np.zeros(n), x, n) == []
 
 
 class TestEnvelopeTools:

@@ -27,13 +27,15 @@ class TestDetectVortices:
         assert sorted(found.charges) == [-1, 1]
 
     def test_smooth_field_empty(self, small_grid):
-        f = gaussian_beam(small_grid, 1e-4, 1.0, 1.0)
+        with pytest.warns(UserWarning, match="beam waist"):
+            f = gaussian_beam(small_grid, 1e-4, 1.0, 1.0)
         assert len(detect_vortices(f)) == 0
 
     @pytest.mark.parametrize("charge", [-3, -2, -1, 1, 2, 3])
     def test_total_winding_exact(self, charge):
         grid = make_grid(128, 128, 1e-5)
-        base = gaussian_beam(grid, 2.4e-4, 1.0, 1.0)
+        with pytest.warns(UserWarning, match="beam waist"):
+            base = gaussian_beam(grid, 2.4e-4, 1.0, 1.0)
         f = imprint_vortex(base, charge, center=(0.5e-5, 0.5e-5), core_width=3e-5)
         found = detect_vortices(f)
         assert found.total_winding == charge

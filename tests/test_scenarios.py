@@ -127,11 +127,13 @@ kind = gaussian
 waist = 1.2e-4
 power = 1e-3
 """
-    cfg, writer, out = run(tmp_path, text)
+    with pytest.warns(UserWarning, match="beam waist"):
+        cfg, writer, out = run(tmp_path, text)
     grid = scenarios.build_grid(cfg)
     medium = scenarios.build_medium(cfg, grid)
-    record = propagate(scenarios.build_source(cfg, grid, medium), medium,
-                       scenarios.build_plan(cfg))
+    with pytest.warns(UserWarning, match="beam waist"):
+        beam = scenarios.build_source(cfg, grid, medium)
+    record = propagate(beam, medium, scenarios.build_plan(cfg))
     assert len(record.snapshots) == 10
     for i, (z, snap) in enumerate(record.snapshots):
         expected = save_field(tmp_path / "expected.pfl1", snap, z).read_bytes()

@@ -342,7 +342,8 @@ class TestPropagate:
 
     def test_loss_law_exact(self):
         g = make_grid(64, 64, 1e-5)
-        beam = gaussian_beam(g, 1e-4, 1.0, 1.0)
+        with pytest.warns(UserWarning, match="beam waist"):
+            beam = gaussian_beam(g, 1e-4, 1.0, 1.0)
         alpha, length = 23.0, 0.05
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, alpha=alpha,
                            length=length)
@@ -366,7 +367,8 @@ class TestPropagate:
         # every grid mode) so the pure h^2 term dominates
         grid, medium, _, scales = defocusing_setup(nx=64, dx=5e-6, xi_cells=3.0,
                                                    tau=5.0)
-        beam = gaussian_beam(grid, 8e-5, 1e-4, 1.0)
+        with pytest.warns(UserWarning, match="beam waist"):
+            beam = gaussian_beam(grid, 8e-5, 1e-4, 1.0)
         bump = Field2D(grid=grid,
                        values=1.0 + 0.4 * beam.values / np.abs(beam.values).max())
         ref = propagate(bump, medium, StepPlan(n_steps=1280)).final_field.values
@@ -379,7 +381,8 @@ class TestPropagate:
     def test_galilean_tilt_translates_density(self):
         grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6, xi_cells=3.0,
                                                    tau=6.0)
-        beam = gaussian_beam(grid, 1.2e-4, 1e-4, 1.0)
+        with pytest.warns(UserWarning, match="beam waist"):
+            beam = gaussian_beam(grid, 1.2e-4, 1e-4, 1.0)
         bump = Field2D(grid=grid, values=1.0 + 0.5 * beam.values / np.abs(beam.values).max())
         k_x = 6 * (2 * np.pi / grid.extent_x)
         xx, _ = grid.meshgrid()

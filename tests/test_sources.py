@@ -21,13 +21,15 @@ class TestGaussianBeam:
 
     def test_zero_power_gives_zero_field(self):
         g = make_grid(64, 64, 1e-5)
-        beam = gaussian_beam(g, 100e-6, 0.0, 1.0)
+        with pytest.warns(UserWarning, match="beam waist"):
+            beam = gaussian_beam(g, 100e-6, 0.0, 1.0)
         assert not np.any(beam.values)
 
     def test_amplitude_scales_as_sqrt_power(self):
         g = make_grid(64, 64, 1e-5)
-        one = gaussian_beam(g, 100e-6, 1.0, 1.0)
-        two = gaussian_beam(g, 100e-6, 2.0, 1.0)
+        with pytest.warns(UserWarning, match="beam waist"):
+            one = gaussian_beam(g, 100e-6, 1.0, 1.0)
+            two = gaussian_beam(g, 100e-6, 2.0, 1.0)
         assert np.allclose(two.values, np.sqrt(2.0) * one.values, rtol=1e-14)
 
     def test_unresolved_waist_rejected(self):

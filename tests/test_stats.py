@@ -55,13 +55,14 @@ class TestCoherenceG1:
         assert np.max(np.abs(prof.g1[sel] - expected)) < 0.08
 
     def test_speckle_gaussian_decay_ensemble(self):
-        g = make_grid(128, 128, 1e-5)
         lc = 8e-5
-        fields = [speckle(g, lc, 5.0, seed=100 + i) for i in range(24)]
-        prof = coherence_g1(fields, method="ensemble", nbins=32)
-        sel = prof.separation < 2.5 * lc
-        expected = np.exp(-prof.separation[sel] ** 2 / (2 * lc**2))
-        assert np.max(np.abs(prof.g1[sel] - expected)) < 0.08
+        for n in (128, 96):  # 96^2 has no power-of-two strides
+            g = make_grid(n, n, 1e-5)
+            fields = [speckle(g, lc, 5.0, seed=100 + i) for i in range(24)]
+            prof = coherence_g1(fields, method="ensemble", nbins=32)
+            sel = prof.separation < 2.5 * lc
+            expected = np.exp(-prof.separation[sel] ** 2 / (2 * lc**2))
+            assert np.max(np.abs(prof.g1[sel] - expected)) < 0.08
 
     def test_ensemble_needs_multiple_fields(self, small_grid):
         f = plane_wave(small_grid, 10.0, 1.0)
@@ -75,6 +76,25 @@ class TestCoherenceG1:
         a = coherence_g1(f, method="rotate_pair")
         b = coherence_g1(rotated, method="rotate_pair")
         assert np.allclose(a.g1, b.g1, atol=1e-12)
+
+
+def test_profiles_take_equal_radial_bins_on_a_non_power_of_two_grid():
+    # g1 and S(k) report the centres of nbins equal bins on [0, r_max]
+    # (doubled for the mirrored pair); 96^2 has no power-of-two strides
+    g = make_grid(96, 96, 1e-5)
+    fields = [speckle(g, 4e-5, 5.0, seed=40 + i) for i in range(3)]
+
+    def centres(r_max, nbins):
+        edges = np.linspace(0.0, r_max, nbins + 1)
+        return edges[:-1] + 0.5 * np.diff(edges)
+
+    pair = coherence_g1(fields, method="rotate_pair")
+    assert np.array_equal(pair.separation, centres(0.5 * g.extent_x / 2.0, 12) * 2.0)
+    ensemble = coherence_g1(fields, method="ensemble")
+    assert np.array_equal(ensemble.separation, centres(0.5 * (96 * 1e-5), 24))
+    _, noisy = _noise_ensembles(3, n=96)
+    sf = structure_factor(noisy, noisy[::-1], grid=g, min_realizations=3)
+    assert np.array_equal(sf.k, centres(float(np.max(np.abs(g.kx()))), 12))
 
 
 def _noise_ensembles(n_real, n=32, eps=1e-3, seed0=0, phase=0.0):
