@@ -91,9 +91,6 @@ def main(argv=None) -> int:
     out_dir = Path(args.out or Path(os.environ.get("PFL_OUT", "pfl-out")) / cfg.scenario)
     try:
         writer = run_scenario(cfg, out_dir, args.jobs)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - scenario failures map to exit 3
         print(f"runtime error in scenario {cfg.scenario!r}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

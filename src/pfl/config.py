@@ -11,7 +11,8 @@ Value syntax per declared type: int (no decimal point), float (finite),
 bool ("true"/"false"), str (verbatim, trimmed), and comma-separated lists
 of float/int/str. A key's range is declared with its type: a number, or
 each item of a list, must lie in the key's interval, and a list must have
-at least its fewest items; a value outside is an error at its line.
+at least its fewest items; a value outside is an error at its line. Then
+validate_config checks the rules that tie keys together, most in `rules`.
 
 parse -> serialize -> parse is the identity: serialization writes every
 resolved key (defaults included) in a canonical order.
@@ -21,7 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from types import SimpleNamespace
 from typing import Any
+
+from . import rules
 
 REQUIRED = object()
 
@@ -136,9 +140,9 @@ _GEM = {
     "density": Key("float"),
     "eta0": Key("float"),
     "z_extent": Key("float", 2.0, within=_POSITIVE),
-    "nz": Key("int", 256, within="[32, inf)"),
+    "nz": Key("int", 256, within=f"[{rules.MIN_LATTICE}, inf)"),
     "t_extent": Key("float", within=_POSITIVE),
-    "nt": Key("int", 1600, within="[32, inf)"),
+    "nt": Key("int", 1600, within=f"[{rules.MIN_LATTICE}, inf)"),
     "flip_times": Key("floats", within=_NON_NEGATIVE),
     "coupling_windows": Key("floats", ()),
     "pulse_centers": Key("floats"),
@@ -165,6 +169,8 @@ SCENARIOS: dict[str, dict[str, Any]] = {
     "dispersion": {
         **_RUN_CSV,
         **_FIELD,
+        # the probe packet is tracked over the snapshots
+        "plan": {**_PLAN, "snapshot_every": Key("int", within="[1, inf)")},
         "source": _SOURCE.only("plane", why=_HOMOGENEOUS),
         "potential": _HOMOGENEOUS,
         "dispersion": {
@@ -394,45 +400,57 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig):
-    """The rules that tie keys together; each key's own range is checked
-    as it is read."""
+    """The rules that tie keys together. Each rule of `rules` gets the values
+    its builder will get; its ValueError becomes a ConfigError."""
+    p, s = cfg.params, cfg.scenario
     for key in ("nx", "ny"):
         if cfg.grid is not None and cfg.grid[key] % 2:
             raise ConfigError(f"grid.{key} must be even, got {cfg.grid[key]}")
+    grid = cfg.grid and SimpleNamespace(**{**cfg.grid, "dy": cfg.grid["dy"] or cfg.grid["dx"]})
     if cfg.medium is not None and (cfg.medium["chi3"] is None) == (cfg.medium["n2"] is None):
         raise ConfigError("medium needs exactly one of chi3 or n2")
-    p, s = cfg.params, cfg.scenario
-    if s == "dispersion" and cfg.plan["snapshot_every"] <= 0:
-        raise ConfigError("dispersion requires plan.snapshot_every > 0 "
-                          "to track the probe packet")
     if p.get("kind") == "imprint" and not len(p["charges"]) == len(p["xs"]) == len(p["ys"]):
         raise ConfigError("vortices charges/xs/ys must have equal lengths")
-    if s == "gem-efficiency-sweep" and p["flip_time"] > p["t_extent"]:
-        raise ConfigError(f"{s}.flip_time: eta flip times must lie within [0, t_extent]")
-    if s in ("gem", "fifo-filo"):
-        flips, windows = p["flip_times"], p["coupling_windows"]
-        if any(b <= a for a, b in zip(flips, flips[1:])):
-            raise ConfigError(f"{s}.flip_times: eta flip times must be strictly increasing")
-        if any(t > p["t_extent"] for t in flips):
-            raise ConfigError(f"{s}.flip_times: eta flip times must lie within [0, t_extent]")
-        pulses = len(p["pulse_centers"])
-        if pulses != len(p["pulse_widths"]):
-            raise ConfigError(f"{s}.pulse_centers and pulse_widths must have equal lengths")
-        if s == "fifo-filo" and pulses != 2:
-            raise ConfigError(f"fifo-filo needs exactly two pulses, got {pulses}")
-        if p["pulse_labels"] and len(p["pulse_labels"]) != pulses:
-            raise ConfigError(f"{s}.pulse_labels needs one label per pulse or none")
-        if len(windows) % 2:
-            raise ConfigError(f"{s}.coupling_windows must list (on, off) pairs")
-        if list(windows) != sorted(windows):
-            raise ConfigError(f"{s}.coupling_windows: coupling windows must be ordered "
-                              "and disjoint")
-        # the schedules of the two modes (gem.fifo_filo_experiment)
-        shape = (len(flips), bool(windows))
-        if s == "fifo-filo" and shape not in ((1, False), (2, True)):
-            raise ConfigError("fifo-filo needs one flip_times value and no coupling_windows "
-                              "(FILO), or two flip_times values and at least one "
-                              "coupling_windows pair (FIFO)")
+    source, potential = cfg.source or {}, cfg.potential or {}
+    try:
+        if source.get("kind") == "gaussian":
+            rules.waist(source["waist"], grid)
+        if source.get("kind") == "speckle":
+            rules.resolved(source["correlation_length"], grid, "correlation_length")
+        if potential.get("kind") == "gaussian_defect":
+            rules.resolved(potential["width"], grid, "defect width")
+        if potential.get("kind") == "lattice":
+            rules.lattice_period(potential["period"], grid)
+        if s == "dispersion":
+            for k_perp in sorted(p["k_perp_list"]):
+                rules.probe(p["probe_waist"], k_perp, grid)
+            rules.increasing(sorted(p["k_perp_list"]), "k samples")
+        if s == "sound-scaling":  # the densities are the intensities times one constant
+            rules.decade(p["intensities"])
+        for charge, x, y in zip(p.get("charges", ()), p.get("xs", ()), p.get("ys", ())):
+            rules.vortex(charge, x, y, grid)
+        if s == "gem-efficiency-sweep":
+            rules.schedule((p["flip_time"],), (), p["t_extent"])
+            rules.gradient_phase(p["eta0"], p["z_extent"], p["t_extent"], p["nt"])
+            rules.echo_windows(p["flip_time"], p["pulse_center"], p["pulse_width"], p["t_extent"])
+            rules.pulses((p["pulse_center"],), (p["pulse_width"],), p["t_extent"])
+            rules.nonzero_eta(p["eta0"])
+        if s in ("gem", "fifo-filo"):
+            pulses, flat = len(p["pulse_centers"]), p["coupling_windows"]
+            if pulses != len(p["pulse_widths"]):
+                raise ConfigError(f"{s}.pulse_centers and pulse_widths must have equal lengths")
+            if len(flat) % 2:
+                raise ConfigError(f"{s}.coupling_windows must list (on, off) pairs")
+            windows = tuple(zip(flat[::2], flat[1::2]))  # as the builder pairs them
+            rules.schedule(p["flip_times"], windows, p["t_extent"])
+            rules.gradient_phase(p["eta0"], p["z_extent"], p["t_extent"], p["nt"])
+            if s == "fifo-filo":
+                rules.ordering(p["flip_times"], windows, p["pulse_centers"], p["pulse_widths"])
+            if p["pulse_labels"] and len(p["pulse_labels"]) != pulses:
+                raise ConfigError(f"{s}.pulse_labels needs one label per pulse or none")
+            rules.pulses(p["pulse_centers"], p["pulse_widths"], p["t_extent"])
+    except ValueError as exc:
+        raise ConfigError(f"{s}: {exc}") from None
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rules
 from .grid import Field2D, Grid, fft, ifft
 from .medium import MediumParams
 from .solver import PropagationRecord, StepPlan, fluid_scales, propagate
@@ -281,13 +282,9 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec | Sequence[Prob
     if plan.snapshot_every <= 0:
         raise ValueError("plan.snapshot_every must be positive to track the packet")
     for p in probes:
-        if abs(p.k_perp) >= grid.k_nyquist_x:
-            raise ValueError("probe |k_perp| is at or beyond the grid Nyquist wavevector")
+        rules.probe(p.waist, p.k_perp, grid)
         if p.power_ratio < 0:
             raise ValueError(f"probe power_ratio must be non-negative, got {p.power_ratio}")
-        if not 4.0 * max(grid.dx, grid.dy) <= p.waist <= 0.5 * min(grid.extent_x, grid.extent_y):
-            raise ValueError(f"probe waist {p.waist} must lie between 4 cells and half "
-                             f"the grid extent")
     if medium.potential is not None:
         raise ValueError("the background must be homogeneous: the medium has a potential")
     if np.any(background.values != background.values.flat[0]):
@@ -370,8 +367,7 @@ def dispersion_from_group_velocity(samples, medium: MediumParams) -> DispersionC
     v = np.array([p[1] for p in pts])
     if len(k) < 5:
         raise ValueError("need at least 5 (k, v_g) samples")
-    if np.any(np.diff(k) <= 0):
-        raise ValueError("k samples must be strictly increasing")
+    rules.increasing(k.tolist(), "k samples")
     if k[0] < 0:
         raise ValueError("k samples must be non-negative")
 
@@ -469,8 +465,7 @@ def sound_speed_scaling(densities, medium: MediumParams, grid, tau: float = 25.0
         raise ValueError("need at least 4 densities")
     if densities[0] <= 0:
         raise ValueError("densities must be positive")
-    if densities[-1] / densities[0] < 10.0 - 1e-9:
-        raise ValueError("densities must span at least one decade")
+    rules.decade(densities.tolist())
 
     speeds = []
     for rho in densities:

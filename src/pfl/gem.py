@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MIN_LATTICE = 32
-# the input and echo energies are integrated over center +- this many widths
-ECHO_WINDOW_WIDTHS = 4.0
+from . import rules
+
 # an ordering-experiment echo peak must reach this fraction of the highest
 PEAK_REL_HEIGHT = 0.2
 
@@ -56,16 +55,6 @@ class PulseTrain:
             out += p.sample(t)
         return out
 
-    def validate(self, t_extent: float):
-        for p in self.pulses:
-            if p.width <= 0:
-                raise ValueError(f"pulse width must be positive, got {p.width}")
-            if p.center - 4.0 * p.width < 0.0 or p.center + 4.0 * p.width > t_extent:
-                raise ValueError(
-                    f"pulse at t={p.center} with width {p.width} does not fit "
-                    f"in [0, {t_extent}] with 4 sigma margins"
-                )
-
 
 @dataclass
 class GemConfig:
@@ -88,27 +77,14 @@ class GemConfig:
     decay: float = 0.0
 
     def __post_init__(self):
-        if self.nz < MIN_LATTICE or self.nt < MIN_LATTICE:
-            raise ValueError(f"nz and nt must be at least {MIN_LATTICE}")
+        if self.nz < rules.MIN_LATTICE or self.nt < rules.MIN_LATTICE:
+            raise ValueError(f"nz and nt must be at least {rules.MIN_LATTICE}")
         if self.z_extent <= 0 or self.t_extent <= 0:
             raise ValueError("z_extent and t_extent must be positive")
         if self.decay < 0:
             raise ValueError("decay must be non-negative")
-        times = list(self.eta_flips)
-        if times != sorted(times) or len(set(times)) != len(times):
-            raise ValueError("eta flip times must be strictly increasing")
-        if any(t < 0 or t > self.t_extent for t in times):
-            raise ValueError("eta flip times must lie within [0, t_extent]")
-        if self.coupling_windows is not None:
-            flat = [t for w in self.coupling_windows for t in w]
-            if flat != sorted(flat):
-                raise ValueError("coupling windows must be ordered and disjoint")
-        phase_per_step = abs(self.eta0) * 0.5 * self.z_extent * self.dt
-        if phase_per_step > 0.5:
-            raise ValueError(
-                f"time step dt={self.dt:.3g} under-resolves the gradient phase: "
-                f"|eta| z_max dt = {phase_per_step:.3g} > 0.5 rad"
-            )
+        rules.schedule(self.eta_flips, self.coupling_windows or (), self.t_extent)
+        rules.gradient_phase(self.eta0, self.z_extent, self.t_extent, self.nt)
 
     @property
     def dt(self) -> float:
@@ -170,7 +146,8 @@ def _schedule(config: GemConfig, t: np.ndarray):
 def gem_evolve(config: GemConfig, pulses: PulseTrain,
                store_polarization: bool = True) -> GemResult:
     """Integrate the memory equations for one input pulse train."""
-    pulses.validate(config.t_extent)
+    rules.pulses([p.center for p in pulses.pulses], [p.width for p in pulses.pulses],
+                 config.t_extent)
     dt, dz = config.dt, config.dz
     z = config.z_coords()
     t = config.t_coords()
@@ -209,8 +186,7 @@ def gem_evolve(config: GemConfig, pulses: PulseTrain,
 
 def gem_efficiency_theory(g: float, density: float, eta: float) -> float:
     """Closed-form recall efficiency sigma = (1 - exp(-2 pi g N / |eta|))^2."""
-    if eta == 0:
-        raise ValueError("eta must be nonzero")
+    rules.nonzero_eta(eta)
     if g * density < 0:
         raise ValueError("g * density must be non-negative")
     return float((1.0 - np.exp(-2.0 * np.pi * g * density / abs(eta))) ** 2)
@@ -223,26 +199,12 @@ class EfficiencyMeasurement:
 
 
 def gem_efficiency_measured(config: GemConfig, pulse: GaussianPulse) -> EfficiencyMeasurement:
-    """Recall efficiency as the echo-to-input energy ratio.
-
-    The config must contain exactly one gradient flip, at time tau; the echo
-    is integrated over 2 tau - center +- ECHO_WINDOW_WIDTHS * width and the
-    input over center +- ECHO_WINDOW_WIDTHS * width. The windows must not overlap.
-    """
+    """Recall efficiency as the echo-to-input energy ratio, integrated over
+    rules.echo_windows, of a config with exactly one gradient flip."""
     if len(config.eta_flips) != 1:
         raise ValueError("efficiency measurement expects exactly one gradient flip")
-    tau = config.eta_flips[0]
-    echo_center = 2.0 * tau - pulse.center
-    half = ECHO_WINDOW_WIDTHS * pulse.width
-    input_window = (pulse.center - half, pulse.center + half)
-    echo_window = (echo_center - half, echo_center + half)
-    if echo_window[0] <= input_window[1]:
-        raise ValueError(
-            f"echo window {echo_window} overlaps the input window {input_window}; "
-            "move the flip later or shorten the pulse"
-        )
-    if echo_window[1] > config.t_extent:
-        raise ValueError("echo window extends past t_extent")
+    input_window, echo_window = rules.echo_windows(config.eta_flips[0], pulse.center,
+                                                   pulse.width, config.t_extent)
 
     result = gem_evolve(config, PulseTrain([pulse]), store_polarization=False)
     t = result.times
@@ -274,34 +236,17 @@ def fifo_filo_experiment(config: GemConfig, train: PulseTrain) -> PulseOrderingR
     at tau2, coupling restored; the echo of a pulse stored at t_p then lands
     at t_p + 2 (tau2 - tau), preserving the input order.
 
-    Raises ValueError for any other schedule, and RuntimeError when the
-    detected ordering does not match the mode.
+    Raises ValueError for any other schedule (rules.ordering), and
+    RuntimeError when the detected ordering does not match the mode.
     """
-    if len(train.pulses) != 2:
-        raise ValueError("the ordering experiment expects exactly two pulses")
+    mode = rules.ordering(config.eta_flips, config.coupling_windows or (),
+                          [p.center for p in train.pulses], [p.width for p in train.pulses])
     first, second = sorted(train.pulses, key=lambda p: p.center)
-    gap = second.center - first.center
-    min_width = 4.0 * max(first.width, second.width)
-    if gap < min_width:
-        raise ValueError(
-            f"pulses are not temporally resolved: separation {gap} < 4 widths"
-        )
-
-    flips, gated = len(config.eta_flips), config.coupling_windows is not None
-    if (flips, gated) == (1, False):
-        mode, tau = "FILO", config.eta_flips[0]
-        expected = [(2.0 * tau - second.center, second.label or "B"),
-                    (2.0 * tau - first.center, first.label or "A")]
-    elif (flips, gated) == (2, True):
-        mode, (tau, tau2) = "FIFO", config.eta_flips
-        delay = 2.0 * (tau2 - tau)
-        expected = [(first.center + delay, first.label or "A"),
-                    (second.center + delay, second.label or "B")]
-        _check_fifo_schedule(config, first, second, tau, tau2)
-    else:
-        raise ValueError(f"{flips} gradient flip(s) {'with' if gated else 'without'} "
-                         "coupling windows is neither FILO (one flip, coupling on "
-                         "throughout) nor FIFO (two flips and a coupling-off window)")
+    gap, tau = second.center - first.center, config.eta_flips[0]
+    # (echo time, label) of each pulse
+    expected = [(2.0 * tau - p.center if mode == "FILO"
+                 else p.center + 2.0 * (config.eta_flips[1] - tau), p.label or label)
+                for p, label in ((first, "A"), (second, "B"))]
 
     result = gem_evolve(config, train, store_polarization=False)
     t = result.times
@@ -316,30 +261,12 @@ def fifo_filo_experiment(config: GemConfig, train: PulseTrain) -> PulseOrderingR
                           distance=distance)
     peak_times = [float(t[i]) for i in peaks]
     if len(peak_times) != 2:
-        raise RuntimeError(
-            f"expected two echo peaks after t = {recall_start}, found "
-            f"{len(peak_times)} at {peak_times}"
-        )
-    labels = []
-    for pt in peak_times:
-        nearest = min(expected, key=lambda e: abs(e[0] - pt))
-        labels.append(nearest[1])
+        raise RuntimeError(f"expected two echo peaks after t = {recall_start}, found "
+                           f"{len(peak_times)} at {peak_times}")
+    labels = [min(expected, key=lambda e: abs(e[0] - pt))[1] for pt in peak_times]
     expected_labels = [e[1] for e in sorted(expected)]
     if labels != expected_labels:
-        raise RuntimeError(
-            f"recall ordering {labels} does not match the {mode} expectation "
-            f"{expected_labels} (peaks at {peak_times})"
-        )
+        raise RuntimeError(f"recall ordering {labels} does not match the {mode} expectation "
+                           f"{expected_labels} (peaks at {peak_times})")
     return PulseOrderingResult(mode=mode, peak_times=peak_times, labels=labels, result=result)
 
-
-def _check_fifo_schedule(config: GemConfig, first: GaussianPulse, second: GaussianPulse,
-                         tau: float, tau2: float):
-    """The off window must cover both suppressed first-flip echoes."""
-    filo_echoes = (2.0 * tau - second.center, 2.0 * tau - first.center)
-    for echo, coupling in zip(filo_echoes, _gate(config, filo_echoes)):
-        if coupling != 0.0:
-            raise ValueError(
-                f"coupling is on at the suppressed echo time {echo}; gate it "
-                "off across both first-flip echoes for FIFO recall"
-            )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import rules
 from .grid import Grid
 
 
@@ -23,8 +24,7 @@ def gaussian_defect(grid: Grid, amplitude: complex, width: float,
                     center: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
     """amplitude * exp(-|r - center|^2 / width^2); the width must span at
     least two cells."""
-    if width < 2.0 * max(grid.dx, grid.dy):
-        raise ValueError(f"defect width {width} unresolved on this grid")
+    rules.resolved(width, grid, "defect width")
     x0, y0 = center
     xx, yy = grid.meshgrid()
     return complex(amplitude) * np.exp(-((xx - x0) ** 2 + (yy - y0) ** 2) / width**2)
@@ -38,13 +38,8 @@ def lattice_potential(grid: Grid, amplitude: complex, period: float,
     The pattern is |sum_j exp(i q_j . r)|^2 normalized to peak 1, with
     |q_j| = 2*pi / period.
     """
+    rules.lattice_period(period, grid)  # the peaks of |sum|^2, at sqrt(3) q
     q = 2.0 * np.pi / period
-    # spectral peaks of |sum|^2 sit at the difference vectors, length sqrt(3) q
-    if np.sqrt(3.0) * q > min(grid.k_nyquist_x, grid.k_nyquist_y):
-        raise ValueError(
-            f"lattice period {period} unresolved: interference wavevector "
-            f"sqrt(3)*2*pi/period exceeds the grid Nyquist"
-        )
     xx, yy = grid.meshgrid()
     total = np.zeros((grid.ny, grid.nx), dtype=np.complex128)
     for j in range(3):

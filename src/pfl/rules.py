@@ -1,0 +1,121 @@
+"""Each rule tying a value to the grid, to another value or to the memory
+schedule: one numpy-free function raising ValueError with one message, which
+the builders and config.validate_config call. A `grid` has nx, ny, dx, dy."""
+
+import math
+
+MIN_LATTICE = 32  # points of the memory's z and t lattices, at least
+WAIST_CELLS = 4.0  # cells a Gaussian waist spans, at least
+FEATURE_CELLS = 2.0  # cells a speckle grain or a defect spans, at least
+PULSE_WIDTHS = 4.0  # widths from a memory pulse to t = 0, t_extent and the other pulse
+ECHO_WINDOW_WIDTHS = 4.0  # input and echo energies: center +- this many widths
+MAX_GRADIENT_PHASE = 0.5  # rad of |eta| z_max dt per memory time step, at most
+
+
+def increasing(values, what: str):
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{what} must be strictly increasing")
+
+
+def resolved(value: float, grid, what: str, cells: float = FEATURE_CELLS):
+    if value < cells * max(grid.dx, grid.dy):
+        raise ValueError(f"{what} {value} is unresolved: need at least {cells:g}*max(dx, dy) "
+                         f"= {cells * max(grid.dx, grid.dy)}")
+
+
+def waist(value: float, grid, what: str = "waist"):
+    resolved(value, grid, what, WAIST_CELLS)
+    half_extent = 0.5 * min(grid.nx * grid.dx, grid.ny * grid.dy)
+    if value > half_extent:
+        raise ValueError(f"{what} {value} exceeds half the grid extent {half_extent}; "
+                         "the periodic wraparound would corrupt it")
+
+
+def probe(probe_waist: float, k_perp: float, grid):
+    if abs(k_perp) >= math.pi / grid.dx:
+        raise ValueError("probe |k_perp| is at or beyond the grid Nyquist wavevector")
+    waist(probe_waist, grid, "probe waist")
+
+
+def lattice_period(period: float, grid):
+    if math.sqrt(3.0) * (2.0 * math.pi / period) > min(math.pi / grid.dx, math.pi / grid.dy):
+        raise ValueError(f"lattice period {period} unresolved: interference wavevector "
+                         "sqrt(3)*2*pi/period exceeds the grid Nyquist")
+
+
+def vortex(charge: int, x: float, y: float, grid):
+    if charge == 0:
+        raise ValueError("charge must satisfy |charge| >= 1")
+    half_x, half_y = grid.nx * grid.dx / 2, grid.ny * grid.dy / 2
+    if not (-half_x <= x < half_x and -half_y <= y < half_y):
+        raise ValueError(f"vortex center ({x}, {y}) lies outside the grid extent")
+
+
+def decade(densities):
+    if max(densities) / min(densities) < 10.0 - 1e-9:
+        raise ValueError("densities must span at least one decade")
+
+
+def schedule(flips, windows, t_extent: float):
+    """Flip times and (on, off) coupling windows."""
+    increasing(flips, "eta flip times")
+    if any(not 0.0 <= t <= t_extent for t in flips):
+        raise ValueError("eta flip times must lie within [0, t_extent]")
+    if (flat := [t for window in windows for t in window]) != sorted(flat):
+        raise ValueError("coupling windows must be ordered and disjoint")
+
+
+def gradient_phase(eta0: float, z_extent: float, t_extent: float, nt: int):
+    dt = t_extent / (nt - 1)
+    phase_per_step = abs(eta0) * 0.5 * z_extent * dt
+    if phase_per_step > MAX_GRADIENT_PHASE:
+        raise ValueError(f"time step dt={dt:.3g} under-resolves the gradient phase: "
+                         f"|eta| z_max dt = {phase_per_step:.3g} > {MAX_GRADIENT_PHASE} rad")
+
+
+def nonzero_eta(eta: float):
+    if eta == 0:
+        raise ValueError("eta must be nonzero")
+
+
+def pulses(centers, widths, t_extent: float):
+    for center, width in zip(centers, widths):
+        if width <= 0:
+            raise ValueError(f"pulse width must be positive, got {width}")
+        if center - PULSE_WIDTHS * width < 0.0 or center + PULSE_WIDTHS * width > t_extent:
+            raise ValueError(f"pulse at t={center} with width {width} does not fit in "
+                             f"[0, {t_extent}] with {PULSE_WIDTHS:g} sigma margins")
+
+
+def echo_windows(tau: float, center: float, width: float, t_extent: float):
+    """(input, echo) windows of a pulse at center and its echo from a flip at tau."""
+    half = ECHO_WINDOW_WIDTHS * width
+    input_window, echo_window = [(c - half, c + half) for c in (center, 2.0 * tau - center)]
+    if echo_window[0] <= input_window[1]:
+        raise ValueError(f"echo window {echo_window} overlaps the input window {input_window}; "
+                         "move the flip later or shorten the pulse")
+    if echo_window[1] > t_extent:
+        raise ValueError("echo window extends past t_extent")
+    return input_window, echo_window
+
+
+def ordering(flips, windows, centers, widths) -> str:
+    """FILO or FIFO, which the schedule sets (see gem.fifo_filo_experiment)."""
+    if len(centers) != 2:
+        raise ValueError(f"the ordering experiment needs exactly two pulses, got {len(centers)}")
+    (first, first_width), (second, second_width) = sorted(zip(centers, widths))
+    if second - first < PULSE_WIDTHS * max(first_width, second_width):
+        raise ValueError(f"pulses are not temporally resolved: separation {second - first} "
+                         f"< {PULSE_WIDTHS:g} widths")
+    shape = (len(flips), bool(windows))
+    if shape == (1, False):
+        return "FILO"
+    if shape != (2, True):
+        raise ValueError(f"{shape[0]} gradient flip(s) {'with' if shape[1] else 'without'} "
+                         "coupling windows is neither FILO (one flip, coupling on "
+                         "throughout) nor FIFO (two flips and a coupling-off window)")
+    for echo in (2.0 * flips[0] - second, 2.0 * flips[0] - first):
+        if any(on <= echo <= off for on, off in windows):
+            raise ValueError(f"coupling is on at the suppressed echo time {echo}; gate it "
+                             "off across both first-flip echoes for FIFO recall")
+    return "FIFO"

@@ -240,14 +240,11 @@ def _scenario_vortices(cfg: RunConfig, w: ArtifactWriter):
 
 def _gem_config_from_params(p: dict) -> GemConfig:
     windows = p["coupling_windows"]
-    coupling = None
-    if windows:
-        coupling = tuple((windows[i], windows[i + 1]) for i in range(0, len(windows), 2))
     return GemConfig(
         g=p["g"], density=p["density"], eta0=p["eta0"],
         z_extent=p["z_extent"], nz=p["nz"], t_extent=p["t_extent"], nt=p["nt"],
         eta_flips=tuple(p["flip_times"]),
-        coupling_windows=coupling,
+        coupling_windows=tuple(zip(windows[::2], windows[1::2])) or None,
         decay=p.get("decay", 0.0),  # fifo-filo has no decay key
     )
 

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 
+from . import rules
 from .grid import Field2D, Grid, ifft2
 from .medium import intensity_to_density
 
@@ -24,23 +25,10 @@ def gaussian_beam(grid: Grid, waist: float, power: float, n0: float) -> Field2D:
     """
     if power < 0:
         raise ValueError(f"power must be non-negative, got {power}")
-    if waist < 4.0 * max(grid.dx, grid.dy):
-        raise ValueError(
-            f"waist {waist} is unresolved: need at least 4*max(dx, dy) = "
-            f"{4.0 * max(grid.dx, grid.dy)}"
-        )
-    half_extent = 0.5 * min(grid.extent_x, grid.extent_y)
-    if waist > half_extent:
-        raise ValueError(
-            f"waist {waist} exceeds half the grid extent {half_extent}; "
-            "the periodic wraparound would corrupt the beam"
-        )
-    if waist > half_extent / 4.0:
-        warnings.warn(
-            f"beam waist {waist} is within 4 waists of the boundary; "
-            "periodic images may overlap the beam",
-            stacklevel=2,
-        )
+    rules.waist(waist, grid)
+    if 4.0 * waist > 0.5 * min(grid.extent_x, grid.extent_y):
+        warnings.warn(f"beam waist {waist} is within 4 waists of the boundary; "
+                      "periodic images may overlap the beam", stacklevel=2)
     xx, yy = grid.meshgrid()
     envelope = np.exp(-(xx**2 + yy**2) / waist**2)
     if power == 0.0:
@@ -71,11 +59,7 @@ def speckle(grid: Grid, correlation_length: float, mean_intensity: float,
     ensemble-mean intensity equals mean_intensity exactly; individual
     realizations fluctuate around it. Same seed, same field, bit for bit.
     """
-    if correlation_length < 2.0 * max(grid.dx, grid.dy):
-        raise ValueError(
-            f"correlation_length {correlation_length} unresolved: need at "
-            f"least 2*max(dx, dy) = {2.0 * max(grid.dx, grid.dy)}"
-        )
+    rules.resolved(correlation_length, grid, "correlation_length")
     if mean_intensity < 0:
         raise ValueError(f"mean_intensity must be non-negative, got {mean_intensity}")
     rng = np.random.default_rng(seed)
@@ -100,13 +84,9 @@ def imprint_vortex(field: Field2D, charge: int, center: tuple[float, float] = (0
 
     core_width defaults to 4*dx; pass the healing length when one is known.
     """
-    if charge == 0:
-        raise ValueError("charge must satisfy |charge| >= 1")
     grid = field.grid
     x0, y0 = center
-    if not (-grid.extent_x / 2 <= x0 < grid.extent_x / 2) or \
-            not (-grid.extent_y / 2 <= y0 < grid.extent_y / 2):
-        raise ValueError(f"vortex center {center} lies outside the grid extent")
+    rules.vortex(charge, x0, y0, grid)
     if core_width is None:
         core_width = 4.0 * grid.dx
     xx, yy = grid.meshgrid()

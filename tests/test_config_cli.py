@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from pfl import config as config_module
 from pfl.cli import main as cli_main
 from pfl.config import (REQUIRED, SCENARIOS, ConfigError, Kinds, inside, parse_config,
                         serialize_config)
@@ -146,6 +147,8 @@ VORTEX_STRIPE = (VORTEX_PAIR[:VORTEX_PAIR.index("[vortices]")]
                  + "[vortices]\nkind = stripe\nstripe_contrast = 0.8\n")
 FIFO_FILO = (ROOT / "configs" / "fifo_filo.ini").read_text()
 PROPAGATE_GAUSSIAN = (ROOT / "configs" / "propagate_gaussian.ini").read_text()
+GEM = (ROOT / "configs" / "gem.ini").read_text()
+SWEEP = (ROOT / "configs" / "gem_efficiency_sweep.ini").read_text()
 
 GOOD_GEM = """
 [run]
@@ -157,6 +160,40 @@ ratios = 0.5, 1.0
 nz = 64
 nt = 800
 """
+
+
+def assert_rule_rejects(text, tmp_path) -> str:
+    """text breaks a rule of pfl.rules: `pfl validate` exits 2 without
+    loading numpy, a run exits 2 before it makes its run directory, and the
+    builders, given the config unchecked, raise the ValueError whose message
+    the ConfigError carries after the scenario. Returns that message."""
+    with pytest.raises(ConfigError) as rejected:
+        parse_config(text)
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    code = ("import sys; from pfl.cli import main; "
+            f"code = main(['validate', '--config', {str(path)!r}]); "
+            "print('exit', code, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "exit 2 False", proc.stderr
+    assert proc.stderr == f"config error: {rejected.value}\n"
+    scenario = re.search(r"^scenario = (\S+)", text, re.M).group(1)
+    out = tmp_path / "run"
+    assert cli_main([scenario, "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    from pfl.scenarios import run_scenario
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(config_module, "validate_config", lambda cfg: None)
+        unchecked = parse_config(text)
+    with pytest.raises(ValueError) as built:
+        run_scenario(unchecked, tmp_path / "unchecked")
+    assert str(rejected.value) == f"{scenario}: {built.value}"
+    return str(rejected.value)
+
+
+def swap(text: str, old: str, new: str) -> str:
+    assert old in text
+    return text.replace(old, new)
 
 
 GEM_DEFAULTS = {"g": REQUIRED, "density": REQUIRED, "eta0": REQUIRED, "z_extent": 2.0,
@@ -374,24 +411,22 @@ class TestParsing:
         text = (shipped.replace("flip_times = 3.0, 5.5", f"flip_times = {flips}")
                 .replace("coupling_windows = 0.0, 3.2, 5.7, 9.0\n", line))
         assert text != shipped
-        with pytest.raises(ConfigError, match=r"fifo-filo needs one flip_times value and "
-                                              r"no coupling_windows \(FILO\), or two"):
-            parse_config(text)
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text(text)
-        assert cli_main(["validate", "--config", str(cfg)]) == 2
+        message = assert_rule_rejects(text, tmp_path)
+        assert re.fullmatch(r"fifo-filo: \d gradient flip\(s\) with(out)? coupling windows is "
+                            r"neither FILO \(one flip, coupling on throughout\) nor FIFO .*",
+                            message)
 
     # the schedule rules GemConfig holds library callers to, caught before a run
     @pytest.mark.parametrize("config, binding, replacement, message", [
         ("fifo_filo.ini", "coupling_windows = 0.0, 3.2, 5.7, 9.0",
          "coupling_windows = 0.0, 3.2, 9.0, 5.7",
-         r"fifo-filo.coupling_windows: coupling windows must be ordered and disjoint"),
+         "fifo-filo: coupling windows must be ordered and disjoint"),
         ("fifo_filo.ini", "flip_times = 3.0, 5.5", "flip_times = 5.5, 3.0",
-         r"fifo-filo.flip_times: eta flip times must be strictly increasing"),
+         "fifo-filo: eta flip times must be strictly increasing"),
         ("fifo_filo.ini", "flip_times = 3.0, 5.5", "flip_times = 3.0, 9.5",
-         r"fifo-filo.flip_times: eta flip times must lie within \[0, t_extent\]"),
+         "fifo-filo: eta flip times must lie within [0, t_extent]"),
         ("gem_efficiency_sweep.ini", "flip_time = 3.0", "flip_time = 9.0",
-         r"gem-efficiency-sweep.flip_time: eta flip times must lie within \[0, t_extent\]"),
+         "gem-efficiency-sweep: eta flip times must lie within [0, t_extent]"),
     ], ids=["windows-out-of-order", "flips-decreasing", "flip-after-t-extent",
             "sweep-flip-after-t-extent"])
     def test_gem_schedule_rules_exit_2(self, config, binding, replacement, message,
@@ -399,6 +434,73 @@ class TestParsing:
         shipped = next(c for c in CONFIGS if c.name == config).read_text()
         text = shipped.replace(binding, replacement)
         assert text != shipped
+        assert assert_rule_rejects(text, tmp_path) == message
+
+    # each but fifo-filo-three-pulses passed `pfl validate` before its rule
+    # reached validate_config, and the run then failed (exit 3), some after
+    # propagating a whole sweep
+    @pytest.mark.parametrize("text, message", [
+        (swap(PROPAGATE_GAUSSIAN, "waist = 150e-6", "waist = 10e-6"),
+         "waist 1e-05 is unresolved: need at least 4*max(dx, dy) = 2e-05"),
+        (swap(PROPAGATE_GAUSSIAN, "waist = 150e-6", "waist = 700e-6"),
+         "waist 0.0007 exceeds half the grid extent 0.00064"),
+        (swap(GOOD_PRECONDENSATION, "correlation_length = 3.2e-4", "correlation_length = 2e-5"),
+         "correlation_length 2e-05 is unresolved: need at least 2*max(dx, dy)"),
+        (GOOD_PROPAGATE + "[potential]\nkind = gaussian_defect\nwidth = 1e-5\n",
+         "defect width 1e-05 is unresolved: need at least 2*max(dx, dy) = 2e-05"),
+        (GOOD_PROPAGATE + "[potential]\nkind = lattice\nperiod = 2.5e-5\n",
+         "lattice period 2.5e-05 unresolved: interference wavevector"),
+        (swap(GOOD_DISPERSION, "probe_waist = 1e-4", "probe_waist = 1e-5"),
+         "probe waist 1e-05 is unresolved: need at least 4*max(dx, dy)"),
+        (swap(GOOD_DISPERSION, "probe_waist = 1e-4", "probe_waist = 4e-4"),
+         "probe waist 0.0004 exceeds half the grid extent 0.00032"),
+        (swap(GOOD_DISPERSION, "90000", "700000"),
+         "probe |k_perp| is at or beyond the grid Nyquist wavevector"),
+        (swap(GOOD_DISPERSION, "20000, 30000, 40000", "20000, 30000, 30000"),
+         "k samples must be strictly increasing"),
+        (swap(GOOD_SOUND_SCALING, "331800", "300000"),
+         "densities must span at least one decade"),
+        (swap(VORTEX_PAIR, "charges = 1, -1", "charges = 1, 0"),
+         "charge must satisfy |charge| >= 1"),
+        (swap(VORTEX_PAIR, "xs = 2e-4, -2e-4", "xs = 2e-4, -7e-4"),
+         "vortex center (-0.0007, 0.0) lies outside the grid extent"),
+        (swap(GEM, "pulse_centers = 1.0, 2.0", "pulse_centers = 0.3, 2.0"),
+         "pulse at t=0.3 with width 0.15 does not fit in [0, 8.0] with 4 sigma margins"),
+        (swap(SWEEP, "pulse_center = 1.5", "pulse_center = 0.5"),
+         "pulse at t=0.5 with width 0.18 does not fit in [0, 8.0] with 4 sigma margins"),
+        (swap(GEM, "t_extent = 8.0", "t_extent = 8.0\nnt = 100"),
+         "under-resolves the gradient phase: |eta| z_max dt = 1.62 > 0.5 rad"),
+        (swap(SWEEP, "eta0 = 20.0\nz_extent = 2.0\nnz = 256", "eta0 = 0.0\nz_extent = 2.0\nnz = 32")
+         .replace("ratios = 0.5, 1.0, 1.5, 2.0, 3.0", "ratios = 1.0").replace("nt = 1600", "nt = 64"),
+         "eta must be nonzero"),
+        (swap(FIFO_FILO, "pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 1.3"),
+         "pulses are not temporally resolved: separation 0.30000000000000004 < 4 widths"),
+        (swap(FIFO_FILO, "coupling_windows = 0.0, 3.2", "coupling_windows = 0.0, 4.2"),
+         "coupling is on at the suppressed echo time 4.0"),
+        (swap(FIFO_FILO, "pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 2.6")
+         .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15")
+         .replace("pulse_labels = A, B", "pulse_labels = A, B, C"),
+         "the ordering experiment needs exactly two pulses, got 3"),
+        (swap(SWEEP, "flip_time = 3.0", "flip_time = 1.8"),
+         "echo window (1.3800000000000001, 2.8200000000000003) overlaps the input window"),
+        (swap(SWEEP, "flip_time = 3.0", "flip_time = 6.0"),
+         "echo window extends past t_extent"),
+    ], ids=["gaussian-unresolved", "gaussian-wraps", "speckle-unresolved",
+            "defect-unresolved", "lattice-past-nyquist", "probe-unresolved", "probe-wraps",
+            "probe-past-nyquist", "repeated-k-perp", "intensities-within-a-decade",
+            "charge-zero", "vortex-off-grid", "gem-pulse-margins", "sweep-pulse-margins",
+            "gradient-phase", "sweep-eta-zero", "fifo-filo-unresolved-pulses",
+            "fifo-window-on-at-echo", "fifo-filo-three-pulses", "sweep-echo-overlaps",
+            "sweep-echo-past-t-extent"])
+    def test_each_rule_is_the_builders_and_exits_2(self, text, message, tmp_path):
+        assert message in assert_rule_rejects(text, tmp_path)
+
+    @pytest.mark.parametrize("binding, message", [
+        ("snapshot_every = 0", r"line 19: plan.snapshot_every must lie in \[1, inf\), got 0"),
+        ("", r"plan.snapshot_every is required in dispersion$"),
+    ], ids=["zero", "absent"])
+    def test_dispersion_tracks_the_probe_over_snapshots(self, binding, message, tmp_path):
+        text = swap(GOOD_DISPERSION, "snapshot_every = 8\n", binding and binding + "\n")
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
         cfg = tmp_path / "bad.ini"
@@ -434,11 +536,11 @@ class TestParsing:
     @pytest.mark.parametrize("text, message", [
         (FIFO_FILO.replace("pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 2.6")
          .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15"),
-         r"fifo-filo needs exactly two pulses, got 3"),
+         r"fifo-filo: the ordering experiment needs exactly two pulses, got 3"),
         (FIFO_FILO.replace("pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 2.6")
          .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15")
          .replace("pulse_labels = A, B", "pulse_labels = A, B, C"),
-         r"fifo-filo needs exactly two pulses, got 3"),
+         r"fifo-filo: the ordering experiment needs exactly two pulses, got 3"),
         (FIFO_FILO.replace("pulse_labels = A, B", "pulse_labels = A"),
          r"fifo-filo.pulse_labels needs one label per pulse or none"),
         ("[run]\nscenario = gem\n[gem]\ng = 2.0\ndensity = 2.0\neta0 = 20.0\n"

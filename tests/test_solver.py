@@ -420,6 +420,22 @@ class TestPropagate:
         with pytest.warns(UserWarning, match="phase per step"):
             propagate(background, medium, StepPlan(n_steps=60))
 
+    @pytest.mark.parametrize("weak_power", [0.0, 1e-8], ids=["one-mode", "weak-mode"])
+    def test_kinetic_guard_reads_the_highest_occupied_mode(self, small_grid, weak_power):
+        # a linear run's phase per step is the kinetic phase dz k^2 / (2 n0 k0)
+        # of its highest occupied |k|: one plane-wave mode at n0 = 1.5, or a
+        # weak mode holding 1e-8 of the power, still above OCCUPIED_MODE_FLOOR
+        xx, _ = small_grid.meshgrid()
+        unit = 2 * np.pi / small_grid.extent_x
+        values = np.exp(1j * 2 * unit * xx) + np.sqrt(weak_power) * np.exp(1j * 8 * unit * xx)
+        medium = MediumParams(wavelength=WAVELENGTH, n0=1.5, chi3=0.0, length=0.01)
+        record = propagate(Field2D(grid=small_grid, values=values), medium,
+                           StepPlan(n_steps=10))
+        k = (8 if weak_power else 2) * unit
+        phase = record.dz * k**2 / (2 * medium.n0 * medium.k0)
+        assert phase < solver.WARN_PHASE_PER_STEP
+        assert record.max_phase_per_step == pytest.approx(phase, rel=1e-12)
+
     def test_late_steep_potential_warns(self):
         # flat until L/2, then 1 rad of potential phase per step: a guard
         # that samples the potential only at z = 0 sees nothing
