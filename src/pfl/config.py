@@ -427,6 +427,15 @@ def validate_config(cfg: RunConfig):
             rules.increasing(sorted(p["k_perp_list"]), "k samples")
         if s == "sound-scaling":  # the densities are the intensities times one constant
             rules.decade(p["intensities"])
+            # each probe as sound_speed_scaling derives it, with the arithmetic
+            # of intensity_to_density, MediumParams and fluid_scales
+            m, c, eps0 = cfg.medium, rules.C_LIGHT, rules.EPS0
+            chi3 = m["n2"] * m["n0"] ** 2 * c * eps0 if m["chi3"] is None else m["chi3"]
+            k0 = 2.0 * math.pi / m["lambda"]
+            g_abs = abs(k0 * chi3 / (2.0 * m["n0"]))
+            for density in sorted(2.0 * i / (m["n0"] * c * eps0) for i in p["intensities"]):
+                xi = math.sqrt(1.0 / (g_abs * density) / (m["n0"] * k0)) if g_abs else math.inf
+                rules.probe(p["probe_waist_xi"] * xi, p["k_perp_xi"] / xi, grid)
         for charge, x, y in zip(p.get("charges", ()), p.get("xs", ()), p.get("ys", ())):
             rules.vortex(charge, x, y, grid)
         if s == "gem-efficiency-sweep":

@@ -17,9 +17,9 @@ cancel. The tracker instead demodulates the density difference at the
 known probe carrier and follows the envelope: when both packets are
 resolved, their half separation is the displacement; a lone packet is
 followed by its peak; the slope is fitted over the trailing run of
-snapshots where the packets stay resolved. At k_perp = 0 there is no
-preferred direction and the centroid of |sum_y delta rho| over the whole
-line is kept, so symmetric spreading reads v_g = 0.
+snapshots where the packets stay resolved. At k_perp = 0 the demodulation
+is the identity and the pair splits symmetrically, so its half separation
+reads the sound speed like any other low-k probe.
 
 Only the k_y = 0 line of the probe run is propagated. The background is a
 uniform field in a medium without a potential, so its line density is known
@@ -70,17 +70,17 @@ class ProbeSpec:
     """Probe beam riding on the background fluid.
 
     power_ratio sets how weak the probe is: the ratio of its peak intensity
-    to the mean background intensity (default 1e-2, i.e. a 10% amplitude
-    perturbation). The entrance quench amplifies the density modulation of
-    a low-k probe by roughly (1 + s)/2 with s = (E_k + 2 mu)/Omega, so
-    sweeps that reach deep into the sonic band should use a smaller ratio
-    to stay in the linear-response regime. k_perp is the transverse
-    wavevector of the probe phase ramp.
+    to the mean background intensity (only the config key has a default).
+    The entrance quench amplifies the density modulation of a low-k probe
+    by roughly (1 + s)/2 with s = (E_k + 2 mu)/Omega, so sweeps that reach
+    deep into the sonic band should use a smaller ratio to stay in the
+    linear-response regime. k_perp is the transverse wavevector of the
+    probe phase ramp.
     """
 
     waist: float
     k_perp: float
-    power_ratio: float = 1e-2
+    power_ratio: float
 
 
 @dataclass
@@ -153,27 +153,19 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(stderr)
 
 
-def _centroid(profile: np.ndarray, x: np.ndarray, extent: float) -> float:
-    """Whole-line centroid in wrapped coordinates around the origin."""
-    mass = float(np.sum(profile))
-    if mass <= 0.0:
-        return 0.0
-    rel = _wrap_coord(x, extent)
-    return float(np.sum(profile * rel)) / mass
-
-
 def demodulated_envelope(profile: np.ndarray, x: np.ndarray, k_carrier: float,
                          waist: float) -> np.ndarray:
     """Envelope of the density wave riding at the known probe carrier.
 
     Multiplies by exp(-i k x), applies a Gaussian low-pass (cutting well
     below 2 k, where the conjugate image sits, while passing the envelope
-    bandwidth ~2/waist) and returns the magnitude.
+    bandwidth ~2/waist) and returns the magnitude. At k = 0 there is no
+    image and the cut is 4 / waist.
     """
     dx = x[1] - x[0]
     signal = profile * np.exp(-1j * k_carrier * x)
     k_axis = 2.0 * np.pi * np.fft.fftfreq(len(x), d=dx)
-    k_cut = min(k_carrier, 4.0 / waist)
+    k_cut = min(k_carrier, 4.0 / waist) or 4.0 / waist
     window = np.exp(-((k_axis / k_cut) ** 2))
     return np.abs(ifft(fft(signal) * window))
 
@@ -221,8 +213,8 @@ def packet_displacement(envelope: np.ndarray, x: np.ndarray,
 
     The entrance quench seeds a pair of counter-propagating packets; when
     both are visible (one island on each side of the origin) their half
-    separation is returned with paired=True, otherwise the centroid of the
-    dominant island with paired=False.
+    separation is returned with paired=True, otherwise the parabolic peak
+    of the dominant island with paired=False.
     """
     islands = _threshold_islands(envelope, x, extent)
     if not islands:
@@ -238,8 +230,7 @@ def packet_displacement(envelope: np.ndarray, x: np.ndarray,
 def snapshot_density(z: float, field: Field2D) -> np.ndarray:
     """keep for propagate that stores a snapshot's line density
     sum_y |E|^2, shape (nx,). The probe line of measure_group_velocity
-    subtracts the background's from ny times it, and at k_perp = 0 tracks
-    |sum_y delta rho|."""
+    subtracts the background's from ny times it."""
     return field.density().sum(axis=0)
 
 
@@ -346,11 +337,9 @@ def _fit_drift(probe_record: PropagationRecord, probe: ProbeSpec,
 
 def _probe_displacement(delta: np.ndarray, probe: ProbeSpec, grid) -> tuple[float, bool]:
     """(displacement, paired) of one snapshot's line density change delta
-    against the background, signed: at k_perp = 0 the centroid of |delta|,
-    else the packet displacement of its envelope at the probe carrier."""
+    against the background: the packet displacement of its envelope at the
+    probe carrier, k_perp = 0 included."""
     x = grid.x_coords()
-    if probe.k_perp == 0.0:
-        return _centroid(np.abs(delta), x, grid.extent_x), False
     env = demodulated_envelope(delta, x, probe.k_perp, probe.waist)
     return packet_displacement(env, x, grid.extent_x)
 

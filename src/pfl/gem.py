@@ -62,7 +62,7 @@ class GemConfig:
 
     eta_flips lists the times at which the gradient slope changes sign,
     starting from +eta0. coupling_windows lists (t_on, t_off) intervals
-    during which the coupling gate is open; None means always on.
+    during which the coupling gate is open; () means always on.
     """
 
     g: float
@@ -73,7 +73,7 @@ class GemConfig:
     t_extent: float
     nt: int
     eta_flips: tuple[float, ...] = ()
-    coupling_windows: tuple[tuple[float, float], ...] | None = None
+    coupling_windows: tuple[tuple[float, float], ...] = ()
     decay: float = 0.0
 
     def __post_init__(self):
@@ -83,7 +83,7 @@ class GemConfig:
             raise ValueError("z_extent and t_extent must be positive")
         if self.decay < 0:
             raise ValueError("decay must be non-negative")
-        rules.schedule(self.eta_flips, self.coupling_windows or (), self.t_extent)
+        rules.schedule(self.eta_flips, self.coupling_windows, self.t_extent)
         rules.gradient_phase(self.eta0, self.z_extent, self.t_extent, self.nt)
 
     @property
@@ -122,7 +122,7 @@ def _field_from_alpha(alpha: np.ndarray, e_in: complex, coupling: float,
 def _gate(config: GemConfig, times) -> np.ndarray:
     """Coupling gate C(t) at each of the times; a window includes its edges."""
     times = np.asarray(times, dtype=float)[:, None]
-    if config.coupling_windows is None:
+    if not config.coupling_windows:
         return np.ones(len(times))
     on, off = np.transpose(config.coupling_windows)
     return np.any((times >= on) & (times <= off), axis=1).astype(float)
@@ -239,7 +239,7 @@ def fifo_filo_experiment(config: GemConfig, train: PulseTrain) -> PulseOrderingR
     Raises ValueError for any other schedule (rules.ordering), and
     RuntimeError when the detected ordering does not match the mode.
     """
-    mode = rules.ordering(config.eta_flips, config.coupling_windows or (),
+    mode = rules.ordering(config.eta_flips, config.coupling_windows,
                           [p.center for p in train.pulses], [p.width for p in train.pulses])
     first, second = sorted(train.pulses, key=lambda p: p.center)
     gap, tau = second.center - first.center, config.eta_flips[0]

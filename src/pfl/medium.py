@@ -3,8 +3,8 @@
 Intensity convention: I = (1/2) n0 c eps0 |E|^2. This fixes the bridge
 between the chi3 |E|^2 parameterization of the index shift and the n2 I
 one: chi3 = n2 * n0^2 * c * eps0. c and eps0 are the CODATA 2022 values,
-written here as literals (c is exact), so results do not depend on the
-CODATA edition of the installed scipy.
+written in `rules` as literals (c is exact), so results do not depend on
+the CODATA edition of the installed scipy.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-C_LIGHT = 299792458.0  # speed of light in vacuum, m/s
-EPS0 = 8.8541878188e-12  # vacuum permittivity, F/m
+from .rules import C_LIGHT, EPS0
 
 PotentialLike = np.ndarray | Callable[[float], np.ndarray] | None
 

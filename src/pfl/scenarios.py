@@ -244,7 +244,7 @@ def _gem_config_from_params(p: dict) -> GemConfig:
         g=p["g"], density=p["density"], eta0=p["eta0"],
         z_extent=p["z_extent"], nz=p["nz"], t_extent=p["t_extent"], nt=p["nt"],
         eta_flips=tuple(p["flip_times"]),
-        coupling_windows=tuple(zip(windows[::2], windows[1::2])) or None,
+        coupling_windows=tuple(zip(windows[::2], windows[1::2])),
         decay=p.get("decay", 0.0),  # fifo-filo has no decay key
     )
 

@@ -148,6 +148,7 @@ VORTEX_STRIPE = (VORTEX_PAIR[:VORTEX_PAIR.index("[vortices]")]
 FIFO_FILO = (ROOT / "configs" / "fifo_filo.ini").read_text()
 PROPAGATE_GAUSSIAN = (ROOT / "configs" / "propagate_gaussian.ini").read_text()
 GEM = (ROOT / "configs" / "gem.ini").read_text()
+SOUND_SCALING = (ROOT / "configs" / "sound_scaling.ini").read_text()
 SWEEP = (ROOT / "configs" / "gem_efficiency_sweep.ini").read_text()
 
 GOOD_GEM = """
@@ -460,6 +461,12 @@ class TestParsing:
          "k samples must be strictly increasing"),
         (swap(GOOD_SOUND_SCALING, "331800", "300000"),
          "densities must span at least one decade"),
+        (swap(SOUND_SCALING, "probe_waist_xi = 10\n", "probe_waist_xi = 100\n"),
+         "sound-scaling: probe waist 0.0012001191830877185 exceeds half the grid extent 0.00064"),
+        (swap(GOOD_SOUND_SCALING, "chi3 = -7.890e-12", "n2 = -3e-9")
+         + "probe_waist_xi = 1\n", "sound-scaling: probe waist 1.2"),
+        (swap(GOOD_SOUND_SCALING, "chi3 = -7.890e-12", "chi3 = 0.0"),
+         "sound-scaling: probe waist inf exceeds half the grid extent 0.00016"),
         (swap(VORTEX_PAIR, "charges = 1, -1", "charges = 1, 0"),
          "charge must satisfy |charge| >= 1"),
         (swap(VORTEX_PAIR, "xs = 2e-4, -2e-4", "xs = 2e-4, -7e-4"),
@@ -488,6 +495,8 @@ class TestParsing:
     ], ids=["gaussian-unresolved", "gaussian-wraps", "speckle-unresolved",
             "defect-unresolved", "lattice-past-nyquist", "probe-unresolved", "probe-wraps",
             "probe-past-nyquist", "repeated-k-perp", "intensities-within-a-decade",
+            "sound-scaling-probe-wraps", "sound-scaling-probe-unresolved",
+            "sound-scaling-chi3-zero",
             "charge-zero", "vortex-off-grid", "gem-pulse-margins", "sweep-pulse-margins",
             "gradient-phase", "sweep-eta-zero", "fifo-filo-unresolved-pulses",
             "fifo-window-on-at-echo", "fifo-filo-three-pulses", "sweep-echo-overlaps",
@@ -813,6 +822,26 @@ class TestCli:
         assert [len(fields) for fields, *_ in calls] == [len(k_perp_list)] == [5]
         fit = dict(line.split(" = ") for line in (out / "fit.txt").read_text().splitlines())
         assert float(fit["c_s"]) == pytest.approx(0.0124, rel=0.05)
+
+    def test_a_zero_k_probe_reads_the_sound_speed(self, tmp_path):
+        # k_perp = 0 joins the shipped sweep: its packet pair is tracked like
+        # every other probe's, and the fit stays on sqrt(dn_nl / n0) (0.01250
+        # measured against 0.01241, and 0.01258 at k_perp = 0)
+        from pfl.medium import intensity_to_density
+        from pfl.scenarios import build_medium
+        from pfl.solver import fluid_scales
+        shipped = next(c for c in CONFIGS if c.name == "bogoliubov_dispersion.ini").read_text()
+        config = tmp_path / "k0.ini"
+        config.write_text(swap(shipped, "k_perp_list = 20000", "k_perp_list = 0, 20000"))
+        out = tmp_path / "out"
+        assert cli_main(["dispersion", "--config", str(config), "--out", str(out)]) == 0
+        cfg = parse_config(config.read_text())
+        medium = build_medium(cfg)
+        *_, c_s = fluid_scales(medium, intensity_to_density(cfg.source["intensity"], medium.n0))
+        fit = dict(line.split(" = ") for line in (out / "fit.txt").read_text().splitlines())
+        assert float(fit["c_s"]) == pytest.approx(c_s, rel=0.03)
+        k_perp, v_g, _ = (out / "dispersion.csv").read_text().splitlines()[1].split(",")
+        assert float(k_perp) == 0.0 and float(v_g) == pytest.approx(c_s, rel=0.03)
 
     def test_shipped_sound_scaling_config_runs(self, tmp_path):
         # criterion 06's set-up: c_s grows as the square root of the density

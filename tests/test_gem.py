@@ -31,8 +31,9 @@ def eta_integral(config, t0, t1):
 
 
 def coupling_at(config, t):
-    """Scalar reference: the coupling gate at one time."""
-    if config.coupling_windows is None:
+    """Scalar reference: the coupling gate at one time; no windows means
+    always on."""
+    if not config.coupling_windows:
         return 1.0
     for t_on, t_off in config.coupling_windows:
         if t_on <= t <= t_off:
@@ -46,6 +47,7 @@ class TestSchedule:
     T = np.linspace(0.0, 8.0, 801)
     T_MID = 0.5 * (T[:-1] + T[1:])
 
+    # windows None: the config's default, no windows
     @pytest.mark.parametrize("flips, windows", [
         ((), None),                                     # no flip
         ((3.0037,), None),                              # between nodes
@@ -56,7 +58,7 @@ class TestSchedule:
     ])
     def test_matches_scalar_reference_bit_for_bit(self, flips, windows):
         cfg = make_config(nz=64, nt=801, eta_flips=tuple(float(f) for f in flips),
-                          coupling_windows=windows)
+                          **({} if windows is None else {"coupling_windows": windows}))
         t = cfg.t_coords()
         assert t.tobytes() == self.T.tobytes()
         phase, t_mid, c_mid, c_node = _schedule(cfg, t)
@@ -128,6 +130,15 @@ class TestEvolution:
         after_off = norms[t >= 2.05]
         assert after_off[0] > 0
         assert np.max(np.abs(after_off / after_off[0] - 1.0)) < 1e-8
+
+    def test_no_windows_is_the_default_and_always_on(self):
+        # () is the default; a window over the whole run gates nothing off
+        cfg = make_config(nz=64, nt=1200)
+        train = PulseTrain([GaussianPulse(center=1.5, width=0.18)])
+        default = gem_evolve(cfg, train).output_field.tobytes()
+        for windows in ((), ((0.0, cfg.t_extent),)):
+            run = gem_evolve(make_config(nz=64, nt=1200, coupling_windows=windows), train)
+            assert run.output_field.tobytes() == default
 
     def test_cfl_guard(self):
         with pytest.raises(ValueError, match="under-resolves"):
@@ -249,7 +260,7 @@ class TestOrdering:
     def test_fifo_schedule_sanity_checked(self):
         # two flips need a coupling-off window, and it must cover both
         # first-flip echoes (at 4 and 5)
-        for windows, message in [(None, "coupling"),
+        for windows, message in [((), "coupling"),
                                  (((0.0, 3.2), (4.5, 9.0)), "suppressed echo time 5")]:
             cfg = make_config(ratio=1.5, t_extent=9.0, nt=2000, eta_flips=(3.0, 5.5),
                               coupling_windows=windows)

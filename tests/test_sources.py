@@ -214,6 +214,6 @@ class TestAddProbe:
         plan = StepPlan(n_steps=10, snapshot_every=2)
         for k_perp in (small_grid.k_nyquist_x, -small_grid.k_nyquist_x,
                        -1.5 * small_grid.k_nyquist_x):
-            probe = ProbeSpec(waist=1e-4, k_perp=k_perp)
+            probe = ProbeSpec(waist=1e-4, k_perp=k_perp, power_ratio=1e-4)
             with pytest.raises(ValueError, match="Nyquist"):
                 measure_group_velocity(plane_wave(small_grid, 1.0, 1.0), probe, medium, plan)
