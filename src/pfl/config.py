@@ -26,6 +26,7 @@ from types import SimpleNamespace
 from typing import Any
 
 from . import rules
+from .pfl1 import read_header
 
 REQUIRED = object()
 
@@ -134,7 +135,8 @@ _POTENTIAL = Kinds({
                 "orientation": Key("float", 0.0), **_PT},
 }, optional=True)
 
-# the memory and its schedule, shared by the gem and fifo-filo scenarios
+# the memory, its schedule and its pulses, read by the gem scenario; the
+# efficiency sweep takes the lattice keys
 _GEM = {
     "g": Key("float"),
     "density": Key("float"),
@@ -147,6 +149,8 @@ _GEM = {
     "coupling_windows": Key("floats", ()),
     "pulse_centers": Key("floats"),
     "pulse_widths": Key("floats", within=_POSITIVE),
+    "decay": Key("float", 0.0, within=_NON_NEGATIVE),
+    "pulse_labels": Key("strs", ()),
 }
 
 # the [run] entries of a scenario that writes snapshots, an image and CSV
@@ -238,9 +242,7 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         }),
         "vortices.evolve": "set plan.n_steps = 0 for no evolution",
     },
-    "gem": {**_RUN_IMAGE,
-            "gem": {**_GEM, "decay": Key("float", 0.0, within=_NON_NEGATIVE),
-                    "pulse_labels": Key("strs", ())}},
+    "gem": {**_RUN_IMAGE, "gem": _GEM},
     "gem-efficiency-sweep": {
         **_RUN_CSV,
         "gem-efficiency-sweep": {
@@ -254,13 +256,6 @@ SCENARIOS: dict[str, dict[str, Any]] = {
             "pulse_center": Key("float", 1.5),
             "pulse_width": Key("float", 0.18, within=_POSITIVE),
         },
-    },
-    "fifo-filo": {
-        **_RUN_CSV,
-        "fifo-filo": {**_GEM, "nt": replace(_GEM["nt"], default=2400),
-                      "pulse_labels": Key("strs", ("A", "B"))},
-        "fifo-filo.mode": "the schedule sets it: one flip and no coupling windows is FILO, "
-                          "two flips and at least one window FIFO",
     },
 }
 
@@ -415,6 +410,8 @@ def validate_config(cfg: RunConfig):
     try:
         if source.get("kind") == "gaussian":
             rules.waist(source["waist"], grid)
+        if source.get("kind") == "file":
+            read_header(source["path"], grid)
         if source.get("kind") == "speckle":
             rules.resolved(source["correlation_length"], grid, "correlation_length")
         if potential.get("kind") == "gaussian_defect":
@@ -444,19 +441,18 @@ def validate_config(cfg: RunConfig):
             rules.echo_windows(p["flip_time"], p["pulse_center"], p["pulse_width"], p["t_extent"])
             rules.pulses((p["pulse_center"],), (p["pulse_width"],), p["t_extent"])
             rules.nonzero_eta(p["eta0"])
-        if s in ("gem", "fifo-filo"):
+        if s == "gem":
             pulses, flat = len(p["pulse_centers"]), p["coupling_windows"]
             if pulses != len(p["pulse_widths"]):
-                raise ConfigError(f"{s}.pulse_centers and pulse_widths must have equal lengths")
+                raise ConfigError("gem.pulse_centers and pulse_widths must have equal lengths")
             if len(flat) % 2:
-                raise ConfigError(f"{s}.coupling_windows must list (on, off) pairs")
+                raise ConfigError("gem.coupling_windows must list (on, off) pairs")
             windows = tuple(zip(flat[::2], flat[1::2]))  # as the builder pairs them
             rules.schedule(p["flip_times"], windows, p["t_extent"])
             rules.gradient_phase(p["eta0"], p["z_extent"], p["t_extent"], p["nt"])
-            if s == "fifo-filo":
-                rules.ordering(p["flip_times"], windows, p["pulse_centers"], p["pulse_widths"])
+            rules.ordering(p["flip_times"], windows, p["pulse_centers"], p["pulse_widths"])
             if p["pulse_labels"] and len(p["pulse_labels"]) != pulses:
-                raise ConfigError(f"{s}.pulse_labels needs one label per pulse or none")
+                raise ConfigError("gem.pulse_labels needs one label per pulse or none")
             rules.pulses(p["pulse_centers"], p["pulse_widths"], p["t_extent"])
     except ValueError as exc:
         raise ConfigError(f"{s}: {exc}") from None

@@ -159,13 +159,13 @@ def demodulated_envelope(profile: np.ndarray, x: np.ndarray, k_carrier: float,
 
     Multiplies by exp(-i k x), applies a Gaussian low-pass (cutting well
     below 2 k, where the conjugate image sits, while passing the envelope
-    bandwidth ~2/waist) and returns the magnitude. At k = 0 there is no
-    image and the cut is 4 / waist.
+    bandwidth ~2/waist) and returns the magnitude. The cut sees |k|, so -k
+    mirrors +k; at k = 0 there is no image and the cut is 4 / waist.
     """
     dx = x[1] - x[0]
     signal = profile * np.exp(-1j * k_carrier * x)
     k_axis = 2.0 * np.pi * np.fft.fftfreq(len(x), d=dx)
-    k_cut = min(k_carrier, 4.0 / waist) or 4.0 / waist
+    k_cut = min(abs(k_carrier), 4.0 / waist) or 4.0 / waist
     window = np.exp(-((k_axis / k_cut) ** 2))
     return np.abs(ifft(fft(signal) * window))
 

@@ -1,10 +1,4 @@
-"""File formats: PFL1 field snapshots, 16-bit PGM density dumps, CSV.
-
-PFL1 layout (all little-endian): 4-byte magic "PFL1", then six 8-byte
-header words nx (uint64), ny (uint64), dx (float64), dy (float64),
-unit (uint64, always 0: the field in V/m), z (float64), followed by nx*ny
-interleaved (re, im) float64 pairs, row-major (y rows, x within a row).
-load_field rejects any other unit code.
+"""File formats: PFL1 field snapshots (layout in pfl1), 16-bit PGM dumps, CSV.
 
 Density dumps are binary PGM (P5) with maxval 65535, scaled so the frame
 maximum maps to 65535; the scale is recorded in a sidecar text file next
@@ -17,24 +11,18 @@ byte-identical files.
 from __future__ import annotations
 
 import hashlib
-import os
-import struct
 from pathlib import Path
 
 import numpy as np
 
 from .grid import Field2D, make_grid
-
-PFL1_MAGIC = b"PFL1"
+from .pfl1 import HEADER, read_header
 
 
 def save_field(path, field: Field2D, z: float = 0.0) -> Path:
     path = Path(path)
     grid = field.grid
-    header = PFL1_MAGIC + struct.pack(
-        "<QQddQd", grid.nx, grid.ny, grid.dx, grid.dy,
-        0, float(z),  # unit code 0: the field in V/m
-    )
+    header = HEADER.pack(b"PFL1", grid.nx, grid.ny, grid.dx, grid.dy, 0, float(z))  # unit: V/m
     # "<c16" samples are the interleaved little-endian (re, im) float64 pairs;
     # for a contiguous complex128 field this is the field's own memory
     samples = np.ascontiguousarray(field.values, dtype="<c16")
@@ -44,28 +32,17 @@ def save_field(path, field: Field2D, z: float = 0.0) -> Path:
     return path
 
 
-def load_field(path) -> tuple[Field2D, float]:
-    """Read a PFL1 snapshot: the header, then the samples straight into the
-    field's array, so the load holds one field."""
+def load_field(path, grid=None) -> tuple[Field2D, float]:
+    """Read a PFL1 snapshot, on grid if one is given (pfl1.read_header), with
+    the samples read straight into the field's array: the load holds one field."""
+    nx, ny, dx, dy, z = read_header(path, grid)
+    samples = np.empty((ny, nx), dtype="<c16")
     with Path(path).open("rb") as fh:
-        header = fh.read(52)
-        if header[:4] != PFL1_MAGIC:
-            raise ValueError(f"{path}: not a PFL1 snapshot (bad magic {header[:4]!r})")
-        if len(header) < 52:
-            raise ValueError(f"{path}: truncated snapshot ({len(header)} of 52 header bytes)")
-        nx, ny, dx, dy, unit_code, z = struct.unpack("<QQddQd", header[4:])
-        if unit_code != 0:
-            raise ValueError(f"{path}: unit code {unit_code} is not 0 (a field in V/m)")
-        size = os.fstat(fh.fileno()).st_size
-        expected = 52 + nx * ny * 16
-        if size != expected:
-            raise ValueError(f"{path}: truncated snapshot ({size} of {expected} bytes)")
-        samples = np.empty((ny, nx), dtype="<c16")
+        fh.seek(HEADER.size)
         if fh.readinto(samples) != samples.nbytes:
             raise ValueError(f"{path}: truncated snapshot while reading")
     values = samples.astype(np.complex128, copy=False)
-    grid = make_grid(int(nx), int(ny), float(dx), float(dy))
-    return Field2D(grid=grid, values=values), float(z)
+    return Field2D(grid=make_grid(nx, ny, dx, dy), values=values), z
 
 
 def write_density_pgm(path, array_or_field) -> Path:

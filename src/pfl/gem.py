@@ -226,21 +226,22 @@ class PulseOrderingResult:
     result: GemResult
 
 
-def fifo_filo_experiment(config: GemConfig, train: PulseTrain) -> PulseOrderingResult:
-    """Run a two-pulse store-and-recall and verify the recall ordering. The
-    schedule sets the mode.
-
-    FILO: one gradient flip at tau, coupling always on; pulse stored at
-    time t_p re-emits at 2 tau - t_p, so the later pulse exits first.
-    FIFO: coupling gated off across the would-be FILO echoes, a second flip
-    at tau2, coupling restored; the echo of a pulse stored at t_p then lands
-    at t_p + 2 (tau2 - tau), preserving the input order.
-
-    Raises ValueError for any other schedule (rules.ordering), and
-    RuntimeError when the detected ordering does not match the mode.
-    """
-    mode = rules.ordering(config.eta_flips, config.coupling_windows,
+def _mode(config: GemConfig, train: PulseTrain) -> str | None:
+    return rules.ordering(config.eta_flips, config.coupling_windows,
                           [p.center for p in train.pulses], [p.width for p in train.pulses])
+
+
+def recall_order(config: GemConfig, train: PulseTrain,
+                 result: GemResult) -> PulseOrderingResult | None:
+    """The recall order of result, the run of train on config, if its
+    schedule sets one (rules.ordering), else None. FILO: one flip at tau,
+    coupling always on; a pulse stored at t_p re-emits at 2 tau - t_p, so
+    the later pulse exits first. FIFO: coupling gated off across those
+    echoes and a second flip at tau2; the echoes land at t_p + 2 (tau2 - tau),
+    in input order. Raises RuntimeError if the order found is not the mode's.
+    """
+    if (mode := _mode(config, train)) is None:
+        return None
     first, second = sorted(train.pulses, key=lambda p: p.center)
     gap, tau = second.center - first.center, config.eta_flips[0]
     # (echo time, label) of each pulse
@@ -248,7 +249,6 @@ def fifo_filo_experiment(config: GemConfig, train: PulseTrain) -> PulseOrderingR
                  else p.center + 2.0 * (config.eta_flips[1] - tau), p.label or label)
                 for p, label in ((first, "A"), (second, "B"))]
 
-    result = gem_evolve(config, train, store_polarization=False)
     t = result.times
     power = np.abs(result.output_field) ** 2
     recall_start = config.eta_flips[-1]
@@ -270,3 +270,14 @@ def fifo_filo_experiment(config: GemConfig, train: PulseTrain) -> PulseOrderingR
                            f"{expected_labels} (peaks at {peak_times})")
     return PulseOrderingResult(mode=mode, peak_times=peak_times, labels=labels, result=result)
 
+
+def fifo_filo_experiment(config: GemConfig, train: PulseTrain) -> PulseOrderingResult:
+    """Run a two-pulse store-and-recall and read its recall order; raises
+    ValueError, before the run, for a train or schedule that sets none."""
+    if _mode(config, train) is None:
+        n, flips, windows = len(train.pulses), len(config.eta_flips), config.coupling_windows
+        raise ValueError(f"the ordering experiment needs exactly two pulses, got {n}" if n != 2
+                         else f"{flips} gradient flip(s) {'with' if windows else 'without'} "
+                         "coupling windows is neither FILO (one flip, coupling on throughout) "
+                         "nor FIFO (two flips and a coupling-off window)")
+    return recall_order(config, train, gem_evolve(config, train, store_polarization=False))

@@ -101,21 +101,17 @@ def echo_windows(tau: float, center: float, width: float, t_extent: float):
     return input_window, echo_window
 
 
-def ordering(flips, windows, centers, widths) -> str:
-    """FILO or FIFO, which the schedule sets (see gem.fifo_filo_experiment)."""
-    if len(centers) != 2:
-        raise ValueError(f"the ordering experiment needs exactly two pulses, got {len(centers)}")
+def ordering(flips, windows, centers, widths) -> str | None:
+    """FILO for two pulses, one flip and no coupling windows, FIFO for two
+    pulses, two flips and a window (see gem.recall_order), else None."""
+    if len(centers) != 2 or (len(flips), bool(windows)) not in ((1, False), (2, True)):
+        return None
     (first, first_width), (second, second_width) = sorted(zip(centers, widths))
     if second - first < PULSE_WIDTHS * max(first_width, second_width):
         raise ValueError(f"pulses are not temporally resolved: separation {second - first} "
                          f"< {PULSE_WIDTHS:g} widths")
-    shape = (len(flips), bool(windows))
-    if shape == (1, False):
+    if len(flips) == 1:
         return "FILO"
-    if shape != (2, True):
-        raise ValueError(f"{shape[0]} gradient flip(s) {'with' if shape[1] else 'without'} "
-                         "coupling windows is neither FILO (one flip, coupling on "
-                         "throughout) nor FIFO (two flips and a coupling-off window)")
     for echo in (2.0 * flips[0] - second, 2.0 * flips[0] - first):
         if any(on <= echo <= off for on, off in windows):
             raise ValueError(f"coupling is on at the suppressed echo time {echo}; gate it "

@@ -11,8 +11,8 @@ from .config import SCENARIOS, RunConfig
 from .dispersion import (ProbeSpec, dispersion_from_group_velocity,
                          measure_group_velocity, sound_speed_scaling)
 from .fileio import ArtifactWriter, fmt, load_field
-from .gem import (GaussianPulse, GemConfig, PulseTrain, fifo_filo_experiment,
-                  gem_efficiency_measured, gem_efficiency_theory, gem_evolve)
+from .gem import (GaussianPulse, GemConfig, PulseTrain, gem_efficiency_measured,
+                  gem_efficiency_theory, gem_evolve, recall_order)
 from .grid import Field2D, Grid, fft2, fft_workers, ifft2, make_grid
 from .hydro import detect_vortices
 from .medium import MediumParams, intensity_to_density
@@ -69,12 +69,7 @@ def build_source(cfg: RunConfig, grid: Grid, medium: MediumParams,
     if s["kind"] == "plane":
         return plane_wave(grid, s["intensity"], medium.n0)
     if s["kind"] == "file":
-        field, _ = load_field(s["path"])
-        if field.grid != grid:
-            raise ValueError(
-                f"snapshot {s['path']} grid {field.grid} does not match the "
-                f"configured grid {grid}")
-        return field
+        return load_field(s["path"], grid)[0]
     return speckle(grid, s["correlation_length"], s["intensity"],
                    seed=stream_seed(cfg.run["seed"], "source", member), n0=medium.n0)
 
@@ -243,10 +238,8 @@ def _gem_config_from_params(p: dict) -> GemConfig:
     return GemConfig(
         g=p["g"], density=p["density"], eta0=p["eta0"],
         z_extent=p["z_extent"], nz=p["nz"], t_extent=p["t_extent"], nt=p["nt"],
-        eta_flips=tuple(p["flip_times"]),
-        coupling_windows=tuple(zip(windows[::2], windows[1::2])),
-        decay=p.get("decay", 0.0),  # fifo-filo has no decay key
-    )
+        eta_flips=tuple(p["flip_times"]), decay=p["decay"],
+        coupling_windows=tuple(zip(windows[::2], windows[1::2])))
 
 
 def _pulse_train_from_params(p: dict) -> PulseTrain:
@@ -268,11 +261,16 @@ def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
     train = _pulse_train_from_params(cfg.params)
     # the z-resolved polarization is read only for its image
     result = gem_evolve(gem_cfg, train, store_polarization=cfg.run["pgm"])
+    order = recall_order(gem_cfg, train, result)  # None unless the schedule sets one
     if cfg.run["csv"]:
         _write_trace(w, "input.csv", result.times, result.input_field)
         _write_trace(w, "output.csv", result.times, result.output_field)
+        if order:
+            w.csv("peaks.csv", ["time", "label"], zip(order.peak_times, order.labels))
     if cfg.run["pgm"]:
         w.pgm("polarization.pgm", np.abs(result.polarization))
+    if order:
+        w.text("ordering.txt", f"mode = {order.mode}\norder = {','.join(order.labels)}\n")
 
 
 def _scenario_gem_efficiency_sweep(cfg: RunConfig, w: ArtifactWriter):
@@ -292,18 +290,6 @@ def _scenario_gem_efficiency_sweep(cfg: RunConfig, w: ArtifactWriter):
         rows.append((ratio, theory, measured.sigma))
     if cfg.run["csv"]:
         w.csv("efficiency_sweep.csv", ["ratio", "sigma_theory", "sigma_sim"], rows)
-
-
-def _scenario_fifo_filo(cfg: RunConfig, w: ArtifactWriter):
-    gem_cfg = _gem_config_from_params(cfg.params)
-    train = _pulse_train_from_params(cfg.params)
-    result = fifo_filo_experiment(gem_cfg, train)
-    if cfg.run["csv"]:
-        _write_trace(w, "output.csv", result.result.times, result.result.output_field)
-        w.csv("peaks.csv", ["time", "label"],
-              zip(result.peak_times, result.labels))
-    w.text("ordering.txt",
-           f"mode = {result.mode}\norder = {','.join(result.labels)}\n")
 
 
 # each scenario of config.SCENARIOS runs _scenario_<name, '-' as '_'>

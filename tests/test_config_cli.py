@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -206,7 +207,6 @@ GEM_DEFAULTS = {"g": REQUIRED, "density": REQUIRED, "eta0": REQUIRED, "z_extent"
 class TestParsing:
     @pytest.mark.parametrize("scenario, own", [
         ("gem", {"nt": 1600, "decay": 0.0, "pulse_labels": ()}),
-        ("fifo-filo", {"nt": 2400, "pulse_labels": ("A", "B")}),
     ])
     def test_gem_schemas_share_keys_and_keep_defaults(self, scenario, own):
         schema = SCENARIOS[scenario][scenario]
@@ -322,8 +322,8 @@ class TestParsing:
          r"line 5: gem-efficiency-sweep takes no run.out_dir: use --out or \$PFL_OUT"),
         (VORTEX_PAIR + "evolve = false\n",
          r"line 34: vortices takes no vortices.evolve: set plan.n_steps = 0 for no evolution"),
-        (FIFO_FILO.replace("[fifo-filo]\n", "[fifo-filo]\nmode = FIFO\n"),
-         r"line 14: fifo-filo takes no fifo-filo.mode: the schedule sets it: one flip"),
+        (FIFO_FILO.replace("[gem]\n", "[gem]\nmode = FIFO\n"),
+         r"line 14: gem takes no gem.mode$"),  # the schedule sets it
     ], ids=["sound-scaling-length", "sound-scaling-plan", "precondensation-length",
             "sound-scaling-source", "structure-factor-snapshot-every",
             "precondensation-snapshot-every", "vortices-snapshot-every",
@@ -397,35 +397,43 @@ class TestParsing:
         assert ("[plan]" in serialized) == (cfg.plan is not None)
         assert parse_config(serialized) == cfg
 
-    # the schedule sets the mode (FILO: one flip, no coupling windows; FIFO:
-    # two flips, at least one window); each case mixes the two. None drops
-    # the coupling_windows line, as a FILO config would.
-    @pytest.mark.parametrize("flips, windows", [
-        ("3.0", "0.0, 3.2, 5.7, 9.0"),
-        ("3.0, 5.5", ""),
-        ("3.0, 5.5", None),
-        ("3.0", "0.0, 3.2"),
-    ], ids=["fifo-one-flip", "fifo-no-window", "filo-two-flips", "filo-window"])
-    def test_fifo_filo_schedule_must_fit_its_mode(self, flips, windows, tmp_path):
-        shipped = next(c for c in CONFIGS if c.name == "fifo_filo.ini").read_text()
+    # the schedule sets the mode of a two-pulse run (FILO: one flip, no
+    # coupling windows; FIFO: two flips, at least one window); a run that
+    # mixes the two, or has three pulses, is a plain gem run that reads no
+    # recall order. None drops the coupling_windows line, as a FILO config would.
+    @pytest.mark.parametrize("flips, windows, pulses", [
+        ("3.0", "0.0, 3.2, 5.7, 9.0", 2),
+        ("3.0, 5.5", "", 2),
+        ("3.0, 5.5", None, 2),
+        ("3.0", "0.0, 3.2", 2),
+        ("3.0, 5.5", "0.0, 3.2, 5.7, 9.0", 3),
+    ], ids=["fifo-one-flip", "fifo-no-window", "filo-two-flips", "filo-window",
+            "three-pulses"])
+    def test_fifo_filo_schedule_must_fit_its_mode(self, flips, windows, pulses, tmp_path):
         line = "" if windows is None else f"coupling_windows = {windows}\n"
-        text = (shipped.replace("flip_times = 3.0, 5.5", f"flip_times = {flips}")
+        text = (FIFO_FILO.replace("flip_times = 3.0, 5.5", f"flip_times = {flips}")
                 .replace("coupling_windows = 0.0, 3.2, 5.7, 9.0\n", line))
-        assert text != shipped
-        message = assert_rule_rejects(text, tmp_path)
-        assert re.fullmatch(r"fifo-filo: \d gradient flip\(s\) with(out)? coupling windows is "
-                            r"neither FILO \(one flip, coupling on throughout\) nor FIFO .*",
-                            message)
+        if pulses == 3:
+            text = (swap(text, "pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 2.6")
+                    .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15")
+                    .replace("pulse_labels = A, B", "pulse_labels = A, B, C"))
+        assert text != FIFO_FILO
+        path, out = tmp_path / "plain.ini", tmp_path / "out"
+        path.write_text(text)
+        assert cli_main(["validate", "--config", str(path)]) == 0
+        assert cli_main(["gem", "--config", str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["input.csv", "manifest.txt",
+                                                         "output.csv"]
 
     # the schedule rules GemConfig holds library callers to, caught before a run
     @pytest.mark.parametrize("config, binding, replacement, message", [
         ("fifo_filo.ini", "coupling_windows = 0.0, 3.2, 5.7, 9.0",
          "coupling_windows = 0.0, 3.2, 9.0, 5.7",
-         "fifo-filo: coupling windows must be ordered and disjoint"),
+         "gem: coupling windows must be ordered and disjoint"),
         ("fifo_filo.ini", "flip_times = 3.0, 5.5", "flip_times = 5.5, 3.0",
-         "fifo-filo: eta flip times must be strictly increasing"),
+         "gem: eta flip times must be strictly increasing"),
         ("fifo_filo.ini", "flip_times = 3.0, 5.5", "flip_times = 3.0, 9.5",
-         "fifo-filo: eta flip times must lie within [0, t_extent]"),
+         "gem: eta flip times must lie within [0, t_extent]"),
         ("gem_efficiency_sweep.ini", "flip_time = 3.0", "flip_time = 9.0",
          "gem-efficiency-sweep: eta flip times must lie within [0, t_extent]"),
     ], ids=["windows-out-of-order", "flips-decreasing", "flip-after-t-extent",
@@ -437,9 +445,8 @@ class TestParsing:
         assert text != shipped
         assert assert_rule_rejects(text, tmp_path) == message
 
-    # each but fifo-filo-three-pulses passed `pfl validate` before its rule
-    # reached validate_config, and the run then failed (exit 3), some after
-    # propagating a whole sweep
+    # each passed `pfl validate` before its rule reached validate_config, and
+    # the run then failed (exit 3), some after propagating a whole sweep
     @pytest.mark.parametrize("text, message", [
         (swap(PROPAGATE_GAUSSIAN, "waist = 150e-6", "waist = 10e-6"),
          "waist 1e-05 is unresolved: need at least 4*max(dx, dy) = 2e-05"),
@@ -484,10 +491,9 @@ class TestParsing:
          "pulses are not temporally resolved: separation 0.30000000000000004 < 4 widths"),
         (swap(FIFO_FILO, "coupling_windows = 0.0, 3.2", "coupling_windows = 0.0, 4.2"),
          "coupling is on at the suppressed echo time 4.0"),
-        (swap(FIFO_FILO, "pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 2.6")
-         .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15")
-         .replace("pulse_labels = A, B", "pulse_labels = A, B, C"),
-         "the ordering experiment needs exactly two pulses, got 3"),
+        (swap(GEM, "flip_times = 3.0", "flip_times = 3.0, 5.5\n"
+              "coupling_windows = 0.0, 4.5, 5.7, 8.0"),
+         "coupling is on at the suppressed echo time 4.0"),
         (swap(SWEEP, "flip_time = 3.0", "flip_time = 1.8"),
          "echo window (1.3800000000000001, 2.8200000000000003) overlaps the input window"),
         (swap(SWEEP, "flip_time = 3.0", "flip_time = 6.0"),
@@ -499,9 +505,27 @@ class TestParsing:
             "sound-scaling-chi3-zero",
             "charge-zero", "vortex-off-grid", "gem-pulse-margins", "sweep-pulse-margins",
             "gradient-phase", "sweep-eta-zero", "fifo-filo-unresolved-pulses",
-            "fifo-window-on-at-echo", "fifo-filo-three-pulses", "sweep-echo-overlaps",
+            "fifo-window-on-at-echo", "gem-window-on-at-echo", "sweep-echo-overlaps",
             "sweep-echo-past-t-extent"])
     def test_each_rule_is_the_builders_and_exits_2(self, text, message, tmp_path):
+        assert message in assert_rule_rejects(text, tmp_path)
+
+    # a file source is read up to its header: each case passed `pfl validate`
+    # before, and the run then failed (exit 3) and left an empty run directory
+    @pytest.mark.parametrize("content, message", [
+        (None, "input.pfl1: cannot read snapshot: No such file or directory"),
+        (b"not a snapshot", "input.pfl1: not a PFL1 snapshot (bad magic b'not ')"),
+        (struct.pack("<4sQQddQd", b"PFL1", 64, 64, 1e-5, 1e-5, 0, 0.0) + bytes(16 * 64 * 63),
+         "input.pfl1: truncated snapshot (64564 of 65588 bytes)"),
+        (struct.pack("<4sQQddQd", b"PFL1", 128, 128, 1e-5, 1e-5, 0, 0.0) + bytes(16 * 128**2),
+         "input.pfl1 grid Grid(nx=128, ny=128, dx=1e-05, dy=1e-05) does not match the "
+         "configured grid Grid(nx=64, ny=64, dx=1e-05, dy=1e-05)"),
+    ], ids=["missing", "not-pfl1", "truncated", "grid-mismatch"])
+    def test_a_file_source_is_checked_before_the_run(self, content, message, tmp_path):
+        snapshot = tmp_path / "input.pfl1"
+        if content is not None:
+            snapshot.write_bytes(content)
+        text = swap(GOOD_PROPAGATE, PLANE_SOURCE, f"[source]\nkind = file\npath = {snapshot}\n")
         assert message in assert_rule_rejects(text, tmp_path)
 
     @pytest.mark.parametrize("binding, message", [
@@ -540,24 +564,18 @@ class TestParsing:
         assert parse_config(serialized) == cfg
         assert serialize_config(parse_config(serialized)) == serialized
 
-    # every pulse is simulated: a label list names each pulse or is empty,
-    # and the ordering experiment takes exactly two pulses
+    # every pulse is simulated: a label list names each pulse or is empty
     @pytest.mark.parametrize("text, message", [
         (FIFO_FILO.replace("pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 2.6")
          .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15"),
-         r"fifo-filo: the ordering experiment needs exactly two pulses, got 3"),
-        (FIFO_FILO.replace("pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 2.6")
-         .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15")
-         .replace("pulse_labels = A, B", "pulse_labels = A, B, C"),
-         r"fifo-filo: the ordering experiment needs exactly two pulses, got 3"),
+         r"gem.pulse_labels needs one label per pulse or none"),
         (FIFO_FILO.replace("pulse_labels = A, B", "pulse_labels = A"),
-         r"fifo-filo.pulse_labels needs one label per pulse or none"),
+         r"gem.pulse_labels needs one label per pulse or none"),
         ("[run]\nscenario = gem\n[gem]\ng = 2.0\ndensity = 2.0\neta0 = 20.0\n"
          "t_extent = 8.0\nflip_times = 3.0\npulse_centers = 1.0, 2.0\n"
          "pulse_widths = 0.15, 0.15\npulse_labels = A\n",
          r"gem.pulse_labels needs one label per pulse or none"),
-    ], ids=["fifo-filo-three-pulses", "fifo-filo-three-labelled-pulses",
-            "fifo-filo-one-label", "gem-one-label"])
+    ], ids=["fifo-filo-three-pulses", "fifo-filo-one-label", "gem-one-label"])
     def test_every_pulse_is_simulated(self, text, message, tmp_path):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
@@ -853,10 +871,17 @@ class TestCli:
         fit = dict(line.split(" = ") for line in (out / "fit.txt").read_text().splitlines())
         assert float(fit["exponent"]) == pytest.approx(0.50, abs=0.05)
 
+    def test_shipped_gem_config_recalls_last_in_first_out(self, tmp_path):
+        config = next(c for c in CONFIGS if c.name == "gem.ini")
+        out = tmp_path / "out"
+        assert cli_main(["gem", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "ordering.txt").read_text() == "mode = FILO\norder = B,A\n"
+        assert (out / "polarization.pgm").exists()  # pgm = true: one run for both
+
     def test_shipped_fifo_config_recalls_in_input_order(self, tmp_path):
         config = next(c for c in CONFIGS if c.name == "fifo_filo.ini")
         out = tmp_path / "out"
-        assert cli_main(["fifo-filo", "--config", str(config), "--out", str(out)]) == 0
+        assert cli_main(["gem", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "ordering.txt").read_text() == "mode = FIFO\norder = A,B\n"
         peaks = [float(line.split(",")[0])
                  for line in (out / "peaks.csv").read_text().splitlines()[1:]]

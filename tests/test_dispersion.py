@@ -320,6 +320,21 @@ class TestMeasurement:
         with pytest.raises(RuntimeError, match="fit residual"):
             measure_group_velocity(background, probe, medium, plan)
 
+    def test_a_negative_k_mirrors_the_positive_k(self):
+        # the demodulation cut sees |k|: a probe at -k drifts at -v_g(k)
+        # (1.454 and 1.773 c_s measured at k xi = 1.0 and 1.5; before the
+        # fix, -1.0 read -2.105 c_s)
+        grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
+                                                            xi_cells=2.0, tau=8.0)
+        plan = StepPlan(n_steps=160, snapshot_every=16)
+        probes = [ProbeSpec(waist=10 * scales["xi"], k_perp=sign * k_xi / scales["xi"],
+                            power_ratio=1e-5) for k_xi in (1.0, 1.5) for sign in (1, -1)]
+        v = [m.v_g / scales["c_s"]
+             for m in measure_group_velocity(background, probes, medium, plan)]
+        assert v[0] == pytest.approx(1.454, abs=1e-3)
+        assert v[1] == pytest.approx(-v[0], rel=1e-4)
+        assert v[3] == pytest.approx(-v[2], rel=1e-4)
+
     def test_sonic_point(self):
         grid, medium, background, scales = defocusing_setup(nx=256, dx=5e-6,
                                                             xi_cells=1.5, tau=30.0)

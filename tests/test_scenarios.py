@@ -441,12 +441,13 @@ pulse_widths = 0.2
 
 
 def test_fifo_filo_scenario(tmp_path):
+    # a two-pulse gem run with one flip and no coupling windows reads FILO
     text = """
 [run]
-scenario = fifo-filo
+scenario = gem
 seed = 1
 
-[fifo-filo]
+[gem]
 g = 2.19
 density = 2.19
 eta0 = 20.0
