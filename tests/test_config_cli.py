@@ -494,6 +494,12 @@ class TestParsing:
         (swap(GEM, "flip_times = 3.0", "flip_times = 3.0, 5.5\n"
               "coupling_windows = 0.0, 4.5, 5.7, 8.0"),
          "coupling is on at the suppressed echo time 4.0"),
+        # a third pulse takes the run out of the ordering rules, not out of the
+        # pulse margins, which hold for every pulse
+        (swap(FIFO_FILO, "pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 8.8")
+         .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15")
+         .replace("pulse_labels = A, B", "pulse_labels = A, B, C"),
+         "pulse at t=8.8 with width 0.15 does not fit in [0, 9.0] with 4 sigma margins"),
         (swap(SWEEP, "flip_time = 3.0", "flip_time = 1.8"),
          "echo window (1.3800000000000001, 2.8200000000000003) overlaps the input window"),
         (swap(SWEEP, "flip_time = 3.0", "flip_time = 6.0"),
@@ -505,7 +511,8 @@ class TestParsing:
             "sound-scaling-chi3-zero",
             "charge-zero", "vortex-off-grid", "gem-pulse-margins", "sweep-pulse-margins",
             "gradient-phase", "sweep-eta-zero", "fifo-filo-unresolved-pulses",
-            "fifo-window-on-at-echo", "gem-window-on-at-echo", "sweep-echo-overlaps",
+            "fifo-window-on-at-echo", "gem-window-on-at-echo", "fifo-filo-three-pulses",
+            "sweep-echo-overlaps",
             "sweep-echo-past-t-extent"])
     def test_each_rule_is_the_builders_and_exits_2(self, text, message, tmp_path):
         assert message in assert_rule_rejects(text, tmp_path)
@@ -569,13 +576,16 @@ class TestParsing:
         (FIFO_FILO.replace("pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 2.6")
          .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15"),
          r"gem.pulse_labels needs one label per pulse or none"),
+        (FIFO_FILO.replace("pulse_labels = A, B", "pulse_labels = A, B, C"),
+         r"gem.pulse_labels needs one label per pulse or none"),
         (FIFO_FILO.replace("pulse_labels = A, B", "pulse_labels = A"),
          r"gem.pulse_labels needs one label per pulse or none"),
         ("[run]\nscenario = gem\n[gem]\ng = 2.0\ndensity = 2.0\neta0 = 20.0\n"
          "t_extent = 8.0\nflip_times = 3.0\npulse_centers = 1.0, 2.0\n"
          "pulse_widths = 0.15, 0.15\npulse_labels = A\n",
          r"gem.pulse_labels needs one label per pulse or none"),
-    ], ids=["fifo-filo-three-pulses", "fifo-filo-one-label", "gem-one-label"])
+    ], ids=["fifo-filo-three-pulses", "fifo-filo-three-labelled-pulses",
+            "fifo-filo-one-label", "gem-one-label"])
     def test_every_pulse_is_simulated(self, text, message, tmp_path):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
