@@ -6,6 +6,7 @@
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error. Without
 --out, a run writes to $PFL_OUT/<scenario> ($PFL_OUT defaults to ./pfl-out).
+--jobs has no effect: a run takes no thread count.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"run the {name} scenario")
         sp.add_argument("--config", required=True, help="configuration file")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="FFT worker threads (default 1); results do not depend on it")
+                        help="no effect (at least 1); kept so that old command lines parse")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="override run.seed")
     return parser
@@ -90,7 +91,7 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out or Path(os.environ.get("PFL_OUT", "pfl-out")) / cfg.scenario)
     try:
-        writer = run_scenario(cfg, out_dir, args.jobs)
+        writer = run_scenario(cfg, out_dir)
     except Exception as exc:  # noqa: BLE001 - scenario failures map to exit 3
         print(f"runtime error in scenario {cfg.scenario!r}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -154,8 +154,8 @@ _GEM = {
 }
 
 # the [run] entries of a scenario that writes snapshots, an image and CSV
-# files; the CLI sets the worker count and the output directory
-_RUN_SNAPSHOTS = {"run": _RUN, "run.jobs": "use --jobs for the FFT worker count",
+# files; the CLI sets the output directory
+_RUN_SNAPSHOTS = {"run": _RUN, "run.jobs": "a run takes no thread count",
                   "run.out_dir": "use --out or $PFL_OUT for the output directory"}
 _RUN_IMAGE = {**_RUN_SNAPSHOTS, "run.snapshots": "only propagate writes snapshots"}
 _RUN_CSV = {**_RUN_IMAGE, "run.pgm": "only propagate, vortices and gem write an image"}

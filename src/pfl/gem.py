@@ -226,7 +226,9 @@ class PulseOrderingResult:
     result: GemResult
 
 
-def _mode(config: GemConfig, train: PulseTrain) -> str | None:
+def ordering_mode(config: GemConfig, train: PulseTrain) -> str | None:
+    """The recall order a run of train on config reads, "FILO" or "FIFO", or
+    None; raises ValueError for a schedule that breaks rules.ordering."""
     return rules.ordering(config.eta_flips, config.coupling_windows,
                           [p.center for p in train.pulses], [p.width for p in train.pulses])
 
@@ -240,7 +242,7 @@ def recall_order(config: GemConfig, train: PulseTrain,
     echoes and a second flip at tau2; the echoes land at t_p + 2 (tau2 - tau),
     in input order. Raises RuntimeError if the order found is not the mode's.
     """
-    if (mode := _mode(config, train)) is None:
+    if (mode := ordering_mode(config, train)) is None:
         return None
     first, second = sorted(train.pulses, key=lambda p: p.center)
     gap, tau = second.center - first.center, config.eta_flips[0]
@@ -274,7 +276,7 @@ def recall_order(config: GemConfig, train: PulseTrain,
 def fifo_filo_experiment(config: GemConfig, train: PulseTrain) -> PulseOrderingResult:
     """Run a two-pulse store-and-recall and read its recall order; raises
     ValueError, before the run, for a train or schedule that sets none."""
-    if _mode(config, train) is None:
+    if ordering_mode(config, train) is None:
         n, flips, windows = len(train.pulses), len(config.eta_flips), config.coupling_windows
         raise ValueError(f"the ordering experiment needs exactly two pulses, got {n}" if n != 2
                          else f"{flips} gradient flip(s) {'with' if windows else 'without'} "

@@ -7,14 +7,17 @@ Conventions used throughout the package:
 * real-space coordinates are centered on the grid, ``x[i] = (i - nx/2) * dx``,
 * spectral transforms are unitary (``norm="ortho"``), so Parseval holds to
   machine precision and unitary propagation steps conserve power exactly.
-  They run on ``scipy.fft`` over the last axis (1D) or the last two axes
-  (2D), so a stack of fields transforms in one call; this module is the
-  only one that runs transforms. The worker count is one unless
-  ``fft_workers`` sets it; results do not depend on it. ``scipy.fft`` is
-  imported on the first transform, not with this module. The commands that
-  run none (``pfl validate``, ``pfl version``) import neither this module
-  nor numpy: the package exports resolve on first access and the CLI
-  imports the scenarios only to run one.
+  They run on ``numpy.fft``, one ``fft``/``ifft`` pass per axis longer than
+  one sample: the last axis (1D), or axis -2 then axis -1 (2D), so a stack
+  of fields transforms in one pass per axis and a stack of lines
+  ``(B, 1, nx)`` in one pass. This module is the only one that runs
+  transforms, and none imports scipy. With ``overwrite_x`` a complex input
+  is transformed in place, also through a strided view; otherwise the first
+  pass writes new memory and the others run in place on it, so no transform
+  copies a field. The commands that run none (``pfl validate``,
+  ``pfl version``) import neither this module nor numpy: the package
+  exports resolve on first access and the CLI imports the scenarios only to
+  run one.
 """
 
 from __future__ import annotations
@@ -130,33 +133,33 @@ class Field2D:
         return self
 
 
+def _unitary(transform, values: np.ndarray, axes: tuple, overwrite_x: bool) -> np.ndarray:
+    """transform (numpy.fft.fft or ifft) with norm="ortho" along each of axes
+    in turn, skipping axes of length one. With overwrite_x a complex input is
+    overwritten and returned; otherwise the first pass writes new memory."""
+    values = np.asarray(values)
+    out = values if overwrite_x and np.iscomplexobj(values) else None
+    for axis in [axis for axis in axes if values.shape[axis] > 1] or axes[-1:]:
+        out = transform(values if out is None else out, axis=axis, norm="ortho", out=out)
+    return out
+
+
 def fft2(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """Unitary forward transform over the last two axes. With overwrite_x the
-    result may reuse the memory of values, which the caller must own."""
-    import scipy.fft
-    return scipy.fft.fft2(values, norm="ortho", overwrite_x=overwrite_x)
+    """Unitary forward transform over the last two axes. With overwrite_x a
+    complex values, which the caller must own, is transformed in place."""
+    return _unitary(np.fft.fft, values, (-2, -1), overwrite_x)
 
 
 def ifft2(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Unitary inverse transform over the last two axes; overwrite_x as for fft2."""
-    import scipy.fft
-    return scipy.fft.ifft2(values, norm="ortho", overwrite_x=overwrite_x)
+    return _unitary(np.fft.ifft, values, (-2, -1), overwrite_x)
 
 
 def fft(values: np.ndarray) -> np.ndarray:
     """Unitary forward transform over the last axis."""
-    import scipy.fft
-    return scipy.fft.fft(values, norm="ortho")
+    return _unitary(np.fft.fft, values, (-1,), False)
 
 
 def ifft(values: np.ndarray) -> np.ndarray:
     """Unitary inverse transform over the last axis."""
-    import scipy.fft
-    return scipy.fft.ifft(values, norm="ortho")
-
-
-def fft_workers(workers: int):
-    """Context manager in which the transforms above run on this many
-    threads; their results are the same for any count."""
-    import scipy.fft
-    return scipy.fft.set_workers(workers)
+    return _unitary(np.fft.ifft, values, (-1,), False)

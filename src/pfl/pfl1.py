@@ -26,8 +26,11 @@ def read_header(path, grid=None) -> tuple[int, int, float, float, float]:
     _, nx, ny, dx, dy, unit_code, z = HEADER.unpack(header)
     if unit_code != 0:
         raise ValueError(f"{path}: unit code {unit_code} is not 0 (a field in V/m)")
-    if size != (expected := HEADER.size + nx * ny * 16):
+    if size < (expected := HEADER.size + nx * ny * 16):
         raise ValueError(f"{path}: truncated snapshot ({size} of {expected} bytes)")
+    if size > expected:
+        raise ValueError(f"{path}: wrong snapshot size ({size} bytes; its header gives "
+                         f"{expected})")
     if grid is not None and (nx, ny, dx, dy) != (grid.nx, grid.ny, grid.dx, grid.dy):
         raise ValueError(f"snapshot {path} grid {_GRID(nx, ny, dx, dy)} does not match the "
                          f"configured grid {_GRID(grid.nx, grid.ny, grid.dx, grid.dy)}")

@@ -12,8 +12,8 @@ from .dispersion import (ProbeSpec, dispersion_from_group_velocity,
                          measure_group_velocity, sound_speed_scaling)
 from .fileio import ArtifactWriter, fmt, load_field
 from .gem import (GaussianPulse, GemConfig, PulseTrain, gem_efficiency_measured,
-                  gem_efficiency_theory, gem_evolve, recall_order)
-from .grid import Field2D, Grid, fft2, fft_workers, ifft2, make_grid
+                  gem_efficiency_theory, gem_evolve, ordering_mode, recall_order)
+from .grid import Field2D, Grid, fft2, ifft2, make_grid
 from .hydro import detect_vortices
 from .medium import MediumParams, intensity_to_density
 from .potentials import gaussian_defect, lattice_potential, pt_symmetrize, uniform_potential
@@ -83,14 +83,11 @@ def _stacks(members, grid: Grid) -> list:
     return [members[start:start + size] for start in range(0, len(members), size)]
 
 
-def run_scenario(cfg: RunConfig, out_dir, jobs: int = 1) -> ArtifactWriter:
+def run_scenario(cfg: RunConfig, out_dir) -> ArtifactWriter:
     """Dispatch a validated RunConfig; returns the writer after the manifest
-    is on disk. jobs is the FFT worker count. Raises on any failure (the
-    CLI maps that to exit code 3)."""
+    is on disk. Raises on any failure (the CLI maps that to exit code 3)."""
     writer = ArtifactWriter(out_dir)
-    handler = _HANDLERS[cfg.scenario]
-    with fft_workers(jobs):
-        handler(cfg, writer)
+    _HANDLERS[cfg.scenario](cfg, writer)
     writer.write_manifest()
     return writer
 
@@ -259,6 +256,7 @@ def _write_trace(w: ArtifactWriter, name: str, times, field):
 def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
     gem_cfg = _gem_config_from_params(cfg.params)
     train = _pulse_train_from_params(cfg.params)
+    ordering_mode(gem_cfg, train)  # raises for a schedule rules.ordering refuses, before the run
     # the z-resolved polarization is read only for its image
     result = gem_evolve(gem_cfg, train, store_polarization=cfg.run["pgm"])
     order = recall_order(gem_cfg, train, result)  # None unless the schedule sets one

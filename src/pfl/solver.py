@@ -19,7 +19,7 @@ scalar). It steps a stack of fields (B, ny, nx) that share the grid and
 the medium; a lone field is the stack B = 1. Its kick builds exp(i phase)
 from tan(phase / 2) and multiplies the field in place, block by block,
 in preallocated buffers of one block of BLOCK_SITES sites; the transforms
-(scipy.fft over the last two axes) overwrite buffers the kernel owns.
+(numpy.fft, one pass per axis) run in place on buffers the kernel owns.
 The input is never written to. Each snapshot leaves the step loop as it
 is made: propagate hands every member's field to a keep callback and
 stores only what keep returns, so a run that keeps a density or a profile
@@ -307,12 +307,8 @@ class SplitStepKernel:
         """Apply fft2 or ifft2 in place to the fields values[..., :nx] of a
         stack, padded or not, and return the stack. pocketfft does the same
         arithmetic on a line at any stride, so the fields get the bits of a
-        transform of a contiguous copy. A transform that returns new memory
-        is copied back."""
-        fields = values[..., :self.grid.nx]
-        out = transform(fields, overwrite_x=True)
-        if not np.may_share_memory(out, fields):
-            fields[...] = out
+        transform of a contiguous copy."""
+        transform(values[..., :self.grid.nx], overwrite_x=True)
         return values
 
     def _guard(self, phase: np.ndarray, warned: bool, z: float | None = None,

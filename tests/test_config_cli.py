@@ -317,7 +317,7 @@ class TestParsing:
         (GOOD_DISPERSION.replace("seed = 5", "seed = 5\npgm = true"),
          r"line 5: dispersion takes no run.pgm: only propagate, vortices and gem write"),
         (GOOD_PROPAGATE.replace("seed = 42", "seed = 42\njobs = 2"),
-         r"line 5: propagate takes no run.jobs: use --jobs for the FFT worker count"),
+         r"line 5: propagate takes no run.jobs: a run takes no thread count$"),
         (GOOD_GEM.replace("seed = 9", "seed = 9\nout_dir = runs"),
          r"line 5: gem-efficiency-sweep takes no run.out_dir: use --out or \$PFL_OUT"),
         (VORTEX_PAIR + "evolve = false\n",
@@ -516,6 +516,22 @@ class TestParsing:
             "sweep-echo-past-t-extent"])
     def test_each_rule_is_the_builders_and_exits_2(self, text, message, tmp_path):
         assert message in assert_rule_rejects(text, tmp_path)
+
+    def test_an_ordering_rule_is_checked_before_the_memory_integrates(self, tmp_path):
+        # the builder, given the config unchecked, refuses the schedule
+        # before gem_evolve integrates a step, not after the whole run
+        from pfl import scenarios
+        text = swap(FIFO_FILO, "coupling_windows = 0.0, 3.2", "coupling_windows = 0.0, 4.2")
+
+        def integrated(*args, **kwargs):
+            raise AssertionError("gem_evolve ran before rules.ordering refused the schedule")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(config_module, "validate_config", lambda cfg: None)
+            patch.setattr(scenarios, "gem_evolve", integrated)
+            unchecked = parse_config(text)
+            with pytest.raises(ValueError, match="coupling is on at the suppressed echo time 4.0"):
+                scenarios.run_scenario(unchecked, tmp_path / "unchecked")
 
     # a file source is read up to its header: each case passed `pfl validate`
     # before, and the run then failed (exit 3) and left an empty run directory
@@ -802,14 +818,31 @@ class TestCli:
         assert proc.stdout.splitlines()[-1] == "exit 0 []"
         assert (tmp_path / "out" / "fit.txt").exists()
 
-        # grid imports scipy.fft on the first transform and the package
-        # exports load numpy on first access; validate needs neither
+        # no transform imports scipy.fft and the package exports load numpy
+        # on first access; validate needs neither
         code = ("import sys; from pfl.cli import main; "
                 f"code = main(['validate', '--config', {str(cfg)!r}]); "
                 "print('exit', code, 'scipy.fft' in sys.modules, 'numpy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "exit 0 False False"
+
+    def test_field_scenarios_load_no_scipy(self, tmp_path):
+        # the transforms are numpy.fft and the fits plain numpy, so a shipped
+        # config of each field scenario runs without importing scipy
+        names = ("propagate_gaussian", "bogoliubov_dispersion", "sound_scaling",
+                 "structure_factor", "precondensation", "vortex_pair")
+        runs = []
+        for name in names:
+            path = ROOT / "configs" / f"{name}.ini"
+            scenario = re.search(r"^scenario = (\S+)", path.read_text(), re.M).group(1)
+            runs.append([scenario, "--config", str(path), "--out", str(tmp_path / name)])
+        code = ("import sys; from pfl.cli import main; "
+                f"codes = [main(argv) for argv in {runs!r}]; "
+                "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{[0] * len(names)} []"
 
     def test_validate_and_version_load_neither_numpy_nor_scipy(self, tmp_path):
         # the CLI imports the scenarios only to run one, and the package

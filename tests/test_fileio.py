@@ -116,6 +116,15 @@ def test_pfl1_truncated(tmp_path):
         load_field(p)
 
 
+def test_pfl1_with_bytes_past_its_samples_has_the_wrong_size(tmp_path):
+    g = make_grid(8, 8, 1.0)
+    p = save_field(tmp_path / "long.pfl1", Field2D(grid=g, values=np.zeros((8, 8), complex)))
+    p.write_bytes(p.read_bytes() + bytes(16))
+    with pytest.raises(ValueError, match=r"wrong snapshot size \(1092 bytes; its header "
+                                         r"gives 1076\)$"):
+        load_field(p)
+
+
 def test_pfl1_short_header_is_truncated(tmp_path):
     p = tmp_path / "h.pfl1"
     p.write_bytes(b"PFL1" + b"\x00" * 20)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfl.grid import Field2D, fft2, ifft2, make_grid
+from pfl.grid import Field2D, fft, fft2, ifft, ifft2, make_grid
 
 
 def test_make_grid_reciprocal_spacing():
@@ -70,3 +72,84 @@ def test_parseval_unitary(seed):
     assert spec_power == pytest.approx(real_power, rel=1e-12)
     back = ifft2(fft2(values))
     assert np.allclose(back, values, atol=1e-13)
+
+
+def per_axis(transform, values, axes):
+    """The transforms' reference: one unitary numpy.fft pass per axis longer
+    than one sample, axis -2 before axis -1."""
+    for axis in axes:
+        if values.shape[axis] > 1:
+            values = transform(values, axis=axis, norm="ortho")
+    return values
+
+
+def transform_inputs():
+    """(id, array) cases: square planes, a non-square plane, a stack of lines
+    and a padded view like the solver's, each complex and real."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for name, shape in (("64", (64, 64)), ("512", (512, 512)), ("18x10", (18, 10)),
+                        ("lines", (3, 1, 128)), ("padded", (1, 512, 516))):
+        real = rng.standard_normal(shape)
+        complex_ = real + 1j * rng.standard_normal(shape)
+        for kind, values in (("complex", complex_), ("real", real)):
+            if name == "padded":
+                values = values[..., :512]
+            cases.append(pytest.param(values, id=f"{name}-{kind}"))
+    return cases
+
+
+TRANSFORMS = [(fft2, np.fft.fft, (-2, -1)), (ifft2, np.fft.ifft, (-2, -1)),
+              (fft, np.fft.fft, (-1,)), (ifft, np.fft.ifft, (-1,))]
+
+
+@pytest.mark.parametrize("values", transform_inputs())
+@pytest.mark.parametrize("ours, numpy_transform, axes", TRANSFORMS,
+                         ids=["fft2", "ifft2", "fft", "ifft"])
+def test_transforms_are_per_axis_numpy_fft(ours, numpy_transform, axes, values):
+    before = values.copy()
+    out = ours(values)
+    expected = per_axis(numpy_transform, values, axes)
+    assert out.dtype == np.complex128
+    assert np.array_equal(out, expected)  # bit for bit
+    assert np.array_equal(values, before)
+    power = np.sum(np.abs(values) ** 2)
+    assert abs(np.sum(np.abs(out) ** 2) - power) <= 1e-13 * power  # Parseval
+
+
+@pytest.mark.parametrize("ours", [fft2, ifft2], ids=["fft2", "ifft2"])
+def test_overwrite_x_chooses_new_memory_or_in_place(ours):
+    rng = np.random.default_rng(5)
+    buffer = rng.standard_normal((2, 64, 68)) + 1j * rng.standard_normal((2, 64, 68))
+    view = buffer[..., :64]
+    before = buffer.copy()
+    out = ours(view)
+    assert not np.may_share_memory(out, buffer)
+    assert np.array_equal(buffer, before)
+
+    out_in_place = ours(view, overwrite_x=True)
+    assert np.may_share_memory(out_in_place, buffer)
+    assert np.array_equal(buffer[..., :64], out)
+    assert np.array_equal(buffer[..., 64:], before[..., 64:])  # the pad is untouched
+
+    real = rng.standard_normal((64, 64))
+    real_before = real.copy()
+    assert np.array_equal(ours(real, overwrite_x=True), ours(real_before))
+    assert np.array_equal(real, real_before)  # a real input cannot hold the result
+
+
+def test_in_place_pair_allocates_no_field():
+    # a 512^2 complex field is 4 MiB; the in-place passes hold a line at a time
+    rng = np.random.default_rng(2)
+    buffer = rng.standard_normal((1, 512, 516)) + 1j * rng.standard_normal((1, 512, 516))
+    view = buffer[..., :512]
+    fft2(view, overwrite_x=True)  # warm-up: first calls build the plans
+    ifft2(view, overwrite_x=True)
+    tracemalloc.start()
+    try:
+        fft2(view, overwrite_x=True)
+        ifft2(view, overwrite_x=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

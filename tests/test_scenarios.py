@@ -142,9 +142,10 @@ power = 1e-3
     assert (out / "final.pfl1").read_bytes() == expected
 
 
-def test_padded_propagate_writes_the_same_bytes_for_any_jobs(tmp_path):
-    # at 256^2 the kernel steps rows padded off power-of-two strides; the
-    # transform worker count must not move a byte of the run directory
+def test_padded_propagate_reruns_write_the_same_bytes(tmp_path):
+    # at 256^2 the kernel steps rows padded off power-of-two strides, with
+    # the transforms in place on strided views; a rerun must not move a byte
+    # of the run directory
     text = """
 [run]
 scenario = propagate
@@ -174,13 +175,13 @@ kind = gaussian
 waist = 1.5e-4
 power = 0.5
 """
-    cfg, _, out1 = run(tmp_path, text, "jobs1")
-    run_scenario(cfg, tmp_path / "jobs2", jobs=2)
+    cfg, _, out1 = run(tmp_path, text, "first")
+    run_scenario(cfg, tmp_path / "second")
     names = sorted(p.name for p in out1.iterdir())
     assert "snapshot_0001.pfl1" in names and "power.csv" in names
-    assert names == sorted(p.name for p in (tmp_path / "jobs2").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "second").iterdir())
     for name in names:
-        assert (out1 / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes(), name
+        assert (out1 / name).read_bytes() == (tmp_path / "second" / name).read_bytes(), name
 
 
 def test_dispersion_scenario(tmp_path):
@@ -259,7 +260,7 @@ realizations = 2
     assert (out / "g1_tau3.csv").exists()
 
 
-def test_structure_factor_scenario_jobs_deterministic(tmp_path):
+def test_structure_factor_scenario_reruns_deterministic(tmp_path):
     text = """
 [run]
 scenario = structure-factor
@@ -287,11 +288,11 @@ intensity = 132720.0
 realizations = 40
 nbins = 8
 """
-    cfg, _, out1 = run(tmp_path, text, "jobs1")
-    run_scenario(cfg, tmp_path / "jobs4", jobs=4)
+    cfg, _, out1 = run(tmp_path, text, "first")
+    run_scenario(cfg, tmp_path / "second")
     a = (out1 / "structure_factor.csv").read_bytes()
-    b = (tmp_path / "jobs4" / "structure_factor.csv").read_bytes()
-    assert a == b  # member ordering and seeds independent of --jobs
+    b = (tmp_path / "second" / "structure_factor.csv").read_bytes()
+    assert a == b  # member ordering and seeds fixed by the config
     header, rows = read_csv(out1 / "structure_factor.csv")
     assert header == ["k", "s_k", "sigma"]
     assert all(float(r[1]) > 0 for r in rows)
