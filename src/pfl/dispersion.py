@@ -38,14 +38,15 @@ line drops shrink with the probe amplitude, sqrt(power_ratio).
 A sweep passes its probes to measure_group_velocity as one sequence. Their
 lines run as one (K, 1, nx) stack through a single propagate call, whose
 per-step cost on a 1D line is mostly dispatch, and each member's snapshots
-equal those of a lone call bit for bit. The keep callback reduces every
-snapshot straight to its (displacement, paired) pair, so a sweep holds K
-short tracks rather than K times the snapshots' line profiles.
+equal those of a lone call bit for bit. The keep callback stores each
+snapshot's line density change, nx floats, and the tracker runs once after
+the run on the (K, S, nx) stack of S snapshots: one transform pair
+demodulates every line and one island scan reads every envelope, and each
+probe's track equals what a per-snapshot tracker reads, bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -54,7 +55,7 @@ import numpy as np
 from . import rules
 from .grid import Field2D, Grid, fft, ifft
 from .medium import MediumParams
-from .solver import PropagationRecord, StepPlan, fluid_scales, propagate
+from .solver import StepPlan, fluid_scales, propagate
 
 # sound_speed_scaling takes this many propagation steps per nonlinear length
 STEPS_PER_Z_NL = 15
@@ -153,78 +154,113 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(stderr)
 
 
-def demodulated_envelope(profile: np.ndarray, x: np.ndarray, k_carrier: float,
-                         waist: float) -> np.ndarray:
-    """Envelope of the density wave riding at the known probe carrier.
+def demodulated_envelope(profiles: np.ndarray, x: np.ndarray, k_carrier,
+                         waist) -> np.ndarray:
+    """Envelopes of the density waves riding at known probe carriers.
 
-    Multiplies by exp(-i k x), applies a Gaussian low-pass (cutting well
-    below 2 k, where the conjugate image sits, while passing the envelope
-    bandwidth ~2/waist) and returns the magnitude. The cut sees |k|, so -k
-    mirrors +k; at k = 0 there is no image and the cut is 4 / waist.
+    profiles is a (..., nx) stack of line profiles; k_carrier and waist are
+    scalars or arrays that broadcast against its leading axes ((K, 1) for a
+    (K, S, nx) sweep of K probes). Multiplies by exp(-i k x), applies a
+    Gaussian low-pass (cutting well below 2 k, where the conjugate image
+    sits, while passing the envelope bandwidth ~2/waist) and returns the
+    magnitude, with one transform pair over the whole stack. The cut sees
+    |k|, so -k mirrors +k; at k = 0 there is no image and the cut is
+    4 / waist.
     """
-    dx = x[1] - x[0]
-    signal = profile * np.exp(-1j * k_carrier * x)
-    k_axis = 2.0 * np.pi * np.fft.fftfreq(len(x), d=dx)
-    k_cut = min(abs(k_carrier), 4.0 / waist) or 4.0 / waist
+    k = np.asarray(k_carrier, dtype=float)[..., None]
+    cut = 4.0 / np.asarray(waist, dtype=float)[..., None]
+    k_cut = np.where(k == 0.0, cut, np.minimum(np.abs(k), cut))
+    k_axis = 2.0 * np.pi * np.fft.fftfreq(len(x), d=x[1] - x[0])
     window = np.exp(-((k_axis / k_cut) ** 2))
-    return np.abs(ifft(fft(signal) * window))
+    return np.abs(ifft(fft(profiles * np.exp(-1j * k * x)) * window))
 
 
-def _parabolic_peak(envelope: np.ndarray, x: np.ndarray, idx: int, dx: float,
-                    extent: float) -> float:
-    """Sub-cell peak position from a parabola through three samples."""
-    em, e0, ep = envelope[np.array([idx - 1, idx, idx + 1]) % len(envelope)]
-    denom = em - 2.0 * e0 + ep
-    shift = 0.0 if denom == 0.0 else 0.5 * (em - ep) / denom
-    shift = float(np.clip(shift, -0.5, 0.5))
-    return float(_wrap_coord(x[idx] + shift * dx, extent))
+def _threshold_islands(envelopes: np.ndarray, x: np.ndarray,
+                       extent: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Contiguous islands above 0.35 of its row's maximum in each row of an
+    (R, nx) stack of envelopes, periodic: (row, peak position, mass) arrays,
+    ordered by row and then by falling mass, scan order breaking ties.
 
-
-def _threshold_islands(envelope: np.ndarray, x: np.ndarray,
-                       extent: float) -> list[tuple[float, float]]:
-    """(peak position, mass) of contiguous islands above 0.35 of the maximum,
-    periodic.
-
-    Positions are parabolic refinements of each island's maximum, which are
-    insensitive to how the threshold slices overlapping tails.
+    A row above the threshold everywhere is one island and an all-zero row
+    has none. Positions are parabolic refinements of each island's maximum,
+    which are insensitive to how the threshold slices overlapping tails.
     """
-    dx = float(x[1] - x[0])
-    mask = envelope > 0.35 * float(np.max(envelope))
-    if mask.all():
-        idx = int(np.argmax(envelope))
-        return [(_parabolic_peak(envelope, x, idx, dx, extent), float(np.sum(envelope)))]
-    # rotate so the scan starts in a below-threshold gap; each island then
-    # runs from a rising to a falling transition of the rotated mask
-    start = int(np.argmin(mask))
-    env_r = np.roll(envelope, -start)
-    bounds = np.flatnonzero(np.diff(np.roll(mask, -start), append=False)) + 1
-    islands = []
-    for i, j in bounds.reshape(-1, 2).tolist():
-        seg = env_r[i:j]
-        idx = (start + i + int(np.argmax(seg))) % len(envelope)
-        islands.append((_parabolic_peak(envelope, x, idx, dx, extent), float(np.sum(seg))))
-    islands.sort(key=lambda t: -t[1])
-    return islands
+    n = envelopes.shape[-1]
+    mask = envelopes > 0.35 * envelopes.max(axis=-1, keepdims=True)
+    # rotate each row so that its scan starts in a below-threshold gap; an
+    # island then runs from a rising to a falling transition of the rotated
+    # mask, padded with a gap at both ends
+    start = np.argmin(mask, axis=-1)
+    cols = (start[:, None] + np.arange(n)) % n
+    rotated = np.take_along_axis(envelopes, cols, axis=-1)
+    row, edge = np.nonzero(np.diff(np.take_along_axis(mask, cols, axis=-1), axis=-1,
+                                   prepend=False, append=False))
+    row, lo, length = row[::2], edge[::2], edge[1::2] - edge[::2]
+    # islands of one length are rows of one gather, so each mass is the
+    # np.sum of its segment (a cumulative or reduceat sum rounds otherwise)
+    first = row * n + lo
+    mass = np.empty(len(row))
+    peak = np.empty(len(row), dtype=np.intp)
+    for span in np.unique(length).tolist():
+        of = np.flatnonzero(length == span)
+        segments = rotated.reshape(-1)[first[of, None] + np.arange(span)]
+        mass[of] = segments.sum(axis=-1)
+        peak[of] = segments.argmax(axis=-1)
+    idx = (start[row] + lo + peak) % n
+    order = np.lexsort((-mass, row))
+    return row[order], _parabolic_peak(envelopes, row, idx, x, extent)[order], mass[order]
 
 
-def packet_displacement(envelope: np.ndarray, x: np.ndarray,
-                        extent: float) -> tuple[float, bool]:
-    """Signed transverse displacement of the probe wavepacket.
+def _parabolic_peak(envelopes: np.ndarray, row: np.ndarray, idx: np.ndarray,
+                    x: np.ndarray, extent: float) -> np.ndarray:
+    """Sub-cell peak positions from a parabola through the three samples
+    around each (row, idx) of envelopes."""
+    n = envelopes.shape[-1]
+    em, e0, ep = (envelopes[row, (idx + offset) % n] for offset in (-1, 0, 1))
+    denom = em - 2.0 * e0 + ep
+    shift = np.divide(0.5 * (em - ep), denom, out=np.zeros(len(idx)), where=denom != 0.0)
+    return _wrap_coord(x[idx] + np.clip(shift, -0.5, 0.5) * float(x[1] - x[0]), extent)
+
+
+def packet_displacement(envelopes: np.ndarray, x: np.ndarray,
+                        extent: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signed transverse displacement of the probe wavepacket in each
+    envelope of a (..., nx) stack: (displacement, paired) arrays of the
+    stack's leading shape.
 
     The entrance quench seeds a pair of counter-propagating packets; when
-    both are visible (one island on each side of the origin) their half
-    separation is returned with paired=True, otherwise the parabolic peak
-    of the dominant island with paired=False.
+    both are visible (the two heaviest islands lie on either side of the
+    origin and the lighter has more than 0.2 of the heavier's mass) their
+    half separation is returned with paired=True, otherwise the parabolic
+    peak of the heaviest island with paired=False (0.0 without islands).
     """
-    islands = _threshold_islands(envelope, x, extent)
-    if not islands:
-        return 0.0, False
-    if len(islands) >= 2:
-        (c1, m1), (c2, m2) = islands[0], islands[1]
-        if m2 > 0.2 * m1 and c1 * c2 < 0.0:
-            forward, backward = (c1, c2) if c1 > 0 else (c2, c1)
-            return 0.5 * (forward - backward), True
-    return islands[0][0], False
+    rows = envelopes.reshape(-1, envelopes.shape[-1])
+    row, position, mass = _threshold_islands(rows, x, extent)
+    count = np.bincount(row, minlength=len(rows))
+    top = np.cumsum(count) - count  # each row's heaviest island
+    displacement = np.zeros(len(rows))
+    paired = np.zeros(len(rows), dtype=bool)
+    displacement[count > 0] = position[top[count > 0]]
+    two = np.flatnonzero(count >= 2)
+    c1, c2 = position[top[two]], position[top[two] + 1]
+    resolved = (mass[top[two] + 1] > 0.2 * mass[top[two]]) & (c1 * c2 < 0.0)
+    pair, c1, c2 = two[resolved], c1[resolved], c2[resolved]
+    displacement[pair] = 0.5 * (np.where(c1 > 0, c1, c2) - np.where(c1 > 0, c2, c1))
+    paired[pair] = True
+    shape = envelopes.shape[:-1]
+    return displacement.reshape(shape), paired.reshape(shape)
+
+
+def track_packets(changes: np.ndarray, probes: Sequence[ProbeSpec],
+                  grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(displacement, paired) arrays, shape (K, S), of a (K, S, nx) stack of
+    line density changes against the background, S snapshots of each of K
+    probes: the packet displacement of their envelopes at each probe's
+    carrier, k_perp = 0 included."""
+    x = grid.x_coords()
+    k = np.array([p.k_perp for p in probes])[:, None]
+    waist = np.array([p.waist for p in probes])[:, None]
+    return packet_displacement(demodulated_envelope(changes, x, k, waist), x, grid.extent_x)
 
 
 def snapshot_density(z: float, field: Field2D) -> np.ndarray:
@@ -263,9 +299,10 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec | Sequence[Prob
     medium without a potential (ValueError otherwise). Its line density at
     depth z is then snapshot_density(0, background) * exp(-alpha z), and
     only the probe line (see probe_line) is propagated, with snapshots
-    along z. Each snapshot is reduced as it is made, to ny times its line
-    density minus the background's and then to the packet displacement
-    (see _probe_displacement), and the transverse drift is fitted.
+    along z. Each snapshot is kept as ny times its line density minus the
+    background's. After the run the (K, S, nx) stack of these changes is
+    tracked in one pass (see track_packets), and each probe's transverse
+    drift is fitted.
     """
     lone = isinstance(probe, ProbeSpec)
     probes = [probe] if lone else list(probe)
@@ -283,31 +320,28 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec | Sequence[Prob
                          "uniform value")
 
     background_line = snapshot_density(0.0, background)
-    # propagate calls keep in member order at each z
-    members = itertools.cycle(probes)
 
-    def displacement(z: float, field: Field2D) -> tuple[float, bool]:
-        delta = grid.ny * snapshot_density(z, field) - background_line * np.exp(-medium.alpha * z)
-        return _probe_displacement(delta, next(members), grid)
+    def line_change(z: float, field: Field2D) -> np.ndarray:
+        return grid.ny * snapshot_density(z, field) - background_line * np.exp(-medium.alpha * z)
 
     records = propagate([probe_line(background, p) for p in probes], medium, plan,
-                        keep=displacement)
-    measurements = [_fit_drift(r, p, grid) for r, p in zip(records, probes)]
+                        keep=line_change)
+    z_samples = np.array([z for z, _ in records[0].snapshots])
+    changes = np.array([[change for _, change in r.snapshots] for r in records])
+    displacements, paired = track_packets(changes, probes, grid)
+    measurements = [_fit_drift(z_samples, d, p, probe, grid)
+                    for d, p, probe in zip(displacements, paired, probes)]
     return measurements[0] if lone else measurements
 
 
-def _fit_drift(probe_record: PropagationRecord, probe: ProbeSpec,
-               grid) -> GroupVelocityMeasurement:
-    """Fit the packet displacement of a probe run, whose record keeps the
-    (displacement, paired) pair of each snapshot (see _probe_displacement),
-    against z: the slope is the group velocity."""
-    if len(probe_record.snapshots) < 4:
-        raise ValueError("need at least 4 snapshots to fit a displacement slope")
-    z_samples = np.array([z for z, _ in probe_record.snapshots])
-    displacements = np.array([d for _, (d, _) in probe_record.snapshots])
-    paired = np.array([p for _, (_, p) in probe_record.snapshots], dtype=bool)
-
+def _fit_drift(z_samples: np.ndarray, displacements: np.ndarray, paired: np.ndarray,
+               probe: ProbeSpec, grid: Grid) -> GroupVelocityMeasurement:
+    """Fit a probe's packet displacements, with their paired flags (see
+    packet_displacement), against the snapshot depths z_samples: the slope
+    is the group velocity."""
     n = len(z_samples)
+    if n < 4:
+        raise ValueError("need at least 4 snapshots to fit a displacement slope")
     trailing = _trailing_run(paired)
     if int(np.sum(trailing)) >= 5:
         # counter-propagating packets stay resolved through the end of the
@@ -333,15 +367,6 @@ def _fit_drift(probe_record: PropagationRecord, probe: ProbeSpec,
         k_perp=probe.k_perp, v_g=slope, stderr=stderr,
         z_samples=z_samples, displacements=displacements,
         fit_start_index=int(np.argmax(sel)))
-
-
-def _probe_displacement(delta: np.ndarray, probe: ProbeSpec, grid) -> tuple[float, bool]:
-    """(displacement, paired) of one snapshot's line density change delta
-    against the background: the packet displacement of its envelope at the
-    probe carrier, k_perp = 0 included."""
-    x = grid.x_coords()
-    env = demodulated_envelope(delta, x, probe.k_perp, probe.waist)
-    return packet_displacement(env, x, grid.extent_x)
 
 
 def dispersion_from_group_velocity(samples, medium: MediumParams) -> DispersionCurve:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from pfl.dispersion import (ProbeSpec, _fit_bogoliubov, _fit_drift, _line_fit,
-                            _parabolic_peak, _probe_displacement, _threshold_islands,
-                            _trailing_run, _wrap_coord,
+                            _threshold_islands, _trailing_run, _wrap_coord,
                             bogoliubov_group_velocity, bogoliubov_omega,
                             bogoliubov_sound_speed, dispersion_from_group_velocity,
                             measure_group_velocity, packet_displacement,
-                            demodulated_envelope, probe_line, snapshot_density)
-from pfl.grid import Field2D, make_grid
+                            demodulated_envelope, probe_line, snapshot_density,
+                            track_packets)
+from pfl.grid import Field2D, fft, ifft, make_grid
 from pfl.medium import MediumParams
 from pfl.solver import StepPlan, propagate
 
@@ -38,13 +38,12 @@ def _plane_reference(background, probe, medium, plan):
     with whole densities kept, and the probe sums their difference over y."""
     planes = iter(propagate(background, medium, plan,
                             keep=lambda z, f: f.density()).snapshots)
-
-    def plane_change(z, field):
-        delta = field.density() - next(planes)[1]
-        return _probe_displacement(delta.sum(axis=0), probe, background.grid)
-
-    return _fit_drift(propagate(_probe_plane(background, probe), medium, plan,
-                                keep=plane_change), probe, background.grid)
+    record = propagate(_probe_plane(background, probe), medium, plan,
+                       keep=lambda z, f: (f.density() - next(planes)[1]).sum(axis=0))
+    z = np.array([z for z, _ in record.snapshots])
+    changes = np.array([[change for _, change in record.snapshots]])
+    (displacements,), (paired,) = track_packets(changes, [probe], background.grid)
+    return _fit_drift(z, displacements, paired, probe, background.grid)
 
 
 class TestBogoliubovForms:
@@ -195,6 +194,26 @@ def test_trailing_run_matches_loop():
         assert np.array_equal(_trailing_run(flags), _trailing_run_loop(flags))
 
 
+# The per-snapshot tracker that the batched one replaced, kept as its
+# oracle: one demodulation and one island scan for each snapshot line.
+
+def _demodulated_envelope_one(profile, x, k_carrier, waist):
+    dx = x[1] - x[0]
+    signal = profile * np.exp(-1j * k_carrier * x)
+    k_axis = 2.0 * np.pi * np.fft.fftfreq(len(x), d=dx)
+    k_cut = min(abs(k_carrier), 4.0 / waist) or 4.0 / waist
+    window = np.exp(-((k_axis / k_cut) ** 2))
+    return np.abs(ifft(fft(signal) * window))
+
+
+def _parabolic_peak_one(envelope, x, idx, dx, extent):
+    em, e0, ep = envelope[np.array([idx - 1, idx, idx + 1]) % len(envelope)]
+    denom = em - 2.0 * e0 + ep
+    shift = 0.0 if denom == 0.0 else 0.5 * (em - ep) / denom
+    shift = float(np.clip(shift, -0.5, 0.5))
+    return float(_wrap_coord(x[idx] + shift * dx, extent))
+
+
 def _threshold_islands_loop(envelope, x, extent):
     """Reference island scan, one sample at a time: rotate into a gap, then
     walk each run of above-threshold samples."""
@@ -202,7 +221,7 @@ def _threshold_islands_loop(envelope, x, extent):
     mask = envelope > 0.35 * float(np.max(envelope))
     if mask.all():
         idx = int(np.argmax(envelope))
-        return [(_parabolic_peak(envelope, x, idx, dx, extent), float(np.sum(envelope)))]
+        return [(_parabolic_peak_one(envelope, x, idx, dx, extent), float(np.sum(envelope)))]
     start = int(np.argmin(mask))
     mask_r, env_r, n = np.roll(mask, -start), np.roll(envelope, -start), len(mask)
     islands, i = [], 0
@@ -214,27 +233,124 @@ def _threshold_islands_loop(envelope, x, extent):
         while j < n and mask_r[j]:
             j += 1
         idx = (start + i + int(np.argmax(env_r[i:j]))) % n
-        islands.append((_parabolic_peak(envelope, x, idx, dx, extent),
+        islands.append((_parabolic_peak_one(envelope, x, idx, dx, extent),
                         float(np.sum(env_r[i:j]))))
         i = j
     islands.sort(key=lambda t: -t[1])
     return islands
 
 
-def test_threshold_islands_match_loop():
-    n = 128
+def _packet_displacement_one(envelope, x, extent):
+    islands = _threshold_islands_loop(envelope, x, extent)
+    if not islands:
+        return 0.0, False
+    if len(islands) >= 2:
+        (c1, m1), (c2, m2) = islands[0], islands[1]
+        if m2 > 0.2 * m1 and c1 * c2 < 0.0:
+            forward, backward = (c1, c2) if c1 > 0 else (c2, c1)
+            return 0.5 * (forward - backward), True
+    return islands[0][0], False
+
+
+def _track_one(delta, probe, grid):
+    """(displacement, paired) of one snapshot's line density change."""
+    x = grid.x_coords()
+    env = _demodulated_envelope_one(delta, x, probe.k_perp, probe.waist)
+    return _packet_displacement_one(env, x, grid.extent_x)
+
+
+def _island_cases(n, seed):
+    """Envelopes of n samples: an island across the x = +-n/2 seam, a row
+    above the threshold everywhere, an all-zero row, then random rows."""
     x = (np.arange(n) - n // 2) * 1.0
-    rng = np.random.default_rng(20)
-    seam = np.exp(-(_wrap_coord(x - 63.0, n) / 4.0) ** 2)  # crosses x = +-n/2
+    rng = np.random.default_rng(seed)
+    seam = np.exp(-(_wrap_coord(x - 63.0, n) / 4.0) ** 2)
     cases = [seam, 1.0 + 0.01 * rng.random(n), np.zeros(n)]
     cases += [rng.random(n) ** p for p in (1, 4, 12) for _ in range(20)]
     cases += [np.convolve(np.tile(rng.random(n), 3), np.ones(7), "same")[n:2 * n]
               for _ in range(20)]
-    for env in cases:
-        assert _threshold_islands(env, x, n) == _threshold_islands_loop(env, x, n)
-    assert len(_threshold_islands(seam, x, n)) == 1
-    assert len(_threshold_islands(cases[1], x, n)) == 1
-    assert _threshold_islands(np.zeros(n), x, n) == []
+    return x, np.array(cases)
+
+
+def test_threshold_islands_match_loop():
+    # one scan over the stack finds each row's islands, positions and masses
+    # exactly as the walk over that row does, in the same order
+    n = 128
+    x, cases = _island_cases(n, 20)
+    row, position, mass = _threshold_islands(cases, x, n)
+    for r, env in enumerate(cases):
+        assert list(zip(position[row == r].tolist(), mass[row == r].tolist())) == \
+            _threshold_islands_loop(env, x, n)
+    assert np.sum(row == 0) == 1  # the seam island is one island
+    assert np.sum(row == 1) == 1
+    assert np.sum(row == 2) == 0
+
+
+def test_packet_displacement_of_a_stack_matches_the_oracle():
+    # a synthetic row stack, reshaped to (K, S, nx): the seam island, the
+    # row above the threshold everywhere and the all-zero row included
+    n = 128
+    x, cases = _island_cases(n, 9)
+    pair = [np.exp(-((x - c) / 6.0) ** 2) * m for c, m in ((30.0, 1.0), (-25.0, 0.7))]
+    cases = np.concatenate([cases, [pair[0] + pair[1], pair[0] + 0.1 * pair[1], pair[1]]])
+    d, paired = packet_displacement(cases.reshape(2, -1, n), x, n)
+    assert d.shape == paired.shape == (2, len(cases) // 2)
+    expected = [_packet_displacement_one(env, x, n) for env in cases]
+    assert np.array_equal(d.ravel(), [e for e, _ in expected])
+    assert np.array_equal(paired.ravel(), [p for _, p in expected])
+    assert paired.ravel()[-3] and not paired.ravel()[-2:].any()
+    assert (d.ravel()[2], paired.ravel()[2]) == (0.0, False)  # all-zero row
+
+
+def test_track_packets_of_a_sweep_matches_the_oracle(monkeypatch):
+    # the (K, S, nx) line changes of a real sweep, tracked in one pass, read
+    # what the per-snapshot tracker reads from each line, bit for bit
+    from pfl import dispersion
+    stacks = []
+
+    def recorded(changes, probes, grid):
+        stacks.append(changes)
+        return track_packets(changes, probes, grid)
+
+    monkeypatch.setattr(dispersion, "track_packets", recorded)
+    grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
+                                                        xi_cells=2.0, tau=16.0)
+    plan = StepPlan(n_steps=320, snapshot_every=8)
+    probes = [ProbeSpec(waist=8 * scales["xi"], k_perp=k_xi / scales["xi"],
+                        power_ratio=1e-4) for k_xi in (1.0, 0.0, -0.5)]
+    measured = measure_group_velocity(background, probes, medium, plan)
+    (changes,) = stacks
+    assert changes.shape == (3, 40, 128)
+    d, paired = track_packets(changes, probes, grid)
+    for probe, m, lines, dk, pk in zip(probes, measured, changes, d, paired):
+        expected = [_track_one(delta, probe, grid) for delta in lines]
+        assert np.array_equal(dk, [e for e, _ in expected])
+        assert np.array_equal(pk, [p for _, p in expected])
+        assert np.array_equal(m.displacements, dk)
+    assert paired.any() and not paired.all()
+
+
+def test_a_sweep_runs_one_transform_pair(monkeypatch):
+    # the envelopes of every probe and snapshot come from one forward and one
+    # inverse transform of the (K, S, nx) stack
+    from pfl import dispersion
+    calls = {"fft": [], "ifft": []}
+
+    def counted(name, transform):
+        def call(values):
+            calls[name].append(values.shape)
+            return transform(values)
+        return call
+
+    monkeypatch.setattr(dispersion, "fft", counted("fft", fft))
+    monkeypatch.setattr(dispersion, "ifft", counted("ifft", ifft))
+    grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
+                                                        xi_cells=2.0, tau=8.0)
+    plan = StepPlan(n_steps=160, snapshot_every=16)
+    probes = [ProbeSpec(waist=10 * scales["xi"], k_perp=k_xi / scales["xi"],
+                        power_ratio=1e-4) for k_xi in (0.5, 1.0, 1.5)]
+    measure_group_velocity(background, probes, medium, plan)
+    assert calls == {"fft": [(3, 10, 128)], "ifft": [(3, 10, 128)]}
 
 
 class TestEnvelopeTools:
