@@ -3,7 +3,8 @@ nonlinear Schrodinger equation with hydrodynamic diagnostics, plus a
 one-dimensional gradient-echo-memory simulator.
 
 The public names are imported from their modules on first access (PEP 562),
-so ``pfl validate`` and ``pfl version`` load neither numpy nor scipy.
+so ``pfl validate`` and ``pfl version`` load no numpy. No module imports
+scipy, which only the tests use.
 """
 
 from importlib import import_module

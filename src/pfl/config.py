@@ -450,7 +450,8 @@ def validate_config(cfg: RunConfig):
             windows = tuple(zip(flat[::2], flat[1::2]))  # as the builder pairs them
             rules.schedule(p["flip_times"], windows, p["t_extent"])
             rules.gradient_phase(p["eta0"], p["z_extent"], p["t_extent"], p["nt"])
-            rules.ordering(p["flip_times"], windows, p["pulse_centers"], p["pulse_widths"])
+            rules.ordering(p["flip_times"], windows, p["pulse_centers"], p["pulse_widths"],
+                           p["t_extent"])
             if p["pulse_labels"] and len(p["pulse_labels"]) != pulses:
                 raise ConfigError("gem.pulse_labels needs one label per pulse or none")
             rules.pulses(p["pulse_centers"], p["pulse_widths"], p["t_extent"])

@@ -201,7 +201,7 @@ def _threshold_islands(envelopes: np.ndarray, x: np.ndarray,
     first = row * n + lo
     mass = np.empty(len(row))
     peak = np.empty(len(row), dtype=np.intp)
-    for span in np.unique(length).tolist():
+    for span in sorted(set(length.tolist())):  # np.unique would load numpy.ma
         of = np.flatnonzero(length == span)
         segments = rotated.reshape(-1)[first[of, None] + np.arange(span)]
         mass[of] = segments.sum(axis=-1)

@@ -136,7 +136,8 @@ def _schedule(config: GemConfig, t: np.ndarray):
     nodes = np.empty(2 * len(t) - 1)
     nodes[0::2], nodes[1::2] = t, t_mid
     flips = np.asarray(config.eta_flips, dtype=float)
-    edges = np.union1d(nodes, flips[(flips > t[0]) & (flips < t[-1])])
+    # the sorted distinct times, as np.union1d gives them without loading numpy.ma
+    edges = np.array(sorted({*nodes.tolist(), *flips[(flips > t[0]) & (flips < t[-1])].tolist()}))
     mid = 0.5 * (edges[:-1] + edges[1:])
     eta = config.eta0 * (-1.0) ** np.searchsorted(flips, mid, side="right")
     phase = np.add.reduceat(eta * np.diff(edges), np.searchsorted(edges, nodes[:-1]))
@@ -230,7 +231,34 @@ def ordering_mode(config: GemConfig, train: PulseTrain) -> str | None:
     """The recall order a run of train on config reads, "FILO" or "FIFO", or
     None; raises ValueError for a schedule that breaks rules.ordering."""
     return rules.ordering(config.eta_flips, config.coupling_windows,
-                          [p.center for p in train.pulses], [p.width for p in train.pulses])
+                          [p.center for p in train.pulses], [p.width for p in train.pulses],
+                          config.t_extent)
+
+
+def echo_peaks(power: np.ndarray, height: float, distance: int) -> np.ndarray:
+    """Indices of the peaks of power that reach height, no two of them
+    closer than distance samples, in increasing order: the rule of
+    scipy.signal.find_peaks for these two arguments.
+
+    A peak is a run of equal samples above the samples on both sides of it,
+    taken at its midpoint (rounded down); the first and last samples are
+    never peaks. Peaks below height are dropped. The rest are then taken
+    from the highest down, each dropping every peak closer than distance
+    to it; on equal heights the earlier peak is taken first.
+    """
+    starts = np.flatnonzero(np.append(True, power[1:] != power[:-1]))  # runs of equal samples
+    ends = np.append(starts[1:] - 1, len(power) - 1)
+    value = power[starts]
+    top = np.flatnonzero((value[1:-1] > value[:-2]) & (value[1:-1] > value[2:])) + 1
+    peaks = (starts[top] + ends[top]) // 2
+    peaks = peaks[power[peaks] >= height]
+    heights = power[peaks].tolist()
+    keep = np.ones(len(peaks), dtype=bool)
+    for j in sorted(range(len(peaks)), key=lambda j: -heights[j]):  # stable: earlier first
+        if keep[j]:
+            keep[np.abs(peaks - peaks[j]) < distance] = False
+            keep[j] = True
+    return peaks[keep]
 
 
 def recall_order(config: GemConfig, train: PulseTrain,
@@ -256,11 +284,8 @@ def recall_order(config: GemConfig, train: PulseTrain,
     recall_start = config.eta_flips[-1]
     sel = t > recall_start
     distance = max(1, int(0.5 * gap / config.dt))
-    from scipy.signal import find_peaks  # imported here: slow, and only this needs it
-
-    peaks, _ = find_peaks(np.where(sel, power, 0.0),
-                          height=PEAK_REL_HEIGHT * float(np.max(power[sel])),
-                          distance=distance)
+    peaks = echo_peaks(np.where(sel, power, 0.0), PEAK_REL_HEIGHT * float(np.max(power[sel])),
+                       distance)
     peak_times = [float(t[i]) for i in peaks]
     if len(peak_times) != 2:
         raise RuntimeError(f"expected two echo peaks after t = {recall_start}, found "

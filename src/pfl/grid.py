@@ -11,13 +11,12 @@ Conventions used throughout the package:
   one sample: the last axis (1D), or axis -2 then axis -1 (2D), so a stack
   of fields transforms in one pass per axis and a stack of lines
   ``(B, 1, nx)`` in one pass. This module is the only one that runs
-  transforms, and none imports scipy. With ``overwrite_x`` a complex input
-  is transformed in place, also through a strided view; otherwise the first
-  pass writes new memory and the others run in place on it, so no transform
-  copies a field. The commands that run none (``pfl validate``,
-  ``pfl version``) import neither this module nor numpy: the package
-  exports resolve on first access and the CLI imports the scenarios only to
-  run one.
+  transforms. With ``overwrite_x`` a complex input is transformed in place,
+  also through a strided view; otherwise the first pass writes new memory
+  and the others run in place on it, so no transform copies a field. The
+  commands that run none (``pfl validate``, ``pfl version``) import
+  neither this module nor numpy: the package exports resolve on first
+  access and the CLI imports the scenarios only to run one.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Intensity convention: I = (1/2) n0 c eps0 |E|^2. This fixes the bridge
 between the chi3 |E|^2 parameterization of the index shift and the n2 I
 one: chi3 = n2 * n0^2 * c * eps0. c and eps0 are the CODATA 2022 values,
-written in `rules` as literals (c is exact), so results do not depend on
-the CODATA edition of the installed scipy.
+written in `rules` as literals (c is exact); the tests check them against
+scipy.constants, whose edition depends on the scipy installed.
 """
 
 from __future__ import annotations

@@ -101,19 +101,30 @@ def echo_windows(tau: float, center: float, width: float, t_extent: float):
     return input_window, echo_window
 
 
-def ordering(flips, windows, centers, widths) -> str | None:
+def ordering(flips, windows, centers, widths, t_extent: float) -> str | None:
     """FILO for two pulses, one flip and no coupling windows, FIFO for two
-    pulses, two flips and a window (see gem.recall_order), else None."""
+    pulses, two flips and a window (see gem.recall_order), else None. Both
+    pulses are stored before the first flip, and each echo is read after the
+    last flip and PULSE_WIDTHS widths inside t_extent."""
     if len(centers) != 2 or (len(flips), bool(windows)) not in ((1, False), (2, True)):
         return None
     (first, first_width), (second, second_width) = sorted(zip(centers, widths))
     if second - first < PULSE_WIDTHS * max(first_width, second_width):
         raise ValueError(f"pulses are not temporally resolved: separation {second - first} "
                          f"< {PULSE_WIDTHS:g} widths")
-    if len(flips) == 1:
-        return "FILO"
-    for echo in (2.0 * flips[0] - second, 2.0 * flips[0] - first):
-        if any(on <= echo <= off for on, off in windows):
-            raise ValueError(f"coupling is on at the suppressed echo time {echo}; gate it "
-                             "off across both first-flip echoes for FIFO recall")
-    return "FIFO"
+    if second + PULSE_WIDTHS * second_width > flips[0]:
+        raise ValueError(f"pulse at t={second} with width {second_width} is not stored before "
+                         f"the first gradient flip at {flips[0]} ({PULSE_WIDTHS:g} sigma margin)")
+    mode = "FILO" if len(flips) == 1 else "FIFO"
+    if mode == "FIFO":
+        for echo in (2.0 * flips[0] - second, 2.0 * flips[0] - first):
+            if any(on <= echo <= off for on, off in windows):
+                raise ValueError(f"coupling is on at the suppressed echo time {echo}; gate it "
+                                 "off across both first-flip echoes for FIFO recall")
+    for center, width in ((first, first_width), (second, second_width)):
+        echo = 2.0 * flips[0] - center if mode == "FILO" else center + 2.0 * (flips[1] - flips[0])
+        if echo <= flips[-1] or echo + PULSE_WIDTHS * width > t_extent:
+            raise ValueError(f"{mode} echo of the pulse at t={center} would fall at {echo}; it "
+                             f"must come after the last flip at {flips[-1]} and "
+                             f"{PULSE_WIDTHS:g} sigma before t_extent = {t_extent}")
+    return mode

@@ -8,19 +8,16 @@ import itertools
 import numpy as np
 
 from .config import SCENARIOS, RunConfig
-from .dispersion import (ProbeSpec, dispersion_from_group_velocity,
-                         measure_group_velocity, sound_speed_scaling)
 from .fileio import ArtifactWriter, fmt, load_field
-from .gem import (GaussianPulse, GemConfig, PulseTrain, gem_efficiency_measured,
-                  gem_efficiency_theory, gem_evolve, ordering_mode, recall_order)
 from .grid import Field2D, Grid, fft2, ifft2, make_grid
-from .hydro import detect_vortices
 from .medium import MediumParams, intensity_to_density
-from .potentials import gaussian_defect, lattice_potential, pt_symmetrize, uniform_potential
 from .seeding import stream_rng, stream_seed
 from .solver import BLOCK_SITES, StepPlan, fluid_scales, propagate
 from .sources import gaussian_beam, imprint_dark_stripe, imprint_vortex, plane_wave, speckle
-from .stats import intensity_statistics, coherence_g1, structure_factor
+
+# Every scenario uses the modules above. Each handler imports the rest of what
+# it runs (dispersion, stats, hydro, gem, potentials) in its own body, so a
+# run loads only its scenario's modules.
 
 
 def build_grid(cfg: RunConfig) -> Grid:
@@ -41,6 +38,8 @@ def build_medium(cfg: RunConfig, grid: Grid | None = None) -> MediumParams:
 
 
 def _build_potential(cfg: RunConfig, grid: Grid) -> np.ndarray:
+    from .potentials import gaussian_defect, lattice_potential, pt_symmetrize, uniform_potential
+
     p = cfg.potential
     if p["kind"] == "uniform":
         dn = uniform_potential(grid, complex(p["value_re"], p["value_im"]))
@@ -114,6 +113,8 @@ def _scenario_propagate(cfg: RunConfig, w: ArtifactWriter):
 
 
 def _scenario_dispersion(cfg: RunConfig, w: ArtifactWriter):
+    from .dispersion import ProbeSpec, dispersion_from_group_velocity, measure_group_velocity
+
     grid = build_grid(cfg)
     medium = build_medium(cfg, grid)
     plan = build_plan(cfg)
@@ -136,6 +137,8 @@ def _scenario_dispersion(cfg: RunConfig, w: ArtifactWriter):
 
 
 def _scenario_sound_scaling(cfg: RunConfig, w: ArtifactWriter):
+    from .dispersion import sound_speed_scaling
+
     grid = build_grid(cfg)
     medium = build_medium(cfg, grid)
     p = cfg.params
@@ -152,6 +155,8 @@ def _scenario_sound_scaling(cfg: RunConfig, w: ArtifactWriter):
 
 
 def _scenario_precondensation(cfg: RunConfig, w: ArtifactWriter):
+    from .stats import coherence_g1, intensity_statistics
+
     grid = build_grid(cfg)
     medium = build_medium(cfg, grid)
     p = cfg.params
@@ -177,6 +182,8 @@ def _scenario_precondensation(cfg: RunConfig, w: ArtifactWriter):
 
 
 def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
+    from .stats import structure_factor
+
     grid = build_grid(cfg)
     medium = build_medium(cfg, grid)
     plan = build_plan(cfg)
@@ -206,6 +213,8 @@ def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
 
 
 def _scenario_vortices(cfg: RunConfig, w: ArtifactWriter):
+    from .hydro import detect_vortices
+
     grid = build_grid(cfg)
     medium = build_medium(cfg, grid)
     p = cfg.params
@@ -230,23 +239,6 @@ def _scenario_vortices(cfg: RunConfig, w: ArtifactWriter):
         w.pgm("density.pgm", field)
 
 
-def _gem_config_from_params(p: dict) -> GemConfig:
-    windows = p["coupling_windows"]
-    return GemConfig(
-        g=p["g"], density=p["density"], eta0=p["eta0"],
-        z_extent=p["z_extent"], nz=p["nz"], t_extent=p["t_extent"], nt=p["nt"],
-        eta_flips=tuple(p["flip_times"]), decay=p["decay"],
-        coupling_windows=tuple(zip(windows[::2], windows[1::2])))
-
-
-def _pulse_train_from_params(p: dict) -> PulseTrain:
-    labels = list(p["pulse_labels"]) or [
-        chr(ord("A") + i) for i in range(len(p["pulse_centers"]))]
-    pulses = [GaussianPulse(center=c, width=wd, label=lb)
-              for c, wd, lb in zip(p["pulse_centers"], p["pulse_widths"], labels)]
-    return PulseTrain(pulses)
-
-
 def _write_trace(w: ArtifactWriter, name: str, times, field):
     """A complex time trace as (t, re, im, power) CSV rows."""
     w.csv(name, ["t", "re", "im", "power"],
@@ -254,8 +246,18 @@ def _write_trace(w: ArtifactWriter, name: str, times, field):
 
 
 def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
-    gem_cfg = _gem_config_from_params(cfg.params)
-    train = _pulse_train_from_params(cfg.params)
+    from .gem import GaussianPulse, GemConfig, PulseTrain, gem_evolve, ordering_mode, recall_order
+
+    p = cfg.params
+    windows = p["coupling_windows"]
+    gem_cfg = GemConfig(
+        g=p["g"], density=p["density"], eta0=p["eta0"],
+        z_extent=p["z_extent"], nz=p["nz"], t_extent=p["t_extent"], nt=p["nt"],
+        eta_flips=tuple(p["flip_times"]), decay=p["decay"],
+        coupling_windows=tuple(zip(windows[::2], windows[1::2])))
+    labels = list(p["pulse_labels"]) or [chr(ord("A") + i) for i in range(len(p["pulse_centers"]))]
+    train = PulseTrain([GaussianPulse(center=c, width=wd, label=lb)
+                        for c, wd, lb in zip(p["pulse_centers"], p["pulse_widths"], labels)])
     ordering_mode(gem_cfg, train)  # raises for a schedule rules.ordering refuses, before the run
     # the z-resolved polarization is read only for its image
     result = gem_evolve(gem_cfg, train, store_polarization=cfg.run["pgm"])
@@ -272,8 +274,9 @@ def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
 
 
 def _scenario_gem_efficiency_sweep(cfg: RunConfig, w: ArtifactWriter):
-    p = cfg.params
+    from .gem import GaussianPulse, GemConfig, gem_efficiency_measured, gem_efficiency_theory
 
+    p = cfg.params
     rows = []
     for ratio in sorted(p["ratios"]):
         g_n = ratio * abs(p["eta0"]) / (2.0 * np.pi)

@@ -500,6 +500,13 @@ class TestParsing:
          .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15")
          .replace("pulse_labels = A, B", "pulse_labels = A, B, C"),
          "pulse at t=8.8 with width 0.15 does not fit in [0, 9.0] with 4 sigma margins"),
+        # each passed `pfl validate`, integrated the whole memory run and
+        # then exited 3 reading the wrong echoes
+        (swap(GEM, "flip_times = 3.0", "flip_times = 0.3"),
+         "pulse at t=2.0 with width 0.15 is not stored before the first gradient flip at 0.3"),
+        (swap(FIFO_FILO, "flip_times = 3.0, 5.5", "flip_times = 3.0, 7.0"),
+         "FIFO echo of the pulse at t=1.0 would fall at 9.0; it must come after the last "
+         "flip at 7.0 and 4 sigma before t_extent = 9.0"),
         (swap(SWEEP, "flip_time = 3.0", "flip_time = 1.8"),
          "echo window (1.3800000000000001, 2.8200000000000003) overlaps the input window"),
         (swap(SWEEP, "flip_time = 3.0", "flip_time = 6.0"),
@@ -512,7 +519,7 @@ class TestParsing:
             "charge-zero", "vortex-off-grid", "gem-pulse-margins", "sweep-pulse-margins",
             "gradient-phase", "sweep-eta-zero", "fifo-filo-unresolved-pulses",
             "fifo-window-on-at-echo", "gem-window-on-at-echo", "fifo-filo-three-pulses",
-            "sweep-echo-overlaps",
+            "gem-flip-before-the-pulses", "fifo-echo-past-t-extent", "sweep-echo-overlaps",
             "sweep-echo-past-t-extent"])
     def test_each_rule_is_the_builders_and_exits_2(self, text, message, tmp_path):
         assert message in assert_rule_rejects(text, tmp_path)
@@ -520,7 +527,7 @@ class TestParsing:
     def test_an_ordering_rule_is_checked_before_the_memory_integrates(self, tmp_path):
         # the builder, given the config unchecked, refuses the schedule
         # before gem_evolve integrates a step, not after the whole run
-        from pfl import scenarios
+        from pfl import gem, scenarios
         text = swap(FIFO_FILO, "coupling_windows = 0.0, 3.2", "coupling_windows = 0.0, 4.2")
 
         def integrated(*args, **kwargs):
@@ -528,7 +535,7 @@ class TestParsing:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(config_module, "validate_config", lambda cfg: None)
-            patch.setattr(scenarios, "gem_evolve", integrated)
+            patch.setattr(gem, "gem_evolve", integrated)  # the gem handler imports it per run
             unchecked = parse_config(text)
             with pytest.raises(ValueError, match="coupling is on at the suppressed echo time 4.0"):
                 scenarios.run_scenario(unchecked, tmp_path / "unchecked")
@@ -795,43 +802,12 @@ class TestCli:
         assert proc.returncode == 0
         assert "ok" in proc.stdout
 
-    def test_cli_import_defers_heavy_scipy_modules(self, tmp_path):
-        # scipy.signal is imported where it is used, so starting the CLI
-        # does not pay for it; the dispersion fits are plain numpy, so a
-        # whole dispersion run loads neither scipy.stats nor scipy.optimize
-        heavy = ("scipy.stats", "scipy.optimize", "scipy.signal")
-        code = ("import sys, pfl.cli; "
-                f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == ""
-
-        cfg = tmp_path / "dispersion.ini"
-        cfg.write_text(GOOD_DISPERSION)
-        fits = ("scipy.stats", "scipy.optimize")
-        code = ("import sys; from pfl.cli import main; "
-                f"code = main(['dispersion', '--config', {str(cfg)!r}, "
-                f"'--out', {str(tmp_path / 'out')!r}]); "
-                f"print('exit', code, [m for m in {fits!r} if m in sys.modules])")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "exit 0 []"
-        assert (tmp_path / "out" / "fit.txt").exists()
-
-        # no transform imports scipy.fft and the package exports load numpy
-        # on first access; validate needs neither
-        code = ("import sys; from pfl.cli import main; "
-                f"code = main(['validate', '--config', {str(cfg)!r}]); "
-                "print('exit', code, 'scipy.fft' in sys.modules, 'numpy' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "exit 0 False False"
-
     def test_field_scenarios_load_no_scipy(self, tmp_path):
-        # the transforms are numpy.fft and the fits plain numpy, so a shipped
-        # config of each field scenario runs without importing scipy
+        # the transforms are numpy.fft, the fits and the echo-peak rule plain
+        # numpy, so a shipped config of each field scenario and both memory
+        # configs run without importing scipy
         names = ("propagate_gaussian", "bogoliubov_dispersion", "sound_scaling",
-                 "structure_factor", "precondensation", "vortex_pair")
+                 "structure_factor", "precondensation", "vortex_pair", "gem", "fifo_filo")
         runs = []
         for name in names:
             path = ROOT / "configs" / f"{name}.ini"
@@ -843,6 +819,35 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{[0] * len(names)} []"
+
+    # the pfl modules that only some scenarios run, by scenario; the scenarios
+    # module imports the rest for every run, and potentials only with a
+    # [potential] section
+    OWN_MODULES = {"propagate": set(), "dispersion": {"dispersion"},
+                   "sound-scaling": {"dispersion"}, "precondensation": {"stats"},
+                   "structure-factor": {"stats"}, "vortices": {"hydro"}, "gem": {"gem"},
+                   "gem-efficiency-sweep": {"gem"}}
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=[c.name for c in CONFIGS])
+    def test_each_run_loads_only_its_scenarios_modules(self, config, tmp_path):
+        # a fresh process per config, so that nothing another run imported
+        # counts: no numpy.ma (np.unique and np.union1d load it), no scipy,
+        # and of the scenario modules exactly its own
+        text = config.read_text()
+        scenario = re.search(r"^scenario = (\S+)", text, re.M).group(1)
+        code = ("import sys; from pfl.cli import main; "
+                f"code = main([{scenario!r}, '--config', {str(config)!r}, "
+                f"'--out', {str(tmp_path)!r}]); "
+                "print(code, *sorted(m for m in sys.modules if m.partition('.')[0] in "
+                "('pfl', 'scipy') or m.split('.')[:2] == ['numpy', 'ma']))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, *loaded = proc.stdout.splitlines()[-1].split()
+        assert code == "0"
+        assert [m for m in loaded if m.partition(".")[0] != "pfl"] == []
+        scenario_modules = {"dispersion", "stats", "hydro", "gem", "potentials"}
+        own = self.OWN_MODULES[scenario] | ({"potentials"} if "[potential]" in text else set())
+        assert {m for m in scenario_modules if f"pfl.{m}" in loaded} == own
 
     def test_validate_and_version_load_neither_numpy_nor_scipy(self, tmp_path):
         # the CLI imports the scenarios only to run one, and the package

@@ -1,9 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pfl.gem import (GaussianPulse, GemConfig, PulseTrain, _schedule,
+from pfl import gem
+from pfl.cli import main as cli_main
+from pfl.gem import (GaussianPulse, GemConfig, PulseTrain, _schedule, echo_peaks,
                      fifo_filo_experiment, gem_efficiency_measured, gem_efficiency_theory,
                      gem_evolve)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 ETA = 20.0
 
@@ -272,3 +278,66 @@ class TestOrdering:
         cfg = make_config(eta_flips=(3.0,), coupling_windows=((0.0, 3.2),))
         with pytest.raises(ValueError, match="neither FILO .* nor FIFO"):
             fifo_filo_experiment(cfg, self._train())
+
+
+class TestEchoPeaks:
+    """echo_peaks against scipy.signal.find_peaks with the same height and
+    distance, on traces without two equal peak heights."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Patches gem.echo_peaks so that each call recall_order makes is
+        checked against find_peaks; returns the list of peaks it found."""
+        from scipy.signal import find_peaks
+        calls = []
+
+        def check(power, height, distance):
+            peaks = echo_peaks(power, height, distance)
+            np.testing.assert_array_equal(
+                peaks, find_peaks(power, height=height, distance=distance)[0])
+            calls.append(peaks)
+            return peaks
+
+        monkeypatch.setattr(gem, "echo_peaks", check)
+        return calls
+
+    @pytest.mark.parametrize("nz", [128, 256])  # TestOrdering's and criterion 09's
+    def test_the_ordering_tests_traces(self, nz, checked):
+        for flips, windows, t_extent, nt in (((3.0,), (), 7.0, 1400),
+                                             ((3.0, 5.5), ((0.0, 3.2), (5.7, 9.0)), 9.0, 2000)):
+            cfg = make_config(ratio=1.5, nz=nz, t_extent=t_extent, nt=nt, eta_flips=flips,
+                              coupling_windows=windows)
+            fifo_filo_experiment(cfg, TestOrdering()._train())
+        assert [len(p) for p in checked] == [2, 2]
+
+    @pytest.mark.parametrize("name, peaks", [("gem", [799, 999]),
+                                             ("fifo_filo", [1327, 1549])])
+    def test_the_memory_configs(self, name, peaks, checked, tmp_path):
+        assert cli_main(["gem", "--config", str(CONFIGS / f"{name}.ini"),
+                         "--out", str(tmp_path)]) == 0
+        assert [p.tolist() for p in checked] == [peaks]
+
+    def test_random_traces(self):
+        from scipy.signal import find_peaks
+        rng = np.random.default_rng(7)
+        for i in range(1500):
+            trace = rng.random(rng.integers(1, 200))
+            if i % 2:  # plateaus: each sample repeated 1 to 4 times
+                trace = np.repeat(trace, rng.integers(1, 5, len(trace)))
+            height = float(rng.uniform(0.0, 1.0))
+            distance = int(rng.integers(1, 30))
+            np.testing.assert_array_equal(
+                echo_peaks(trace, height, distance),
+                find_peaks(trace, height=height, distance=distance)[0])
+
+    @pytest.mark.parametrize("trace, distance, peaks", [
+        ([0, 1, 0, 1, 0], 3, [1]),                 # equal heights: the earlier is taken
+        ([0, 1, 0, 1, 0, 1, 0], 3, [1, 5]),        # and drops only its own neighbours
+        ([0, 1, 0, 2, 0, 1, 0], 3, [3]),           # a higher peak is taken first
+        ([0, 2, 2, 0], 1, [1]),                    # a plateau's midpoint, rounded down
+        ([0, 2, 2, 2, 2, 0], 1, [2]),
+        ([2, 2, 0, 1, 1, 1, 0, 3, 3], 1, [4]),     # end samples are never peaks
+        ([0, 1, 1, 2, 0], 1, [3]),                 # a step up is not a plateau peak
+    ])
+    def test_tie_and_plateau_rules(self, trace, distance, peaks):
+        assert echo_peaks(np.array(trace, dtype=float), 0.5, distance).tolist() == peaks
