@@ -13,18 +13,18 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # module: the public names it defines
     "grid": ("Field2D", "Grid", "make_grid"),
-    "medium": ("MediumParams", "intensity_to_density", "density_to_intensity"),
+    "medium": ("MediumParams", "intensity_to_density", "density_to_intensity", "fluid_scales"),
     "sources": ("gaussian_beam", "plane_wave", "speckle", "imprint_vortex",
                 "imprint_dark_stripe"),
     "potentials": ("uniform_potential", "gaussian_defect", "lattice_potential", "pt_symmetrize"),
-    "solver": ("StepPlan", "PropagationRecord", "nonlinear_step", "propagate", "fluid_scales"),
+    "solver": ("StepPlan", "PropagationRecord", "nonlinear_step", "propagate"),
     "hydro": ("VortexSet", "detect_vortices", "circulation", "circulation_batch"),
     "dispersion": ("ProbeSpec", "DispersionCurve", "bogoliubov_omega", "bogoliubov_sound_speed",
                    "measure_group_velocity", "probe_line", "snapshot_density",
                    "dispersion_from_group_velocity", "sound_speed_scaling"),
     "stats": ("intensity_statistics", "coherence_g1", "structure_factor"),
     "gem": ("GemConfig", "GaussianPulse", "PulseTrain", "gem_evolve",
-            "gem_efficiency_theory", "gem_efficiency_measured", "fifo_filo_experiment"),
+            "gem_efficiency_theory", "gem_efficiency_measured"),
     "config": ("RunConfig", "ConfigError", "parse_config", "serialize_config"),
     "fileio": ("save_field", "load_field", "write_density_pgm"),
     "scenarios": ("run_scenario",),

@@ -12,7 +12,9 @@ bool ("true"/"false"), str (verbatim, trimmed), and comma-separated lists
 of float/int/str. A key's range is declared with its type: a number, or
 each item of a list, must lie in the key's interval, and a list must have
 at least its fewest items; a value outside is an error at its line. Then
-validate_config checks the rules that tie keys together, most in `rules`.
+validate_config checks the rules that tie keys together, most in `rules`,
+on the MediumParams the run builds (medium_params) and on the fluid scales
+`medium` derives from it: this module holds no physical constant or formula.
 
 parse -> serialize -> parse is the identity: serialization writes every
 resolved key (defaults included) in a canonical order.
@@ -26,6 +28,7 @@ from types import SimpleNamespace
 from typing import Any
 
 from . import rules
+from .medium import MediumParams, fluid_scales, intensity_to_density
 from .pfl1 import read_header
 
 REQUIRED = object()
@@ -394,9 +397,22 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def medium_params(medium: dict) -> MediumParams:
+    """The MediumParams of a [medium] section, without a potential: chi3 or
+    n2, alpha, isat, and length where the scenario reads it."""
+    kwargs = dict(wavelength=medium["lambda"], n0=medium["n0"], alpha=medium["alpha"],
+                  i_sat=medium["isat"])
+    if "length" in medium:  # absent where the scenario sets the length of each run
+        kwargs["length"] = medium["length"]
+    if medium["chi3"] is None:
+        return MediumParams.from_n2(n2=medium["n2"], **kwargs)
+    return MediumParams(chi3=medium["chi3"], **kwargs)
+
+
 def validate_config(cfg: RunConfig):
     """The rules that tie keys together. Each rule of `rules` gets the values
-    its builder will get; its ValueError becomes a ConfigError."""
+    its builder will get, the medium's scales included (from `medium`); its
+    ValueError becomes a ConfigError."""
     p, s = cfg.params, cfg.scenario
     for key in ("nx", "ny"):
         if cfg.grid is not None and cfg.grid[key] % 2:
@@ -404,6 +420,7 @@ def validate_config(cfg: RunConfig):
     grid = cfg.grid and SimpleNamespace(**{**cfg.grid, "dy": cfg.grid["dy"] or cfg.grid["dx"]})
     if cfg.medium is not None and (cfg.medium["chi3"] is None) == (cfg.medium["n2"] is None):
         raise ConfigError("medium needs exactly one of chi3 or n2")
+    medium = cfg.medium and medium_params(cfg.medium)
     if p.get("kind") == "imprint" and not len(p["charges"]) == len(p["xs"]) == len(p["ys"]):
         raise ConfigError("vortices charges/xs/ys must have equal lengths")
     source, potential = cfg.source or {}, cfg.potential or {}
@@ -424,14 +441,9 @@ def validate_config(cfg: RunConfig):
             rules.increasing(sorted(p["k_perp_list"]), "k samples")
         if s == "sound-scaling":  # the densities are the intensities times one constant
             rules.decade(p["intensities"])
-            # each probe as sound_speed_scaling derives it, with the arithmetic
-            # of intensity_to_density, MediumParams and fluid_scales
-            m, c, eps0 = cfg.medium, rules.C_LIGHT, rules.EPS0
-            chi3 = m["n2"] * m["n0"] ** 2 * c * eps0 if m["chi3"] is None else m["chi3"]
-            k0 = 2.0 * math.pi / m["lambda"]
-            g_abs = abs(k0 * chi3 / (2.0 * m["n0"]))
-            for density in sorted(2.0 * i / (m["n0"] * c * eps0) for i in p["intensities"]):
-                xi = math.sqrt(1.0 / (g_abs * density) / (m["n0"] * k0)) if g_abs else math.inf
+            # each probe as sound_speed_scaling derives it
+            for density in sorted(intensity_to_density(i, medium.n0) for i in p["intensities"]):
+                _, xi, _ = fluid_scales(medium, density)
                 rules.probe(p["probe_waist_xi"] * xi, p["k_perp_xi"] / xi, grid)
         for charge, x, y in zip(p.get("charges", ()), p.get("xs", ()), p.get("ys", ())):
             rules.vortex(charge, x, y, grid)

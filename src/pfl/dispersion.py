@@ -54,8 +54,8 @@ import numpy as np
 
 from . import rules
 from .grid import Field2D, Grid, fft, ifft
-from .medium import MediumParams
-from .solver import StepPlan, fluid_scales, propagate
+from .medium import MediumParams, fluid_scales
+from .solver import StepPlan, propagate
 
 # sound_speed_scaling takes this many propagation steps per nonlinear length
 STEPS_PER_Z_NL = 15
@@ -120,11 +120,11 @@ def bogoliubov_omega(k: np.ndarray, k0: float, n0: float, dn_nl: float) -> np.nd
 def bogoliubov_group_velocity(k: np.ndarray, k0: float, n0: float, dn_nl: float) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     e_k = k**2 / (2.0 * k0 * n0)
-    omega = np.sqrt(e_k * (e_k + 2.0 * k0 * dn_nl))
+    omega = bogoliubov_omega(k, k0, n0, dn_nl)
     de = k / (k0 * n0)
     with np.errstate(invalid="ignore", divide="ignore"):
         vg = de * (e_k + k0 * dn_nl) / omega
-    return np.where(k == 0.0, np.sqrt(dn_nl / n0), vg)
+    return np.where(k == 0.0, bogoliubov_sound_speed(n0, dn_nl), vg)
 
 
 def bogoliubov_sound_speed(n0: float, dn_nl: float) -> float:
@@ -401,7 +401,7 @@ def dispersion_from_group_velocity(samples, medium: MediumParams) -> DispersionC
     c_s = bogoliubov_sound_speed(n0, dn_fit)
     c_s_err = 0.5 * c_s * dn_err / dn_fit if dn_fit > 0 else np.inf
     z_nl = 1.0 / (k0 * dn_fit) if dn_fit > 0 else np.inf
-    xi_fit = float(np.sqrt(z_nl / (k0 * n0))) if np.isfinite(z_nl) else np.inf
+    xi_fit = medium.healing_length(z_nl)
     return DispersionCurve(k_perp=k, v_g=v, omega=omega, dn_fit=dn_fit,
                            dn_stderr=dn_err, c_s=c_s, c_s_stderr=c_s_err,
                            xi_fit=xi_fit)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rules
 
-# an ordering-experiment echo peak must reach this fraction of the highest
+# each echo peak recall_order reads must reach this fraction of the highest
 PEAK_REL_HEIGHT = 0.2
 
 
@@ -224,7 +224,6 @@ class PulseOrderingResult:
     mode: str
     peak_times: list[float]
     labels: list[str]
-    result: GemResult
 
 
 def ordering_mode(config: GemConfig, train: PulseTrain) -> str | None:
@@ -295,16 +294,4 @@ def recall_order(config: GemConfig, train: PulseTrain,
     if labels != expected_labels:
         raise RuntimeError(f"recall ordering {labels} does not match the {mode} expectation "
                            f"{expected_labels} (peaks at {peak_times})")
-    return PulseOrderingResult(mode=mode, peak_times=peak_times, labels=labels, result=result)
-
-
-def fifo_filo_experiment(config: GemConfig, train: PulseTrain) -> PulseOrderingResult:
-    """Run a two-pulse store-and-recall and read its recall order; raises
-    ValueError, before the run, for a train or schedule that sets none."""
-    if ordering_mode(config, train) is None:
-        n, flips, windows = len(train.pulses), len(config.eta_flips), config.coupling_windows
-        raise ValueError(f"the ordering experiment needs exactly two pulses, got {n}" if n != 2
-                         else f"{flips} gradient flip(s) {'with' if windows else 'without'} "
-                         "coupling windows is neither FILO (one flip, coupling on throughout) "
-                         "nor FIFO (two flips and a coupling-off window)")
-    return recall_order(config, train, gem_evolve(config, train, store_polarization=False))
+    return PulseOrderingResult(mode=mode, peak_times=peak_times, labels=labels)

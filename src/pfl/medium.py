@@ -1,22 +1,26 @@
-"""Optical medium parameters for propagation in a Kerr slab.
+"""The medium's scalar physics, in plain arithmetic without numpy, so that
+`pfl validate` derives a fluid's scales with the code the run uses.
 
 Intensity convention: I = (1/2) n0 c eps0 |E|^2. This fixes the bridge
 between the chi3 |E|^2 parameterization of the index shift and the n2 I
 one: chi3 = n2 * n0^2 * c * eps0. c and eps0 are the CODATA 2022 values,
-written in `rules` as literals (c is exact); the tests check them against
-scipy.constants, whose edition depends on the scipy installed.
+written here as literals (c is exact); the tests check them against
+scipy.constants, whose edition depends on the scipy installed. The
+density and intensity conversions take a float or an ndarray.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .rules import C_LIGHT, EPS0
-
-PotentialLike = np.ndarray | Callable[[float], np.ndarray] | None
+C_LIGHT = 299792458.0  # speed of light in vacuum, m/s
+EPS0 = 8.8541878188e-12  # vacuum permittivity, F/m
 
 
 @dataclass
@@ -26,7 +30,8 @@ class MediumParams:
     potential is the complex index variation delta_n(r_perp): the real part
     shifts the linear index, a positive imaginary part is loss, a negative
     one gain. It may be a sampled array matching the grid or a callable of z
-    returning one (sampled at step midpoints during propagation).
+    returning one (sampled at step midpoints during propagation); the
+    solver's kernel checks its shape.
     """
 
     wavelength: float
@@ -34,7 +39,7 @@ class MediumParams:
     chi3: float
     alpha: float = 0.0
     length: float = 0.0
-    potential: PotentialLike = None
+    potential: np.ndarray | Callable[[float], np.ndarray] | None = None
     i_sat: float | None = None
 
     def __post_init__(self):
@@ -56,7 +61,7 @@ class MediumParams:
     @property
     def k0(self) -> float:
         """Vacuum wavenumber 2*pi / wavelength."""
-        return 2.0 * np.pi / self.wavelength
+        return 2.0 * math.pi / self.wavelength
 
     @property
     def k_medium(self) -> float:
@@ -76,26 +81,28 @@ class MediumParams:
         """|Delta n_NL| = |chi3| * rho / (2 n0) for a fluid density rho = |E|^2."""
         return abs(self.chi3) * density / (2.0 * self.n0)
 
-    def potential_at(self, z: float, shape: tuple[int, int]) -> np.ndarray | None:
-        """Sampled complex delta_n at axial position z, or None if absent."""
-        if self.potential is None:
-            return None
-        if callable(self.potential):
-            dn = np.asarray(self.potential(z), dtype=np.complex128)
-        else:
-            dn = np.asarray(self.potential, dtype=np.complex128)
-        if dn.shape != shape:
-            raise ValueError(f"potential shape {dn.shape} does not match grid {shape}")
-        return dn
+    def healing_length(self, z_nl: float) -> float:
+        """xi = sqrt(z_nl / (n0 k0)) for a nonlinear length z_nl (inf for inf)."""
+        return math.sqrt(z_nl / self.k_medium)
 
     def with_length(self, length: float) -> "MediumParams":
         return replace(self, length=length)
 
 
+def fluid_scales(medium: MediumParams, density: float) -> tuple[float, float, float]:
+    """(z_nl, xi, c_s) for a homogeneous fluid of the given density."""
+    g_abs = abs(medium.g)
+    if g_abs == 0.0 or density <= 0.0:
+        return math.inf, math.inf, 0.0
+    z_nl = 1.0 / (g_abs * density)
+    c_s = math.sqrt(medium.nonlinear_index_shift(density) / medium.n0)
+    return z_nl, medium.healing_length(z_nl), c_s
+
+
 def intensity_to_density(intensity, n0: float):
     """|E|^2 for a given optical intensity under I = (1/2) n0 c eps0 |E|^2."""
-    return 2.0 * np.asarray(intensity, dtype=float) / (n0 * C_LIGHT * EPS0)
+    return 2.0 * intensity / (n0 * C_LIGHT * EPS0)
 
 
 def density_to_intensity(density, n0: float):
-    return 0.5 * n0 * C_LIGHT * EPS0 * np.asarray(density, dtype=float)
+    return 0.5 * n0 * C_LIGHT * EPS0 * density

@@ -1,11 +1,10 @@
 """Each rule tying a value to the grid, to another value or to the memory
 schedule: one numpy-free function raising ValueError with one message, which
-the builders and config.validate_config call. A `grid` has nx, ny, dx, dy."""
+the builders and config.validate_config call. A `grid` has nx, ny, dx, dy.
+A rule on a fluid's scale gets the value `medium` derives for the run."""
 
 import math
 
-C_LIGHT = 299792458.0  # speed of light in vacuum, m/s
-EPS0 = 8.8541878188e-12  # vacuum permittivity, F/m
 MIN_LATTICE = 32  # points of the memory's z and t lattices, at least
 WAIST_CELLS = 4.0  # cells a Gaussian waist spans, at least
 FEATURE_CELLS = 2.0  # cells a speckle grain or a defect spans, at least

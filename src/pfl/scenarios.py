@@ -4,15 +4,16 @@ artifacts, and emit a manifest of exactly the files produced."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
-from .config import SCENARIOS, RunConfig
+from .config import SCENARIOS, RunConfig, medium_params
 from .fileio import ArtifactWriter, fmt, load_field
 from .grid import Field2D, Grid, fft2, ifft2, make_grid
-from .medium import MediumParams, intensity_to_density
+from .medium import MediumParams, fluid_scales, intensity_to_density
 from .seeding import stream_rng, stream_seed
-from .solver import BLOCK_SITES, StepPlan, fluid_scales, propagate
+from .solver import BLOCK_SITES, StepPlan, propagate
 from .sources import gaussian_beam, imprint_dark_stripe, imprint_vortex, plane_wave, speckle
 
 # Every scenario uses the modules above. Each handler imports the rest of what
@@ -26,15 +27,9 @@ def build_grid(cfg: RunConfig) -> Grid:
 
 
 def build_medium(cfg: RunConfig, grid: Grid | None = None) -> MediumParams:
-    m = cfg.medium
-    kwargs = dict(alpha=m["alpha"], i_sat=m["isat"])
-    if "length" in m:  # absent where the scenario sets the length of each run
-        kwargs["length"] = m["length"]
-    if cfg.potential is not None and grid is not None:
-        kwargs["potential"] = _build_potential(cfg, grid)
-    if m["chi3"] is not None:
-        return MediumParams(wavelength=m["lambda"], n0=m["n0"], chi3=m["chi3"], **kwargs)
-    return MediumParams.from_n2(wavelength=m["lambda"], n0=m["n0"], n2=m["n2"], **kwargs)
+    """The medium pfl validate checks, with the potential sampled on grid."""
+    potential = None if cfg.potential is None or grid is None else _build_potential(cfg, grid)
+    return replace(medium_params(cfg.medium), potential=potential)
 
 
 def _build_potential(cfg: RunConfig, grid: Grid) -> np.ndarray:
@@ -95,13 +90,14 @@ def _scenario_propagate(cfg: RunConfig, w: ArtifactWriter):
     grid = build_grid(cfg)
     medium = build_medium(cfg, grid)
     plan = build_plan(cfg)
+    if not cfg.run["snapshots"]:  # none would be written, so none is made
+        plan = replace(plan, snapshot_every=0)
     field = build_source(cfg, grid, medium)
     w.field("input.pfl1", field, 0.0)
     index = itertools.count()
 
     def write_snapshot(z: float, snap: Field2D):
-        if cfg.run["snapshots"]:
-            w.field(f"snapshot_{next(index):04d}.pfl1", snap, z)
+        w.field(f"snapshot_{next(index):04d}.pfl1", snap, z)
 
     record = propagate(field, medium, plan, keep=write_snapshot)
     w.field("final.pfl1", record.final_field, record.z_final)

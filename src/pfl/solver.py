@@ -186,10 +186,15 @@ class SplitStepKernel:
         return wide
 
     def _potential_terms(self, z: float):
-        """(half phase term or None, amplitude factor) of the potential at z
-        and the loss; the amplitude is a scalar when the decay is uniform."""
-        m = self.medium
-        dn = m.potential_at(z, (self.grid.ny, self.grid.nx))
+        """(half phase term or None, amplitude factor) of the potential at z,
+        whose samples must match the grid, and the loss; the amplitude is a
+        scalar when the decay is uniform."""
+        m, shape = self.medium, (self.grid.ny, self.grid.nx)
+        dn = m.potential(z) if callable(m.potential) else m.potential
+        if dn is not None:
+            dn = np.asarray(dn, dtype=np.complex128)
+            if dn.shape != shape:
+                raise ValueError(f"potential shape {dn.shape} does not match grid {shape}")
         half_phase = None if dn is None else (0.5 * self.dz * m.k0) * dn.real
         decay = 0.5 * m.alpha * self.dz
         if dn is not None and dn.imag.any():
@@ -420,15 +425,3 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
 
 def _keep_field(z: float, field: Field2D) -> Field2D:
     return field
-
-
-def fluid_scales(medium: MediumParams, density: float) -> tuple[float, float, float]:
-    """(z_nl, xi, c_s) for a homogeneous fluid of the given density."""
-    g_abs = abs(medium.g)
-    if g_abs == 0.0 or density <= 0.0:
-        return np.inf, np.inf, 0.0
-    z_nl = 1.0 / (g_abs * density)
-    xi = float(np.sqrt(z_nl / medium.k_medium))
-    dn_nl = medium.nonlinear_index_shift(density)
-    c_s = float(np.sqrt(dn_nl / medium.n0))
-    return z_nl, xi, c_s

@@ -12,8 +12,8 @@ import pytest
 from pfl.cli import main as cli_main
 from pfl.dispersion import (ProbeSpec, dispersion_from_group_velocity,
                             measure_group_velocity, sound_speed_scaling)
-from pfl.gem import (GaussianPulse, GemConfig, PulseTrain, fifo_filo_experiment,
-                     gem_efficiency_measured, gem_efficiency_theory)
+from pfl.gem import (GaussianPulse, GemConfig, PulseTrain, gem_efficiency_measured,
+                     gem_efficiency_theory, gem_evolve, recall_order)
 from pfl.grid import Field2D, fft2, ifft2, make_grid
 from pfl.hydro import circulation_batch, detect_vortices
 from pfl.medium import MediumParams
@@ -200,11 +200,11 @@ def test_criterion_09_fifo_filo():
                         GaussianPulse(2.0, 0.15, label="B")])
     filo_cfg = GemConfig(g=g, density=density, eta0=eta, z_extent=2.0, nz=256,
                          t_extent=7.0, nt=1400, eta_flips=(3.0,))
-    filo = fifo_filo_experiment(filo_cfg, train)
+    filo = recall_order(filo_cfg, train, gem_evolve(filo_cfg, train, store_polarization=False))
     fifo_cfg = GemConfig(g=g, density=density, eta0=eta, z_extent=2.0, nz=256,
                          t_extent=9.0, nt=2000, eta_flips=(3.0, 5.5),
                          coupling_windows=((0.0, 3.2), (5.7, 9.0)))
-    fifo = fifo_filo_experiment(fifo_cfg, train)
+    fifo = recall_order(fifo_cfg, train, gem_evolve(fifo_cfg, train, store_polarization=False))
     ok = filo.labels == ["B", "A"] and fifo.labels == ["A", "B"]
     report(9, "FIFO/FILO pulse ordering", ok,
            f"FILO peaks {[f'{t:.3f}' for t in filo.peak_times]} -> "

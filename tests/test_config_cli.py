@@ -802,24 +802,6 @@ class TestCli:
         assert proc.returncode == 0
         assert "ok" in proc.stdout
 
-    def test_field_scenarios_load_no_scipy(self, tmp_path):
-        # the transforms are numpy.fft, the fits and the echo-peak rule plain
-        # numpy, so a shipped config of each field scenario and both memory
-        # configs run without importing scipy
-        names = ("propagate_gaussian", "bogoliubov_dispersion", "sound_scaling",
-                 "structure_factor", "precondensation", "vortex_pair", "gem", "fifo_filo")
-        runs = []
-        for name in names:
-            path = ROOT / "configs" / f"{name}.ini"
-            scenario = re.search(r"^scenario = (\S+)", path.read_text(), re.M).group(1)
-            runs.append([scenario, "--config", str(path), "--out", str(tmp_path / name)])
-        code = ("import sys; from pfl.cli import main; "
-                f"codes = [main(argv) for argv in {runs!r}]; "
-                "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{[0] * len(names)} []"
-
     # the pfl modules that only some scenarios run, by scenario; the scenarios
     # module imports the rest for every run, and potentials only with a
     # [potential] section
@@ -893,9 +875,8 @@ class TestCli:
         # k_perp = 0 joins the shipped sweep: its packet pair is tracked like
         # every other probe's, and the fit stays on sqrt(dn_nl / n0) (0.01250
         # measured against 0.01241, and 0.01258 at k_perp = 0)
-        from pfl.medium import intensity_to_density
+        from pfl.medium import fluid_scales, intensity_to_density
         from pfl.scenarios import build_medium
-        from pfl.solver import fluid_scales
         shipped = next(c for c in CONFIGS if c.name == "bogoliubov_dispersion.ini").read_text()
         config = tmp_path / "k0.ini"
         config.write_text(swap(shipped, "k_perp_list = 20000", "k_perp_list = 0, 20000"))

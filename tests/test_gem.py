@@ -6,8 +6,7 @@ import pytest
 from pfl import gem
 from pfl.cli import main as cli_main
 from pfl.gem import (GaussianPulse, GemConfig, PulseTrain, _schedule, echo_peaks,
-                     fifo_filo_experiment, gem_efficiency_measured, gem_efficiency_theory,
-                     gem_evolve)
+                     gem_efficiency_measured, gem_efficiency_theory, gem_evolve, recall_order)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -227,6 +226,11 @@ class TestEfficiency:
         assert m1.sigma == pytest.approx(m2.sigma, rel=0.02)
 
 
+def recall(cfg, train):
+    """The recall order of a run of train on cfg, read as the gem scenario reads it."""
+    return recall_order(cfg, train, gem_evolve(cfg, train, store_polarization=False))
+
+
 class TestOrdering:
     def _train(self):
         return PulseTrain([GaussianPulse(1.0, 0.15, label="A"),
@@ -234,7 +238,7 @@ class TestOrdering:
 
     def test_filo_b_before_a(self):
         cfg = make_config(ratio=1.5, t_extent=7.0, nt=1400, eta_flips=(3.0,))
-        result = fifo_filo_experiment(cfg, self._train())
+        result = recall(cfg, self._train())
         assert (result.mode, result.labels) == ("FILO", ["B", "A"])
         # rephasing arithmetic: echoes at 2 tau - t_p = 4 and 5
         assert result.peak_times[0] == pytest.approx(4.0, abs=0.1)
@@ -244,7 +248,7 @@ class TestOrdering:
         cfg = make_config(ratio=1.5, t_extent=9.0, nt=2000,
                           eta_flips=(3.0, 5.5),
                           coupling_windows=((0.0, 3.2), (5.7, 9.0)))
-        result = fifo_filo_experiment(cfg, self._train())
+        result = recall(cfg, self._train())
         assert (result.mode, result.labels) == ("FIFO", ["A", "B"])
         assert result.peak_times[0] == pytest.approx(6.0, abs=0.1)
         assert result.peak_times[1] == pytest.approx(7.0, abs=0.1)
@@ -253,7 +257,7 @@ class TestOrdering:
         train = PulseTrain([GaussianPulse(1.0, 0.15, label="A", amplitude=1.0),
                             GaussianPulse(2.0, 0.15, label="B", amplitude=1.0)])
         cfg = make_config(ratio=1.5, t_extent=7.0, nt=1400, eta_flips=(3.0,))
-        result = fifo_filo_experiment(cfg, train)
+        result = recall(cfg, train)
         assert result.labels == ["B", "A"]
 
     def test_unresolved_pulses_rejected(self):
@@ -261,23 +265,22 @@ class TestOrdering:
                             GaussianPulse(2.0, 0.15, label="B")])
         cfg = make_config(ratio=1.5, t_extent=7.0, nt=1400)
         with pytest.raises(ValueError, match="resolved"):
-            fifo_filo_experiment(cfg, train)
+            recall(cfg, train)
 
     def test_fifo_schedule_sanity_checked(self):
-        # two flips need a coupling-off window, and it must cover both
-        # first-flip echoes (at 4 and 5)
-        for windows, message in [((), "coupling"),
-                                 (((0.0, 3.2), (4.5, 9.0)), "suppressed echo time 5")]:
-            cfg = make_config(ratio=1.5, t_extent=9.0, nt=2000, eta_flips=(3.0, 5.5),
-                              coupling_windows=windows)
-            with pytest.raises(ValueError, match=message):
-                fifo_filo_experiment(cfg, self._train())
+        # two flips without a coupling-off window set no order; a window must
+        # cover both first-flip echoes (at 4 and 5)
+        cfg = make_config(ratio=1.5, t_extent=9.0, nt=2000, eta_flips=(3.0, 5.5))
+        assert recall(cfg, self._train()) is None
+        cfg = make_config(ratio=1.5, t_extent=9.0, nt=2000, eta_flips=(3.0, 5.5),
+                          coupling_windows=((0.0, 3.2), (4.5, 9.0)))
+        with pytest.raises(ValueError, match="suppressed echo time 5"):
+            recall(cfg, self._train())
 
     def test_unknown_mode(self):
         # the schedule sets the mode; one flip with a coupling window has none
         cfg = make_config(eta_flips=(3.0,), coupling_windows=((0.0, 3.2),))
-        with pytest.raises(ValueError, match="neither FILO .* nor FIFO"):
-            fifo_filo_experiment(cfg, self._train())
+        assert recall(cfg, self._train()) is None
 
 
 class TestEchoPeaks:
@@ -307,7 +310,7 @@ class TestEchoPeaks:
                                              ((3.0, 5.5), ((0.0, 3.2), (5.7, 9.0)), 9.0, 2000)):
             cfg = make_config(ratio=1.5, nz=nz, t_extent=t_extent, nt=nt, eta_flips=flips,
                               coupling_windows=windows)
-            fifo_filo_experiment(cfg, TestOrdering()._train())
+            recall(cfg, TestOrdering()._train())
         assert [len(p) for p in checked] == [2, 2]
 
     @pytest.mark.parametrize("name, peaks", [("gem", [799, 999]),

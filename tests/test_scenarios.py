@@ -142,6 +142,38 @@ power = 1e-3
     assert (out / "final.pfl1").read_bytes() == expected
 
 
+def test_propagate_makes_no_snapshot_it_does_not_write(tmp_path, monkeypatch):
+    # plan.snapshot_every = 8 with run.snapshots off: the step loop hands
+    # out no snapshot, and every file but the manifest is the one a run that
+    # writes its snapshots leaves
+    text = """
+[run]
+scenario = propagate
+seed = 1
+{}""" + FIELD_SECTIONS + """
+[source]
+kind = plane
+intensity = 50.0
+"""
+    kept = []
+
+    def counting_propagate(field, medium, plan, keep=None):
+        def counted(z, snap):
+            kept.append(z)
+            return keep(z, snap) if keep else snap
+        return propagate(field, medium, plan, keep=counted)
+
+    monkeypatch.setattr(scenarios, "propagate", counting_propagate)
+    _, _, off = run(tmp_path, text.format(""), "off")
+    assert kept == []
+    _, _, on = run(tmp_path, text.format("snapshots = true\n"), "on")
+    assert len(kept) == 10
+    names = sorted(p.name for p in off.iterdir())
+    assert names == ["final.pfl1", "input.pfl1", "manifest.txt", "metrics.txt", "power.csv"]
+    for name in set(names) - {"manifest.txt"}:
+        assert (off / name).read_bytes() == (on / name).read_bytes(), name
+
+
 def test_padded_propagate_reruns_write_the_same_bytes(tmp_path):
     # at 256^2 the kernel steps rows padded off power-of-two strides, with
     # the transforms in place on strided views; a rerun must not move a byte

@@ -7,9 +7,8 @@ import pytest
 
 from pfl import solver
 from pfl.grid import Field2D, fft2, ifft2, make_grid
-from pfl.medium import MediumParams, density_to_intensity
-from pfl.solver import (SplitStepKernel, StepPlan, fluid_scales, kinetic_multiplier,
-                        nonlinear_step, propagate)
+from pfl.medium import MediumParams, density_to_intensity, fluid_scales
+from pfl.solver import SplitStepKernel, StepPlan, kinetic_multiplier, nonlinear_step, propagate
 from pfl.sources import gaussian_beam, plane_wave
 
 from conftest import WAVELENGTH, defocusing_setup
@@ -140,7 +139,7 @@ class TestNonlinearStep:
             assert np.ptp(chi_eff / chi3) > 0.1  # saturation is far from negligible
         phase = dz * (k0 / (2.0 * med.n0)) * chi_eff * density
         decay = np.full_like(density, 0.5 * med.alpha * dz)
-        dn = med.potential_at(z, values.shape)
+        dn = med.potential(z) if callable(med.potential) else med.potential
         if dn is not None:
             phase = phase + dz * k0 * dn.real
             decay = decay + dz * k0 * dn.imag
