@@ -6,7 +6,9 @@ Conventions used throughout the package:
   last axis,
 * real-space coordinates are centered on the grid, ``x[i] = (i - nx/2) * dx``,
 * spectral transforms are unitary (``norm="ortho"``), so Parseval holds to
-  machine precision and unitary propagation steps conserve power exactly.
+  machine precision and unitary propagation steps conserve power exactly,
+  except the split-step kernel's in-loop passes (``scaled=False``), which
+  leave out the scaling and fold 1/(nx ny) into its kinetic factors.
   They run on ``numpy.fft``, one ``fft``/``ifft`` pass per axis longer than
   one sample: the last axis (1D), or axis -2 then axis -1 (2D), so a stack
   of fields transforms in one pass per axis and a stack of lines
@@ -132,26 +134,31 @@ class Field2D:
         return self
 
 
-def _unitary(transform, values: np.ndarray, axes: tuple, overwrite_x: bool) -> np.ndarray:
-    """transform (numpy.fft.fft or ifft) with norm="ortho" along each of axes
-    in turn, skipping axes of length one. With overwrite_x a complex input is
+def _unitary(transform, values: np.ndarray, axes: tuple, overwrite_x: bool,
+             scaled: bool = True) -> np.ndarray:
+    """transform (numpy.fft.fft or ifft) with norm="ortho", or without scaling
+    (fft's "backward", ifft's "forward") unless scaled, along each of axes in
+    turn, skipping axes of length one. With overwrite_x a complex input is
     overwritten and returned; otherwise the first pass writes new memory."""
     values = np.asarray(values)
     out = values if overwrite_x and np.iscomplexobj(values) else None
+    norm = "ortho" if scaled else "backward" if transform is np.fft.fft else "forward"
     for axis in [axis for axis in axes if values.shape[axis] > 1] or axes[-1:]:
-        out = transform(values if out is None else out, axis=axis, norm="ortho", out=out)
+        out = transform(values if out is None else out, axis=axis, norm=norm, out=out)
     return out
 
 
-def fft2(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+def fft2(values: np.ndarray, overwrite_x: bool = False, scaled: bool = True) -> np.ndarray:
     """Unitary forward transform over the last two axes. With overwrite_x a
-    complex values, which the caller must own, is transformed in place."""
-    return _unitary(np.fft.fft, values, (-2, -1), overwrite_x)
+    complex values, which the caller must own, is transformed in place; with
+    scaled False no pass scales, so fft2 then ifft2 multiplies by nx * ny."""
+    return _unitary(np.fft.fft, values, (-2, -1), overwrite_x, scaled)
 
 
-def ifft2(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """Unitary inverse transform over the last two axes; overwrite_x as for fft2."""
-    return _unitary(np.fft.ifft, values, (-2, -1), overwrite_x)
+def ifft2(values: np.ndarray, overwrite_x: bool = False, scaled: bool = True) -> np.ndarray:
+    """Unitary inverse transform over the last two axes; overwrite_x and
+    scaled as for fft2."""
+    return _unitary(np.fft.ifft, values, (-2, -1), overwrite_x, scaled)
 
 
 def fft(values: np.ndarray) -> np.ndarray:

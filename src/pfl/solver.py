@@ -25,20 +25,27 @@ is made: propagate hands every member's field to a keep callback and
 stores only what keep returns, so a run that keeps a density or a profile
 per snapshot never holds a list of full fields.
 
-Planes with rows of PAD_MIN_NX = 256 samples or more are stepped in a
-zero-padded buffer (B, ny, nx + ROW_PAD), ROW_PAD = 4 complex128 (one
-64-byte line per row): unpadded, the rows of a 512^2 plane lie 8 KiB
-apart, so the lines of a column transform map to the same cache sets and
-evict each other (Frigo and Johnson, Proc. IEEE 93 (2005) 216). The
-transforms run in place on the [..., :nx] view, where pocketfft does the
-same arithmetic on a line at any stride, so fields keep their bits. The
-kick, the kinetic multiply and the power sum run over the whole contiguous
-buffer, whose pad starts and stays zero; only the power sums move, in the
-last digits. On one core of a 2-vCPU x86 VM, a transform pair took 20-30%
-less at 512^2 and 1024^2 and 21% less at 256^2 (see README). An (8, 64,
-64) stack stepped no faster padded, and a line (B, 1, nx) has no column
-transform, so both keep rows of nx samples. Fields handed out are
-C-contiguous and unpadded, so a writer stores them without a copy.
+Every plane is stepped in a zero-padded buffer (B, ny, nx + ROW_PAD),
+ROW_PAD = 4 complex128 (one 64-byte line per row): unpadded, the rows of a
+power-of-two plane lie a power of two apart, so the lines of a column
+transform map to the same cache sets and evict each other (Frigo and
+Johnson, Proc. IEEE 93 (2005) 216). A line (B, 1, nx) has no column
+transform and keeps rows of nx samples. The transforms run in place on
+the [..., :nx] view, where pocketfft does the same arithmetic on a line at
+any stride, so fields keep their bits. The kick, the kinetic multiply and
+the power sum run over the whole contiguous buffer, whose pad starts and
+stays zero; the kick's blocks are counted in field samples. On one core
+of a 2-vCPU x86 VM, a transform pair with the kinetic multiply took
+18-24% less on an (8, 64, 64) stack and 4-5% less at 512^2 (see README).
+Fields handed out are C-contiguous and unpadded, so a writer stores them
+without a copy.
+
+The loop's transforms do not scale (numpy's "backward" forward and
+"forward" inverse passes), which saves scaling every line: the factor
+1/(nx ny) of each transform pair is folded into the kinetic factors, and
+the power of an unscaled spectrum is divided by nx ny. Where each side is a
+power of 4 the unitary passes scale by powers of two, so the fields keep
+the bits of unitary passes; elsewhere they move in the last digits.
 
 The step-resolution guard (the step-size limit of time-splitting spectral
 methods; Bao, Jaksch and Markowich, J. Comput. Phys. 187 (2003)) runs in
@@ -71,11 +78,10 @@ ABORT_PHASE_PER_STEP = np.pi
 # factor and real buffers at about 1.5 MB, inside a 2 MB L2 cache.
 BLOCK_SITES = 2**15
 
-# Zero complex128 samples appended to each row of a kernel stack with rows of
-# at least PAD_MIN_NX samples (one 64-byte cache line), so that the column
-# transforms do not stride by a power of two; see row_pad.
+# Zero complex128 samples appended to each row of a kernel stack of planes
+# (one 64-byte cache line), so that the column transforms do not stride by a
+# power of two; see row_pad.
 ROW_PAD = 4
-PAD_MIN_NX = 256
 
 
 @dataclass
@@ -122,10 +128,9 @@ def kinetic_multiplier(grid: Grid, dz: float, k0: float, n0: float) -> np.ndarra
 
 def row_pad(shape: tuple[int, ...]) -> int:
     """Zero samples the kernel appends to each row of a stack (..., ny, nx):
-    ROW_PAD for planes with rows of PAD_MIN_NX samples or more, else 0
-    (small planes and lines (B, 1, nx) keep rows of nx samples)."""
-    ny, nx = shape[-2:]
-    return ROW_PAD if ny > 1 and nx >= PAD_MIN_NX else 0
+    ROW_PAD for planes, 0 for lines (B, 1, nx), which have no column
+    transform and keep rows of nx samples."""
+    return ROW_PAD if shape[-2] > 1 else 0
 
 
 def kernel_stack(arrays: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
@@ -171,10 +176,14 @@ class SplitStepKernel:
 
     @cached_property
     def kinetic(self) -> tuple[np.ndarray, np.ndarray]:
-        """(half, full) kinetic factors, built on first use: a lone kick skips them."""
+        """(half, full) kinetic factors, built on first use (a lone kick skips
+        them), times the 1/(nx ny) that the loop's unscaled transforms leave out."""
         half = self._widen(kinetic_multiplier(self.grid, self.dz / 2.0,
                                               self.medium.k0, self.medium.n0))
-        return half, half * half
+        full = half * half
+        for factor in (half, full):
+            factor /= self.grid.nx * self.grid.ny
+        return half, full
 
     def _widen(self, terms):
         """An (ny, nx) array as (ny, width) with zeros in the pad; None, a
@@ -251,8 +260,10 @@ class SplitStepKernel:
 
     def _size_blocks(self, stack: np.ndarray):
         """Allocate buffers for the largest block of the stack and record,
-        per block, its (members, rows) and its views of the buffers."""
-        blocks = block_slices(*stack.shape)
+        per block, its (members, rows) and its views of the buffers. Blocks
+        are counted in field samples, so a padded stack blocks as an
+        unpadded one."""
+        blocks = block_slices(len(stack), self.grid.ny, self.grid.nx)
         shape = stack[blocks[0]].shape  # the first block is the largest
         self.density, self.phase = np.empty((2, *shape))
         self.factor = np.empty(shape, dtype=np.complex128)
@@ -295,7 +306,7 @@ class SplitStepKernel:
             warned = self._guard(step_phase, warned, z_mid, first_phase)
             np.maximum(max_phase, step_phase, out=max_phase)
             self._transform(fft2, values)
-            power[step + 1] = _stack_power(values, self.grid)
+            power[step + 1] = _stack_power(values, self.grid) / (nx * self.grid.ny)
             if not np.isfinite(power[step + 1]).all():
                 raise FloatingPointError(f"non-finite power at z = {z_next:.6g}; "
                                          f"propagation aborted")
@@ -309,11 +320,11 @@ class SplitStepKernel:
         return final, power, kinetic + max_phase
 
     def _transform(self, transform: Callable, values: np.ndarray) -> np.ndarray:
-        """Apply fft2 or ifft2 in place to the fields values[..., :nx] of a
-        stack, padded or not, and return the stack. pocketfft does the same
-        arithmetic on a line at any stride, so the fields get the bits of a
-        transform of a contiguous copy."""
-        transform(values[..., :self.grid.nx], overwrite_x=True)
+        """Apply fft2 or ifft2 without scaling (see kinetic) in place to the
+        fields values[..., :nx] of a stack, padded or not, and return the
+        stack. pocketfft does the same arithmetic on a line at any stride, so
+        the fields get the bits of a transform of a contiguous copy."""
+        transform(values[..., :self.grid.nx], overwrite_x=True, scaled=False)
         return values
 
     def _guard(self, phase: np.ndarray, warned: bool, z: float | None = None,
@@ -347,10 +358,10 @@ class SplitStepKernel:
 
 
 def _stack_power(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """The power of each field of a contiguous stack (B, ny, width), or of its
-    spectrum, zeros of the pad included. A sum of squares over the float64
-    view, not through BLAS, so that the result does not depend on the BLAS
-    thread count."""
+    """The power of each field of a contiguous stack (B, ny, width), zeros of
+    the pad included (of an unscaled spectrum, nx ny times the power). A sum
+    of squares over the float64 view, not through BLAS, so that the result
+    does not depend on the BLAS thread count."""
     parts = values.view(np.float64).reshape(len(values), -1)
     return np.einsum("ij,ij->i", parts, parts) * grid.cell_area
 

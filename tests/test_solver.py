@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pfl import solver
-from pfl.grid import Field2D, fft2, ifft2, make_grid
+from pfl.grid import Field2D, Grid, fft2, ifft2, make_grid
 from pfl.medium import MediumParams, density_to_intensity, fluid_scales
 from pfl.solver import SplitStepKernel, StepPlan, kinetic_multiplier, nonlinear_step, propagate
 from pfl.sources import gaussian_beam, plane_wave
@@ -180,6 +180,21 @@ class TestBlockedKick:
         assert solver.block_slices(1, 3, 2**16) == [(slice(0, 1), slice(r, r + 1))
                                                    for r in range(3)]  # rows wider than a block
 
+    @pytest.mark.parametrize("n, members, rows", [(64, 8, 64), (512, 1, 64)])
+    def test_padded_stacks_block_by_field_samples(self, n, members, rows):
+        # the pad does not count: 8 members of 64^2 are one block, and a
+        # 512^2 plane runs 8 blocks of 64 rows, not 9 of 63 and a tail
+        grid = make_grid(n, n, 5e-6)
+        medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-10, length=1.0)
+        kernel = SplitStepKernel(grid, medium, KICK_DZ)
+        stack = solver.kernel_stack([np.ones((n, n))] * members, grid)
+        kernel.kick(stack, KICK_Z)
+        blocks = [(block_members, block_rows)
+                  for block_members, block_rows, *_ in kernel.blocks[1]]
+        assert blocks == [(slice(0, members), slice(r, r + rows) if rows < n else slice(None))
+                          for r in range(0, n, rows)]
+        assert kernel.factor.shape == (members, rows, n + solver.ROW_PAD)
+
     @pytest.mark.parametrize("case", KICK_CASES)
     def test_blocked_kick_matches_single_block(self, small_grid, case, monkeypatch):
         values, med = kick_case(small_grid, case)
@@ -237,77 +252,127 @@ class TestBlockedKick:
         assert peak < 512 * 512 * 8
 
 
+def lossy_kerr(grid):
+    """A defocusing Kerr medium with loss and a static complex potential."""
+    xx, yy = grid.meshgrid()
+    landscape = 1e-7 * np.cos(xx / 3e-5) + 2e-8j * (1.0 + np.sin(yy / 5e-5))
+    k0 = 2 * np.pi / WAVELENGTH
+    return MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-0.3 / (k0 * 1e-4),
+                        alpha=5.0, potential=landscape, length=12e-4)
+
+
 def padded_case():
     """A lossy Kerr run at 256^2, where the kernel pads its rows, with a
     static complex potential and snapshots: (start, medium, plan)."""
     grid = make_grid(256, 256, 5e-6)
     xx, yy = grid.meshgrid()
-    landscape = 1e-7 * np.cos(xx / 3e-5) + 2e-8j * (1.0 + np.sin(yy / 5e-5))
-    k0 = 2 * np.pi / WAVELENGTH
-    medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-0.3 / (k0 * 1e-4),
-                          alpha=5.0, potential=landscape, length=12e-4)
     start = Field2D(grid=grid, values=np.exp(-(xx**2 + yy**2) / 2e-4**2
                                              + 0.2j * np.sin(xx / 4e-5)))
-    return start, medium, StepPlan(n_steps=12, snapshot_every=5)
+    return start, lossy_kerr(grid), StepPlan(n_steps=12, snapshot_every=5)
+
+
+def bump_stack(nx, ny, members):
+    """padded_case's run on a stack of members (ny, nx), lines when ny = 1:
+    each a plane wave with a bump and a phase ripple, both periodic on the
+    grid, at its own x0: (fields, medium, plan)."""
+    grid = make_grid(nx, ny, 5e-6) if ny > 1 else Grid(nx, ny, 5e-6, 5e-6)
+    xx, yy = grid.meshgrid()
+    width, k_ripple = grid.extent_x / 10, 6 * np.pi / grid.extent_x
+    fields = [Field2D(grid=grid, values=(1.0 + 0.3 * np.exp(-((xx - x0)**2 + yy**2) / width**2))
+                      * np.exp(0.2j * np.sin(k_ripple * xx + x0 / width)))
+              for x0 in np.linspace(-width, width, members)]
+    return fields, lossy_kerr(grid), StepPlan(n_steps=12, snapshot_every=5)
+
+
+def unitary_loop(fields, medium, plan):
+    """The kernel's order with unitary transforms on a contiguous stack:
+    transform, half kinetic, then per step inverse transform, kick,
+    transform, merged kinetic. Returns (finals, snapshots, power), the
+    snapshots before z = L and the power (n_steps + 1, B)."""
+    grid, dz = fields[0].grid, plan.resolve_dz(medium.length)
+    kernel = SplitStepKernel(grid, medium, dz)
+    half = kinetic_multiplier(grid, dz / 2.0, medium.k0, medium.n0)
+    full = half * half
+    values = np.stack([f.values for f in fields])
+    power = [np.sum(np.abs(values) ** 2, axis=(-2, -1)) * grid.cell_area]
+    spectrum = fft2(values) * half
+    snapshots = []
+    for step in range(plan.n_steps):
+        values = ifft2(spectrum)
+        kernel.kick(values, (step + 0.5) * dz)
+        spectrum = fft2(values)
+        power.append(np.sum(np.abs(spectrum) ** 2, axis=(-2, -1)) * grid.cell_area)
+        last = step == plan.n_steps - 1
+        if (step + 1) % plan.snapshot_every == 0 and not last:
+            snapshots.append(ifft2(spectrum * half))
+        spectrum = spectrum * (half if last else full)
+    return ifft2(spectrum), snapshots, np.array(power)
 
 
 class TestPaddedLayout:
-    """Planes with rows of PAD_MIN_NX samples or more are stepped in a
-    buffer whose rows carry ROW_PAD zeros; the fields they give must be the
-    bits of the unpadded arithmetic."""
+    """Planes are stepped in a buffer whose rows carry ROW_PAD zeros, with
+    transforms that do not scale; the fields they give must be the bits of
+    the unpadded unitary arithmetic where each side is a power of 4, and
+    agree with it to rounding elsewhere."""
 
     def test_padding_rule(self):
         assert solver.row_pad((1, 512, 512)) == solver.row_pad((1, 256, 256)) == solver.ROW_PAD
-        assert solver.row_pad((8, 64, 64)) == solver.row_pad((5, 1, 256)) == 0
+        assert solver.row_pad((8, 64, 64)) == solver.ROW_PAD
+        assert solver.row_pad((5, 1, 256)) == 0
         grid = make_grid(256, 256, 5e-6)
         stack = solver.kernel_stack([np.ones((256, 256)), 2j * np.ones((256, 256))], grid)
         assert stack.shape == (2, 256, 256 + solver.ROW_PAD) and stack.flags.c_contiguous
         assert not stack[..., 256:].any()
 
     def test_padded_run_does_the_unpadded_arithmetic(self):
-        # the kernel's order on contiguous arrays: transform, half kinetic,
-        # then per step inverse transform, kick, transform, merged kinetic
         start, medium, plan = padded_case()
         record = propagate(start, medium, plan)
-        dz, grid = plan.resolve_dz(medium.length), start.grid
-        kernel = SplitStepKernel(grid, medium, dz)
-        assert kernel.width == grid.nx + solver.ROW_PAD
-        half = kinetic_multiplier(grid, dz / 2.0, medium.k0, medium.n0)
-        full = half * half
-        values = start.values[None].copy()
-        power = [np.sum(np.abs(values) ** 2) * grid.cell_area]
-        spectrum = fft2(values) * half
-        snapshots = []
-        for step in range(plan.n_steps):
-            values = ifft2(spectrum)
-            kernel.kick(values, (step + 0.5) * dz)
-            spectrum = fft2(values)
-            power.append(np.sum(np.abs(spectrum) ** 2) * grid.cell_area)
-            last = step == plan.n_steps - 1
-            if (step + 1) % plan.snapshot_every == 0 and not last:
-                snapshots.append(ifft2(spectrum * half)[0])
-            spectrum = spectrum * (half if last else full)
-        final = ifft2(spectrum)[0]
-        assert np.array_equal(record.final_field.values, final)
+        kernel = SplitStepKernel(start.grid, medium, plan.resolve_dz(medium.length))
+        assert kernel.width == start.grid.nx + solver.ROW_PAD
+        finals, snapshots, power = unitary_loop([start], medium, plan)
+        assert np.array_equal(record.final_field.values, finals[0])
         assert len(record.snapshots) == len(snapshots) + 1 == 3
-        for (_, snap), expected in zip(record.snapshots, [*snapshots, final]):
-            assert np.array_equal(snap.values, expected)
-        np.testing.assert_allclose(record.power_trace[:, 1], power, rtol=1e-13, atol=0)
+        for (_, snap), expected in zip(record.snapshots, [*snapshots, finals]):
+            assert np.array_equal(snap.values, expected[0])
+        np.testing.assert_allclose(record.power_trace[:, 1], power[:, 0], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("nx, ny, members, tol", [
+        (64, 64, 8, 0.0), (256, 1, 5, 0.0),  # sides of powers of 4: the same bits
+        (128, 128, 1, 1e-12), (512, 512, 1, 1e-12)])
+    def test_unscaled_run_matches_the_unitary_arithmetic(self, nx, ny, members, tol):
+        # fields and snapshots within tol of the reference's peak sample
+        fields, medium, plan = bump_stack(nx, ny, members)
+        records = propagate(fields, medium, plan)
+        finals, snapshots, power = unitary_loop(fields, medium, plan)
+        for b, record in enumerate(records):
+            got = [record.final_field.values, *(snap.values for _, snap in record.snapshots)]
+            references = [finals[b], *(snap[b] for snap in snapshots), finals[b]]
+            assert len(got) == len(references) == 4
+            for values, reference in zip(got, references):
+                np.testing.assert_allclose(values, reference, rtol=0,
+                                           atol=tol * np.abs(reference).max())
+            np.testing.assert_allclose(record.power_trace[:, 1], power[:, b],
+                                       rtol=1e-13, atol=0)
 
     def test_transforms_of_contiguous_copies_give_the_same_bytes(self, monkeypatch):
         # the kernel transforms its padded fields in place through a strided
         # view; pocketfft must give the bits of a contiguous copy's transform
-        def on_a_copy(transform):
-            def run(values, overwrite_x=False):
-                values[...] = transform(np.ascontiguousarray(values))
+        calls = {"fft2": 0, "ifft2": 0}
+
+        def on_a_copy(name, transform):
+            def run(values, overwrite_x=False, scaled=True):
+                calls[name] += 1
+                values[...] = transform(np.ascontiguousarray(values), scaled=scaled)
                 return values
             return run
 
         start, medium, plan = padded_case()
         records = [propagate(start, medium, plan)]
-        monkeypatch.setattr(solver, "fft2", on_a_copy(fft2))
-        monkeypatch.setattr(solver, "ifft2", on_a_copy(ifft2))
+        monkeypatch.setattr(solver, "fft2", on_a_copy("fft2", fft2))
+        monkeypatch.setattr(solver, "ifft2", on_a_copy("ifft2", ifft2))
         records.append(propagate(start, medium, plan))
+        # 12 steps, 2 snapshots before z = L
+        assert calls == {"fft2": 1 + 12, "ifft2": 12 + 2 + 1}
         in_place, copied = records
         assert in_place.final_field.values.tobytes() == copied.final_field.values.tobytes()
         assert in_place.power_trace.tobytes() == copied.power_trace.tobytes()
@@ -481,14 +546,18 @@ class TestPropagate:
     def test_one_transform_pair_per_step(self, monkeypatch):
         # the guard reads the loop's first spectrum: no transform of its own
         calls = {"fft2": 0, "ifft2": 0}
+        scaled_flags = set()
         for name in calls:
-            def counted(values, overwrite_x=False, name=name, transform=getattr(solver, name)):
+            def counted(values, overwrite_x=False, scaled=True, name=name,
+                        transform=getattr(solver, name)):
                 calls[name] += 1
-                return transform(values, overwrite_x=overwrite_x)
+                scaled_flags.add(scaled)
+                return transform(values, overwrite_x=overwrite_x, scaled=scaled)
             monkeypatch.setattr(solver, name, counted)
         grid, medium, background, _ = defocusing_setup(nx=16, xi_cells=3.0, tau=1.0)
         propagate(background, medium, StepPlan(n_steps=7))
         assert calls == {"fft2": 8, "ifft2": 8}
+        assert scaled_flags == {False}  # every pass is the kernel's own, unscaled
 
     def test_merged_kicks_match_plain_composition(self):
         # the inner loop merges adjacent half kicks between snapshots; it
