@@ -439,6 +439,7 @@ def validate_config(cfg: RunConfig):
             for k_perp in sorted(p["k_perp_list"]):
                 rules.probe(p["probe_waist"], k_perp, grid)
             rules.increasing(sorted(p["k_perp_list"]), "k samples")
+            rules.tracked_snapshots(cfg.plan["n_steps"], cfg.plan["snapshot_every"])
         if s == "sound-scaling":  # the densities are the intensities times one constant
             rules.decade(p["intensities"])
             # each probe as sound_speed_scaling derives it

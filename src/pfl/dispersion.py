@@ -309,6 +309,7 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec | Sequence[Prob
     grid = background.grid
     if plan.snapshot_every <= 0:
         raise ValueError("plan.snapshot_every must be positive to track the packet")
+    rules.tracked_snapshots(plan.n_steps, plan.snapshot_every)
     for p in probes:
         rules.probe(p.waist, p.k_perp, grid)
         if p.power_ratio < 0:
@@ -340,8 +341,9 @@ def _fit_drift(z_samples: np.ndarray, displacements: np.ndarray, paired: np.ndar
     packet_displacement), against the snapshot depths z_samples: the slope
     is the group velocity."""
     n = len(z_samples)
-    if n < 4:
-        raise ValueError("need at least 4 snapshots to fit a displacement slope")
+    if n < rules.MIN_TRACKED_SNAPSHOTS:
+        raise ValueError(f"need at least {rules.MIN_TRACKED_SNAPSHOTS} snapshots to fit a "
+                         "displacement slope")
     trailing = _trailing_run(paired)
     if int(np.sum(trailing)) >= 5:
         # counter-propagating packets stay resolved through the end of the

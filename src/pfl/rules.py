@@ -11,6 +11,17 @@ FEATURE_CELLS = 2.0  # cells a speckle grain or a defect spans, at least
 PULSE_WIDTHS = 4.0  # widths from a memory pulse to t = 0, t_extent and the other pulse
 ECHO_WINDOW_WIDTHS = 4.0  # input and echo energies: center +- this many widths
 MAX_GRADIENT_PHASE = 0.5  # rad of |eta| z_max dt per memory time step, at most
+MIN_TRACKED_SNAPSHOTS = 4  # snapshots a probe packet's drift is fitted over, at least
+
+
+def tracked_snapshots(n_steps: int, snapshot_every: int):
+    """A stepping plan makes a snapshot every snapshot_every steps before
+    the last and one at its end, none without steps."""
+    count = (n_steps - 1) // snapshot_every + 1 if n_steps else 0
+    if count < MIN_TRACKED_SNAPSHOTS:
+        raise ValueError(f"the plan makes {count} snapshots ({n_steps} steps, one every "
+                         f"{snapshot_every}); tracking a probe packet needs at least "
+                         f"{MIN_TRACKED_SNAPSHOTS}")
 
 
 def increasing(values, what: str):

@@ -12,18 +12,23 @@ kinetic step. Between steps the field stays in spectral space with the
 adjacent half steps merged, so a step costs one forward and one inverse
 transform; a snapshot costs one more inverse transform.
 
-One SplitStepKernel per propagate call precomputes the kinetic factors, the
-Kerr coefficient dz k0 chi3 / (2 n0) and a static potential's phase and
-amplitude terms (without a potential, the loss exp(-alpha dz/2) is a
-scalar). It steps a stack of fields (B, ny, nx) that share the grid and
-the medium; a lone field is the stack B = 1. Its kick builds exp(i phase)
-from tan(phase / 2) and multiplies the field in place, block by block,
-in preallocated buffers of one block of BLOCK_SITES sites; the transforms
-(numpy.fft, one pass per axis) run in place on buffers the kernel owns.
-The input is never written to. Each snapshot leaves the step loop as it
-is made: propagate hands every member's field to a keep callback and
-stores only what keep returns, so a run that keeps a density or a profile
-per snapshot never holds a list of full fields.
+One SplitStepKernel per propagate call precomputes the full-step kinetic
+factor, the Kerr coefficient dz k0 chi3 / (2 n0) and a static potential's
+phase and amplitude terms (without a potential, the loss exp(-alpha dz/2)
+is a scalar). It steps a stack of fields (B, ny, nx) that share the grid
+and the medium; a lone field is the stack B = 1. Its kick builds
+exp(i phase) from tan(phase / 2) and multiplies the field in place, block
+by block, in preallocated buffers of one block of BLOCK_SITES sites; the
+transforms (numpy.fft, one pass per axis) run in place on buffers the
+kernel owns. The half steps, at entry, at each snapshot and at the last
+step, build their factor from its separable y and x factors one block of
+rows at a time in the kick's factor buffer, so that the kernel stores one
+plane-sized factor, not two. The input is never written to. Each snapshot
+leaves the step loop as it is made: propagate hands every member's field
+to a keep callback and stores only what keep returns, so a run that keeps
+a density or a profile per snapshot never holds a list of full fields.
+At its peak a propagation holds the input, the kernel's stack, the full
+factor, the kick's block buffers and one snapshot stack.
 
 Every plane is stepped in a zero-padded buffer (B, ny, nx + ROW_PAD),
 ROW_PAD = 4 complex128 (one 64-byte line per row): unpadded, the rows of a
@@ -32,9 +37,9 @@ transform map to the same cache sets and evict each other (Frigo and
 Johnson, Proc. IEEE 93 (2005) 216). A line (B, 1, nx) has no column
 transform and keeps rows of nx samples. The transforms run in place on
 the [..., :nx] view, where pocketfft does the same arithmetic on a line at
-any stride, so fields keep their bits. The kick, the kinetic multiply and
-the power sum run over the whole contiguous buffer, whose pad starts and
-stays zero; the kick's blocks are counted in field samples. On one core
+any stride, so fields keep their bits. The kick, the kinetic multiplies and
+the power sum run over whole padded rows, whose pad starts and stays zero;
+the kick's blocks are counted in field samples. On one core
 of a 2-vCPU x86 VM, a transform pair with the kinetic multiply took
 18-24% less on an (8, 64, 64) stack and 4-5% less at 512^2 (see README).
 Fields handed out are C-contiguous and unpadded, so a writer stores them
@@ -119,11 +124,17 @@ class PropagationRecord:
     max_phase_per_step: float = 0.0
 
 
+def _kinetic_axes(grid: Grid, dz: float, k0: float, n0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The separable y and x factors exp(-i c ky^2) and exp(-i c kx^2),
+    c = dz / (2 n0 k0), of a kinetic step of length dz."""
+    c = dz / (2.0 * n0 * k0)
+    return np.exp(-1j * c * grid.ky() ** 2), np.exp(-1j * c * grid.kx() ** 2)
+
+
 def kinetic_multiplier(grid: Grid, dz: float, k0: float, n0: float) -> np.ndarray:
     """Spectral factor exp(-i |k|^2 dz / (2 n0 k0)) for a kinetic step of length
     dz, built as the outer product of its separable y and x factors."""
-    c = dz / (2.0 * n0 * k0)
-    return np.outer(np.exp(-1j * c * grid.ky() ** 2), np.exp(-1j * c * grid.kx() ** 2))
+    return np.outer(*_kinetic_axes(grid, dz, k0, n0))
 
 
 def row_pad(shape: tuple[int, ...]) -> int:
@@ -166,24 +177,49 @@ class SplitStepKernel:
     def __init__(self, grid: Grid, medium: MediumParams, dz: float):
         self.grid, self.medium, self.dz = grid, medium, dz
         self.width = grid.nx + row_pad((grid.ny, grid.nx))
+        # the y and x factors of a half kinetic step, from which the full
+        # factor and each half step's are built
+        self.half_axes = _kinetic_axes(grid, dz / 2.0, medium.k0, medium.n0)
         # the kick works on half the phase (halving is exact), see kick
         self.half_kerr = 0.5 * dz * medium.g
         self.saturation = (None if medium.i_sat is None
                            else density_to_intensity(1.0, medium.n0) / medium.i_sat)
         self.static = None if callable(medium.potential) else self._potential_terms(0.0)
-        # block buffers and ((B, ny, nx), per-block views), set by the first kick
+        # block buffers and ((B, ny, nx), per-block views), set by run or the first kick
         self.density = self.phase = self.factor = self.blocks = None
 
     @cached_property
-    def kinetic(self) -> tuple[np.ndarray, np.ndarray]:
-        """(half, full) kinetic factors, built on first use (a lone kick skips
-        them), times the 1/(nx ny) that the loop's unscaled transforms leave out."""
-        half = self._widen(kinetic_multiplier(self.grid, self.dz / 2.0,
-                                              self.medium.k0, self.medium.n0))
-        full = half * half
-        for factor in (half, full):
-            factor /= self.grid.nx * self.grid.ny
-        return half, full
+    def kinetic(self) -> np.ndarray:
+        """The full-step kinetic factor (ny, width), zero in the pad, times the
+        1/(nx ny) that the loop's unscaled transforms leave out. It is built on
+        first use (a lone kick skips it), in place, so no other plane is made;
+        half steps build their factor per row block (see _half_step)."""
+        (ny, nx), (ey, ex) = (self.grid.ny, self.grid.nx), self.half_axes
+        full = np.zeros((ny, self.width), dtype=np.complex128)
+        np.multiply(ey[:, None], ex, out=full[:, :nx])
+        full *= full
+        full /= nx * ny
+        return full
+
+    def _half_step(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Multiply the stack values by the half-step kinetic factor (times
+        1/(nx ny), see kinetic) in place, or into out (B, ny, nx) from the
+        fields values[..., :nx]; return the result. The factor is built one
+        block of rows at a time (see block_slices) in the kick's factor
+        buffer, zero in the pad, with the bits of a whole-plane factor."""
+        (ny, nx), (ey, ex) = (self.grid.ny, self.grid.nx), self.half_axes
+        buffer = self.factor[0]
+        buffer[:, nx:] = 0.0
+        for start in range(0, ny, len(buffer)):
+            rows = slice(start, min(start + len(buffer), ny))
+            factor = buffer[:rows.stop - start]
+            np.multiply(ey[rows, None], ex, out=factor[:, :nx])
+            factor /= nx * ny
+            if out is None:
+                values[:, rows] *= factor
+            else:
+                np.multiply(values[:, rows, :nx], factor[:, :nx], out=out[:, rows])
+        return values if out is None else out
 
     def _widen(self, terms):
         """An (ny, nx) array as (ny, width) with zeros in the pad; None, a
@@ -292,11 +328,13 @@ class SplitStepKernel:
         power[0] = _stack_power(values, self.grid)
         max_phase = np.zeros(len(values))
         self._transform(fft2, values)
-        # before the kinetic factors exist, so its temporaries add no peak memory
+        # before the kinetic factor and the block buffers exist, so its
+        # temporaries add no peak memory
         kinetic = self._kinetic_phase(values[..., :nx])
         warned = self._guard(kinetic, False)
-        half_kinetic, full_kinetic = self.kinetic
-        values *= half_kinetic
+        self._size_blocks(values)
+        self._half_step(values)
+        full_kinetic = self.kinetic
         for step in range(n_steps):
             z_mid, z_next = (step + 0.5) * dz, (step + 1) * dz
             self._transform(ifft2, values)
@@ -313,9 +351,12 @@ class SplitStepKernel:
             last = step == n_steps - 1
             if every and (step + 1) % every == 0 and not last:
                 # unbound, so that no local holds the stack after the callback
-                on_snapshot(z_next, self._transform(
-                    ifft2, np.multiply(values[..., :nx], half_kinetic[:, :nx])))
-            values *= half_kinetic if last else full_kinetic
+                on_snapshot(z_next, self._transform(ifft2, self._half_step(
+                    values, np.empty((len(values), self.grid.ny, nx), dtype=np.complex128))))
+            if last:
+                self._half_step(values)
+            else:
+                values *= full_kinetic
         final = np.ascontiguousarray(self._transform(ifft2, values)[..., :nx])
         return final, power, kinetic + max_phase
 

@@ -466,6 +466,13 @@ class TestParsing:
          "probe |k_perp| is at or beyond the grid Nyquist wavevector"),
         (swap(GOOD_DISPERSION, "20000, 30000, 40000", "20000, 30000, 30000"),
          "k samples must be strictly increasing"),
+        # each passed `pfl validate`, and the run then exited 3 with no packet to fit
+        (swap(GOOD_DISPERSION, "n_steps = 240", "n_steps = 0"),
+         "the plan makes 0 snapshots (0 steps, one every 8); tracking a probe packet "
+         "needs at least 4"),
+        (swap(GOOD_DISPERSION, "snapshot_every = 8", "snapshot_every = 200"),
+         "the plan makes 2 snapshots (240 steps, one every 200); tracking a probe packet "
+         "needs at least 4"),
         (swap(GOOD_SOUND_SCALING, "331800", "300000"),
          "densities must span at least one decade"),
         (swap(SOUND_SCALING, "probe_waist_xi = 10\n", "probe_waist_xi = 100\n"),
@@ -513,7 +520,8 @@ class TestParsing:
          "echo window extends past t_extent"),
     ], ids=["gaussian-unresolved", "gaussian-wraps", "speckle-unresolved",
             "defect-unresolved", "lattice-past-nyquist", "probe-unresolved", "probe-wraps",
-            "probe-past-nyquist", "repeated-k-perp", "intensities-within-a-decade",
+            "probe-past-nyquist", "repeated-k-perp", "dispersion-without-steps",
+            "dispersion-too-few-snapshots", "intensities-within-a-decade",
             "sound-scaling-probe-wraps", "sound-scaling-probe-unresolved",
             "sound-scaling-chi3-zero",
             "charge-zero", "vortex-off-grid", "gem-pulse-margins", "sweep-pulse-margins",

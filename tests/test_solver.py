@@ -284,29 +284,34 @@ def bump_stack(nx, ny, members):
     return fields, lossy_kerr(grid), StepPlan(n_steps=12, snapshot_every=5)
 
 
-def unitary_loop(fields, medium, plan):
+def unitary_loop(fields, medium, plan, scaled=True):
     """The kernel's order with unitary transforms on a contiguous stack:
     transform, half kinetic, then per step inverse transform, kick,
-    transform, merged kinetic. Returns (finals, snapshots, power), the
-    snapshots before z = L and the power (n_steps + 1, B)."""
+    transform, merged kinetic, with whole-plane half and full factors
+    stored up front. With scaled False the transforms do not scale and
+    1/(nx ny) is folded into both factors and the power, as in the kernel.
+    Returns (finals, snapshots, power), the snapshots before z = L and the
+    power (n_steps + 1, B)."""
     grid, dz = fields[0].grid, plan.resolve_dz(medium.length)
     kernel = SplitStepKernel(grid, medium, dz)
+    sites = 1 if scaled else grid.nx * grid.ny
     half = kinetic_multiplier(grid, dz / 2.0, medium.k0, medium.n0)
-    full = half * half
+    full = half * half / sites
+    half = half / sites
     values = np.stack([f.values for f in fields])
     power = [np.sum(np.abs(values) ** 2, axis=(-2, -1)) * grid.cell_area]
-    spectrum = fft2(values) * half
+    spectrum = fft2(values, scaled=scaled) * half
     snapshots = []
     for step in range(plan.n_steps):
-        values = ifft2(spectrum)
+        values = ifft2(spectrum, scaled=scaled)
         kernel.kick(values, (step + 0.5) * dz)
-        spectrum = fft2(values)
-        power.append(np.sum(np.abs(spectrum) ** 2, axis=(-2, -1)) * grid.cell_area)
+        spectrum = fft2(values, scaled=scaled)
+        power.append(np.sum(np.abs(spectrum) ** 2, axis=(-2, -1)) * grid.cell_area / sites)
         last = step == plan.n_steps - 1
         if (step + 1) % plan.snapshot_every == 0 and not last:
-            snapshots.append(ifft2(spectrum * half))
+            snapshots.append(ifft2(spectrum * half, scaled=scaled))
         spectrum = spectrum * (half if last else full)
-    return ifft2(spectrum), snapshots, np.array(power)
+    return ifft2(spectrum, scaled=scaled), snapshots, np.array(power)
 
 
 class TestPaddedLayout:
@@ -338,21 +343,26 @@ class TestPaddedLayout:
 
     @pytest.mark.parametrize("nx, ny, members, tol", [
         (64, 64, 8, 0.0), (256, 1, 5, 0.0),  # sides of powers of 4: the same bits
-        (128, 128, 1, 1e-12), (512, 512, 1, 1e-12)])
+        (128, 128, 1, 1e-12), (512, 512, 1, 1e-12),
+        # the half steps build their factor 64 + 32 rows at a time
+        (512, 96, 2, 1e-12)])
     def test_unscaled_run_matches_the_unitary_arithmetic(self, nx, ny, members, tol):
-        # fields and snapshots within tol of the reference's peak sample
+        # fields and snapshots within tol of the unitary reference's peak
+        # sample, and the bits of the unscaled one, whose whole-plane half
+        # factor is stored
         fields, medium, plan = bump_stack(nx, ny, members)
         records = propagate(fields, medium, plan)
-        finals, snapshots, power = unitary_loop(fields, medium, plan)
+        unitary, stored = (unitary_loop(fields, medium, plan, scaled) for scaled in (True, False))
         for b, record in enumerate(records):
             got = [record.final_field.values, *(snap.values for _, snap in record.snapshots)]
-            references = [finals[b], *(snap[b] for snap in snapshots), finals[b]]
-            assert len(got) == len(references) == 4
-            for values, reference in zip(got, references):
-                np.testing.assert_allclose(values, reference, rtol=0,
-                                           atol=tol * np.abs(reference).max())
-            np.testing.assert_allclose(record.power_trace[:, 1], power[:, b],
-                                       rtol=1e-13, atol=0)
+            for (finals, snapshots, power), atol in ((unitary, tol), (stored, 0.0)):
+                references = [finals[b], *(snap[b] for snap in snapshots), finals[b]]
+                assert len(got) == len(references) == 4
+                for values, reference in zip(got, references):
+                    np.testing.assert_allclose(values, reference, rtol=0,
+                                               atol=atol * np.abs(reference).max())
+                np.testing.assert_allclose(record.power_trace[:, 1], power[:, b],
+                                           rtol=1e-13, atol=0)
 
     def test_transforms_of_contiguous_copies_give_the_same_bytes(self, monkeypatch):
         # the kernel transforms its padded fields in place through a strided
@@ -657,6 +667,29 @@ class TestPropagate:
             for earlier in range(later):
                 assert np.array_equal(snaps[earlier].values, kept[earlier])
         assert np.array_equal(start.values, original)
+
+    def test_snapshot_run_peaks_below_three_and_a_half_planes(self):
+        # above its input, a 512^2 run with a snapshot at every step holds
+        # the padded stack, the full kinetic factor, the kick's 64-row
+        # blocks and one snapshot: 3.40 planes of 16 nx ny bytes. A stored
+        # whole-plane half factor next to the full one peaked at 4.37.
+        grid = make_grid(512, 512, 5e-6)
+        xx, yy = grid.meshgrid()
+        start = Field2D(grid=grid, values=np.exp(-(xx**2 + yy**2) / 2e-4**2
+                                                 + 0.2j * np.sin(xx / 4e-5)))
+        del xx, yy
+        k0 = 2 * np.pi / WAVELENGTH
+        medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-0.3 / (k0 * 1e-4),
+                              alpha=5.0, length=4e-4)
+        tracemalloc.start()  # after the input is made, so that it is not counted
+        try:
+            record = propagate(start, medium, StepPlan(n_steps=4, snapshot_every=1),
+                               keep=lambda z, field: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(record.snapshots) == 4
+        assert peak <= 3.5 * 16 * grid.nx * grid.ny
 
     def test_keep_maps_each_snapshot_as_the_default_record_would(self):
         # keep(z, field) sees every snapshot, z = L included, and the record
