@@ -25,7 +25,7 @@ _EXPORTS = {  # module: the public names it defines
     "stats": ("intensity_statistics", "coherence_g1", "structure_factor"),
     "gem": ("GemConfig", "GaussianPulse", "PulseTrain", "gem_evolve",
             "gem_efficiency_theory", "gem_efficiency_measured"),
-    "config": ("RunConfig", "ConfigError", "parse_config", "serialize_config"),
+    "config": ("RunConfig", "ConfigError", "parse_config"),
     "fileio": ("save_field", "load_field", "write_density_pgm"),
     "scenarios": ("run_scenario",),
 }

@@ -1,4 +1,4 @@
-"""Run configuration: parsing, validation and canonical serialization.
+"""Run configuration: parsing and validation.
 
 Grammar (normative): the file is a sequence of lines. A line is blank, a
 comment (first non-space character '#'), a section header '[name]', or a
@@ -15,9 +15,6 @@ at least its fewest items; a value outside is an error at its line. Then
 validate_config checks the rules that tie keys together, most in `rules`,
 on the MediumParams the run builds (medium_params) and on the fluid scales
 `medium` derives from it: this module holds no physical constant or formula.
-
-parse -> serialize -> parse is the identity: serialization writes every
-resolved key (defaults included) in a canonical order.
 """
 
 from __future__ import annotations
@@ -166,11 +163,11 @@ _FIELD = {"grid": _GRID, "medium": _MEDIUM, "plan": _PLAN}
 _HOMOGENEOUS = "the background must be a homogeneous fluid"
 _FINAL_FIELDS = "only the final field is read"
 
-# Every section each scenario reads, in serialization order: its keys, or
-# for a Kinds section the keys of each kind it takes. A string entry names
-# a section or a 'section.key' the scenario does not read and says why; a
-# 'section.key' entry takes that key out of its section. Any section or key
-# the table does not give a scenario is an error.
+# Every section each scenario reads, in the order they are read and named in
+# messages: its keys, or for a Kinds section the keys of each kind it takes.
+# A string entry names a section or a 'section.key' the scenario does not
+# read and says why; a 'section.key' entry takes that key out of its section.
+# Any section or key the table does not give a scenario is an error.
 SCENARIOS: dict[str, dict[str, Any]] = {
     "propagate": {**_RUN_SNAPSHOTS, **_FIELD, "source": _SOURCE, "potential": _POTENTIAL},
     "dispersion": {
@@ -190,8 +187,8 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         **_RUN_CSV,
         **_FIELD,
         "medium.length": "each density propagates over tau * z_nl of that density",
-        "plan": "each density takes ceil(15 tau) steps, with a snapshot every "
-                "max(1, n_steps // 50)",
+        "plan": f"each density takes ceil({rules.STEPS_PER_Z_NL} tau) steps, with a "
+                "snapshot every max(1, n_steps // 50)",
         "source": "each background is a plane wave at one of sound-scaling.intensities",
         "potential": _HOMOGENEOUS,
         "sound-scaling": {
@@ -442,6 +439,7 @@ def validate_config(cfg: RunConfig):
             rules.tracked_snapshots(cfg.plan["n_steps"], cfg.plan["snapshot_every"])
         if s == "sound-scaling":  # the densities are the intensities times one constant
             rules.decade(p["intensities"])
+            rules.sound_scaling_plan(p["tau"])
             # each probe as sound_speed_scaling derives it
             for density in sorted(intensity_to_density(i, medium.n0) for i in p["intensities"]):
                 _, xi, _ = fluid_scales(medium, density)
@@ -470,34 +468,3 @@ def validate_config(cfg: RunConfig):
             rules.pulses(p["pulse_centers"], p["pulse_widths"], p["t_extent"])
     except ValueError as exc:
         raise ConfigError(f"{s}: {exc}") from None
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) equals cfg."""
-    values = {**vars(cfg), cfg.scenario: cfg.params}
-    lines: list[str] = []
-    for name, schema in SCENARIOS[cfg.scenario].items():
-        data = values.get(name)
-        if isinstance(schema, str) or data is None:
-            continue
-        if isinstance(schema, Kinds):
-            schema = schema.section(data["kind"])
-        lines.append(f"[{name}]")
-        for key, spec in schema.items():
-            value = data.get(key)
-            if value is None:
-                continue
-            lines.append(f"{key} = {_format_value(value, spec.type)}")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _format_value(value, kind: str) -> str:
-    from .fileio import fmt
-    if kind in ("floats", "ints", "strs"):  # each item as its own kind
-        return ", ".join(_format_value(v, kind[:-1]) for v in value)
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "float":
-        return fmt(float(value))
-    return str(int(value)) if kind == "int" else str(value)

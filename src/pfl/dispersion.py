@@ -57,8 +57,6 @@ from .grid import Field2D, Grid, fft, ifft
 from .medium import MediumParams, fluid_scales
 from .solver import StepPlan, propagate
 
-# sound_speed_scaling takes this many propagation steps per nonlinear length
-STEPS_PER_Z_NL = 15
 # Unless the packets stay paired over the trailing snapshots, the drift is
 # fitted over this last fraction of them; a fit whose RMS residual exceeds
 # MAX_RESIDUAL of the displacement span is not a ballistic packet.
@@ -482,14 +480,12 @@ def sound_speed_scaling(densities, medium: MediumParams, grid, tau: float = 25.0
     if densities[0] <= 0:
         raise ValueError("densities must be positive")
     rules.decade(densities.tolist())
+    plan = StepPlan(*rules.sound_scaling_plan(tau))
 
     speeds = []
     for rho in densities:
         z_nl, xi, _ = fluid_scales(medium, rho)
         run_medium = medium.with_length(tau * z_nl)
-        n_steps = int(np.ceil(tau * STEPS_PER_Z_NL))
-        every = max(1, n_steps // 50)
-        plan = StepPlan(n_steps=n_steps, snapshot_every=every)
         values = np.full((grid.ny, grid.nx), np.sqrt(rho), dtype=np.complex128)
         background = Field2D(grid=grid, values=values)
         probe = ProbeSpec(waist=probe_waist_xi * xi, k_perp=k_perp_xi / xi,

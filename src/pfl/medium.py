@@ -12,7 +12,6 @@ density and intensity conversions take a float or an ndarray.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -29,9 +28,8 @@ class MediumParams:
 
     potential is the complex index variation delta_n(r_perp): the real part
     shifts the linear index, a positive imaginary part is loss, a negative
-    one gain. It may be a sampled array matching the grid or a callable of z
-    returning one (sampled at step midpoints during propagation); the
-    solver's kernel checks its shape.
+    one gain. It is an array sampled on the grid, fixed along z, or None;
+    the solver's kernel checks its shape.
     """
 
     wavelength: float
@@ -39,7 +37,7 @@ class MediumParams:
     chi3: float
     alpha: float = 0.0
     length: float = 0.0
-    potential: np.ndarray | Callable[[float], np.ndarray] | None = None
+    potential: np.ndarray | None = None
     i_sat: float | None = None
 
     def __post_init__(self):

@@ -12,6 +12,7 @@ PULSE_WIDTHS = 4.0  # widths from a memory pulse to t = 0, t_extent and the othe
 ECHO_WINDOW_WIDTHS = 4.0  # input and echo energies: center +- this many widths
 MAX_GRADIENT_PHASE = 0.5  # rad of |eta| z_max dt per memory time step, at most
 MIN_TRACKED_SNAPSHOTS = 4  # snapshots a probe packet's drift is fitted over, at least
+STEPS_PER_Z_NL = 15  # sound-scaling steps per nonlinear length
 
 
 def tracked_snapshots(n_steps: int, snapshot_every: int):
@@ -22,6 +23,16 @@ def tracked_snapshots(n_steps: int, snapshot_every: int):
         raise ValueError(f"the plan makes {count} snapshots ({n_steps} steps, one every "
                          f"{snapshot_every}); tracking a probe packet needs at least "
                          f"{MIN_TRACKED_SNAPSHOTS}")
+
+
+def sound_scaling_plan(tau: float) -> tuple[int, int]:
+    """(n_steps, snapshot_every) of each sound-scaling density, which
+    propagates over tau nonlinear lengths: ceil(tau STEPS_PER_Z_NL) steps
+    and a snapshot every max(1, n_steps // 50), enough to track."""
+    n_steps = math.ceil(tau * STEPS_PER_Z_NL)
+    every = max(1, n_steps // 50)
+    tracked_snapshots(n_steps, every)
+    return n_steps, every
 
 
 def increasing(values, what: str):

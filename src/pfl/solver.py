@@ -2,7 +2,7 @@
 
 The propagation equation integrated here is
 
-    i dE/dz = [ -1/(2 n0 k0) Lap_perp - k0 dn(r,z)
+    i dE/dz = [ -1/(2 n0 k0) Lap_perp - k0 dn(r)
                 - k0/(2 n0) chi3 |E|^2 - i alpha/2 ] E
 
 with dn complex (Im dn > 0 is loss) and an optional saturable nonlinearity
@@ -13,7 +13,7 @@ adjacent half steps merged, so a step costs one forward and one inverse
 transform; a snapshot costs one more inverse transform.
 
 One SplitStepKernel per propagate call precomputes the full-step kinetic
-factor, the Kerr coefficient dz k0 chi3 / (2 n0) and a static potential's
+factor, the Kerr coefficient dz k0 chi3 / (2 n0) and the potential's
 phase and amplitude terms (without a potential, the loss exp(-alpha dz/2)
 is a scalar). It steps a stack of fields (B, ny, nx) that share the grid
 and the medium; a lone field is the stack B = 1. Its kick builds
@@ -131,12 +131,6 @@ def _kinetic_axes(grid: Grid, dz: float, k0: float, n0: float) -> tuple[np.ndarr
     return np.exp(-1j * c * grid.ky() ** 2), np.exp(-1j * c * grid.kx() ** 2)
 
 
-def kinetic_multiplier(grid: Grid, dz: float, k0: float, n0: float) -> np.ndarray:
-    """Spectral factor exp(-i |k|^2 dz / (2 n0 k0)) for a kinetic step of length
-    dz, built as the outer product of its separable y and x factors."""
-    return np.outer(*_kinetic_axes(grid, dz, k0, n0))
-
-
 def row_pad(shape: tuple[int, ...]) -> int:
     """Zero samples the kernel appends to each row of a stack (..., ny, nx):
     ROW_PAD for planes, 0 for lines (B, 1, nx), which have no column
@@ -184,7 +178,7 @@ class SplitStepKernel:
         self.half_kerr = 0.5 * dz * medium.g
         self.saturation = (None if medium.i_sat is None
                            else density_to_intensity(1.0, medium.n0) / medium.i_sat)
-        self.static = None if callable(medium.potential) else self._potential_terms(0.0)
+        self.potential_half, self.amplitude = self._potential_terms()
         # block buffers and ((B, ny, nx), per-block views), set by run or the first kick
         self.density = self.phase = self.factor = self.blocks = None
 
@@ -230,28 +224,28 @@ class SplitStepKernel:
         wide[:, :self.grid.nx] = terms
         return wide
 
-    def _potential_terms(self, z: float):
-        """(half phase term or None, amplitude factor) of the potential at z,
-        whose samples must match the grid, and the loss; the amplitude is a
-        scalar when the decay is uniform."""
+    def _potential_terms(self):
+        """(half phase term or None, amplitude factor) of the potential, whose
+        samples must match the grid, and the loss; the amplitude is a scalar
+        when the decay is uniform."""
         m, shape = self.medium, (self.grid.ny, self.grid.nx)
-        dn = m.potential(z) if callable(m.potential) else m.potential
-        if dn is not None:
-            dn = np.asarray(dn, dtype=np.complex128)
+        half_phase, decay = None, 0.5 * m.alpha * self.dz
+        if m.potential is not None:
+            dn = np.asarray(m.potential)  # a function of z has shape ()
             if dn.shape != shape:
                 raise ValueError(f"potential shape {dn.shape} does not match grid {shape}")
-        half_phase = None if dn is None else (0.5 * self.dz * m.k0) * dn.real
-        decay = 0.5 * m.alpha * self.dz
-        if dn is not None and dn.imag.any():
-            decay = decay + (self.dz * m.k0) * dn.imag
+            dn = dn.astype(np.complex128, copy=False)
+            half_phase = (0.5 * self.dz * m.k0) * dn.real
+            if dn.imag.any():
+                decay = decay + (self.dz * m.k0) * dn.imag
         gain = -float(np.min(decay))
         if gain > 0 and np.exp(2.0 * gain) > 10.0:
             warnings.warn(f"gain profile would grow power by more than 10x in one "
                           f"step (amplitude factor {np.exp(gain):.3g})", stacklevel=4)
         return self._widen(half_phase), self._widen(np.exp(-decay))
 
-    def kick(self, values: np.ndarray, z: float) -> np.ndarray:
-        """Apply the full nonlinear step at z to values in place, with |E|^2
+    def kick(self, values: np.ndarray) -> np.ndarray:
+        """Apply the full nonlinear step to values in place, with |E|^2
         frozen at entry; return the largest |phase| it applied to each field
         of a stack (a scalar for one field). Rows of nx samples or of the
         kernel's width both work: the pad holds zeros, which stay zero and
@@ -266,7 +260,7 @@ class SplitStepKernel:
         stack = values if values.ndim == 3 else values[None]
         if self.blocks is None or self.blocks[0] != stack.shape:
             self._size_blocks(stack)
-        potential_half, amplitude = self.static or self._potential_terms(z)
+        potential_half, amplitude = self.potential_half, self.amplitude
         columns = slice(stack.shape[-1])
         max_phase = np.zeros(len(stack))
         for members, rows, density, half, factor, re, im in self.blocks[1]:
@@ -338,7 +332,7 @@ class SplitStepKernel:
         for step in range(n_steps):
             z_mid, z_next = (step + 0.5) * dz, (step + 1) * dz
             self._transform(ifft2, values)
-            step_phase = self.kick(values, z_mid)
+            step_phase = self.kick(values)
             if step == 0:
                 first_phase = step_phase
             warned = self._guard(step_phase, warned, z_mid, first_phase)
@@ -413,10 +407,11 @@ def nonlinear_step(field_in: Field2D, dz: float, medium: MediumParams,
 
     |E|^2 is frozen at step entry. The applied multiplier is
     exp(i dz (k0 Re dn + k0/(2 n0) chi_eff |E|^2)) *
-    exp(-dz (alpha/2 + k0 Im dn)).
+    exp(-dz (alpha/2 + k0 Im dn)). The potential does not depend on z, so
+    z has no effect; it is kept for callers that pass it.
     """
     values = field_in.values.copy()
-    SplitStepKernel(field_in.grid, medium, dz).kick(values, z)
+    SplitStepKernel(field_in.grid, medium, dz).kick(values)
     return field_in.with_values(values).validate_finite()
 
 

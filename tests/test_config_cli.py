@@ -11,8 +11,7 @@ import pytest
 
 from pfl import config as config_module
 from pfl.cli import main as cli_main
-from pfl.config import (REQUIRED, SCENARIOS, ConfigError, Kinds, inside, parse_config,
-                        serialize_config)
+from pfl.config import REQUIRED, SCENARIOS, ConfigError, Kinds, inside, parse_config
 
 GOOD_PROPAGATE = """
 [run]
@@ -217,14 +216,6 @@ class TestParsing:
         cfg = parse_config(text)
         assert cfg.params["nt"] == own["nt"]
         assert cfg.params["pulse_labels"] == own["pulse_labels"]
-        assert parse_config(serialize_config(cfg)) == cfg
-
-    def test_round_trip_is_identity(self):
-        cfg = parse_config(GOOD_PROPAGATE)
-        text = serialize_config(cfg)
-        cfg2 = parse_config(text)
-        assert cfg == cfg2
-        assert serialize_config(cfg2) == text
 
     def test_empty_scenario_rejected(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -392,10 +383,6 @@ class TestParsing:
         cfg = parse_config(text)
         assert "length" not in cfg.medium
         assert (cfg.plan is None) == (cfg.scenario == "sound-scaling")
-        serialized = serialize_config(cfg)
-        assert "\nlength =" not in serialized
-        assert ("[plan]" in serialized) == (cfg.plan is not None)
-        assert parse_config(serialized) == cfg
 
     # the schedule sets the mode of a two-pulse run (FILO: one flip, no
     # coupling windows; FIFO: two flips, at least one window); a run that
@@ -481,6 +468,10 @@ class TestParsing:
          + "probe_waist_xi = 1\n", "sound-scaling: probe waist 1.2"),
         (swap(GOOD_SOUND_SCALING, "chi3 = -7.890e-12", "chi3 = 0.0"),
          "sound-scaling: probe waist inf exceeds half the grid extent 0.00016"),
+        # passed `pfl validate`, and the run then exited 3 with no packet to fit
+        (swap(SOUND_SCALING, "tau = 25\n", "tau = 0.2\n"),
+         "sound-scaling: the plan makes 3 snapshots (3 steps, one every 1); tracking a probe "
+         "packet needs at least 4"),
         (swap(VORTEX_PAIR, "charges = 1, -1", "charges = 1, 0"),
          "charge must satisfy |charge| >= 1"),
         (swap(VORTEX_PAIR, "xs = 2e-4, -2e-4", "xs = 2e-4, -7e-4"),
@@ -523,7 +514,7 @@ class TestParsing:
             "probe-past-nyquist", "repeated-k-perp", "dispersion-without-steps",
             "dispersion-too-few-snapshots", "intensities-within-a-decade",
             "sound-scaling-probe-wraps", "sound-scaling-probe-unresolved",
-            "sound-scaling-chi3-zero",
+            "sound-scaling-chi3-zero", "sound-scaling-too-few-snapshots",
             "charge-zero", "vortex-off-grid", "gem-pulse-margins", "sweep-pulse-margins",
             "gradient-phase", "sweep-eta-zero", "fifo-filo-unresolved-pulses",
             "fifo-window-on-at-echo", "gem-window-on-at-echo", "fifo-filo-three-pulses",
@@ -592,15 +583,6 @@ class TestParsing:
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)
         assert cli_main(["validate", "--config", str(cfg)]) == 2
-
-    @pytest.mark.parametrize("text", [VORTEX_PAIR, VORTEX_STRIPE], ids=["imprint", "stripe"])
-    def test_vortices_round_trip_writes_the_kind_first(self, text):
-        cfg = parse_config(text)
-        serialized = serialize_config(cfg)
-        section = serialized[serialized.index("[vortices]"):].splitlines()
-        assert section[1] == f"kind = {cfg.params['kind']}"
-        assert parse_config(serialized) == cfg
-        assert serialize_config(parse_config(serialized)) == serialized
 
     # every pulse is simulated: a label list names each pulse or is empty
     @pytest.mark.parametrize("text, message", [
@@ -675,22 +657,6 @@ class TestParsing:
         cfg.write_text(text)
         assert cli_main(["validate", "--config", str(cfg)]) == 2
         assert f"line {line}: " in capsys.readouterr().err
-
-    @pytest.mark.parametrize("kind, keys", [
-        ("uniform", "value_re = 1e-6\nvalue_im = -2e-7\n"),
-        ("gaussian_defect", "amplitude_re = 1e-6\nwidth = 5e-5\ncenter_x = 1e-5\n"),
-        ("lattice", "amplitude_im = 1e-6\nperiod = 1.6e-4\norientation = 0.3\n"),
-    ], ids=["uniform", "gaussian_defect", "lattice"])
-    def test_potential_round_trip_writes_only_its_kinds_keys(self, kind, keys):
-        cfg = parse_config(f"{GOOD_PROPAGATE}\n[potential]\nkind = {kind}\n{keys}")
-        serialized = serialize_config(cfg)
-        section = serialized[serialized.index("[potential]"):].split("\n\n")[0]
-        written = [line.split(" = ")[0] for line in section.splitlines()[1:]]
-        potential = SCENARIOS["propagate"]["potential"]
-        assert written == list(potential.section(kind))
-        others = {key for other, own in potential.keys.items() if other != kind for key in own}
-        assert not (others - set(potential.keys[kind])) & set(written)
-        assert parse_config(serialized) == cfg
 
     def test_type_errors_are_reported(self, tmp_path):
         shipped = next(c for c in CONFIGS if c.name == "propagate_gaussian.ini").read_text()

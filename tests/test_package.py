@@ -1,5 +1,7 @@
 import sys
+from importlib import import_module
 
+import numpy as np
 import pytest
 
 import pfl
@@ -29,6 +31,23 @@ def test_submodule_import_still_works():
     assert solver is sys.modules["pfl.solver"]
 
 
-def test_kinetic_half_step_is_not_public():
-    assert "kinetic_half_step" not in pfl.__all__
-    assert not hasattr(pfl.solver, "kinetic_half_step")
+@pytest.mark.parametrize("module, name", [("solver", "kinetic_half_step"),
+                                          ("config", "serialize_config"),
+                                          ("solver", "kinetic_multiplier")],
+                         ids=["kinetic_half_step", "serialize_config", "kinetic_multiplier"])
+def test_removed_name_is_not_public(module, name):
+    assert name not in pfl.__all__
+    assert not hasattr(import_module(f"pfl.{module}"), name)
+
+
+def test_callable_potential_is_refused_when_the_kernel_is_built():
+    # the potential is fixed along z: a function of z is no array of the grid's shape
+    from pfl.grid import make_grid
+    from pfl.medium import MediumParams
+    from pfl.solver import SplitStepKernel
+
+    grid = make_grid(8, 8, 1e-5)
+    medium = MediumParams(wavelength=780e-9, n0=1.0, chi3=0.0, length=1e-3,
+                          potential=lambda z: np.zeros((8, 8)))
+    with pytest.raises(ValueError, match=r"potential shape \(\) does not match grid \(8, 8\)"):
+        SplitStepKernel(grid, medium, 1e-4)
