@@ -19,11 +19,11 @@ _EXPORTS = {  # module: the public names it defines
     "potentials": ("uniform_potential", "gaussian_defect", "lattice_potential", "pt_symmetrize"),
     "solver": ("StepPlan", "PropagationRecord", "nonlinear_step", "propagate"),
     "hydro": ("VortexSet", "detect_vortices", "circulation", "circulation_batch"),
-    "dispersion": ("ProbeSpec", "DispersionCurve", "bogoliubov_omega", "bogoliubov_sound_speed",
-                   "measure_group_velocity", "probe_line", "snapshot_density",
-                   "dispersion_from_group_velocity", "sound_speed_scaling"),
+    "dispersion": ("ProbeSpec", "DispersionCurve", "bogoliubov_omega", "measure_group_velocity",
+                   "probe_line", "snapshot_density", "dispersion_from_group_velocity",
+                   "sound_speed_scaling"),
     "stats": ("intensity_statistics", "coherence_g1", "structure_factor"),
-    "gem": ("GemConfig", "GaussianPulse", "PulseTrain", "gem_evolve",
+    "gem": ("GemConfig", "GaussianPulse", "gem_evolve",
             "gem_efficiency_theory", "gem_efficiency_measured"),
     "config": ("RunConfig", "ConfigError", "parse_config"),
     "fileio": ("save_field", "load_field", "write_density_pgm"),

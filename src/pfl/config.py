@@ -90,7 +90,7 @@ _RUN = {
     "scenario": Key("str"),
     "seed": Key("int", 0),
     "snapshots": Key("bool", False),
-    "csv": Key("bool", True),
+    "csv": Key("bool", True),  # parsed for INIs that set it; only true passes
     "pgm": Key("bool", False),
 }
 
@@ -411,6 +411,8 @@ def validate_config(cfg: RunConfig):
     its builder will get, the medium's scales included (from `medium`); its
     ValueError becomes a ConfigError."""
     p, s = cfg.params, cfg.scenario
+    if not cfg.run["csv"]:
+        raise ConfigError("run.csv must be true: every run writes its CSV files")
     for key in ("nx", "ny"):
         if cfg.grid is not None and cfg.grid[key] % 2:
             raise ConfigError(f"grid.{key} must be even, got {cfg.grid[key]}")

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import rules
 from .grid import Field2D, Grid, fft, ifft
-from .medium import MediumParams, fluid_scales
+from .medium import MediumParams, fluid_scales, shift_scales
 from .solver import StepPlan, propagate
 
 # Unless the packets stay paired over the trailing snapshots, the drift is
@@ -122,11 +122,7 @@ def bogoliubov_group_velocity(k: np.ndarray, k0: float, n0: float, dn_nl: float)
     de = k / (k0 * n0)
     with np.errstate(invalid="ignore", divide="ignore"):
         vg = de * (e_k + k0 * dn_nl) / omega
-    return np.where(k == 0.0, bogoliubov_sound_speed(n0, dn_nl), vg)
-
-
-def bogoliubov_sound_speed(n0: float, dn_nl: float) -> float:
-    return float(np.sqrt(dn_nl / n0))
+    return np.where(k == 0.0, np.sqrt(dn_nl / n0), vg)
 
 
 def _wrap_coord(delta: np.ndarray, extent: float) -> np.ndarray:
@@ -398,10 +394,8 @@ def dispersion_from_group_velocity(samples, medium: MediumParams) -> DispersionC
     k0, n0 = medium.k0, medium.n0
 
     dn_fit, dn_err = _fit_bogoliubov(k, omega, k0, n0, max(np.max(v) ** 2 * n0, 1e-18))
-    c_s = bogoliubov_sound_speed(n0, dn_fit)
+    _, xi_fit, c_s = shift_scales(medium, dn_fit)
     c_s_err = 0.5 * c_s * dn_err / dn_fit if dn_fit > 0 else np.inf
-    z_nl = 1.0 / (k0 * dn_fit) if dn_fit > 0 else np.inf
-    xi_fit = medium.healing_length(z_nl)
     return DispersionCurve(k_perp=k, v_g=v, omega=omega, dn_fit=dn_fit,
                            dn_stderr=dn_err, c_s=c_s, c_s_stderr=c_s_err,
                            xi_fit=xi_fit)

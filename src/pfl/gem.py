@@ -46,17 +46,6 @@ class GaussianPulse:
 
 
 @dataclass
-class PulseTrain:
-    pulses: list[GaussianPulse]
-
-    def sample(self, t: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(t, dtype=np.complex128)
-        for p in self.pulses:
-            out += p.sample(t)
-        return out
-
-
-@dataclass
 class GemConfig:
     """Lattice, coupling and schedule parameters of one memory run.
 
@@ -144,17 +133,18 @@ def _schedule(config: GemConfig, t: np.ndarray):
     return phase, t_mid, _gate(config, t_mid), _gate(config, t)
 
 
-def gem_evolve(config: GemConfig, pulses: PulseTrain,
+def gem_evolve(config: GemConfig, pulses: list[GaussianPulse],
                store_polarization: bool = True) -> GemResult:
-    """Integrate the memory equations for one input pulse train."""
-    rules.pulses([p.center for p in pulses.pulses], [p.width for p in pulses.pulses],
-                 config.t_extent)
+    """Integrate the memory equations for an input field, the sum of the pulses."""
+    rules.pulses([p.center for p in pulses], [p.width for p in pulses], config.t_extent)
     dt, dz = config.dt, config.dz
     z = config.z_coords()
     t = config.t_coords()
     phase, t_mid, c_mid, c_node = (a.tolist() for a in _schedule(config, t))
 
-    e_in = pulses.sample(t)
+    e_in = np.zeros(config.nt, dtype=np.complex128)
+    for p in pulses:
+        e_in += p.sample(t)
     alpha = np.zeros(config.nz, dtype=np.complex128)
     output = np.empty(config.nt, dtype=np.complex128)
     output[0] = _field_from_alpha(alpha, e_in[0], c_node[0], config.density, dz)[-1]
@@ -207,7 +197,7 @@ def gem_efficiency_measured(config: GemConfig, pulse: GaussianPulse) -> Efficien
     input_window, echo_window = rules.echo_windows(config.eta_flips[0], pulse.center,
                                                    pulse.width, config.t_extent)
 
-    result = gem_evolve(config, PulseTrain([pulse]), store_polarization=False)
+    result = gem_evolve(config, [pulse], store_polarization=False)
     t = result.times
     in_sel = (t >= input_window[0]) & (t <= input_window[1])
     echo_sel = (t >= echo_window[0]) & (t <= echo_window[1])
@@ -226,11 +216,11 @@ class PulseOrderingResult:
     labels: list[str]
 
 
-def ordering_mode(config: GemConfig, train: PulseTrain) -> str | None:
-    """The recall order a run of train on config reads, "FILO" or "FIFO", or
+def ordering_mode(config: GemConfig, pulses: list[GaussianPulse]) -> str | None:
+    """The recall order a run of pulses on config reads, "FILO" or "FIFO", or
     None; raises ValueError for a schedule that breaks rules.ordering."""
     return rules.ordering(config.eta_flips, config.coupling_windows,
-                          [p.center for p in train.pulses], [p.width for p in train.pulses],
+                          [p.center for p in pulses], [p.width for p in pulses],
                           config.t_extent)
 
 
@@ -260,18 +250,18 @@ def echo_peaks(power: np.ndarray, height: float, distance: int) -> np.ndarray:
     return peaks[keep]
 
 
-def recall_order(config: GemConfig, train: PulseTrain,
+def recall_order(config: GemConfig, pulses: list[GaussianPulse],
                  result: GemResult) -> PulseOrderingResult | None:
-    """The recall order of result, the run of train on config, if its
+    """The recall order of result, the run of the pulses on config, if its
     schedule sets one (rules.ordering), else None. FILO: one flip at tau,
     coupling always on; a pulse stored at t_p re-emits at 2 tau - t_p, so
     the later pulse exits first. FIFO: coupling gated off across those
     echoes and a second flip at tau2; the echoes land at t_p + 2 (tau2 - tau),
     in input order. Raises RuntimeError if the order found is not the mode's.
     """
-    if (mode := ordering_mode(config, train)) is None:
+    if (mode := ordering_mode(config, pulses)) is None:
         return None
-    first, second = sorted(train.pulses, key=lambda p: p.center)
+    first, second = sorted(pulses, key=lambda p: p.center)
     gap, tau = second.center - first.center, config.eta_flips[0]
     # (echo time, label) of each pulse
     expected = [(2.0 * tau - p.center if mode == "FILO"

@@ -14,7 +14,8 @@ import numpy as np
 
 from .grid import Field2D
 
-DEFAULT_DENSITY_FLOOR = 1e-3
+# a plaquette counts only where a corner's density reaches this fraction of the peak
+DENSITY_FLOOR = 1e-3
 
 
 @dataclass
@@ -41,14 +42,15 @@ def wrap_phase(delta: np.ndarray) -> np.ndarray:
     return np.angle(np.exp(1j * delta))
 
 
-def detect_vortices(field: Field2D, density_floor: float = DEFAULT_DENSITY_FLOOR) -> VortexSet:
+def detect_vortices(field: Field2D) -> VortexSet:
     """Locate quantized vortices as +-2pi plaquette windings of the phase.
 
     Only interior plaquettes are scanned: the wrap-around seam is excluded
     so that a single imprinted vortex (whose phase is not periodic) is
     recovered with its exact total winding. A plaquette is suppressed only
-    when all four of its corners fall below the density floor, which keeps
-    cores (whose central sample may be exactly zero) detectable.
+    when all four of its corners fall below DENSITY_FLOOR times the peak
+    density, which keeps cores (whose central sample may be exactly zero)
+    detectable; a zero field has no vortex.
     """
     field.validate_finite()
     phase = field.phase()
@@ -62,12 +64,9 @@ def detect_vortices(field: Field2D, density_floor: float = DEFAULT_DENSITY_FLOOR
     winding = (dpx[:-1, :] + dpy[:, 1:] - dpx[1:, :] - dpy[:, :-1])
     charges_grid = np.rint(winding / (2.0 * np.pi)).astype(int)
 
-    if peak > 0.0:
-        corners_max = np.maximum(
-            np.maximum(density[:-1, :-1], density[:-1, 1:]),
-            np.maximum(density[1:, :-1], density[1:, 1:]),
-        )
-        charges_grid = np.where(corners_max >= density_floor * peak, charges_grid, 0)
+    corners_max = np.maximum(np.maximum(density[:-1, :-1], density[:-1, 1:]),
+                             np.maximum(density[1:, :-1], density[1:, 1:]))
+    charges_grid = np.where(corners_max >= DENSITY_FLOOR * peak, charges_grid, 0)
 
     iy, ix = np.nonzero(charges_grid)
     x = grid.x_coords()

@@ -89,12 +89,16 @@ class MediumParams:
 
 def fluid_scales(medium: MediumParams, density: float) -> tuple[float, float, float]:
     """(z_nl, xi, c_s) for a homogeneous fluid of the given density."""
-    g_abs = abs(medium.g)
-    if g_abs == 0.0 or density <= 0.0:
+    return shift_scales(medium, medium.nonlinear_index_shift(density))
+
+
+def shift_scales(medium: MediumParams, dn: float) -> tuple[float, float, float]:
+    """(z_nl, xi, c_s) for a fluid whose nonlinear index shift is dn:
+    z_nl = 1 / (k0 dn), xi = sqrt(z_nl / (n0 k0)) and c_s = sqrt(dn / n0)."""
+    if dn <= 0.0:
         return math.inf, math.inf, 0.0
-    z_nl = 1.0 / (g_abs * density)
-    c_s = math.sqrt(medium.nonlinear_index_shift(density) / medium.n0)
-    return z_nl, medium.healing_length(z_nl), c_s
+    z_nl = 1.0 / (medium.k0 * dn)
+    return z_nl, medium.healing_length(z_nl), math.sqrt(dn / medium.n0)
 
 
 def intensity_to_density(intensity, n0: float):

@@ -26,9 +26,9 @@ def build_grid(cfg: RunConfig) -> Grid:
     return make_grid(g["nx"], g["ny"], g["dx"], g["dy"])
 
 
-def build_medium(cfg: RunConfig, grid: Grid | None = None) -> MediumParams:
+def build_medium(cfg: RunConfig, grid: Grid) -> MediumParams:
     """The medium pfl validate checks, with the potential sampled on grid."""
-    potential = None if cfg.potential is None or grid is None else _build_potential(cfg, grid)
+    potential = None if cfg.potential is None else _build_potential(cfg, grid)
     return replace(medium_params(cfg.medium), potential=potential)
 
 
@@ -101,8 +101,7 @@ def _scenario_propagate(cfg: RunConfig, w: ArtifactWriter):
 
     record = propagate(field, medium, plan, keep=write_snapshot)
     w.field("final.pfl1", record.final_field, record.z_final)
-    if cfg.run["csv"]:
-        w.csv("power.csv", ["z", "power"], record.power_trace)
+    w.csv("power.csv", ["z", "power"], record.power_trace)
     if cfg.run["pgm"]:
         w.pgm("final_density.pgm", record.final_field)
     w.metrics("metrics.txt", record)
@@ -122,8 +121,7 @@ def _scenario_dispersion(cfg: RunConfig, w: ArtifactWriter):
     samples = [(m.k_perp, m.v_g)
                for m in measure_group_velocity(background, probes, medium, plan)]
     curve = dispersion_from_group_velocity(samples, medium)
-    if cfg.run["csv"]:
-        w.csv("dispersion.csv", ["k_perp", "v_g", "omega"], curve.rows())
+    w.csv("dispersion.csv", ["k_perp", "v_g", "omega"], curve.rows())
     w.text("fit.txt", "\n".join([
         f"c_s = {fmt(curve.c_s)}",
         f"c_s_stderr = {fmt(curve.c_s_stderr)}",
@@ -143,9 +141,8 @@ def _scenario_sound_scaling(cfg: RunConfig, w: ArtifactWriter):
                                  k_perp_xi=p["k_perp_xi"],
                                  probe_waist_xi=p["probe_waist_xi"],
                                  power_ratio=p["power_ratio"])
-    if cfg.run["csv"]:
-        w.csv("sound_scaling.csv", ["density", "c_s"],
-              zip(result.densities, result.sound_speeds))
+    w.csv("sound_scaling.csv", ["density", "c_s"],
+          zip(result.densities, result.sound_speeds))
     w.text("fit.txt", f"exponent = {fmt(result.exponent)}\n"
                       f"stderr = {fmt(result.stderr)}\n")
 
@@ -168,13 +165,11 @@ def _scenario_precondensation(cfg: RunConfig, w: ArtifactWriter):
                   for record in propagate(stack, run_medium, plan)]
         stats = intensity_statistics(finals, bins=p["bins"])
         tag = fmt(tau).replace(".", "p")
-        if cfg.run["csv"]:
-            w.csv(f"pi_hist_tau{tag}.csv", ["intensity", "pdf"], stats.rows())
-            g1 = coherence_g1(finals, method="rotate_pair" if n_real == 1 else "ensemble")
-            w.csv(f"g1_tau{tag}.csv", ["separation", "g1"], g1.rows())
+        w.csv(f"pi_hist_tau{tag}.csv", ["intensity", "pdf"], stats.rows())
+        g1 = coherence_g1(finals, method="rotate_pair" if n_real == 1 else "ensemble")
+        w.csv(f"g1_tau{tag}.csv", ["separation", "g1"], g1.rows())
         moments.append((tau, stats.mode, stats.g2))
-    if cfg.run["csv"]:
-        w.csv("moments.csv", ["tau", "mode", "g2"], moments)
+    w.csv("moments.csv", ["tau", "mode", "g2"], moments)
 
 
 def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
@@ -204,8 +199,7 @@ def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
         signal += [r.final_field.density() for r in propagate(fields, medium, plan)]
     sf = structure_factor(signal, reference, grid=grid, nbins=p["nbins"],
                           min_realizations=min(p["realizations"], 100))
-    if cfg.run["csv"]:
-        w.csv("structure_factor.csv", ["k", "s_k", "sigma"], sf.rows())
+    w.csv("structure_factor.csv", ["k", "s_k", "sigma"], sf.rows())
 
 
 def _scenario_vortices(cfg: RunConfig, w: ArtifactWriter):
@@ -229,8 +223,7 @@ def _scenario_vortices(cfg: RunConfig, w: ArtifactWriter):
     w.metrics("metrics.txt", record)
     w.field("final.pfl1", field, record.z_final)
     vortices = detect_vortices(field)
-    if cfg.run["csv"]:
-        w.csv("vortices.csv", ["x", "y", "charge"], vortices.as_rows())
+    w.csv("vortices.csv", ["x", "y", "charge"], vortices.as_rows())
     if cfg.run["pgm"]:
         w.pgm("density.pgm", field)
 
@@ -242,7 +235,7 @@ def _write_trace(w: ArtifactWriter, name: str, times, field):
 
 
 def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
-    from .gem import GaussianPulse, GemConfig, PulseTrain, gem_evolve, ordering_mode, recall_order
+    from .gem import GaussianPulse, GemConfig, gem_evolve, ordering_mode, recall_order
 
     p = cfg.params
     windows = p["coupling_windows"]
@@ -252,20 +245,18 @@ def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
         eta_flips=tuple(p["flip_times"]), decay=p["decay"],
         coupling_windows=tuple(zip(windows[::2], windows[1::2])))
     labels = list(p["pulse_labels"]) or [chr(ord("A") + i) for i in range(len(p["pulse_centers"]))]
-    train = PulseTrain([GaussianPulse(center=c, width=wd, label=lb)
-                        for c, wd, lb in zip(p["pulse_centers"], p["pulse_widths"], labels)])
-    ordering_mode(gem_cfg, train)  # raises for a schedule rules.ordering refuses, before the run
+    pulses = [GaussianPulse(center=c, width=wd, label=lb)
+              for c, wd, lb in zip(p["pulse_centers"], p["pulse_widths"], labels)]
+    ordering_mode(gem_cfg, pulses)  # raises for a schedule rules.ordering refuses, before the run
     # the z-resolved polarization is read only for its image
-    result = gem_evolve(gem_cfg, train, store_polarization=cfg.run["pgm"])
-    order = recall_order(gem_cfg, train, result)  # None unless the schedule sets one
-    if cfg.run["csv"]:
-        _write_trace(w, "input.csv", result.times, result.input_field)
-        _write_trace(w, "output.csv", result.times, result.output_field)
-        if order:
-            w.csv("peaks.csv", ["time", "label"], zip(order.peak_times, order.labels))
+    result = gem_evolve(gem_cfg, pulses, store_polarization=cfg.run["pgm"])
+    order = recall_order(gem_cfg, pulses, result)  # None unless the schedule sets one
+    _write_trace(w, "input.csv", result.times, result.input_field)
+    _write_trace(w, "output.csv", result.times, result.output_field)
     if cfg.run["pgm"]:
         w.pgm("polarization.pgm", np.abs(result.polarization))
     if order:
+        w.csv("peaks.csv", ["time", "label"], zip(order.peak_times, order.labels))
         w.text("ordering.txt", f"mode = {order.mode}\norder = {','.join(order.labels)}\n")
 
 
@@ -285,8 +276,7 @@ def _scenario_gem_efficiency_sweep(cfg: RunConfig, w: ArtifactWriter):
         measured = gem_efficiency_measured(gem_cfg, pulse)
         theory = gem_efficiency_theory(g, density, p["eta0"])
         rows.append((ratio, theory, measured.sigma))
-    if cfg.run["csv"]:
-        w.csv("efficiency_sweep.csv", ["ratio", "sigma_theory", "sigma_sim"], rows)
+    w.csv("efficiency_sweep.csv", ["ratio", "sigma_theory", "sigma_sim"], rows)
 
 
 # each scenario of config.SCENARIOS runs _scenario_<name, '-' as '_'>

@@ -31,13 +31,10 @@ def gaussian_beam(grid: Grid, waist: float, power: float, n0: float) -> Field2D:
                       "periodic images may overlap the beam", stacklevel=2)
     xx, yy = grid.meshgrid()
     envelope = np.exp(-(xx**2 + yy**2) / waist**2)
-    if power == 0.0:
-        values = np.zeros_like(envelope, dtype=np.complex128)
-    else:
-        # continuous integral of exp(-2 r^2 / w^2) is pi w^2 / 2
-        peak_intensity = 2.0 * power / (np.pi * waist**2)
-        e_peak = np.sqrt(intensity_to_density(peak_intensity, n0))
-        values = (e_peak * envelope).astype(np.complex128)
+    # continuous integral of exp(-2 r^2 / w^2) is pi w^2 / 2
+    peak_intensity = 2.0 * power / (np.pi * waist**2)
+    e_peak = np.sqrt(intensity_to_density(peak_intensity, n0))
+    values = (e_peak * envelope).astype(np.complex128)
     return Field2D(grid=grid, values=values).validate_finite()
 
 
@@ -119,8 +116,6 @@ def imprint_dark_stripe(field: Field2D, position: float = 0.0, angle: float = 0.
     s = xx * np.cos(angle) + yy * np.sin(angle) - position
     phi = 0.5 * np.pi * (1.0 - contrast)
     m = np.sin(phi) - 1j * np.cos(phi) * np.tanh(s * np.cos(phi) / width)
-    if contrast == 1.0:
-        m = -1j * np.tanh(s / width)
     return field.with_values(field.values * m).validate_finite()
 
 

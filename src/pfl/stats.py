@@ -57,7 +57,7 @@ class CoherenceProfile:
         return zip(self.separation, self.g1)
 
 
-def coherence_g1(fields, method: str = "rotate_pair", nbins: int = 0) -> CoherenceProfile:
+def coherence_g1(fields, method: str = "rotate_pair") -> CoherenceProfile:
     """First-order coherence profile g1(dr).
 
     rotate_pair mirrors a single field through the grid center and
@@ -65,17 +65,18 @@ def coherence_g1(fields, method: str = "rotate_pair", nbins: int = 0) -> Coheren
     with its inverted copy: the contrast at radius r measures the coherence
     between points separated by dr = 2 r. ensemble averages
     <psi(r) psi*(r + dr)> over realizations (at least two fields).
-    Both profiles are radially binned and normalized to g1 in [0, 1].
+    Both profiles are radially binned, in min(nx, ny) // 8 bins for
+    rotate_pair and // 4 for ensemble, and normalized to g1 in [0, 1].
     fields is a Field2D or a list of them on one grid.
     """
     fields = _as_list(fields)
     values, grid = [f.values for f in fields], fields[0].grid
     if method == "rotate_pair":
-        return _g1_rotate_pair(values, grid, nbins)
+        return _g1_rotate_pair(values, grid)
     if method == "ensemble":
         if len(values) < 2:
             raise ValueError("the ensemble method needs at least 2 realizations")
-        return _g1_ensemble(values, grid, nbins)
+        return _g1_ensemble(values, grid)
     raise ValueError(f"unknown coherence method {method!r}")
 
 
@@ -97,11 +98,10 @@ def _radial_sums(r: np.ndarray, r_max: float, nbins: int, take: np.ndarray, *wei
     return edges[:-1] + 0.5 * np.diff(edges), *map(bin_sum, picked)
 
 
-def _g1_rotate_pair(values: list[np.ndarray], grid, nbins: int) -> CoherenceProfile:
+def _g1_rotate_pair(values: list[np.ndarray], grid) -> CoherenceProfile:
     rr = np.hypot(*grid.meshgrid())
     r_max = 0.5 * min(grid.extent_x, grid.extent_y) / 2.0  # stay clear of the corners
-    if nbins <= 0:
-        nbins = min(grid.nx, grid.ny) // 8
+    nbins = min(grid.nx, grid.ny) // 8
     v = np.stack(values)
     mirrored = np.roll(v[:, ::-1, ::-1], (1, 1), axis=(1, 2))  # psi(-r)
     centres, num, den = _radial_sums(rr, r_max, nbins, rr.ravel() < r_max,
@@ -114,7 +114,7 @@ def _g1_rotate_pair(values: list[np.ndarray], grid, nbins: int) -> CoherenceProf
                             g1=np.clip(g1, 0.0, 1.0))
 
 
-def _g1_ensemble(values: list[np.ndarray], grid, nbins: int) -> CoherenceProfile:
+def _g1_ensemble(values: list[np.ndarray], grid) -> CoherenceProfile:
     ny, nx, dx, dy = grid.ny, grid.nx, grid.dx, grid.dy
     corr = np.zeros((ny, nx), dtype=np.complex128)
     for v in values:
@@ -128,8 +128,7 @@ def _g1_ensemble(values: list[np.ndarray], grid, nbins: int) -> CoherenceProfile
     sx, sy = np.meshgrid(shifts_x, shifts_y)
     rr = np.hypot(sx, sy)
     r_max = 0.5 * min(nx * dx, ny * dy)
-    if nbins <= 0:
-        nbins = min(nx, ny) // 4
+    nbins = min(nx, ny) // 4
     centres, num, counts = _radial_sums(rr, r_max, nbins, rr.ravel() < r_max, corr, None)
     good = counts > 0
     g1 = np.abs(num[good]) / counts[good]
@@ -147,12 +146,13 @@ class StructureFactor:
 
 
 def structure_factor(signal: list[np.ndarray], reference: list[np.ndarray], grid: Grid,
-                     nbins: int = 0, min_realizations: int = 100) -> StructureFactor:
+                     nbins: int, min_realizations: int = 100) -> StructureFactor:
     """Static structure factor of a signal ensemble against a reference.
 
     S(k) is the radially averaged ratio of the density-fluctuation power
     spectra, delta rho = rho - <rho> with the mean taken over each ensemble
-    separately. The reference plays the role of the shot-noise calibration
+    separately, in nbins equal bins of |k| up to the smaller Nyquist
+    wavenumber. The reference plays the role of the shot-noise calibration
     (a coherent state carrying the same injected noise, unpropagated).
     sigma is the per-bin standard error propagated from the realization
     scatter of both ensembles. signal and reference are lists of densities
@@ -176,8 +176,6 @@ def structure_factor(signal: list[np.ndarray], reference: list[np.ndarray], grid
     kxx, kyy = np.meshgrid(kx, ky)
     kk = np.hypot(kxx, kyy)
     k_max = float(min(np.max(np.abs(kx)), np.max(np.abs(ky))))
-    if nbins <= 0:
-        nbins = min(grid.nx, grid.ny) // 8
     # drop the k = 0 mean mode; v_num and v_den give the variance of the bin
     # means, realization scatter / (modes * realizations)
     centres, s_num, s_den, v_num, v_den, counts = _radial_sums(

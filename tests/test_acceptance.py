@@ -12,7 +12,7 @@ import pytest
 from pfl.cli import main as cli_main
 from pfl.dispersion import (ProbeSpec, dispersion_from_group_velocity,
                             measure_group_velocity, sound_speed_scaling)
-from pfl.gem import (GaussianPulse, GemConfig, PulseTrain, gem_efficiency_measured,
+from pfl.gem import (GaussianPulse, GemConfig, gem_efficiency_measured,
                      gem_efficiency_theory, gem_evolve, recall_order)
 from pfl.grid import Field2D, fft2, ifft2, make_grid
 from pfl.hydro import circulation_batch, detect_vortices
@@ -196,8 +196,7 @@ def test_criterion_08_gem_efficiency():
 def test_criterion_09_fifo_filo():
     eta = 20.0
     g = density = float(np.sqrt(1.5 * eta / (2.0 * np.pi)))
-    train = PulseTrain([GaussianPulse(1.0, 0.15, label="A"),
-                        GaussianPulse(2.0, 0.15, label="B")])
+    train = [GaussianPulse(1.0, 0.15, label="A"), GaussianPulse(2.0, 0.15, label="B")]
     filo_cfg = GemConfig(g=g, density=density, eta0=eta, z_extent=2.0, nz=256,
                          t_extent=7.0, nt=1400, eta_flips=(3.0,))
     filo = recall_order(filo_cfg, train, gem_evolve(filo_cfg, train, store_polarization=False))

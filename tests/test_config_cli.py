@@ -663,7 +663,7 @@ class TestParsing:
         dispersion = GOOD_DISPERSION.replace("20000, 30000", "20000, -inf")
         for text, message in [
             (GOOD_PROPAGATE.replace("n_steps = 20", "n_steps = twenty"), "n_steps"),
-            (shipped.replace("dx = 5e-6", "dx = nan"), "line 14: key 'grid.dx': cannot "
+            (shipped.replace("dx = 5e-6", "dx = nan"), "line 13: key 'grid.dx': cannot "
                                                        "parse 'nan' as finite float"),
             (shipped.replace("dx = 5e-6", "dx = inf"), "'grid.dx'.*'inf'"),
             (shipped.replace("length = 0.075", "length = nan"), "'medium.length'.*'nan'"),
@@ -711,6 +711,23 @@ class TestCli:
         assert proc.stdout.splitlines()[-1] == "exit 2 False"
         assert proc.stderr.startswith(f"config error: config file {cfg} is not UTF-8 text")
         assert "Traceback" not in proc.stderr
+
+    def test_csv_false_exits_2_without_numpy(self, tmp_path):
+        # every run writes its CSV files: csv parses, and only as true
+        cfg = tmp_path / "no_csv.ini"
+        cfg.write_text(GOOD_GEM.replace("seed = 9\n", "seed = 9\ncsv = false\n"))
+        code = ("import sys; from pfl.cli import main; "
+                f"code = main(['validate', '--config', {str(cfg)!r}]); "
+                "print('exit', code, 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.splitlines()[-1] == "exit 2 False", proc.stderr
+        assert proc.stderr == ("config error: run.csv must be true: every run writes "
+                               "its CSV files\n")
+        cfg.write_text(GOOD_GEM.replace("seed = 9\n", "seed = 9\ncsv = true\n"))
+        assert cli_main(["validate", "--config", str(cfg)]) == 0
+        for config in CONFIGS:  # each scenario refuses it
+            with pytest.raises(ConfigError, match="every run writes its CSV files"):
+                parse_config(config.read_text().replace("[run]\n", "[run]\ncsv = false\n"))
 
     def test_scenario_mismatch_exit_2(self, tmp_path):
         cfg = tmp_path / "gem.ini"
@@ -820,7 +837,7 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{[0] * len(CONFIGS) + [2, 0]} []"
-        assert "line 18: medium.n0 must lie in (0, inf), got -1.0" in proc.stderr
+        assert "line 17: medium.n0 must lie in (0, inf), got -1.0" in proc.stderr
 
     def test_shipped_dispersion_config_runs(self, tmp_path, monkeypatch):
         # one stacked propagation of one line per probe: the background is
@@ -850,14 +867,14 @@ class TestCli:
         # every other probe's, and the fit stays on sqrt(dn_nl / n0) (0.01250
         # measured against 0.01241, and 0.01258 at k_perp = 0)
         from pfl.medium import fluid_scales, intensity_to_density
-        from pfl.scenarios import build_medium
+        from pfl.scenarios import build_grid, build_medium
         shipped = next(c for c in CONFIGS if c.name == "bogoliubov_dispersion.ini").read_text()
         config = tmp_path / "k0.ini"
         config.write_text(swap(shipped, "k_perp_list = 20000", "k_perp_list = 0, 20000"))
         out = tmp_path / "out"
         assert cli_main(["dispersion", "--config", str(config), "--out", str(out)]) == 0
         cfg = parse_config(config.read_text())
-        medium = build_medium(cfg)
+        medium = build_medium(cfg, build_grid(cfg))
         *_, c_s = fluid_scales(medium, intensity_to_density(cfg.source["intensity"], medium.n0))
         fit = dict(line.split(" = ") for line in (out / "fit.txt").read_text().splitlines())
         assert float(fit["c_s"]) == pytest.approx(c_s, rel=0.03)

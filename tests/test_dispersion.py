@@ -8,12 +8,12 @@ import pytest
 from pfl.dispersion import (ProbeSpec, _fit_bogoliubov, _fit_drift, _line_fit,
                             _threshold_islands, _trailing_run, _wrap_coord,
                             bogoliubov_group_velocity, bogoliubov_omega,
-                            bogoliubov_sound_speed, dispersion_from_group_velocity,
+                            dispersion_from_group_velocity,
                             measure_group_velocity, packet_displacement,
                             demodulated_envelope, probe_line, snapshot_density,
                             track_packets)
 from pfl.grid import Field2D, fft, ifft, make_grid
-from pfl.medium import MediumParams
+from pfl.medium import MediumParams, shift_scales
 from pfl.solver import StepPlan, propagate
 
 from conftest import WAVELENGTH, defocusing_setup
@@ -50,7 +50,7 @@ class TestBogoliubovForms:
     def test_omega_asymptotics(self):
         dn = 1e-4
         k_low = np.array([1.0])
-        c_s = bogoliubov_sound_speed(1.0, dn)
+        c_s = np.sqrt(dn / 1.0)
         assert bogoliubov_omega(k_low, K0, 1.0, dn)[0] == pytest.approx(
             c_s * k_low[0], rel=1e-6)
         k_high = np.array([1e7])
@@ -59,7 +59,7 @@ class TestBogoliubovForms:
 
     def test_group_velocity_limits(self):
         dn = 1e-4
-        c_s = bogoliubov_sound_speed(1.0, dn)
+        c_s = np.sqrt(dn / 1.0)
         assert bogoliubov_group_velocity(np.array([0.0]), K0, 1.0, dn)[0] == \
             pytest.approx(c_s)
         k = np.array([1e3])
@@ -67,8 +67,10 @@ class TestBogoliubovForms:
             pytest.approx(c_s, rel=1e-3)
 
     def test_sound_speed_vanishes_without_interactions(self):
-        assert bogoliubov_sound_speed(1.0, 0.0) == 0.0
-        assert bogoliubov_sound_speed(1.0, 1e-12) < 1e-5
+        med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20)
+        assert shift_scales(med, 0.0) == (np.inf, np.inf, 0.0)
+        assert shift_scales(med, 1e-12)[2] < 1e-5
+        assert bogoliubov_group_velocity(np.array([0.0]), K0, 1.0, 0.0)[0] == 0.0
 
 
 class TestDispersionIntegration:
@@ -94,8 +96,7 @@ class TestDispersionIntegration:
         k = np.linspace(0.05, 3.0, 20) / xi
         v = bogoliubov_group_velocity(k, K0, 1.0, dn_true)
         curve = dispersion_from_group_velocity(list(zip(k, v)), med)
-        assert curve.c_s == pytest.approx(bogoliubov_sound_speed(1.0, dn_true),
-                                          rel=0.01)
+        assert curve.c_s == pytest.approx(np.sqrt(dn_true / 1.0), rel=0.01)
         assert curve.xi_fit == pytest.approx(xi, rel=0.02)
 
     def test_sonic_line_fit_sits_on_the_boundary(self):

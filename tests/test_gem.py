@@ -5,7 +5,7 @@ import pytest
 
 from pfl import gem
 from pfl.cli import main as cli_main
-from pfl.gem import (GaussianPulse, GemConfig, PulseTrain, _schedule, echo_peaks,
+from pfl.gem import (GaussianPulse, GemConfig, _schedule, echo_peaks,
                      gem_efficiency_measured, gem_efficiency_theory, gem_evolve, recall_order)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -103,7 +103,7 @@ class TestEvolution:
     def test_decoupled_transit(self):
         cfg = make_config(ratio=1.0, g=0.0, density=0.0)
         pulse = GaussianPulse(center=1.5, width=0.2)
-        result = gem_evolve(cfg, PulseTrain([pulse]))
+        result = gem_evolve(cfg, [pulse])
         assert np.allclose(result.output_field, result.input_field, atol=1e-12)
         assert not np.any(result.polarization)
 
@@ -111,7 +111,7 @@ class TestEvolution:
         # intensity transmission during the write follows exp(-2 pi g N / eta)
         cfg = make_config(ratio=4.0)
         pulse = GaussianPulse(center=1.5, width=0.2)
-        result = gem_evolve(cfg, PulseTrain([pulse]), store_polarization=False)
+        result = gem_evolve(cfg, [pulse], store_polarization=False)
         t = result.times
         write = (t > 0.7) & (t < 2.3)
         transmitted = np.trapezoid(np.abs(result.output_field[write]) ** 2, t[write])
@@ -121,14 +121,14 @@ class TestEvolution:
 
     def test_memory_starts_empty(self):
         cfg = make_config()
-        result = gem_evolve(cfg, PulseTrain([GaussianPulse(1.5, 0.2)]))
+        result = gem_evolve(cfg, [GaussianPulse(1.5, 0.2)])
         assert not np.any(result.polarization[:, 0])
 
     def test_coupling_off_freezes_polarization_norm(self):
         cfg = make_config(coupling_windows=((0.0, 2.0),), t_extent=6.0, nt=900,
                           eta_flips=())
         pulse = GaussianPulse(center=1.0, width=0.2)
-        result = gem_evolve(cfg, PulseTrain([pulse]))
+        result = gem_evolve(cfg, [pulse])
         t = result.times
         dz = cfg.dz
         norms = np.sum(np.abs(result.polarization) ** 2, axis=0) * dz
@@ -139,7 +139,7 @@ class TestEvolution:
     def test_no_windows_is_the_default_and_always_on(self):
         # () is the default; a window over the whole run gates nothing off
         cfg = make_config(nz=64, nt=1200)
-        train = PulseTrain([GaussianPulse(center=1.5, width=0.18)])
+        train = [GaussianPulse(center=1.5, width=0.18)]
         default = gem_evolve(cfg, train).output_field.tobytes()
         for windows in ((), ((0.0, cfg.t_extent),)):
             run = gem_evolve(make_config(nz=64, nt=1200, coupling_windows=windows), train)
@@ -152,7 +152,7 @@ class TestEvolution:
     def test_pulse_margin_validation(self):
         cfg = make_config()
         with pytest.raises(ValueError, match="4 sigma"):
-            gem_evolve(cfg, PulseTrain([GaussianPulse(0.2, 0.2)]))
+            gem_evolve(cfg, [GaussianPulse(0.2, 0.2)])
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -190,7 +190,7 @@ class TestEfficiency:
         outputs = []
         for nz, nt in ((65, 501), (129, 1001), (257, 2001)):
             cfg = make_config(ratio=1.5, nz=nz, nt=nt)
-            result = gem_evolve(cfg, PulseTrain([pulse]), store_polarization=False)
+            result = gem_evolve(cfg, [pulse], store_polarization=False)
             outputs.append(result.output_field)
         # compare every level on the coarse time samples
         e_coarse = np.linalg.norm(outputs[0] - outputs[1][::2])
@@ -233,8 +233,7 @@ def recall(cfg, train):
 
 class TestOrdering:
     def _train(self):
-        return PulseTrain([GaussianPulse(1.0, 0.15, label="A"),
-                           GaussianPulse(2.0, 0.15, label="B")])
+        return [GaussianPulse(1.0, 0.15, label="A"), GaussianPulse(2.0, 0.15, label="B")]
 
     def test_filo_b_before_a(self):
         cfg = make_config(ratio=1.5, t_extent=7.0, nt=1400, eta_flips=(3.0,))
@@ -254,15 +253,14 @@ class TestOrdering:
         assert result.peak_times[1] == pytest.approx(7.0, abs=0.1)
 
     def test_identical_pulses_ordered_by_timing(self):
-        train = PulseTrain([GaussianPulse(1.0, 0.15, label="A", amplitude=1.0),
-                            GaussianPulse(2.0, 0.15, label="B", amplitude=1.0)])
+        train = [GaussianPulse(1.0, 0.15, label="A", amplitude=1.0),
+                 GaussianPulse(2.0, 0.15, label="B", amplitude=1.0)]
         cfg = make_config(ratio=1.5, t_extent=7.0, nt=1400, eta_flips=(3.0,))
         result = recall(cfg, train)
         assert result.labels == ["B", "A"]
 
     def test_unresolved_pulses_rejected(self):
-        train = PulseTrain([GaussianPulse(1.6, 0.15, label="A"),
-                            GaussianPulse(2.0, 0.15, label="B")])
+        train = [GaussianPulse(1.6, 0.15, label="A"), GaussianPulse(2.0, 0.15, label="B")]
         cfg = make_config(ratio=1.5, t_extent=7.0, nt=1400)
         with pytest.raises(ValueError, match="resolved"):
             recall(cfg, train)

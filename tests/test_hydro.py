@@ -31,6 +31,10 @@ class TestDetectVortices:
             f = gaussian_beam(small_grid, 1e-4, 1.0, 1.0)
         assert len(detect_vortices(f)) == 0
 
+    def test_zero_field_has_no_vortex(self, small_grid):
+        zero = Field2D(grid=small_grid, values=np.zeros((64, 64), dtype=np.complex128))
+        assert len(detect_vortices(zero)) == 0
+
     @pytest.mark.parametrize("charge", [-3, -2, -1, 1, 2, 3])
     def test_total_winding_exact(self, charge):
         grid = make_grid(128, 128, 1e-5)

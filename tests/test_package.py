@@ -33,8 +33,12 @@ def test_submodule_import_still_works():
 
 @pytest.mark.parametrize("module, name", [("solver", "kinetic_half_step"),
                                           ("config", "serialize_config"),
-                                          ("solver", "kinetic_multiplier")],
-                         ids=["kinetic_half_step", "serialize_config", "kinetic_multiplier"])
+                                          ("solver", "kinetic_multiplier"),
+                                          ("gem", "PulseTrain"),
+                                          ("dispersion", "bogoliubov_sound_speed"),
+                                          ("hydro", "DEFAULT_DENSITY_FLOOR")],
+                         ids=["kinetic_half_step", "serialize_config", "kinetic_multiplier",
+                              "PulseTrain", "bogoliubov_sound_speed", "DEFAULT_DENSITY_FLOOR"])
 def test_removed_name_is_not_public(module, name):
     assert name not in pfl.__all__
     assert not hasattr(import_module(f"pfl.{module}"), name)

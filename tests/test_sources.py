@@ -161,6 +161,9 @@ class TestDarkStripe:
         phase = out.phase()
         jump = abs(phase[32, col + 8] - phase[32, col - 8])
         assert jump == pytest.approx(np.pi, abs=1e-6)
+        # the general multiplier at contrast 1 is -i tanh(s / w), w = 4 dx
+        xx, _ = small_grid.meshgrid()
+        assert np.array_equal(out.values, base.values * (-1j * np.tanh(xx / (4 * small_grid.dx))))
 
     @pytest.mark.parametrize("contrast", [0.25, 0.5, 0.8])
     def test_min_density_matches_construction(self, small_grid, contrast):

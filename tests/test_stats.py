@@ -49,7 +49,7 @@ class TestCoherenceG1:
         g = make_grid(256, 256, 1e-5)
         lc = 8e-5
         fields = [speckle(g, lc, 5.0, seed=17 + i) for i in range(16)]
-        prof = coherence_g1(fields, method="rotate_pair", nbins=24)
+        prof = coherence_g1(fields, method="rotate_pair")
         sel = prof.separation < 3 * lc
         expected = np.exp(-prof.separation[sel] ** 2 / (2 * lc**2))
         assert np.max(np.abs(prof.g1[sel] - expected)) < 0.08
@@ -59,7 +59,7 @@ class TestCoherenceG1:
         for n in (128, 96):  # 96^2 has no power-of-two strides
             g = make_grid(n, n, 1e-5)
             fields = [speckle(g, lc, 5.0, seed=100 + i) for i in range(24)]
-            prof = coherence_g1(fields, method="ensemble", nbins=32)
+            prof = coherence_g1(fields, method="ensemble")
             sel = prof.separation < 2.5 * lc
             expected = np.exp(-prof.separation[sel] ** 2 / (2 * lc**2))
             assert np.max(np.abs(prof.g1[sel] - expected)) < 0.08
@@ -93,7 +93,7 @@ def test_profiles_take_equal_radial_bins_on_a_non_power_of_two_grid():
     ensemble = coherence_g1(fields, method="ensemble")
     assert np.array_equal(ensemble.separation, centres(0.5 * (96 * 1e-5), 24))
     _, noisy = _noise_ensembles(3, n=96)
-    sf = structure_factor(noisy, noisy[::-1], grid=g, min_realizations=3)
+    sf = structure_factor(noisy, noisy[::-1], grid=g, nbins=12, min_realizations=3)
     assert np.array_equal(sf.k, centres(float(np.max(np.abs(g.kx()))), 12))
 
 
@@ -125,13 +125,13 @@ class TestStructureFactor:
     def test_too_few_realizations(self):
         g, signal = _noise_ensembles(10)
         with pytest.raises(ValueError, match="realizations"):
-            structure_factor(signal, signal, grid=g)
+            structure_factor(signal, signal, grid=g, nbins=8)
 
     def test_degenerate_reference_rejected(self):
         g = make_grid(32, 32, 1e-5)
         constant = [np.ones((32, 32)) for _ in range(120)]
         with pytest.raises(ValueError, match="0/0"):
-            structure_factor(constant, constant, grid=g, min_realizations=100)
+            structure_factor(constant, constant, grid=g, nbins=8, min_realizations=100)
 
     def test_matches_stacked_mean_formula(self, monkeypatch):
         # the ensemble mean is a running sum over the members; it must give
