@@ -153,6 +153,9 @@ _GEM = {
     "pulse_labels": Key("strs", ()),
 }
 
+# a probe's peak intensity over the background's, in dispersion and sound-scaling
+_POWER_RATIO = Key("float", 1e-5, within=_NON_NEGATIVE)
+
 # the [run] entries of a scenario that writes snapshots, an image and CSV
 # files; the CLI sets the output directory
 _RUN_SNAPSHOTS = {"run": _RUN, "run.jobs": "a run takes no thread count",
@@ -180,7 +183,7 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         "dispersion": {
             "k_perp_list": Key("floats", within=_NON_NEGATIVE, items=5),
             "probe_waist": Key("float", within=_POSITIVE),
-            "power_ratio": Key("float", 1e-5, within=_NON_NEGATIVE),
+            "power_ratio": _POWER_RATIO,
         },
     },
     "sound-scaling": {
@@ -196,7 +199,7 @@ SCENARIOS: dict[str, dict[str, Any]] = {
             "tau": Key("float", 25.0, within=_POSITIVE),
             "k_perp_xi": Key("float", 0.2, within=_POSITIVE),
             "probe_waist_xi": Key("float", 10.0, within=_POSITIVE),
-            "power_ratio": Key("float", 1e-5, within=_NON_NEGATIVE),
+            "power_ratio": _POWER_RATIO,
         },
     },
     "precondensation": {

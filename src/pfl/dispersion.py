@@ -35,10 +35,10 @@ times its line density minus the background's as it is made: the tracker
 only ever uses the y-integrated density change. The quadratic terms the
 line drops shrink with the probe amplitude, sqrt(power_ratio).
 
-A sweep passes its probes to measure_group_velocity as one sequence. Their
-lines run as one (K, 1, nx) stack through a single propagate call, whose
-per-step cost on a 1D line is mostly dispatch, and each member's snapshots
-equal those of a lone call bit for bit. The keep callback stores each
+measure_group_velocity takes its probes as one sequence. Their lines run
+as one (K, 1, nx) stack through a single propagate call, whose per-step
+cost on a 1D line is mostly dispatch, and each member's snapshots equal
+those of a one-probe call bit for bit. The keep callback stores each
 snapshot's line density change, nx floats, and the tracker runs once after
 the run on the (K, S, nx) stack of S snapshots: one transform pair
 demodulates every line and one island scan reads every envelope, and each
@@ -278,16 +278,15 @@ def probe_line(background: Field2D, probe: ProbeSpec) -> Field2D:
     return Field2D(grid=Grid(grid.nx, 1, grid.dx, grid.dy), values=line[None])
 
 
-def measure_group_velocity(background: Field2D, probe: ProbeSpec | Sequence[ProbeSpec],
+def measure_group_velocity(background: Field2D, probes: Sequence[ProbeSpec],
                            medium: MediumParams, plan: StepPlan
-                           ) -> GroupVelocityMeasurement | list[GroupVelocityMeasurement]:
-    """Group velocity of a weak probe at probe.k_perp on the background.
+                           ) -> list[GroupVelocityMeasurement]:
+    """Group velocity of each weak probe at its k_perp on the background.
 
-    probe is one ProbeSpec, or a sequence of them that runs as one
-    (K, 1, nx) stack of probe lines through a single propagate call and
-    returns a list of measurements in probe order; each equals that of a
-    lone call bit for bit. Every probe is checked before anything
-    propagates.
+    The probes run as one (K, 1, nx) stack of probe lines through a single
+    propagate call; the measurements come back as a list in probe order,
+    each equal to that of a one-probe call bit for bit. Every probe is
+    checked before anything propagates.
 
     The background must be a homogeneous fluid: one uniform value in a
     medium without a potential (ValueError otherwise). Its line density at
@@ -298,8 +297,6 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec | Sequence[Prob
     tracked in one pass (see track_packets), and each probe's transverse
     drift is fitted.
     """
-    lone = isinstance(probe, ProbeSpec)
-    probes = [probe] if lone else list(probe)
     grid = background.grid
     if plan.snapshot_every <= 0:
         raise ValueError("plan.snapshot_every must be positive to track the packet")
@@ -324,9 +321,8 @@ def measure_group_velocity(background: Field2D, probe: ProbeSpec | Sequence[Prob
     z_samples = np.array([z for z, _ in records[0].snapshots])
     changes = np.array([[change for _, change in r.snapshots] for r in records])
     displacements, paired = track_packets(changes, probes, grid)
-    measurements = [_fit_drift(z_samples, d, p, probe, grid)
-                    for d, p, probe in zip(displacements, paired, probes)]
-    return measurements[0] if lone else measurements
+    return [_fit_drift(z_samples, d, p, probe, grid)
+            for d, p, probe in zip(displacements, paired, probes)]
 
 
 def _fit_drift(z_samples: np.ndarray, displacements: np.ndarray, paired: np.ndarray,
@@ -455,9 +451,8 @@ class SoundSpeedScaling:
     stderr: float
 
 
-def sound_speed_scaling(densities, medium: MediumParams, grid, tau: float = 25.0,
-                        k_perp_xi: float = 0.2, probe_waist_xi: float = 10.0,
-                        power_ratio: float = 1e-5) -> SoundSpeedScaling:
+def sound_speed_scaling(densities, medium: MediumParams, grid, tau: float, k_perp_xi: float,
+                        probe_waist_xi: float, power_ratio: float) -> SoundSpeedScaling:
     """Fit the scaling exponent of the sound speed against the density.
 
     For each background density (|E|^2) a plane-wave fluid is propagated
@@ -484,8 +479,7 @@ def sound_speed_scaling(densities, medium: MediumParams, grid, tau: float = 25.0
         background = Field2D(grid=grid, values=values)
         probe = ProbeSpec(waist=probe_waist_xi * xi, k_perp=k_perp_xi / xi,
                           power_ratio=power_ratio)
-        m = measure_group_velocity(background, probe, run_medium, plan)
-        speeds.append(m.v_g)
+        speeds.append(measure_group_velocity(background, [probe], run_medium, plan)[0].v_g)
     speeds = np.asarray(speeds)
     exponent, _, stderr = _line_fit(np.log(densities), np.log(speeds))
     return SoundSpeedScaling(densities=densities, sound_speeds=speeds,

@@ -45,14 +45,10 @@ def load_field(path, grid=None) -> tuple[Field2D, float]:
     return Field2D(grid=make_grid(nx, ny, dx, dy), values=values), z
 
 
-def write_density_pgm(path, array_or_field) -> Path:
-    """Write a density map as 16-bit binary PGM, max-scaled per frame, and
-    its scale to the sidecar file path + ".scale.txt"."""
+def write_density_pgm(path, density: np.ndarray) -> Path:
+    """Write a density array (ny, nx) as 16-bit binary PGM, max-scaled per
+    frame, and its scale to the sidecar file path + ".scale.txt"."""
     path = Path(path)
-    if isinstance(array_or_field, Field2D):
-        density = array_or_field.density()
-    else:
-        density = np.asarray(array_or_field, dtype=float)
     peak = float(np.max(density))
     scale = peak if peak > 0 else 1.0
     ny, nx = density.shape

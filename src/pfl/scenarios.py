@@ -103,7 +103,7 @@ def _scenario_propagate(cfg: RunConfig, w: ArtifactWriter):
     w.field("final.pfl1", record.final_field, record.z_final)
     w.csv("power.csv", ["z", "power"], record.power_trace)
     if cfg.run["pgm"]:
-        w.pgm("final_density.pgm", record.final_field)
+        w.pgm("final_density.pgm", record.final_field.density())
     w.metrics("metrics.txt", record)
 
 
@@ -225,7 +225,7 @@ def _scenario_vortices(cfg: RunConfig, w: ArtifactWriter):
     vortices = detect_vortices(field)
     w.csv("vortices.csv", ["x", "y", "charge"], vortices.as_rows())
     if cfg.run["pgm"]:
-        w.pgm("density.pgm", field)
+        w.pgm("density.pgm", field.density())
 
 
 def _write_trace(w: ArtifactWriter, name: str, times, field):

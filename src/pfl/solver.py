@@ -15,8 +15,9 @@ transform; a snapshot costs one more inverse transform.
 One SplitStepKernel per propagate call precomputes the full-step kinetic
 factor, the Kerr coefficient dz k0 chi3 / (2 n0) and the potential's
 phase and amplitude terms (without a potential, the loss exp(-alpha dz/2)
-is a scalar). It steps a stack of fields (B, ny, nx) that share the grid
-and the medium; a lone field is the stack B = 1. Its kick builds
+is a scalar). Its step loop and its kick take only stacks of fields
+(B, ny, nx) that share the grid and the medium; propagate and
+nonlinear_step pass a lone field as the stack B = 1. Its kick builds
 exp(i phase) from tan(phase / 2) and multiplies the field in place, block
 by block, in preallocated buffers of one block of BLOCK_SITES sites; the
 transforms (numpy.fft, one pass per axis) run in place on buffers the
@@ -164,7 +165,7 @@ def block_slices(n_members: int, ny: int, nx: int) -> list[tuple[slice, slice]]:
 
 class SplitStepKernel:
     """Precomputed factors and owned buffers for split steps of length dz on
-    one field (ny, nx) or a stack of fields (B, ny, nx) sharing the medium.
+    a stack of fields (B, ny, nx) sharing the medium.
     run steps stacks in the kernel's layout (see kernel_stack): rows of
     width samples, nx of field and row_pad of zeros."""
 
@@ -186,8 +187,9 @@ class SplitStepKernel:
     def kinetic(self) -> np.ndarray:
         """The full-step kinetic factor (ny, width), zero in the pad, times the
         1/(nx ny) that the loop's unscaled transforms leave out. It is built on
-        first use (a lone kick skips it), in place, so no other plane is made;
-        half steps build their factor per row block (see _half_step)."""
+        first use (nonlinear_step's kick skips it), in place, so no other
+        plane is made; half steps build their factor per row block (see
+        _half_step)."""
         (ny, nx), (ey, ex) = (self.grid.ny, self.grid.nx), self.half_axes
         full = np.zeros((ny, self.width), dtype=np.complex128)
         np.multiply(ey[:, None], ex, out=full[:, :nx])
@@ -244,10 +246,10 @@ class SplitStepKernel:
                           f"step (amplitude factor {np.exp(gain):.3g})", stacklevel=4)
         return self._widen(half_phase), self._widen(np.exp(-decay))
 
-    def kick(self, values: np.ndarray) -> np.ndarray:
-        """Apply the full nonlinear step to values in place, with |E|^2
-        frozen at entry; return the largest |phase| it applied to each field
-        of a stack (a scalar for one field). Rows of nx samples or of the
+    def kick(self, stack: np.ndarray) -> np.ndarray:
+        """Apply the full nonlinear step in place to a stack (B, ny, nx) or
+        (B, ny, width), with |E|^2 frozen at entry; return the largest |phase|
+        it applied to each field, shape (B,). Rows of nx samples or of the
         kernel's width both work: the pad holds zeros, which stay zero and
         leave the peak phase as it is.
 
@@ -257,7 +259,6 @@ class SplitStepKernel:
         one block, not one stack; every operation is pointwise, so the result
         does not depend on the blocking.
         """
-        stack = values if values.ndim == 3 else values[None]
         if self.blocks is None or self.blocks[0] != stack.shape:
             self._size_blocks(stack)
         potential_half, amplitude = self.potential_half, self.amplitude
@@ -286,7 +287,7 @@ class SplitStepKernel:
                 block *= amplitude[rows, columns]
             elif amplitude != 1.0:
                 block *= amplitude
-        return max_phase if values.ndim == 3 else max_phase[0]
+        return max_phase
 
     def _size_blocks(self, stack: np.ndarray):
         """Allocate buffers for the largest block of the stack and record,
@@ -411,7 +412,7 @@ def nonlinear_step(field_in: Field2D, dz: float, medium: MediumParams,
     z has no effect; it is kept for callers that pass it.
     """
     values = field_in.values.copy()
-    SplitStepKernel(field_in.grid, medium, dz).kick(values)
+    SplitStepKernel(field_in.grid, medium, dz).kick(values[None])
     return field_in.with_values(values).validate_finite()
 
 

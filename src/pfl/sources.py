@@ -48,7 +48,7 @@ def plane_wave(grid: Grid, intensity: float, n0: float) -> Field2D:
 
 
 def speckle(grid: Grid, correlation_length: float, mean_intensity: float,
-            seed: int, n0: float = 1.0) -> Field2D:
+            seed: int, n0: float) -> Field2D:
     """Fully developed speckle: a complex Gaussian random field.
 
     The mean angular spectrum is Gaussian, exp(-k^2 lc^2 / 2), whose 1/e^2

@@ -10,10 +10,6 @@ import numpy as np
 from .grid import Field2D, Grid, fft2, ifft2
 
 
-def _as_list(fields) -> list[Field2D]:
-    return [fields] if isinstance(fields, Field2D) else list(fields)
-
-
 @dataclass
 class IntensityStatistics:
     """Normalized histogram of per-sample intensity plus its low moments.
@@ -34,10 +30,12 @@ class IntensityStatistics:
         return zip(centers, self.pdf)
 
 
-def intensity_statistics(fields, bins: int = 64) -> IntensityStatistics:
-    """Histogram P(I) and normalized second moment g2 = <I^2>/<I>^2 of a
-    Field2D or a list of them."""
-    samples = np.concatenate([f.density().ravel() for f in _as_list(fields)])
+def intensity_statistics(fields: list[Field2D], bins: int) -> IntensityStatistics:
+    """Histogram P(I), in bins equal bins, and normalized second moment
+    g2 = <I^2>/<I>^2 of the samples of a list of fields."""
+    if not fields:
+        raise ValueError("intensity_statistics needs at least one field")
+    samples = np.concatenate([f.density().ravel() for f in fields])
     if samples.size == 0 or not np.any(samples):
         raise ValueError("intensity statistics need a nonzero field")
     mean = float(np.mean(samples))
@@ -57,7 +55,7 @@ class CoherenceProfile:
         return zip(self.separation, self.g1)
 
 
-def coherence_g1(fields, method: str = "rotate_pair") -> CoherenceProfile:
+def coherence_g1(fields: list[Field2D], method: str = "rotate_pair") -> CoherenceProfile:
     """First-order coherence profile g1(dr).
 
     rotate_pair mirrors a single field through the grid center and
@@ -67,9 +65,10 @@ def coherence_g1(fields, method: str = "rotate_pair") -> CoherenceProfile:
     <psi(r) psi*(r + dr)> over realizations (at least two fields).
     Both profiles are radially binned, in min(nx, ny) // 8 bins for
     rotate_pair and // 4 for ensemble, and normalized to g1 in [0, 1].
-    fields is a Field2D or a list of them on one grid.
+    fields is a list of fields on one grid.
     """
-    fields = _as_list(fields)
+    if not fields:
+        raise ValueError("coherence_g1 needs at least one field")
     values, grid = [f.values for f in fields], fields[0].grid
     if method == "rotate_pair":
         return _g1_rotate_pair(values, grid)

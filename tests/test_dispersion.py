@@ -413,7 +413,7 @@ class TestMeasurement:
         k = 10 * (2 * np.pi / grid.extent_x)
         plan = StepPlan(n_steps=120, snapshot_every=10)
         probe = ProbeSpec(waist=12e-5, k_perp=k, power_ratio=1e-4)
-        m = measure_group_velocity(background, probe, free, plan)
+        (m,) = measure_group_velocity(background, [probe], free, plan)
         assert m.v_g == pytest.approx(k / K0, rel=0.02)
 
     def test_zero_k_reads_the_sound_speed(self):
@@ -424,7 +424,7 @@ class TestMeasurement:
                                                             xi_cells=2.0, tau=16.0)
         plan = StepPlan(n_steps=320, snapshot_every=8)
         probe = ProbeSpec(waist=8 * scales["xi"], k_perp=0.0, power_ratio=1e-4)
-        m = measure_group_velocity(background, probe, medium, plan)
+        (m,) = measure_group_velocity(background, [probe], medium, plan)
         assert m.v_g == pytest.approx(scales["c_s"], rel=0.03)
 
     def test_zero_k_unresolved_pair_fails_the_residual_check(self):
@@ -435,7 +435,7 @@ class TestMeasurement:
         plan = StepPlan(n_steps=160, snapshot_every=16)
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=0.0, power_ratio=1e-4)
         with pytest.raises(RuntimeError, match="fit residual"):
-            measure_group_velocity(background, probe, medium, plan)
+            measure_group_velocity(background, [probe], medium, plan)
 
     def test_a_negative_k_mirrors_the_positive_k(self):
         # the demodulation cut sees |k|: a probe at -k drifts at -v_g(k)
@@ -458,7 +458,7 @@ class TestMeasurement:
         plan = StepPlan(n_steps=450, snapshot_every=10)
         k = 0.25 / scales["xi"]
         probe = ProbeSpec(waist=15 * scales["xi"], k_perp=k, power_ratio=1e-5)
-        m = measure_group_velocity(background, probe, medium, plan)
+        (m,) = measure_group_velocity(background, [probe], medium, plan)
         vg_true = bogoliubov_group_velocity(np.array([k]), K0, 1.0,
                                             scales["dn_nl"])[0]
         assert m.v_g == pytest.approx(vg_true, rel=0.05)
@@ -475,7 +475,7 @@ class TestMeasurement:
         one_list = (plan.n_steps // plan.snapshot_every) * 16 * grid.nx * grid.ny
         tracemalloc.start()
         try:
-            m = measure_group_velocity(background, probe, free, plan)
+            (m,) = measure_group_velocity(background, [probe], free, plan)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -516,7 +516,7 @@ class TestMeasurement:
         plan = StepPlan(n_steps=160, snapshot_every=16)
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1.0 / scales["xi"],
                           power_ratio=1e-4)
-        measure_group_velocity(background, probe, medium, plan)
+        measure_group_velocity(background, [probe], medium, plan)
         assert calls == [plan]
 
     def test_one_propagation_per_sweep(self, monkeypatch):
@@ -538,7 +538,7 @@ class TestMeasurement:
         assert [m.k_perp for m in measured] == [p.k_perp for p in probes]
 
     def test_a_sweep_equals_lone_calls(self):
-        # each member of the stack reads what a lone call reads, bit for bit,
+        # each member of the stack reads what a one-probe call reads, bit for bit,
         # with k_perp = 0 (no demodulation) between probes on a carrier; the
         # set-up is long enough for the k_perp = 0 pair to part
         grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
@@ -549,7 +549,7 @@ class TestMeasurement:
         swept = measure_group_velocity(background, probes, medium, plan)
         assert len(swept) == len(probes)
         for probe, m in zip(probes, swept):
-            lone = measure_group_velocity(background, probe, medium, plan)
+            (lone,) = measure_group_velocity(background, [probe], medium, plan)
             assert m.k_perp == lone.k_perp
             assert m.v_g == lone.v_g
             assert m.stderr == lone.stderr
@@ -565,7 +565,7 @@ class TestMeasurement:
                           power_ratio=1e-4)
         swept = measure_group_velocity(background, (probe,), medium, plan)
         assert isinstance(swept, list) and len(swept) == 1
-        assert swept[0].v_g == measure_group_velocity(background, probe, medium, plan).v_g
+        assert swept[0].v_g == measure_group_velocity(background, [probe], medium, plan)[0].v_g
 
     @pytest.mark.parametrize("bad, match", [
         ({"k_perp": 1e9}, "Nyquist"), ({"power_ratio": -1e-5}, "power_ratio"),
@@ -601,7 +601,7 @@ class TestMeasurement:
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1.0 / scales["xi"],
                           power_ratio=1e-4)
         reference = _plane_reference(background, probe, medium, plan)
-        m = measure_group_velocity(background, probe, medium, plan)
+        (m,) = measure_group_velocity(background, [probe], medium, plan)
         assert m.v_g == pytest.approx(reference.v_g, rel=2e-3)
 
     def test_rejects_an_inhomogeneous_background(self):
@@ -611,10 +611,10 @@ class TestMeasurement:
         bumpy = background.values.copy()
         bumpy[3, 5] *= 1.01
         with pytest.raises(ValueError, match="not one uniform value"):
-            measure_group_velocity(background.with_values(bumpy), probe, medium, plan)
+            measure_group_velocity(background.with_values(bumpy), [probe], medium, plan)
         flat = np.zeros((grid.ny, grid.nx), dtype=np.complex128)
         with pytest.raises(ValueError, match="has a potential"):
-            measure_group_velocity(background, probe,
+            measure_group_velocity(background, [probe],
                                    dataclasses.replace(medium, potential=flat), plan)
 
     def test_background_record_keeps_line_densities(self):
@@ -643,7 +643,7 @@ class TestMeasurement:
         probe = ProbeSpec(waist=waist_xi * scales["xi"], k_perp=k_xi / scales["xi"],
                           power_ratio=1e-4)
         reference = _plane_reference(background, probe, medium, plan)
-        m = measure_group_velocity(background, probe, medium, plan)
+        (m,) = measure_group_velocity(background, [probe], medium, plan)
         if k_xi == 0.0:
             assert abs(m.v_g - reference.v_g) < 1e-3 * scales["c_s"]
         else:
@@ -668,7 +668,7 @@ class TestMeasurement:
         grid, medium, background, scales = defocusing_setup(nx=64)
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1e4, power_ratio=-1e-5)
         with pytest.raises(ValueError, match="power_ratio must be non-negative"):
-            measure_group_velocity(background, probe, medium,
+            measure_group_velocity(background, [probe], medium,
                                    StepPlan(n_steps=10, snapshot_every=2))
 
     @pytest.mark.parametrize("cells", [3.9, 32.5])
@@ -677,14 +677,14 @@ class TestMeasurement:
         grid, medium, background, _ = defocusing_setup(nx=64)
         probe = ProbeSpec(waist=cells * grid.dx, k_perp=1e4, power_ratio=1e-4)
         with pytest.raises(ValueError, match="waist"):
-            measure_group_velocity(background, probe, medium,
+            measure_group_velocity(background, [probe], medium,
                                    StepPlan(n_steps=10, snapshot_every=2))
 
     def test_requires_snapshots(self):
         grid, medium, background, scales = defocusing_setup(nx=64)
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1e4, power_ratio=1e-4)
         with pytest.raises(ValueError, match="snapshot_every"):
-            measure_group_velocity(background, probe, medium, StepPlan(n_steps=10))
+            measure_group_velocity(background, [probe], medium, StepPlan(n_steps=10))
 
     def test_chi3_and_density_enter_through_product(self):
         # doubling chi3 at fixed density and doubling density at fixed chi3
@@ -698,6 +698,6 @@ class TestMeasurement:
         plan = StepPlan(n_steps=500, snapshot_every=10)
         probe = ProbeSpec(waist=14 * xi_half, k_perp=0.22 / xi_half,
                           power_ratio=1e-5)
-        m_chi = measure_group_velocity(background, probe, medium_2chi, plan)
-        m_rho = measure_group_velocity(background_2rho, probe, medium, plan)
+        (m_chi,) = measure_group_velocity(background, [probe], medium_2chi, plan)
+        (m_rho,) = measure_group_velocity(background_2rho, [probe], medium, plan)
         assert m_chi.v_g == pytest.approx(m_rho.v_g, rel=0.03)

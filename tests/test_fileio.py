@@ -11,7 +11,7 @@ from pfl.sources import speckle
 
 def test_pfl1_round_trip(tmp_path):
     g = make_grid(32, 48, 2e-6, 3e-6)
-    f = speckle(make_grid(32, 48, 2e-6, 3e-6), 8e-6, 5.0, seed=4)
+    f = speckle(make_grid(32, 48, 2e-6, 3e-6), 8e-6, 5.0, seed=4, n0=1.0)
     path = tmp_path / "field.pfl1"
     save_field(path, f, z=0.0123)
     loaded, z = load_field(path)
@@ -136,7 +136,7 @@ def test_pgm_format_and_sidecar(tmp_path):
     g = make_grid(16, 8, 1.0)
     values = np.linspace(0, 1, 16 * 8).reshape(8, 16).astype(complex)
     f = Field2D(grid=g, values=values)
-    path = write_density_pgm(tmp_path / "rho.pgm", f)
+    path = write_density_pgm(tmp_path / "rho.pgm", f.density())
     raw = path.read_bytes()
     header, rest = raw.split(b"65535\n", 1)
     assert header == b"P5\n16 8\n"

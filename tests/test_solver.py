@@ -157,7 +157,7 @@ class TestNonlinearStep:
         out = nonlinear_step(f, dz, med)
         np.testing.assert_allclose(out.values, expected, rtol=1e-13, atol=0)
         kernel = SplitStepKernel(small_grid, med, dz)
-        max_phase = kernel.kick(values.copy())
+        max_phase = kernel.kick(values.copy()[None])
         assert max_phase == pytest.approx(np.max(np.abs(phase)), rel=1e-13)
         # the phase factor built from tan(phase / 2) is unimodular to a few ulp
         assert np.max(np.abs(np.abs(kernel.factor) - 1.0)) <= 4 * np.finfo(float).eps
@@ -207,7 +207,7 @@ class TestBlockedKick:
         values, med = kick_case(small_grid, case)
         stack = np.stack([values, 0.8 * values[::-1], 1.1 * np.conj(values)])
         whole = 3 * 64 * 64  # the stack is one block
-        for field in (values, stack):
+        for field in (values[None], stack):
             ref, ref_phase = self.kick(monkeypatch, whole, small_grid, med, field)
             # 24 + 24 + 16 rows of each member, then runs of 2 + 1 members
             for block_sites in (24 * 64, 2 * 64 * 64):
@@ -252,7 +252,7 @@ class TestBlockedKick:
         kernel = SplitStepKernel(grid, medium, KICK_DZ)
         tracemalloc.start()
         try:
-            kernel.kick(values)
+            kernel.kick(values[None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

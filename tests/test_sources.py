@@ -72,21 +72,21 @@ class TestPlaneWave:
 
 class TestSpeckle:
     def test_determinism(self, small_grid):
-        a = speckle(small_grid, 5e-5, 10.0, seed=99)
-        b = speckle(small_grid, 5e-5, 10.0, seed=99)
+        a = speckle(small_grid, 5e-5, 10.0, seed=99, n0=1.0)
+        b = speckle(small_grid, 5e-5, 10.0, seed=99, n0=1.0)
         assert np.array_equal(a.values, b.values)
-        c = speckle(small_grid, 5e-5, 10.0, seed=100)
+        c = speckle(small_grid, 5e-5, 10.0, seed=100, n0=1.0)
         assert not np.array_equal(a.values, c.values)
 
     def test_unresolved_correlation_length(self, small_grid):
         with pytest.raises(ValueError, match="unresolved"):
-            speckle(small_grid, 1e-5, 10.0, seed=1)
+            speckle(small_grid, 1e-5, 10.0, seed=1, n0=1.0)
 
     def test_exponential_intensity_statistics(self):
         # oracle: direct random-phasor sums converge to the same negative
         # exponential P(I) = exp(-I/<I>)/<I> as fully developed speckle
         g = make_grid(512, 512, 1e-5)
-        f = speckle(g, 6e-5, 42.0, seed=2024)
+        f = speckle(g, 6e-5, 42.0, seed=2024, n0=1.0)
         intensity = f.density().ravel()
         intensity /= intensity.mean()
 
@@ -105,7 +105,7 @@ class TestSpeckle:
     def test_ensemble_mean_intensity(self):
         g = make_grid(128, 128, 1e-5)
         target = 30.0
-        means = [density_to_intensity(speckle(g, 4e-5, target, seed=s).power(), 1.0)
+        means = [density_to_intensity(speckle(g, 4e-5, target, seed=s, n0=1.0).power(), 1.0)
                  / (g.extent_x * g.extent_y) for s in range(40)]
         assert np.mean(means) == pytest.approx(target, rel=0.02)
 
@@ -113,7 +113,7 @@ class TestSpeckle:
         # correlation length = grid extent: nearly all power in the lowest
         # 3x3 spectral block
         g = make_grid(128, 128, 1e-5)
-        f = speckle(g, g.extent_x, 5.0, seed=5)
+        f = speckle(g, g.extent_x, 5.0, seed=5, n0=1.0)
         spec = np.abs(fft2(f.values)) ** 2
         block = spec[np.ix_([0, 1, -1], [0, 1, -1])].sum()
         assert block > 0.99 * spec.sum()
@@ -219,4 +219,4 @@ class TestAddProbe:
                        -1.5 * small_grid.k_nyquist_x):
             probe = ProbeSpec(waist=1e-4, k_perp=k_perp, power_ratio=1e-4)
             with pytest.raises(ValueError, match="Nyquist"):
-                measure_group_velocity(plane_wave(small_grid, 1.0, 1.0), probe, medium, plan)
+                measure_group_velocity(plane_wave(small_grid, 1.0, 1.0), [probe], medium, plan)

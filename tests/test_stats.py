@@ -12,34 +12,42 @@ from pfl.stats import coherence_g1, intensity_statistics, structure_factor
 class TestIntensityStatistics:
     def test_plane_wave_delta_like(self, small_grid):
         f = plane_wave(small_grid, 120.0, 1.0)
-        st = intensity_statistics(f)
+        st = intensity_statistics([f], bins=64)
         assert st.g2 == pytest.approx(1.0, rel=1e-12)
         assert st.mode == pytest.approx(st.mean, rel=0.05)
 
     def test_speckle_exponential(self):
         g = make_grid(512, 512, 1e-5)
-        f = speckle(g, 6e-5, 20.0, seed=31)
-        st = intensity_statistics(f)
+        f = speckle(g, 6e-5, 20.0, seed=31, n0=1.0)
+        st = intensity_statistics([f], bins=64)
         assert st.mode == 0.0  # left edge of the most populated bin
         assert st.g2 == pytest.approx(2.0, abs=0.1)
 
     def test_zero_field_rejected(self, small_grid):
         f = plane_wave(small_grid, 0.0, 1.0)
         with pytest.raises(ValueError):
-            intensity_statistics(f)
+            intensity_statistics([f], bins=64)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("intensity_statistics", lambda fields: intensity_statistics(fields, bins=64)),
+    ("coherence_g1", coherence_g1)], ids=["intensity_statistics", "coherence_g1"])
+def test_no_fields_is_a_value_error(name, call):
+    with pytest.raises(ValueError, match=f"{name} needs at least one field"):
+        call([])
 
 
 class TestCoherenceG1:
     def test_plane_wave_fully_coherent(self, small_grid):
         f = plane_wave(small_grid, 10.0, 1.0)
-        prof = coherence_g1(f, method="rotate_pair")
+        prof = coherence_g1([f], method="rotate_pair")
         assert np.allclose(prof.g1, 1.0, atol=1e-12)
 
     def test_bounds(self):
         g = make_grid(128, 128, 1e-5)
-        f = speckle(g, 8e-5, 5.0, seed=8)
+        f = speckle(g, 8e-5, 5.0, seed=8, n0=1.0)
         for method in ("rotate_pair",):
-            prof = coherence_g1(f, method=method)
+            prof = coherence_g1([f], method=method)
             assert np.all(prof.g1 >= 0.0) and np.all(prof.g1 <= 1.0)
 
     def test_speckle_gaussian_decay_rotate_pair(self):
@@ -48,7 +56,7 @@ class TestCoherenceG1:
         # holds few coherence grains, so several realizations are averaged
         g = make_grid(256, 256, 1e-5)
         lc = 8e-5
-        fields = [speckle(g, lc, 5.0, seed=17 + i) for i in range(16)]
+        fields = [speckle(g, lc, 5.0, seed=17 + i, n0=1.0) for i in range(16)]
         prof = coherence_g1(fields, method="rotate_pair")
         sel = prof.separation < 3 * lc
         expected = np.exp(-prof.separation[sel] ** 2 / (2 * lc**2))
@@ -58,7 +66,7 @@ class TestCoherenceG1:
         lc = 8e-5
         for n in (128, 96):  # 96^2 has no power-of-two strides
             g = make_grid(n, n, 1e-5)
-            fields = [speckle(g, lc, 5.0, seed=100 + i) for i in range(24)]
+            fields = [speckle(g, lc, 5.0, seed=100 + i, n0=1.0) for i in range(24)]
             prof = coherence_g1(fields, method="ensemble")
             sel = prof.separation < 2.5 * lc
             expected = np.exp(-prof.separation[sel] ** 2 / (2 * lc**2))
@@ -67,14 +75,14 @@ class TestCoherenceG1:
     def test_ensemble_needs_multiple_fields(self, small_grid):
         f = plane_wave(small_grid, 10.0, 1.0)
         with pytest.raises(ValueError, match="at least 2"):
-            coherence_g1(f, method="ensemble")
+            coherence_g1([f], method="ensemble")
 
     def test_global_phase_invariance(self):
         g = make_grid(128, 128, 1e-5)
-        f = speckle(g, 8e-5, 5.0, seed=9)
+        f = speckle(g, 8e-5, 5.0, seed=9, n0=1.0)
         rotated = f.with_values(f.values * np.exp(1j * 0.77))
-        a = coherence_g1(f, method="rotate_pair")
-        b = coherence_g1(rotated, method="rotate_pair")
+        a = coherence_g1([f], method="rotate_pair")
+        b = coherence_g1([rotated], method="rotate_pair")
         assert np.allclose(a.g1, b.g1, atol=1e-12)
 
 
@@ -82,7 +90,7 @@ def test_profiles_take_equal_radial_bins_on_a_non_power_of_two_grid():
     # g1 and S(k) report the centres of nbins equal bins on [0, r_max]
     # (doubled for the mirrored pair); 96^2 has no power-of-two strides
     g = make_grid(96, 96, 1e-5)
-    fields = [speckle(g, 4e-5, 5.0, seed=40 + i) for i in range(3)]
+    fields = [speckle(g, 4e-5, 5.0, seed=40 + i, n0=1.0) for i in range(3)]
 
     def centres(r_max, nbins):
         edges = np.linspace(0.0, r_max, nbins + 1)
