@@ -13,7 +13,7 @@ from .fileio import ArtifactWriter, fmt, load_field
 from .grid import Field2D, Grid, fft2, ifft2, make_grid
 from .medium import MediumParams, fluid_scales, intensity_to_density
 from .seeding import stream_rng, stream_seed
-from .solver import BLOCK_SITES, StepPlan, propagate
+from .solver import StepPlan, member_runs, propagate
 from .sources import gaussian_beam, imprint_dark_stripe, imprint_vortex, plane_wave, speckle
 
 # Every scenario uses the modules above. Each handler imports the rest of what
@@ -66,15 +66,6 @@ def build_source(cfg: RunConfig, grid: Grid, medium: MediumParams,
         return load_field(s["path"], grid)[0]
     return speckle(grid, s["correlation_length"], s["intensity"],
                    seed=stream_seed(cfg.run["seed"], "source", member), n0=medium.n0)
-
-
-def _stacks(members, grid: Grid) -> list:
-    """Consecutive slices of members of about BLOCK_SITES lattice sites each
-    (8 members at 64^2, one at 256^2 and above): enough to amortize the
-    per-call and per-step overhead of small grids, while a stack of small
-    fields is one block of the kernel's kick."""
-    size = max(1, BLOCK_SITES // (grid.nx * grid.ny))
-    return [members[start:start + size] for start in range(0, len(members), size)]
 
 
 def run_scenario(cfg: RunConfig, out_dir) -> ArtifactWriter:
@@ -161,8 +152,8 @@ def _scenario_precondensation(cfg: RunConfig, w: ArtifactWriter):
     for tau in sorted(p["tau_list"]):
         run_medium = medium.with_length(tau * z_nl)
         plan = build_plan(cfg)
-        finals = [record.final_field for stack in _stacks(members, grid)
-                  for record in propagate(stack, run_medium, plan)]
+        finals = [record.final_field for run in member_runs(n_real, grid.ny, grid.nx)
+                  for record in propagate(members[run], run_medium, plan)]
         stats = intensity_statistics(finals, bins=p["bins"])
         tag = fmt(tau).replace(".", "p")
         w.csv(f"pi_hist_tau{tag}.csv", ["intensity", "pdf"], stats.rows())
@@ -193,8 +184,8 @@ def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
         return Field2D(grid=grid, values=amplitude + noise)
 
     signal, reference = [], []
-    for indices in _stacks(range(p["realizations"]), grid):
-        fields = [member(i) for i in indices]
+    for run in member_runs(p["realizations"], grid.ny, grid.nx):
+        fields = [member(i) for i in range(run.start, run.stop)]
         reference += [f.density() for f in fields]
         signal += [r.final_field.density() for r in propagate(fields, medium, plan)]
     sf = structure_factor(signal, reference, grid=grid, nbins=p["nbins"],

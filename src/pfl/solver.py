@@ -12,39 +12,39 @@ kinetic step. Between steps the field stays in spectral space with the
 adjacent half steps merged, so a step costs one forward and one inverse
 transform; a snapshot costs one more inverse transform.
 
-One SplitStepKernel per propagate call precomputes the full-step kinetic
-factor, the Kerr coefficient dz k0 chi3 / (2 n0) and the potential's
-phase and amplitude terms (without a potential, the loss exp(-alpha dz/2)
-is a scalar). Its step loop and its kick take only stacks of fields
-(B, ny, nx) that share the grid and the medium; propagate and
-nonlinear_step pass a lone field as the stack B = 1. Its kick builds
-exp(i phase) from tan(phase / 2) and multiplies the field in place, block
-by block, in preallocated buffers of one block of BLOCK_SITES sites; the
-transforms (numpy.fft, one pass per axis) run in place on buffers the
-kernel owns. The half steps, at entry, at each snapshot and at the last
-step, build their factor from its separable y and x factors one block of
-rows at a time in the kick's factor buffer, so that the kernel stores one
-plane-sized factor, not two. The input is never written to. Each snapshot
-leaves the step loop as it is made: propagate hands every member's field
-to a keep callback and stores only what keep returns, so a run that keeps
-a density or a profile per snapshot never holds a list of full fields.
-At its peak a propagation holds the input, the kernel's stack, the full
-factor, the kick's block buffers and one snapshot stack.
+One SplitStepKernel per propagate call precomputes the Kerr coefficient
+dz k0 chi3 / (2 n0) and the potential's phase and amplitude terms (without
+a potential, the loss exp(-alpha dz/2) is a scalar); its run builds the
+full-step kinetic factor. Its step loop and its kick take only stacks of
+fields that share the grid and the medium, in the one layout below;
+propagate and nonlinear_step pass a lone field as the stack B = 1. Its
+kick builds exp(i phase) from tan(phase / 2) and multiplies the field in
+place, block by block, in preallocated buffers of one block of
+BLOCK_SITES sites; the transforms (numpy.fft, one pass per axis) run in
+place on buffers the kernel owns. The half steps, at entry, at each
+snapshot and at the last step, build their factor from its separable y
+and x factors one block of rows at a time in the kick's factor buffer, so
+that the kernel stores one plane-sized factor, not two. The input is
+never written to. Each snapshot leaves the step loop as it is made:
+propagate hands every member's field to a keep callback and stores only
+what keep returns, so a run that keeps a density or a profile per
+snapshot never holds a list of full fields. At its peak a propagation
+holds the input, the kernel's stack, the full factor, the kick's block
+buffers and one snapshot stack.
 
-Every plane is stepped in a zero-padded buffer (B, ny, nx + ROW_PAD),
-ROW_PAD = 4 complex128 (one 64-byte line per row): unpadded, the rows of a
-power-of-two plane lie a power of two apart, so the lines of a column
-transform map to the same cache sets and evict each other (Frigo and
-Johnson, Proc. IEEE 93 (2005) 216). A line (B, 1, nx) has no column
-transform and keeps rows of nx samples. The transforms run in place on
-the [..., :nx] view, where pocketfft does the same arithmetic on a line at
-any stride, so fields keep their bits. The kick, the kinetic multiplies and
-the power sum run over whole padded rows, whose pad starts and stays zero;
-the kick's blocks are counted in field samples. On one core
-of a 2-vCPU x86 VM, a transform pair with the kinetic multiply took
-18-24% less on an (8, 64, 64) stack and 4-5% less at 512^2 (see README).
-Fields handed out are C-contiguous and unpadded, so a writer stores them
-without a copy.
+Every stack, of planes or of lines (B, 1, nx), is stepped in one layout,
+a zero-padded buffer (B, ny, nx + ROW_PAD), ROW_PAD = 4 complex128 (one
+64-byte line per row): unpadded, the rows of a power-of-two plane lie a
+power of two apart, so the lines of a column transform map to the same
+cache sets and evict each other (Frigo and Johnson, Proc. IEEE 93 (2005)
+216). The transforms run in place on the [..., :nx] view, where pocketfft
+does the same arithmetic on a line at any stride, so fields keep their
+bits. The kick, the kinetic multiplies and the power sum run over whole
+padded rows, whose pad starts and stays zero; the kick's blocks are
+counted in field samples. On one core of a 2-vCPU x86 VM, a transform
+pair with the kinetic multiply took 18-24% less on an (8, 64, 64) stack
+and 4-5% less at 512^2 (see README). Fields handed out are C-contiguous
+and unpadded, so a writer stores them without a copy.
 
 The loop's transforms do not scale (numpy's "backward" forward and
 "forward" inverse passes), which saves scaling every line: the factor
@@ -64,7 +64,6 @@ from __future__ import annotations
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -79,14 +78,14 @@ OCCUPIED_MODE_FLOOR = 1e-9
 WARN_PHASE_PER_STEP = 0.5
 ABORT_PHASE_PER_STEP = np.pi
 
-# Lattice sites per block of the kick's pointwise passes (and per stack of
-# ensemble members in scenarios): 2^15 sites keep the block's complex field,
-# factor and real buffers at about 1.5 MB, inside a 2 MB L2 cache.
+# Lattice sites per block of the kick's pointwise passes and per run of
+# ensemble members (see member_runs): 2^15 sites keep the block's complex
+# field, factor and real buffers at about 1.5 MB, inside a 2 MB L2 cache.
 BLOCK_SITES = 2**15
 
-# Zero complex128 samples appended to each row of a kernel stack of planes
-# (one 64-byte cache line), so that the column transforms do not stride by a
-# power of two; see row_pad.
+# Zero complex128 samples appended to each row of every kernel stack (one
+# 64-byte cache line), so that the column transforms of a plane do not
+# stride by a power of two.
 ROW_PAD = 4
 
 
@@ -132,32 +131,33 @@ def _kinetic_axes(grid: Grid, dz: float, k0: float, n0: float) -> tuple[np.ndarr
     return np.exp(-1j * c * grid.ky() ** 2), np.exp(-1j * c * grid.kx() ** 2)
 
 
-def row_pad(shape: tuple[int, ...]) -> int:
-    """Zero samples the kernel appends to each row of a stack (..., ny, nx):
-    ROW_PAD for planes, 0 for lines (B, 1, nx), which have no column
-    transform and keep rows of nx samples."""
-    return ROW_PAD if shape[-2] > 1 else 0
-
-
 def kernel_stack(arrays: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
-    """A new stack (B, ny, nx + row_pad) of the (ny, nx) arrays in the
+    """A new stack (B, ny, nx + ROW_PAD) of the (ny, nx) arrays in the
     kernel's layout, with zeros in the pad; each array is copied once."""
-    width = grid.nx + row_pad((grid.ny, grid.nx))
-    values = np.zeros((len(arrays), grid.ny, width), dtype=np.complex128)
+    values = np.zeros((len(arrays), grid.ny, grid.nx + ROW_PAD), dtype=np.complex128)
     for member, array in zip(values, arrays):
         member[:, :grid.nx] = array
     return values
 
 
+def member_runs(n_members: int, ny: int, nx: int) -> list[slice]:
+    """Consecutive runs of members (ny, nx) of about BLOCK_SITES sites each,
+    at least one member: 8 members at 64^2, one at 256^2 and above. The
+    ensemble scenarios propagate one run per stack, which amortizes the
+    per-call and per-step overhead of small fields, and a run of small
+    fields is one block of the kick (see block_slices). Only the last run
+    may be shorter."""
+    size = max(1, BLOCK_SITES // (ny * nx))
+    return [slice(m, min(m + size, n_members)) for m in range(0, n_members, size)]
+
+
 def block_slices(n_members: int, ny: int, nx: int) -> list[tuple[slice, slice]]:
     """(members, rows) index pairs that cover a stack (B, ny, nx) in blocks of
     about BLOCK_SITES sites: runs of whole members when a field is smaller
-    (8 members at 64^2), runs of rows of one member when it is larger (64
+    (see member_runs), runs of rows of one member when it is larger (64
     rows at 512^2). Only the last block of a run may be smaller."""
     if ny * nx <= BLOCK_SITES:
-        size = BLOCK_SITES // (ny * nx)
-        return [(slice(m, min(m + size, n_members)), slice(None))
-                for m in range(0, n_members, size)]
+        return [(members, slice(None)) for members in member_runs(n_members, ny, nx)]
     rows = max(1, BLOCK_SITES // nx)
     return [(slice(m, m + 1), slice(r, min(r + rows, ny)))
             for m in range(n_members) for r in range(0, ny, rows)]
@@ -166,12 +166,12 @@ def block_slices(n_members: int, ny: int, nx: int) -> list[tuple[slice, slice]]:
 class SplitStepKernel:
     """Precomputed factors and owned buffers for split steps of length dz on
     a stack of fields (B, ny, nx) sharing the medium.
-    run steps stacks in the kernel's layout (see kernel_stack): rows of
-    width samples, nx of field and row_pad of zeros."""
+    run and kick take stacks in the kernel's layout (see kernel_stack): rows
+    of width samples, nx of field and ROW_PAD of zeros."""
 
     def __init__(self, grid: Grid, medium: MediumParams, dz: float):
         self.grid, self.medium, self.dz = grid, medium, dz
-        self.width = grid.nx + row_pad((grid.ny, grid.nx))
+        self.width = grid.nx + ROW_PAD
         # the y and x factors of a half kinetic step, from which the full
         # factor and each half step's are built
         self.half_axes = _kinetic_axes(grid, dz / 2.0, medium.k0, medium.n0)
@@ -183,23 +183,9 @@ class SplitStepKernel:
         # block buffers and ((B, ny, nx), per-block views), set by run or the first kick
         self.density = self.phase = self.factor = self.blocks = None
 
-    @cached_property
-    def kinetic(self) -> np.ndarray:
-        """The full-step kinetic factor (ny, width), zero in the pad, times the
-        1/(nx ny) that the loop's unscaled transforms leave out. It is built on
-        first use (nonlinear_step's kick skips it), in place, so no other
-        plane is made; half steps build their factor per row block (see
-        _half_step)."""
-        (ny, nx), (ey, ex) = (self.grid.ny, self.grid.nx), self.half_axes
-        full = np.zeros((ny, self.width), dtype=np.complex128)
-        np.multiply(ey[:, None], ex, out=full[:, :nx])
-        full *= full
-        full /= nx * ny
-        return full
-
     def _half_step(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Multiply the stack values by the half-step kinetic factor (times
-        1/(nx ny), see kinetic) in place, or into out (B, ny, nx) from the
+        1/(nx ny), see run) in place, or into out (B, ny, nx) from the
         fields values[..., :nx]; return the result. The factor is built one
         block of rows at a time (see block_slices) in the kick's factor
         buffer, zero in the pad, with the bits of a whole-plane factor."""
@@ -218,9 +204,9 @@ class SplitStepKernel:
         return values if out is None else out
 
     def _widen(self, terms):
-        """An (ny, nx) array as (ny, width) with zeros in the pad; None, a
-        scalar or an array without pad as it is."""
-        if np.ndim(terms) < 2 or terms.shape[-1] == self.width:
+        """An (ny, nx) array as (ny, width) with zeros in the pad; None or a
+        scalar as it is."""
+        if np.ndim(terms) < 2:
             return terms
         wide = np.zeros((self.grid.ny, self.width), dtype=terms.dtype)
         wide[:, :self.grid.nx] = terms
@@ -247,11 +233,10 @@ class SplitStepKernel:
         return self._widen(half_phase), self._widen(np.exp(-decay))
 
     def kick(self, stack: np.ndarray) -> np.ndarray:
-        """Apply the full nonlinear step in place to a stack (B, ny, nx) or
-        (B, ny, width), with |E|^2 frozen at entry; return the largest |phase|
-        it applied to each field, shape (B,). Rows of nx samples or of the
-        kernel's width both work: the pad holds zeros, which stay zero and
-        leave the peak phase as it is.
+        """Apply the full nonlinear step in place to a stack (B, ny, width) in
+        the kernel's layout (see kernel_stack), with |E|^2 frozen at entry;
+        return the largest |phase| it applied to each field, shape (B,). The
+        pad holds zeros, which stay zero and leave the peak phase as it is.
 
         exp(i phase) comes from one transcendental, t = tan(phase / 2):
         cos = (1 - t^2) / (1 + t^2) = 2 / (1 + t^2) - 1, sin = 2 t / (1 + t^2).
@@ -262,7 +247,6 @@ class SplitStepKernel:
         if self.blocks is None or self.blocks[0] != stack.shape:
             self._size_blocks(stack)
         potential_half, amplitude = self.potential_half, self.amplitude
-        columns = slice(stack.shape[-1])
         max_phase = np.zeros(len(stack))
         for members, rows, density, half, factor, re, im in self.blocks[1]:
             block = stack[members, rows]
@@ -273,7 +257,7 @@ class SplitStepKernel:
             if self.saturation is not None:  # chi_eff = chi3 / (1 + I / I_sat)
                 half /= 1.0 + self.saturation * density
             if potential_half is not None:
-                half += potential_half[rows, columns]
+                half += potential_half[rows]
             peak = 2.0 * np.maximum(half.max(axis=(-2, -1)), -half.min(axis=(-2, -1)))
             np.maximum(max_phase[members], peak, out=max_phase[members])
             t, r = np.tan(half, out=half), density
@@ -284,7 +268,7 @@ class SplitStepKernel:
             np.subtract(r, 1.0, out=re)
             block *= factor
             if np.ndim(amplitude):
-                block *= amplitude[rows, columns]
+                block *= amplitude[rows]
             elif amplitude != 1.0:
                 block *= amplitude
         return max_phase
@@ -292,8 +276,11 @@ class SplitStepKernel:
     def _size_blocks(self, stack: np.ndarray):
         """Allocate buffers for the largest block of the stack and record,
         per block, its (members, rows) and its views of the buffers. Blocks
-        are counted in field samples, so a padded stack blocks as an
-        unpadded one."""
+        are counted in field samples: the pad does not count. Raises
+        ValueError unless the stack's rows are width samples wide."""
+        if stack.ndim != 3 or stack.shape[-1] != self.width:
+            raise ValueError(f"the kernel steps stacks (B, ny, {self.width}) in its layout "
+                             f"(see kernel_stack), got {stack.shape}")
         blocks = block_slices(len(stack), self.grid.ny, self.grid.nx)
         shape = stack[blocks[0]].shape  # the first block is the largest
         self.density, self.phase = np.empty((2, *shape))
@@ -318,7 +305,8 @@ class SplitStepKernel:
         (n_steps + 1, B) and each member's max_phase_per_step: its kinetic
         phase per step plus its largest kick phase. Both pass the
         step-resolution guard (_guard) as they are made."""
-        n_steps, every, dz, nx = plan.n_steps, plan.snapshot_every, self.dz, self.grid.nx
+        n_steps, every, dz = plan.n_steps, plan.snapshot_every, self.dz
+        (ny, nx), (ey, ex) = (self.grid.ny, self.grid.nx), self.half_axes
         power = np.empty((n_steps + 1, len(values)))
         power[0] = _stack_power(values, self.grid)
         max_phase = np.zeros(len(values))
@@ -329,7 +317,13 @@ class SplitStepKernel:
         warned = self._guard(kinetic, False)
         self._size_blocks(values)
         self._half_step(values)
-        full_kinetic = self.kinetic
+        # the full-step factor, zero in the pad, times the 1/(nx ny) that the
+        # unscaled transforms leave out, built in place so that no other
+        # plane is made
+        full_kinetic = np.zeros((ny, self.width), dtype=np.complex128)
+        np.multiply(ey[:, None], ex, out=full_kinetic[:, :nx])
+        full_kinetic *= full_kinetic
+        full_kinetic /= nx * ny
         for step in range(n_steps):
             z_mid, z_next = (step + 0.5) * dz, (step + 1) * dz
             self._transform(ifft2, values)
@@ -339,7 +333,7 @@ class SplitStepKernel:
             warned = self._guard(step_phase, warned, z_mid, first_phase)
             np.maximum(max_phase, step_phase, out=max_phase)
             self._transform(fft2, values)
-            power[step + 1] = _stack_power(values, self.grid) / (nx * self.grid.ny)
+            power[step + 1] = _stack_power(values, self.grid) / (nx * ny)
             if not np.isfinite(power[step + 1]).all():
                 raise FloatingPointError(f"non-finite power at z = {z_next:.6g}; "
                                          f"propagation aborted")
@@ -347,7 +341,7 @@ class SplitStepKernel:
             if every and (step + 1) % every == 0 and not last:
                 # unbound, so that no local holds the stack after the callback
                 on_snapshot(z_next, self._transform(ifft2, self._half_step(
-                    values, np.empty((len(values), self.grid.ny, nx), dtype=np.complex128))))
+                    values, np.empty((len(values), ny, nx), dtype=np.complex128))))
             if last:
                 self._half_step(values)
             else:
@@ -356,9 +350,8 @@ class SplitStepKernel:
         return final, power, kinetic + max_phase
 
     def _transform(self, transform: Callable, values: np.ndarray) -> np.ndarray:
-        """Apply fft2 or ifft2 without scaling (see kinetic) in place to the
-        fields values[..., :nx] of a stack, padded or not, and return the
-        stack. pocketfft does the same arithmetic on a line at any stride, so
+        """Apply fft2 or ifft2 without scaling (see run) in place to the
+        fields values[..., :nx] of a stack and return the stack. pocketfft does the same arithmetic on a line at any stride, so
         the fields get the bits of a transform of a contiguous copy."""
         transform(values[..., :self.grid.nx], overwrite_x=True, scaled=False)
         return values
@@ -411,9 +404,10 @@ def nonlinear_step(field_in: Field2D, dz: float, medium: MediumParams,
     exp(-dz (alpha/2 + k0 Im dn)). The potential does not depend on z, so
     z has no effect; it is kept for callers that pass it.
     """
-    values = field_in.values.copy()
-    SplitStepKernel(field_in.grid, medium, dz).kick(values[None])
-    return field_in.with_values(values).validate_finite()
+    grid = field_in.grid
+    values = kernel_stack([field_in.values], grid)
+    SplitStepKernel(grid, medium, dz).kick(values)
+    return field_in.with_values(np.ascontiguousarray(values[0, :, :grid.nx])).validate_finite()
 
 
 def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
@@ -425,7 +419,8 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
     one (B, ny, nx) stack through the same step loop and returns a list of
     records in member order. Each member's final field and snapshots equal
     those of a lone call bit for bit.
-    Snapshots are taken every plan.snapshot_every steps and at z = L. Each
+    Snapshots are taken every plan.snapshot_every steps and at z = L, none
+    without steps. Each
     member's record stores (z, keep(z, member_field)) as the snapshot is
     made, so nothing else holds the field once keep returns; the default
     keep stores the field itself. keep is called in z order and, at each z,

@@ -38,9 +38,11 @@ def test_submodule_import_still_works():
                                           ("solver", "kinetic_multiplier"),
                                           ("gem", "PulseTrain"),
                                           ("dispersion", "bogoliubov_sound_speed"),
-                                          ("hydro", "DEFAULT_DENSITY_FLOOR")],
+                                          ("hydro", "DEFAULT_DENSITY_FLOOR"),
+                                          ("solver", "row_pad")],
                          ids=["kinetic_half_step", "serialize_config", "kinetic_multiplier",
-                              "PulseTrain", "bogoliubov_sound_speed", "DEFAULT_DENSITY_FLOOR"])
+                              "PulseTrain", "bogoliubov_sound_speed", "DEFAULT_DENSITY_FLOOR",
+                              "row_pad"])
 def test_removed_name_is_not_public(module, name):
     assert name not in pfl.__all__
     assert not hasattr(import_module(f"pfl.{module}"), name)

@@ -38,6 +38,7 @@ def half_kinetic(field, dz, k0, n0):
 
 KICK_CASES = ["loss", "static_loss", "static_gain", "saturation", "large_phase"]
 KICK_DZ = 1e-3
+LINE_GRID = Grid(256, 1, 5e-6, 5e-6)  # a probe line (1, 256), as dispersion steps
 
 
 def kick_case(grid, case):
@@ -132,35 +133,37 @@ class TestNonlinearStep:
 
     @pytest.mark.parametrize("case", KICK_CASES)
     def test_kick_matches_literal_formula(self, small_grid, case):
-        # each fast path of the kick against values * exp(1j*phase - decay);
-        # large_phase drives tan(phase / 2) of the half-angle kick far from 0
-        values, med = kick_case(small_grid, case)
-        f = Field2D(grid=small_grid, values=values)
-        density = np.abs(values) ** 2
-        k0 = 2 * np.pi / WAVELENGTH
-        dz, chi3 = KICK_DZ, med.chi3
+        # each fast path of the kick against values * exp(1j*phase - decay),
+        # on a plane and on a line; large_phase drives tan(phase / 2) of the
+        # half-angle kick far from 0
+        for grid in (small_grid, LINE_GRID):
+            values, med = kick_case(grid, case)
+            f = Field2D(grid=grid, values=values)
+            density = np.abs(values) ** 2
+            k0 = 2 * np.pi / WAVELENGTH
+            dz, chi3 = KICK_DZ, med.chi3
 
-        chi_eff = chi3
-        if med.i_sat is not None:
-            chi_eff = chi3 / (1.0 + density_to_intensity(density, med.n0) / med.i_sat)
-            assert np.ptp(chi_eff / chi3) > 0.1  # saturation is far from negligible
-        phase = dz * (k0 / (2.0 * med.n0)) * chi_eff * density
-        decay = np.full_like(density, 0.5 * med.alpha * dz)
-        dn = med.potential
-        if dn is not None:
-            phase = phase + dz * k0 * dn.real
-            decay = decay + dz * k0 * dn.imag
-        assert (np.min(decay) < 0) == (case == "static_gain")
-        assert (np.max(np.abs(phase)) > 3.0) == (case == "large_phase")
-        expected = values * np.exp(1j * phase - decay)
+            chi_eff = chi3
+            if med.i_sat is not None:
+                chi_eff = chi3 / (1.0 + density_to_intensity(density, med.n0) / med.i_sat)
+                assert np.ptp(chi_eff / chi3) > 0.1  # saturation is far from negligible
+            phase = dz * (k0 / (2.0 * med.n0)) * chi_eff * density
+            decay = np.full_like(density, 0.5 * med.alpha * dz)
+            dn = med.potential
+            if dn is not None:
+                phase = phase + dz * k0 * dn.real
+                decay = decay + dz * k0 * dn.imag
+            assert (np.min(decay) < 0) == (case == "static_gain")
+            assert (np.max(np.abs(phase)) > 3.0) == (case == "large_phase")
+            expected = values * np.exp(1j * phase - decay)
 
-        out = nonlinear_step(f, dz, med)
-        np.testing.assert_allclose(out.values, expected, rtol=1e-13, atol=0)
-        kernel = SplitStepKernel(small_grid, med, dz)
-        max_phase = kernel.kick(values.copy()[None])
-        assert max_phase == pytest.approx(np.max(np.abs(phase)), rel=1e-13)
-        # the phase factor built from tan(phase / 2) is unimodular to a few ulp
-        assert np.max(np.abs(np.abs(kernel.factor) - 1.0)) <= 4 * np.finfo(float).eps
+            out = nonlinear_step(f, dz, med)
+            np.testing.assert_allclose(out.values, expected, rtol=1e-13, atol=0)
+            kernel = SplitStepKernel(grid, med, dz)
+            max_phase = kernel.kick(solver.kernel_stack([values], grid))
+            assert max_phase == pytest.approx(np.max(np.abs(phase)), rel=1e-13)
+            # the phase factor built from tan(phase / 2) is unimodular to a few ulp
+            assert np.max(np.abs(np.abs(kernel.factor) - 1.0)) <= 4 * np.finfo(float).eps
 
 
 class TestBlockedKick:
@@ -171,18 +174,23 @@ class TestBlockedKick:
     @staticmethod
     def kick(monkeypatch, block_sites, grid, medium, values):
         monkeypatch.setattr(solver, "BLOCK_SITES", block_sites)
-        values = values.copy()
-        max_phase = SplitStepKernel(grid, medium, KICK_DZ).kick(values)
-        return values, max_phase
+        stack = solver.kernel_stack(values, grid)
+        max_phase = SplitStepKernel(grid, medium, KICK_DZ).kick(stack)
+        return stack[..., :grid.nx], max_phase
 
     def test_block_slices_cover_the_stack(self, monkeypatch):
         monkeypatch.setattr(solver, "BLOCK_SITES", 24 * 64)
         assert solver.block_slices(1, 64, 64) == [
             (slice(0, 1), slice(0, 24)), (slice(0, 1), slice(24, 48)),
             (slice(0, 1), slice(48, 64))]
+        # a member larger than BLOCK_SITES still makes a run of one
+        assert solver.member_runs(3, 64, 64) == [slice(0, 1), slice(1, 2), slice(2, 3)]
         monkeypatch.setattr(solver, "BLOCK_SITES", 2**15)
         assert solver.block_slices(10, 64, 64) == [(slice(0, 8), slice(None)),
                                                   (slice(8, 10), slice(None))]
+        assert solver.member_runs(10, 64, 64) == [slice(0, 8), slice(8, 10)]
+        assert solver.member_runs(2, 256, 256) == [slice(0, 1), slice(1, 2)]
+        assert solver.member_runs(5, 1, 256) == [slice(0, 5)]  # up to 128 lines a run
         assert len(solver.block_slices(2, 512, 512)) == 16  # 64 rows of each member
         assert solver.block_slices(1, 3, 2**16) == [(slice(0, 1), slice(r, r + 1))
                                                    for r in range(3)]  # rows wider than a block
@@ -250,9 +258,10 @@ class TestBlockedKick:
                               potential=landscape, length=1.0)
         values = np.exp(0.1j * xx / 5e-6) * (1.0 + 0.1 * np.cos(yy / 4e-5))
         kernel = SplitStepKernel(grid, medium, KICK_DZ)
+        stack = solver.kernel_stack([values], grid)
         tracemalloc.start()
         try:
-            kernel.kick(values[None])
+            kernel.kick(stack)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -310,8 +319,9 @@ def unitary_loop(fields, medium, plan, scaled=True):
     spectrum = fft2(values, scaled=scaled) * half
     snapshots = []
     for step in range(plan.n_steps):
-        values = ifft2(spectrum, scaled=scaled)
-        kernel.kick(values)
+        stack = solver.kernel_stack(ifft2(spectrum, scaled=scaled), grid)
+        kernel.kick(stack)
+        values = stack[..., :grid.nx]
         spectrum = fft2(values, scaled=scaled)
         power.append(np.sum(np.abs(spectrum) ** 2, axis=(-2, -1)) * grid.cell_area / sites)
         last = step == plan.n_steps - 1
@@ -322,19 +332,30 @@ def unitary_loop(fields, medium, plan, scaled=True):
 
 
 class TestPaddedLayout:
-    """Planes are stepped in a buffer whose rows carry ROW_PAD zeros, with
-    transforms that do not scale; the fields they give must be the bits of
-    the unpadded unitary arithmetic where each side is a power of 4, and
-    agree with it to rounding elsewhere."""
+    """Planes and lines are stepped in a buffer whose rows carry ROW_PAD
+    zeros, with transforms that do not scale; the fields they give must be
+    the bits of the unpadded unitary arithmetic where each side is a power
+    of 4, and agree with it to rounding elsewhere."""
 
     def test_padding_rule(self):
-        assert solver.row_pad((1, 512, 512)) == solver.row_pad((1, 256, 256)) == solver.ROW_PAD
-        assert solver.row_pad((8, 64, 64)) == solver.ROW_PAD
-        assert solver.row_pad((5, 1, 256)) == 0
-        grid = make_grid(256, 256, 5e-6)
-        stack = solver.kernel_stack([np.ones((256, 256)), 2j * np.ones((256, 256))], grid)
-        assert stack.shape == (2, 256, 256 + solver.ROW_PAD) and stack.flags.c_contiguous
-        assert not stack[..., 256:].any()
+        # one layout for every stack: a line's rows are padded like a plane's
+        medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-10, length=1.0)
+        for nx, ny in ((512, 512), (256, 256), (64, 64), (256, 1)):
+            grid = Grid(nx, ny, 5e-6, 5e-6)
+            assert SplitStepKernel(grid, medium, KICK_DZ).width == nx + solver.ROW_PAD
+            stack = solver.kernel_stack([np.ones((ny, nx)), 2j * np.ones((ny, nx))], grid)
+            assert stack.shape == (2, ny, nx + solver.ROW_PAD) and stack.flags.c_contiguous
+            assert not stack[..., nx:].any()
+
+    @pytest.mark.parametrize("ny", [64, 1])
+    def test_kick_refuses_a_stack_outside_the_layout(self, ny):
+        # an unpadded (B, ny, nx) stack is refused, even where no potential
+        # or amplitude array would fail to broadcast against its rows
+        grid = Grid(64, ny, 5e-6, 5e-6)
+        medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-10, length=1.0)
+        kernel = SplitStepKernel(grid, medium, KICK_DZ)
+        with pytest.raises(ValueError, match="kernel_stack"):
+            kernel.kick(np.ones((2, ny, 64), dtype=np.complex128))
 
     def test_padded_run_does_the_unpadded_arithmetic(self):
         start, medium, plan = padded_case()
