@@ -253,19 +253,16 @@ def echo_peaks(power: np.ndarray, height: float, distance: int) -> np.ndarray:
 def recall_order(config: GemConfig, pulses: list[GaussianPulse],
                  result: GemResult) -> PulseOrderingResult | None:
     """The recall order of result, the run of the pulses on config, if its
-    schedule sets one (rules.ordering), else None. FILO: one flip at tau,
-    coupling always on; a pulse stored at t_p re-emits at 2 tau - t_p, so
-    the later pulse exits first. FIFO: coupling gated off across those
-    echoes and a second flip at tau2; the echoes land at t_p + 2 (tau2 - tau),
-    in input order. Raises RuntimeError if the order found is not the mode's.
-    """
+    schedule sets one (rules.ordering), else None: FILO (one flip, coupling
+    always on) re-emits the later pulse first, FIFO (coupling gated off
+    across those echoes, a second flip) in input order, each at its
+    rules.echo_time. Raises RuntimeError if the order found is not the mode's."""
     if (mode := ordering_mode(config, pulses)) is None:
         return None
     first, second = sorted(pulses, key=lambda p: p.center)
-    gap, tau = second.center - first.center, config.eta_flips[0]
+    gap = second.center - first.center
     # (echo time, label) of each pulse
-    expected = [(2.0 * tau - p.center if mode == "FILO"
-                 else p.center + 2.0 * (config.eta_flips[1] - tau), p.label or label)
+    expected = [(rules.echo_time(mode, config.eta_flips, p.center), p.label or label)
                 for p, label in ((first, "A"), (second, "B"))]
 
     t = result.times

@@ -122,6 +122,12 @@ def echo_windows(tau: float, center: float, width: float, t_extent: float):
     return input_window, echo_window
 
 
+def echo_time(mode: str, flips, center: float) -> float:
+    """When a pulse stored at center re-emits: FILO (one flip at tau1) at
+    2 tau1 - center, FIFO (flips at tau1 and tau2) at center + 2 (tau2 - tau1)."""
+    return 2.0 * flips[0] - center if mode == "FILO" else center + 2.0 * (flips[1] - flips[0])
+
+
 def ordering(flips, windows, centers, widths, t_extent: float) -> str | None:
     """FILO for two pulses, one flip and no coupling windows, FIFO for two
     pulses, two flips and a window (see gem.recall_order), else None. Both
@@ -138,12 +144,12 @@ def ordering(flips, windows, centers, widths, t_extent: float) -> str | None:
                          f"the first gradient flip at {flips[0]} ({PULSE_WIDTHS:g} sigma margin)")
     mode = "FILO" if len(flips) == 1 else "FIFO"
     if mode == "FIFO":
-        for echo in (2.0 * flips[0] - second, 2.0 * flips[0] - first):
+        for echo in (echo_time("FILO", flips, second), echo_time("FILO", flips, first)):
             if any(on <= echo <= off for on, off in windows):
                 raise ValueError(f"coupling is on at the suppressed echo time {echo}; gate it "
                                  "off across both first-flip echoes for FIFO recall")
     for center, width in ((first, first_width), (second, second_width)):
-        echo = 2.0 * flips[0] - center if mode == "FILO" else center + 2.0 * (flips[1] - flips[0])
+        echo = echo_time(mode, flips, center)
         if echo <= flips[-1] or echo + PULSE_WIDTHS * width > t_extent:
             raise ValueError(f"{mode} echo of the pulse at t={center} would fall at {echo}; it "
                              f"must come after the last flip at {flips[-1]} and "

@@ -174,18 +174,22 @@ def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
     amplitude = np.sqrt(rho)
     band = np.sqrt(grid.k_squared()) <= p["band_fraction"] * min(grid.k_nyquist_x,
                                                                  grid.k_nyquist_y)
-    eps = p["noise_amplitude"] * amplitude
-
-    def member(i):
-        rng = stream_rng(cfg.run["seed"], "sf-noise", i)
-        white = (rng.standard_normal((grid.ny, grid.nx))
-                 + 1j * rng.standard_normal((grid.ny, grid.nx))) / np.sqrt(2.0)
-        noise = ifft2(fft2(white * eps) * band)
-        return Field2D(grid=grid, values=amplitude + noise)
+    eps, shape = p["noise_amplitude"] * amplitude, (grid.ny, grid.nx)
 
     signal, reference = [], []
     for run in member_runs(p["realizations"], grid.ny, grid.nx):
-        fields = [member(i) for i in range(run.start, run.stop)]
+        # each member's noise from its own stream, band-limited in place as one stack
+        values = np.empty((run.stop - run.start, *shape), dtype=np.complex128)
+        for member, i in zip(values, range(run.start, run.stop)):
+            rng = stream_rng(cfg.run["seed"], "sf-noise", i)
+            member.real, member.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+        values /= np.sqrt(2.0)
+        values *= eps
+        fft2(values, overwrite_x=True)
+        values *= band
+        ifft2(values, overwrite_x=True)
+        values += amplitude
+        fields = [Field2D(grid=grid, values=member) for member in values]
         reference += [f.density() for f in fields]
         signal += [r.final_field.density() for r in propagate(fields, medium, plan)]
     sf = structure_factor(signal, reference, grid=grid, nbins=p["nbins"],

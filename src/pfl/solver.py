@@ -13,24 +13,25 @@ adjacent half steps merged, so a step costs one forward and one inverse
 transform; a snapshot costs one more inverse transform.
 
 One SplitStepKernel per propagate call precomputes the Kerr coefficient
-dz k0 chi3 / (2 n0) and the potential's phase and amplitude terms (without
-a potential, the loss exp(-alpha dz/2) is a scalar); its run builds the
-full-step kinetic factor. Its step loop and its kick take only stacks of
-fields that share the grid and the medium, in the one layout below;
-propagate and nonlinear_step pass a lone field as the stack B = 1. Its
-kick builds exp(i phase) from tan(phase / 2) and multiplies the field in
-place, block by block, in preallocated buffers of one block of
-BLOCK_SITES sites; the transforms (numpy.fft, one pass per axis) run in
-place on buffers the kernel owns. The half steps, at entry, at each
-snapshot and at the last step, build their factor from its separable y
-and x factors one block of rows at a time in the kick's factor buffer, so
-that the kernel stores one plane-sized factor, not two. The input is
-never written to. Each snapshot leaves the step loop as it is made:
-propagate hands every member's field to a keep callback and stores only
-what keep returns, so a run that keeps a density or a profile per
-snapshot never holds a list of full fields. At its peak a propagation
-holds the input, the kernel's stack, the full factor, the kick's block
-buffers and one snapshot stack.
+dz k0 chi3 / (2 n0), the potential's phase term and the amplitude factor
+a = exp(-dz (alpha/2 + k0 Im dn)) with 2a (scalars without a lossy
+potential); its run builds the full-step kinetic factor. Its step loop and
+kick take only stacks of fields that share the grid and the medium, in the
+one layout below; propagate and nonlinear_step pass a lone field as the
+stack B = 1. The kick and the half steps walk one list of blocks of about
+BLOCK_SITES sites, each with its views of preallocated block buffers: the
+kick multiplies the field in place by one factor a exp(i phase), built from
+tan(phase / 2), so the loss takes no pass of its own, and each half step
+builds its factor from the separable y and x factors in the block's factor
+view, so the kernel stores one plane-sized factor, not two. The transforms
+(numpy.fft, one pass per axis) run in place on buffers the kernel owns; the
+input is never written to. Snapshots and the final fields leave the loop
+through one exit, _fields, which applies the half step into a new array.
+propagate hands every member's snapshot to a keep callback as it is made
+and stores only what keep returns, so a run that keeps a density or a
+profile per snapshot never holds a list of full fields. At its peak a
+propagation holds the input, the kernel's stack, the full factor, the
+kick's block buffers and one output stack.
 
 Every stack, of planes or of lines (B, 1, nx), is stepped in one layout,
 a zero-padded buffer (B, ny, nx + ROW_PAD), ROW_PAD = 4 complex128 (one
@@ -78,9 +79,10 @@ OCCUPIED_MODE_FLOOR = 1e-9
 WARN_PHASE_PER_STEP = 0.5
 ABORT_PHASE_PER_STEP = np.pi
 
-# Lattice sites per block of the kick's pointwise passes and per run of
-# ensemble members (see member_runs): 2^15 sites keep the block's complex
-# field, factor and real buffers at about 1.5 MB, inside a 2 MB L2 cache.
+# Lattice sites per block of the kick and the half steps and per run of
+# members (see member_runs): 8 members at 64^2, the fastest run measured. On
+# one core of a 2-vCPU x86 VM (2 MiB L2 per core), runs of 4, 16 and 32 took
+# 1.043, 1.088 and 1.149 of the time of runs of 8 (75 interleaved rounds).
 BLOCK_SITES = 2**15
 
 # Zero complex128 samples appended to each row of every kernel stack (one
@@ -180,27 +182,26 @@ class SplitStepKernel:
         self.saturation = (None if medium.i_sat is None
                            else density_to_intensity(1.0, medium.n0) / medium.i_sat)
         self.potential_half, self.amplitude = self._potential_terms()
+        self.twice_amplitude = 2.0 * self.amplitude  # the kick's 2a, see kick
         # block buffers and ((B, ny, nx), per-block views), set by run or the first kick
         self.density = self.phase = self.factor = self.blocks = None
 
     def _half_step(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Multiply the stack values by the half-step kinetic factor (times
         1/(nx ny), see run) in place, or into out (B, ny, nx) from the
-        fields values[..., :nx]; return the result. The factor is built one
-        block of rows at a time (see block_slices) in the kick's factor
-        buffer, zero in the pad, with the bits of a whole-plane factor."""
+        fields values[..., :nx]; return the result. The factor is built
+        block by block (see block_slices) in each block's factor view, zero
+        in the pad, with the bits of a whole-plane factor."""
         (ny, nx), (ey, ex) = (self.grid.ny, self.grid.nx), self.half_axes
-        buffer = self.factor[0]
-        buffer[:, nx:] = 0.0
-        for start in range(0, ny, len(buffer)):
-            rows = slice(start, min(start + len(buffer), ny))
-            factor = buffer[:rows.stop - start]
+        for members, rows, _, _, factor, *_ in self.blocks[1]:
+            factor = factor[0]  # one member's rows, which broadcast over the block's members
             np.multiply(ey[rows, None], ex, out=factor[:, :nx])
+            factor[:, nx:] = 0.0
             factor /= nx * ny
             if out is None:
-                values[:, rows] *= factor
+                values[members, rows] *= factor
             else:
-                np.multiply(values[:, rows, :nx], factor[:, :nx], out=out[:, rows])
+                np.multiply(values[members, rows, :nx], factor[:, :nx], out=out[members, rows])
         return values if out is None else out
 
     def _widen(self, terms):
@@ -237,18 +238,15 @@ class SplitStepKernel:
         the kernel's layout (see kernel_stack), with |E|^2 frozen at entry;
         return the largest |phase| it applied to each field, shape (B,). The
         pad holds zeros, which stay zero and leave the peak phase as it is.
-
-        exp(i phase) comes from one transcendental, t = tan(phase / 2):
-        cos = (1 - t^2) / (1 + t^2) = 2 / (1 + t^2) - 1, sin = 2 t / (1 + t^2).
-        The passes run block by block (see block_slices), so the buffers are
-        one block, not one stack; every operation is pointwise, so the result
-        does not depend on the blocking.
-        """
+        The factor a exp(i phase), the loss folded in, comes from one
+        transcendental, t = tan(phase / 2): with r = 2a / (1 + t^2),
+        a cos = r - a and a sin = t r. The passes run block by block (see
+        block_slices) in buffers of one block, not one stack; every operation
+        is pointwise, so the result does not depend on the blocking."""
         if self.blocks is None or self.blocks[0] != stack.shape:
             self._size_blocks(stack)
-        potential_half, amplitude = self.potential_half, self.amplitude
         max_phase = np.zeros(len(stack))
-        for members, rows, density, half, factor, re, im in self.blocks[1]:
+        for members, rows, density, half, factor, re, im, potential, a, two_a in self.blocks[1]:
             block = stack[members, rows]
             # |E|^2 = re^2 + im^2, squared into the factor buffer as scratch
             np.square(block.view(np.float64), out=factor.view(np.float64))
@@ -256,27 +254,24 @@ class SplitStepKernel:
             np.multiply(density, self.half_kerr, out=half)
             if self.saturation is not None:  # chi_eff = chi3 / (1 + I / I_sat)
                 half /= 1.0 + self.saturation * density
-            if potential_half is not None:
-                half += potential_half[rows]
+            if potential is not None:
+                half += potential
             peak = 2.0 * np.maximum(half.max(axis=(-2, -1)), -half.min(axis=(-2, -1)))
             np.maximum(max_phase[members], peak, out=max_phase[members])
             t, r = np.tan(half, out=half), density
             np.multiply(t, t, out=r)
             r += 1.0
-            np.divide(2.0, r, out=r)
+            np.divide(two_a, r, out=r)
             np.multiply(t, r, out=im)
-            np.subtract(r, 1.0, out=re)
+            np.subtract(r, a, out=re)
             block *= factor
-            if np.ndim(amplitude):
-                block *= amplitude[rows]
-            elif amplitude != 1.0:
-                block *= amplitude
         return max_phase
 
     def _size_blocks(self, stack: np.ndarray):
         """Allocate buffers for the largest block of the stack and record,
-        per block, its (members, rows) and its views of the buffers. Blocks
-        are counted in field samples: the pad does not count. Raises
+        per block, its (members, rows), its views of the buffers and its
+        rows of the potential's half phase, a and 2a (a scalar as it is).
+        Blocks are counted in field samples: the pad does not count. Raises
         ValueError unless the stack's rows are width samples wide."""
         if stack.ndim != 3 or stack.shape[-1] != self.width:
             raise ValueError(f"the kernel steps stacks (B, ny, {self.width}) in its layout "
@@ -285,12 +280,14 @@ class SplitStepKernel:
         shape = stack[blocks[0]].shape  # the first block is the largest
         self.density, self.phase = np.empty((2, *shape))
         self.factor = np.empty(shape, dtype=np.complex128)
+        terms = (self.potential_half, self.amplitude, self.twice_amplitude)
         views = []
         for members, rows in blocks:
             n_members, n_rows = stack[members, rows].shape[:2]
             density, half, factor = (buffer[:n_members, :n_rows]
                                      for buffer in (self.density, self.phase, self.factor))
-            views.append((members, rows, density, half, factor, factor.real, factor.imag))
+            views.append((members, rows, density, half, factor, factor.real, factor.imag,
+                          *(term[rows] if np.ndim(term) else term for term in terms)))
         self.blocks = (stack.shape, views)
 
     def run(self, values: np.ndarray, plan: StepPlan,
@@ -298,13 +295,13 @@ class SplitStepKernel:
         """Take plan.n_steps steps of the stack values in the kernel's layout
         (see kernel_stack), which the kernel owns and overwrites: the
         transforms run in place on its fields, the pointwise passes over the
-        whole buffer. Each snapshot stack before the last step goes to
-        on_snapshot(z, stack) as it is made; the stack is a new C-contiguous
-        (B, ny, nx) array the callee may keep. Returns the final stack,
-        C-contiguous (B, ny, nx), the power per step boundary and member
-        (n_steps + 1, B) and each member's max_phase_per_step: its kinetic
-        phase per step plus its largest kick phase. Both pass the
-        step-resolution guard (_guard) as they are made."""
+        whole buffer. Each snapshot before the last step goes to
+        on_snapshot(z, stack) as it is made. Returns the final stack, the
+        power per step boundary and member (n_steps + 1, B) and each
+        member's max_phase_per_step: its kinetic phase per step plus its
+        largest kick phase, both passed through the step-resolution guard
+        (_guard) as they are made. Snapshot and final stacks leave through
+        _fields as new C-contiguous (B, ny, nx) arrays the callee may keep."""
         n_steps, every, dz = plan.n_steps, plan.snapshot_every, self.dz
         (ny, nx), (ey, ex) = (self.grid.ny, self.grid.nx), self.half_axes
         power = np.empty((n_steps + 1, len(values)))
@@ -326,6 +323,8 @@ class SplitStepKernel:
         full_kinetic /= nx * ny
         for step in range(n_steps):
             z_mid, z_next = (step + 0.5) * dz, (step + 1) * dz
+            if step:  # the previous step's trailing half step merged with this one's leading half
+                values *= full_kinetic
             self._transform(ifft2, values)
             step_phase = self.kick(values)
             if step == 0:
@@ -337,22 +336,23 @@ class SplitStepKernel:
             if not np.isfinite(power[step + 1]).all():
                 raise FloatingPointError(f"non-finite power at z = {z_next:.6g}; "
                                          f"propagation aborted")
-            last = step == n_steps - 1
-            if every and (step + 1) % every == 0 and not last:
+            if every and (step + 1) % every == 0 and step < n_steps - 1:
                 # unbound, so that no local holds the stack after the callback
-                on_snapshot(z_next, self._transform(ifft2, self._half_step(
-                    values, np.empty((len(values), ny, nx), dtype=np.complex128))))
-            if last:
-                self._half_step(values)
-            else:
-                values *= full_kinetic
-        final = np.ascontiguousarray(self._transform(ifft2, values)[..., :nx])
-        return final, power, kinetic + max_phase
+                on_snapshot(z_next, self._fields(values))
+        return self._fields(values), power, kinetic + max_phase
+
+    def _fields(self, values: np.ndarray) -> np.ndarray:
+        """The fields of the spectra values after the half step that ends a
+        step: a new C-contiguous (B, ny, nx) array, the half step applied
+        into it and inverse-transformed in place. values is not written to."""
+        out = np.empty((len(values), self.grid.ny, self.grid.nx), dtype=np.complex128)
+        return self._transform(ifft2, self._half_step(values, out))
 
     def _transform(self, transform: Callable, values: np.ndarray) -> np.ndarray:
         """Apply fft2 or ifft2 without scaling (see run) in place to the
-        fields values[..., :nx] of a stack and return the stack. pocketfft does the same arithmetic on a line at any stride, so
-        the fields get the bits of a transform of a contiguous copy."""
+        fields values[..., :nx] of a stack and return the stack. pocketfft
+        does the same arithmetic on a line at any stride, so the fields get
+        the bits of a transform of a contiguous copy."""
         transform(values[..., :self.grid.nx], overwrite_x=True, scaled=False)
         return values
 

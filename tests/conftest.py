@@ -1,10 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pfl.grid import Field2D, make_grid
 from pfl.medium import MediumParams
 
 WAVELENGTH = 780e-9  # D2 line of Rb
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run; elsewhere
+# each run explores new ones
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def defocusing_setup(nx=128, dx=5e-6, xi_cells=2.0, rho=1.0, tau=10.0,

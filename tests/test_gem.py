@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pfl import gem
+from pfl import gem, rules
 from pfl.cli import main as cli_main
 from pfl.gem import (GaussianPulse, GemConfig, _schedule, echo_peaks,
                      gem_efficiency_measured, gem_efficiency_theory, gem_evolve, recall_order)
@@ -274,6 +274,12 @@ class TestOrdering:
                           coupling_windows=((0.0, 3.2), (4.5, 9.0)))
         with pytest.raises(ValueError, match="suppressed echo time 5"):
             recall(cfg, self._train())
+
+    def test_echo_time_is_the_one_formula(self):
+        # rules.ordering and recall_order both read it: FILO at 2 tau1 - t_p,
+        # FIFO at t_p + 2 (tau2 - tau1)
+        assert [rules.echo_time("FILO", (3.0,), t) for t in (1.0, 2.0)] == [5.0, 4.0]
+        assert [rules.echo_time("FIFO", (3.0, 5.5), t) for t in (1.0, 2.0)] == [6.0, 7.0]
 
     def test_unknown_mode(self):
         # the schedule sets the mode; one flip with a coupling window has none

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfl import solver
 from pfl.grid import Field2D, Grid, fft2, ifft2, make_grid
@@ -162,8 +164,10 @@ class TestNonlinearStep:
             kernel = SplitStepKernel(grid, med, dz)
             max_phase = kernel.kick(solver.kernel_stack([values], grid))
             assert max_phase == pytest.approx(np.max(np.abs(phase)), rel=1e-13)
-            # the phase factor built from tan(phase / 2) is unimodular to a few ulp
-            assert np.max(np.abs(np.abs(kernel.factor) - 1.0)) <= 4 * np.finfo(float).eps
+            # the factor built from tan(phase / 2) has the modulus of the
+            # amplitude factor a (zero in the pad of an array) to a few ulp
+            a = kernel.amplitude
+            assert np.all(np.abs(np.abs(kernel.factor) - a) <= 4 * np.finfo(float).eps * a)
 
 
 class TestBlockedKick:
@@ -792,6 +796,86 @@ class TestTimeReversal:
             assert error <= 1e-12 * np.abs(start.values).max()
 
 
+@st.composite
+def lossless_runs(draw):
+    """(grid, medium, fields, plan, block_sites) of a lossless run of a stack:
+    1 to 9 members of lines or planes of 8 to 96 samples a side, powers of
+    two and not, each sample complex normal; dz of up to 10 rad of kinetic
+    phase per step at each axis's Nyquist mode, up to 0.5 rad of Kerr phase
+    of either sign at the peak density, maybe a real static potential of up
+    to 0.5 rad per step and saturation at a quarter of the peak density; 1 to
+    6 steps, with snapshots every 0 to 3 of them; BLOCK_SITES of 2^15, or of
+    256, at which the kick and the half steps walk blocks of rows."""
+    side = st.one_of(st.sampled_from([8, 16, 32, 64]), st.integers(8, 96))
+    nx, ny = draw(side), draw(st.one_of(st.just(1), side))
+    members, n_steps = draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    kinetic, kerr = draw(st.floats(0.01, 10.0)), draw(st.floats(-0.5, 0.5))
+    potential, saturation = draw(st.one_of(st.none(), st.floats(0.0, 0.5))), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dx, k0 = 5e-6, 2 * np.pi / WAVELENGTH
+    dz = kinetic * 2 * k0 / (np.pi / dx) ** 2  # dz k^2 / (2 n0 k0) at k = pi / dx, n0 = 1
+    fields = rng.standard_normal((members, ny, nx)) + 1j * rng.standard_normal((members, ny, nx))
+    rho = np.max(np.abs(fields) ** 2)
+    if potential is not None:
+        potential = potential / (k0 * dz) * rng.uniform(-1.0, 1.0, (ny, nx))
+    medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-2.0 * kerr / (k0 * dz * rho),
+                          length=n_steps * dz, potential=potential,
+                          i_sat=float(density_to_intensity(rho / 4, 1.0)) if saturation else None)
+    plan = StepPlan(n_steps, draw(st.integers(0, 3)))
+    return Grid(nx, ny, dx, dx), medium, fields, plan, draw(st.sampled_from([2**15, 256]))
+
+
+def kernel_run(grid, medium, fields, plan, block_sites):
+    """The final fields of SplitStepKernel.run on the stack fields in blocks
+    of block_sites, with the step-resolution guard's abort lifted."""
+    kernel = SplitStepKernel(grid, medium, plan.resolve_dz(medium.length))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "ABORT_PHASE_PER_STEP", np.inf)
+        patch.setattr(solver, "BLOCK_SITES", block_sites)
+        return kernel.run(solver.kernel_stack(fields, grid), plan, lambda z, stack: None)[0]
+
+
+ROUNDING_ULPS = 32
+
+
+def rounding_bound(fields, plan):
+    """ROUNDING_ULPS ulp of the peak input sample per step and one more: a
+    step rounds through a transform pair and a kick, each a few ulp. Over
+    2100 random cases, a run there and back read at most 6.5 of these ulp
+    and a shifted or flipped run 3.6."""
+    return ROUNDING_ULPS * (plan.n_steps + 1) * np.finfo(float).eps * np.abs(fields).max()
+
+
+class TestKernelProperties:
+    """TestTimeReversal's oracle and two exact symmetries of the lattice,
+    as properties of SplitStepKernel.run on random lossless runs (see
+    lossless_runs) at any dz: each must hold to rounding."""
+
+    @pytest.mark.filterwarnings("ignore:step size")
+    @settings(max_examples=40, deadline=None)
+    @given(case=lossless_runs())
+    def test_conjugated_run_returns_its_input(self, case):
+        grid, medium, fields, plan, block_sites = case
+        there = kernel_run(*case)
+        back = np.conj(kernel_run(grid, medium, np.conj(there), plan, block_sites))
+        assert np.abs(back - fields).max() <= rounding_bound(fields, plan)
+
+    @pytest.mark.filterwarnings("ignore:step size")
+    @settings(max_examples=40, deadline=None)
+    @given(case=lossless_runs(), cells=st.tuples(st.integers(0, 95), st.integers(0, 95)))
+    def test_shift_and_parity_commute_with_a_run(self, case, cells):
+        # a shift by whole cells (periodic) and a flip of both axes, of the
+        # fields and the potential alike, before a run or after it
+        grid, medium, fields, plan, block_sites = case
+        run = kernel_run(*case)
+        for move in (lambda a: np.roll(a, cells, axis=(-2, -1)),
+                     lambda a: np.flip(a, axis=(-2, -1))):
+            moved = dataclasses.replace(
+                medium, potential=None if medium.potential is None else move(medium.potential))
+            assert (np.abs(kernel_run(grid, moved, move(fields), plan, block_sites)
+                           - move(run)).max() <= rounding_bound(fields, plan))
+
+
 class TestLinearizedMap:
     """The exact linearized split-step map as an oracle for the kernel at any
     dz. On a uniform fluid of density rho, in the frame that turns with the
@@ -803,18 +887,19 @@ class TestLinearizedMap:
     runs cancels the even orders, so it matches the map to eps^2."""
 
     @staticmethod
-    def _mapped(u0, k_squared, n_steps, dz, n0, gamma):
-        """u0 after n_steps of the map, in the frame that turns with the
-        background: each pair (a_k, conj a_-k) of its spectrum times
-        (K N K)^n_steps, with beta from k_squared on u0's grid."""
+    def _mapped(u0, k_squared, dz, n0, gammas):
+        """u0 after one step of the map per kick phase in gammas, in the
+        frame that turns with the background: each pair (a_k, conj a_-k) of
+        its spectrum times K N K per step, with beta from k_squared on u0's
+        grid."""
         beta = dz * k_squared / (4 * n0 * 2 * np.pi / WAVELENGTH)
         kinetic = np.array([[np.exp(-1j * beta), 0 * beta], [0 * beta, np.exp(1j * beta)]])
-        kick = np.array([[1 + 1j * gamma, 1j * gamma], [-1j * gamma, 1 - 1j * gamma]])
-        step = np.einsum("ij...,jl,lm...->im...", kinetic, kick, kinetic)
         a = np.fft.fftn(u0)
         # a[-k] on every axis: reverse, then shift the zero mode back to 0
         pair = np.array([a, np.conj(np.roll(np.flip(a), 1, axis=tuple(range(a.ndim))))])
-        for _ in range(n_steps):
+        for gamma in gammas:
+            kick = np.array([[1 + 1j * gamma, 1j * gamma], [-1j * gamma, 1 - 1j * gamma]])
+            step = np.einsum("ij...,jl,lm...->im...", kinetic, kick, kinetic)
             pair = np.einsum("ij...,j...->i...", step, pair)
         return np.fft.ifftn(pair[0])
 
@@ -841,7 +926,7 @@ class TestLinearizedMap:
                                  for sign in (1, -1)], medium, StepPlan(n_steps=n_steps))
         dz = medium.length / n_steps
         gamma = -dz / scales["z_nl"]  # g rho dz, rho = 1
-        expected = self._mapped(u0, line.kx() ** 2, n_steps, dz, n0, gamma)
+        expected = self._mapped(u0, line.kx() ** 2, dz, n0, [gamma] * n_steps)
         frame = np.exp(1j * n_steps * gamma)
         measured = (plus.final_field.values[0] - minus.final_field.values[0]) / (2 * eps * frame)
         assert np.max(np.abs(measured - expected)) < 1e-6 * np.max(np.abs(expected))
@@ -862,10 +947,56 @@ class TestLinearizedMap:
                                  for sign in (1, -1)], medium, StepPlan(n_steps=n_steps))
         dz = medium.length / n_steps
         gamma = -dz / scales["z_nl"]
-        expected = self._mapped(u0, grid.k_squared(), n_steps, dz, n0, gamma)
+        expected = self._mapped(u0, grid.k_squared(), dz, n0, [gamma] * n_steps)
         frame = np.exp(1j * n_steps * gamma)
         measured = (plus.final_field.values - minus.final_field.values) / (2 * eps * frame)
         assert np.max(np.abs(measured - expected)) < 1e-6 * np.max(np.abs(expected))
+
+
+    def _line_run(self, medium, scales, n_steps, eps, seed):
+        """(u0, dz, measured): the symmetric difference of the +eps and -eps
+        runs of a 128-sample line over n_steps, per 2 eps, unnormalized."""
+        line = Grid(128, 1, 5e-6, 5e-6)
+        u0 = self._band_limited(line.kx() ** 2, scales["xi"], seed)
+        plus, minus = propagate([Field2D(grid=line, values=(1.0 + sign * eps * u0)[None])
+                                 for sign in (1, -1)], medium, StepPlan(n_steps=n_steps))
+        return u0, medium.length / n_steps, (
+            plus.final_field.values[0] - minus.final_field.values[0]) / (2 * eps)
+
+    def test_lossy_line_stack_follows_the_map(self):
+        # alpha L = 1: the background density entering kick n is
+        # exp(-alpha n dz), so gamma falls by e over the run. The loss scales
+        # the perturbation with its background, so u follows the map with
+        # that gamma per step, and the background's amplitude reads
+        # exp(-alpha L / 2). Pins the loss folded into the kick's factor
+        # (1.1e-7 measured)
+        n_steps = 40
+        grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6, xi_cells=2.0, tau=8.0)
+        medium = dataclasses.replace(medium, alpha=1.0 / medium.length)
+        u0, dz, measured = self._line_run(medium, scales, n_steps, 1e-4, 2)
+        gammas = -dz / scales["z_nl"] * np.exp(-medium.alpha * dz * np.arange(n_steps))
+        expected = self._mapped(u0, grid.kx() ** 2, dz, 1.0, gammas)
+        frame = np.exp(-0.5 * medium.alpha * medium.length + 1j * gammas.sum())
+        assert np.max(np.abs(measured / frame - expected)) < 1e-6 * np.max(np.abs(expected))
+
+    def test_focusing_line_stack_follows_the_map_not_the_continuum(self):
+        # a focusing fluid is modulationally unstable for |k| xi < 2; its
+        # modes grow at the map's rates, which differ from the continuum's
+        # (the map at 64 substeps per step) by far more than the bound. The
+        # growth makes the eps^2 remainder larger, so eps = 1e-5 (3.6e-9
+        # measured; 3.6e-7 at eps = 1e-4)
+        n_steps = 40
+        grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6, xi_cells=2.0, tau=2.0)
+        medium = dataclasses.replace(medium, chi3=-medium.chi3)
+        u0, dz, measured = self._line_run(medium, scales, n_steps, 1e-5, 3)
+        gamma = dz / scales["z_nl"]
+        expected = self._mapped(u0, grid.kx() ** 2, dz, 1.0, [gamma] * n_steps)
+        continuum = self._mapped(u0, grid.kx() ** 2, dz / 64, 1.0, [gamma / 64] * n_steps * 64)
+        scale = np.max(np.abs(expected))
+        assert scale > 2.0 * np.max(np.abs(u0))  # the unstable modes grew
+        assert np.max(np.abs(continuum - expected)) > 1e-4 * scale  # 9e-4 measured
+        frame = np.exp(1j * n_steps * gamma)
+        assert np.max(np.abs(measured / frame - expected)) < 1e-6 * scale
 
 
 class TestRescale:
