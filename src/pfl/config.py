@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from typing import Any
 
 from . import rules
-from .medium import MediumParams, fluid_scales, intensity_to_density
+from .medium import MediumParams, intensity_to_density
 from .pfl1 import read_header
 
 REQUIRED = object()
@@ -438,17 +438,15 @@ def validate_config(cfg: RunConfig):
         if potential.get("kind") == "lattice":
             rules.lattice_period(potential["period"], grid)
         if s == "dispersion":
-            for k_perp in sorted(p["k_perp_list"]):
+            for k_perp in rules.k_perp_list(p["k_perp_list"]):
                 rules.probe(p["probe_waist"], k_perp, grid)
-            rules.increasing(sorted(p["k_perp_list"]), "k samples")
             rules.tracked_snapshots(cfg.plan["n_steps"], cfg.plan["snapshot_every"])
-        if s == "sound-scaling":  # the densities are the intensities times one constant
-            rules.decade(p["intensities"])
-            rules.sound_scaling_plan(p["tau"])
-            # each probe as sound_speed_scaling derives it
-            for density in sorted(intensity_to_density(i, medium.n0) for i in p["intensities"]):
-                _, xi, _ = fluid_scales(medium, density)
-                rules.probe(p["probe_waist_xi"] * xi, p["k_perp_xi"] / xi, grid)
+            rules.probe_kick(medium, intensity_to_density(source["intensity"], medium.n0),
+                             p["power_ratio"], cfg.plan["n_steps"])
+        if s == "sound-scaling":
+            rules.sound_scaling_runs(medium, [intensity_to_density(i, medium.n0)
+                                              for i in p["intensities"]],
+                                     grid, p["tau"], p["k_perp_xi"], p["probe_waist_xi"])
         for charge, x, y in zip(p.get("charges", ()), p.get("xs", ()), p.get("ys", ())):
             rules.vortex(charge, x, y, grid)
         if s == "gem-efficiency-sweep":
@@ -458,12 +456,10 @@ def validate_config(cfg: RunConfig):
             rules.pulses((p["pulse_center"],), (p["pulse_width"],), p["t_extent"])
             rules.nonzero_eta(p["eta0"])
         if s == "gem":
-            pulses, flat = len(p["pulse_centers"]), p["coupling_windows"]
+            pulses = len(p["pulse_centers"])
             if pulses != len(p["pulse_widths"]):
                 raise ConfigError("gem.pulse_centers and pulse_widths must have equal lengths")
-            if len(flat) % 2:
-                raise ConfigError("gem.coupling_windows must list (on, off) pairs")
-            windows = tuple(zip(flat[::2], flat[1::2]))  # as the builder pairs them
+            windows = rules.coupling_windows(p["coupling_windows"])
             rules.schedule(p["flip_times"], windows, p["t_extent"])
             rules.gradient_phase(p["eta0"], p["z_extent"], p["t_extent"], p["nt"])
             rules.ordering(p["flip_times"], windows, p["pulse_centers"], p["pulse_widths"],

@@ -42,7 +42,8 @@ those of a one-probe call bit for bit. The keep callback stores each
 snapshot's line density change, nx floats, and the tracker runs once after
 the run on the (K, S, nx) stack of S snapshots: one transform pair
 demodulates every line and one island scan reads every envelope, and each
-probe's track equals what a per-snapshot tracker reads, bit for bit.
+probe's track equals what a per-snapshot tracker reads, bit for bit. The
+sound-scaling runs and the first kick's rule live in `rules` (see there).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import numpy as np
 
 from . import rules
 from .grid import Field2D, Grid, fft, ifft
-from .medium import MediumParams, fluid_scales, shift_scales
+from .medium import MediumParams, shift_scales
 from .solver import StepPlan, propagate
 
 # Unless the packets stay paired over the trailing snapshots, the drift is
@@ -295,21 +296,22 @@ def measure_group_velocity(background: Field2D, probes: Sequence[ProbeSpec],
     along z. Each snapshot is kept as ny times its line density minus the
     background's. After the run the (K, S, nx) stack of these changes is
     tracked in one pass (see track_packets), and each probe's transverse
-    drift is fitted.
+    drift is fitted. A probe line whose first kick breaks rules.probe_kick
+    is refused before anything propagates.
     """
     grid = background.grid
-    if plan.snapshot_every <= 0:
-        raise ValueError("plan.snapshot_every must be positive to track the packet")
     rules.tracked_snapshots(plan.n_steps, plan.snapshot_every)
-    for p in probes:
-        rules.probe(p.waist, p.k_perp, grid)
-        if p.power_ratio < 0:
-            raise ValueError(f"probe power_ratio must be non-negative, got {p.power_ratio}")
     if medium.potential is not None:
         raise ValueError("the background must be homogeneous: the medium has a potential")
     if np.any(background.values != background.values.flat[0]):
         raise ValueError("the background must be homogeneous: its field is not one "
                          "uniform value")
+    for p in probes:
+        rules.probe(p.waist, p.k_perp, grid)
+        if p.power_ratio < 0:
+            raise ValueError(f"probe power_ratio must be non-negative, got {p.power_ratio}")
+        rules.probe_kick(medium, abs(background.values.flat[0]) ** 2, p.power_ratio,
+                         plan.n_steps)
 
     background_line = snapshot_density(0.0, background)
 
@@ -331,9 +333,6 @@ def _fit_drift(z_samples: np.ndarray, displacements: np.ndarray, paired: np.ndar
     packet_displacement), against the snapshot depths z_samples: the slope
     is the group velocity."""
     n = len(z_samples)
-    if n < rules.MIN_TRACKED_SNAPSHOTS:
-        raise ValueError(f"need at least {rules.MIN_TRACKED_SNAPSHOTS} snapshots to fit a "
-                         "displacement slope")
     trailing = _trailing_run(paired)
     if int(np.sum(trailing)) >= 5:
         # counter-propagating packets stay resolved through the end of the
@@ -463,24 +462,19 @@ def sound_speed_scaling(densities, medium: MediumParams, grid, tau: float, k_per
     and so its own dz, which a stack shares: the probes run one
     measure_group_velocity call per density.
     """
-    densities = np.asarray(sorted(float(d) for d in densities))
+    densities = sorted(float(d) for d in densities)
     if len(densities) < 4:
         raise ValueError("need at least 4 densities")
     if densities[0] <= 0:
         raise ValueError("densities must be positive")
-    rules.decade(densities.tolist())
-    plan = StepPlan(*rules.sound_scaling_plan(tau))
-
     speeds = []
-    for rho in densities:
-        z_nl, xi, _ = fluid_scales(medium, rho)
-        run_medium = medium.with_length(tau * z_nl)
+    for rho, length, plan, waist, k_perp in rules.sound_scaling_runs(
+            medium, densities, grid, tau, k_perp_xi, probe_waist_xi):
         values = np.full((grid.ny, grid.nx), np.sqrt(rho), dtype=np.complex128)
-        background = Field2D(grid=grid, values=values)
-        probe = ProbeSpec(waist=probe_waist_xi * xi, k_perp=k_perp_xi / xi,
-                          power_ratio=power_ratio)
-        speeds.append(measure_group_velocity(background, [probe], run_medium, plan)[0].v_g)
-    speeds = np.asarray(speeds)
+        probe = ProbeSpec(waist=waist, k_perp=k_perp, power_ratio=power_ratio)
+        speeds.append(measure_group_velocity(Field2D(grid=grid, values=values), [probe],
+                                             medium.with_length(length), StepPlan(*plan))[0].v_g)
+    densities, speeds = np.asarray(densities), np.asarray(speeds)
     exponent, _, stderr = _line_fit(np.log(densities), np.log(speeds))
     return SoundSpeedScaling(densities=densities, sound_speeds=speeds,
                              exponent=exponent, stderr=stderr)

@@ -67,27 +67,23 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_lines(header: list[str], rows) -> list[str]:
+    return [",".join(header),
+            *(",".join(v if isinstance(v, str) else fmt(v) for v in row) for row in rows)]
+
+
 def write_csv(path, header: list[str], rows) -> Path:
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) if not isinstance(v, str) else v for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(_csv_lines(header, rows)) + "\n")
     return path
 
 
 def write_metrics(path, record) -> Path:
     """Per-run metrics: key = value block, then a (z, power) CSV trace."""
     path = Path(path)
-    lines = [
-        f"n_steps = {record.n_steps}",
-        f"dz = {fmt(record.dz)}",
-        f"max_phase_per_step = {fmt(record.max_phase_per_step)}",
-    ]
-    lines.append("")
-    lines.append("z,power")
-    for z, power in record.power_trace:
-        lines.append(f"{fmt(z)},{fmt(power)}")
+    lines = [f"n_steps = {record.n_steps}", f"dz = {fmt(record.dz)}",
+             f"max_phase_per_step = {fmt(record.max_phase_per_step)}", "",
+             *_csv_lines(["z", "power"], record.power_trace)]
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -62,11 +62,6 @@ class MediumParams:
         return 2.0 * math.pi / self.wavelength
 
     @property
-    def k_medium(self) -> float:
-        """Wavenumber in the medium n0 * k0 (the effective-mass scale)."""
-        return self.n0 * self.k0
-
-    @property
     def g(self) -> float:
         """Signed interaction coefficient k0 * chi3 / (2 n0), in m^-1 per |E|^2."""
         return self.k0 * self.chi3 / (2.0 * self.n0)
@@ -75,21 +70,14 @@ class MediumParams:
     def n2(self) -> float:
         return self.chi3 / (self.n0**2 * C_LIGHT * EPS0)
 
-    def nonlinear_index_shift(self, density: float) -> float:
-        """|Delta n_NL| = |chi3| * rho / (2 n0) for a fluid density rho = |E|^2."""
-        return abs(self.chi3) * density / (2.0 * self.n0)
-
-    def healing_length(self, z_nl: float) -> float:
-        """xi = sqrt(z_nl / (n0 k0)) for a nonlinear length z_nl (inf for inf)."""
-        return math.sqrt(z_nl / self.k_medium)
-
     def with_length(self, length: float) -> "MediumParams":
         return replace(self, length=length)
 
 
 def fluid_scales(medium: MediumParams, density: float) -> tuple[float, float, float]:
-    """(z_nl, xi, c_s) for a homogeneous fluid of the given density."""
-    return shift_scales(medium, medium.nonlinear_index_shift(density))
+    """(z_nl, xi, c_s) for a homogeneous fluid of density rho = |E|^2, whose
+    index shift is |Delta n_NL| = |chi3| rho / (2 n0)."""
+    return shift_scales(medium, abs(medium.chi3) * density / (2.0 * medium.n0))
 
 
 def shift_scales(medium: MediumParams, dn: float) -> tuple[float, float, float]:
@@ -98,7 +86,7 @@ def shift_scales(medium: MediumParams, dn: float) -> tuple[float, float, float]:
     if dn <= 0.0:
         return math.inf, math.inf, 0.0
     z_nl = 1.0 / (medium.k0 * dn)
-    return z_nl, medium.healing_length(z_nl), math.sqrt(dn / medium.n0)
+    return z_nl, math.sqrt(z_nl / (medium.n0 * medium.k0)), math.sqrt(dn / medium.n0)
 
 
 def intensity_to_density(intensity, n0: float):

@@ -1,9 +1,14 @@
 """Each rule tying a value to the grid, to another value or to the memory
 schedule: one numpy-free function raising ValueError with one message, which
 the builders and config.validate_config call. A `grid` has nx, ny, dx, dy.
-A rule on a fluid's scale gets the value `medium` derives for the run."""
+A rule on a fluid's scale gets the value `medium` derives for the run. So do
+the values a run derives from its config: the snapshot schedule, the runs of
+a sound-scaling sweep, the probe list, the coupling windows, and the phases
+per step at which the kernel's step-resolution guard warns and aborts."""
 
 import math
+
+from .medium import density_to_intensity, fluid_scales
 
 MIN_LATTICE = 32  # points of the memory's z and t lattices, at least
 WAIST_CELLS = 4.0  # cells a Gaussian waist spans, at least
@@ -13,31 +18,71 @@ ECHO_WINDOW_WIDTHS = 4.0  # input and echo energies: center +- this many widths
 MAX_GRADIENT_PHASE = 0.5  # rad of |eta| z_max dt per memory time step, at most
 MIN_TRACKED_SNAPSHOTS = 4  # snapshots a probe packet's drift is fitted over, at least
 STEPS_PER_Z_NL = 15  # sound-scaling steps per nonlinear length
+WARN_PHASE_PER_STEP = 0.5  # rad of phase per propagation step from which a run warns
+ABORT_PHASE_PER_STEP = math.pi  # rad of phase per propagation step above which it aborts
+
+
+def snapshot_steps(n_steps: int, snapshot_every: int) -> list[int]:
+    """The steps after which a plan makes a snapshot: each multiple of
+    snapshot_every below n_steps, then n_steps; none for 0 steps or 0 every."""
+    if not n_steps or not snapshot_every:
+        return []
+    return [*range(snapshot_every, n_steps, snapshot_every), n_steps]
 
 
 def tracked_snapshots(n_steps: int, snapshot_every: int):
-    """A stepping plan makes a snapshot every snapshot_every steps before
-    the last and one at its end, none without steps."""
-    count = (n_steps - 1) // snapshot_every + 1 if n_steps else 0
+    """Refuse a plan whose schedule makes too few snapshots to track a packet."""
+    count = len(snapshot_steps(n_steps, snapshot_every))
     if count < MIN_TRACKED_SNAPSHOTS:
         raise ValueError(f"the plan makes {count} snapshots ({n_steps} steps, one every "
                          f"{snapshot_every}); tracking a probe packet needs at least "
                          f"{MIN_TRACKED_SNAPSHOTS}")
 
 
-def sound_scaling_plan(tau: float) -> tuple[int, int]:
-    """(n_steps, snapshot_every) of each sound-scaling density, which
-    propagates over tau nonlinear lengths: ceil(tau STEPS_PER_Z_NL) steps
-    and a snapshot every max(1, n_steps // 50), enough to track."""
+def sound_scaling_runs(medium, densities, grid, tau: float, k_perp_xi: float,
+                       probe_waist_xi: float) -> list[tuple]:
+    """Each density's run of a sound-scaling sweep, in increasing density,
+    after the decade, tracking and probe rules: (density, length tau z_nl,
+    (n_steps, snapshot_every), probe waist probe_waist_xi xi, probe k_perp
+    k_perp_xi / xi), z_nl and xi from medium.fluid_scales. Each run takes
+    ceil(tau STEPS_PER_Z_NL) steps and a snapshot every max(1, n_steps // 50)."""
+    decade(densities)
     n_steps = math.ceil(tau * STEPS_PER_Z_NL)
-    every = max(1, n_steps // 50)
-    tracked_snapshots(n_steps, every)
-    return n_steps, every
+    plan, runs = (n_steps, max(1, n_steps // 50)), []
+    tracked_snapshots(*plan)
+    for density in sorted(densities):
+        z_nl, xi, _ = fluid_scales(medium, density)
+        waist, k_perp = probe_waist_xi * xi, k_perp_xi / xi
+        probe(waist, k_perp, grid)
+        runs.append((density, tau * z_nl, plan, waist, k_perp))
+    return runs
+
+
+def k_perp_list(values) -> list[float]:
+    """The probes' k_perp in increasing order, each value once."""
+    return increasing(sorted(values), "k samples")
+
+
+def probe_kick(medium, density: float, power_ratio: float, n_steps: int):
+    """The first kick's peak phase |g| rho_peak dz on a probe line over a
+    uniform background of this density: rho_peak = density (1 +
+    sqrt(power_ratio))^2 bounds the line, saturated as the kernel's kick
+    saturates it. Above ABORT_PHASE_PER_STEP the kernel's guard would abort
+    the run at its first step; the message names the fewest steps that pass."""
+    peak = density * (1.0 + math.sqrt(power_ratio)) ** 2
+    if medium.i_sat is not None:
+        peak /= 1.0 + density_to_intensity(peak, medium.n0) / medium.i_sat
+    total = abs(medium.g) * peak * medium.length  # the kick's phase at dz = length
+    if n_steps and total / n_steps > ABORT_PHASE_PER_STEP:
+        raise ValueError(f"the first kick gives {total / n_steps:.2f} rad of phase per step "
+                         f"(> pi) with {n_steps} steps; the run needs n_steps >= "
+                         f"{math.ceil(total / ABORT_PHASE_PER_STEP)}")
 
 
 def increasing(values, what: str):
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{what} must be strictly increasing")
+    return values
 
 
 def resolved(value: float, grid, what: str, cells: float = FEATURE_CELLS):
@@ -77,6 +122,13 @@ def vortex(charge: int, x: float, y: float, grid):
 def decade(densities):
     if max(densities) / min(densities) < 10.0 - 1e-9:
         raise ValueError("densities must span at least one decade")
+
+
+def coupling_windows(flat) -> tuple[tuple[float, float], ...]:
+    """The (on, off) windows of a flat list of coupling times."""
+    if len(flat) % 2:
+        raise ValueError("gem.coupling_windows must list (on, off) pairs")
+    return tuple(zip(flat[::2], flat[1::2]))
 
 
 def schedule(flips, windows, t_extent: float):

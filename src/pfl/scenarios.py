@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import rules
 from .config import SCENARIOS, RunConfig, medium_params
 from .fileio import ArtifactWriter, fmt, load_field
 from .grid import Field2D, Grid, fft2, ifft2, make_grid
@@ -108,7 +109,7 @@ def _scenario_dispersion(cfg: RunConfig, w: ArtifactWriter):
 
     probes = [ProbeSpec(waist=cfg.params["probe_waist"], k_perp=k_perp,
                         power_ratio=cfg.params["power_ratio"])
-              for k_perp in sorted(cfg.params["k_perp_list"])]
+              for k_perp in rules.k_perp_list(cfg.params["k_perp_list"])]
     samples = [(m.k_perp, m.v_g)
                for m in measure_group_velocity(background, probes, medium, plan)]
     curve = dispersion_from_group_velocity(samples, medium)
@@ -233,12 +234,11 @@ def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
     from .gem import GaussianPulse, GemConfig, gem_evolve, ordering_mode, recall_order
 
     p = cfg.params
-    windows = p["coupling_windows"]
     gem_cfg = GemConfig(
         g=p["g"], density=p["density"], eta0=p["eta0"],
         z_extent=p["z_extent"], nz=p["nz"], t_extent=p["t_extent"], nt=p["nt"],
         eta_flips=tuple(p["flip_times"]), decay=p["decay"],
-        coupling_windows=tuple(zip(windows[::2], windows[1::2])))
+        coupling_windows=rules.coupling_windows(p["coupling_windows"]))
     labels = list(p["pulse_labels"]) or [chr(ord("A") + i) for i in range(len(p["pulse_centers"]))]
     pulses = [GaussianPulse(center=c, width=wd, label=lb)
               for c, wd, lb in zip(p["pulse_centers"], p["pulse_widths"], labels)]

@@ -58,6 +58,8 @@ The step-resolution guard (the step-size limit of time-splitting spectral
 methods; Bao, Jaksch and Markowich, J. Comput. Phys. 187 (2003)) runs in
 SplitStepKernel.run on what the loop computes anyway: the kinetic phase
 from the first forward transform, and the kick's peak phase at every step.
+Its constants live in `rules`, as does the snapshot schedule that run and
+propagate follow (snapshot_steps), so that `pfl validate` reads the same.
 """
 
 from __future__ import annotations
@@ -71,13 +73,11 @@ import numpy as np
 
 from .grid import Field2D, Grid, fft2, ifft2
 from .medium import MediumParams, density_to_intensity
+from .rules import ABORT_PHASE_PER_STEP, WARN_PHASE_PER_STEP, snapshot_steps
 
 # Fraction of total spectral power a mode must carry to count as occupied
 # when estimating the kinetic phase rate.
 OCCUPIED_MODE_FLOOR = 1e-9
-
-WARN_PHASE_PER_STEP = 0.5
-ABORT_PHASE_PER_STEP = np.pi
 
 # Lattice sites per block of the kick and the half steps and per run of
 # members (see member_runs): 8 members at 64^2, the fastest run measured. On
@@ -94,8 +94,8 @@ ROW_PAD = 4
 @dataclass
 class StepPlan:
     """Stepping schedule for one propagation: n_steps equal steps of
-    dz = length / n_steps. snapshot_every = 0 disables intermediate
-    snapshots.
+    dz = length / n_steps, with snapshots after the steps that
+    snapshot_steps lists (none for snapshot_every = 0).
     """
 
     n_steps: int
@@ -295,14 +295,15 @@ class SplitStepKernel:
         """Take plan.n_steps steps of the stack values in the kernel's layout
         (see kernel_stack), which the kernel owns and overwrites: the
         transforms run in place on its fields, the pointwise passes over the
-        whole buffer. Each snapshot before the last step goes to
-        on_snapshot(z, stack) as it is made. Returns the final stack, the
-        power per step boundary and member (n_steps + 1, B) and each
-        member's max_phase_per_step: its kinetic phase per step plus its
-        largest kick phase, both passed through the step-resolution guard
-        (_guard) as they are made. Snapshot and final stacks leave through
+        whole buffer. Each snapshot of snapshot_steps before the last step
+        goes to on_snapshot(z, stack) as it is made. Returns the final
+        stack, the power per step boundary and member (n_steps + 1, B) and
+        each member's max_phase_per_step: its kinetic phase per step plus
+        its largest kick phase, both passed through the step-resolution
+        guard (_guard) as they are made. Snapshot and final stacks leave through
         _fields as new C-contiguous (B, ny, nx) arrays the callee may keep."""
-        n_steps, every, dz = plan.n_steps, plan.snapshot_every, self.dz
+        n_steps, dz = plan.n_steps, self.dz
+        handed_out = set(snapshot_steps(n_steps, plan.snapshot_every)[:-1])
         (ny, nx), (ey, ex) = (self.grid.ny, self.grid.nx), self.half_axes
         power = np.empty((n_steps + 1, len(values)))
         power[0] = _stack_power(values, self.grid)
@@ -336,7 +337,7 @@ class SplitStepKernel:
             if not np.isfinite(power[step + 1]).all():
                 raise FloatingPointError(f"non-finite power at z = {z_next:.6g}; "
                                          f"propagation aborted")
-            if every and (step + 1) % every == 0 and step < n_steps - 1:
+            if step + 1 in handed_out:
                 # unbound, so that no local holds the stack after the callback
                 on_snapshot(z_next, self._fields(values))
         return self._fields(values), power, kinetic + max_phase
@@ -419,8 +420,8 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
     one (B, ny, nx) stack through the same step loop and returns a list of
     records in member order. Each member's final field and snapshots equal
     those of a lone call bit for bit.
-    Snapshots are taken every plan.snapshot_every steps and at z = L, none
-    without steps. Each
+    Snapshots are taken after the steps snapshot_steps lists, z = L among
+    them, none without steps. Each
     member's record stores (z, keep(z, member_field)) as the snapshot is
     made, so nothing else holds the field once keep returns; the default
     keep stores the field itself. keep is called in z order and, at each z,
@@ -444,7 +445,7 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
                    for f, p0 in zip(fields, _stack_power(kernel_stack(arrays, grid), grid))]
         return records[0] if lone else records
     dz = plan.resolve_dz(medium.length)
-    keep = keep or _keep_field
+    keep = keep or (lambda z, field: field)
     snapshots = [[] for _ in fields]
 
     def hand_off(z: float, stack: np.ndarray):
@@ -455,7 +456,7 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
     final, power, max_phase = SplitStepKernel(grid, medium, dz).run(
         kernel_stack(arrays, grid), plan, hand_off)
     finals = [f.with_values(v).validate_finite() for f, v in zip(fields, final)]
-    if plan.snapshot_every:
+    if plan.n_steps in snapshot_steps(plan.n_steps, plan.snapshot_every):
         hand_off(medium.length, final.copy())
     z = np.arange(plan.n_steps + 1) * dz
     records = [PropagationRecord(
@@ -464,7 +465,3 @@ def propagate(field_in: Field2D | Sequence[Field2D], medium: MediumParams,
         max_phase_per_step=float(max_phase[b]))
         for b, final_field in enumerate(finals)]
     return records[0] if lone else records
-
-
-def _keep_field(z: float, field: Field2D) -> Field2D:
-    return field

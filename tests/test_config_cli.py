@@ -149,6 +149,7 @@ FIFO_FILO = (ROOT / "configs" / "fifo_filo.ini").read_text()
 PROPAGATE_GAUSSIAN = (ROOT / "configs" / "propagate_gaussian.ini").read_text()
 GEM = (ROOT / "configs" / "gem.ini").read_text()
 SOUND_SCALING = (ROOT / "configs" / "sound_scaling.ini").read_text()
+DISPERSION = (ROOT / "configs" / "bogoliubov_dispersion.ini").read_text()
 SWEEP = (ROOT / "configs" / "gem_efficiency_sweep.ini").read_text()
 
 GOOD_GEM = """
@@ -460,6 +461,10 @@ class TestParsing:
         (swap(GOOD_DISPERSION, "snapshot_every = 8", "snapshot_every = 200"),
          "the plan makes 2 snapshots (240 steps, one every 200); tracking a probe packet "
          "needs at least 4"),
+        # passed `pfl validate`, and the run then exited 3 at its first kick
+        (swap(DISPERSION, "n0 = 1.0", "n0 = 0.1"),
+         "the first kick gives 6.71 rad of phase per step (> pi) with 240 steps; the run "
+         "needs n_steps >= 513"),
         (swap(GOOD_SOUND_SCALING, "331800", "300000"),
          "densities must span at least one decade"),
         (swap(SOUND_SCALING, "probe_waist_xi = 10\n", "probe_waist_xi = 100\n"),
@@ -492,6 +497,10 @@ class TestParsing:
         (swap(GEM, "flip_times = 3.0", "flip_times = 3.0, 5.5\n"
               "coupling_windows = 0.0, 4.5, 5.7, 8.0"),
          "coupling is on at the suppressed echo time 4.0"),
+        # the builder, given an odd list unchecked, dropped its last time
+        (swap(FIFO_FILO, "coupling_windows = 0.0, 3.2, 5.7, 9.0",
+              "coupling_windows = 0.0, 3.2, 5.7"),
+         "gem.coupling_windows must list (on, off) pairs"),
         # a third pulse takes the run out of the ordering rules, not out of the
         # pulse margins, which hold for every pulse
         (swap(FIFO_FILO, "pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 8.8")
@@ -512,12 +521,14 @@ class TestParsing:
     ], ids=["gaussian-unresolved", "gaussian-wraps", "speckle-unresolved",
             "defect-unresolved", "lattice-past-nyquist", "probe-unresolved", "probe-wraps",
             "probe-past-nyquist", "repeated-k-perp", "dispersion-without-steps",
-            "dispersion-too-few-snapshots", "intensities-within-a-decade",
+            "dispersion-too-few-snapshots", "dispersion-first-kick",
+            "intensities-within-a-decade",
             "sound-scaling-probe-wraps", "sound-scaling-probe-unresolved",
             "sound-scaling-chi3-zero", "sound-scaling-too-few-snapshots",
             "charge-zero", "vortex-off-grid", "gem-pulse-margins", "sweep-pulse-margins",
             "gradient-phase", "sweep-eta-zero", "fifo-filo-unresolved-pulses",
-            "fifo-window-on-at-echo", "gem-window-on-at-echo", "fifo-filo-three-pulses",
+            "fifo-window-on-at-echo", "gem-window-on-at-echo", "gem-odd-windows",
+            "fifo-filo-three-pulses",
             "gem-flip-before-the-pulses", "fifo-echo-past-t-extent", "sweep-echo-overlaps",
             "sweep-echo-past-t-extent"])
     def test_each_rule_is_the_builders_and_exits_2(self, text, message, tmp_path):
@@ -537,6 +548,21 @@ class TestParsing:
             patch.setattr(gem, "gem_evolve", integrated)  # the gem handler imports it per run
             unchecked = parse_config(text)
             with pytest.raises(ValueError, match="coupling is on at the suppressed echo time 4.0"):
+                scenarios.run_scenario(unchecked, tmp_path / "unchecked")
+
+    def test_a_probe_kick_is_checked_before_anything_propagates(self, tmp_path):
+        # measure_group_velocity, given the config unchecked, refuses the
+        # plan before the probe lines propagate
+        from pfl import dispersion, scenarios
+
+        def propagated(*args, **kwargs):
+            raise AssertionError("the probe lines propagated before rules.probe_kick refused")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(config_module, "validate_config", lambda cfg: None)
+            patch.setattr(dispersion, "propagate", propagated)
+            unchecked = parse_config(swap(DISPERSION, "n0 = 1.0", "n0 = 0.1"))
+            with pytest.raises(ValueError, match=r"the run needs n_steps >= 513$"):
                 scenarios.run_scenario(unchecked, tmp_path / "unchecked")
 
     # a file source is read up to its header: each case passed `pfl validate`

@@ -683,7 +683,8 @@ class TestMeasurement:
     def test_requires_snapshots(self):
         grid, medium, background, scales = defocusing_setup(nx=64)
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1e4, power_ratio=1e-4)
-        with pytest.raises(ValueError, match="snapshot_every"):
+        with pytest.raises(ValueError,
+                           match=r"the plan makes 0 snapshots \(10 steps, one every 0\)"):
             measure_group_velocity(background, [probe], medium, StepPlan(n_steps=10))
 
     def test_chi3_and_density_enter_through_product(self):

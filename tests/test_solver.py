@@ -1,13 +1,14 @@
 import dataclasses
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfl import solver
+from pfl import rules, solver
 from pfl.grid import Field2D, Grid, fft2, ifft2, make_grid
 from pfl.medium import MediumParams, density_to_intensity, fluid_scales
 from pfl.solver import SplitStepKernel, StepPlan, nonlinear_step, propagate
@@ -428,6 +429,85 @@ class TestPaddedLayout:
         for record in (propagate(start, medium, plan), *propagate([start, start], medium, plan)):
             for field in (record.final_field, *(snap for _, snap in record.snapshots)):
                 assert field.values.shape == shape and field.values.flags.c_contiguous
+
+
+def handed_out_steps(plan):
+    """The steps after which the kernel hands out a snapshot, by unitary_loop's
+    modulo test: each multiple of snapshot_every before the last step."""
+    every = plan.snapshot_every
+    return [step + 1 for step in range(plan.n_steps)
+            if every and (step + 1) % every == 0 and step < plan.n_steps - 1]
+
+
+class TestSnapshotSchedule:
+    """rules.snapshot_steps is the one schedule: the kernel hands out a
+    snapshot after each of its steps but the last, propagate adds the one at
+    z = L when it lists n_steps, and `pfl validate` counts it."""
+
+    def test_the_schedule_is_the_modulo_loop_then_the_last_step(self):
+        for n_steps in range(30):
+            for every in range(12):
+                plan = StepPlan(n_steps, every)
+                last = [n_steps] if n_steps and every else []
+                assert rules.snapshot_steps(n_steps, every) == handed_out_steps(plan) + last
+        # the bogoliubov-256 workload's uneven last snapshot
+        assert rules.snapshot_steps(525, 10)[-3:] == [510, 520, 525]
+
+    def test_a_plan_without_snapshots_is_not_tracked(self):
+        with pytest.raises(ValueError, match=r"^the plan makes 0 snapshots \(240 steps, one "
+                                             r"every 0\); tracking a probe packet needs"):
+            rules.tracked_snapshots(240, 0)
+
+    @pytest.mark.parametrize("name", ["propagate_gaussian", "bogoliubov_dispersion",
+                                      "sound_scaling", "precondensation", "structure_factor",
+                                      "vortex_pair"])
+    def test_each_shipped_run_makes_the_snapshots_of_its_schedule(self, name, tmp_path):
+        # the first propagation of each config, which shares its plan with
+        # the config's other propagations, keeps the test short
+        from pfl import config, dispersion, scenarios
+
+        class Stop(Exception):
+            pass
+
+        text = (Path(__file__).resolve().parent.parent / "configs" / f"{name}.ini").read_text()
+        counted, handed, made = [], [], []
+        run, count = SplitStepKernel.run, rules.tracked_snapshots
+
+        def spy_run(kernel, values, plan, on_snapshot):
+            zs = []
+
+            def record(z, stack):
+                zs.append(z)
+                on_snapshot(z, stack)
+
+            handed.append((plan, kernel.dz, zs))
+            return run(kernel, values, plan, record)
+
+        def first_propagation(field_in, medium, plan, keep=None):
+            record = propagate(field_in, medium, plan, keep)
+            first = record if isinstance(record, solver.PropagationRecord) else record[0]
+            made.append((medium.length, [z for z, _ in first.snapshots]))
+            raise Stop
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rules, "tracked_snapshots",
+                          lambda *plan: counted.append(plan) or count(*plan))
+            cfg = config.parse_config(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SplitStepKernel, "run", spy_run)
+            for module in (scenarios, dispersion):
+                patch.setattr(module, "propagate", first_propagation)
+            with pytest.raises(Stop):
+                scenarios.run_scenario(cfg, tmp_path / "run")
+        (plan, dz, zs), = handed
+        (length, snapshots), = made
+        assert zs == [step * dz for step in handed_out_steps(plan)]
+        at_end = plan.n_steps in rules.snapshot_steps(plan.n_steps, plan.snapshot_every)
+        assert at_end == (plan.n_steps > 0 and plan.snapshot_every > 0)
+        assert snapshots == zs + [length] * at_end
+        # dispersion and sound-scaling count the snapshots at validate
+        assert [len(rules.snapshot_steps(*plan)) for plan in counted] == (
+            [len(snapshots)] if name in ("bogoliubov_dispersion", "sound_scaling") else [])
 
 
 class TestPropagate:
