@@ -446,7 +446,8 @@ def validate_config(cfg: RunConfig):
         if s == "sound-scaling":
             rules.sound_scaling_runs(medium, [intensity_to_density(i, medium.n0)
                                               for i in p["intensities"]],
-                                     grid, p["tau"], p["k_perp_xi"], p["probe_waist_xi"])
+                                     grid, p["tau"], p["k_perp_xi"], p["probe_waist_xi"],
+                                     p["power_ratio"])
         for charge, x, y in zip(p.get("charges", ()), p.get("xs", ()), p.get("ys", ())):
             rules.vortex(charge, x, y, grid)
         if s == "gem-efficiency-sweep":

@@ -469,7 +469,7 @@ def sound_speed_scaling(densities, medium: MediumParams, grid, tau: float, k_per
         raise ValueError("densities must be positive")
     speeds = []
     for rho, length, plan, waist, k_perp in rules.sound_scaling_runs(
-            medium, densities, grid, tau, k_perp_xi, probe_waist_xi):
+            medium, densities, grid, tau, k_perp_xi, probe_waist_xi, power_ratio):
         values = np.full((grid.ny, grid.nx), np.sqrt(rho), dtype=np.complex128)
         probe = ProbeSpec(waist=waist, k_perp=k_perp, power_ratio=power_ratio)
         speeds.append(measure_group_velocity(Field2D(grid=grid, values=values), [probe],

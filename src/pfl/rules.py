@@ -40,12 +40,14 @@ def tracked_snapshots(n_steps: int, snapshot_every: int):
 
 
 def sound_scaling_runs(medium, densities, grid, tau: float, k_perp_xi: float,
-                       probe_waist_xi: float) -> list[tuple]:
+                       probe_waist_xi: float, power_ratio: float) -> list[tuple]:
     """Each density's run of a sound-scaling sweep, in increasing density,
-    after the decade, tracking and probe rules: (density, length tau z_nl,
-    (n_steps, snapshot_every), probe waist probe_waist_xi xi, probe k_perp
-    k_perp_xi / xi), z_nl and xi from medium.fluid_scales. Each run takes
-    ceil(tau STEPS_PER_Z_NL) steps and a snapshot every max(1, n_steps // 50)."""
+    after the decade, tracking, probe and first-kick rules: (density, length
+    tau z_nl, (n_steps, snapshot_every), probe waist probe_waist_xi xi, probe
+    k_perp k_perp_xi / xi), z_nl and xi from medium.fluid_scales. Each run
+    takes ceil(tau STEPS_PER_Z_NL) steps and a snapshot every
+    max(1, n_steps // 50), so its probe's first kick is about
+    (1 + sqrt(power_ratio))^2 / STEPS_PER_Z_NL rad per step whatever tau is."""
     decade(densities)
     n_steps = math.ceil(tau * STEPS_PER_Z_NL)
     plan, runs = (n_steps, max(1, n_steps // 50)), []
@@ -54,6 +56,8 @@ def sound_scaling_runs(medium, densities, grid, tau: float, k_perp_xi: float,
         z_nl, xi, _ = fluid_scales(medium, density)
         waist, k_perp = probe_waist_xi * xi, k_perp_xi / xi
         probe(waist, k_perp, grid)
+        probe_kick(medium.with_length(tau * z_nl), density, power_ratio, n_steps,
+                   steps_set=True)
         runs.append((density, tau * z_nl, plan, waist, k_perp))
     return runs
 
@@ -63,20 +67,32 @@ def k_perp_list(values) -> list[float]:
     return increasing(sorted(values), "k samples")
 
 
-def probe_kick(medium, density: float, power_ratio: float, n_steps: int):
+def probe_kick(medium, density: float, power_ratio: float, n_steps: int,
+               steps_set: bool = False):
     """The first kick's peak phase |g| rho_peak dz on a probe line over a
     uniform background of this density: rho_peak = density (1 +
     sqrt(power_ratio))^2 bounds the line, saturated as the kernel's kick
     saturates it. Above ABORT_PHASE_PER_STEP the kernel's guard would abort
-    the run at its first step; the message names the fewest steps that pass."""
+    the run at its first step; the message names the fewest steps that
+    pass, or the largest power_ratio that passes when the run sets its own
+    steps (steps_set, as sound-scaling does)."""
     peak = density * (1.0 + math.sqrt(power_ratio)) ** 2
     if medium.i_sat is not None:
         peak /= 1.0 + density_to_intensity(peak, medium.n0) / medium.i_sat
     total = abs(medium.g) * peak * medium.length  # the kick's phase at dz = length
-    if n_steps and total / n_steps > ABORT_PHASE_PER_STEP:
-        raise ValueError(f"the first kick gives {total / n_steps:.2f} rad of phase per step "
-                         f"(> pi) with {n_steps} steps; the run needs n_steps >= "
-                         f"{math.ceil(total / ABORT_PHASE_PER_STEP)}")
+    if not n_steps or total / n_steps <= ABORT_PHASE_PER_STEP:
+        return
+    if steps_set:  # the saturated peak that gives pi rad per step, then its entry peak
+        allowed = ABORT_PHASE_PER_STEP * n_steps / (abs(medium.g) * medium.length)
+        if medium.i_sat is not None:
+            allowed /= 1.0 - density_to_intensity(allowed, medium.n0) / medium.i_sat
+        largest = max(0.0, math.sqrt(allowed / density) - 1.0) ** 2
+        digit = 10.0 ** (math.floor(math.log10(largest)) - 2) if largest else 1.0
+        need = f"power_ratio <= {math.floor(largest / digit) * digit:.3g}"  # 3 digits, down
+    else:
+        need = f"n_steps >= {math.ceil(total / ABORT_PHASE_PER_STEP)}"
+    raise ValueError(f"the first kick gives {total / n_steps:.2f} rad of phase per step "
+                     f"(> pi) with {n_steps} steps; the run needs {need}")
 
 
 def increasing(values, what: str):

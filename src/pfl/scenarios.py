@@ -177,23 +177,26 @@ def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
                                                                  grid.k_nyquist_y)
     eps, shape = p["noise_amplitude"] * amplitude, (grid.ny, grid.nx)
 
-    signal, reference = [], []
-    for run in member_runs(p["realizations"], grid.ny, grid.nx):
-        # each member's noise from its own stream, band-limited in place as one stack
-        values = np.empty((run.stop - run.start, *shape), dtype=np.complex128)
-        for member, i in zip(values, range(run.start, run.stop)):
-            rng = stream_rng(cfg.run["seed"], "sf-noise", i)
-            member.real, member.imag = rng.standard_normal(shape), rng.standard_normal(shape)
-        values /= np.sqrt(2.0)
-        values *= eps
-        fft2(values, overwrite_x=True)
-        values *= band
-        ifft2(values, overwrite_x=True)
-        values += amplitude
-        fields = [Field2D(grid=grid, values=member) for member in values]
-        reference += [f.density() for f in fields]
-        signal += [r.final_field.density() for r in propagate(fields, medium, plan)]
-    sf = structure_factor(signal, reference, grid=grid, nbins=p["nbins"],
+    def pairs():
+        """(signal, reference) densities of each member, one run's stack at a time."""
+        for run in member_runs(p["realizations"], grid.ny, grid.nx):
+            # each member's noise from its own stream, band-limited in place as one stack
+            values = np.empty((run.stop - run.start, *shape), dtype=np.complex128)
+            for member, i in zip(values, range(run.start, run.stop)):
+                rng = stream_rng(cfg.run["seed"], "sf-noise", i)
+                member.real, member.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+            values /= np.sqrt(2.0)
+            values *= eps
+            fft2(values, overwrite_x=True)
+            values *= band
+            ifft2(values, overwrite_x=True)
+            values += amplitude
+            fields = [Field2D(grid=grid, values=member) for member in values]
+            references = [f.density() for f in fields]
+            for record, reference in zip(propagate(fields, medium, plan), references):
+                yield record.final_field.density(), reference
+
+    sf = structure_factor(pairs(), grid=grid, nbins=p["nbins"],
                           min_realizations=min(p["realizations"], 100))
     w.csv("structure_factor.csv", ["k", "s_k", "sigma"], sf.rows())
 

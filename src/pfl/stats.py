@@ -1,8 +1,12 @@
 """Ensemble statistics: intensity distribution, first-order coherence and
-the static structure factor."""
+the static structure factor. The first two take lists of fields; the
+structure factor reads its ensembles once, as a stream of (signal,
+reference) density pairs, into one-pass moment sums, so that no member is
+kept."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +148,8 @@ class StructureFactor:
         return zip(self.k, self.s_k, self.sigma)
 
 
-def structure_factor(signal: list[np.ndarray], reference: list[np.ndarray], grid: Grid,
-                     nbins: int, min_realizations: int = 100) -> StructureFactor:
+def structure_factor(pairs: Iterable[tuple[np.ndarray, np.ndarray]], grid: Grid, nbins: int,
+                     min_realizations: int = 100) -> StructureFactor:
     """Static structure factor of a signal ensemble against a reference.
 
     S(k) is the radially averaged ratio of the density-fluctuation power
@@ -154,19 +158,28 @@ def structure_factor(signal: list[np.ndarray], reference: list[np.ndarray], grid
     wavenumber. The reference plays the role of the shot-noise calibration
     (a coherent state carrying the same injected noise, unpropagated).
     sigma is the per-bin standard error propagated from the realization
-    scatter of both ensembles. signal and reference are lists of densities
-    |E|^2 sampled on grid.
+    scatter of both ensembles. pairs yields one (signal, reference) pair of
+    densities |E|^2 sampled on grid per realization; it is read once, each
+    pair is folded into one-pass moment sums (see _SpectrumMoments) and no
+    pair is kept.
     """
-    if len(signal) < min_realizations or len(reference) < min_realizations:
+    shape, signal, reference = (grid.ny, grid.nx), None, None
+    for rho_signal, rho_reference in pairs:
+        if not np.shape(rho_signal) == np.shape(rho_reference) == shape:
+            raise ValueError("signal and reference grids do not match")
+        if signal is None:
+            signal, reference = _SpectrumMoments(rho_signal), _SpectrumMoments(rho_reference)
+        signal.add(rho_signal)
+        reference.add(rho_reference)
+    n, floor = signal.n if signal else 0, max(min_realizations, 1)
+    if n < floor:
         raise ValueError(
-            f"need at least {min_realizations} realizations per ensemble "
-            f"(statistical floor), got {len(signal)} signal / {len(reference)} reference"
+            f"need at least {floor} realizations per ensemble "
+            f"(statistical floor), got {n} signal / {n} reference"
         )
-    if signal[0].shape != reference[0].shape:
-        raise ValueError("signal and reference grids do not match")
 
-    sig_mean, sig_var, n_sig = _fluctuation_spectrum(signal)
-    ref_mean, ref_var, n_ref = _fluctuation_spectrum(reference)
+    (sig_mean, sig_var), (ref_mean, ref_var) = signal.spectrum(), reference.spectrum()
+    del signal, reference  # the moment sums, now that the spectra are out
     if float(np.max(ref_mean)) == 0.0:
         raise ValueError("reference ensemble has vanishing density fluctuations; "
                          "the normalization S(k) would be 0/0")
@@ -187,27 +200,60 @@ def structure_factor(signal: list[np.ndarray], reference: list[np.ndarray], grid
                          "any radial bin; S(k) would be 0/0 everywhere")
 
     s_k = s_num[good] / s_den[good]
-    rel_var = (v_num[good] / np.maximum(s_num[good], 1e-300) ** 2 / n_sig
-               + v_den[good] / np.maximum(s_den[good], 1e-300) ** 2 / n_ref)
+    rel_var = (v_num[good] / np.maximum(s_num[good], 1e-300) ** 2
+               + v_den[good] / np.maximum(s_den[good], 1e-300) ** 2) / n
     sigma = s_k * np.sqrt(rel_var)
     return StructureFactor(k=centres[good], s_k=s_k, sigma=sigma)
 
 
-def _fluctuation_spectrum(densities: list[np.ndarray]):
-    """Per-mode mean and variance of |fft(rho - <rho>)|^2 over an ensemble."""
-    # a running sum holds one density, not a stacked ensemble; np.mean over
-    # the stacked axis adds the members in the same order, to the same bits
-    n = len(densities)
-    mean_rho = np.zeros_like(densities[0])
-    for rho in densities:
-        mean_rho += rho
-    mean_rho /= n
-    acc = np.zeros_like(mean_rho)
-    acc2 = np.zeros_like(mean_rho)
-    for rho in densities:
-        p = np.abs(fft2(rho - mean_rho)) ** 2
-        acc += p
-        acc2 += p**2
-    mean = acc / n
-    var = np.maximum(acc2 / n - mean**2, 0.0)
-    return mean, var, n
+class _SpectrumMoments:
+    """One-pass sums over an ensemble's members of b, b^2, |b|^2, |b|^2 b and
+    |b|^4 per mode, b = fft2(rho - rho_1) with rho_1 the first member's
+    density: shifting by a member keeps a structured mean (a lattice's, say)
+    out of the sums, so that spectrum loses no digits to it."""
+
+    def __init__(self, first: np.ndarray):
+        self.shift = np.array(first, dtype=float)
+        self.n = 0
+        self.b, self.b2, self.xb = (np.zeros(self.shift.shape, complex) for _ in range(3))
+        self.x, self.x2 = np.zeros(self.shift.shape), np.zeros(self.shift.shape)
+
+    def add(self, rho: np.ndarray):
+        b = np.zeros(self.shift.shape, complex)  # rho - rho_1 then its spectrum, in place
+        np.subtract(rho, self.shift, out=b.real)
+        fft2(b, overwrite_x=True)
+        x = np.abs(b)
+        x *= x
+        self.b += b
+        self.x += x
+        for part, sums in ((b.real, self.xb.real), (b.imag, self.xb.imag)):
+            sums += x * part  # x * b would cast x to complex through a buffer
+        self.b2 += np.multiply(b, b, out=b)
+        self.x2 += np.multiply(x, x, out=x)
+        self.n += 1
+
+    def spectrum(self):
+        """Per-mode mean and variance of |fft2(rho - <rho>)|^2 over the
+        members, taken in place of the sums. With m = sum(b) / n, w = |m|^2
+        and d = b - m: sum |d|^2 = sum |b|^2 - n w and sum |d|^4 = sum |b|^4
+        - 4 Re(conj(m) sum |b|^2 b) + 2 Re(conj(m)^2 sum b^2)
+        + 4 w sum |b|^2 - 3 n w^2."""
+        n, conj_m = self.n, self.b
+        conj_m /= n
+        np.conj(conj_m, out=conj_m)
+        w = np.abs(conj_m)
+        w *= w
+        d4 = self.x2  # sum |d|^4, built in place
+        self.xb *= conj_m
+        d4 -= 4.0 * self.xb.real
+        conj_m *= conj_m
+        self.b2 *= conj_m
+        d4 += 2.0 * self.b2.real
+        d4 += 4.0 * w * self.x
+        d4 -= 3.0 * n * w * w
+        mean = self.x  # sum |d|^2, then its mean
+        mean -= n * w
+        mean /= n
+        d4 /= n
+        d4 -= mean**2
+        return mean, np.maximum(d4, 0.0, out=d4)

@@ -269,7 +269,7 @@ def test_criterion_11_structure_factor():
             out.append(np.abs(1.0 + noise) ** 2)
         return out
 
-    sf_self = structure_factor(noise_ensemble(0, 200), noise_ensemble(10_000, 200),
+    sf_self = structure_factor(zip(noise_ensemble(0, 200), noise_ensemble(10_000, 200)),
                                grid=grid_a, nbins=10)
     self_ok = bool(np.all(np.abs(sf_self.s_k - 1.0) <= 3.0 * sf_self.sigma))
 
@@ -290,7 +290,7 @@ def test_criterion_11_structure_factor():
         reference.append(f.density())
         signal.append(propagate(f, medium, plan).final_field.density())
     nbins = 64
-    sf = structure_factor(signal, reference, grid=grid, nbins=nbins)
+    sf = structure_factor(zip(signal, reference), grid=grid, nbins=nbins)
 
     # oracle: S(k) = 1 - (2 mu / (E + 2 mu)) sin^2(Omega L), bin-averaged
     # over the same discrete modes

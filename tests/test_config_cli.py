@@ -477,6 +477,11 @@ class TestParsing:
         (swap(SOUND_SCALING, "tau = 25\n", "tau = 0.2\n"),
          "sound-scaling: the plan makes 3 snapshots (3 steps, one every 1); tracking a probe "
          "packet needs at least 4"),
+        # passed `pfl validate`, and the run then exited 3 naming n_steps, which
+        # sound-scaling sets itself
+        (swap(SOUND_SCALING, "power_ratio = 1e-5\n", "power_ratio = 50\n"),
+         "sound-scaling: the first kick gives 4.34 rad of phase per step (> pi) with 375 "
+         "steps; the run needs power_ratio <= 34.3"),
         (swap(VORTEX_PAIR, "charges = 1, -1", "charges = 1, 0"),
          "charge must satisfy |charge| >= 1"),
         (swap(VORTEX_PAIR, "xs = 2e-4, -2e-4", "xs = 2e-4, -7e-4"),
@@ -525,6 +530,7 @@ class TestParsing:
             "intensities-within-a-decade",
             "sound-scaling-probe-wraps", "sound-scaling-probe-unresolved",
             "sound-scaling-chi3-zero", "sound-scaling-too-few-snapshots",
+            "sound-scaling-first-kick",
             "charge-zero", "vortex-off-grid", "gem-pulse-margins", "sweep-pulse-margins",
             "gradient-phase", "sweep-eta-zero", "fifo-filo-unresolved-pulses",
             "fifo-window-on-at-echo", "gem-window-on-at-echo", "gem-odd-windows",

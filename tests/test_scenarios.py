@@ -1,6 +1,8 @@
 """End-to-end runs of every scenario through the config layer, checking the
 emitted artifact formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -367,6 +369,48 @@ nbins = 8
         _, _, out = run(tmp_path, text, f"stack{members}")
         outputs.append((out / "structure_factor.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_structure_factor_scenario_holds_no_member_densities(tmp_path):
+    # 200 members at 64^2: their signal and reference densities alone are
+    # 13.1 MB. The estimator folds each pair into its moment sums as the
+    # member runs arrive, and the run peaked at 5.4 MB (16.8 MB when the
+    # densities were kept until the end)
+    text = """
+[run]
+scenario = structure-factor
+seed = 1
+
+[grid]
+nx = 64
+ny = 64
+dx = 5e-6
+
+[medium]
+lambda = 780e-9
+n0 = 1.0
+chi3 = -7.705476e-05
+length = 6.4443e-4
+
+[plan]
+n_steps = 18
+
+[source]
+kind = plane
+intensity = 1.3272e-3
+
+[structure-factor]
+realizations = 200
+nbins = 24
+"""
+    cfg = parse_config(text)
+    tracemalloc.start()
+    try:
+        run_scenario(cfg, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_vortices_scenario(tmp_path):
