@@ -17,7 +17,8 @@ _EXPORTS = {  # module: the public names it defines
     "sources": ("gaussian_beam", "plane_wave", "speckle", "imprint_vortex",
                 "imprint_dark_stripe"),
     "potentials": ("uniform_potential", "gaussian_defect", "lattice_potential", "pt_symmetrize"),
-    "solver": ("StepPlan", "PropagationRecord", "nonlinear_step", "propagate"),
+    "plans": ("StepPlan",),
+    "solver": ("PropagationRecord", "nonlinear_step", "propagate"),
     "hydro": ("VortexSet", "detect_vortices", "circulation", "circulation_batch"),
     "dispersion": ("ProbeSpec", "DispersionCurve", "bogoliubov_omega", "measure_group_velocity",
                    "probe_line", "snapshot_density", "dispersion_from_group_velocity",

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field as dc_field, replace
 from types import SimpleNamespace
 from typing import Any
 
-from . import rules
-from .medium import MediumParams, intensity_to_density
+from . import plans, rules
+from .medium import MediumParams
 from .pfl1 import read_header
 
 REQUIRED = object()
@@ -190,7 +190,7 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         **_RUN_CSV,
         **_FIELD,
         "medium.length": "each density propagates over tau * z_nl of that density",
-        "plan": f"each density takes ceil({rules.STEPS_PER_Z_NL} tau) steps, with a "
+        "plan": f"each density takes ceil({plans.STEPS_PER_Z_NL} tau) steps, with a "
                 "snapshot every max(1, n_steps // 50)",
         "source": "each background is a plane wave at one of sound-scaling.intensities",
         "potential": _HOMOGENEOUS,
@@ -226,7 +226,7 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         "potential": _POTENTIAL,
         "structure-factor": {
             "realizations": Key("int", 200, within="[2, inf)"),
-            "noise_amplitude": Key("float", 1e-3),
+            "noise_amplitude": Key("float", 1e-3, within=_POSITIVE),
             "band_fraction": Key("float", 0.75, within="(0, 1]"),
             "nbins": Key("int", 24, within="[1, inf)"),
         },
@@ -411,8 +411,10 @@ def medium_params(medium: dict) -> MediumParams:
 
 def validate_config(cfg: RunConfig):
     """The rules that tie keys together. Each rule of `rules` gets the values
-    its builder will get, the medium's scales included (from `medium`); its
-    ValueError becomes a ConfigError."""
+    its builder will get, the medium's scales included (from `medium`). The
+    run's propagations are planned by plans.propagations, the function the
+    run calls, which applies the rules on what the run steps. A ValueError
+    becomes a ConfigError."""
     p, s = cfg.params, cfg.scenario
     if not cfg.run["csv"]:
         raise ConfigError("run.csv must be true: every run writes its CSV files")
@@ -437,20 +439,11 @@ def validate_config(cfg: RunConfig):
             rules.resolved(potential["width"], grid, "defect width")
         if potential.get("kind") == "lattice":
             rules.lattice_period(potential["period"], grid)
-        if s == "dispersion":
-            for k_perp in rules.k_perp_list(p["k_perp_list"]):
-                rules.probe(p["probe_waist"], k_perp, grid)
-            rules.tracked_snapshots(cfg.plan["n_steps"], cfg.plan["snapshot_every"])
-            rules.probe_kick(medium, intensity_to_density(source["intensity"], medium.n0),
-                             p["power_ratio"], cfg.plan["n_steps"])
-        if s == "sound-scaling":
-            rules.sound_scaling_runs(medium, [intensity_to_density(i, medium.n0)
-                                              for i in p["intensities"]],
-                                     grid, p["tau"], p["k_perp_xi"], p["probe_waist_xi"],
-                                     p["power_ratio"])
+        plans.propagations(cfg, grid, medium)
         for charge, x, y in zip(p.get("charges", ()), p.get("xs", ()), p.get("ys", ())):
             rules.vortex(charge, x, y, grid)
         if s == "gem-efficiency-sweep":
+            rules.swept(p["ratios"], "ratios")
             rules.schedule((p["flip_time"],), (), p["t_extent"])
             rules.gradient_phase(p["eta0"], p["z_extent"], p["t_extent"], p["nt"])
             rules.echo_windows(p["flip_time"], p["pulse_center"], p["pulse_width"], p["t_extent"])

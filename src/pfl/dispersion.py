@@ -43,7 +43,7 @@ snapshot's line density change, nx floats, and the tracker runs once after
 the run on the (K, S, nx) stack of S snapshots: one transform pair
 demodulates every line and one island scan reads every envelope, and each
 probe's track equals what a per-snapshot tracker reads, bit for bit. The
-sound-scaling runs and the first kick's rule live in `rules` (see there).
+sound-scaling runs live in `plans`, the first kick's rule in `rules`.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ import numpy as np
 from . import rules
 from .grid import Field2D, Grid, fft, ifft
 from .medium import MediumParams, shift_scales
-from .solver import StepPlan, propagate
+from .plans import StepPlan, sound_scaling_runs
+from .solver import propagate
 
 # Unless the packets stay paired over the trailing snapshots, the drift is
 # fitted over this last fraction of them; a fit whose RMS residual exceeds
@@ -460,7 +461,8 @@ def sound_speed_scaling(densities, medium: MediumParams, grid, tau: float, k_per
     k_perp = k_perp_xi / xi is taken as the sound speed. Returns the
     log-log slope with its standard error. Each density has its own length
     and so its own dz, which a stack shares: the probes run one
-    measure_group_velocity call per density.
+    measure_group_velocity call per density, each as
+    plans.sound_scaling_runs plans it for `pfl validate`.
     """
     densities = sorted(float(d) for d in densities)
     if len(densities) < 4:
@@ -468,12 +470,12 @@ def sound_speed_scaling(densities, medium: MediumParams, grid, tau: float, k_per
     if densities[0] <= 0:
         raise ValueError("densities must be positive")
     speeds = []
-    for rho, length, plan, waist, k_perp in rules.sound_scaling_runs(
-            medium, densities, grid, tau, k_perp_xi, probe_waist_xi, power_ratio):
-        values = np.full((grid.ny, grid.nx), np.sqrt(rho), dtype=np.complex128)
-        probe = ProbeSpec(waist=waist, k_perp=k_perp, power_ratio=power_ratio)
-        speeds.append(measure_group_velocity(Field2D(grid=grid, values=values), [probe],
-                                             medium.with_length(length), StepPlan(*plan))[0].v_g)
+    for run in sound_scaling_runs(medium, densities, grid, tau, k_perp_xi, probe_waist_xi,
+                                  power_ratio):
+        values = np.full((grid.ny, grid.nx), np.sqrt(run.density), dtype=np.complex128)
+        speeds.append(measure_group_velocity(Field2D(grid=grid, values=values),
+                                             [ProbeSpec(*probe) for probe in run.probes],
+                                             run.medium, run.plan)[0].v_g)
     densities, speeds = np.asarray(densities), np.asarray(speeds)
     exponent, _, stderr = _line_fit(np.log(densities), np.log(speeds))
     return SoundSpeedScaling(densities=densities, sound_speeds=speeds,

@@ -1,14 +1,15 @@
 """Each rule tying a value to the grid, to another value or to the memory
 schedule: one numpy-free function raising ValueError with one message, which
-the builders and config.validate_config call. A `grid` has nx, ny, dx, dy.
-A rule on a fluid's scale gets the value `medium` derives for the run. So do
-the values a run derives from its config: the snapshot schedule, the runs of
-a sound-scaling sweep, the probe list, the coupling windows, and the phases
-per step at which the kernel's step-resolution guard warns and aborts."""
+the builders and config.validate_config call, most of them through the run
+plans of `plans`. A `grid` has nx, ny, dx, dy. A rule on a fluid's scale
+gets the value `medium` derives for the run. So do the values a run derives
+from its config that are not a propagation: the snapshot schedule, the
+order of a swept list, the coupling windows, and the phases per step at
+which the kernel's step-resolution guard warns and aborts."""
 
 import math
 
-from .medium import density_to_intensity, fluid_scales
+from .medium import density_to_intensity
 
 MIN_LATTICE = 32  # points of the memory's z and t lattices, at least
 WAIST_CELLS = 4.0  # cells a Gaussian waist spans, at least
@@ -17,7 +18,6 @@ PULSE_WIDTHS = 4.0  # widths from a memory pulse to t = 0, t_extent and the othe
 ECHO_WINDOW_WIDTHS = 4.0  # input and echo energies: center +- this many widths
 MAX_GRADIENT_PHASE = 0.5  # rad of |eta| z_max dt per memory time step, at most
 MIN_TRACKED_SNAPSHOTS = 4  # snapshots a probe packet's drift is fitted over, at least
-STEPS_PER_Z_NL = 15  # sound-scaling steps per nonlinear length
 WARN_PHASE_PER_STEP = 0.5  # rad of phase per propagation step from which a run warns
 ABORT_PHASE_PER_STEP = math.pi  # rad of phase per propagation step above which it aborts
 
@@ -39,32 +39,27 @@ def tracked_snapshots(n_steps: int, snapshot_every: int):
                          f"{MIN_TRACKED_SNAPSHOTS}")
 
 
-def sound_scaling_runs(medium, densities, grid, tau: float, k_perp_xi: float,
-                       probe_waist_xi: float, power_ratio: float) -> list[tuple]:
-    """Each density's run of a sound-scaling sweep, in increasing density,
-    after the decade, tracking, probe and first-kick rules: (density, length
-    tau z_nl, (n_steps, snapshot_every), probe waist probe_waist_xi xi, probe
-    k_perp k_perp_xi / xi), z_nl and xi from medium.fluid_scales. Each run
-    takes ceil(tau STEPS_PER_Z_NL) steps and a snapshot every
-    max(1, n_steps // 50), so its probe's first kick is about
-    (1 + sqrt(power_ratio))^2 / STEPS_PER_Z_NL rad per step whatever tau is."""
-    decade(densities)
-    n_steps = math.ceil(tau * STEPS_PER_Z_NL)
-    plan, runs = (n_steps, max(1, n_steps // 50)), []
-    tracked_snapshots(*plan)
-    for density in sorted(densities):
-        z_nl, xi, _ = fluid_scales(medium, density)
-        waist, k_perp = probe_waist_xi * xi, k_perp_xi / xi
-        probe(waist, k_perp, grid)
-        probe_kick(medium.with_length(tau * z_nl), density, power_ratio, n_steps,
-                   steps_set=True)
-        runs.append((density, tau * z_nl, plan, waist, k_perp))
-    return runs
+def swept(values, what: str) -> list:
+    """A swept list's values in increasing order, each once: a repeated
+    value would make the run measure it twice."""
+    ordered = sorted(values)
+    for a, b in zip(ordered, ordered[1:]):
+        if a == b:
+            raise ValueError(f"{what} holds {a:g} twice; a sweep measures each value once")
+    return ordered
 
 
-def k_perp_list(values) -> list[float]:
-    """The probes' k_perp in increasing order, each value once."""
-    return increasing(sorted(values), "k samples")
+def noise_band(band_fraction: float, grid):
+    """Refuse a noise band that holds no mode but k = 0: its edge
+    band_fraction pi / max(dx, dy) must reach the grid's first mode
+    2 pi (1 / (n d)), in the arithmetic of Grid.kx and Grid.k_nyquist_x."""
+    first = min(2.0 * math.pi * (1.0 / (grid.nx * grid.dx)),
+                2.0 * math.pi * (1.0 / (grid.ny * grid.dy)))
+    edge = band_fraction * min(math.pi / grid.dx, math.pi / grid.dy)
+    if first > edge:
+        raise ValueError(f"the noise band holds no mode but k = 0: its edge band_fraction "
+                         f"* pi / max(dx, dy) = {edge:.6g} lies below the first mode "
+                         f"2 pi / (n d) = {first:.6g}")
 
 
 def probe_kick(medium, density: float, power_ratio: float, n_steps: int,

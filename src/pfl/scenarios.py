@@ -1,20 +1,25 @@
 """Scenario orchestration: build objects from a RunConfig, run, write
-artifacts, and emit a manifest of exactly the files produced."""
+artifacts, and emit a manifest of exactly the files produced. Each
+propagating handler steps the propagations `plans.propagations` lists for
+its config, grid and built medium (the plan `pfl validate` checks): their
+stacks of members, step plans, lengths and probes."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 
-from . import rules
+from . import plans, rules
 from .config import SCENARIOS, RunConfig, medium_params
 from .fileio import ArtifactWriter, fmt, load_field
 from .grid import Field2D, Grid, fft2, ifft2, make_grid
-from .medium import MediumParams, fluid_scales, intensity_to_density
+from .medium import MediumParams, intensity_to_density
 from .seeding import stream_rng, stream_seed
-from .solver import StepPlan, member_runs, propagate
+from .plans import StepPlan
+from .solver import propagate
 from .sources import gaussian_beam, imprint_dark_stripe, imprint_vortex, plane_wave, speckle
 
 # Every scenario uses the modules above. Each handler imports the rest of what
@@ -53,6 +58,8 @@ def _build_potential(cfg: RunConfig, grid: Grid) -> np.ndarray:
 
 
 def build_plan(cfg: RunConfig) -> StepPlan:
+    """The [plan] section as it reads; a run steps the plans of its
+    propagations (plans.propagations)."""
     return StepPlan(**cfg.plan)
 
 
@@ -81,9 +88,7 @@ def run_scenario(cfg: RunConfig, out_dir) -> ArtifactWriter:
 def _scenario_propagate(cfg: RunConfig, w: ArtifactWriter):
     grid = build_grid(cfg)
     medium = build_medium(cfg, grid)
-    plan = build_plan(cfg)
-    if not cfg.run["snapshots"]:  # none would be written, so none is made
-        plan = replace(plan, snapshot_every=0)
+    (run,) = plans.propagations(cfg, grid, medium)
     field = build_source(cfg, grid, medium)
     w.field("input.pfl1", field, 0.0)
     index = itertools.count()
@@ -91,7 +96,7 @@ def _scenario_propagate(cfg: RunConfig, w: ArtifactWriter):
     def write_snapshot(z: float, snap: Field2D):
         w.field(f"snapshot_{next(index):04d}.pfl1", snap, z)
 
-    record = propagate(field, medium, plan, keep=write_snapshot)
+    record = propagate(field, run.medium, run.plan, keep=write_snapshot)
     w.field("final.pfl1", record.final_field, record.z_final)
     w.csv("power.csv", ["z", "power"], record.power_trace)
     if cfg.run["pgm"]:
@@ -104,14 +109,11 @@ def _scenario_dispersion(cfg: RunConfig, w: ArtifactWriter):
 
     grid = build_grid(cfg)
     medium = build_medium(cfg, grid)
-    plan = build_plan(cfg)
+    (run,) = plans.propagations(cfg, grid, medium)
     background = build_source(cfg, grid, medium)
-
-    probes = [ProbeSpec(waist=cfg.params["probe_waist"], k_perp=k_perp,
-                        power_ratio=cfg.params["power_ratio"])
-              for k_perp in rules.k_perp_list(cfg.params["k_perp_list"])]
+    probes = [ProbeSpec(*probe) for probe in run.probes]
     samples = [(m.k_perp, m.v_g)
-               for m in measure_group_velocity(background, probes, medium, plan)]
+               for m in measure_group_velocity(background, probes, run.medium, run.plan)]
     curve = dispersion_from_group_velocity(samples, medium)
     w.csv("dispersion.csv", ["k_perp", "v_g", "omega"], curve.rows())
     w.text("fit.txt", "\n".join([
@@ -146,15 +148,12 @@ def _scenario_precondensation(cfg: RunConfig, w: ArtifactWriter):
     medium = build_medium(cfg, grid)
     p = cfg.params
     n_real = p["realizations"]
-    rho = intensity_to_density(cfg.source["intensity"], medium.n0)
-    z_nl, _, _ = fluid_scales(medium, rho)
+    runs = plans.propagations(cfg, grid, medium)
     members = [build_source(cfg, grid, medium, member=i) for i in range(n_real)]
     moments = []
-    for tau in sorted(p["tau_list"]):
-        run_medium = medium.with_length(tau * z_nl)
-        plan = build_plan(cfg)
-        finals = [record.final_field for run in member_runs(n_real, grid.ny, grid.nx)
-                  for record in propagate(members[run], run_medium, plan)]
+    for tau, stacks in itertools.groupby(runs, key=attrgetter("tau")):
+        finals = [record.final_field for run in stacks
+                  for record in propagate(members[run.members], run.medium, run.plan)]
         stats = intensity_statistics(finals, bins=p["bins"])
         tag = fmt(tau).replace(".", "p")
         w.csv(f"pi_hist_tau{tag}.csv", ["intensity", "pdf"], stats.rows())
@@ -169,22 +168,22 @@ def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
 
     grid = build_grid(cfg)
     medium = build_medium(cfg, grid)
-    plan = build_plan(cfg)
     p = cfg.params
-    rho = intensity_to_density(cfg.source["intensity"], medium.n0)
-    amplitude = np.sqrt(rho)
+    runs = plans.propagations(cfg, grid, medium)
+    amplitude = np.sqrt(runs[0].density)
     band = np.sqrt(grid.k_squared()) <= p["band_fraction"] * min(grid.k_nyquist_x,
                                                                  grid.k_nyquist_y)
-    eps, shape = p["noise_amplitude"] * amplitude, (grid.ny, grid.nx)
+    eps = p["noise_amplitude"] * amplitude
 
     def pairs():
         """(signal, reference) densities of each member, one run's stack at a time."""
-        for run in member_runs(p["realizations"], grid.ny, grid.nx):
+        for run in runs:
             # each member's noise from its own stream, band-limited in place as one stack
-            values = np.empty((run.stop - run.start, *shape), dtype=np.complex128)
-            for member, i in zip(values, range(run.start, run.stop)):
+            values = np.empty((run.count, *run.shape), dtype=np.complex128)
+            for member, i in zip(values, range(run.members.start, run.members.stop)):
                 rng = stream_rng(cfg.run["seed"], "sf-noise", i)
-                member.real, member.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+                member.real, member.imag = (rng.standard_normal(run.shape),
+                                            rng.standard_normal(run.shape))
             values /= np.sqrt(2.0)
             values *= eps
             fft2(values, overwrite_x=True)
@@ -193,7 +192,7 @@ def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
             values += amplitude
             fields = [Field2D(grid=grid, values=member) for member in values]
             references = [f.density() for f in fields]
-            for record, reference in zip(propagate(fields, medium, plan), references):
+            for record, reference in zip(propagate(fields, run.medium, run.plan), references):
                 yield record.final_field.density(), reference
 
     sf = structure_factor(pairs(), grid=grid, nbins=p["nbins"],
@@ -206,6 +205,7 @@ def _scenario_vortices(cfg: RunConfig, w: ArtifactWriter):
 
     grid = build_grid(cfg)
     medium = build_medium(cfg, grid)
+    (run,) = plans.propagations(cfg, grid, medium)
     p = cfg.params
     field = build_source(cfg, grid, medium)
     if p["kind"] == "imprint":
@@ -217,7 +217,7 @@ def _scenario_vortices(cfg: RunConfig, w: ArtifactWriter):
                                     angle=p["stripe_angle"],
                                     contrast=p["stripe_contrast"])
     w.field("initial.pfl1", field, 0.0)
-    record = propagate(field, medium, build_plan(cfg))
+    record = propagate(field, run.medium, run.plan)
     field = record.final_field
     w.metrics("metrics.txt", record)
     w.field("final.pfl1", field, record.z_final)
@@ -263,7 +263,7 @@ def _scenario_gem_efficiency_sweep(cfg: RunConfig, w: ArtifactWriter):
 
     p = cfg.params
     rows = []
-    for ratio in sorted(p["ratios"]):
+    for ratio in rules.swept(p["ratios"], "ratios"):
         g_n = ratio * abs(p["eta0"]) / (2.0 * np.pi)
         g = density = float(np.sqrt(g_n))
         gem_cfg = GemConfig(g=g, density=density, eta0=p["eta0"],

@@ -19,11 +19,11 @@ potential); its run builds the full-step kinetic factor. Its step loop and
 kick take only stacks of fields that share the grid and the medium, in the
 one layout below; propagate and nonlinear_step pass a lone field as the
 stack B = 1. The kick and the half steps walk one list of blocks of about
-BLOCK_SITES sites, each with its views of preallocated block buffers: the
-kick multiplies the field in place by one factor a exp(i phase), built from
-tan(phase / 2), so the loss takes no pass of its own, and each half step
-builds its factor from the separable y and x factors in the block's factor
-view, so the kernel stores one plane-sized factor, not two. The transforms
+plans.BLOCK_SITES sites, each with its views of preallocated block buffers:
+the kick multiplies the field in place by one factor a exp(i phase), built
+from tan(phase / 2), so the loss takes no pass of its own, and each half
+step builds its factor from the separable y and x factors in the block's
+factor view, so the kernel stores one plane-sized factor, not two. The transforms
 (numpy.fft, one pass per axis) run in place on buffers the kernel owns; the
 input is never written to. Snapshots and the final fields leave the loop
 through one exit, _fields, which applies the half step into a new array.
@@ -60,6 +60,9 @@ SplitStepKernel.run on what the loop computes anyway: the kinetic phase
 from the first forward transform, and the kick's peak phase at every step.
 Its constants live in `rules`, as does the snapshot schedule that run and
 propagate follow (snapshot_steps), so that `pfl validate` reads the same.
+StepPlan and the block size, which also sets the scenarios' member stacks
+(member_runs), live in the numpy-free `plans`, which says what each run
+propagates.
 """
 
 from __future__ import annotations
@@ -71,45 +74,20 @@ from typing import Any
 
 import numpy as np
 
+from . import plans
 from .grid import Field2D, Grid, fft2, ifft2
 from .medium import MediumParams, density_to_intensity
+from .plans import StepPlan
 from .rules import ABORT_PHASE_PER_STEP, WARN_PHASE_PER_STEP, snapshot_steps
 
 # Fraction of total spectral power a mode must carry to count as occupied
 # when estimating the kinetic phase rate.
 OCCUPIED_MODE_FLOOR = 1e-9
 
-# Lattice sites per block of the kick and the half steps and per run of
-# members (see member_runs): 8 members at 64^2, the fastest run measured. On
-# one core of a 2-vCPU x86 VM (2 MiB L2 per core), runs of 4, 16 and 32 took
-# 1.043, 1.088 and 1.149 of the time of runs of 8 (75 interleaved rounds).
-BLOCK_SITES = 2**15
-
 # Zero complex128 samples appended to each row of every kernel stack (one
 # 64-byte cache line), so that the column transforms of a plane do not
 # stride by a power of two.
 ROW_PAD = 4
-
-
-@dataclass
-class StepPlan:
-    """Stepping schedule for one propagation: n_steps equal steps of
-    dz = length / n_steps, with snapshots after the steps that
-    snapshot_steps lists (none for snapshot_every = 0).
-    """
-
-    n_steps: int
-    snapshot_every: int = 0
-
-    def __post_init__(self):
-        if self.n_steps < 0:
-            raise ValueError(f"n_steps must be non-negative, got {self.n_steps}")
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be non-negative")
-
-    def resolve_dz(self, length: float) -> float:
-        """The step length over a medium of this length (0 without steps)."""
-        return length / self.n_steps if self.n_steps else 0.0
 
 
 @dataclass
@@ -142,25 +120,14 @@ def kernel_stack(arrays: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
     return values
 
 
-def member_runs(n_members: int, ny: int, nx: int) -> list[slice]:
-    """Consecutive runs of members (ny, nx) of about BLOCK_SITES sites each,
-    at least one member: 8 members at 64^2, one at 256^2 and above. The
-    ensemble scenarios propagate one run per stack, which amortizes the
-    per-call and per-step overhead of small fields, and a run of small
-    fields is one block of the kick (see block_slices). Only the last run
-    may be shorter."""
-    size = max(1, BLOCK_SITES // (ny * nx))
-    return [slice(m, min(m + size, n_members)) for m in range(0, n_members, size)]
-
-
 def block_slices(n_members: int, ny: int, nx: int) -> list[tuple[slice, slice]]:
     """(members, rows) index pairs that cover a stack (B, ny, nx) in blocks of
-    about BLOCK_SITES sites: runs of whole members when a field is smaller
-    (see member_runs), runs of rows of one member when it is larger (64
-    rows at 512^2). Only the last block of a run may be smaller."""
-    if ny * nx <= BLOCK_SITES:
-        return [(members, slice(None)) for members in member_runs(n_members, ny, nx)]
-    rows = max(1, BLOCK_SITES // nx)
+    about plans.BLOCK_SITES sites: runs of whole members when a field is
+    smaller (see plans.member_runs), runs of rows of one member when it is
+    larger (64 rows at 512^2). Only the last block of a run may be smaller."""
+    if ny * nx <= plans.BLOCK_SITES:
+        return [(members, slice(None)) for members in plans.member_runs(n_members, ny, nx)]
+    rows = max(1, plans.BLOCK_SITES // nx)
     return [(slice(m, m + 1), slice(r, min(r + rows, ny)))
             for m in range(n_members) for r in range(0, ny, rows)]
 

@@ -1,4 +1,7 @@
+import importlib.util
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from pfl.grid import Field2D, make_grid
 from pfl.medium import MediumParams
 
 WAVELENGTH = 780e-9  # D2 line of Rb
+BENCHMARK_WORKLOADS = ("beam-512", "sf-ensemble-64", "bogoliubov-256")
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run; elsewhere
 # each run explores new ones
@@ -41,3 +45,17 @@ def defocusing_setup(nx=128, dx=5e-6, xi_cells=2.0, rho=1.0, tau=10.0,
 @pytest.fixture
 def small_grid():
     return make_grid(64, 64, 1e-5)
+
+
+def workload_ini(name: str, seed: int) -> str:
+    """The INI the benchmark runs pfl on for a workload of
+    perfbench/workloads.py at a seed, that module loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up in sys.modules
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads.WORKLOADS[name].inputs(seed).ini

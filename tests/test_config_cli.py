@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import re
 import struct
@@ -12,6 +11,8 @@ import pytest
 from pfl import config as config_module
 from pfl.cli import main as cli_main
 from pfl.config import REQUIRED, SCENARIOS, ConfigError, Kinds, inside, parse_config
+
+from conftest import BENCHMARK_WORKLOADS, workload_ini
 
 GOOD_PROPAGATE = """
 [run]
@@ -150,6 +151,8 @@ PROPAGATE_GAUSSIAN = (ROOT / "configs" / "propagate_gaussian.ini").read_text()
 GEM = (ROOT / "configs" / "gem.ini").read_text()
 SOUND_SCALING = (ROOT / "configs" / "sound_scaling.ini").read_text()
 DISPERSION = (ROOT / "configs" / "bogoliubov_dispersion.ini").read_text()
+PRECONDENSATION = (ROOT / "configs" / "precondensation.ini").read_text()
+STRUCTURE_FACTOR = (ROOT / "configs" / "structure_factor.ini").read_text()
 SWEEP = (ROOT / "configs" / "gem_efficiency_sweep.ini").read_text()
 
 GOOD_GEM = """
@@ -363,20 +366,15 @@ class TestParsing:
         assert cli_main(["validate", "--config", str(cfg)]) == 2
         assert "source" in capsys.readouterr().err
 
-    def test_benchmark_workload_inis_parse(self, monkeypatch):
+    def test_benchmark_workload_inis_parse(self):
         # the benchmark runs pfl on the INIs perfbench/workloads.py writes;
         # one that stops parsing would fail every benchmark run
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        # dataclasses look their module up in sys.modules
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
-        for name in ("beam-512", "sf-ensemble-64", "bogoliubov-256"):
-            workload = workloads.WORKLOADS[name]
+        scenarios = {"beam-512": "propagate", "sf-ensemble-64": "structure-factor",
+                     "bogoliubov-256": "dispersion"}
+        for name in BENCHMARK_WORKLOADS:
             for seed in range(5):
-                cfg = parse_config(workload.inputs(seed).ini)
-                assert (cfg.scenario, cfg.run["seed"]) == (workload.scenario, seed)
+                cfg = parse_config(workload_ini(name, seed))
+                assert (cfg.scenario, cfg.run["seed"]) == (scenarios[name], seed)
 
     @pytest.mark.parametrize("text", [GOOD_SOUND_SCALING, GOOD_PRECONDENSATION],
                              ids=["sound-scaling", "precondensation"])
@@ -452,8 +450,24 @@ class TestParsing:
          "probe waist 0.0004 exceeds half the grid extent 0.00032"),
         (swap(GOOD_DISPERSION, "90000", "700000"),
          "probe |k_perp| is at or beyond the grid Nyquist wavevector"),
+        # a swept list holds each value once: the last three passed `pfl
+        # validate`, and the run then made the same measurement twice
         (swap(GOOD_DISPERSION, "20000, 30000, 40000", "20000, 30000, 30000"),
-         "k samples must be strictly increasing"),
+         "dispersion: k_perp_list holds 30000 twice; a sweep measures each value once"),
+        (swap(PRECONDENSATION, "tau_list = 1, 3", "tau_list = 1, 1")
+         .replace("realizations = 4", "realizations = 1"),
+         "precondensation: tau_list holds 1 twice; a sweep measures each value once"),
+        (swap(SWEEP, "ratios = 0.5, 1.0, 1.5, 2.0, 3.0", "ratios = 0.5, 0.5, 1.0"),
+         "gem-efficiency-sweep: ratios holds 0.5 twice; a sweep measures each value once"),
+        (swap(SOUND_SCALING, "intensities = 132720, 265440,",
+              "intensities = 132720, 132720, 265440,"),
+         "sound-scaling: densities holds 9.99993e+07 twice; a sweep measures each value once"),
+        # passed `pfl validate`, and the run then exited 3 after the whole
+        # ensemble had propagated, finding no noise power in any bin
+        (swap(STRUCTURE_FACTOR, "band_fraction = 0.75", "band_fraction = 0.01")
+         .replace("realizations = 100", "realizations = 8"),
+         "structure-factor: the noise band holds no mode but k = 0: its edge band_fraction "
+         "* pi / max(dx, dy) = 6283.19 lies below the first mode 2 pi / (n d) = 19635"),
         # each passed `pfl validate`, and the run then exited 3 with no packet to fit
         (swap(GOOD_DISPERSION, "n_steps = 240", "n_steps = 0"),
          "the plan makes 0 snapshots (0 steps, one every 8); tracking a probe packet "
@@ -525,7 +539,8 @@ class TestParsing:
          "echo window extends past t_extent"),
     ], ids=["gaussian-unresolved", "gaussian-wraps", "speckle-unresolved",
             "defect-unresolved", "lattice-past-nyquist", "probe-unresolved", "probe-wraps",
-            "probe-past-nyquist", "repeated-k-perp", "dispersion-without-steps",
+            "probe-past-nyquist", "repeated-k-perp", "repeated-tau", "repeated-ratio",
+            "repeated-intensity", "noise-band-without-a-mode", "dispersion-without-steps",
             "dispersion-too-few-snapshots", "dispersion-first-kick",
             "intensities-within-a-decade",
             "sound-scaling-probe-wraps", "sound-scaling-probe-unresolved",
@@ -671,13 +686,16 @@ class TestParsing:
         (GOOD_SOUND_SCALING, "tau = -1", r"sound-scaling.tau must lie in \(0, inf\), got -1.0"),
         (GOOD_STRUCTURE_FACTOR, "nbins = 0",
          r"structure-factor.nbins must lie in \[1, inf\), got 0"),
+        (GOOD_STRUCTURE_FACTOR, "noise_amplitude = 0",
+         r"structure-factor.noise_amplitude must lie in \(0, inf\), got 0.0"),
         (GOOD_PROPAGATE + POTENTIAL, "amplitude_re = 5",
          r"propagate takes no potential.amplitude_re for kind 'uniform'$"),
         (GOOD_DISPERSION.replace("k_perp_list = 20000, 30000, 40000, 60000, 90000\n", ""),
          "k_perp_list = 40000, 60000, 90000",
          r"dispersion.k_perp_list needs at least 5 values, got 3"),
     ], ids=["dispersion-power-ratio", "gem-nz", "source-waist", "precondensation-bins",
-            "sound-scaling-tau", "structure-factor-nbins", "uniform-amplitude",
+            "sound-scaling-tau", "structure-factor-nbins", "structure-factor-noise-amplitude",
+            "uniform-amplitude",
             "dispersion-k-perp-list"])
     def test_out_of_range_values_are_rejected_at_their_line(self, text, binding, message,
                                                             tmp_path, capsys):
@@ -858,9 +876,15 @@ class TestCli:
         # the CLI imports the scenarios only to run one, and the package
         # exports resolve on first access, so these commands touch no array;
         # nor does a range error
+        # nor do the benchmark's workload INIs, whose validation setup_s times
         bad = tmp_path / "bad.ini"
         bad.write_text(PROPAGATE_GAUSSIAN.replace("n0 = 1.0", "n0 = -1.0"))
-        commands = ([["validate", "--config", str(c)] for c in CONFIGS]
+        inis = []
+        for name in BENCHMARK_WORKLOADS:
+            for seed in range(5):
+                inis.append(tmp_path / f"{name}-{seed}.ini")
+                inis[-1].write_text(workload_ini(name, seed))
+        commands = ([["validate", "--config", str(c)] for c in CONFIGS + inis]
                     + [["validate", "--config", str(bad)], ["version"]])
         code = ("import sys; from pfl.cli import main; "
                 f"codes = [main(argv) for argv in {commands!r}]; "
@@ -868,7 +892,7 @@ class TestCli:
                 "if m.partition('.')[0] in ('numpy', 'scipy')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{[0] * len(CONFIGS) + [2, 0]} []"
+        assert proc.stdout.splitlines()[-1] == f"{[0] * (len(CONFIGS) + 15) + [2, 0]} []"
         assert "line 17: medium.n0 must lie in (0, inf), got -1.0" in proc.stderr
 
     def test_shipped_dispersion_config_runs(self, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pfl import scenarios, solver
+from pfl import plans, scenarios
 from pfl.config import parse_config
 from pfl.fileio import load_field, save_field
 from pfl.scenarios import run_scenario
@@ -333,7 +333,7 @@ nbins = 8
 
 
 def test_structure_factor_scenario_independent_of_stack_size(tmp_path, monkeypatch):
-    # members run in stacks of BLOCK_SITES lattice sites (solver.member_runs),
+    # members run in stacks of BLOCK_SITES lattice sites (plans.member_runs),
     # which also sizes the kick's blocks; one member per stack and eight per
     # stack must write the same bytes
     text = """
@@ -365,7 +365,7 @@ nbins = 8
 """
     outputs = []
     for members in (1, 8):
-        monkeypatch.setattr(solver, "BLOCK_SITES", members * 32 * 32)
+        monkeypatch.setattr(plans, "BLOCK_SITES", members * 32 * 32)
         _, _, out = run(tmp_path, text, f"stack{members}")
         outputs.append((out / "structure_factor.csv").read_bytes())
     assert outputs[0] == outputs[1]
