@@ -150,6 +150,7 @@ def _precondensation(cfg, grid, medium: MediumParams) -> list[Propagation]:
     p, plan = cfg.params, StepPlan(**cfg.plan)
     density = _source_density(cfg, medium)
     z_nl, _, _ = fluid_scales(medium, density)
+    rules.nonlinear_length(z_nl)
     stacks = member_runs(p["realizations"], grid.ny, grid.nx)
     return [Propagation(members, (grid.ny, grid.nx), plan, medium.with_length(tau * z_nl),
                         density, tau)

@@ -90,6 +90,14 @@ def probe_kick(medium, density: float, power_ratio: float, n_steps: int,
                      f"(> pi) with {n_steps} steps; the run needs {need}")
 
 
+def nonlinear_length(z_nl: float):
+    """Refuse a run whose lengths are counted in nonlinear lengths when z_nl
+    is infinite, as it is at chi3 = 0 or a zero source intensity."""
+    if math.isinf(z_nl):
+        raise ValueError("the nonlinear length z_nl is infinite (chi3 = 0 or a zero source "
+                         "intensity), so tau z_nl sets no length")
+
+
 def increasing(values, what: str):
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{what} must be strictly increasing")

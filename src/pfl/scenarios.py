@@ -89,14 +89,19 @@ def _scenario_propagate(cfg: RunConfig, w: ArtifactWriter):
     grid = build_grid(cfg)
     medium = build_medium(cfg, grid)
     (run,) = plans.propagations(cfg, grid, medium)
-    field = build_source(cfg, grid, medium)
-    w.field("input.pfl1", field, 0.0)
+
+    def source():
+        """The input, written and then handed to propagate, which alone holds it."""
+        field = build_source(cfg, grid, medium)
+        w.field("input.pfl1", field, 0.0)
+        yield field
+
     index = itertools.count()
 
     def write_snapshot(z: float, snap: Field2D):
         w.field(f"snapshot_{next(index):04d}.pfl1", snap, z)
 
-    record = propagate(field, run.medium, run.plan, keep=write_snapshot)
+    (record,) = propagate(source(), run.medium, run.plan, keep=write_snapshot)
     w.field("final.pfl1", record.final_field, record.z_final)
     w.csv("power.csv", ["z", "power"], record.power_trace)
     if cfg.run["pgm"]:
@@ -207,17 +212,23 @@ def _scenario_vortices(cfg: RunConfig, w: ArtifactWriter):
     medium = build_medium(cfg, grid)
     (run,) = plans.propagations(cfg, grid, medium)
     p = cfg.params
-    field = build_source(cfg, grid, medium)
-    if p["kind"] == "imprint":
-        for charge, x, y in zip(p["charges"], p["xs"], p["ys"]):
-            field = imprint_vortex(field, charge, center=(x, y),
-                                   core_width=p["core_width"])
-    else:
-        field = imprint_dark_stripe(field, position=p["stripe_position"],
-                                    angle=p["stripe_angle"],
-                                    contrast=p["stripe_contrast"])
-    w.field("initial.pfl1", field, 0.0)
-    record = propagate(field, run.medium, run.plan)
+
+    def source():
+        """The imprinted input, written and then handed to propagate, which
+        alone holds it."""
+        field = build_source(cfg, grid, medium)
+        if p["kind"] == "imprint":
+            for charge, x, y in zip(p["charges"], p["xs"], p["ys"]):
+                field = imprint_vortex(field, charge, center=(x, y),
+                                       core_width=p["core_width"])
+        else:
+            field = imprint_dark_stripe(field, position=p["stripe_position"],
+                                        angle=p["stripe_angle"],
+                                        contrast=p["stripe_contrast"])
+        w.field("initial.pfl1", field, 0.0)
+        yield field
+
+    (record,) = propagate(source(), run.medium, run.plan)
     field = record.final_field
     w.metrics("metrics.txt", record)
     w.field("final.pfl1", field, record.z_final)

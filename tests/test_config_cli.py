@@ -462,6 +462,13 @@ class TestParsing:
         (swap(SOUND_SCALING, "intensities = 132720, 265440,",
               "intensities = 132720, 132720, 265440,"),
          "sound-scaling: densities holds 9.99993e+07 twice; a sweep measures each value once"),
+        # each passed `pfl validate`, and the run then exited 3 at its first
+        # step of dz = inf
+        (swap(PRECONDENSATION, "chi3 = -2.48756e-05", "chi3 = 0.0"),
+         "precondensation: the nonlinear length z_nl is infinite (chi3 = 0 or a zero source "
+         "intensity), so tau z_nl sets no length"),
+        (swap(PRECONDENSATION, "intensity = 1.3272e-3", "intensity = 0"),
+         "precondensation: the nonlinear length z_nl is infinite"),
         # passed `pfl validate`, and the run then exited 3 after the whole
         # ensemble had propagated, finding no noise power in any bin
         (swap(STRUCTURE_FACTOR, "band_fraction = 0.75", "band_fraction = 0.01")
@@ -540,7 +547,8 @@ class TestParsing:
     ], ids=["gaussian-unresolved", "gaussian-wraps", "speckle-unresolved",
             "defect-unresolved", "lattice-past-nyquist", "probe-unresolved", "probe-wraps",
             "probe-past-nyquist", "repeated-k-perp", "repeated-tau", "repeated-ratio",
-            "repeated-intensity", "noise-band-without-a-mode", "dispersion-without-steps",
+            "repeated-intensity", "precondensation-chi3-zero",
+            "precondensation-without-light", "noise-band-without-a-mode", "dispersion-without-steps",
             "dispersion-too-few-snapshots", "dispersion-first-kick",
             "intensities-within-a-decade",
             "sound-scaling-probe-wraps", "sound-scaling-probe-unresolved",

@@ -218,6 +218,51 @@ power = 0.5
         assert (out1 / name).read_bytes() == (tmp_path / "second" / name).read_bytes(), name
 
 
+def test_snapshot_run_holds_no_input_next_to_the_stack(tmp_path):
+    # the whole 512^2 run, source and PGM included, with a snapshot at every
+    # step: the handler hands its input over to propagate, so the peak is
+    # the kernel's padded stack, full kinetic factor, block buffers and one
+    # snapshot, 3.40 planes of 16 nx ny bytes. Holding the input next to
+    # them, it peaked at 4.40.
+    text = """
+[run]
+scenario = propagate
+seed = 1
+snapshots = true
+pgm = true
+
+[grid]
+nx = 512
+ny = 512
+dx = 5e-6
+
+[medium]
+lambda = 780e-9
+n0 = 1.0
+n2 = -5e-12
+alpha = 10.0
+length = 0.001
+
+[plan]
+n_steps = 4
+snapshot_every = 1
+
+[source]
+kind = gaussian
+waist = 1.5e-4
+power = 0.5
+"""
+    cfg = parse_config(text)
+    tracemalloc.start()
+    try:
+        writer = run_scenario(cfg, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(p.name.startswith("snapshot_") for p in writer.paths) == 4
+    assert peak <= 3.5 * 16 * 512 * 512
+
+
 def test_dispersion_scenario(tmp_path):
     text = """
 [run]

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -780,6 +781,26 @@ class TestPropagate:
             for earlier in range(later):
                 assert np.array_equal(snaps[earlier].values, kept[earlier])
         assert np.array_equal(start.values, original)
+
+    def test_a_handed_over_field_is_freed_before_the_first_step(self):
+        # a field that only a generator holds is copied into the kernel's
+        # stack and then dropped: neither it nor its array outlives the
+        # read, so a run does not hold its input next to the stack
+        grid, medium, _, _ = defocusing_setup(nx=64, dx=5e-6, xi_cells=3.0, tau=2.0)
+        xx, _ = grid.meshgrid()
+        refs = []
+
+        def source():
+            field = Field2D(grid=grid, values=1.0 + 0.3 * np.exp(-(xx / 4e-5) ** 2 + 0.2j))
+            refs.extend((weakref.ref(field), weakref.ref(field.values)))
+            yield field
+
+        def keep(z, field):
+            assert [ref() for ref in refs] == [None, None]
+            return field
+
+        (record,) = propagate(source(), medium, StepPlan(n_steps=12, snapshot_every=5), keep)
+        assert len(record.snapshots) == 3 and len(refs) == 2
 
     def test_snapshot_run_peaks_below_three_and_a_half_planes(self):
         # above its input, a 512^2 run with a snapshot at every step holds
