@@ -22,28 +22,31 @@ is the identity and the pair splits symmetrically, so its half separation
 reads the sound speed like any other low-k probe.
 
 Only the k_y = 0 line of the probe run is propagated. The background is a
-uniform field in a medium without a potential, so its line density is known
-in closed form: the kinetic factor is 1 on the k = 0 mode and the kick
-multiplies every site by the same unit phase times the loss, giving
-sum_y |E|^2 (z) = sum_y |E0|^2 exp(-alpha z). To linear order in the probe
-amplitude each transverse mode of the perturbation then evolves on its own,
-and the k_y = 0 line of the density change is seeded only by the y-mean of
-the perturbation field: sum_y delta rho = 2 Re(E0* sum_y delta E) plus
-terms quadratic in delta E. So the y-mean of the probed field is propagated
-on a one-row grid Grid(nx, 1, dx, dy), and each snapshot is reduced to ny
-times its line density minus the background's as it is made: the tracker
-only ever uses the y-integrated density change. The quadratic terms the
-line drops shrink with the probe amplitude, sqrt(power_ratio).
+uniform field E0 = sqrt(density) in a medium without a potential, so its
+line density is known in closed form: the kinetic factor is 1 on the k = 0
+mode and the kick multiplies every site by the same unit phase times the
+loss, giving sum_y |E|^2 (z) = ny |E0|^2 exp(-alpha z), with ny |E0|^2
+summed one row at a time, as a plane's column sum adds it. To linear order
+in the probe amplitude each transverse mode of the perturbation then
+evolves on its own, and the k_y = 0 line of the density change is seeded
+only by the y-mean of the perturbation field: sum_y delta rho =
+2 Re(E0* sum_y delta E) plus terms quadratic in delta E. So the y-mean of
+the probed field is propagated on a one-row grid Grid(nx, 1, dx, dy), and
+each snapshot is reduced to ny times its line density minus the
+background's as it is made: the tracker only ever uses the y-integrated
+density change. The quadratic terms the line drops shrink with the probe
+amplitude, sqrt(power_ratio).
 
-measure_group_velocity takes its probes as one sequence. Their lines run
-as one (K, 1, nx) stack through a single propagate call, whose per-step
-cost on a 1D line is mostly dispatch, and each member's snapshots equal
-those of a one-probe call bit for bit. The keep callback stores each
-snapshot's line density change, nx floats, and the tracker runs once after
-the run on the (K, S, nx) stack of S snapshots: one transform pair
-demodulates every line and one island scan reads every envelope, and each
-probe's track equals what a per-snapshot tracker reads, bit for bit. The
-sound-scaling runs live in `plans`, the first kick's rule in `rules`.
+measure_group_velocity steps one probe stack that `plans` built
+(plans.probe_stack, or plans.sound_scaling_runs for one per density),
+after every rule of the stack: its lines run as one (K, 1, nx) stack
+through a single propagate call, whose per-step cost on a 1D line is
+mostly dispatch, and each member's snapshots equal those of a one-probe
+stack bit for bit. The keep callback stores each snapshot's line density
+change, nx floats, and the tracker runs once after the run on the
+(K, S, nx) stack of S snapshots: one transform pair demodulates every line
+and one island scan reads every envelope, and each probe's track equals
+what a per-snapshot tracker reads, bit for bit.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import numpy as np
 from . import rules
 from .grid import Field2D, Grid, fft, ifft
 from .medium import MediumParams, shift_scales
-from .plans import StepPlan, sound_scaling_runs
+from .plans import ProbeSpec, Propagation
 from .solver import propagate
 
 # Unless the packets stay paired over the trailing snapshots, the drift is
@@ -64,24 +67,6 @@ from .solver import propagate
 # MAX_RESIDUAL of the displacement span is not a ballistic packet.
 FIT_FRACTION = 0.5
 MAX_RESIDUAL = 0.15
-
-
-@dataclass(frozen=True)
-class ProbeSpec:
-    """Probe beam riding on the background fluid.
-
-    power_ratio sets how weak the probe is: the ratio of its peak intensity
-    to the mean background intensity (only the config key has a default).
-    The entrance quench amplifies the density modulation of a low-k probe
-    by roughly (1 + s)/2 with s = (E_k + 2 mu)/Omega, so sweeps that reach
-    deep into the sonic band should use a smaller ratio to stay in the
-    linear-response regime. k_perp is the transverse wavevector of the
-    probe phase ramp.
-    """
-
-    waist: float
-    k_perp: float
-    power_ratio: float
 
 
 @dataclass
@@ -266,66 +251,48 @@ def snapshot_density(z: float, field: Field2D) -> np.ndarray:
     return field.density().sum(axis=0)
 
 
-def probe_line(background: Field2D, probe: ProbeSpec) -> Field2D:
-    """The y-mean of the background plus the probe, on the one-row grid
-    Grid(nx, 1, dx, dy): E0 + sqrt(power_ratio) |E0| exp(-x^2 / w^2)
-    exp(i k_perp x) times the sampled y-mean of exp(-y^2 / w^2), for the
-    background's value E0. The probe's peak intensity is power_ratio times
-    the background's."""
-    grid = background.grid
-    e0 = complex(background.values.flat[0])
+def probe_line(grid: Grid, density: float, probe: ProbeSpec) -> Field2D:
+    """The y-mean over grid of a uniform background E0 = sqrt(density) plus
+    the probe, on the one-row grid Grid(nx, 1, dx, dy): E0 + sqrt(power_ratio)
+    E0 exp(-x^2 / w^2) exp(i k_perp x) times the sampled y-mean of
+    exp(-y^2 / w^2). The probe's peak intensity is power_ratio times the
+    background's."""
+    e0 = np.sqrt(density)  # the value of sources.plane_wave, bit for bit
     x, w = grid.x_coords(), probe.waist
-    peak = np.sqrt(probe.power_ratio) * abs(e0) * np.mean(np.exp(-(grid.y_coords() / w) ** 2))
+    peak = np.sqrt(probe.power_ratio) * e0 * np.mean(np.exp(-(grid.y_coords() / w) ** 2))
     line = e0 + peak * np.exp(-(x / w) ** 2) * np.exp(1j * probe.k_perp * x)
     return Field2D(grid=Grid(grid.nx, 1, grid.dx, grid.dy), values=line[None])
 
 
-def measure_group_velocity(background: Field2D, probes: Sequence[ProbeSpec],
-                           medium: MediumParams, plan: StepPlan
-                           ) -> list[GroupVelocityMeasurement]:
-    """Group velocity of each weak probe at its k_perp on the background.
+def measure_group_velocity(run: Propagation, grid: Grid) -> list[GroupVelocityMeasurement]:
+    """Group velocity of each probe of run, a probe stack of `plans`, on its
+    uniform background of run.density over grid.
 
-    The probes run as one (K, 1, nx) stack of probe lines through a single
-    propagate call; the measurements come back as a list in probe order,
-    each equal to that of a one-probe call bit for bit. Every probe is
-    checked before anything propagates.
-
-    The background must be a homogeneous fluid: one uniform value in a
-    medium without a potential (ValueError otherwise). Its line density at
-    depth z is then snapshot_density(0, background) * exp(-alpha z), and
-    only the probe line (see probe_line) is propagated, with snapshots
-    along z. Each snapshot is kept as ny times its line density minus the
-    background's. After the run the (K, S, nx) stack of these changes is
-    tracked in one pass (see track_packets), and each probe's transverse
-    drift is fitted. A probe line whose first kick breaks rules.probe_kick
-    is refused before anything propagates.
+    The probe lines (see probe_line) run as one (K, 1, nx) stack through a
+    single propagate call, with run.medium and run.plan; the measurements
+    come back as a list in probe order, each equal to that of a one-probe
+    stack bit for bit. The background's line density at depth z is
+    ny |E0|^2 exp(-alpha z), and each snapshot is kept as ny times its line
+    density minus the background's. After the run the (K, S, nx) stack of
+    these changes is tracked in one pass (see track_packets), and each
+    probe's transverse drift is fitted. The stack's rules were applied when
+    `plans` built it.
     """
-    grid = background.grid
-    rules.tracked_snapshots(plan.n_steps, plan.snapshot_every)
-    if medium.potential is not None:
-        raise ValueError("the background must be homogeneous: the medium has a potential")
-    if np.any(background.values != background.values.flat[0]):
-        raise ValueError("the background must be homogeneous: its field is not one "
-                         "uniform value")
-    for p in probes:
-        rules.probe(p.waist, p.k_perp, grid)
-        if p.power_ratio < 0:
-            raise ValueError(f"probe power_ratio must be non-negative, got {p.power_ratio}")
-        rules.probe_kick(medium, abs(background.values.flat[0]) ** 2, p.power_ratio,
-                         plan.n_steps)
-
-    background_line = snapshot_density(0.0, background)
+    medium, e0 = run.medium, np.sqrt(run.density)
+    background_line = 0.0
+    for _ in range(grid.ny):  # one row at a time, as a plane's column sum adds |E0|^2
+        background_line += e0 * e0
 
     def line_change(z: float, field: Field2D) -> np.ndarray:
         return grid.ny * snapshot_density(z, field) - background_line * np.exp(-medium.alpha * z)
 
-    records = propagate([probe_line(background, p) for p in probes], medium, plan,
-                        keep=line_change)
+    records = propagate([probe_line(grid, run.density, p) for p in run.probes], medium,
+                        run.plan, keep=line_change)
     z_samples = np.array([z for z, _ in records[0].snapshots])
     changes = np.array([[change for _, change in r.snapshots] for r in records])
-    displacements, paired = track_packets(changes, probes, grid)
+    displacements, paired = track_packets(changes, run.probes, grid)
     return [_fit_drift(z_samples, d, p, probe, grid)
-            for d, p, probe in zip(displacements, paired, probes)]
+            for d, p, probe in zip(displacements, paired, run.probes)]
 
 
 def _fit_drift(z_samples: np.ndarray, displacements: np.ndarray, paired: np.ndarray,
@@ -451,32 +418,18 @@ class SoundSpeedScaling:
     stderr: float
 
 
-def sound_speed_scaling(densities, medium: MediumParams, grid, tau: float, k_perp_xi: float,
-                        probe_waist_xi: float, power_ratio: float) -> SoundSpeedScaling:
+def sound_speed_scaling(runs, grid: Grid) -> SoundSpeedScaling:
     """Fit the scaling exponent of the sound speed against the density.
 
-    For each background density (|E|^2) a plane-wave fluid is propagated
-    for the same number of nonlinear lengths (so every member is measured
-    at the same dimensionless depth) and the group velocity of a probe at
-    k_perp = k_perp_xi / xi is taken as the sound speed. Returns the
-    log-log slope with its standard error. Each density has its own length
-    and so its own dz, which a stack shares: the probes run one
-    measure_group_velocity call per density, each as
-    plans.sound_scaling_runs plans it for `pfl validate`.
+    runs are the probe stacks of plans.sound_scaling_runs, one per
+    background density (|E|^2) in increasing order, each propagated for the
+    same number of nonlinear lengths (so every member is measured at the
+    same dimensionless depth); the group velocity of each stack's probe,
+    measured over grid, is taken as the sound speed. Returns the log-log
+    slope with its standard error.
     """
-    densities = sorted(float(d) for d in densities)
-    if len(densities) < 4:
-        raise ValueError("need at least 4 densities")
-    if densities[0] <= 0:
-        raise ValueError("densities must be positive")
-    speeds = []
-    for run in sound_scaling_runs(medium, densities, grid, tau, k_perp_xi, probe_waist_xi,
-                                  power_ratio):
-        values = np.full((grid.ny, grid.nx), np.sqrt(run.density), dtype=np.complex128)
-        speeds.append(measure_group_velocity(Field2D(grid=grid, values=values),
-                                             [ProbeSpec(*probe) for probe in run.probes],
-                                             run.medium, run.plan)[0].v_g)
-    densities, speeds = np.asarray(densities), np.asarray(speeds)
+    densities = np.array([run.density for run in runs])
+    speeds = np.array([measure_group_velocity(run, grid)[0].v_g for run in runs])
     exponent, _, stderr = _line_fit(np.log(densities), np.log(speeds))
     return SoundSpeedScaling(densities=densities, sound_speeds=speeds,
                              exponent=exponent, stderr=stderr)

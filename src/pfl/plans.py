@@ -11,7 +11,7 @@ nx, ny, dx, dy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import rules
 from .medium import MediumParams, fluid_scales, intensity_to_density
@@ -47,13 +47,31 @@ class StepPlan:
 
 
 @dataclass(frozen=True)
+class ProbeSpec:
+    """Probe beam riding on the background fluid.
+
+    power_ratio sets how weak the probe is: the ratio of its peak intensity
+    to the mean background intensity (only the config key has a default).
+    The entrance quench amplifies the density modulation of a low-k probe
+    by roughly (1 + s)/2 with s = (E_k + 2 mu)/Omega, so sweeps that reach
+    deep into the sonic band should use a smaller ratio to stay in the
+    linear-response regime. k_perp is the transverse wavevector of the
+    probe phase ramp.
+    """
+
+    waist: float
+    k_perp: float
+    power_ratio: float
+
+
+@dataclass(frozen=True)
 class Propagation:
     """One stack a run propagates: the run's members it holds (ensemble
     members, probes or densities), each a field of shape (ny, nx), (1, nx)
     for a probe line, stepped by plan through medium. density is the
     source's mean |E|^2 where the scenario reads one, tau the length in
     nonlinear lengths of that density where the scenario sets the length so,
-    and probes the (waist, k_perp, power_ratio) of each probe line."""
+    and probes the ProbeSpec of each probe line."""
 
     members: slice
     shape: tuple[int, int]
@@ -61,7 +79,7 @@ class Propagation:
     medium: MediumParams
     density: float | None = None
     tau: float | None = None
-    probes: tuple[tuple[float, float, float], ...] = ()
+    probes: tuple[ProbeSpec, ...] = ()
 
     @property
     def count(self) -> int:
@@ -83,28 +101,51 @@ def member_runs(n_members: int, ny: int, nx: int) -> list[slice]:
     return [slice(m, min(m + size, n_members)) for m in range(0, n_members, size)]
 
 
+def probe_stack(medium: MediumParams, density: float, probes, plan: StepPlan, grid,
+                steps_set: bool = False) -> Propagation:
+    """One stack of probe lines, one per ProbeSpec of probes in their order,
+    over a uniform background of this density (|E|^2) in medium, stepped by
+    plan, after every rule of a probe stack: a medium without a potential,
+    rules.probe and a non-negative power_ratio for each probe, a plan that
+    rules.tracked_snapshots passes, and rules.probe_kick for each probe
+    (steps_set as there)."""
+    if medium.potential is not None:
+        raise ValueError("the background must be homogeneous: the medium has a potential")
+    probes = tuple(probes)
+    for p in probes:
+        rules.probe(p.waist, p.k_perp, grid)
+        if p.power_ratio < 0:
+            raise ValueError(f"probe power_ratio must be non-negative, got {p.power_ratio}")
+    rules.tracked_snapshots(plan.n_steps, plan.snapshot_every)
+    for p in probes:
+        rules.probe_kick(medium, density, p.power_ratio, plan.n_steps, steps_set)
+    return Propagation(slice(0, len(probes)), (1, grid.nx), plan, medium, density,
+                       probes=probes)
+
+
 def sound_scaling_runs(medium: MediumParams, densities, grid, tau: float, k_perp_xi: float,
                        probe_waist_xi: float, power_ratio: float) -> list[Propagation]:
-    """Each density's probe line of a sound-scaling sweep, in increasing
-    density, after the sweep, decade, tracking, probe and first-kick rules:
-    a length of tau z_nl, one probe of waist probe_waist_xi xi and k_perp
-    k_perp_xi / xi, z_nl and xi from medium.fluid_scales. Each run takes
-    ceil(tau STEPS_PER_Z_NL) steps and a snapshot every max(1, n_steps //
-    50), so its probe's first kick is about (1 + sqrt(power_ratio))^2 /
+    """Each density's probe stack of a sound-scaling sweep, in increasing
+    density: at least 4 positive densities spanning a decade, each once, and
+    for each a length of tau z_nl and one probe of waist probe_waist_xi xi
+    and k_perp k_perp_xi / xi, z_nl and xi from medium.fluid_scales. Each run
+    takes ceil(tau STEPS_PER_Z_NL) steps and a snapshot every max(1, n_steps
+    // 50), so its probe's first kick is about (1 + sqrt(power_ratio))^2 /
     STEPS_PER_Z_NL rad per step whatever tau is."""
+    if len(densities) < 4:
+        raise ValueError("need at least 4 densities")
+    if min(densities) <= 0:
+        raise ValueError("densities must be positive")
     densities = rules.swept(densities, "densities")
     rules.decade(densities)
     n_steps = math.ceil(tau * STEPS_PER_Z_NL)
     plan, runs = StepPlan(n_steps, max(1, n_steps // 50)), []
-    rules.tracked_snapshots(plan.n_steps, plan.snapshot_every)
     for i, density in enumerate(densities):
         z_nl, xi, _ = fluid_scales(medium, density)
-        waist, k_perp = probe_waist_xi * xi, k_perp_xi / xi
-        rules.probe(waist, k_perp, grid)
-        run_medium = medium.with_length(tau * z_nl)
-        rules.probe_kick(run_medium, density, power_ratio, n_steps, steps_set=True)
-        runs.append(Propagation(slice(i, i + 1), (1, grid.nx), plan, run_medium, density, tau,
-                                ((waist, k_perp, power_ratio),)))
+        probe = ProbeSpec(probe_waist_xi * xi, k_perp_xi / xi, power_ratio)
+        run = probe_stack(medium.with_length(tau * z_nl), density, [probe], plan, grid,
+                          steps_set=True)
+        runs.append(replace(run, members=slice(i, i + 1), tau=tau))
     return runs
 
 
@@ -124,16 +165,11 @@ def _one_field(cfg, grid, medium: MediumParams) -> list[Propagation]:
 
 def _dispersion(cfg, grid, medium: MediumParams) -> list[Propagation]:
     """One stack of probe lines, one per k_perp in increasing order."""
-    p, plan = cfg.params, StepPlan(**cfg.plan)
-    k_perps = rules.swept(p["k_perp_list"], "k_perp_list")
-    for k_perp in k_perps:
-        rules.probe(p["probe_waist"], k_perp, grid)
-    rules.tracked_snapshots(plan.n_steps, plan.snapshot_every)
-    density = _source_density(cfg, medium)
-    rules.probe_kick(medium, density, p["power_ratio"], plan.n_steps)
-    probes = tuple((p["probe_waist"], k_perp, p["power_ratio"]) for k_perp in k_perps)
-    return [Propagation(slice(0, len(probes)), (1, grid.nx), plan, medium, density,
-                        probes=probes)]
+    p = cfg.params
+    probes = [ProbeSpec(p["probe_waist"], k_perp, p["power_ratio"])
+              for k_perp in rules.swept(p["k_perp_list"], "k_perp_list")]
+    return [probe_stack(medium, _source_density(cfg, medium), probes, StepPlan(**cfg.plan),
+                        grid)]
 
 
 def _sound_scaling(cfg, grid, medium: MediumParams) -> list[Propagation]:

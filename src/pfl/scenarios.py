@@ -16,7 +16,7 @@ from . import plans, rules
 from .config import SCENARIOS, RunConfig, medium_params
 from .fileio import ArtifactWriter, fmt, load_field
 from .grid import Field2D, Grid, fft2, ifft2, make_grid
-from .medium import MediumParams, intensity_to_density
+from .medium import MediumParams
 from .seeding import stream_rng, stream_seed
 from .plans import StepPlan
 from .solver import propagate
@@ -110,15 +110,12 @@ def _scenario_propagate(cfg: RunConfig, w: ArtifactWriter):
 
 
 def _scenario_dispersion(cfg: RunConfig, w: ArtifactWriter):
-    from .dispersion import ProbeSpec, dispersion_from_group_velocity, measure_group_velocity
+    from .dispersion import dispersion_from_group_velocity, measure_group_velocity
 
     grid = build_grid(cfg)
     medium = build_medium(cfg, grid)
     (run,) = plans.propagations(cfg, grid, medium)
-    background = build_source(cfg, grid, medium)
-    probes = [ProbeSpec(*probe) for probe in run.probes]
-    samples = [(m.k_perp, m.v_g)
-               for m in measure_group_velocity(background, probes, run.medium, run.plan)]
+    samples = [(m.k_perp, m.v_g) for m in measure_group_velocity(run, grid)]
     curve = dispersion_from_group_velocity(samples, medium)
     w.csv("dispersion.csv", ["k_perp", "v_g", "omega"], curve.rows())
     w.text("fit.txt", "\n".join([
@@ -133,13 +130,7 @@ def _scenario_sound_scaling(cfg: RunConfig, w: ArtifactWriter):
     from .dispersion import sound_speed_scaling
 
     grid = build_grid(cfg)
-    medium = build_medium(cfg, grid)
-    p = cfg.params
-    densities = [intensity_to_density(i, medium.n0) for i in p["intensities"]]
-    result = sound_speed_scaling(densities, medium, grid, tau=p["tau"],
-                                 k_perp_xi=p["k_perp_xi"],
-                                 probe_waist_xi=p["probe_waist_xi"],
-                                 power_ratio=p["power_ratio"])
+    result = sound_speed_scaling(plans.propagations(cfg, grid, build_medium(cfg, grid)), grid)
     w.csv("sound_scaling.csv", ["density", "c_s"],
           zip(result.densities, result.sound_speeds))
     w.text("fit.txt", f"exponent = {fmt(result.exponent)}\n"

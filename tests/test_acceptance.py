@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from pfl.cli import main as cli_main
-from pfl.dispersion import (ProbeSpec, dispersion_from_group_velocity,
-                            measure_group_velocity, sound_speed_scaling)
+from pfl.dispersion import (dispersion_from_group_velocity, measure_group_velocity,
+                            sound_speed_scaling)
 from pfl.gem import (GaussianPulse, GemConfig, gem_efficiency_measured,
                      gem_efficiency_theory, gem_evolve, recall_order)
 from pfl.grid import Field2D, fft2, ifft2, make_grid
 from pfl.hydro import circulation_batch, detect_vortices
 from pfl.medium import MediumParams
+from pfl.plans import ProbeSpec, probe_stack, sound_scaling_runs
 from pfl.potentials import lattice_potential
 from pfl.solver import StepPlan, propagate
 from pfl.sources import gaussian_beam, imprint_vortex, speckle
@@ -104,13 +105,13 @@ def test_criterion_04_strang_order():
 
 def test_criterion_05_bogoliubov_sonic_branch():
     t0 = time.perf_counter()
-    grid, medium, background, scales = defocusing_setup(nx=256, dx=5e-6,
-                                                        xi_cells=1.5, tau=35.0)
+    grid, medium, _, scales = defocusing_setup(nx=256, dx=5e-6, xi_cells=1.5, tau=35.0)
     xi, c_s = scales["xi"], scales["c_s"]
     plan = StepPlan(n_steps=525, snapshot_every=10)
     k_xis = (0.12, 0.15, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0)
     probes = [ProbeSpec(waist=15 * xi, k_perp=k_xi / xi, power_ratio=1e-5) for k_xi in k_xis]
-    measured = measure_group_velocity(background, probes, medium, plan)
+    # over defocusing_setup's plane wave of density 1
+    measured = measure_group_velocity(probe_stack(medium, 1.0, probes, plan, grid), grid)
     samples = [(m.k_perp, m.v_g) for m in measured]
     plateau = [m.v_g for k_xi, m in zip(k_xis, measured) if k_xi <= 0.3]
     elapsed = time.perf_counter() - t0
@@ -132,8 +133,9 @@ def test_criterion_06_sound_speed_scaling():
     z_nl_ref = xi_ref**2 * K0
     chi3 = -(1.0 / z_nl_ref) * 2.0 / K0
     medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=chi3, length=1.0)
-    result = sound_speed_scaling([1.0, 2.0, 4.0, 7.0, 10.0], medium, grid, tau=25.0,
-                                 k_perp_xi=0.2, probe_waist_xi=10.0, power_ratio=1e-5)
+    runs = sound_scaling_runs(medium, [1.0, 2.0, 4.0, 7.0, 10.0], grid, tau=25.0,
+                              k_perp_xi=0.2, probe_waist_xi=10.0, power_ratio=1e-5)
+    result = sound_speed_scaling(runs, grid)
     ok = abs(result.exponent - 0.5) <= 0.05
     report(6, "sound speed scales as sqrt(density)", ok,
            f"log-log exponent {result.exponent:.4f} +- {result.stderr:.4f} "

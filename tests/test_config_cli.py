@@ -580,8 +580,8 @@ class TestParsing:
                 scenarios.run_scenario(unchecked, tmp_path / "unchecked")
 
     def test_a_probe_kick_is_checked_before_anything_propagates(self, tmp_path):
-        # measure_group_velocity, given the config unchecked, refuses the
-        # plan before the probe lines propagate
+        # the handler's plan (plans.probe_stack), given the config unchecked,
+        # refuses the probe stack before its lines propagate
         from pfl import dispersion, scenarios
 
         def propagated(*args, **kwargs):

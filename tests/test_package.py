@@ -55,6 +55,13 @@ REMOVED_FORMS = {  # each function takes one input form, and a config Key holds 
     "scaling_defaults": lambda s: pfl.sound_speed_scaling([1.0, 2.0, 4.0], s.medium, s.grid),
     "statistics_bins": lambda s: pfl.intensity_statistics([s.background]),
     "speckle_n0": lambda s: pfl.speckle(s.grid, 8 * s.grid.dx, 1.0, seed=1),
+    # a probe stack is built once, by plans.probe_stack or plans.sound_scaling_runs
+    "background_probes": lambda s: pfl.measure_group_velocity(s.background, [s.probe], s.medium,
+                                                              s.plan),
+    "scaling_densities": lambda s: pfl.sound_speed_scaling(
+        [1.0, 2.0, 4.0, 10.0], s.medium, s.grid, tau=25.0, k_perp_xi=0.2, probe_waist_xi=10.0,
+        power_ratio=1e-5),
+    "background_line": lambda s: pfl.probe_line(s.background, s.probe),
 }
 
 
@@ -66,6 +73,11 @@ def test_removed_form_is_a_type_error(call):
                             plan=pfl.StepPlan(n_steps=40, snapshot_every=4))
     with pytest.raises(TypeError):
         call(setup)
+
+
+def test_probe_spec_lives_in_plans_and_resolves_from_dispersion():
+    from pfl import dispersion, plans
+    assert pfl.ProbeSpec is plans.ProbeSpec is dispersion.ProbeSpec
 
 
 def test_callable_potential_is_refused_when_the_kernel_is_built():

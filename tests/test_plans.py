@@ -1,14 +1,22 @@
+import dataclasses
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pfl import plans
+from pfl import plans, rules, scenarios, sources
 from pfl.cli import main as cli_main
+from pfl.config import parse_config
 from pfl.grid import make_grid
+from pfl.medium import MediumParams
+from pfl.plans import ProbeSpec, StepPlan, probe_stack, sound_scaling_runs
 
-STRUCTURE_FACTOR = (Path(__file__).resolve().parent.parent / "configs"
-                    / "structure_factor.ini").read_text()
+from conftest import WAVELENGTH, defocusing_setup
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+STRUCTURE_FACTOR = (CONFIGS / "structure_factor.ini").read_text()
 
 
 def test_member_runs_cover_the_ensemble(monkeypatch):
@@ -37,3 +45,133 @@ def test_the_noise_band_holds_a_mode_besides_k_zero(band_fraction, modes, tmp_pa
     assert cli_main(["validate", "--config", str(config)]) == (0 if modes > 1 else 2)
     assert cli_main(["structure-factor", "--config", str(config),
                      "--out", str(out)]) == (0 if modes > 1 else 2)
+
+
+class TestProbeStack:
+    """The rules of a probe stack, each applied once, by plans.probe_stack:
+    a measurement steps the stack it returns."""
+
+    def test_one_line_per_probe_in_probe_order(self):
+        grid, medium, _, scales = defocusing_setup(nx=64)
+        probes = [ProbeSpec(waist=10 * scales["xi"], k_perp=k_perp, power_ratio=1e-4)
+                  for k_perp in (2e4, 0.0, 1e4)]
+        plan = StepPlan(n_steps=40, snapshot_every=4)
+        assert probe_stack(medium, 1.0, probes, plan, grid) == plans.Propagation(
+            slice(0, 3), (1, 64), plan, medium, 1.0, probes=tuple(probes))
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"k_perp": 1e9}, "Nyquist"), ({"power_ratio": -1e-5}, "power_ratio"),
+        ({"waist": 1e-6}, "waist")], ids=["k_perp", "power_ratio", "waist"])
+    def test_a_bad_probe_fails_before_anything_propagates(self, monkeypatch, bad, match):
+        # a bad probe anywhere in the stack refuses the whole stack, so no line
+        # of it reaches the measurement
+        from pfl import dispersion
+        calls = []
+        monkeypatch.setattr(dispersion, "propagate", lambda *args, **kwargs: calls.append(args))
+        grid, medium, _, scales = defocusing_setup(nx=64)
+        good = ProbeSpec(waist=10 * scales["xi"], k_perp=1e4, power_ratio=1e-4)
+        probes = [good, dataclasses.replace(good, k_perp=2e4), dataclasses.replace(good, **bad)]
+        with pytest.raises(ValueError, match=match):
+            dispersion.measure_group_velocity(
+                probe_stack(medium, 1.0, probes, StepPlan(n_steps=40, snapshot_every=4), grid),
+                grid)
+        assert calls == []
+
+    def test_rejects_a_negative_power_ratio(self):
+        grid, medium, _, scales = defocusing_setup(nx=64)
+        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1e4, power_ratio=-1e-5)
+        with pytest.raises(ValueError, match="power_ratio must be non-negative"):
+            probe_stack(medium, 1.0, [probe], StepPlan(n_steps=10, snapshot_every=2), grid)
+
+    @pytest.mark.parametrize("cells", [3.9, 32.5])
+    def test_rejects_an_unresolved_or_wrapping_waist(self, cells):
+        # 4 cells at least, half the 64-cell grid at most
+        grid, medium, _, _ = defocusing_setup(nx=64)
+        probe = ProbeSpec(waist=cells * grid.dx, k_perp=1e4, power_ratio=1e-4)
+        with pytest.raises(ValueError, match="waist"):
+            probe_stack(medium, 1.0, [probe], StepPlan(n_steps=10, snapshot_every=2), grid)
+
+    def test_requires_snapshots(self):
+        grid, medium, _, scales = defocusing_setup(nx=64)
+        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1e4, power_ratio=1e-4)
+        with pytest.raises(ValueError,
+                           match=r"the plan makes 0 snapshots \(10 steps, one every 0\)"):
+            probe_stack(medium, 1.0, [probe], StepPlan(n_steps=10), grid)
+
+    def test_rejects_a_potential(self):
+        grid, medium, _, scales = defocusing_setup(nx=64)
+        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1e5, power_ratio=1e-4)
+        flat = np.zeros((grid.ny, grid.nx), dtype=np.complex128)
+        with pytest.raises(ValueError, match="the background must be homogeneous: the medium "
+                                             "has a potential"):
+            probe_stack(dataclasses.replace(medium, potential=flat), 1.0, [probe],
+                        StepPlan(n_steps=40, snapshot_every=10), grid)
+
+
+class TestSoundScalingRuns:
+    # criterion 06's fluid: xi = 2.4 dx at density 1 on 256^2
+    GRID = make_grid(256, 256, 5e-6)
+    MEDIUM = MediumParams(wavelength=WAVELENGTH, n0=1.0,
+                          chi3=-2.0 / ((2.4 * 5e-6) ** 2 * (2 * np.pi / WAVELENGTH) ** 2),
+                          length=1.0)
+    PROBE = {"tau": 25.0, "k_perp_xi": 0.2, "probe_waist_xi": 10.0, "power_ratio": 1e-5}
+
+    def test_each_density_is_a_probe_stack_of_one(self):
+        runs = sound_scaling_runs(self.MEDIUM, [10.0, 1.0, 4.0, 2.0], self.GRID, **self.PROBE)
+        assert [run.density for run in runs] == [1.0, 2.0, 4.0, 10.0]
+        for i, run in enumerate(runs):
+            alone = probe_stack(run.medium, run.density, run.probes, run.plan, self.GRID,
+                                steps_set=True)
+            assert run == dataclasses.replace(alone, members=slice(i, i + 1), tau=25.0)
+        assert runs[0].plan == StepPlan(n_steps=375, snapshot_every=7)
+
+    @pytest.mark.parametrize("densities, match", [
+        ([1.0, 2.0, 10.0], "need at least 4 densities"),
+        ([2.0, 0.0, 4.0, 10.0], "densities must be positive"),
+        ([1.0, -2.0, 4.0, 10.0], "densities must be positive")])
+    def test_refuses_too_few_or_non_positive_densities(self, densities, match):
+        # the intensities key takes 4 positive values at least, so only a
+        # library call reaches these
+        with pytest.raises(ValueError, match=match):
+            sound_scaling_runs(self.MEDIUM, densities, self.GRID, **self.PROBE)
+
+
+@pytest.mark.parametrize("name, stacks, probes", [("bogoliubov_dispersion", 1, 5),
+                                                  ("sound_scaling", 5, 5)])
+def test_a_run_applies_each_probe_stack_rule_once(name, stacks, probes, tmp_path):
+    # rules.probe and rules.probe_kick run once per probe and
+    # rules.tracked_snapshots once per stack, as the handler's plan lists
+    # them, and no run builds a background plane
+    cfg = parse_config((CONFIGS / f"{name}.ini").read_text())
+    grid = scenarios.build_grid(cfg)
+    runs = plans.propagations(cfg, grid, scenarios.build_medium(cfg, grid))
+    assert (len(runs), sum(len(run.probes) for run in runs)) == (stacks, probes)
+    calls = []
+
+    def counted(rule):
+        def call(*args, **kwargs):
+            calls.append(rule.__name__)
+            return rule(*args, **kwargs)
+        return call
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the run built a background plane")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for rule in (rules.probe, rules.probe_kick, rules.tracked_snapshots):
+            patch.setattr(rules, rule.__name__, counted(rule))
+        for module, attr in ((scenarios, "build_source"), (scenarios, "plane_wave"),
+                             (sources, "plane_wave")):
+            patch.setattr(module, attr, refused)
+        scenarios.run_scenario(cfg, tmp_path / "run")
+    assert sorted(calls) == (["probe"] * probes + ["probe_kick"] * probes
+                             + ["tracked_snapshots"] * stacks)
+
+
+def test_validate_plans_the_probe_stacks_without_numpy():
+    code = ("import sys, pfl; from pfl.cli import main; "
+            "codes = [main(['validate', '--config', path]) for path in sys.argv[1:]]; "
+            "print(codes, pfl.ProbeSpec.__module__, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(CONFIGS / "bogoliubov_dispersion.ini"),
+                           str(CONFIGS / "sound_scaling.ini")], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "[0, 0] pfl.plans False", proc.stderr

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from pfl.dispersion import ProbeSpec, measure_group_velocity, probe_line
+from pfl.dispersion import probe_line
 from pfl.grid import fft2, make_grid
 from pfl.hydro import circulation, detect_vortices
 from pfl.medium import MediumParams, density_to_intensity, intensity_to_density
-from pfl.solver import StepPlan
+from pfl.plans import ProbeSpec, StepPlan, probe_stack
 from pfl.sources import (gaussian_beam, imprint_dark_stripe,
                          imprint_vortex, plane_wave, speckle,
                          stripe_min_density_factor)
@@ -187,17 +187,21 @@ class TestDarkStripe:
 
 class TestAddProbe:
     """The weak probe the dispersion measurement adds to its background,
-    built as the y-mean line of the probed plane (dispersion.probe_line)."""
+    built as the y-mean line of the probed plane (dispersion.probe_line)
+    over the plane wave of the background's density."""
 
     def test_zero_angle_no_phase_ramp(self, small_grid):
         base = plane_wave(small_grid, 100.0, 1.0)
-        out = probe_line(base, ProbeSpec(waist=1e-4, k_perp=0.0, power_ratio=1e-4))
+        out = probe_line(small_grid, intensity_to_density(100.0, 1.0),
+                         ProbeSpec(waist=1e-4, k_perp=0.0, power_ratio=1e-4))
         delta = out.values - base.values[0, 0]
         assert np.max(np.abs(delta.imag)) < 1e-12 * np.max(np.abs(delta.real))
 
     def test_zero_power_identity(self, small_grid):
+        # the line's background is the plane wave's value, bit for bit
         base = plane_wave(small_grid, 100.0, 1.0)
-        out = probe_line(base, ProbeSpec(waist=1e-4, k_perp=1e4, power_ratio=0.0))
+        out = probe_line(small_grid, intensity_to_density(100.0, 1.0),
+                         ProbeSpec(waist=1e-4, k_perp=1e4, power_ratio=0.0))
         assert np.array_equal(out.values, base.values[:1])
 
     def test_spectral_peak_at_probe_wavevector(self):
@@ -206,7 +210,8 @@ class TestAddProbe:
         base = plane_wave(g, 100.0, 1.0)
         k_target = 2.0 * np.pi / 50e-6
         assert k_target == pytest.approx(1.2566e5, rel=1e-4)
-        out = probe_line(base, ProbeSpec(waist=1.5e-4, k_perp=k_target, power_ratio=1e-3))
+        out = probe_line(g, intensity_to_density(100.0, 1.0),
+                         ProbeSpec(waist=1.5e-4, k_perp=k_target, power_ratio=1e-3))
         delta_spec = np.abs(np.fft.fft(out.values[0] - base.values[0, 0])) ** 2
         dk = 2 * np.pi / g.extent_x
         assert g.kx()[np.argmax(delta_spec)] == pytest.approx(k_target, abs=dk)
@@ -219,4 +224,4 @@ class TestAddProbe:
                        -1.5 * small_grid.k_nyquist_x):
             probe = ProbeSpec(waist=1e-4, k_perp=k_perp, power_ratio=1e-4)
             with pytest.raises(ValueError, match="Nyquist"):
-                measure_group_velocity(plane_wave(small_grid, 1.0, 1.0), [probe], medium, plan)
+                probe_stack(medium, intensity_to_density(1.0, 1.0), [probe], plan, small_grid)
