@@ -17,14 +17,13 @@ _EXPORTS = {  # module: the public names it defines
     "sources": ("gaussian_beam", "plane_wave", "speckle", "imprint_vortex",
                 "imprint_dark_stripe"),
     "potentials": ("uniform_potential", "gaussian_defect", "lattice_potential", "pt_symmetrize"),
-    "plans": ("StepPlan", "ProbeSpec"),
+    "plans": ("StepPlan", "ProbeSpec", "GemConfig", "GaussianPulse"),
     "solver": ("PropagationRecord", "nonlinear_step", "propagate"),
     "hydro": ("VortexSet", "detect_vortices", "circulation", "circulation_batch"),
     "dispersion": ("DispersionCurve", "bogoliubov_omega", "measure_group_velocity", "probe_line",
                    "snapshot_density", "dispersion_from_group_velocity", "sound_speed_scaling"),
     "stats": ("intensity_statistics", "coherence_g1", "structure_factor"),
-    "gem": ("GemConfig", "GaussianPulse", "gem_evolve",
-            "gem_efficiency_theory", "gem_efficiency_measured"),
+    "gem": ("gem_evolve", "gem_efficiency_theory", "gem_efficiency_measured"),
     "config": ("RunConfig", "ConfigError", "parse_config"),
     "fileio": ("save_field", "load_field", "write_density_pgm"),
     "scenarios": ("run_scenario",),

@@ -412,9 +412,9 @@ def medium_params(medium: dict) -> MediumParams:
 def validate_config(cfg: RunConfig):
     """The rules that tie keys together. Each rule of `rules` gets the values
     its builder will get, the medium's scales included (from `medium`). The
-    run's propagations are planned by plans.propagations, the function the
-    run calls, which applies the rules on what the run steps. A ValueError
-    becomes a ConfigError."""
+    run's propagations and memories are planned by plans.propagations and
+    plans.memories, the functions the run calls, which apply the rules on
+    what the run steps. A ValueError becomes a ConfigError."""
     p, s = cfg.params, cfg.scenario
     if not cfg.run["csv"]:
         raise ConfigError("run.csv must be true: every run writes its CSV files")
@@ -440,26 +440,8 @@ def validate_config(cfg: RunConfig):
         if potential.get("kind") == "lattice":
             rules.lattice_period(potential["period"], grid)
         plans.propagations(cfg, grid, medium)
+        plans.memories(cfg)
         for charge, x, y in zip(p.get("charges", ()), p.get("xs", ()), p.get("ys", ())):
             rules.vortex(charge, x, y, grid)
-        if s == "gem-efficiency-sweep":
-            rules.swept(p["ratios"], "ratios")
-            rules.schedule((p["flip_time"],), (), p["t_extent"])
-            rules.gradient_phase(p["eta0"], p["z_extent"], p["t_extent"], p["nt"])
-            rules.echo_windows(p["flip_time"], p["pulse_center"], p["pulse_width"], p["t_extent"])
-            rules.pulses((p["pulse_center"],), (p["pulse_width"],), p["t_extent"])
-            rules.nonzero_eta(p["eta0"])
-        if s == "gem":
-            pulses = len(p["pulse_centers"])
-            if pulses != len(p["pulse_widths"]):
-                raise ConfigError("gem.pulse_centers and pulse_widths must have equal lengths")
-            windows = rules.coupling_windows(p["coupling_windows"])
-            rules.schedule(p["flip_times"], windows, p["t_extent"])
-            rules.gradient_phase(p["eta0"], p["z_extent"], p["t_extent"], p["nt"])
-            rules.ordering(p["flip_times"], windows, p["pulse_centers"], p["pulse_widths"],
-                           p["t_extent"])
-            if p["pulse_labels"] and len(p["pulse_labels"]) != pulses:
-                raise ConfigError("gem.pulse_labels needs one label per pulse or none")
-            rules.pulses(p["pulse_centers"], p["pulse_widths"], p["t_extent"])
     except ValueError as exc:
         raise ConfigError(f"{s}: {exc}") from None

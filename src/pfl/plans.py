@@ -1,12 +1,11 @@
-"""Each run's propagations, numpy-free, so that `pfl validate` checks the
-plan the run steps. propagations derives from the config, the grid and the
-medium what a run of each scenario propagates (stacks of members, field
-shape, step plan, length, density, probes), applying the `rules` that tie
-these values together. config.validate_config calls it with the medium it
-checks, each propagating handler with the medium it builds, whose potential
-the plan carries unread; the GEM scenarios propagate nothing. A `grid` has
-nx, ny, dx, dy.
-"""
+"""Each run's propagations and memories, numpy-free, so that `pfl validate`
+checks the plan the run steps. propagations derives from the config, the
+grid and the medium what a run propagates (stacks of members, field shape,
+step plan, length, density, probes), memories what a GEM run integrates
+(GemConfig and pulses), each applying the `rules` that tie them together.
+config.validate_config calls both, each handler its scenario's; propagations
+gets the medium validate checks or the handler builds, whose potential the
+plan carries unread. A `grid` has nx, ny, dx, dy."""
 
 from __future__ import annotations
 
@@ -212,3 +211,93 @@ def propagations(cfg, grid, medium: MediumParams | None) -> list[Propagation]:
     ValueError of the first rule the plan breaks."""
     plan = _PLANS.get(cfg.scenario)
     return plan(cfg, grid, medium) if plan else []
+
+
+@dataclass(frozen=True)
+class GaussianPulse:
+    center: float
+    width: float
+    amplitude: complex = 1.0
+    label: str = ""
+
+
+@dataclass
+class GemConfig:
+    """Lattice, coupling and schedule parameters of one memory run.
+
+    eta_flips lists the times at which the gradient slope changes sign,
+    starting from +eta0. coupling_windows lists (t_on, t_off) intervals
+    during which the coupling gate is open; () means always on.
+    """
+
+    g: float
+    density: float
+    eta0: float
+    z_extent: float
+    nz: int
+    t_extent: float
+    nt: int
+    eta_flips: tuple[float, ...] = ()
+    coupling_windows: tuple[tuple[float, float], ...] = ()
+    decay: float = 0.0
+
+    def __post_init__(self):
+        if self.nz < rules.MIN_LATTICE or self.nt < rules.MIN_LATTICE:
+            raise ValueError(f"nz and nt must be at least {rules.MIN_LATTICE}")
+        if self.z_extent <= 0 or self.t_extent <= 0:
+            raise ValueError("z_extent and t_extent must be positive")
+        if self.decay < 0:
+            raise ValueError("decay must be non-negative")
+        rules.schedule(self.eta_flips, self.coupling_windows, self.t_extent)
+        rules.gradient_phase(self.eta0, self.z_extent, self.t_extent, self.nt)
+
+    @property
+    def dt(self) -> float:
+        return self.t_extent / (self.nt - 1)
+
+    @property
+    def dz(self) -> float:
+        return self.z_extent / (self.nz - 1)
+
+
+@dataclass(frozen=True)
+class Memory:
+    """One memory run: pulses on config, and an efficiency sweep's ratio 2 pi g N / |eta0|."""
+
+    config: GemConfig
+    pulses: tuple[GaussianPulse, ...]
+    ratio: float | None = None
+
+
+def memories(cfg) -> list[Memory]:
+    """The memory runs of cfg, a RunConfig, in the order the run integrates
+    them, after every memory rule (else the first one's ValueError): gem's
+    one run of its pulses, labelled A, B, ... unless the config labels them;
+    one per ratio of gem-efficiency-sweep in increasing order, at g = N =
+    sqrt(ratio |eta0| / (2 pi)), where sigma = (1 - exp(-ratio))^2."""
+    p = cfg.params
+    if cfg.scenario == "gem":
+        centers, widths, labels = p["pulse_centers"], p["pulse_widths"], p["pulse_labels"]
+        if len(centers) != len(widths):
+            raise ValueError("gem.pulse_centers and pulse_widths must have equal lengths")
+        windows = rules.coupling_windows(p["coupling_windows"])
+        config = GemConfig(p["g"], p["density"], p["eta0"], p["z_extent"], p["nz"],
+                           p["t_extent"], p["nt"], p["flip_times"], windows, p["decay"])
+        rules.ordering(config.eta_flips, windows, centers, widths, config.t_extent)
+        if labels and len(labels) != len(centers):
+            raise ValueError("gem.pulse_labels needs one label per pulse or none")
+        rules.pulses(centers, widths, config.t_extent)
+        labels = labels or [chr(ord("A") + i) for i in range(len(centers))]
+        return [Memory(config, tuple(GaussianPulse(center, width, label=label)
+                                     for center, width, label in zip(centers, widths, labels)))]
+    if cfg.scenario != "gem-efficiency-sweep":
+        return []
+    runs, pulse = [], GaussianPulse(p["pulse_center"], p["pulse_width"])
+    for ratio in rules.swept(p["ratios"], "ratios"):
+        g = math.sqrt(ratio * abs(p["eta0"]) / (2.0 * math.pi))
+        runs.append(Memory(GemConfig(g, g, p["eta0"], p["z_extent"], p["nz"], p["t_extent"],
+                                     p["nt"], (p["flip_time"],)), (pulse,), ratio))
+    rules.echo_windows(p["flip_time"], pulse.center, pulse.width, p["t_extent"])
+    rules.pulses((pulse.center,), (pulse.width,), p["t_extent"])
+    rules.nonzero_eta(p["eta0"])
+    return runs

@@ -1,8 +1,8 @@
 """Scenario orchestration: build objects from a RunConfig, run, write
-artifacts, and emit a manifest of exactly the files produced. Each
-propagating handler steps the propagations `plans.propagations` lists for
-its config, grid and built medium (the plan `pfl validate` checks): their
-stacks of members, step plans, lengths and probes."""
+artifacts, and emit a manifest of exactly the files produced. Each handler
+runs the plan `pfl validate` checks: the propagations `plans.propagations`
+lists for its config, grid and built medium (stacks of members, step plans,
+lengths, probes) or the memories `plans.memories` lists for its config."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import plans, rules
+from . import plans
 from .config import SCENARIOS, RunConfig, medium_params
 from .fileio import ArtifactWriter, fmt, load_field
 from .grid import Field2D, Grid, fft2, ifft2, make_grid
@@ -236,21 +236,12 @@ def _write_trace(w: ArtifactWriter, name: str, times, field):
 
 
 def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
-    from .gem import GaussianPulse, GemConfig, gem_evolve, ordering_mode, recall_order
+    from .gem import gem_evolve, recall_order
 
-    p = cfg.params
-    gem_cfg = GemConfig(
-        g=p["g"], density=p["density"], eta0=p["eta0"],
-        z_extent=p["z_extent"], nz=p["nz"], t_extent=p["t_extent"], nt=p["nt"],
-        eta_flips=tuple(p["flip_times"]), decay=p["decay"],
-        coupling_windows=rules.coupling_windows(p["coupling_windows"]))
-    labels = list(p["pulse_labels"]) or [chr(ord("A") + i) for i in range(len(p["pulse_centers"]))]
-    pulses = [GaussianPulse(center=c, width=wd, label=lb)
-              for c, wd, lb in zip(p["pulse_centers"], p["pulse_widths"], labels)]
-    ordering_mode(gem_cfg, pulses)  # raises for a schedule rules.ordering refuses, before the run
+    (memory,) = plans.memories(cfg)
     # the z-resolved polarization is read only for its image
-    result = gem_evolve(gem_cfg, pulses, store_polarization=cfg.run["pgm"])
-    order = recall_order(gem_cfg, pulses, result)  # None unless the schedule sets one
+    result = gem_evolve(memory.config, memory.pulses, store_polarization=cfg.run["pgm"])
+    order = recall_order(memory.config, memory.pulses, result)  # None unless the schedule sets one
     _write_trace(w, "input.csv", result.times, result.input_field)
     _write_trace(w, "output.csv", result.times, result.output_field)
     if cfg.run["pgm"]:
@@ -261,21 +252,10 @@ def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
 
 
 def _scenario_gem_efficiency_sweep(cfg: RunConfig, w: ArtifactWriter):
-    from .gem import GaussianPulse, GemConfig, gem_efficiency_measured, gem_efficiency_theory
+    from .gem import gem_efficiency_measured, gem_efficiency_theory
 
-    p = cfg.params
-    rows = []
-    for ratio in rules.swept(p["ratios"], "ratios"):
-        g_n = ratio * abs(p["eta0"]) / (2.0 * np.pi)
-        g = density = float(np.sqrt(g_n))
-        gem_cfg = GemConfig(g=g, density=density, eta0=p["eta0"],
-                            z_extent=p["z_extent"], nz=p["nz"],
-                            t_extent=p["t_extent"], nt=p["nt"],
-                            eta_flips=(p["flip_time"],))
-        pulse = GaussianPulse(center=p["pulse_center"], width=p["pulse_width"])
-        measured = gem_efficiency_measured(gem_cfg, pulse)
-        theory = gem_efficiency_theory(g, density, p["eta0"])
-        rows.append((ratio, theory, measured.sigma))
+    rows = [(m.ratio, gem_efficiency_theory(m.config.g, m.config.density, m.config.eta0),
+             gem_efficiency_measured(m.config, *m.pulses).sigma) for m in plans.memories(cfg)]
     w.csv("efficiency_sweep.csv", ["ratio", "sigma_theory", "sigma_sim"], rows)
 
 

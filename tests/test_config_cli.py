@@ -639,8 +639,11 @@ class TestParsing:
         cfg.write_text(text)
         assert cli_main(["validate", "--config", str(cfg)]) == 2
 
-    # every pulse is simulated: a label list names each pulse or is empty
+    # every pulse is simulated: a pulse has a center and a width, and a label
+    # list names each pulse or is empty
     @pytest.mark.parametrize("text, message", [
+        (FIFO_FILO.replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15"),
+         r"gem.pulse_centers and pulse_widths must have equal lengths"),
         (FIFO_FILO.replace("pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 2.6")
          .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15"),
          r"gem.pulse_labels needs one label per pulse or none"),
@@ -652,7 +655,7 @@ class TestParsing:
          "t_extent = 8.0\nflip_times = 3.0\npulse_centers = 1.0, 2.0\n"
          "pulse_widths = 0.15, 0.15\npulse_labels = A\n",
          r"gem.pulse_labels needs one label per pulse or none"),
-    ], ids=["fifo-filo-three-pulses", "fifo-filo-three-labelled-pulses",
+    ], ids=["fifo-filo-one-width", "fifo-filo-three-pulses", "fifo-filo-three-labelled-pulses",
             "fifo-filo-one-label", "gem-one-label"])
     def test_every_pulse_is_simulated(self, text, message, tmp_path):
         with pytest.raises(ConfigError, match=message):

@@ -64,7 +64,7 @@ class TestSchedule:
     def test_matches_scalar_reference_bit_for_bit(self, flips, windows):
         cfg = make_config(nz=64, nt=801, eta_flips=tuple(float(f) for f in flips),
                           **({} if windows is None else {"coupling_windows": windows}))
-        t = cfg.t_coords()
+        t = gem_evolve(cfg, [], store_polarization=False).times  # the lattice a run steps
         assert t.tobytes() == self.T.tobytes()
         phase, t_mid, c_mid, c_node = _schedule(cfg, t)
         assert t_mid.tobytes() == self.T_MID.tobytes()
@@ -280,6 +280,19 @@ class TestOrdering:
         # FIFO at t_p + 2 (tau2 - tau1)
         assert [rules.echo_time("FILO", (3.0,), t) for t in (1.0, 2.0)] == [5.0, 4.0]
         assert [rules.echo_time("FIFO", (3.0, 5.5), t) for t in (1.0, 2.0)] == [6.0, 7.0]
+
+    @pytest.mark.parametrize("eta0", ["0.0", "0.5"])
+    def test_an_echo_away_from_its_echo_time_is_no_recall(self, eta0, tmp_path):
+        # a gradient too weak to store the pulses: the output still peaks
+        # twice after the last flip, 0.8 to 4.5 widths from the echo times
+        # 6 and 7, in the order A, B that FIFO expects. No rule of `pfl
+        # validate` bounds eta0 below, so the run exits 3 without an order
+        path = tmp_path / "weak.ini"
+        path.write_text((CONFIGS / "fifo_filo.ini").read_text()
+                        .replace("eta0 = 20.0", f"eta0 = {eta0}"))
+        assert cli_main(["validate", "--config", str(path)]) == 0
+        assert cli_main(["gem", "--config", str(path), "--out", str(tmp_path / "run")]) == 3
+        assert not (tmp_path / "run" / "ordering.txt").exists()
 
     def test_unknown_mode(self):
         # the schedule sets the mode; one flip with a coupling window has none

@@ -39,10 +39,11 @@ def test_submodule_import_still_works():
                                           ("gem", "PulseTrain"),
                                           ("dispersion", "bogoliubov_sound_speed"),
                                           ("hydro", "DEFAULT_DENSITY_FLOOR"),
-                                          ("solver", "row_pad")],
+                                          ("solver", "row_pad"),
+                                          ("gem", "ordering_mode")],
                          ids=["kinetic_half_step", "serialize_config", "kinetic_multiplier",
                               "PulseTrain", "bogoliubov_sound_speed", "DEFAULT_DENSITY_FLOOR",
-                              "row_pad"])
+                              "row_pad", "ordering_mode"])
 def test_removed_name_is_not_public(module, name):
     assert name not in pfl.__all__
     assert not hasattr(import_module(f"pfl.{module}"), name)
@@ -78,6 +79,12 @@ def test_removed_form_is_a_type_error(call):
 def test_probe_spec_lives_in_plans_and_resolves_from_dispersion():
     from pfl import dispersion, plans
     assert pfl.ProbeSpec is plans.ProbeSpec is dispersion.ProbeSpec
+
+
+@pytest.mark.parametrize("name", ["GemConfig", "GaussianPulse"])
+def test_memory_classes_live_in_plans_and_resolve_from_gem(name):
+    from pfl import gem, plans
+    assert getattr(pfl, name) is getattr(plans, name) is getattr(gem, name)
 
 
 def test_callable_potential_is_refused_when_the_kernel_is_built():

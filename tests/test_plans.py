@@ -175,3 +175,37 @@ def test_validate_plans_the_probe_stacks_without_numpy():
     proc = subprocess.run([sys.executable, "-c", code, str(CONFIGS / "bogoliubov_dispersion.ini"),
                            str(CONFIGS / "sound_scaling.ini")], capture_output=True, text=True)
     assert proc.stdout.splitlines()[-1] == "[0, 0] pfl.plans False", proc.stderr
+
+
+@pytest.mark.parametrize("name, count", [("gem", 1), ("fifo_filo", 1),
+                                         ("gem_efficiency_sweep", 5)])
+def test_a_memory_run_integrates_what_validate_planned(name, count, tmp_path):
+    # the (config, pulses) each gem_evolve call of the run gets are the
+    # memories plans.memories lists for the config, in order
+    from pfl import gem
+
+    text = (CONFIGS / f"{name}.ini").read_text()
+    planned = [(m.config, m.pulses) for m in plans.memories(parse_config(text))]
+    assert len(planned) == count
+    integrated, evolve = [], gem.gem_evolve
+
+    def spy(config, pulses, *args, **kwargs):
+        integrated.append((config, tuple(pulses)))
+        return evolve(config, pulses, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gem, "gem_evolve", spy)
+        scenarios.run_scenario(parse_config(text), tmp_path / "run")
+    assert integrated == planned
+
+
+def test_memories_are_planned_without_numpy():
+    # pfl.GemConfig and pfl.GaussianPulse resolve to the classes of plans,
+    # which loads no numpy
+    code = ("import sys, pfl; from pfl import plans; from pfl.config import parse_config; "
+            "runs = plans.memories(parse_config(open(sys.argv[1]).read())); "
+            "print(len(runs), pfl.GemConfig.__module__, pfl.GaussianPulse.__module__, "
+            "'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(CONFIGS / "gem_efficiency_sweep.ini")],
+                          capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "5 pfl.plans pfl.plans False", proc.stderr
