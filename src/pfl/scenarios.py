@@ -1,8 +1,9 @@
 """Scenario orchestration: build objects from a RunConfig, run, write
 artifacts, and emit a manifest of exactly the files produced. Each handler
-runs the plan `pfl validate` checks: the propagations `plans.propagations`
-lists for its config, grid and built medium (stacks of members, step plans,
-lengths, probes) or the memories `plans.memories` lists for its config."""
+runs the plan `pfl validate` checks, which run_scenario makes once: the
+propagations `plans.propagations` lists for the config, grid and built
+medium (stacks of members, step plans, media, probes), or for a config
+without a grid the memories `plans.memories` lists."""
 
 from __future__ import annotations
 
@@ -80,19 +81,19 @@ def run_scenario(cfg: RunConfig, out_dir) -> ArtifactWriter:
     """Dispatch a validated RunConfig; returns the writer after the manifest
     is on disk. Raises on any failure (the CLI maps that to exit code 3)."""
     writer = ArtifactWriter(out_dir)
-    _HANDLERS[cfg.scenario](cfg, writer)
+    grid = cfg.grid and build_grid(cfg)
+    runs = plans.propagations(cfg, grid, build_medium(cfg, grid)) if grid else plans.memories(cfg)
+    _HANDLERS[cfg.scenario](cfg, runs, grid, writer)
     writer.write_manifest()
     return writer
 
 
-def _scenario_propagate(cfg: RunConfig, w: ArtifactWriter):
-    grid = build_grid(cfg)
-    medium = build_medium(cfg, grid)
-    (run,) = plans.propagations(cfg, grid, medium)
+def _scenario_propagate(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
+    (run,) = runs
 
     def source():
         """The input, written and then handed to propagate, which alone holds it."""
-        field = build_source(cfg, grid, medium)
+        field = build_source(cfg, grid, run.medium)
         w.field("input.pfl1", field, 0.0)
         yield field
 
@@ -109,14 +110,12 @@ def _scenario_propagate(cfg: RunConfig, w: ArtifactWriter):
     w.metrics("metrics.txt", record)
 
 
-def _scenario_dispersion(cfg: RunConfig, w: ArtifactWriter):
+def _scenario_dispersion(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
     from .dispersion import dispersion_from_group_velocity, measure_group_velocity
 
-    grid = build_grid(cfg)
-    medium = build_medium(cfg, grid)
-    (run,) = plans.propagations(cfg, grid, medium)
+    (run,) = runs
     samples = [(m.k_perp, m.v_g) for m in measure_group_velocity(run, grid)]
-    curve = dispersion_from_group_velocity(samples, medium)
+    curve = dispersion_from_group_velocity(samples, run.medium)
     w.csv("dispersion.csv", ["k_perp", "v_g", "omega"], curve.rows())
     w.text("fit.txt", "\n".join([
         f"c_s = {fmt(curve.c_s)}",
@@ -126,26 +125,22 @@ def _scenario_dispersion(cfg: RunConfig, w: ArtifactWriter):
     ]) + "\n")
 
 
-def _scenario_sound_scaling(cfg: RunConfig, w: ArtifactWriter):
+def _scenario_sound_scaling(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
     from .dispersion import sound_speed_scaling
 
-    grid = build_grid(cfg)
-    result = sound_speed_scaling(plans.propagations(cfg, grid, build_medium(cfg, grid)), grid)
+    result = sound_speed_scaling(runs, grid)
     w.csv("sound_scaling.csv", ["density", "c_s"],
           zip(result.densities, result.sound_speeds))
     w.text("fit.txt", f"exponent = {fmt(result.exponent)}\n"
                       f"stderr = {fmt(result.stderr)}\n")
 
 
-def _scenario_precondensation(cfg: RunConfig, w: ArtifactWriter):
+def _scenario_precondensation(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
     from .stats import coherence_g1, intensity_statistics
 
-    grid = build_grid(cfg)
-    medium = build_medium(cfg, grid)
     p = cfg.params
     n_real = p["realizations"]
-    runs = plans.propagations(cfg, grid, medium)
-    members = [build_source(cfg, grid, medium, member=i) for i in range(n_real)]
+    members = [build_source(cfg, grid, runs[0].medium, member=i) for i in range(n_real)]
     moments = []
     for tau, stacks in itertools.groupby(runs, key=attrgetter("tau")):
         finals = [record.final_field for run in stacks
@@ -159,13 +154,10 @@ def _scenario_precondensation(cfg: RunConfig, w: ArtifactWriter):
     w.csv("moments.csv", ["tau", "mode", "g2"], moments)
 
 
-def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
+def _scenario_structure_factor(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
     from .stats import structure_factor
 
-    grid = build_grid(cfg)
-    medium = build_medium(cfg, grid)
     p = cfg.params
-    runs = plans.propagations(cfg, grid, medium)
     amplitude = np.sqrt(runs[0].density)
     band = np.sqrt(grid.k_squared()) <= p["band_fraction"] * min(grid.k_nyquist_x,
                                                                  grid.k_nyquist_y)
@@ -196,18 +188,16 @@ def _scenario_structure_factor(cfg: RunConfig, w: ArtifactWriter):
     w.csv("structure_factor.csv", ["k", "s_k", "sigma"], sf.rows())
 
 
-def _scenario_vortices(cfg: RunConfig, w: ArtifactWriter):
+def _scenario_vortices(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
     from .hydro import detect_vortices
 
-    grid = build_grid(cfg)
-    medium = build_medium(cfg, grid)
-    (run,) = plans.propagations(cfg, grid, medium)
+    (run,) = runs
     p = cfg.params
 
     def source():
         """The imprinted input, written and then handed to propagate, which
         alone holds it."""
-        field = build_source(cfg, grid, medium)
+        field = build_source(cfg, grid, run.medium)
         if p["kind"] == "imprint":
             for charge, x, y in zip(p["charges"], p["xs"], p["ys"]):
                 field = imprint_vortex(field, charge, center=(x, y),
@@ -235,10 +225,10 @@ def _write_trace(w: ArtifactWriter, name: str, times, field):
           ((t, e.real, e.imag, abs(e) ** 2) for t, e in zip(times, field)))
 
 
-def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
+def _scenario_gem(cfg: RunConfig, memories, grid: None, w: ArtifactWriter):
     from .gem import gem_evolve, recall_order
 
-    (memory,) = plans.memories(cfg)
+    (memory,) = memories
     # the z-resolved polarization is read only for its image
     result = gem_evolve(memory.config, memory.pulses, store_polarization=cfg.run["pgm"])
     order = recall_order(memory.config, memory.pulses, result)  # None unless the schedule sets one
@@ -251,11 +241,11 @@ def _scenario_gem(cfg: RunConfig, w: ArtifactWriter):
         w.text("ordering.txt", f"mode = {order.mode}\norder = {','.join(order.labels)}\n")
 
 
-def _scenario_gem_efficiency_sweep(cfg: RunConfig, w: ArtifactWriter):
+def _scenario_gem_efficiency_sweep(cfg: RunConfig, memories, grid: None, w: ArtifactWriter):
     from .gem import gem_efficiency_measured, gem_efficiency_theory
 
     rows = [(m.ratio, gem_efficiency_theory(m.config.g, m.config.density, m.config.eta0),
-             gem_efficiency_measured(m.config, *m.pulses).sigma) for m in plans.memories(cfg)]
+             gem_efficiency_measured(m.config, *m.pulses).sigma) for m in memories]
     w.csv("efficiency_sweep.csv", ["ratio", "sigma_theory", "sigma_sim"], rows)
 
 

@@ -1,5 +1,7 @@
 import importlib.util
 import os
+import pickle
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from pfl.medium import MediumParams
 
 WAVELENGTH = 780e-9  # D2 line of Rb
 BENCHMARK_WORKLOADS = ("beam-512", "sf-ensemble-64", "bogoliubov-256")
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run; elsewhere
 # each run explores new ones
@@ -59,3 +62,32 @@ def workload_ini(name: str, seed: int) -> str:
     finally:
         del sys.modules[spec.name]
     return workloads.WORKLOADS[name].inputs(seed).ini
+
+
+@pytest.fixture(scope="session")
+def shipped_runs(tmp_path_factory):
+    """{name: record} of one run of each shipped config (by file stem) and of
+    each benchmark workload's INI at seed 1 (by workload), made once per
+    session by observed_runs.py; every run must exit 0. A record holds the
+    run's code, stderr, out (its run directory), modules (of pfl and scipy,
+    and numpy.ma), warnings ((category, message), none filtered) and its
+    calls: planned, the Propagations `pfl validate` planned; kernel_runs,
+    (stack shape, plan, dz, snapshot z) per SplitStepKernel.run; propagates,
+    per propagate call, (length, snapshot z) per member; calls, the names of
+    the rules.probe, probe_kick, tracked_snapshots, build_source and
+    plane_wave calls in run_scenario; memories, (config, pulses) per
+    gem_evolve call; echo_peaks, (power, height, distance, peaks) per call."""
+    out = tmp_path_factory.mktemp("shipped")
+    inis = {path.stem: path for path in CONFIGS}
+    for name in BENCHMARK_WORKLOADS:
+        inis[name] = out / f"{name}.ini"
+        inis[name].write_text(workload_ini(name, 1))
+    # one BLAS thread, so that the launcher forks from a single-threaded process
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("observed_runs.py")),
+                           str(out), *(f"{name}={path}" for name, path in inis.items())],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    runs = {name: pickle.loads((out / f"{name}.pickle").read_bytes()) for name in inis}
+    assert {name: run.stderr for name, run in runs.items() if run.code} == {}
+    return runs

@@ -3,7 +3,6 @@ import re
 import struct
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -12,7 +11,7 @@ from pfl import config as config_module
 from pfl.cli import main as cli_main
 from pfl.config import REQUIRED, SCENARIOS, ConfigError, Kinds, inside, parse_config
 
-from conftest import BENCHMARK_WORKLOADS, workload_ini
+from conftest import BENCHMARK_WORKLOADS, CONFIGS, workload_ini
 
 GOOD_PROPAGATE = """
 [run]
@@ -142,7 +141,6 @@ PLANE_SOURCE = "[source]\nkind = plane\nintensity = 100.0\n"
 SPECKLE_SOURCE = "[source]\nkind = speckle\nintensity = 132.7\ncorrelation_length = 3.2e-4\n"
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFIGS = sorted((ROOT / "configs").glob("*.ini"))
 VORTEX_PAIR = (ROOT / "configs" / "vortex_pair.ini").read_text()
 VORTEX_STRIPE = (VORTEX_PAIR[:VORTEX_PAIR.index("[vortices]")]
                  + "[vortices]\nkind = stripe\nstripe_contrast = 0.8\n")
@@ -167,6 +165,14 @@ nt = 800
 """
 
 
+def validate_in_a_process_of_its_own(path) -> subprocess.CompletedProcess:
+    """`pfl validate` of path in a fresh process that prints 'exit <code> <numpy loaded>'."""
+    code = ("import sys; from pfl.cli import main; "
+            f"code = main(['validate', '--config', {str(path)!r}]); "
+            "print('exit', code, 'numpy' in sys.modules)")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
 def assert_rule_rejects(text, tmp_path) -> str:
     """text breaks a rule of pfl.rules: `pfl validate` exits 2 without
     loading numpy, a run exits 2 before it makes its run directory, and the
@@ -176,10 +182,7 @@ def assert_rule_rejects(text, tmp_path) -> str:
         parse_config(text)
     path = tmp_path / "bad.ini"
     path.write_text(text)
-    code = ("import sys; from pfl.cli import main; "
-            f"code = main(['validate', '--config', {str(path)!r}]); "
-            "print('exit', code, 'numpy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = validate_in_a_process_of_its_own(path)
     assert proc.stdout.splitlines()[-1] == "exit 2 False", proc.stderr
     assert proc.stderr == f"config error: {rejected.value}\n"
     scenario = re.search(r"^scenario = (\S+)", text, re.M).group(1)
@@ -194,6 +197,15 @@ def assert_rule_rejects(text, tmp_path) -> str:
         run_scenario(unchecked, tmp_path / "unchecked")
     assert str(rejected.value) == f"{scenario}: {built.value}"
     return str(rejected.value)
+
+
+def validate_rejects(text, message, tmp_path):
+    """parse_config raises a ConfigError matching message, and `pfl validate` exits 2."""
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert cli_main(["validate", "--config", str(cfg)]) == 2
 
 
 def swap(text: str, old: str, new: str) -> str:
@@ -284,11 +296,7 @@ class TestParsing:
                                                       capsys):
         for good in (GOOD_DISPERSION, GOOD_SOUND_SCALING):
             parse_config(good)
-        with pytest.raises(ConfigError, match=message):
-            parse_config(text)
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text(text)
-        assert cli_main(["validate", "--config", str(cfg)]) == 2
+        validate_rejects(text, message, tmp_path)
         assert "homogeneous fluid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
@@ -325,11 +333,7 @@ class TestParsing:
             "dispersion-snapshots", "dispersion-pgm", "propagate-jobs", "out-dir",
             "vortices-evolve", "fifo-filo-mode"])
     def test_values_the_scenario_sets_are_rejected(self, text, message, tmp_path, capsys):
-        with pytest.raises(ConfigError, match=message):
-            parse_config(text)
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text(text)
-        assert cli_main(["validate", "--config", str(cfg)]) == 2
+        validate_rejects(text, message, tmp_path)
         assert "takes no" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
@@ -359,11 +363,7 @@ class TestParsing:
                                                          capsys):
         for good in (GOOD_PROPAGATE, VORTEX_PAIR, GOOD_STRUCTURE_FACTOR, GOOD_PRECONDENSATION):
             parse_config(good)
-        with pytest.raises(ConfigError, match=message):
-            parse_config(text)
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text(text)
-        assert cli_main(["validate", "--config", str(cfg)]) == 2
+        validate_rejects(text, message, tmp_path)
         assert "source" in capsys.readouterr().err
 
     def test_benchmark_workload_inis_parse(self):
@@ -618,11 +618,7 @@ class TestParsing:
     ], ids=["zero", "absent"])
     def test_dispersion_tracks_the_probe_over_snapshots(self, binding, message, tmp_path):
         text = swap(GOOD_DISPERSION, "snapshot_every = 8\n", binding and binding + "\n")
-        with pytest.raises(ConfigError, match=message):
-            parse_config(text)
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text(text)
-        assert cli_main(["validate", "--config", str(cfg)]) == 2
+        validate_rejects(text, message, tmp_path)
 
     @pytest.mark.parametrize("text, message", [
         (VORTEX_PAIR + "stripe_angle = 1.0\n",
@@ -633,11 +629,7 @@ class TestParsing:
          r"vortices needs a \[vortices\] of kind 'imprint' or 'stripe'$"),
     ], ids=["imprint-stripe-key", "stripe-charges", "no-kind"])
     def test_vortices_take_only_the_keys_of_their_kind(self, text, message, tmp_path):
-        with pytest.raises(ConfigError, match=message):
-            parse_config(text)
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text(text)
-        assert cli_main(["validate", "--config", str(cfg)]) == 2
+        validate_rejects(text, message, tmp_path)
 
     # every pulse is simulated: a pulse has a center and a width, and a label
     # list names each pulse or is empty
@@ -658,11 +650,7 @@ class TestParsing:
     ], ids=["fifo-filo-one-width", "fifo-filo-three-pulses", "fifo-filo-three-labelled-pulses",
             "fifo-filo-one-label", "gem-one-label"])
     def test_every_pulse_is_simulated(self, text, message, tmp_path):
-        with pytest.raises(ConfigError, match=message):
-            parse_config(text)
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text(text)
-        assert cli_main(["validate", "--config", str(cfg)]) == 2
+        validate_rejects(text, message, tmp_path)
 
     def test_every_range_parses_and_holds_its_default(self):
         # defaults are not checked as a config is read, so they are here
@@ -730,11 +718,7 @@ class TestParsing:
             (shipped.replace("length = 0.075", "length = nan"), "'medium.length'.*'nan'"),
             (dispersion, "'dispersion.k_perp_list': cannot parse '-inf' as finite float"),
         ]:
-            with pytest.raises(ConfigError, match=message):
-                parse_config(text)
-            cfg = tmp_path / "bad.ini"
-            cfg.write_text(text)
-            assert cli_main(["validate", "--config", str(cfg)]) == 2
+            validate_rejects(text, message, tmp_path)
 
 
 class TestCli:
@@ -764,10 +748,7 @@ class TestCli:
     def test_config_that_is_not_utf8_exits_2_without_numpy(self, tmp_path):
         cfg = tmp_path / "utf16.ini"
         cfg.write_bytes(b"\xff\xfe" + GOOD_GEM.encode("utf-16-le"))
-        code = ("import sys; from pfl.cli import main; "
-                f"code = main(['validate', '--config', {str(cfg)!r}]); "
-                "print('exit', code, 'numpy' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = validate_in_a_process_of_its_own(cfg)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "exit 2 False"
         assert proc.stderr.startswith(f"config error: config file {cfg} is not UTF-8 text")
@@ -777,10 +758,7 @@ class TestCli:
         # every run writes its CSV files: csv parses, and only as true
         cfg = tmp_path / "no_csv.ini"
         cfg.write_text(GOOD_GEM.replace("seed = 9\n", "seed = 9\ncsv = false\n"))
-        code = ("import sys; from pfl.cli import main; "
-                f"code = main(['validate', '--config', {str(cfg)!r}]); "
-                "print('exit', code, 'numpy' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = validate_in_a_process_of_its_own(cfg)
         assert proc.stdout.splitlines()[-1] == "exit 2 False", proc.stderr
         assert proc.stderr == ("config error: run.csv must be true: every run writes "
                                "its CSV files\n")
@@ -863,31 +841,25 @@ class TestCli:
                    "gem-efficiency-sweep": {"gem"}}
 
     @pytest.mark.parametrize("config", CONFIGS, ids=[c.name for c in CONFIGS])
-    def test_each_run_loads_only_its_scenarios_modules(self, config, tmp_path):
-        # a fresh process per config, so that nothing another run imported
-        # counts: no numpy.ma (np.unique and np.union1d load it), no scipy,
-        # and of the scenario modules exactly its own
+    def test_each_run_loads_only_its_scenarios_modules(self, config, shipped_runs):
+        # a process per config that loaded only what every run loads, so
+        # that nothing another run imported counts: no numpy.ma (np.unique
+        # and np.union1d load it), no scipy, and of the scenario modules
+        # exactly its own
         text = config.read_text()
         scenario = re.search(r"^scenario = (\S+)", text, re.M).group(1)
-        code = ("import sys; from pfl.cli import main; "
-                f"code = main([{scenario!r}, '--config', {str(config)!r}, "
-                f"'--out', {str(tmp_path)!r}]); "
-                "print(code, *sorted(m for m in sys.modules if m.partition('.')[0] in "
-                "('pfl', 'scipy') or m.split('.')[:2] == ['numpy', 'ma']))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        code, *loaded = proc.stdout.splitlines()[-1].split()
-        assert code == "0"
-        assert [m for m in loaded if m.partition(".")[0] != "pfl"] == []
+        run = shipped_runs[config.stem]
+        assert [m for m in run.modules if m.partition(".")[0] != "pfl"] == []
         scenario_modules = {"dispersion", "stats", "hydro", "gem", "potentials"}
         own = self.OWN_MODULES[scenario] | ({"potentials"} if "[potential]" in text else set())
-        assert {m for m in scenario_modules if f"pfl.{m}" in loaded} == own
+        assert {m for m in scenario_modules if f"pfl.{m}" in run.modules} == own
 
     def test_validate_and_version_load_neither_numpy_nor_scipy(self, tmp_path):
         # the CLI imports the scenarios only to run one, and the package
         # exports resolve on first access, so these commands touch no array;
         # nor does a range error
-        # nor do the benchmark's workload INIs, whose validation setup_s times
+        # nor do the benchmark's workload INIs, whose validation setup_s times.
+        # Each of the nine shipped configs validates as its own scenario
         bad = tmp_path / "bad.ini"
         bad.write_text(PROPAGATE_GAUSSIAN.replace("n0 = 1.0", "n0 = -1.0"))
         inis = []
@@ -905,28 +877,17 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{[0] * (len(CONFIGS) + 15) + [2, 0]} []"
         assert "line 17: medium.n0 must lie in (0, inf), got -1.0" in proc.stderr
+        assert len(CONFIGS) == 9
+        assert all(line.startswith("ok: scenario") for line in proc.stdout.splitlines()[:9])
 
-    def test_shipped_dispersion_config_runs(self, tmp_path, monkeypatch):
+    def test_shipped_dispersion_config_runs(self, shipped_runs):
         # one stacked propagation of one line per probe: the background is
         # not propagated
-        from pfl import dispersion, scenarios
-        from pfl.solver import propagate
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return propagate(*args, **kwargs)
-
-        monkeypatch.setattr(dispersion, "propagate", counted)
-        monkeypatch.setattr(scenarios, "propagate", counted)
-        config = next(c for c in CONFIGS if c.name == "bogoliubov_dispersion.ini")
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no resolution or boundary warning
-            assert cli_main(["dispersion", "--config", str(config), "--out", str(out)]) == 0
-        k_perp_list = parse_config(config.read_text()).params["k_perp_list"]
-        assert [len(fields) for fields, *_ in calls] == [len(k_perp_list)] == [5]
-        fit = dict(line.split(" = ") for line in (out / "fit.txt").read_text().splitlines())
+        run = shipped_runs["bogoliubov_dispersion"]
+        assert run.warnings == []  # no resolution or boundary warning
+        k_perp_list = parse_config(DISPERSION).params["k_perp_list"]
+        assert [len(members) for members in run.propagates] == [len(k_perp_list)] == [5]
+        fit = dict(line.split(" = ") for line in (run.out / "fit.txt").read_text().splitlines())
         assert float(fit["c_s"]) == pytest.approx(0.0124, rel=0.05)
 
     def test_a_zero_k_probe_reads_the_sound_speed(self, tmp_path):
@@ -935,9 +896,8 @@ class TestCli:
         # measured against 0.01241, and 0.01258 at k_perp = 0)
         from pfl.medium import fluid_scales, intensity_to_density
         from pfl.scenarios import build_grid, build_medium
-        shipped = next(c for c in CONFIGS if c.name == "bogoliubov_dispersion.ini").read_text()
         config = tmp_path / "k0.ini"
-        config.write_text(swap(shipped, "k_perp_list = 20000", "k_perp_list = 0, 20000"))
+        config.write_text(swap(DISPERSION, "k_perp_list = 20000", "k_perp_list = 0, 20000"))
         out = tmp_path / "out"
         assert cli_main(["dispersion", "--config", str(config), "--out", str(out)]) == 0
         cfg = parse_config(config.read_text())
@@ -948,37 +908,22 @@ class TestCli:
         k_perp, v_g, _ = (out / "dispersion.csv").read_text().splitlines()[1].split(",")
         assert float(k_perp) == 0.0 and float(v_g) == pytest.approx(c_s, rel=0.03)
 
-    def test_shipped_sound_scaling_config_runs(self, tmp_path):
+    def test_shipped_sound_scaling_config_runs(self, shipped_runs):
         # criterion 06's set-up: c_s grows as the square root of the density
-        config = next(c for c in CONFIGS if c.name == "sound_scaling.ini")
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no resolution or boundary warning
-            assert cli_main(["sound-scaling", "--config", str(config), "--out", str(out)]) == 0
-        fit = dict(line.split(" = ") for line in (out / "fit.txt").read_text().splitlines())
+        run = shipped_runs["sound_scaling"]
+        assert run.warnings == []  # no resolution or boundary warning
+        fit = dict(line.split(" = ") for line in (run.out / "fit.txt").read_text().splitlines())
         assert float(fit["exponent"]) == pytest.approx(0.50, abs=0.05)
 
-    def test_shipped_gem_config_recalls_last_in_first_out(self, tmp_path):
-        config = next(c for c in CONFIGS if c.name == "gem.ini")
-        out = tmp_path / "out"
-        assert cli_main(["gem", "--config", str(config), "--out", str(out)]) == 0
-        assert (out / "ordering.txt").read_text() == "mode = FILO\norder = B,A\n"
-        assert (out / "polarization.pgm").exists()  # pgm = true: one run for both
+    def test_shipped_gem_config_recalls_last_in_first_out(self, shipped_runs):
+        run = shipped_runs["gem"]
+        assert (run.out / "ordering.txt").read_text() == "mode = FILO\norder = B,A\n"
+        assert (run.out / "polarization.pgm").exists()  # pgm = true: one run for both
 
-    def test_shipped_fifo_config_recalls_in_input_order(self, tmp_path):
-        config = next(c for c in CONFIGS if c.name == "fifo_filo.ini")
-        out = tmp_path / "out"
-        assert cli_main(["gem", "--config", str(config), "--out", str(out)]) == 0
-        assert (out / "ordering.txt").read_text() == "mode = FIFO\norder = A,B\n"
+    def test_shipped_fifo_config_recalls_in_input_order(self, shipped_runs):
+        run = shipped_runs["fifo_filo"]
+        assert (run.out / "ordering.txt").read_text() == "mode = FIFO\norder = A,B\n"
         peaks = [float(line.split(",")[0])
-                 for line in (out / "peaks.csv").read_text().splitlines()[1:]]
+                 for line in (run.out / "peaks.csv").read_text().splitlines()[1:]]
         # echoes of pulses stored at 1 and 2 land at t_p + 2 (5.5 - 3.0)
         assert peaks == pytest.approx([6.0, 7.0], abs=0.1)
-
-    @pytest.mark.parametrize("config", CONFIGS, ids=[c.name for c in CONFIGS])
-    def test_shipped_config_validates(self, config, capsys):
-        assert cli_main(["validate", "--config", str(config)]) == 0
-        assert capsys.readouterr().out.startswith("ok: scenario")
-
-    def test_configs_are_shipped(self):
-        assert len(CONFIGS) >= 3

@@ -507,39 +507,34 @@ class TestMeasurement:
         if alpha:
             assert record.snapshots[-1][1][0] < 0.8 * line0[0]
 
-    def test_one_propagation_per_probe(self, monkeypatch):
-        from pfl import dispersion
-        calls = []
-
-        def counted(field, medium, plan, **kwargs):
-            calls.append(plan)
-            return propagate(field, medium, plan, **kwargs)
-
-        monkeypatch.setattr(dispersion, "propagate", counted)
-        grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6,
-                                                            xi_cells=2.0, tau=8.0)
-        plan = StepPlan(n_steps=160, snapshot_every=16)
-        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1.0 / scales["xi"],
-                          power_ratio=1e-4)
-        _measure(medium, [probe], plan, grid)
-        assert calls == [plan]
-
-    def test_one_propagation_per_sweep(self, monkeypatch):
+    @pytest.fixture
+    def propagated(self, monkeypatch):
+        """(member count, plan) of each propagate call a measurement makes."""
         from pfl import dispersion
         calls = []
 
         def counted(fields, medium, plan, **kwargs):
-            calls.append(len(fields))
+            calls.append((len(fields), plan))
             return propagate(fields, medium, plan, **kwargs)
 
         monkeypatch.setattr(dispersion, "propagate", counted)
-        grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6,
-                                                            xi_cells=2.0, tau=8.0)
+        return calls
+
+    def test_one_propagation_per_probe(self, propagated):
+        grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6, xi_cells=2.0, tau=8.0)
+        plan = StepPlan(n_steps=160, snapshot_every=16)
+        probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1.0 / scales["xi"],
+                          power_ratio=1e-4)
+        _measure(medium, [probe], plan, grid)
+        assert propagated == [(1, plan)]
+
+    def test_one_propagation_per_sweep(self, propagated):
+        grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6, xi_cells=2.0, tau=8.0)
         plan = StepPlan(n_steps=160, snapshot_every=16)
         probes = [ProbeSpec(waist=10 * scales["xi"], k_perp=k_xi / scales["xi"],
                             power_ratio=1e-4) for k_xi in (0.5, 1.0, 1.5)]
         measured = _measure(medium, probes, plan, grid)
-        assert calls == [3]
+        assert propagated == [(3, plan)]
         assert [m.k_perp for m in measured] == [p.k_perp for p in probes]
 
     def test_a_sweep_equals_lone_calls(self):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pfl import plans, rules, scenarios, sources
+from pfl import plans
 from pfl.cli import main as cli_main
 from pfl.config import parse_config
 from pfl.grid import make_grid
@@ -138,34 +138,14 @@ class TestSoundScalingRuns:
 
 @pytest.mark.parametrize("name, stacks, probes", [("bogoliubov_dispersion", 1, 5),
                                                   ("sound_scaling", 5, 5)])
-def test_a_run_applies_each_probe_stack_rule_once(name, stacks, probes, tmp_path):
+def test_a_run_applies_each_probe_stack_rule_once(name, stacks, probes, shipped_runs):
     # rules.probe and rules.probe_kick run once per probe and
     # rules.tracked_snapshots once per stack, as the handler's plan lists
-    # them, and no run builds a background plane
-    cfg = parse_config((CONFIGS / f"{name}.ini").read_text())
-    grid = scenarios.build_grid(cfg)
-    runs = plans.propagations(cfg, grid, scenarios.build_medium(cfg, grid))
-    assert (len(runs), sum(len(run.probes) for run in runs)) == (stacks, probes)
-    calls = []
-
-    def counted(rule):
-        def call(*args, **kwargs):
-            calls.append(rule.__name__)
-            return rule(*args, **kwargs)
-        return call
-
-    def refused(*args, **kwargs):
-        raise AssertionError("the run built a background plane")
-
-    with pytest.MonkeyPatch.context() as patch:
-        for rule in (rules.probe, rules.probe_kick, rules.tracked_snapshots):
-            patch.setattr(rules, rule.__name__, counted(rule))
-        for module, attr in ((scenarios, "build_source"), (scenarios, "plane_wave"),
-                             (sources, "plane_wave")):
-            patch.setattr(module, attr, refused)
-        scenarios.run_scenario(cfg, tmp_path / "run")
-    assert sorted(calls) == (["probe"] * probes + ["probe_kick"] * probes
-                             + ["tracked_snapshots"] * stacks)
+    # them, and no run builds a background plane (build_source, plane_wave)
+    run = shipped_runs[name]
+    assert (len(run.planned), sum(len(p.probes) for p in run.planned)) == (stacks, probes)
+    assert sorted(run.calls) == (["probe"] * probes + ["probe_kick"] * probes
+                                 + ["tracked_snapshots"] * stacks)
 
 
 def test_validate_plans_the_probe_stacks_without_numpy():
@@ -179,24 +159,12 @@ def test_validate_plans_the_probe_stacks_without_numpy():
 
 @pytest.mark.parametrize("name, count", [("gem", 1), ("fifo_filo", 1),
                                          ("gem_efficiency_sweep", 5)])
-def test_a_memory_run_integrates_what_validate_planned(name, count, tmp_path):
+def test_a_memory_run_integrates_what_validate_planned(name, count, shipped_runs):
     # the (config, pulses) each gem_evolve call of the run gets are the
     # memories plans.memories lists for the config, in order
-    from pfl import gem
-
-    text = (CONFIGS / f"{name}.ini").read_text()
-    planned = [(m.config, m.pulses) for m in plans.memories(parse_config(text))]
-    assert len(planned) == count
-    integrated, evolve = [], gem.gem_evolve
-
-    def spy(config, pulses, *args, **kwargs):
-        integrated.append((config, tuple(pulses)))
-        return evolve(config, pulses, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gem, "gem_evolve", spy)
-        scenarios.run_scenario(parse_config(text), tmp_path / "run")
-    assert integrated == planned
+    memories = plans.memories(parse_config((CONFIGS / f"{name}.ini").read_text()))
+    assert len(memories) == count
+    assert shipped_runs[name].memories == [(m.config, m.pulses) for m in memories]
 
 
 def test_memories_are_planned_without_numpy():
