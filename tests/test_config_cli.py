@@ -927,3 +927,11 @@ class TestCli:
                  for line in (run.out / "peaks.csv").read_text().splitlines()[1:]]
         # echoes of pulses stored at 1 and 2 land at t_p + 2 (5.5 - 3.0)
         assert peaks == pytest.approx([6.0, 7.0], abs=0.1)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=[c.name for c in CONFIGS])
+    def test_shipped_config_validates(self, config, capsys):
+        assert cli_main(["validate", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("ok: scenario")
+
+    def test_configs_are_shipped(self):
+        assert len(CONFIGS) >= 3
