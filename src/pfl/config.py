@@ -154,7 +154,7 @@ _GEM = {
 }
 
 # a probe's peak intensity over the background's, in dispersion and sound-scaling
-_POWER_RATIO = Key("float", 1e-5, within=_NON_NEGATIVE)
+_POWER_RATIO = Key("float", 1e-5, within=_POSITIVE)
 
 # the [run] entries of a scenario that writes snapshots, an image and CSV
 # files; the CLI sets the output directory
@@ -176,7 +176,7 @@ SCENARIOS: dict[str, dict[str, Any]] = {
     "dispersion": {
         **_RUN_CSV,
         **_FIELD,
-        # the probe packet is tracked over the snapshots
+        # each probe's modes are read from the snapshots
         "plan": {**_PLAN, "snapshot_every": Key("int", within="[1, inf)")},
         "source": _SOURCE.only("plane", why=_HOMOGENEOUS),
         "potential": _HOMOGENEOUS,

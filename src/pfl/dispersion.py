@@ -1,25 +1,26 @@
-"""Bogoliubov dispersion probed the way the experiment does it.
+"""Bogoliubov dispersion read mode by mode from a probe's density change.
 
 A weak Gaussian probe riding a phase ramp exp(i k_perp x) is superposed on
-a homogeneous background fluid; the density perturbation wavepacket it
-seeds travels a transverse distance proportional to the propagation depth,
-and the slope is the group velocity (transverse meters per axial meter).
-Integrating v_g over k_perp reconstructs the dispersion curve, which is
-fitted with the Bogoliubov form
+a homogeneous background fluid. To linear order in the probe amplitude each
+transverse mode q of the density change it seeds evolves on its own, as a
+standing combination of exp(+-i Omega(q) z), so its amplitudes X_n at
+snapshots Delta apart obey the three-term recurrence
+
+    X_{n+1} + X_{n-1} = 2 cos(Omega Delta) X_n.
+
+Each mode's least-squares cos(Omega Delta) = Re sum conj(X_n) (X_{n+1} +
+X_{n-1}) / (2 sum |X_n|^2), over the inner snapshots, reads Omega(q) up to
+Omega Delta = pi, where arccos aliases (plans.probe_stack refuses a spacing
+that reaches it). A probe's group velocity (transverse meters per axial
+meter) is the slope at |k_perp| of the parabola through the modes j - 1, j
+and j + 1, j the mode nearest |k_perp| and at least 1 (rules.probe_modes),
+signed as k_perp; at k_perp = 0 it is the slope at the origin, the sound
+speed. Integrating v_g over k_perp reconstructs the dispersion curve, which
+is fitted with the Bogoliubov form
 
     Omega(k) = sqrt( E_k (E_k + 2 k0 dn_nl) ),   E_k = k^2 / (2 k0 n0)
 
 whose low-k slope is the sound speed c_s = sqrt(dn_nl / n0).
-
-The entrance quench splits a low-k probe into counter-propagating phonon
-packets of nearly equal density weight, so a whole-plane centroid would
-cancel. The tracker instead demodulates the density difference at the
-known probe carrier and follows the envelope: when both packets are
-resolved, their half separation is the displacement; a lone packet is
-followed by its peak; the slope is fitted over the trailing run of
-snapshots where the packets stay resolved. At k_perp = 0 the demodulation
-is the identity and the pair splits symmetrically, so its half separation
-reads the sound speed like any other low-k probe.
 
 Only the k_y = 0 line of the probe run is propagated. The background is a
 uniform field E0 = sqrt(density) in a medium without a potential, so its
@@ -27,56 +28,43 @@ line density is known in closed form: the kinetic factor is 1 on the k = 0
 mode and the kick multiplies every site by the same unit phase times the
 loss, giving sum_y |E|^2 (z) = ny |E0|^2 exp(-alpha z), with ny |E0|^2
 summed one row at a time, as a plane's column sum adds it. To linear order
-in the probe amplitude each transverse mode of the perturbation then
-evolves on its own, and the k_y = 0 line of the density change is seeded
+in the probe amplitude the k_y = 0 line of the density change is seeded
 only by the y-mean of the perturbation field: sum_y delta rho =
 2 Re(E0* sum_y delta E) plus terms quadratic in delta E. So the y-mean of
 the probed field is propagated on a one-row grid Grid(nx, 1, dx, dy), and
 each snapshot is reduced to ny times its line density minus the
-background's as it is made: the tracker only ever uses the y-integrated
-density change. The quadratic terms the line drops shrink with the probe
-amplitude, sqrt(power_ratio).
+background's as it is made, over the background's decay exp(-alpha z): the
+recurrence only ever uses the y-integrated density change. The quadratic
+terms the line drops shrink with the probe amplitude, sqrt(power_ratio).
 
 measure_group_velocity steps one probe stack that `plans` built
 (plans.probe_stack, or plans.sound_scaling_runs for one per density),
 after every rule of the stack: its lines run as one (K, 1, nx) stack
 through a single propagate call, whose per-step cost on a 1D line is
-mostly dispatch, and each member's snapshots equal those of a one-probe
-stack bit for bit. The keep callback stores each snapshot's line density
-change, nx floats, and the tracker runs once after the run on the
-(K, S, nx) stack of S snapshots: one transform pair demodulates every line
-and one island scan reads every envelope, and each probe's track equals
-what a per-snapshot tracker reads, bit for bit.
+mostly dispatch. The keep callback stores each snapshot's line density
+change, nx floats. After the run one transform along x of the (K, S, nx)
+stack of the S evenly spaced snapshots (an uneven last one is dropped)
+gives every mode's amplitudes, and each probe reads its own three modes,
+so its v_g equals that of a one-probe stack bit for bit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rules
-from .grid import Field2D, Grid, fft, ifft
-from .medium import MediumParams, shift_scales
+from .grid import Field2D, Grid, fft
+from .medium import MediumParams, bogoliubov_omega, shift_scales
 from .plans import ProbeSpec, Propagation
 from .solver import propagate
-
-# Unless the packets stay paired over the trailing snapshots, the drift is
-# fitted over this last fraction of them; a fit whose RMS residual exceeds
-# MAX_RESIDUAL of the displacement span is not a ballistic packet.
-FIT_FRACTION = 0.5
-MAX_RESIDUAL = 0.15
 
 
 @dataclass
 class GroupVelocityMeasurement:
     k_perp: float
     v_g: float
-    stderr: float
-    z_samples: np.ndarray
-    displacements: np.ndarray
-    fit_start_index: int
 
 
 @dataclass
@@ -96,12 +84,6 @@ class DispersionCurve:
         return zip(self.k_perp, self.v_g, self.omega)
 
 
-def bogoliubov_omega(k: np.ndarray, k0: float, n0: float, dn_nl: float) -> np.ndarray:
-    """Axial dispersion Omega(k) of excitations on a defocusing fluid."""
-    e_k = np.asarray(k, dtype=float) ** 2 / (2.0 * k0 * n0)
-    return np.sqrt(e_k * (e_k + 2.0 * k0 * dn_nl))
-
-
 def bogoliubov_group_velocity(k: np.ndarray, k0: float, n0: float, dn_nl: float) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     e_k = k**2 / (2.0 * k0 * n0)
@@ -110,17 +92,6 @@ def bogoliubov_group_velocity(k: np.ndarray, k0: float, n0: float, dn_nl: float)
     with np.errstate(invalid="ignore", divide="ignore"):
         vg = de * (e_k + k0 * dn_nl) / omega
     return np.where(k == 0.0, np.sqrt(dn_nl / n0), vg)
-
-
-def _wrap_coord(delta: np.ndarray, extent: float) -> np.ndarray:
-    """Map coordinate differences into (-extent/2, extent/2]."""
-    return delta - extent * np.round(delta / extent)
-
-
-def _trailing_run(flags: np.ndarray) -> np.ndarray:
-    """Mask selecting the unbroken run of True values ending at the last
-    sample (empty if the last sample is False)."""
-    return np.logical_and.accumulate(np.asarray(flags, dtype=bool)[::-1])[::-1]
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -133,115 +104,6 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     r = 0.0 if ssym == 0.0 else np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
     stderr = np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))
     return float(slope), float(intercept), float(stderr)
-
-
-def demodulated_envelope(profiles: np.ndarray, x: np.ndarray, k_carrier,
-                         waist) -> np.ndarray:
-    """Envelopes of the density waves riding at known probe carriers.
-
-    profiles is a (..., nx) stack of line profiles; k_carrier and waist are
-    scalars or arrays that broadcast against its leading axes ((K, 1) for a
-    (K, S, nx) sweep of K probes). Multiplies by exp(-i k x), applies a
-    Gaussian low-pass (cutting well below 2 k, where the conjugate image
-    sits, while passing the envelope bandwidth ~2/waist) and returns the
-    magnitude, with one transform pair over the whole stack. The cut sees
-    |k|, so -k mirrors +k; at k = 0 there is no image and the cut is
-    4 / waist.
-    """
-    k = np.asarray(k_carrier, dtype=float)[..., None]
-    cut = 4.0 / np.asarray(waist, dtype=float)[..., None]
-    k_cut = np.where(k == 0.0, cut, np.minimum(np.abs(k), cut))
-    k_axis = 2.0 * np.pi * np.fft.fftfreq(len(x), d=x[1] - x[0])
-    window = np.exp(-((k_axis / k_cut) ** 2))
-    return np.abs(ifft(fft(profiles * np.exp(-1j * k * x)) * window))
-
-
-def _threshold_islands(envelopes: np.ndarray, x: np.ndarray,
-                       extent: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Contiguous islands above 0.35 of its row's maximum in each row of an
-    (R, nx) stack of envelopes, periodic: (row, peak position, mass) arrays,
-    ordered by row and then by falling mass, scan order breaking ties.
-
-    A row above the threshold everywhere is one island and an all-zero row
-    has none. Positions are parabolic refinements of each island's maximum,
-    which are insensitive to how the threshold slices overlapping tails.
-    """
-    n = envelopes.shape[-1]
-    mask = envelopes > 0.35 * envelopes.max(axis=-1, keepdims=True)
-    # rotate each row so that its scan starts in a below-threshold gap; an
-    # island then runs from a rising to a falling transition of the rotated
-    # mask, padded with a gap at both ends
-    start = np.argmin(mask, axis=-1)
-    cols = (start[:, None] + np.arange(n)) % n
-    rotated = np.take_along_axis(envelopes, cols, axis=-1)
-    row, edge = np.nonzero(np.diff(np.take_along_axis(mask, cols, axis=-1), axis=-1,
-                                   prepend=False, append=False))
-    row, lo, length = row[::2], edge[::2], edge[1::2] - edge[::2]
-    # islands of one length are rows of one gather, so each mass is the
-    # np.sum of its segment (a cumulative or reduceat sum rounds otherwise)
-    first = row * n + lo
-    mass = np.empty(len(row))
-    peak = np.empty(len(row), dtype=np.intp)
-    for span in sorted(set(length.tolist())):  # np.unique would load numpy.ma
-        of = np.flatnonzero(length == span)
-        segments = rotated.reshape(-1)[first[of, None] + np.arange(span)]
-        mass[of] = segments.sum(axis=-1)
-        peak[of] = segments.argmax(axis=-1)
-    idx = (start[row] + lo + peak) % n
-    order = np.lexsort((-mass, row))
-    return row[order], _parabolic_peak(envelopes, row, idx, x, extent)[order], mass[order]
-
-
-def _parabolic_peak(envelopes: np.ndarray, row: np.ndarray, idx: np.ndarray,
-                    x: np.ndarray, extent: float) -> np.ndarray:
-    """Sub-cell peak positions from a parabola through the three samples
-    around each (row, idx) of envelopes."""
-    n = envelopes.shape[-1]
-    em, e0, ep = (envelopes[row, (idx + offset) % n] for offset in (-1, 0, 1))
-    denom = em - 2.0 * e0 + ep
-    shift = np.divide(0.5 * (em - ep), denom, out=np.zeros(len(idx)), where=denom != 0.0)
-    return _wrap_coord(x[idx] + np.clip(shift, -0.5, 0.5) * float(x[1] - x[0]), extent)
-
-
-def packet_displacement(envelopes: np.ndarray, x: np.ndarray,
-                        extent: float) -> tuple[np.ndarray, np.ndarray]:
-    """Signed transverse displacement of the probe wavepacket in each
-    envelope of a (..., nx) stack: (displacement, paired) arrays of the
-    stack's leading shape.
-
-    The entrance quench seeds a pair of counter-propagating packets; when
-    both are visible (the two heaviest islands lie on either side of the
-    origin and the lighter has more than 0.2 of the heavier's mass) their
-    half separation is returned with paired=True, otherwise the parabolic
-    peak of the heaviest island with paired=False (0.0 without islands).
-    """
-    rows = envelopes.reshape(-1, envelopes.shape[-1])
-    row, position, mass = _threshold_islands(rows, x, extent)
-    count = np.bincount(row, minlength=len(rows))
-    top = np.cumsum(count) - count  # each row's heaviest island
-    displacement = np.zeros(len(rows))
-    paired = np.zeros(len(rows), dtype=bool)
-    displacement[count > 0] = position[top[count > 0]]
-    two = np.flatnonzero(count >= 2)
-    c1, c2 = position[top[two]], position[top[two] + 1]
-    resolved = (mass[top[two] + 1] > 0.2 * mass[top[two]]) & (c1 * c2 < 0.0)
-    pair, c1, c2 = two[resolved], c1[resolved], c2[resolved]
-    displacement[pair] = 0.5 * (np.where(c1 > 0, c1, c2) - np.where(c1 > 0, c2, c1))
-    paired[pair] = True
-    shape = envelopes.shape[:-1]
-    return displacement.reshape(shape), paired.reshape(shape)
-
-
-def track_packets(changes: np.ndarray, probes: Sequence[ProbeSpec],
-                  grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(displacement, paired) arrays, shape (K, S), of a (K, S, nx) stack of
-    line density changes against the background, S snapshots of each of K
-    probes: the packet displacement of their envelopes at each probe's
-    carrier, k_perp = 0 included."""
-    x = grid.x_coords()
-    k = np.array([p.k_perp for p in probes])[:, None]
-    waist = np.array([p.waist for p in probes])[:, None]
-    return packet_displacement(demodulated_envelope(changes, x, k, waist), x, grid.extent_x)
 
 
 def snapshot_density(z: float, field: Field2D) -> np.ndarray:
@@ -273,10 +135,10 @@ def measure_group_velocity(run: Propagation, grid: Grid) -> list[GroupVelocityMe
     come back as a list in probe order, each equal to that of a one-probe
     stack bit for bit. The background's line density at depth z is
     ny |E0|^2 exp(-alpha z), and each snapshot is kept as ny times its line
-    density minus the background's. After the run the (K, S, nx) stack of
-    these changes is tracked in one pass (see track_packets), and each
-    probe's transverse drift is fitted. The stack's rules were applied when
-    `plans` built it.
+    density minus the background's, over exp(-alpha z). After the run the
+    evenly spaced snapshots' changes are transformed along x, and each
+    probe's v_g is read from its modes j - 1, j and j + 1 (see the module
+    docstring). The stack's rules were applied when `plans` built it.
     """
     medium, e0 = run.medium, np.sqrt(run.density)
     background_line = 0.0
@@ -284,48 +146,35 @@ def measure_group_velocity(run: Propagation, grid: Grid) -> list[GroupVelocityMe
         background_line += e0 * e0
 
     def line_change(z: float, field: Field2D) -> np.ndarray:
-        return grid.ny * snapshot_density(z, field) - background_line * np.exp(-medium.alpha * z)
+        decay = np.exp(-medium.alpha * z)
+        return (grid.ny * snapshot_density(z, field) - background_line * decay) / decay
 
     records = propagate([probe_line(grid, run.density, p) for p in run.probes], medium,
                         run.plan, keep=line_change)
-    z_samples = np.array([z for z, _ in records[0].snapshots])
-    changes = np.array([[change for _, change in r.snapshots] for r in records])
-    displacements, paired = track_packets(changes, run.probes, grid)
-    return [_fit_drift(z_samples, d, p, probe, grid)
-            for d, p, probe in zip(displacements, paired, run.probes)]
+    even = run.plan.n_steps // run.plan.snapshot_every  # an uneven last snapshot is dropped
+    changes = np.array([[change for _, change in r.snapshots[:even]] for r in records])
+    v_g = _group_velocities(changes, run.probes, grid, run.plan.snapshot_every * run.dz)
+    return [GroupVelocityMeasurement(k_perp=p.k_perp, v_g=float(v))
+            for p, v in zip(run.probes, v_g)]
 
 
-def _fit_drift(z_samples: np.ndarray, displacements: np.ndarray, paired: np.ndarray,
-               probe: ProbeSpec, grid: Grid) -> GroupVelocityMeasurement:
-    """Fit a probe's packet displacements, with their paired flags (see
-    packet_displacement), against the snapshot depths z_samples: the slope
-    is the group velocity."""
-    n = len(z_samples)
-    trailing = _trailing_run(paired)
-    if int(np.sum(trailing)) >= 5:
-        # counter-propagating packets stay resolved through the end of the
-        # run: their half separation is the clean displacement observable
-        sel = trailing
-    else:
-        start = int(np.floor(n * (1.0 - FIT_FRACTION)))
-        start = min(max(start, 0), n - 3)
-        sel = np.zeros(n, dtype=bool)
-        sel[start:] = True
-    slope, intercept, stderr = _line_fit(z_samples[sel], displacements[sel])
-    span = max(float(np.ptp(displacements[sel])), grid.dx)
-    residuals = displacements[sel] - (intercept + slope * z_samples[sel])
-    rel_residual = float(np.sqrt(np.mean(residuals**2))) / span
-    if rel_residual > MAX_RESIDUAL:
-        raise RuntimeError(
-            f"packet tracking fit residual {rel_residual:.3f} exceeds "
-            f"{MAX_RESIDUAL}; the wavepacket is not moving ballistically"
-        )
-    if np.max(np.abs(displacements)) > 0.4 * grid.extent_x:
-        raise RuntimeError("probe packet wrapped around the grid; shorten the run")
-    return GroupVelocityMeasurement(
-        k_perp=probe.k_perp, v_g=slope, stderr=stderr,
-        z_samples=z_samples, displacements=displacements,
-        fit_start_index=int(np.argmax(sel)))
+def _group_velocities(changes: np.ndarray, probes, grid: Grid, spacing: float) -> np.ndarray:
+    """v_g of each of K probes from a (K, S, nx) stack of their line density
+    changes over the background's decay at S snapshots spacing apart: from
+    each probe's modes j - 1, j and j + 1 (rules.probe_modes), the
+    least-squares cos(Omega spacing) of the recurrence over the inner
+    snapshots, then the slope at |k_perp| of the parabola through the three
+    Omega, signed as k_perp."""
+    t, j = (np.array(column) for column in zip(*(rules.probe_modes(p.k_perp, grid)
+                                                 for p in probes)))
+    # (K, 3, S): the amplitudes of each probe's three modes, each row contiguous
+    x = fft(changes).swapaxes(-1, -2)[np.arange(len(j))[:, None], j[:, None] + (-1, 0, 1)]
+    inner = x[..., 1:-1]
+    cross = np.sum((np.conj(inner) * (x[..., 2:] + x[..., :-2])).real, axis=-1)
+    norm = np.sum(inner.real**2 + inner.imag**2, axis=-1)
+    lo, mid, hi = (np.arccos(np.clip(cross / (2.0 * norm), -1.0, 1.0)) / spacing).T
+    slope = 0.5 * (hi - lo) + (hi - 2.0 * mid + lo) * (t - j)  # dOmega per mode
+    return np.copysign(slope * grid.extent_x / (2.0 * np.pi), [p.k_perp for p in probes])
 
 
 def dispersion_from_group_velocity(samples, medium: MediumParams) -> DispersionCurve:

@@ -89,6 +89,14 @@ def shift_scales(medium: MediumParams, dn: float) -> tuple[float, float, float]:
     return z_nl, math.sqrt(z_nl / (medium.n0 * medium.k0)), math.sqrt(dn / medium.n0)
 
 
+def bogoliubov_omega(k, k0: float, n0: float, dn_nl: float):
+    """Axial dispersion Omega(k) = sqrt(E_k (E_k + 2 k0 dn_nl)), E_k = k^2 /
+    (2 k0 n0), of excitations on a defocusing fluid whose nonlinear index
+    shift is dn_nl >= 0; k a float or an ndarray of floats."""
+    e_k = k**2 / (2.0 * k0 * n0)
+    return (e_k * (e_k + 2.0 * k0 * dn_nl)) ** 0.5
+
+
 def intensity_to_density(intensity, n0: float):
     """|E|^2 for a given optical intensity under I = (1/2) n0 c eps0 |E|^2."""
     return 2.0 * intensity / (n0 * C_LIGHT * EPS0)

@@ -104,20 +104,26 @@ def probe_stack(medium: MediumParams, density: float, probes, plan: StepPlan, gr
                 steps_set: bool = False) -> Propagation:
     """One stack of probe lines, one per ProbeSpec of probes in their order,
     over a uniform background of this density (|E|^2) in medium, stepped by
-    plan, after every rule of a probe stack: a medium without a potential,
-    rules.probe and a non-negative power_ratio for each probe, a plan that
-    rules.tracked_snapshots passes, and rules.probe_kick for each probe
-    (steps_set as there)."""
+    plan, after every rule of a probe stack: a medium without a potential
+    and not focusing (chi3 <= 0), rules.probe and a positive power_ratio for
+    each probe, a plan that rules.tracked_snapshots passes, rules.probe_kick
+    for each probe (steps_set as there), and snapshots that
+    rules.mode_aliasing passes."""
     if medium.potential is not None:
         raise ValueError("the background must be homogeneous: the medium has a potential")
+    if medium.chi3 > 0:
+        raise ValueError(f"the background must not be focusing (chi3 = {medium.chi3:g} > 0): "
+                         "a focusing fluid has no real Bogoliubov branch to read")
     probes = tuple(probes)
     for p in probes:
         rules.probe(p.waist, p.k_perp, grid)
-        if p.power_ratio < 0:
-            raise ValueError(f"probe power_ratio must be non-negative, got {p.power_ratio}")
+        if p.power_ratio <= 0:
+            raise ValueError(f"probe power_ratio must be positive, got {p.power_ratio}")
     rules.tracked_snapshots(plan.n_steps, plan.snapshot_every)
     for p in probes:
         rules.probe_kick(medium, density, p.power_ratio, plan.n_steps, steps_set)
+    rules.mode_aliasing(medium, density, [p.k_perp for p in probes],
+                        plan.snapshot_every * plan.resolve_dz(medium.length), grid)
     return Propagation(slice(0, len(probes)), (1, grid.nx), plan, medium, density,
                        probes=probes)
 

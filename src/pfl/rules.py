@@ -9,7 +9,7 @@ which the kernel's step-resolution guard warns and aborts."""
 
 import math
 
-from .medium import density_to_intensity
+from .medium import bogoliubov_omega, density_to_intensity
 
 MIN_LATTICE = 32  # points of the memory's z and t lattices, at least
 WAIST_CELLS = 4.0  # cells a Gaussian waist spans, at least
@@ -17,7 +17,7 @@ FEATURE_CELLS = 2.0  # cells a speckle grain or a defect spans, at least
 PULSE_WIDTHS = 4.0  # widths from a memory pulse to t = 0, t_extent and the other pulse
 ECHO_WINDOW_WIDTHS = 4.0  # input and echo energies: center +- this many widths
 MAX_GRADIENT_PHASE = 0.5  # rad of |eta| z_max dt per memory time step, at most
-MIN_TRACKED_SNAPSHOTS = 4  # snapshots a probe packet's drift is fitted over, at least
+MIN_TRACKED_SNAPSHOTS = 4  # snapshots of a probe stack, at least; 3 or more evenly spaced
 WARN_PHASE_PER_STEP = 0.5  # rad of phase per propagation step from which a run warns
 ABORT_PHASE_PER_STEP = math.pi  # rad of phase per propagation step above which it aborts
 
@@ -31,12 +31,35 @@ def snapshot_steps(n_steps: int, snapshot_every: int) -> list[int]:
 
 
 def tracked_snapshots(n_steps: int, snapshot_every: int):
-    """Refuse a plan whose schedule makes too few snapshots to track a packet."""
+    """Refuse a plan whose schedule makes too few snapshots for the per-mode
+    recurrence of a probe stack, which reads the evenly spaced ones."""
     count = len(snapshot_steps(n_steps, snapshot_every))
     if count < MIN_TRACKED_SNAPSHOTS:
         raise ValueError(f"the plan makes {count} snapshots ({n_steps} steps, one every "
-                         f"{snapshot_every}); tracking a probe packet needs at least "
+                         f"{snapshot_every}); reading a probe's modes needs at least "
                          f"{MIN_TRACKED_SNAPSHOTS}")
+
+
+def probe_modes(k_perp: float, grid) -> tuple[float, int]:
+    """(t, j): |k_perp| in units of the grid's first x mode 2 pi / (nx dx),
+    and j the mode nearest it, at least 1. A probe's group velocity is read
+    from the modes j - 1, j and j + 1 of its density change."""
+    t = abs(k_perp) * (grid.nx * grid.dx) / (2.0 * math.pi)
+    return t, max(1, round(t))
+
+
+def mode_aliasing(medium, density: float, k_perps, spacing: float, grid):
+    """Refuse snapshots spacing apart over which the highest mode a probe
+    stack reads turns by pi rad or more on the continuum Bogoliubov branch
+    of this density: its recurrence's arccos would alias that mode."""
+    top = max((probe_modes(k, grid)[1] for k in k_perps), default=0) + 1
+    k = top * 2.0 * math.pi / (grid.nx * grid.dx)
+    dn = abs(medium.chi3) * density / (2.0 * medium.n0)
+    turn = bogoliubov_omega(k, medium.k0, medium.n0, dn) * spacing
+    if turn >= math.pi:
+        raise ValueError(f"mode {top} (k = {k:.4g} 1/m), the highest the probes read, turns "
+                         f"{turn:.2f} rad (>= pi) between snapshots {spacing:.4g} m apart; "
+                         "take the snapshots closer together")
 
 
 def swept(values, what: str) -> list:

@@ -477,15 +477,23 @@ class TestParsing:
          "* pi / max(dx, dy) = 6283.19 lies below the first mode 2 pi / (n d) = 19635"),
         # each passed `pfl validate`, and the run then exited 3 with no packet to fit
         (swap(GOOD_DISPERSION, "n_steps = 240", "n_steps = 0"),
-         "the plan makes 0 snapshots (0 steps, one every 8); tracking a probe packet "
+         "the plan makes 0 snapshots (0 steps, one every 8); reading a probe's modes "
          "needs at least 4"),
         (swap(GOOD_DISPERSION, "snapshot_every = 8", "snapshot_every = 200"),
-         "the plan makes 2 snapshots (240 steps, one every 200); tracking a probe packet "
+         "the plan makes 2 snapshots (240 steps, one every 200); reading a probe's modes "
          "needs at least 4"),
         # passed `pfl validate`, and the run then exited 3 at its first kick
         (swap(DISPERSION, "n0 = 1.0", "n0 = 0.1"),
          "the first kick gives 6.71 rad of phase per step (> pi) with 240 steps; the run "
          "needs n_steps >= 513"),
+        # a focusing fluid has no real Bogoliubov branch to read, and the
+        # arccos of the per-mode recurrence aliases a mode that turns by pi
+        # or more between snapshots
+        (swap(DISPERSION, "chi3 = -3.082e-12", "chi3 = 3.082e-12"),
+         "dispersion: the background must not be focusing (chi3 = 3.082e-12 > 0)"),
+        (swap(DISPERSION, "snapshot_every = 8", "snapshot_every = 60"),
+         "dispersion: mode 10 (k = 9.817e+04 1/m), the highest the probes read, turns 4.37 "
+         "rad (>= pi) between snapshots 0.003222 m apart"),
         (swap(GOOD_SOUND_SCALING, "331800", "300000"),
          "densities must span at least one decade"),
         (swap(SOUND_SCALING, "probe_waist_xi = 10\n", "probe_waist_xi = 100\n"),
@@ -496,8 +504,8 @@ class TestParsing:
          "sound-scaling: probe waist inf exceeds half the grid extent 0.00016"),
         # passed `pfl validate`, and the run then exited 3 with no packet to fit
         (swap(SOUND_SCALING, "tau = 25\n", "tau = 0.2\n"),
-         "sound-scaling: the plan makes 3 snapshots (3 steps, one every 1); tracking a probe "
-         "packet needs at least 4"),
+         "sound-scaling: the plan makes 3 snapshots (3 steps, one every 1); reading a probe's "
+         "modes needs at least 4"),
         # passed `pfl validate`, and the run then exited 3 naming n_steps, which
         # sound-scaling sets itself
         (swap(SOUND_SCALING, "power_ratio = 1e-5\n", "power_ratio = 50\n"),
@@ -550,6 +558,7 @@ class TestParsing:
             "repeated-intensity", "precondensation-chi3-zero",
             "precondensation-without-light", "noise-band-without-a-mode", "dispersion-without-steps",
             "dispersion-too-few-snapshots", "dispersion-first-kick",
+            "dispersion-focusing", "dispersion-aliasing",
             "intensities-within-a-decade",
             "sound-scaling-probe-wraps", "sound-scaling-probe-unresolved",
             "sound-scaling-chi3-zero", "sound-scaling-too-few-snapshots",
@@ -676,7 +685,10 @@ class TestParsing:
     # declared, and the run then failed, replaced the value or ignored the key
     @pytest.mark.parametrize("text, binding, message", [
         (GOOD_DISPERSION, "power_ratio = -1e-5",
-         r"dispersion.power_ratio must lie in \[0, inf\), got -1e-05"),
+         r"dispersion.power_ratio must lie in \(0, inf\), got -1e-05"),
+        # a probe without power seeds no density change to read
+        (GOOD_DISPERSION, "power_ratio = 0",
+         r"dispersion.power_ratio must lie in \(0, inf\), got 0.0"),
         (GOOD_GEM.replace("nz = 64\n", ""), "nz = 8",
          r"gem-efficiency-sweep.nz must lie in \[32, inf\), got 8"),
         (PROPAGATE_GAUSSIAN.replace("waist = 150e-6\n", ""), "waist = -1e-4",
@@ -692,7 +704,8 @@ class TestParsing:
         (GOOD_DISPERSION.replace("k_perp_list = 20000, 30000, 40000, 60000, 90000\n", ""),
          "k_perp_list = 40000, 60000, 90000",
          r"dispersion.k_perp_list needs at least 5 values, got 3"),
-    ], ids=["dispersion-power-ratio", "gem-nz", "source-waist", "precondensation-bins",
+    ], ids=["dispersion-power-ratio", "dispersion-zero-power-ratio", "gem-nz", "source-waist",
+            "precondensation-bins",
             "sound-scaling-tau", "structure-factor-nbins", "structure-factor-noise-amplitude",
             "uniform-amplitude",
             "dispersion-k-perp-list"])

@@ -1,20 +1,19 @@
 import dataclasses
 import tracemalloc
+from pathlib import Path
 import warnings
 
 import numpy as np
 import pytest
 
-from pfl.dispersion import (_fit_bogoliubov, _fit_drift, _line_fit,
-                            _threshold_islands, _trailing_run, _wrap_coord,
+from pfl.cli import main as cli_main
+from pfl.dispersion import (_fit_bogoliubov, _group_velocities, _line_fit,
                             bogoliubov_group_velocity, bogoliubov_omega,
                             dispersion_from_group_velocity,
-                            measure_group_velocity, packet_displacement,
-                            demodulated_envelope, probe_line, snapshot_density,
-                            track_packets)
-from pfl.grid import fft, ifft, make_grid
-from pfl.medium import MediumParams, shift_scales
-from pfl.plans import ProbeSpec, StepPlan, probe_stack
+                            measure_group_velocity, probe_line, snapshot_density)
+from pfl.grid import fft, make_grid
+from pfl.medium import MediumParams, intensity_to_density, shift_scales
+from pfl.plans import ProbeSpec, StepPlan, probe_stack, sound_scaling_runs
 from pfl.solver import propagate
 
 from conftest import WAVELENGTH, defocusing_setup
@@ -41,16 +40,20 @@ def _probe_plane(background, probe):
 
 
 def _plane_reference(background, probe, medium, plan):
-    """Drift fitted from the 2D probe run: the background is propagated
-    with whole densities kept, and the probe sums their difference over y."""
+    """v_g read from the 2D probe run: the background is propagated with
+    whole densities kept, the probe sums their difference over y over the
+    decay exp(-alpha z), and the recurrence reads the evenly spaced
+    snapshots."""
     planes = iter(propagate(background, medium, plan,
                             keep=lambda z, f: f.density()).snapshots)
     record = propagate(_probe_plane(background, probe), medium, plan,
-                       keep=lambda z, f: (f.density() - next(planes)[1]).sum(axis=0))
-    z = np.array([z for z, _ in record.snapshots])
-    changes = np.array([[change for _, change in record.snapshots]])
-    (displacements,), (paired,) = track_packets(changes, [probe], background.grid)
-    return _fit_drift(z, displacements, paired, probe, background.grid)
+                       keep=lambda z, f: (f.density() - next(planes)[1]).sum(axis=0)
+                       / np.exp(-medium.alpha * z))
+    even = plan.n_steps // plan.snapshot_every
+    changes = np.array([[change for _, change in record.snapshots[:even]]])
+    (v_g,) = _group_velocities(changes, [probe], background.grid,
+                               plan.snapshot_every * plan.resolve_dz(medium.length))
+    return v_g
 
 
 class TestBogoliubovForms:
@@ -183,208 +186,88 @@ class TestFitsAgainstScipy:
         assert ssr[1] <= min(ssr[0], ssr[2])
 
 
-def _trailing_run_loop(flags):
-    out = np.zeros(len(flags), dtype=bool)
-    for i in range(len(flags) - 1, -1, -1):
-        if not flags[i]:
-            break
-        out[i] = True
-    return out
-
-
-def test_trailing_run_matches_loop():
-    rng = np.random.default_rng(8)
-    cases = [np.ones(7, bool), np.zeros(7, bool), np.array([True] * 6 + [False]),
-             np.array([], bool), np.array([True]), np.array([False])]
-    cases += [rng.random(n) < p for n in (1, 5, 53) for p in (0.3, 0.8, 0.95)
-              for _ in range(10)]
-    for flags in cases:
-        assert np.array_equal(_trailing_run(flags), _trailing_run_loop(flags))
-
-
-# The per-snapshot tracker that the batched one replaced, kept as its
-# oracle: one demodulation and one island scan for each snapshot line.
-
-def _demodulated_envelope_one(profile, x, k_carrier, waist):
-    dx = x[1] - x[0]
-    signal = profile * np.exp(-1j * k_carrier * x)
-    k_axis = 2.0 * np.pi * np.fft.fftfreq(len(x), d=dx)
-    k_cut = min(abs(k_carrier), 4.0 / waist) or 4.0 / waist
-    window = np.exp(-((k_axis / k_cut) ** 2))
-    return np.abs(ifft(fft(signal) * window))
-
-
-def _parabolic_peak_one(envelope, x, idx, dx, extent):
-    em, e0, ep = envelope[np.array([idx - 1, idx, idx + 1]) % len(envelope)]
-    denom = em - 2.0 * e0 + ep
-    shift = 0.0 if denom == 0.0 else 0.5 * (em - ep) / denom
-    shift = float(np.clip(shift, -0.5, 0.5))
-    return float(_wrap_coord(x[idx] + shift * dx, extent))
-
-
-def _threshold_islands_loop(envelope, x, extent):
-    """Reference island scan, one sample at a time: rotate into a gap, then
-    walk each run of above-threshold samples."""
-    dx = float(x[1] - x[0])
-    mask = envelope > 0.35 * float(np.max(envelope))
-    if mask.all():
-        idx = int(np.argmax(envelope))
-        return [(_parabolic_peak_one(envelope, x, idx, dx, extent), float(np.sum(envelope)))]
-    start = int(np.argmin(mask))
-    mask_r, env_r, n = np.roll(mask, -start), np.roll(envelope, -start), len(mask)
-    islands, i = [], 0
-    while i < n:
-        if not mask_r[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and mask_r[j]:
-            j += 1
-        idx = (start + i + int(np.argmax(env_r[i:j]))) % n
-        islands.append((_parabolic_peak_one(envelope, x, idx, dx, extent),
-                        float(np.sum(env_r[i:j]))))
-        i = j
-    islands.sort(key=lambda t: -t[1])
-    return islands
-
-
-def _packet_displacement_one(envelope, x, extent):
-    islands = _threshold_islands_loop(envelope, x, extent)
-    if not islands:
-        return 0.0, False
-    if len(islands) >= 2:
-        (c1, m1), (c2, m2) = islands[0], islands[1]
-        if m2 > 0.2 * m1 and c1 * c2 < 0.0:
-            forward, backward = (c1, c2) if c1 > 0 else (c2, c1)
-            return 0.5 * (forward - backward), True
-    return islands[0][0], False
-
-
-def _track_one(delta, probe, grid):
-    """(displacement, paired) of one snapshot's line density change."""
-    x = grid.x_coords()
-    env = _demodulated_envelope_one(delta, x, probe.k_perp, probe.waist)
-    return _packet_displacement_one(env, x, grid.extent_x)
-
-
-def _island_cases(n, seed):
-    """Envelopes of n samples: an island across the x = +-n/2 seam, a row
-    above the threshold everywhere, an all-zero row, then random rows."""
-    x = (np.arange(n) - n // 2) * 1.0
-    rng = np.random.default_rng(seed)
-    seam = np.exp(-(_wrap_coord(x - 63.0, n) / 4.0) ** 2)
-    cases = [seam, 1.0 + 0.01 * rng.random(n), np.zeros(n)]
-    cases += [rng.random(n) ** p for p in (1, 4, 12) for _ in range(20)]
-    cases += [np.convolve(np.tile(rng.random(n), 3), np.ones(7), "same")[n:2 * n]
-              for _ in range(20)]
-    return x, np.array(cases)
-
-
-def test_threshold_islands_match_loop():
-    # one scan over the stack finds each row's islands, positions and masses
-    # exactly as the walk over that row does, in the same order
-    n = 128
-    x, cases = _island_cases(n, 20)
-    row, position, mass = _threshold_islands(cases, x, n)
-    for r, env in enumerate(cases):
-        assert list(zip(position[row == r].tolist(), mass[row == r].tolist())) == \
-            _threshold_islands_loop(env, x, n)
-    assert np.sum(row == 0) == 1  # the seam island is one island
-    assert np.sum(row == 1) == 1
-    assert np.sum(row == 2) == 0
-
-
-def test_packet_displacement_of_a_stack_matches_the_oracle():
-    # a synthetic row stack, reshaped to (K, S, nx): the seam island, the
-    # row above the threshold everywhere and the all-zero row included
-    n = 128
-    x, cases = _island_cases(n, 9)
-    pair = [np.exp(-((x - c) / 6.0) ** 2) * m for c, m in ((30.0, 1.0), (-25.0, 0.7))]
-    cases = np.concatenate([cases, [pair[0] + pair[1], pair[0] + 0.1 * pair[1], pair[1]]])
-    d, paired = packet_displacement(cases.reshape(2, -1, n), x, n)
-    assert d.shape == paired.shape == (2, len(cases) // 2)
-    expected = [_packet_displacement_one(env, x, n) for env in cases]
-    assert np.array_equal(d.ravel(), [e for e, _ in expected])
-    assert np.array_equal(paired.ravel(), [p for _, p in expected])
-    assert paired.ravel()[-3] and not paired.ravel()[-2:].any()
-    assert (d.ravel()[2], paired.ravel()[2]) == (0.0, False)  # all-zero row
-
-
-def test_track_packets_of_a_sweep_matches_the_oracle(monkeypatch):
-    # the (K, S, nx) line changes of a real sweep, tracked in one pass, read
-    # what the per-snapshot tracker reads from each line, bit for bit
+def test_a_sweep_runs_one_transform(monkeypatch):
+    # the modes of every probe and snapshot come from one forward transform
+    # of the (K, S, nx) stack
     from pfl import dispersion
-    stacks = []
+    calls = []
 
-    def recorded(changes, probes, grid):
-        stacks.append(changes)
-        return track_packets(changes, probes, grid)
+    def counted(values):
+        calls.append(values.shape)
+        return fft(values)
 
-    monkeypatch.setattr(dispersion, "track_packets", recorded)
-    grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6,
-                                                        xi_cells=2.0, tau=16.0)
-    plan = StepPlan(n_steps=320, snapshot_every=8)
-    probes = [ProbeSpec(waist=8 * scales["xi"], k_perp=k_xi / scales["xi"],
-                        power_ratio=1e-4) for k_xi in (1.0, 0.0, -0.5)]
-    measured = _measure(medium, probes, plan, grid)
-    (changes,) = stacks
-    assert changes.shape == (3, 40, 128)
-    d, paired = track_packets(changes, probes, grid)
-    for probe, m, lines, dk, pk in zip(probes, measured, changes, d, paired):
-        expected = [_track_one(delta, probe, grid) for delta in lines]
-        assert np.array_equal(dk, [e for e, _ in expected])
-        assert np.array_equal(pk, [p for _, p in expected])
-        assert np.array_equal(m.displacements, dk)
-    assert paired.any() and not paired.all()
-
-
-def test_a_sweep_runs_one_transform_pair(monkeypatch):
-    # the envelopes of every probe and snapshot come from one forward and one
-    # inverse transform of the (K, S, nx) stack
-    from pfl import dispersion
-    calls = {"fft": [], "ifft": []}
-
-    def counted(name, transform):
-        def call(values):
-            calls[name].append(values.shape)
-            return transform(values)
-        return call
-
-    monkeypatch.setattr(dispersion, "fft", counted("fft", fft))
-    monkeypatch.setattr(dispersion, "ifft", counted("ifft", ifft))
+    monkeypatch.setattr(dispersion, "fft", counted)
     grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6,
                                                         xi_cells=2.0, tau=8.0)
     plan = StepPlan(n_steps=160, snapshot_every=16)
     probes = [ProbeSpec(waist=10 * scales["xi"], k_perp=k_xi / scales["xi"],
                         power_ratio=1e-4) for k_xi in (0.5, 1.0, 1.5)]
     _measure(medium, probes, plan, grid)
-    assert calls == {"fft": [(3, 10, 128)], "ifft": [(3, 10, 128)]}
+    assert calls == [(3, 10, 128)]
 
 
-class TestEnvelopeTools:
-    def test_demodulated_envelope_recovers_gaussian(self):
-        x = (np.arange(256) - 128) * 1.0
-        k = 0.5
-        env_true = np.exp(-((x - 20.0) ** 2) / (2 * 15.0**2))
-        profile = env_true * np.cos(k * x + 0.3)
-        env = demodulated_envelope(profile, x, k, 15.0)
-        peak = x[np.argmax(env)]
-        assert abs(peak - 20.0) <= 2.0
+class TestContinuumBranch:
+    """Each probe's v_g against bogoliubov_group_velocity, relative."""
 
-    def test_packet_displacement_pair(self):
-        x = (np.arange(256) - 128) * 1.0
-        bump = lambda c: np.exp(-((x - c) ** 2) / (2 * 8.0**2))
-        env = bump(+30.0) + 0.8 * bump(-30.0)
-        d, paired = packet_displacement(env, x, 256.0)
-        assert paired
-        assert d == pytest.approx(30.0, abs=1.0)
+    def test_criterion_05_probes_and_a_zero_k_probe(self):
+        # criterion 05's set-up and a k_perp = 0 probe: 1.2e-4 to 4.1e-4
+        # measured
+        grid, medium, _, scales = defocusing_setup(nx=256, dx=5e-6, xi_cells=1.5, tau=35.0)
+        xi = scales["xi"]
+        probes = [ProbeSpec(waist=15 * xi, k_perp=k_xi / xi, power_ratio=1e-5)
+                  for k_xi in (0.0, 0.12, 0.15, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0)]
+        measured = _measure(medium, probes, StepPlan(n_steps=525, snapshot_every=10), grid)
+        v = np.array([m.v_g for m in measured])
+        k = np.array([p.k_perp for p in probes])
+        theory = bogoliubov_group_velocity(k, K0, 1.0, scales["dn_nl"])
+        assert np.max(np.abs(v / theory - 1.0)) < 1e-3
 
-    def test_packet_displacement_single(self):
-        x = (np.arange(256) - 128) * 1.0
-        env = np.exp(-((x - 12.0) ** 2) / (2 * 8.0**2))
-        d, paired = packet_displacement(env, x, 256.0)
-        assert not paired
-        assert d == pytest.approx(12.0, abs=0.5)
+    def test_criterion_06_runs(self):
+        # criterion 06's five sound-scaling runs: 1.0e-4 to 4.2e-4 measured
+        grid = make_grid(256, 256, 5e-6)
+        xi_ref = 2.4 * grid.dx
+        chi3 = -(1.0 / (xi_ref**2 * K0)) * 2.0 / K0
+        medium = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=chi3, length=1.0)
+        runs = sound_scaling_runs(medium, [1.0, 2.0, 4.0, 7.0, 10.0], grid, tau=25.0,
+                                  k_perp_xi=0.2, probe_waist_xi=10.0, power_ratio=1e-5)
+        for run in runs:
+            (m,) = measure_group_velocity(run, grid)
+            dn = abs(chi3) * run.density / 2.0
+            theory = bogoliubov_group_velocity(np.array([m.k_perp]), K0, 1.0, dn)[0]
+            assert m.v_g == pytest.approx(theory, rel=1e-3)
+
+    def test_the_shipped_dispersion_config_over_twice_its_length(self, tmp_path):
+        # twice the length in twice the steps: each v_g within 1.5e-3
+        # measured
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "bogoliubov_dispersion.ini"
+        text = (shipped.read_text().replace("length = 0.012888", "length = 0.025776")
+                .replace("n_steps = 240", "n_steps = 480"))
+        config = tmp_path / "long.ini"
+        config.write_text(text)
+        out = tmp_path / "run"
+        assert cli_main(["dispersion", "--config", str(config), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "dispersion.csv", delimiter=",", skiprows=1)
+        dn = 3.082e-12 * intensity_to_density(132720.0, 1.0) / 2.0
+        theory = bogoliubov_group_velocity(rows[:, 0], K0, 1.0, dn)
+        assert len(rows) == 5
+        assert np.max(np.abs(rows[:, 1] / theory - 1.0)) < 3e-3
+
+    def test_the_uneven_last_snapshot_is_not_read(self):
+        # criterion 05's plan, 525 steps with a snapshot every 10, reads what
+        # 520 of its steps read, bit for bit: its last snapshot, 5 steps
+        # after the one before, is dropped. dz is a dyadic number near the
+        # criterion's, so that 525 dz and 520 dz give it back exactly
+        grid, medium, _, scales = defocusing_setup(nx=256, dx=5e-6, xi_cells=1.5, tau=35.0)
+        xi = scales["xi"]
+        probes = [ProbeSpec(waist=15 * xi, k_perp=k_xi / xi, power_ratio=1e-5)
+                  for k_xi in (0.12, 0.15, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0)]
+        dz = round(medium.length / 525 * 2**30) / 2**30
+        full, cut = (probe_stack(medium.with_length(n * dz), 1.0, probes,
+                                 StepPlan(n_steps=n, snapshot_every=10), grid)
+                     for n in (525, 520))
+        assert full.dz == cut.dz == dz
+        read = [[m.v_g for m in measure_group_velocity(run, grid)] for run in (full, cut)]
+        assert read[0] == read[1]
 
 
 class TestProbeLine:
@@ -411,7 +294,8 @@ class TestProbeLine:
 
 class TestMeasurement:
     def test_free_particle_slope(self):
-        # chi3 = 0: v_g = k / (k0 n0) exactly
+        # chi3 = 0: v_g = k / (k0 n0), which the parabola through the exact
+        # Omega = k^2 / (2 k0 n0) of three modes reads exactly (2e-9 measured)
         grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6,
                                                             xi_cells=2.0, tau=8.0)
         free = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0,
@@ -420,33 +304,33 @@ class TestMeasurement:
         plan = StepPlan(n_steps=120, snapshot_every=10)
         probe = ProbeSpec(waist=12e-5, k_perp=k, power_ratio=1e-4)
         (m,) = _measure(free, [probe], plan, grid)
-        assert m.v_g == pytest.approx(k / K0, rel=0.02)
+        assert m.v_g == pytest.approx(k / K0, rel=1e-6)
 
     def test_zero_k_reads_the_sound_speed(self):
-        # the entrance quench splits a k_perp = 0 probe into two packets
-        # leaving at +-c_s; their half separation is tracked like any other
-        # low-k probe's (1.016 c_s measured)
+        # a k_perp = 0 probe reads the slope at the origin of the parabola
+        # through modes 0, 1 and 2 (0.9983 c_s measured)
         grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6,
                                                             xi_cells=2.0, tau=16.0)
         plan = StepPlan(n_steps=320, snapshot_every=8)
         probe = ProbeSpec(waist=8 * scales["xi"], k_perp=0.0, power_ratio=1e-4)
         (m,) = _measure(medium, [probe], plan, grid)
-        assert m.v_g == pytest.approx(scales["c_s"], rel=0.03)
+        assert m.v_g == pytest.approx(scales["c_s"], rel=2e-3)
 
-    def test_zero_k_unresolved_pair_fails_the_residual_check(self):
-        # over 8 nonlinear lengths a 10 xi probe's two packets never part,
-        # so the tracker has no ballistic displacement to fit
+    def test_zero_k_unresolved_pair_reads_the_sound_speed(self):
+        # over 8 nonlinear lengths a 10 xi probe's two counter-propagating
+        # packets never part; its modes read the sound speed all the same
+        # (0.99853 c_s measured)
         grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6,
                                                             xi_cells=2.0, tau=8.0)
         plan = StepPlan(n_steps=160, snapshot_every=16)
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=0.0, power_ratio=1e-4)
-        with pytest.raises(RuntimeError, match="fit residual"):
-            _measure(medium, [probe], plan, grid)
+        (m,) = _measure(medium, [probe], plan, grid)
+        assert m.v_g == pytest.approx(scales["c_s"], rel=1.5e-3)
 
     def test_a_negative_k_mirrors_the_positive_k(self):
-        # the demodulation cut sees |k|: a probe at -k drifts at -v_g(k)
-        # (1.454 and 1.773 c_s measured at k xi = 1.0 and 1.5; before the
-        # fix, -1.0 read -2.105 c_s)
+        # a probe at -k reads the modes of +k, signed: -v_g(k) (1.3425 and
+        # 1.7008 c_s measured at k xi = 1.0 and 1.5, where the continuum
+        # branch gives 1.3416 and 1.7)
         grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6,
                                                             xi_cells=2.0, tau=8.0)
         plan = StepPlan(n_steps=160, snapshot_every=16)
@@ -454,7 +338,10 @@ class TestMeasurement:
                             power_ratio=1e-5) for k_xi in (1.0, 1.5) for sign in (1, -1)]
         v = [m.v_g / scales["c_s"]
              for m in _measure(medium, probes, plan, grid)]
-        assert v[0] == pytest.approx(1.454, abs=1e-3)
+        theory = bogoliubov_group_velocity(np.array([1.0, 1.5]) / scales["xi"], K0, 1.0,
+                                           scales["dn_nl"]) / scales["c_s"]
+        assert v[0] == pytest.approx(theory[0], rel=1e-3)
+        assert v[2] == pytest.approx(theory[1], rel=1e-3)
         assert v[1] == pytest.approx(-v[0], rel=1e-4)
         assert v[3] == pytest.approx(-v[2], rel=1e-4)
 
@@ -467,7 +354,7 @@ class TestMeasurement:
         (m,) = _measure(medium, [probe], plan, grid)
         vg_true = bogoliubov_group_velocity(np.array([k]), K0, 1.0,
                                             scales["dn_nl"])[0]
-        assert m.v_g == pytest.approx(vg_true, rel=0.05)
+        assert m.v_g == pytest.approx(vg_true, rel=1e-3)  # 1.6e-4 measured
 
     def test_holds_less_than_one_list_of_full_snapshots(self):
         # the probe run keeps 1-D profiles and the background is a closed
@@ -484,8 +371,7 @@ class TestMeasurement:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(m.z_samples) == 40
-        assert m.v_g == pytest.approx(k / K0, rel=0.02)
+        assert m.v_g == pytest.approx(k / K0, rel=1e-3)
         assert peak < one_list
 
     @pytest.mark.parametrize("alpha, i_sat", [(0.0, None), (40.0, None), (0.0, 1e-3)],
@@ -539,8 +425,7 @@ class TestMeasurement:
 
     def test_a_sweep_equals_lone_calls(self):
         # each member of the stack reads what a one-probe call reads, bit for bit,
-        # with k_perp = 0 (no demodulation) between probes on a carrier; the
-        # set-up is long enough for the k_perp = 0 pair to part
+        # with k_perp = 0 (modes 0, 1 and 2) between probes on a carrier
         grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6,
                                                             xi_cells=2.0, tau=16.0)
         plan = StepPlan(n_steps=320, snapshot_every=8)
@@ -552,10 +437,6 @@ class TestMeasurement:
             (lone,) = _measure(medium, [probe], plan, grid)
             assert m.k_perp == lone.k_perp
             assert m.v_g == lone.v_g
-            assert m.stderr == lone.stderr
-            assert np.array_equal(m.z_samples, lone.z_samples)
-            assert np.array_equal(m.displacements, lone.displacements)
-            assert m.fit_start_index == lone.fit_start_index
 
     def test_a_sweep_of_one_returns_a_list(self):
         grid, medium, _, scales = defocusing_setup(nx=64, dx=5e-6, xi_cells=2.0,
@@ -570,9 +451,8 @@ class TestMeasurement:
     def test_lossy_background_matches_a_propagated_reference(self):
         # reference: the 2D probe run, with the background propagated and
         # its density subtracted; the closed form exp(-alpha z) on the probe
-        # line reads the same v_g up to the 2D probe's own nonlinearity,
-        # about 9e-4 relative at power_ratio 1e-4 (see the gap test), so
-        # the bound is 2e-3
+        # line reads the same v_g up to the 2D probe's own nonlinearity
+        # (see the gap test), 9.5e-6 relative at power_ratio 1e-4
         grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
                                                             xi_cells=2.0, tau=8.0)
         medium = dataclasses.replace(medium, alpha=0.2 / medium.length)
@@ -581,7 +461,7 @@ class TestMeasurement:
                           power_ratio=1e-4)
         reference = _plane_reference(background, probe, medium, plan)
         (m,) = _measure(medium, [probe], plan, grid)
-        assert m.v_g == pytest.approx(reference.v_g, rel=2e-3)
+        assert m.v_g == pytest.approx(reference, rel=1e-4)
 
     def test_background_record_keeps_line_densities(self):
         # 40 snapshots of a 128^2 background: one (nx,) line density each,
@@ -598,10 +478,10 @@ class TestMeasurement:
     def test_line_densities_match_plane_densities(self, k_xi):
         # reference: the 2D probe run, whose background keeps whole
         # densities and whose probe sums their difference over y; the probe
-        # line reads the same v_g up to the 2D probe's own nonlinearity,
-        # about 9e-4 relative at k xi = 1 and power_ratio 1e-4, so the
-        # bound is 2e-3; the k xi = 0 pair needs the longer run to part, and
-        # its gap reads 9.2e-4 c_s there
+        # line reads the same v_g up to the 2D probe's own nonlinearity:
+        # 2.7e-6 relative at k xi = 1 and power_ratio 1e-4. At k xi = 0 the
+        # plane probe's |delta E|^2 term sits on the modes 0, 1 and 2 it
+        # reads, and the gap is 2.0e-3 c_s
         tau, plan, waist_xi = ((16.0, StepPlan(n_steps=320, snapshot_every=8), 8) if k_xi == 0.0
                                else (8.0, StepPlan(n_steps=160, snapshot_every=16), 10))
         grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
@@ -611,14 +491,14 @@ class TestMeasurement:
         reference = _plane_reference(background, probe, medium, plan)
         (m,) = _measure(medium, [probe], plan, grid)
         if k_xi == 0.0:
-            assert abs(m.v_g - reference.v_g) < 1e-3 * scales["c_s"]
+            assert abs(m.v_g - reference) < 2.5e-3 * scales["c_s"]
         else:
-            assert m.v_g == pytest.approx(reference.v_g, rel=2e-3)
+            assert m.v_g == pytest.approx(reference, rel=1e-4)
 
     def test_line_plane_gap_is_the_plane_probes_nonlinearity(self):
         # the probe line is exact in linear response, so its gap to the 2D
         # probe run shrinks with the probe amplitude: each decade of
-        # power_ratio at least halves it (1.0e-3, 3.3e-4, 1.1e-4 and 3.4e-5
+        # power_ratio at least halves it (2.5e-4, 7.6e-5, 2.4e-5 and 7.5e-6
         # measured from 1e-4 to 1e-7: a factor sqrt(10) per decade)
         grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
                                                             xi_cells=2.0, tau=16.0)
@@ -626,13 +506,14 @@ class TestMeasurement:
         probes = [ProbeSpec(waist=8 * scales["xi"], k_perp=0.3 / scales["xi"],
                             power_ratio=ratio) for ratio in (1e-4, 1e-5, 1e-6, 1e-7)]
         measured = _measure(medium, probes, plan, grid)
-        gaps = [abs(m.v_g / _plane_reference(background, probe, medium, plan).v_g - 1.0)
+        gaps = [abs(m.v_g / _plane_reference(background, probe, medium, plan) - 1.0)
                 for probe, m in zip(probes, measured)]
         assert all(small < 0.5 * large for large, small in zip(gaps, gaps[1:]))
 
     def test_chi3_and_density_enter_through_product(self):
         # doubling chi3 at fixed density and doubling density at fixed chi3
-        # give the same sound speed: both enter through |g| rho
+        # give the same sound speed: both enter through |g| rho (3e-12 apart
+        # measured)
         grid, medium, _, scales = defocusing_setup(nx=192, dx=5e-6,
                                                             xi_cells=1.8, rho=1.0,
                                                             tau=25.0)
@@ -643,4 +524,4 @@ class TestMeasurement:
                           power_ratio=1e-5)
         (m_chi,) = _measure(medium_2chi, [probe], plan, grid)
         (m_rho,) = _measure(medium, [probe], plan, grid, density=2.0)
-        assert m_chi.v_g == pytest.approx(m_rho.v_g, rel=0.03)
+        assert m_chi.v_g == pytest.approx(m_rho.v_g, rel=1e-6)

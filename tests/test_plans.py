@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -6,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pfl import plans
+from pfl import plans, rules
 from pfl.cli import main as cli_main
 from pfl.config import parse_config
 from pfl.grid import make_grid
-from pfl.medium import MediumParams
+from pfl.medium import MediumParams, bogoliubov_omega
 from pfl.plans import ProbeSpec, StepPlan, probe_stack, sound_scaling_runs
 
 from conftest import WAVELENGTH, defocusing_setup
@@ -61,7 +62,8 @@ class TestProbeStack:
 
     @pytest.mark.parametrize("bad, match", [
         ({"k_perp": 1e9}, "Nyquist"), ({"power_ratio": -1e-5}, "power_ratio"),
-        ({"waist": 1e-6}, "waist")], ids=["k_perp", "power_ratio", "waist"])
+        ({"power_ratio": 0.0}, "power_ratio must be positive"),
+        ({"waist": 1e-6}, "waist")], ids=["k_perp", "power_ratio", "zero-power-ratio", "waist"])
     def test_a_bad_probe_fails_before_anything_propagates(self, monkeypatch, bad, match):
         # a bad probe anywhere in the stack refuses the whole stack, so no line
         # of it reaches the measurement
@@ -80,8 +82,24 @@ class TestProbeStack:
     def test_rejects_a_negative_power_ratio(self):
         grid, medium, _, scales = defocusing_setup(nx=64)
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1e4, power_ratio=-1e-5)
-        with pytest.raises(ValueError, match="power_ratio must be non-negative"):
+        with pytest.raises(ValueError, match="power_ratio must be positive, got -1e-05"):
             probe_stack(medium, 1.0, [probe], StepPlan(n_steps=10, snapshot_every=2), grid)
+
+    def test_refuses_snapshots_the_arccos_aliases(self):
+        # the highest mode read, j + 1 of the largest |k_perp|, turns by
+        # Omega Delta on the continuum branch between snapshots Delta apart:
+        # just below pi passes, pi and above is refused
+        grid, medium, _, scales = defocusing_setup(nx=64, tau=40.0)
+        probes = [ProbeSpec(waist=10 * scales["xi"], k_perp=k, power_ratio=1e-4)
+                  for k in (1e4, 3e4)]
+        top = rules.probe_modes(3e4, grid)[1] + 1
+        k = top * 2.0 * math.pi / grid.extent_x
+        omega = float(bogoliubov_omega(k, medium.k0, medium.n0, scales["dn_nl"]))
+        every = math.floor(math.pi / (omega * medium.length / 400))
+        probe_stack(medium, 1.0, probes, StepPlan(n_steps=400, snapshot_every=every), grid)
+        with pytest.raises(ValueError, match=rf"^mode {top} .* turns 3\.\d\d rad \(>= pi\)"):
+            probe_stack(medium, 1.0, probes, StepPlan(n_steps=400, snapshot_every=every + 1),
+                        grid)
 
     @pytest.mark.parametrize("cells", [3.9, 32.5])
     def test_rejects_an_unresolved_or_wrapping_waist(self, cells):

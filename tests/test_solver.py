@@ -450,7 +450,7 @@ class TestSnapshotSchedule:
 
     def test_a_plan_without_snapshots_is_not_tracked(self):
         with pytest.raises(ValueError, match=r"^the plan makes 0 snapshots \(240 steps, one "
-                                             r"every 0\); tracking a probe packet needs"):
+                                             r"every 0\); reading a probe's modes needs"):
             rules.tracked_snapshots(240, 0)
 
     # (calls, stack shape, n_steps, snapshots) of SplitStepKernel.run in a
