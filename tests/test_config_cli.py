@@ -904,9 +904,9 @@ class TestCli:
         assert float(fit["c_s"]) == pytest.approx(0.0124, rel=0.05)
 
     def test_a_zero_k_probe_reads_the_sound_speed(self, tmp_path):
-        # k_perp = 0 joins the shipped sweep: its packet pair is tracked like
-        # every other probe's, and the fit stays on sqrt(dn_nl / n0) (0.01250
-        # measured against 0.01241, and 0.01258 at k_perp = 0)
+        # k_perp = 0 joins the shipped sweep: its modes are read like every
+        # other probe's, and the fit stays on sqrt(dn_nl / n0) (0.01245
+        # measured against 0.01241, and 0.01239 at k_perp = 0)
         from pfl.medium import fluid_scales, intensity_to_density
         from pfl.scenarios import build_grid, build_medium
         config = tmp_path / "k0.ini"
