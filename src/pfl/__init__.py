@@ -21,7 +21,7 @@ _EXPORTS = {  # module: the public names it defines
     "solver": ("PropagationRecord", "nonlinear_step", "propagate"),
     "hydro": ("VortexSet", "detect_vortices", "circulation", "circulation_batch"),
     "dispersion": ("DispersionCurve", "bogoliubov_omega", "measure_group_velocity", "probe_line",
-                   "snapshot_density", "dispersion_from_group_velocity", "sound_speed_scaling"),
+                   "dispersion_from_group_velocity", "sound_speed_scaling"),
     "stats": ("intensity_statistics", "coherence_g1", "structure_factor"),
     "gem": ("gem_evolve", "gem_efficiency_theory", "gem_efficiency_measured"),
     "config": ("RunConfig", "ConfigError", "parse_config"),

@@ -9,16 +9,17 @@ Conventions used throughout the package:
   machine precision and unitary propagation steps conserve power exactly,
   except the split-step kernel's in-loop passes (``scaled=False``), which
   leave out the scaling and fold 1/(nx ny) into its kinetic factors.
-  They run on ``numpy.fft``, one ``fft``/``ifft`` pass per axis longer than
-  one sample: the last axis (1D), or axis -2 then axis -1 (2D), so a stack
-  of fields transforms in one pass per axis and a stack of lines
-  ``(B, 1, nx)`` in one pass. This module is the only one that runs
-  transforms. With ``overwrite_x`` a complex input is transformed in place,
-  also through a strided view; otherwise the first pass writes new memory
-  and the others run in place on it, so no transform copies a field. The
-  commands that run none (``pfl validate``, ``pfl version``) import
-  neither this module nor numpy: the package exports resolve on first
-  access and the CLI imports the scenarios only to run one.
+  The module has one transform pair, ``fft2``/``ifft2``, over the last two
+  axes. It runs on ``numpy.fft``, one ``fft``/``ifft`` pass per axis longer
+  than one sample, axis -2 then axis -1, so a stack of fields transforms in
+  one pass per axis and a stack of lines ``(..., 1, nx)`` in one pass along
+  x. This module is the only one that runs transforms. With
+  ``overwrite_x`` a complex input is transformed in place, also through a
+  strided view; otherwise the first pass writes new memory and the others
+  run in place on it, so no transform copies a field. The commands that
+  run none (``pfl validate``, ``pfl version``) import neither this module
+  nor numpy: the package exports resolve on first access and the CLI
+  imports the scenarios only to run one.
 """
 
 from __future__ import annotations
@@ -134,16 +135,15 @@ class Field2D:
         return self
 
 
-def _unitary(transform, values: np.ndarray, axes: tuple, overwrite_x: bool,
-             scaled: bool = True) -> np.ndarray:
+def _unitary(transform, values: np.ndarray, overwrite_x: bool, scaled: bool) -> np.ndarray:
     """transform (numpy.fft.fft or ifft) with norm="ortho", or without scaling
-    (fft's "backward", ifft's "forward") unless scaled, along each of axes in
-    turn, skipping axes of length one. With overwrite_x a complex input is
-    overwritten and returned; otherwise the first pass writes new memory."""
+    (fft's "backward", ifft's "forward") unless scaled, along axis -2 then
+    axis -1, skipping an axis of length one. With overwrite_x a complex input
+    is overwritten and returned; otherwise the first pass writes new memory."""
     values = np.asarray(values)
     out = values if overwrite_x and np.iscomplexobj(values) else None
     norm = "ortho" if scaled else "backward" if transform is np.fft.fft else "forward"
-    for axis in [axis for axis in axes if values.shape[axis] > 1] or axes[-1:]:
+    for axis in [axis for axis in (-2, -1) if values.shape[axis] > 1] or [-1]:
         out = transform(values if out is None else out, axis=axis, norm=norm, out=out)
     return out
 
@@ -152,20 +152,10 @@ def fft2(values: np.ndarray, overwrite_x: bool = False, scaled: bool = True) -> 
     """Unitary forward transform over the last two axes. With overwrite_x a
     complex values, which the caller must own, is transformed in place; with
     scaled False no pass scales, so fft2 then ifft2 multiplies by nx * ny."""
-    return _unitary(np.fft.fft, values, (-2, -1), overwrite_x, scaled)
+    return _unitary(np.fft.fft, values, overwrite_x, scaled)
 
 
 def ifft2(values: np.ndarray, overwrite_x: bool = False, scaled: bool = True) -> np.ndarray:
     """Unitary inverse transform over the last two axes; overwrite_x and
     scaled as for fft2."""
-    return _unitary(np.fft.ifft, values, (-2, -1), overwrite_x, scaled)
-
-
-def fft(values: np.ndarray) -> np.ndarray:
-    """Unitary forward transform over the last axis."""
-    return _unitary(np.fft.fft, values, (-1,), False)
-
-
-def ifft(values: np.ndarray) -> np.ndarray:
-    """Unitary inverse transform over the last axis."""
-    return _unitary(np.fft.ifft, values, (-1,), False)
+    return _unitary(np.fft.ifft, values, overwrite_x, scaled)

@@ -142,8 +142,15 @@ def waist(value: float, grid, what: str = "waist"):
 
 
 def probe(probe_waist: float, k_perp: float, grid):
-    if abs(k_perp) >= math.pi / grid.dx:
-        raise ValueError("probe |k_perp| is at or beyond the grid Nyquist wavevector")
+    """Refuse a probe whose modes j - 1, j and j + 1 (probe_modes) pass the
+    Nyquist mode nx/2: a real line's transform holds mode -(nx/2 - 1) at
+    index nx/2 + 1. The waist must be resolved."""
+    top, half = probe_modes(k_perp, grid)[1] + 1, grid.nx // 2
+    if top > half:
+        limit = (half - 0.5) * 2.0 * math.pi / (grid.nx * grid.dx)
+        raise ValueError(f"probe |k_perp| = {abs(k_perp):g} 1/m reads mode {top}, past the "
+                         f"grid's Nyquist mode nx/2 = {half}: |k_perp| must lie below "
+                         f"(nx/2 - 0.5) 2 pi / (nx dx) = {limit:.6g} 1/m")
     waist(probe_waist, grid, "probe waist")
 
 

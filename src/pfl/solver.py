@@ -34,10 +34,7 @@ to a keep callback as it is made and stores only what keep returns, so a
 run that keeps a density or a profile per snapshot never holds a list of
 full fields. At its peak a propagation holds the kernel's stack, the full
 factor, the kick's block buffers and one output stack, and the input only
-where the caller keeps it. The propagate scenario hands its input over:
-on the beam-512 benchmark workload (seed 1) its whole-run tracemalloc
-peak fell from 17.7 to 13.7 MiB, VmHWM from 53.3 to 47.9 MiB and the
-benchmark's peak_rss_mb from 53.59 to 51.97 MB (see README).
+where the caller keeps it; the propagate scenario hands its input over.
 
 Every stack, of planes or of lines (B, 1, nx), is stepped in one layout,
 a zero-padded buffer (B, ny, nx + ROW_PAD), ROW_PAD = 4 complex128 (one
@@ -193,7 +190,7 @@ class SplitStepKernel:
         m, shape = self.medium, (self.grid.ny, self.grid.nx)
         half_phase, decay = None, 0.5 * m.alpha * self.dz
         if m.potential is not None:
-            dn = np.asarray(m.potential)  # a function of z has shape ()
+            dn = np.asarray(m.potential)
             if dn.shape != shape:
                 raise ValueError(f"potential shape {dn.shape} does not match grid {shape}")
             dn = dn.astype(np.complex128, copy=False)

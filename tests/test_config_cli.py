@@ -449,7 +449,8 @@ class TestParsing:
         (swap(GOOD_DISPERSION, "probe_waist = 1e-4", "probe_waist = 4e-4"),
          "probe waist 0.0004 exceeds half the grid extent 0.00032"),
         (swap(GOOD_DISPERSION, "90000", "700000"),
-         "probe |k_perp| is at or beyond the grid Nyquist wavevector"),
+         "probe |k_perp| = 700000 1/m reads mode 72, past the grid's Nyquist mode nx/2 = 64: "
+         "|k_perp| must lie below (nx/2 - 0.5) 2 pi / (nx dx) = 623410 1/m"),
         # a swept list holds each value once: the last three passed `pfl
         # validate`, and the run then made the same measurement twice
         (swap(GOOD_DISPERSION, "20000, 30000, 40000", "20000, 30000, 30000"),
@@ -494,6 +495,13 @@ class TestParsing:
         (swap(DISPERSION, "snapshot_every = 8", "snapshot_every = 60"),
          "dispersion: mode 10 (k = 9.817e+04 1/m), the highest the probes read, turns 4.37 "
          "rad (>= pi) between snapshots 0.003222 m apart"),
+        # passed `pfl validate`, and the run then read the last probe's
+        # parabola through index 65 of a 128-sample line's transform, mode
+        # -63 (at the shipped snapshot_every = 8 mode aliasing refuses it)
+        (swap(DISPERSION, "60000, 90000", "60000, 625000")
+         .replace("snapshot_every = 8", "snapshot_every = 1"),
+         "dispersion: probe |k_perp| = 625000 1/m reads mode 65, past the grid's Nyquist mode "
+         "nx/2 = 64: |k_perp| must lie below (nx/2 - 0.5) 2 pi / (nx dx) = 623410 1/m"),
         (swap(GOOD_SOUND_SCALING, "331800", "300000"),
          "densities must span at least one decade"),
         (swap(SOUND_SCALING, "probe_waist_xi = 10\n", "probe_waist_xi = 100\n"),
@@ -558,7 +566,7 @@ class TestParsing:
             "repeated-intensity", "precondensation-chi3-zero",
             "precondensation-without-light", "noise-band-without-a-mode", "dispersion-without-steps",
             "dispersion-too-few-snapshots", "dispersion-first-kick",
-            "dispersion-focusing", "dispersion-aliasing",
+            "dispersion-focusing", "dispersion-aliasing", "dispersion-modes-past-nyquist",
             "intensities-within-a-decade",
             "sound-scaling-probe-wraps", "sound-scaling-probe-unresolved",
             "sound-scaling-chi3-zero", "sound-scaling-too-few-snapshots",

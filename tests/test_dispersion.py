@@ -10,8 +10,8 @@ from pfl.cli import main as cli_main
 from pfl.dispersion import (_fit_bogoliubov, _group_velocities, _line_fit,
                             bogoliubov_group_velocity, bogoliubov_omega,
                             dispersion_from_group_velocity,
-                            measure_group_velocity, probe_line, snapshot_density)
-from pfl.grid import fft, make_grid
+                            measure_group_velocity, probe_line)
+from pfl.grid import fft2, make_grid
 from pfl.medium import MediumParams, intensity_to_density, shift_scales
 from pfl.plans import ProbeSpec, StepPlan, probe_stack, sound_scaling_runs
 from pfl.solver import propagate
@@ -47,8 +47,8 @@ def _plane_reference(background, probe, medium, plan):
     planes = iter(propagate(background, medium, plan,
                             keep=lambda z, f: f.density()).snapshots)
     record = propagate(_probe_plane(background, probe), medium, plan,
-                       keep=lambda z, f: (f.density() - next(planes)[1]).sum(axis=0)
-                       / np.exp(-medium.alpha * z))
+                       keep=lambda z, f: (f.density() - next(planes)[1]).sum(
+                           axis=0, keepdims=True) / np.exp(-medium.alpha * z))
     even = plan.n_steps // plan.snapshot_every
     changes = np.array([[change for _, change in record.snapshots[:even]]])
     (v_g,) = _group_velocities(changes, [probe], background.grid,
@@ -188,22 +188,22 @@ class TestFitsAgainstScipy:
 
 def test_a_sweep_runs_one_transform(monkeypatch):
     # the modes of every probe and snapshot come from one forward transform
-    # of the (K, S, nx) stack
+    # of the (K, S, 1, nx) stack
     from pfl import dispersion
     calls = []
 
     def counted(values):
         calls.append(values.shape)
-        return fft(values)
+        return fft2(values)
 
-    monkeypatch.setattr(dispersion, "fft", counted)
+    monkeypatch.setattr(dispersion, "fft2", counted)
     grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6,
                                                         xi_cells=2.0, tau=8.0)
     plan = StepPlan(n_steps=160, snapshot_every=16)
     probes = [ProbeSpec(waist=10 * scales["xi"], k_perp=k_xi / scales["xi"],
                         power_ratio=1e-4) for k_xi in (0.5, 1.0, 1.5)]
     _measure(medium, probes, plan, grid)
-    assert calls == [(3, 10, 128)]
+    assert calls == [(3, 10, 1, 128)]
 
 
 class TestContinuumBranch:
@@ -377,15 +377,17 @@ class TestMeasurement:
     @pytest.mark.parametrize("alpha, i_sat", [(0.0, None), (40.0, None), (0.0, 1e-3)],
                              ids=["lossless", "lossy", "saturable"])
     def test_background_line_density_has_a_closed_form(self, alpha, i_sat):
-        # the closed form measure_group_velocity subtracts: a propagated
-        # plane wave keeps sum_y |E|^2 = rho_line(0) exp(-alpha z) at every
-        # snapshot (i_sat = 1e-3 W/m^2 is below the fluid's 1.3e-3 W/m^2)
+        # the closed form measure_group_velocity subtracts, |E0|^2
+        # exp(-alpha z) at every site: a propagated plane wave keeps
+        # sum_y |E|^2 = rho_line(0) exp(-alpha z) at every snapshot
+        # (i_sat = 1e-3 W/m^2 is below the fluid's 1.3e-3 W/m^2)
         grid, medium, background, _ = defocusing_setup(nx=64, dx=5e-6, xi_cells=2.0,
                                                        tau=8.0)
         medium = dataclasses.replace(medium, alpha=alpha, i_sat=i_sat)
         plan = StepPlan(n_steps=160, snapshot_every=10)
-        record = propagate(background, medium, plan, keep=snapshot_density)
-        line0 = snapshot_density(0.0, background)
+        record = propagate(background, medium, plan,
+                           keep=lambda z, field: field.density().sum(axis=0))
+        line0 = background.density().sum(axis=0)
         assert len(record.snapshots) == 16
         for z, rho in record.snapshots:
             expected = line0 * np.exp(-alpha * z)
@@ -469,7 +471,8 @@ class TestMeasurement:
         grid, medium, background, _ = defocusing_setup(nx=128, dx=5e-6, xi_cells=2.0,
                                                        tau=8.0)
         plan = StepPlan(n_steps=120, snapshot_every=3)
-        record = propagate(background, medium, plan, keep=snapshot_density)
+        record = propagate(background, medium, plan,
+                           keep=lambda z, field: field.density().sum(axis=0))
         assert len(record.snapshots) == 40
         assert all(rho.shape == (grid.nx,) for _, rho in record.snapshots)
         assert sum(rho.nbytes for _, rho in record.snapshots) < 8 * grid.nx * grid.ny

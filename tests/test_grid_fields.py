@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfl.grid import Field2D, fft, fft2, ifft, ifft2, make_grid
+from pfl.grid import Field2D, fft2, ifft2, make_grid
 
 
 def test_make_grid_reciprocal_spacing():
@@ -74,22 +74,25 @@ def test_parseval_unitary(seed):
     assert np.allclose(back, values, atol=1e-13)
 
 
-def per_axis(transform, values, axes):
+def per_axis(transform, values):
     """The transforms' reference: one unitary numpy.fft pass per axis longer
     than one sample, axis -2 before axis -1."""
-    for axis in axes:
+    for axis in (-2, -1):
         if values.shape[axis] > 1:
             values = transform(values, axis=axis, norm="ortho")
     return values
 
 
 def transform_inputs():
-    """(id, array) cases: square planes, a non-square plane, a stack of lines
-    and a padded view like the solver's, each complex and real."""
+    """(id, array) cases: square planes, a non-square plane, a stack of lines,
+    a (K, S, 1, nx) stack of snapshot lines like the dispersion
+    measurement's and a padded view like the solver's, each complex and
+    real."""
     rng = np.random.default_rng(11)
     cases = []
     for name, shape in (("64", (64, 64)), ("512", (512, 512)), ("18x10", (18, 10)),
-                        ("lines", (3, 1, 128)), ("padded", (1, 512, 516))):
+                        ("lines", (3, 1, 128)), ("snapshot-lines", (3, 10, 1, 128)),
+                        ("padded", (1, 512, 516))):
         real = rng.standard_normal(shape)
         complex_ = real + 1j * rng.standard_normal(shape)
         for kind, values in (("complex", complex_), ("real", real)):
@@ -99,17 +102,13 @@ def transform_inputs():
     return cases
 
 
-TRANSFORMS = [(fft2, np.fft.fft, (-2, -1)), (ifft2, np.fft.ifft, (-2, -1)),
-              (fft, np.fft.fft, (-1,)), (ifft, np.fft.ifft, (-1,))]
-
-
 @pytest.mark.parametrize("values", transform_inputs())
-@pytest.mark.parametrize("ours, numpy_transform, axes", TRANSFORMS,
-                         ids=["fft2", "ifft2", "fft", "ifft"])
-def test_transforms_are_per_axis_numpy_fft(ours, numpy_transform, axes, values):
+@pytest.mark.parametrize("ours, numpy_transform", [(fft2, np.fft.fft), (ifft2, np.fft.ifft)],
+                         ids=["fft2", "ifft2"])
+def test_transforms_are_per_axis_numpy_fft(ours, numpy_transform, values):
     before = values.copy()
     out = ours(values)
-    expected = per_axis(numpy_transform, values, axes)
+    expected = per_axis(numpy_transform, values)
     assert out.dtype == np.complex128
     assert np.array_equal(out, expected)  # bit for bit
     assert np.array_equal(values, before)

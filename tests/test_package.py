@@ -40,12 +40,16 @@ def test_submodule_import_still_works():
                                           ("dispersion", "bogoliubov_sound_speed"),
                                           ("hydro", "DEFAULT_DENSITY_FLOOR"),
                                           ("solver", "row_pad"),
-                                          ("gem", "ordering_mode")],
+                                          ("gem", "ordering_mode"),
+                                          ("grid", "fft"),
+                                          ("grid", "ifft"),
+                                          ("dispersion", "snapshot_density")],
                          ids=["kinetic_half_step", "serialize_config", "kinetic_multiplier",
                               "PulseTrain", "bogoliubov_sound_speed", "DEFAULT_DENSITY_FLOOR",
-                              "row_pad", "ordering_mode"])
+                              "row_pad", "ordering_mode", "fft", "ifft", "snapshot_density"])
 def test_removed_name_is_not_public(module, name):
     assert name not in pfl.__all__
+    assert not hasattr(pfl, name)
     assert not hasattr(import_module(f"pfl.{module}"), name)
 
 

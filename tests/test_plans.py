@@ -101,6 +101,22 @@ class TestProbeStack:
             probe_stack(medium, 1.0, probes, StepPlan(n_steps=400, snapshot_every=every + 1),
                         grid)
 
+    def test_refuses_a_probe_whose_modes_pass_the_nyquist_mode(self):
+        # the shipped dispersion set-up with a snapshot every step: at
+        # |k_perp| = 623000 1/m (63.46 modes) the highest mode read, j + 1,
+        # is the Nyquist mode nx/2 = 64 and the stack plans; at 625000
+        # (63.66 modes) j + 1 = 65 is index 65 of the line's transform,
+        # mode -63, and the stack is refused
+        grid, medium, _, _ = defocusing_setup(nx=128, tau=16.0)
+        plan = StepPlan(n_steps=240, snapshot_every=1)
+        for sign in (1.0, -1.0):
+            probe = ProbeSpec(waist=8e-5, k_perp=sign * 623000.0, power_ratio=1e-4)
+            probe_stack(medium, 1.0, [probe], plan, grid)
+            with pytest.raises(ValueError, match=r"^probe \|k_perp\| = 625000 1/m reads mode 65, "
+                               r"past the grid's Nyquist mode nx/2 = 64: .* = 623410 1/m$"):
+                probe_stack(medium, 1.0, [dataclasses.replace(probe, k_perp=sign * 625000.0)],
+                            plan, grid)
+
     @pytest.mark.parametrize("cells", [3.9, 32.5])
     def test_rejects_an_unresolved_or_wrapping_waist(self, cells):
         # 4 cells at least, half the 64-cell grid at most
