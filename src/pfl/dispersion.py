@@ -82,9 +82,6 @@ class DispersionCurve:
     c_s_stderr: float
     xi_fit: float
 
-    def rows(self):
-        return zip(self.k_perp, self.v_g, self.omega)
-
 
 def bogoliubov_group_velocity(k: np.ndarray, k0: float, n0: float, dn_nl: float) -> np.ndarray:
     k = np.asarray(k, dtype=float)

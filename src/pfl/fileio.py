@@ -67,25 +67,13 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _csv_lines(header: list[str], rows) -> list[str]:
-    return [",".join(header),
-            *(",".join(v if isinstance(v, str) else fmt(v) for v in row) for row in rows)]
-
-
-def write_csv(path, header: list[str], rows) -> Path:
-    path = Path(path)
-    path.write_text("\n".join(_csv_lines(header, rows)) + "\n")
-    return path
-
-
-def write_metrics(path, record) -> Path:
-    """Per-run metrics: key = value block, then a (z, power) CSV trace."""
-    path = Path(path)
-    lines = [f"n_steps = {record.n_steps}", f"dz = {fmt(record.dz)}",
-             f"max_phase_per_step = {fmt(record.max_phase_per_step)}", "",
-             *_csv_lines(["z", "power"], record.power_trace)]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+def _csv_text(header: list[str], columns) -> str:
+    """CSV of columns, one per header name; strings are written as they are."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for the {len(header)} names {header}")
+    rows = (",".join(v if isinstance(v, str) else fmt(v) for v in row)
+            for row in zip(*columns, strict=True))
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 def sha256_of(path) -> str:
@@ -111,8 +99,9 @@ class ArtifactWriter:
     def path(self, name: str) -> Path:
         return self.register(self.out_dir / name)
 
-    def csv(self, name: str, header: list[str], rows) -> Path:
-        return write_csv(self.path(name), header, rows)
+    def csv(self, name: str, header: list[str], *columns) -> Path:
+        """CSV of the columns, in the order of header's names."""
+        return self.text(name, _csv_text(header, columns))
 
     def field(self, name: str, field: Field2D, z: float = 0.0) -> Path:
         return save_field(self.path(name), field, z)
@@ -124,7 +113,10 @@ class ArtifactWriter:
         return out
 
     def metrics(self, name: str, record) -> Path:
-        return write_metrics(self.path(name), record)
+        """Per-run metrics: key = value block, then a (z, power) CSV trace."""
+        return self.text(name, f"n_steps = {record.n_steps}\ndz = {fmt(record.dz)}\n"
+                               f"max_phase_per_step = {fmt(record.max_phase_per_step)}\n\n"
+                               + _csv_text(["z", "power"], record.power_trace.T))
 
     def text(self, name: str, content: str) -> Path:
         p = self.path(name)

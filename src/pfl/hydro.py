@@ -32,10 +32,6 @@ class VortexSet:
     def __len__(self) -> int:
         return len(self.charges)
 
-    def as_rows(self) -> list[tuple[float, float, int]]:
-        return [(float(x), float(y), int(q))
-                for (x, y), q in zip(self.positions, self.charges)]
-
 
 def wrap_phase(delta: np.ndarray) -> np.ndarray:
     """Wrap phase differences into (-pi, pi]."""

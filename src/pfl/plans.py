@@ -105,15 +105,16 @@ def probe_stack(medium: MediumParams, density: float, probes, plan: StepPlan, gr
     """One stack of probe lines, one per ProbeSpec of probes in their order,
     over a uniform background of this density (|E|^2) in medium, stepped by
     plan, after every rule of a probe stack: a medium without a potential
-    and not focusing (chi3 <= 0), rules.probe and a positive power_ratio for
-    each probe, a plan that rules.tracked_snapshots passes, rules.probe_kick
-    for each probe (steps_set as there), and snapshots that
-    rules.mode_aliasing passes."""
+    and not focusing (chi3 <= 0), rules.source_density, rules.probe and a
+    positive power_ratio for each probe, a plan that rules.tracked_snapshots
+    passes, rules.probe_kick for each probe (steps_set as there), and
+    snapshots that rules.mode_aliasing passes."""
     if medium.potential is not None:
         raise ValueError("the background must be homogeneous: the medium has a potential")
     if medium.chi3 > 0:
         raise ValueError(f"the background must not be focusing (chi3 = {medium.chi3:g} > 0): "
                          "a focusing fluid has no real Bogoliubov branch to read")
+    rules.source_density(density)
     probes = tuple(probes)
     for p in probes:
         rules.probe(p.waist, p.k_perp, grid)
@@ -202,6 +203,7 @@ def _structure_factor(cfg, grid, medium: MediumParams) -> list[Propagation]:
     p, plan = cfg.params, StepPlan(**cfg.plan)
     rules.noise_band(p["band_fraction"], grid)
     density = _source_density(cfg, medium)
+    rules.source_density(density)
     return [Propagation(members, (grid.ny, grid.nx), plan, medium, density)
             for members in member_runs(p["realizations"], grid.ny, grid.nx)]
 

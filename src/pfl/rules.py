@@ -121,6 +121,14 @@ def nonlinear_length(z_nl: float):
                          "intensity), so tau z_nl sets no length")
 
 
+def source_density(density: float):
+    """Refuse a zero source density under noise or probes that ride on the
+    source amplitude: nothing would carry them (chi3 = 0 still runs)."""
+    if density == 0:
+        raise ValueError("the source intensity is zero: the noise or the probes ride on the "
+                         "source amplitude, so nothing would carry them")
+
+
 def increasing(values, what: str):
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{what} must be strictly increasing")

@@ -104,7 +104,7 @@ def _scenario_propagate(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
 
     (record,) = propagate(source(), run.medium, run.plan, keep=write_snapshot)
     w.field("final.pfl1", record.final_field, record.z_final)
-    w.csv("power.csv", ["z", "power"], record.power_trace)
+    w.csv("power.csv", ["z", "power"], *record.power_trace.T)
     if cfg.run["pgm"]:
         w.pgm("final_density.pgm", record.final_field.density())
     w.metrics("metrics.txt", record)
@@ -116,7 +116,7 @@ def _scenario_dispersion(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
     (run,) = runs
     samples = [(m.k_perp, m.v_g) for m in measure_group_velocity(run, grid)]
     curve = dispersion_from_group_velocity(samples, run.medium)
-    w.csv("dispersion.csv", ["k_perp", "v_g", "omega"], curve.rows())
+    w.csv("dispersion.csv", ["k_perp", "v_g", "omega"], curve.k_perp, curve.v_g, curve.omega)
     w.text("fit.txt", "\n".join([
         f"c_s = {fmt(curve.c_s)}",
         f"c_s_stderr = {fmt(curve.c_s_stderr)}",
@@ -129,8 +129,7 @@ def _scenario_sound_scaling(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter)
     from .dispersion import sound_speed_scaling
 
     result = sound_speed_scaling(runs, grid)
-    w.csv("sound_scaling.csv", ["density", "c_s"],
-          zip(result.densities, result.sound_speeds))
+    w.csv("sound_scaling.csv", ["density", "c_s"], result.densities, result.sound_speeds)
     w.text("fit.txt", f"exponent = {fmt(result.exponent)}\n"
                       f"stderr = {fmt(result.stderr)}\n")
 
@@ -147,11 +146,13 @@ def _scenario_precondensation(cfg: RunConfig, runs, grid: Grid, w: ArtifactWrite
                   for record in propagate(members[run.members], run.medium, run.plan)]
         stats = intensity_statistics(finals, bins=p["bins"])
         tag = fmt(tau).replace(".", "p")
-        w.csv(f"pi_hist_tau{tag}.csv", ["intensity", "pdf"], stats.rows())
+        edges = stats.bin_edges
+        w.csv(f"pi_hist_tau{tag}.csv", ["intensity", "pdf"], 0.5 * (edges[:-1] + edges[1:]),
+              stats.pdf)
         g1 = coherence_g1(finals, method="rotate_pair" if n_real == 1 else "ensemble")
-        w.csv(f"g1_tau{tag}.csv", ["separation", "g1"], g1.rows())
+        w.csv(f"g1_tau{tag}.csv", ["separation", "g1"], g1.separation, g1.g1)
         moments.append((tau, stats.mode, stats.g2))
-    w.csv("moments.csv", ["tau", "mode", "g2"], moments)
+    w.csv("moments.csv", ["tau", "mode", "g2"], *zip(*moments))
 
 
 def _scenario_structure_factor(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
@@ -185,7 +186,7 @@ def _scenario_structure_factor(cfg: RunConfig, runs, grid: Grid, w: ArtifactWrit
 
     sf = structure_factor(pairs(), grid=grid, nbins=p["nbins"],
                           min_realizations=min(p["realizations"], 100))
-    w.csv("structure_factor.csv", ["k", "s_k", "sigma"], sf.rows())
+    w.csv("structure_factor.csv", ["k", "s_k", "sigma"], sf.k, sf.s_k, sf.sigma)
 
 
 def _scenario_vortices(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
@@ -214,15 +215,9 @@ def _scenario_vortices(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
     w.metrics("metrics.txt", record)
     w.field("final.pfl1", field, record.z_final)
     vortices = detect_vortices(field)
-    w.csv("vortices.csv", ["x", "y", "charge"], vortices.as_rows())
+    w.csv("vortices.csv", ["x", "y", "charge"], *vortices.positions.T, vortices.charges)
     if cfg.run["pgm"]:
         w.pgm("density.pgm", field.density())
-
-
-def _write_trace(w: ArtifactWriter, name: str, times, field):
-    """A complex time trace as (t, re, im, power) CSV rows."""
-    w.csv(name, ["t", "re", "im", "power"],
-          ((t, e.real, e.imag, abs(e) ** 2) for t, e in zip(times, field)))
 
 
 def _scenario_gem(cfg: RunConfig, memories, grid: None, w: ArtifactWriter):
@@ -232,21 +227,24 @@ def _scenario_gem(cfg: RunConfig, memories, grid: None, w: ArtifactWriter):
     # the z-resolved polarization is read only for its image
     result = gem_evolve(memory.config, memory.pulses, store_polarization=cfg.run["pgm"])
     order = recall_order(memory.config, memory.pulses, result)  # None unless the schedule sets one
-    _write_trace(w, "input.csv", result.times, result.input_field)
-    _write_trace(w, "output.csv", result.times, result.output_field)
+    for name, trace in (("input.csv", result.input_field), ("output.csv", result.output_field)):
+        # each sample's power as a scalar: numpy's array abs and ** 2 round differently
+        w.csv(name, ["t", "re", "im", "power"], result.times, trace.real, trace.imag,
+              [abs(e) ** 2 for e in trace])
     if cfg.run["pgm"]:
         w.pgm("polarization.pgm", np.abs(result.polarization))
     if order:
-        w.csv("peaks.csv", ["time", "label"], zip(order.peak_times, order.labels))
+        w.csv("peaks.csv", ["time", "label"], order.peak_times, order.labels)
         w.text("ordering.txt", f"mode = {order.mode}\norder = {','.join(order.labels)}\n")
 
 
 def _scenario_gem_efficiency_sweep(cfg: RunConfig, memories, grid: None, w: ArtifactWriter):
     from .gem import gem_efficiency_measured, gem_efficiency_theory
 
-    rows = [(m.ratio, gem_efficiency_theory(m.config.g, m.config.density, m.config.eta0),
-             gem_efficiency_measured(m.config, *m.pulses).sigma) for m in memories]
-    w.csv("efficiency_sweep.csv", ["ratio", "sigma_theory", "sigma_sim"], rows)
+    w.csv("efficiency_sweep.csv", ["ratio", "sigma_theory", "sigma_sim"],
+          [m.ratio for m in memories],
+          [gem_efficiency_theory(m.config.g, m.config.density, m.config.eta0) for m in memories],
+          [gem_efficiency_measured(m.config, *m.pulses).sigma for m in memories])
 
 
 # each scenario of config.SCENARIOS runs _scenario_<name, '-' as '_'>

@@ -29,10 +29,6 @@ class IntensityStatistics:
     mean: float
     g2: float
 
-    def rows(self):
-        centers = 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-        return zip(centers, self.pdf)
-
 
 def intensity_statistics(fields: list[Field2D], bins: int) -> IntensityStatistics:
     """Histogram P(I), in bins equal bins, and normalized second moment
@@ -54,9 +50,6 @@ def intensity_statistics(fields: list[Field2D], bins: int) -> IntensityStatistic
 class CoherenceProfile:
     separation: np.ndarray
     g1: np.ndarray
-
-    def rows(self):
-        return zip(self.separation, self.g1)
 
 
 def coherence_g1(fields: list[Field2D], method: str = "rotate_pair") -> CoherenceProfile:
@@ -143,9 +136,6 @@ class StructureFactor:
     k: np.ndarray
     s_k: np.ndarray
     sigma: np.ndarray  # statistical standard error per bin
-
-    def rows(self):
-        return zip(self.k, self.s_k, self.sigma)
 
 
 def structure_factor(pairs: Iterable[tuple[np.ndarray, np.ndarray]], grid: Grid, nbins: int,

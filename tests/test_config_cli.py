@@ -880,24 +880,30 @@ class TestCli:
         # exports resolve on first access, so these commands touch no array;
         # nor does a range error
         # nor do the benchmark's workload INIs, whose validation setup_s times.
-        # Each of the nine shipped configs validates as its own scenario
-        bad = tmp_path / "bad.ini"
-        bad.write_text(PROPAGATE_GAUSSIAN.replace("n0 = 1.0", "n0 = -1.0"))
+        # Each of the nine shipped configs validates as its own scenario, and
+        # a zero-intensity structure-factor or dispersion source is refused
+        bads = [(PROPAGATE_GAUSSIAN, "n0 = 1.0", "n0 = -1.0"),
+                (STRUCTURE_FACTOR, "\nintensity = 1.3272e-3", "\nintensity = 0.0"),
+                (DISPERSION, "\nintensity = 132720.0", "\nintensity = 0.0")]
+        for i, (text, old, new) in enumerate(bads):
+            (tmp_path / f"bad-{i}.ini").write_text(swap(text, old, new))
         inis = []
         for name in BENCHMARK_WORKLOADS:
             for seed in range(5):
                 inis.append(tmp_path / f"{name}-{seed}.ini")
                 inis[-1].write_text(workload_ini(name, seed))
         commands = ([["validate", "--config", str(c)] for c in CONFIGS + inis]
-                    + [["validate", "--config", str(bad)], ["version"]])
+                    + [["validate", "--config", str(tmp_path / f"bad-{i}.ini")]
+                       for i in range(len(bads))] + [["version"]])
         code = ("import sys; from pfl.cli import main; "
                 f"codes = [main(argv) for argv in {commands!r}]; "
                 "print(codes, sorted(m for m in sys.modules "
                 "if m.partition('.')[0] in ('numpy', 'scipy')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{[0] * (len(CONFIGS) + 15) + [2, 0]} []"
+        assert proc.stdout.splitlines()[-1] == f"{[0] * (len(CONFIGS) + 15) + [2, 2, 2, 0]} []"
         assert "line 17: medium.n0 must lie in (0, inf), got -1.0" in proc.stderr
+        assert proc.stderr.count("the source intensity is zero") == 2
         assert len(CONFIGS) == 9
         assert all(line.startswith("ok: scenario") for line in proc.stdout.splitlines()[:9])
 

@@ -3,8 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pfl.fileio import (ArtifactWriter, fmt, load_field, save_field, sha256_of,
-                        write_csv, write_density_pgm)
+from pfl.fileio import ArtifactWriter, fmt, load_field, save_field, sha256_of, write_density_pgm
 from pfl.grid import Field2D, make_grid
 from pfl.sources import speckle
 
@@ -155,16 +154,26 @@ def test_fmt_round_trips_doubles():
 
 
 def test_write_csv_deterministic(tmp_path):
-    rows = [(0.1, 2), (np.pi, 4)]
-    p1 = write_csv(tmp_path / "a.csv", ["x", "n"], rows)
-    p2 = write_csv(tmp_path / "b.csv", ["x", "n"], rows)
+    columns = (np.array([0.1, np.pi]), np.array([2, 4]))
+    p1 = ArtifactWriter(tmp_path / "a").csv("data.csv", ["x", "n"], *columns)
+    p2 = ArtifactWriter(tmp_path / "b").csv("data.csv", ["x", "n"], *columns)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().splitlines()[0] == "x,n"
 
 
+def test_a_csv_takes_one_column_per_name_each_as_long(tmp_path):
+    w = ArtifactWriter(tmp_path)
+    assert w.csv("labels.csv", ["t", "label"], [0.5, 1.0], ["B", "A"]).read_text() == (
+        "t,label\n0.5,B\n1,A\n")
+    with pytest.raises(ValueError, match=r"1 columns for the 2 names \['t', 'label'\]"):
+        w.csv("short.csv", ["t", "label"], [0.5])
+    with pytest.raises(ValueError):
+        w.csv("ragged.csv", ["t", "label"], [0.5, 1.0], ["B"])
+
+
 def test_artifact_writer_manifest_exact(tmp_path):
     w = ArtifactWriter(tmp_path / "run")
-    w.csv("data.csv", ["a"], [(1,)])
+    w.csv("data.csv", ["a"], [1])
     w.text("note.txt", "hello\n")
     manifest = w.write_manifest()
     lines = manifest.read_text().strip().splitlines()

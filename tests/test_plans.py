@@ -13,6 +13,7 @@ from pfl.config import parse_config
 from pfl.grid import make_grid
 from pfl.medium import MediumParams, bogoliubov_omega
 from pfl.plans import ProbeSpec, StepPlan, probe_stack, sound_scaling_runs
+from pfl.scenarios import build_grid, build_medium
 
 from conftest import WAVELENGTH, defocusing_setup
 
@@ -46,6 +47,24 @@ def test_the_noise_band_holds_a_mode_besides_k_zero(band_fraction, modes, tmp_pa
     assert cli_main(["validate", "--config", str(config)]) == (0 if modes > 1 else 2)
     assert cli_main(["structure-factor", "--config", str(config),
                      "--out", str(out)]) == (0 if modes > 1 else 2)
+
+
+@pytest.mark.parametrize("name", ["structure_factor", "bogoliubov_dispersion"])
+def test_a_zero_source_intensity_is_refused_where_noise_or_probes_ride_on_it(name):
+    # validated, these runs stepped and then exited 3: the structure factor's
+    # reference had no density fluctuations, and the Bogoliubov fit read
+    # dn = nan. At chi3 = 0 the source still carries them, and the run plans
+    cfg = parse_config((CONFIGS / f"{name}.ini").read_text())
+    grid = build_grid(cfg)
+
+    def planned(source, medium):
+        run = dataclasses.replace(cfg, source={**cfg.source, **source},
+                                  medium={**cfg.medium, **medium})
+        return plans.propagations(run, grid, build_medium(run, grid))
+
+    with pytest.raises(ValueError, match="the source intensity is zero"):
+        planned({"intensity": 0.0}, {})
+    assert planned({}, {"chi3": 0.0})[0].density > 0
 
 
 class TestProbeStack:

@@ -634,3 +634,17 @@ tau = 20
     header, rows = read_csv(out / "sound_scaling.csv")
     assert header == ["density", "c_s"]
     assert len(rows) == 4
+
+
+def test_every_csv_of_every_shipped_run_is_well_formed(shipped_runs):
+    # each CSV's header and its columns are passed to one ArtifactWriter.csv
+    # call: every file ends its last row with a newline, every row has a
+    # field per header name, and every CSV has a row
+    for name, run in shipped_runs.items():
+        paths = sorted(run.out.glob("*.csv"))
+        assert paths, name  # every run writes CSV files
+        for path in paths:
+            header, *rows, end = path.read_text().split("\n")
+            assert end == "" and rows, f"{name}/{path.name}"
+            widths = {len(row.split(",")) for row in rows}
+            assert widths == {len(header.split(","))}, f"{name}/{path.name}: {widths}"
