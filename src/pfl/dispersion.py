@@ -15,8 +15,8 @@ that reaches it). A probe's group velocity (transverse meters per axial
 meter) is the slope at |k_perp| of the parabola through the modes j - 1, j
 and j + 1, j the mode nearest |k_perp| and at least 1 (rules.probe_modes),
 signed as k_perp; at k_perp = 0 it is the slope at the origin, the sound
-speed. Integrating v_g over k_perp reconstructs the dispersion curve, which
-is fitted with the Bogoliubov form
+speed. The same parabola's value at |k_perp| is the probe's Omega, and the
+Omega of the probes are fitted with the Bogoliubov form
 
     Omega(k) = sqrt( E_k (E_k + 2 k0 dn_nl) ),   E_k = k^2 / (2 k0 n0)
 
@@ -47,7 +47,7 @@ through a single propagate call, whose per-step cost on a 1D line is
 mostly dispatch. After the run one fft2 of the (K, S, 1, nx) stack of the
 S evenly spaced snapshots (an uneven last one is dropped), one pass along
 x, gives every mode's amplitudes, and each probe reads its own three modes,
-so its v_g equals that of a one-probe stack bit for bit.
+so its Omega and v_g equal those of a one-probe stack bit for bit.
 """
 
 from __future__ import annotations
@@ -65,8 +65,11 @@ from .solver import propagate
 
 @dataclass
 class GroupVelocityMeasurement:
+    """A probe's k_perp, its group velocity signed as k_perp, and Omega(|k_perp|)."""
+
     k_perp: float
     v_g: float
+    omega: float
 
 
 @dataclass
@@ -119,8 +122,8 @@ def probe_line(grid: Grid, density: float, probe: ProbeSpec) -> Field2D:
 
 
 def measure_group_velocity(run: Propagation, grid: Grid) -> list[GroupVelocityMeasurement]:
-    """Group velocity of each probe of run, a probe stack of `plans`, on its
-    uniform background of run.density over grid.
+    """Omega and group velocity of each probe of run, a probe stack of
+    `plans`, on its uniform background of run.density over grid.
 
     The probe lines (see probe_line) run as one (K, 1, nx) stack through a
     single propagate call, with run.medium and run.plan; the measurements
@@ -128,9 +131,9 @@ def measure_group_velocity(run: Propagation, grid: Grid) -> list[GroupVelocityMe
     stack bit for bit. Each snapshot is kept as its density over the
     background's decay exp(-alpha z), minus run.density. After the run the
     evenly spaced snapshots' changes are transformed along x, and each
-    probe's v_g is read from its modes j - 1, j and j + 1 (see the module
-    docstring; on a lossy medium it reads the branch of a decaying density).
-    The stack's rules were applied when `plans` built it.
+    probe's Omega and v_g are read from its modes j - 1, j and j + 1 (see
+    the module docstring; on a lossy medium they read the branch of a
+    decaying density). The stack's rules were applied when `plans` built it.
     """
     medium, density = run.medium, run.density
 
@@ -141,18 +144,18 @@ def measure_group_velocity(run: Propagation, grid: Grid) -> list[GroupVelocityMe
                         run.plan, keep=line_change)
     even = run.plan.n_steps // run.plan.snapshot_every  # an uneven last snapshot is dropped
     changes = np.array([[change for _, change in r.snapshots[:even]] for r in records])
-    v_g = _group_velocities(changes, run.probes, grid, run.plan.snapshot_every * run.dz)
-    return [GroupVelocityMeasurement(k_perp=p.k_perp, v_g=float(v))
-            for p, v in zip(run.probes, v_g)]
+    omega, v_g = _group_velocities(changes, run.probes, grid, run.plan.snapshot_every * run.dz)
+    return [GroupVelocityMeasurement(k_perp=p.k_perp, v_g=float(v), omega=float(o))
+            for p, o, v in zip(run.probes, omega, v_g)]
 
 
-def _group_velocities(changes: np.ndarray, probes, grid: Grid, spacing: float) -> np.ndarray:
-    """v_g of each of K probes from a (K, S, 1, nx) stack of their line density
-    changes over the background's decay at S snapshots spacing apart: from
-    each probe's modes j - 1, j and j + 1 (rules.probe_modes), the
-    least-squares cos(Omega spacing) of the recurrence over the inner
-    snapshots, then the slope at |k_perp| of the parabola through the three
-    Omega, signed as k_perp."""
+def _group_velocities(changes: np.ndarray, probes, grid: Grid, spacing: float):
+    """(Omega, v_g) of each of K probes from a (K, S, 1, nx) stack of their
+    line density changes over the background's decay at S snapshots spacing
+    apart: from each probe's modes j - 1, j and j + 1 (rules.probe_modes),
+    the least-squares cos(Omega spacing) of the recurrence over the inner
+    snapshots, then the value and the slope at |k_perp| of the parabola
+    through the three Omega, the slope signed as k_perp."""
     t, j = (np.array(column) for column in zip(*(rules.probe_modes(p.k_perp, grid)
                                                  for p in probes)))
     # (K, 3, S): the amplitudes of each probe's three modes, each row contiguous
@@ -162,38 +165,20 @@ def _group_velocities(changes: np.ndarray, probes, grid: Grid, spacing: float) -
     norm = np.sum(inner.real**2 + inner.imag**2, axis=-1)
     lo, mid, hi = (np.arccos(np.clip(cross / (2.0 * norm), -1.0, 1.0)) / spacing).T
     slope = 0.5 * (hi - lo) + (hi - 2.0 * mid + lo) * (t - j)  # dOmega per mode
-    return np.copysign(slope * grid.extent_x / (2.0 * np.pi), [p.k_perp for p in probes])
+    # the value at j plus t - j times the mean of the slopes at j and at t
+    omega = mid + 0.5 * (0.5 * (hi - lo) + slope) * (t - j)
+    return omega, np.copysign(slope * grid.extent_x / (2.0 * np.pi), [p.k_perp for p in probes])
 
 
-def dispersion_from_group_velocity(samples, medium: MediumParams) -> DispersionCurve:
-    """Integrate (k, v_g) samples into Omega(k) and fit the Bogoliubov form.
-
-    The integral is a cumulative trapezoid from k = 0; v_g(0) is linearly
-    extrapolated from the first two samples, which makes both the constant
-    (sonic) and linear (free-particle) cases integrate exactly.
-    """
-    pts = sorted((float(k), float(v)) for k, v in samples)
-    k = np.array([p[0] for p in pts])
-    v = np.array([p[1] for p in pts])
-    if len(k) < 5:
-        raise ValueError("need at least 5 (k, v_g) samples")
-    rules.increasing(k.tolist(), "k samples")
-    if k[0] < 0:
-        raise ValueError("k samples must be non-negative")
-
-    if k[0] > 0.0:
-        v0 = v[0] - k[0] * (v[1] - v[0]) / (k[1] - k[0])
-        k_full = np.concatenate([[0.0], k])
-        v_full = np.concatenate([[v0], v])
-    else:
-        k_full, v_full = k, v
-    omega_full = np.concatenate([[0.0], np.cumsum(
-        0.5 * (v_full[1:] + v_full[:-1]) * np.diff(k_full))])
-    omega = omega_full[-len(k):]
-
-    k0, n0 = medium.k0, medium.n0
-
-    dn_fit, dn_err = _fit_bogoliubov(k, omega, k0, n0, max(np.max(v) ** 2 * n0, 1e-18))
+def dispersion_from_group_velocity(measurements, medium: MediumParams) -> DispersionCurve:
+    """Fit the Bogoliubov form to the Omega(|k_perp|) of at least 5
+    measurements of measure_group_velocity; the curve keeps their order and
+    their k_perp, v_g and Omega as measured."""
+    if len(measurements) < 5:
+        raise ValueError(f"need at least 5 measurements, got {len(measurements)}")
+    k, v, omega = np.array([(m.k_perp, m.v_g, m.omega) for m in measurements]).T
+    dn_fit, dn_err = _fit_bogoliubov(np.abs(k), omega, medium.k0, medium.n0,
+                                     max(np.max(np.abs(v)) ** 2 * medium.n0, 1e-18))
     _, xi_fit, c_s = shift_scales(medium, dn_fit)
     c_s_err = 0.5 * c_s * dn_err / dn_fit if dn_fit > 0 else np.inf
     return DispersionCurve(k_perp=k, v_g=v, omega=omega, dn_fit=dn_fit,
@@ -259,7 +244,7 @@ def sound_speed_scaling(runs, grid: Grid) -> SoundSpeedScaling:
     """Fit the scaling exponent of the sound speed against the density.
 
     runs are the probe stacks of plans.sound_scaling_runs, one per
-    background density (|E|^2) in increasing order, each propagated for the
+    background density (|E|^2) in ascending order, each propagated for the
     same number of nonlinear lengths (so every member is measured at the
     same dimensionless depth); the group velocity of each stack's probe,
     measured over grid, is taken as the sound speed. Returns the log-log

@@ -163,10 +163,14 @@ def _source_density(cfg, medium: MediumParams) -> float | None:
 
 def _one_field(cfg, grid, medium: MediumParams) -> list[Propagation]:
     """propagate's and vortices' one field; propagate makes no snapshot
-    that it would not write."""
+    that it would not write, and vortices imprints no stripe on a source of
+    zero intensity or power (a file source is checked when the run reads it)."""
     every = cfg.plan["snapshot_every"] if cfg.run.get("snapshots") else 0
+    density = _source_density(cfg, medium)
+    if cfg.params.get("kind") == "stripe":
+        rules.source_density(cfg.source.get("power", density))
     return [Propagation(slice(0, 1), (grid.ny, grid.nx), StepPlan(cfg.plan["n_steps"], every),
-                        medium, _source_density(cfg, medium))]
+                        medium, density)]
 
 
 def _dispersion(cfg, grid, medium: MediumParams) -> list[Propagation]:

@@ -122,11 +122,11 @@ def nonlinear_length(z_nl: float):
 
 
 def source_density(density: float):
-    """Refuse a zero source density under noise or probes that ride on the
-    source amplitude: nothing would carry them (chi3 = 0 still runs)."""
+    """Refuse a zero source density under noise, probes or a stripe that ride
+    on the source amplitude: nothing would carry them (chi3 = 0 still runs)."""
     if density == 0:
-        raise ValueError("the source intensity is zero: the noise or the probes ride on the "
-                         "source amplitude, so nothing would carry them")
+        raise ValueError("the source intensity is zero: the noise, the probes or the stripe "
+                         "ride on the source amplitude, so nothing would carry them")
 
 
 def increasing(values, what: str):

@@ -114,8 +114,7 @@ def _scenario_dispersion(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
     from .dispersion import dispersion_from_group_velocity, measure_group_velocity
 
     (run,) = runs
-    samples = [(m.k_perp, m.v_g) for m in measure_group_velocity(run, grid)]
-    curve = dispersion_from_group_velocity(samples, run.medium)
+    curve = dispersion_from_group_velocity(measure_group_velocity(run, grid), run.medium)
     w.csv("dispersion.csv", ["k_perp", "v_g", "omega"], curve.k_perp, curve.v_g, curve.omega)
     w.text("fit.txt", "\n".join([
         f"c_s = {fmt(curve.c_s)}",

@@ -881,10 +881,15 @@ class TestCli:
         # nor does a range error
         # nor do the benchmark's workload INIs, whose validation setup_s times.
         # Each of the nine shipped configs validates as its own scenario, and
-        # a zero-intensity structure-factor or dispersion source is refused
+        # a zero-intensity structure-factor or dispersion source is refused,
+        # as is a vortices stripe on a plane wave of zero intensity or a
+        # gaussian of zero power
         bads = [(PROPAGATE_GAUSSIAN, "n0 = 1.0", "n0 = -1.0"),
                 (STRUCTURE_FACTOR, "\nintensity = 1.3272e-3", "\nintensity = 0.0"),
-                (DISPERSION, "\nintensity = 132720.0", "\nintensity = 0.0")]
+                (DISPERSION, "\nintensity = 132720.0", "\nintensity = 0.0"),
+                (VORTEX_STRIPE, "\nintensity = 132720.0", "\nintensity = 0.0"),
+                (VORTEX_STRIPE, "kind = plane\nintensity = 132720.0",
+                 "kind = gaussian\nwaist = 1e-4\npower = 0.0")]
         for i, (text, old, new) in enumerate(bads):
             (tmp_path / f"bad-{i}.ini").write_text(swap(text, old, new))
         inis = []
@@ -901,9 +906,9 @@ class TestCli:
                 "if m.partition('.')[0] in ('numpy', 'scipy')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{[0] * (len(CONFIGS) + 15) + [2, 2, 2, 0]} []"
+        assert proc.stdout.splitlines()[-1] == f"{[0] * (len(CONFIGS) + 15) + [2] * 5 + [0]} []"
         assert "line 17: medium.n0 must lie in (0, inf), got -1.0" in proc.stderr
-        assert proc.stderr.count("the source intensity is zero") == 2
+        assert proc.stderr.count("the source intensity is zero") == 4
         assert len(CONFIGS) == 9
         assert all(line.startswith("ok: scenario") for line in proc.stdout.splitlines()[:9])
 
@@ -919,8 +924,8 @@ class TestCli:
 
     def test_a_zero_k_probe_reads_the_sound_speed(self, tmp_path):
         # k_perp = 0 joins the shipped sweep: its modes are read like every
-        # other probe's, and the fit stays on sqrt(dn_nl / n0) (0.01245
-        # measured against 0.01241, and 0.01239 at k_perp = 0)
+        # other probe's, and the fit stays on sqrt(dn_nl / n0) (0.012416
+        # measured against 0.012414, and 0.01239 at k_perp = 0)
         from pfl.medium import fluid_scales, intensity_to_density
         from pfl.scenarios import build_grid, build_medium
         config = tmp_path / "k0.ini"

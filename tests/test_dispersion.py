@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pfl.cli import main as cli_main
-from pfl.dispersion import (_fit_bogoliubov, _group_velocities, _line_fit,
-                            bogoliubov_group_velocity, bogoliubov_omega,
+from pfl.dispersion import (GroupVelocityMeasurement, _fit_bogoliubov, _group_velocities,
+                            _line_fit, bogoliubov_group_velocity, bogoliubov_omega,
                             dispersion_from_group_velocity,
                             measure_group_velocity, probe_line)
 from pfl.grid import fft2, make_grid
@@ -22,12 +22,33 @@ from conftest import WAVELENGTH, defocusing_setup
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
 K0 = 2 * np.pi / WAVELENGTH
+SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "bogoliubov_dispersion.ini"
+SHIPPED_DN = 3.082e-12 * intensity_to_density(132720.0, 1.0) / 2.0  # c_s = 0.0124137
 
 
 def _measure(medium, probes, plan, grid, density=1.0):
     """measure_group_velocity of the probe stack plans.probe_stack builds
     over a uniform background of this density (defocusing_setup's 1.0)."""
     return measure_group_velocity(probe_stack(medium, density, probes, plan, grid), grid)
+
+
+def _measurements(k, v_g, omega):
+    return [GroupVelocityMeasurement(k_perp=kk, v_g=vv, omega=oo)
+            for kk, vv, oo in zip(k, v_g, omega)]
+
+
+def _shipped_run(tmp_path, *edits):
+    """(dispersion.csv's rows, fit.txt's c_s) of a run of the shipped
+    dispersion config with each (old, new) of edits replaced in its text."""
+    text = SHIPPED.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    config, out = tmp_path / "run.ini", tmp_path / "run"
+    config.write_text(text)
+    assert cli_main(["dispersion", "--config", str(config), "--out", str(out)]) == 0
+    fit = dict(line.split(" = ") for line in (out / "fit.txt").read_text().splitlines())
+    return np.loadtxt(out / "dispersion.csv", delimiter=",", skiprows=1), float(fit["c_s"])
 
 
 def _probe_plane(background, probe):
@@ -51,8 +72,8 @@ def _plane_reference(background, probe, medium, plan):
                            axis=0, keepdims=True) / np.exp(-medium.alpha * z))
     even = plan.n_steps // plan.snapshot_every
     changes = np.array([[change for _, change in record.snapshots[:even]]])
-    (v_g,) = _group_velocities(changes, [probe], background.grid,
-                               plan.snapshot_every * plan.resolve_dz(medium.length))
+    _, (v_g,) = _group_velocities(changes, [probe], background.grid,
+                                  plan.snapshot_every * plan.resolve_dz(medium.length))
     return v_g
 
 
@@ -84,28 +105,15 @@ class TestBogoliubovForms:
 
 
 class TestDispersionIntegration:
-    def test_constant_vg_gives_exact_sonic_line(self):
-        med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
-        c = 3.3e-3
-        k = np.linspace(1e4, 1e5, 8)
-        curve = dispersion_from_group_velocity([(kk, c) for kk in k], med)
-        assert np.allclose(curve.omega, c * k, rtol=1e-12)
-
-    def test_linear_vg_gives_exact_parabola(self):
-        med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
-        k = np.linspace(1e4, 1e5, 8)
-        samples = [(kk, kk / (K0 * 1.0)) for kk in k]
-        curve = dispersion_from_group_velocity(samples, med)
-        assert np.allclose(curve.omega, k**2 / (2 * K0), rtol=1e-12)
-
     def test_closed_loop_bogoliubov_fit(self):
-        # synthesize v_g from the model, integrate, fit: c_s within 1%
+        # synthesize Omega and v_g from the model, fit: c_s within 1%
         dn_true = 7.3e-5
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
         xi = 1.0 / np.sqrt(K0**2 * dn_true)  # 1/(k0 sqrt(n0 dn))
         k = np.linspace(0.05, 3.0, 20) / xi
-        v = bogoliubov_group_velocity(k, K0, 1.0, dn_true)
-        curve = dispersion_from_group_velocity(list(zip(k, v)), med)
+        curve = dispersion_from_group_velocity(_measurements(
+            k, bogoliubov_group_velocity(k, K0, 1.0, dn_true),
+            bogoliubov_omega(k, K0, 1.0, dn_true)), med)
         assert curve.c_s == pytest.approx(np.sqrt(dn_true / 1.0), rel=0.01)
         assert curve.xi_fit == pytest.approx(xi, rel=0.02)
 
@@ -115,35 +123,34 @@ class TestDispersionIntegration:
         # finite stderr
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
         k = np.linspace(1e4, 1e5, 8)
-        curve = dispersion_from_group_velocity([(kk, 3.3e-3) for kk in k], med)
+        curve = dispersion_from_group_velocity(_measurements(k, [3.3e-3] * 8, 3.3e-3 * k), med)
         assert curve.dn_fit == 0.0
         assert 0.0 < curve.dn_stderr < np.inf
 
     def test_non_finite_samples_do_not_converge(self):
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
-        samples = [(k, np.nan if k == 3e4 else 1e-3) for k in np.linspace(1e4, 5e4, 5)]
+        k = np.linspace(1e4, 5e4, 5)
+        omega = np.where(k == 3e4, np.nan, 1e-3 * k)
         with pytest.raises(RuntimeError, match="Bogoliubov fit did not converge"):
-            dispersion_from_group_velocity(samples, med)
+            dispersion_from_group_velocity(_measurements(k, [1e-3] * 5, omega), med)
 
-    def test_rejects_sparse_or_unsorted(self):
+    def test_rejects_fewer_than_five_measurements(self):
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
-        with pytest.raises(ValueError, match="at least 5"):
-            dispersion_from_group_velocity([(1.0, 1.0)] * 3, med)
-        bad = [(1.0, 1.0), (2.0, 1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)]
-        with pytest.raises(ValueError, match="strictly increasing"):
-            dispersion_from_group_velocity(bad, med)
+        with pytest.raises(ValueError, match="at least 5 measurements, got 3"):
+            dispersion_from_group_velocity(_measurements([1.0] * 3, [1.0] * 3, [1.0] * 3), med)
 
 
 def _noisy_bogoliubov_curve(seed, dn_true=7.3e-5, n=8, with_k0=False):
-    """A dispersion curve integrated from Bogoliubov v_g with 3% noise."""
+    """The fit of n Bogoliubov Omega with 3% noise, at k in increasing order."""
     med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=-1e-20, length=0.01)
     rng = np.random.default_rng(seed)
     xi = 1.0 / np.sqrt(K0**2 * dn_true)
     k = np.sort(rng.uniform(0.05, 3.0, n)) / xi
     if with_k0:
         k[0] = 0.0
-    v = bogoliubov_group_velocity(k, K0, 1.0, dn_true) * (1 + 0.03 * rng.standard_normal(n))
-    return dispersion_from_group_velocity(list(zip(k, v)), med), v
+    omega = bogoliubov_omega(k, K0, 1.0, dn_true) * (1 + 0.03 * rng.standard_normal(n))
+    return dispersion_from_group_velocity(
+        _measurements(k, bogoliubov_group_velocity(k, K0, 1.0, dn_true), omega), med)
 
 
 class TestFitsAgainstScipy:
@@ -165,20 +172,20 @@ class TestFitsAgainstScipy:
         (1, 7.3e-5, False), (2, 2.0e-4, False), (3, 1.5e-5, True), (4, 7.3e-5, True)])
     def test_bogoliubov_fit_matches_curve_fit(self, seed, dn_true, with_k0):
         from scipy import optimize
-        curve, v = _noisy_bogoliubov_curve(seed, dn_true, with_k0=with_k0)
+        curve = _noisy_bogoliubov_curve(seed, dn_true, with_k0=with_k0)
         assert curve.k_perp[0] == 0.0 if with_k0 else curve.k_perp[0] > 0.0
         # the call the numpy fit replaces
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             popt, pcov = optimize.curve_fit(
                 lambda kk, dn: bogoliubov_omega(kk, K0, 1.0, abs(dn)), curve.k_perp,
-                curve.omega, p0=[max(np.max(v) ** 2, 1e-18)], maxfev=10000)
+                curve.omega, p0=[max(np.max(curve.v_g) ** 2, 1e-18)], maxfev=10000)
         assert 0.5 < curve.dn_fit / dn_true < 2.0  # an interior minimum
         assert curve.dn_fit == pytest.approx(abs(popt[0]), rel=1e-6)
         assert curve.dn_stderr == pytest.approx(np.sqrt(pcov[0, 0]), rel=1e-4)
 
     def test_bogoliubov_fit_zeroes_the_gradient(self):
-        curve, _ = _noisy_bogoliubov_curve(5)
+        curve = _noisy_bogoliubov_curve(5)
         dn, _ = _fit_bogoliubov(curve.k_perp, curve.omega, K0, 1.0, 1e-4)
         h = 1e-6 * dn
         ssr = [np.sum((bogoliubov_omega(curve.k_perp, K0, 1.0, d) - curve.omega) ** 2)
@@ -239,18 +246,38 @@ class TestContinuumBranch:
     def test_the_shipped_dispersion_config_over_twice_its_length(self, tmp_path):
         # twice the length in twice the steps: each v_g within 1.5e-3
         # measured
-        shipped = Path(__file__).resolve().parent.parent / "configs" / "bogoliubov_dispersion.ini"
-        text = (shipped.read_text().replace("length = 0.012888", "length = 0.025776")
-                .replace("n_steps = 240", "n_steps = 480"))
-        config = tmp_path / "long.ini"
-        config.write_text(text)
-        out = tmp_path / "run"
-        assert cli_main(["dispersion", "--config", str(config), "--out", str(out)]) == 0
-        rows = np.loadtxt(out / "dispersion.csv", delimiter=",", skiprows=1)
-        dn = 3.082e-12 * intensity_to_density(132720.0, 1.0) / 2.0
-        theory = bogoliubov_group_velocity(rows[:, 0], K0, 1.0, dn)
+        rows, _ = _shipped_run(tmp_path, ("length = 0.012888", "length = 0.025776"),
+                               ("n_steps = 240", "n_steps = 480"))
+        theory = bogoliubov_group_velocity(rows[:, 0], K0, 1.0, SHIPPED_DN)
         assert len(rows) == 5
         assert np.max(np.abs(rows[:, 1] / theory - 1.0)) < 3e-3
+
+    def test_the_shipped_dispersion_config_reads_each_omega(self, tmp_path):
+        # each probe's Omega, the parabola's value at |k_perp|, lies on the
+        # continuum branch (3.9e-4 relative measured; an integral of v_g
+        # over k_perp read 6.7e-3)
+        rows, _ = _shipped_run(tmp_path)
+        theory = bogoliubov_omega(rows[:, 0], K0, 1.0, SHIPPED_DN)
+        assert np.max(np.abs(rows[:, 2] / theory - 1.0)) < 1e-3
+
+    def test_a_sparse_sweep_fits_the_sound_speed(self, tmp_path):
+        # a sweep whose top probe sits far above the others: the fit takes
+        # each probe's Omega, so no interpolation between probes enters it
+        # (0.14% high measured; an integral of v_g over k_perp read 11.5%)
+        _, c_s = _shipped_run(tmp_path, ("k_perp_list = 20000, 30000, 40000, 60000, 90000",
+                                         "k_perp_list = 20000, 30000, 40000, 60000, 300000"))
+        assert c_s == pytest.approx(np.sqrt(SHIPPED_DN), rel=0.05)
+
+    def test_a_probe_near_the_nyquist_mode_fits_the_sound_speed(self, tmp_path):
+        # the top probe at 623000 1/m reads modes up to nx/2 with a snapshot
+        # every step, under the solver's resolution warning (0.72% high
+        # measured; an integral of v_g over k_perp read 40.5%)
+        with pytest.warns(UserWarning, match="step size"):
+            _, c_s = _shipped_run(
+                tmp_path, ("k_perp_list = 20000, 30000, 40000, 60000, 90000",
+                           "k_perp_list = 20000, 30000, 40000, 60000, 623000"),
+                ("snapshot_every = 8", "snapshot_every = 1"))
+        assert c_s == pytest.approx(np.sqrt(SHIPPED_DN), rel=0.05)
 
     def test_the_uneven_last_snapshot_is_not_read(self):
         # criterion 05's plan, 525 steps with a snapshot every 10, reads what
@@ -294,8 +321,9 @@ class TestProbeLine:
 
 class TestMeasurement:
     def test_free_particle_slope(self):
-        # chi3 = 0: v_g = k / (k0 n0), which the parabola through the exact
-        # Omega = k^2 / (2 k0 n0) of three modes reads exactly (2e-9 measured)
+        # chi3 = 0: v_g = k / (k0 n0) and Omega = k^2 / (2 k0 n0), which the
+        # parabola through the exact Omega of three modes reads exactly
+        # (2e-9 measured)
         grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6,
                                                             xi_cells=2.0, tau=8.0)
         free = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0,
@@ -305,6 +333,7 @@ class TestMeasurement:
         probe = ProbeSpec(waist=12e-5, k_perp=k, power_ratio=1e-4)
         (m,) = _measure(free, [probe], plan, grid)
         assert m.v_g == pytest.approx(k / K0, rel=1e-6)
+        assert m.omega == pytest.approx(k**2 / (2 * K0), rel=1e-6)
 
     def test_zero_k_reads_the_sound_speed(self):
         # a k_perp = 0 probe reads the slope at the origin of the parabola
@@ -328,22 +357,24 @@ class TestMeasurement:
         assert m.v_g == pytest.approx(scales["c_s"], rel=1.5e-3)
 
     def test_a_negative_k_mirrors_the_positive_k(self):
-        # a probe at -k reads the modes of +k, signed: -v_g(k) (1.3425 and
-        # 1.7008 c_s measured at k xi = 1.0 and 1.5, where the continuum
-        # branch gives 1.3416 and 1.7)
+        # a probe at -k reads the modes of +k: Omega(k) and, signed, -v_g(k)
+        # (1.3425 and 1.7008 c_s measured at k xi = 1.0 and 1.5, where the
+        # continuum branch gives 1.3416 and 1.7)
         grid, medium, _, scales = defocusing_setup(nx=128, dx=5e-6,
                                                             xi_cells=2.0, tau=8.0)
         plan = StepPlan(n_steps=160, snapshot_every=16)
         probes = [ProbeSpec(waist=10 * scales["xi"], k_perp=sign * k_xi / scales["xi"],
                             power_ratio=1e-5) for k_xi in (1.0, 1.5) for sign in (1, -1)]
-        v = [m.v_g / scales["c_s"]
-             for m in _measure(medium, probes, plan, grid)]
+        measured = _measure(medium, probes, plan, grid)
+        v = [m.v_g / scales["c_s"] for m in measured]
         theory = bogoliubov_group_velocity(np.array([1.0, 1.5]) / scales["xi"], K0, 1.0,
                                            scales["dn_nl"]) / scales["c_s"]
         assert v[0] == pytest.approx(theory[0], rel=1e-3)
         assert v[2] == pytest.approx(theory[1], rel=1e-3)
         assert v[1] == pytest.approx(-v[0], rel=1e-4)
         assert v[3] == pytest.approx(-v[2], rel=1e-4)
+        assert measured[1].omega == pytest.approx(measured[0].omega, rel=1e-4)
+        assert measured[3].omega == pytest.approx(measured[2].omega, rel=1e-4)
 
     def test_sonic_point(self):
         grid, medium, _, scales = defocusing_setup(nx=256, dx=5e-6,
@@ -439,6 +470,7 @@ class TestMeasurement:
             (lone,) = _measure(medium, [probe], plan, grid)
             assert m.k_perp == lone.k_perp
             assert m.v_g == lone.v_g
+            assert m.omega == lone.omega
 
     def test_a_sweep_of_one_returns_a_list(self):
         grid, medium, _, scales = defocusing_setup(nx=64, dx=5e-6, xi_cells=2.0,

@@ -67,6 +67,29 @@ def test_a_zero_source_intensity_is_refused_where_noise_or_probes_ride_on_it(nam
     assert planned({}, {"chi3": 0.0})[0].density > 0
 
 
+@pytest.mark.parametrize("source", [
+    {"kind": "plane", "intensity": 0.0},
+    {"kind": "speckle", "intensity": 0.0, "correlation_length": 2e-5},
+    {"kind": "gaussian", "waist": 1e-4, "power": 0.0}], ids=["plane", "speckle", "gaussian"])
+def test_a_stripe_on_a_zero_source_is_refused(source):
+    # validated, these runs exited 3 when the stripe met the zero field; an
+    # imprint on the same source, and a stripe on a nonzero one, still plan
+    cfg = parse_config((CONFIGS / "vortex_pair.ini").read_text())
+    grid = build_grid(cfg)
+    stripe = {"kind": "stripe", "stripe_position": 0.0, "stripe_angle": 0.0,
+              "stripe_contrast": 0.8}
+
+    def planned(source, params):
+        run = dataclasses.replace(cfg, source=source, params=params)
+        return plans.propagations(run, grid, build_medium(run, grid))
+
+    with pytest.raises(ValueError, match="^the source intensity is zero: the noise, the "
+                       "probes or the stripe ride on the source amplitude"):
+        planned(source, stripe)
+    planned(source, cfg.params)
+    planned({**source, "intensity" if "intensity" in source else "power": 1e-3}, stripe)
+
+
 class TestProbeStack:
     """The rules of a probe stack, each applied once, by plans.probe_stack:
     a measurement steps the stack it returns."""
