@@ -153,8 +153,9 @@ _GEM = {
     "pulse_labels": Key("strs", ()),
 }
 
-# a probe's peak intensity over the background's, in dispersion and sound-scaling
-_POWER_RATIO = Key("float", 1e-5, within=_POSITIVE)
+# a probe's peak intensity over the background's, in dispersion and sound-scaling:
+# below 1, since the branch is read in linear response to a weak probe
+_POWER_RATIO = Key("float", 1e-5, within="(0, 1)")
 
 # the [run] entries of a scenario that writes snapshots, an image and CSV
 # files; the CLI sets the output directory

@@ -36,7 +36,7 @@ from .plans import GaussianPulse, GemConfig
 PEAK_REL_HEIGHT = 0.2
 # and lie within this many pulse widths of its rules.echo_time: the tests' 28
 # ordered peaks lie within 0.173 (FIFO; FILO 0.017), those of fifo_filo.ini at
-# eta0 = 0 or 0.5, a memory that stores next to nothing, 0.79 to 4.45
+# eta0 = 0.5, a memory that stores next to nothing, 1.97 and 4.30 (eta0 = 0 is refused)
 ECHO_TIME_WIDTHS = 1.0
 
 

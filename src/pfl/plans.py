@@ -50,12 +50,12 @@ class ProbeSpec:
     """Probe beam riding on the background fluid.
 
     power_ratio sets how weak the probe is: the ratio of its peak intensity
-    to the mean background intensity (only the config key has a default).
-    The entrance quench amplifies the density modulation of a low-k probe
-    by roughly (1 + s)/2 with s = (E_k + 2 mu)/Omega, so sweeps that reach
-    deep into the sonic band should use a smaller ratio to stay in the
-    linear-response regime. k_perp is the transverse wavevector of the
-    probe phase ramp.
+    to the mean background intensity, in (0, 1), since the branch is read
+    in linear response (only the config key has a default). The entrance
+    quench amplifies the density modulation of a low-k probe by roughly
+    (1 + s)/2 with s = (E_k + 2 mu)/Omega, so sweeps that reach deep into
+    the sonic band should use a smaller ratio. k_perp is the transverse
+    wavevector of the probe phase ramp.
     """
 
     waist: float
@@ -100,15 +100,15 @@ def member_runs(n_members: int, ny: int, nx: int) -> list[slice]:
     return [slice(m, min(m + size, n_members)) for m in range(0, n_members, size)]
 
 
-def probe_stack(medium: MediumParams, density: float, probes, plan: StepPlan, grid,
-                steps_set: bool = False) -> Propagation:
+def probe_stack(medium: MediumParams, density: float, probes, plan: StepPlan,
+                grid) -> Propagation:
     """One stack of probe lines, one per ProbeSpec of probes in their order,
     over a uniform background of this density (|E|^2) in medium, stepped by
     plan, after every rule of a probe stack: a medium without a potential
-    and not focusing (chi3 <= 0), rules.source_density, rules.probe and a
-    positive power_ratio for each probe, a plan that rules.tracked_snapshots
-    passes, rules.probe_kick for each probe (steps_set as there), and
-    snapshots that rules.mode_aliasing passes."""
+    and not focusing (chi3 <= 0), rules.source_density, rules.probe and
+    0 < power_ratio < 1 for each probe, a plan that rules.tracked_snapshots
+    passes, rules.probe_kick for each probe, and snapshots that
+    rules.mode_aliasing passes."""
     if medium.potential is not None:
         raise ValueError("the background must be homogeneous: the medium has a potential")
     if medium.chi3 > 0:
@@ -118,11 +118,11 @@ def probe_stack(medium: MediumParams, density: float, probes, plan: StepPlan, gr
     probes = tuple(probes)
     for p in probes:
         rules.probe(p.waist, p.k_perp, grid)
-        if p.power_ratio <= 0:
-            raise ValueError(f"probe power_ratio must be positive, got {p.power_ratio}")
+        if not 0 < p.power_ratio < 1:
+            raise ValueError(f"probe power_ratio must lie in (0, 1), got {p.power_ratio}")
     rules.tracked_snapshots(plan.n_steps, plan.snapshot_every)
     for p in probes:
-        rules.probe_kick(medium, density, p.power_ratio, plan.n_steps, steps_set)
+        rules.probe_kick(medium, density, p.power_ratio, plan.n_steps)
     rules.mode_aliasing(medium, density, [p.k_perp for p in probes],
                         plan.snapshot_every * plan.resolve_dz(medium.length), grid)
     return Propagation(slice(0, len(probes)), (1, grid.nx), plan, medium, density,
@@ -136,8 +136,8 @@ def sound_scaling_runs(medium: MediumParams, densities, grid, tau: float, k_perp
     for each a length of tau z_nl and one probe of waist probe_waist_xi xi
     and k_perp k_perp_xi / xi, z_nl and xi from medium.fluid_scales. Each run
     takes ceil(tau STEPS_PER_Z_NL) steps and a snapshot every max(1, n_steps
-    // 50), so its probe's first kick is about (1 + sqrt(power_ratio))^2 /
-    STEPS_PER_Z_NL rad per step whatever tau is."""
+    // 50), so its probe's first kick is at most (1 + sqrt(power_ratio))^2 /
+    STEPS_PER_Z_NL rad per step whatever tau is, below pi at power_ratio < 1."""
     if len(densities) < 4:
         raise ValueError("need at least 4 densities")
     if min(densities) <= 0:
@@ -149,8 +149,7 @@ def sound_scaling_runs(medium: MediumParams, densities, grid, tau: float, k_perp
     for i, density in enumerate(densities):
         z_nl, xi, _ = fluid_scales(medium, density)
         probe = ProbeSpec(probe_waist_xi * xi, k_perp_xi / xi, power_ratio)
-        run = probe_stack(medium.with_length(tau * z_nl), density, [probe], plan, grid,
-                          steps_set=True)
+        run = probe_stack(medium.with_length(tau * z_nl), density, [probe], plan, grid)
         runs.append(replace(run, members=slice(i, i + 1), tau=tau))
     return runs
 
@@ -295,7 +294,9 @@ def memories(cfg) -> list[Memory]:
         windows = rules.coupling_windows(p["coupling_windows"])
         config = GemConfig(p["g"], p["density"], p["eta0"], p["z_extent"], p["nz"],
                            p["t_extent"], p["nt"], p["flip_times"], windows, p["decay"])
-        rules.ordering(config.eta_flips, windows, centers, widths, config.t_extent)
+        if rules.ordering(config.eta_flips, windows, centers, widths, config.t_extent):
+            rules.stores(config.g, config.density)
+            rules.nonzero_eta(config.eta0)
         if labels and len(labels) != len(centers):
             raise ValueError("gem.pulse_labels needs one label per pulse or none")
         rules.pulses(centers, widths, config.t_extent)

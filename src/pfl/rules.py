@@ -85,32 +85,20 @@ def noise_band(band_fraction: float, grid):
                          f"2 pi / (n d) = {first:.6g}")
 
 
-def probe_kick(medium, density: float, power_ratio: float, n_steps: int,
-               steps_set: bool = False):
+def probe_kick(medium, density: float, power_ratio: float, n_steps: int):
     """The first kick's peak phase |g| rho_peak dz on a probe line over a
     uniform background of this density: rho_peak = density (1 +
     sqrt(power_ratio))^2 bounds the line, saturated as the kernel's kick
     saturates it. Above ABORT_PHASE_PER_STEP the kernel's guard would abort
-    the run at its first step; the message names the fewest steps that
-    pass, or the largest power_ratio that passes when the run sets its own
-    steps (steps_set, as sound-scaling does)."""
+    the run at its first step; the message names the fewest steps that pass."""
     peak = density * (1.0 + math.sqrt(power_ratio)) ** 2
     if medium.i_sat is not None:
         peak /= 1.0 + density_to_intensity(peak, medium.n0) / medium.i_sat
     total = abs(medium.g) * peak * medium.length  # the kick's phase at dz = length
-    if not n_steps or total / n_steps <= ABORT_PHASE_PER_STEP:
-        return
-    if steps_set:  # the saturated peak that gives pi rad per step, then its entry peak
-        allowed = ABORT_PHASE_PER_STEP * n_steps / (abs(medium.g) * medium.length)
-        if medium.i_sat is not None:
-            allowed /= 1.0 - density_to_intensity(allowed, medium.n0) / medium.i_sat
-        largest = max(0.0, math.sqrt(allowed / density) - 1.0) ** 2
-        digit = 10.0 ** (math.floor(math.log10(largest)) - 2) if largest else 1.0
-        need = f"power_ratio <= {math.floor(largest / digit) * digit:.3g}"  # 3 digits, down
-    else:
-        need = f"n_steps >= {math.ceil(total / ABORT_PHASE_PER_STEP)}"
-    raise ValueError(f"the first kick gives {total / n_steps:.2f} rad of phase per step "
-                     f"(> pi) with {n_steps} steps; the run needs {need}")
+    if n_steps and total / n_steps > ABORT_PHASE_PER_STEP:
+        raise ValueError(f"the first kick gives {total / n_steps:.2f} rad of phase per step "
+                         f"(> pi) with {n_steps} steps; the run needs "
+                         f"n_steps >= {math.ceil(total / ABORT_PHASE_PER_STEP)}")
 
 
 def nonlinear_length(z_nl: float):
@@ -208,6 +196,14 @@ def gradient_phase(eta0: float, z_extent: float, t_extent: float, nt: int):
 def nonzero_eta(eta: float):
     if eta == 0:
         raise ValueError("eta must be nonzero")
+
+
+def stores(g: float, density: float):
+    """Refuse a memory that couples no light in (g density = 0): it stores
+    nothing, so no echo would carry a recall order."""
+    if g * density == 0:
+        raise ValueError("the memory stores nothing (g density = 0), so no echo would carry "
+                         "a recall order")
 
 
 def pulses(centers, widths, t_extent: float):

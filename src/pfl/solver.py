@@ -156,23 +156,19 @@ class SplitStepKernel:
         # block buffers and ((B, ny, nx), per-block views), set by run or the first kick
         self.density = self.phase = self.factor = self.blocks = None
 
-    def _half_step(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Multiply the stack values by the half-step kinetic factor (times
-        1/(nx ny), see run) in place, or into out (B, ny, nx) from the
-        fields values[..., :nx]; return the result. The factor is built
-        block by block (see block_slices) in each block's factor view, zero
-        in the pad, with the bits of a whole-plane factor."""
+    def _half_step(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Multiply the fields values[..., :nx] of a stack by the half-step
+        kinetic factor (times 1/(nx ny), see run) into out (B, ny, nx), which
+        may be values[..., :nx] itself; return out. The factor is built block
+        by block (see block_slices) in each block's factor view, with the
+        bits of a whole-plane factor."""
         (ny, nx), (ey, ex) = (self.grid.ny, self.grid.nx), self.half_axes
         for members, rows, _, _, factor, *_ in self.blocks[1]:
-            factor = factor[0]  # one member's rows, which broadcast over the block's members
-            np.multiply(ey[rows, None], ex, out=factor[:, :nx])
-            factor[:, nx:] = 0.0
+            factor = factor[0, :, :nx]  # one member's rows, broadcast over the block's members
+            np.multiply(ey[rows, None], ex, out=factor)
             factor /= nx * ny
-            if out is None:
-                values[members, rows] *= factor
-            else:
-                np.multiply(values[members, rows, :nx], factor[:, :nx], out=out[members, rows])
-        return values if out is None else out
+            np.multiply(values[members, rows, :nx], factor, out=out[members, rows])
+        return out
 
     def _widen(self, terms):
         """An (ny, nx) array as (ny, width) with zeros in the pad; None or a
@@ -284,7 +280,7 @@ class SplitStepKernel:
         kinetic = self._kinetic_phase(values[..., :nx])
         warned = self._guard(kinetic, False)
         self._size_blocks(values)
-        self._half_step(values)
+        self._half_step(values, values[..., :nx])
         # the full-step factor, zero in the pad, times the 1/(nx ny) that the
         # unscaled transforms leave out, built in place so that no other
         # plane is made

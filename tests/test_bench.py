@@ -1,13 +1,21 @@
-"""bench/compare_runs.py reports how far a differing CSV file moved."""
+"""bench/compare_runs.py reports how far a differing CSV file moved, and
+bench/costs.py summarizes each run's samples."""
 
 import importlib.util
 import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("compare_runs", ROOT / "bench" / "compare_runs.py")
-compare_runs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_runs)
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_runs, costs = _load("compare_runs"), _load("costs")
 
 
 def test_a_differing_csv_reports_each_columns_largest_relative_difference(tmp_path):
@@ -43,3 +51,21 @@ def test_relative_difference_of_numbers_written_as_text():
     assert compare_runs.relative_difference("-0.0", "0") == 0.0
     assert compare_runs.relative_difference("inf", "1e308") == math.inf
     assert compare_runs.relative_difference("nan", "nan") == math.inf
+
+
+def test_costs_summarize_samples_by_median_and_quartiles():
+    # inclusive quartiles: the median of each half, interpolated
+    assert costs.summary([5.0, 1.0, 3.0, 2.0, 4.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert costs.summary([1.0, 2.0, 4.0, 8.0]) == {"median": 3.0, "q1": 1.75, "q3": 5.0}
+    assert costs.summary([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+    assert costs.summary([]) is None
+
+
+def test_costs_call_two_trees_apart_when_their_quartile_ranges_do_not_overlap():
+    # the VmHWM samples (MiB) of beam-512 in five rounds with the trees of
+    # 5329c3c and of 2aae0fc, which hands a propagation's input over instead
+    # of keeping a copy of it
+    before = costs.summary([52.28515625, 52.2734375, 52.23046875, 52.27734375, 52.33203125])
+    after = costs.summary([47.1328125, 47.10546875, 47.1328125, 47.1328125, 47.08984375])
+    assert costs.apart(before, after) and costs.apart(after, before)
+    assert not costs.apart(costs.summary([1.0, 2.0, 3.0]), costs.summary([2.0, 3.0, 4.0]))

@@ -514,11 +514,6 @@ class TestParsing:
         (swap(SOUND_SCALING, "tau = 25\n", "tau = 0.2\n"),
          "sound-scaling: the plan makes 3 snapshots (3 steps, one every 1); reading a probe's "
          "modes needs at least 4"),
-        # passed `pfl validate`, and the run then exited 3 naming n_steps, which
-        # sound-scaling sets itself
-        (swap(SOUND_SCALING, "power_ratio = 1e-5\n", "power_ratio = 50\n"),
-         "sound-scaling: the first kick gives 4.34 rad of phase per step (> pi) with 375 "
-         "steps; the run needs power_ratio <= 34.3"),
         (swap(VORTEX_PAIR, "charges = 1, -1", "charges = 1, 0"),
          "charge must satisfy |charge| >= 1"),
         (swap(VORTEX_PAIR, "xs = 2e-4, -2e-4", "xs = 2e-4, -7e-4"),
@@ -560,6 +555,15 @@ class TestParsing:
          "echo window (1.3800000000000001, 2.8200000000000003) overlaps the input window"),
         (swap(SWEEP, "flip_time = 3.0", "flip_time = 6.0"),
          "echo window extends past t_extent"),
+        # each passed `pfl validate`, integrated the whole memory run and then
+        # exited 3 finding one echo peak (three for gem.ini at eta0 = 0): a
+        # memory that stores nothing carries no recall order
+        (swap(GEM, "g = 1.7841", "g = 0.0"),
+         "gem: the memory stores nothing (g density = 0), so no echo would carry a recall "
+         "order"),
+        (swap(GEM, "density = 1.7841", "density = 0.0"), "gem: the memory stores nothing"),
+        (swap(GEM, "eta0 = 20.0", "eta0 = 0.0"), "gem: eta must be nonzero"),
+        (swap(FIFO_FILO, "eta0 = 20.0", "eta0 = 0.0"), "gem: eta must be nonzero"),
     ], ids=["gaussian-unresolved", "gaussian-wraps", "speckle-unresolved",
             "defect-unresolved", "lattice-past-nyquist", "probe-unresolved", "probe-wraps",
             "probe-past-nyquist", "repeated-k-perp", "repeated-tau", "repeated-ratio",
@@ -570,13 +574,13 @@ class TestParsing:
             "intensities-within-a-decade",
             "sound-scaling-probe-wraps", "sound-scaling-probe-unresolved",
             "sound-scaling-chi3-zero", "sound-scaling-too-few-snapshots",
-            "sound-scaling-first-kick",
             "charge-zero", "vortex-off-grid", "gem-pulse-margins", "sweep-pulse-margins",
             "gradient-phase", "sweep-eta-zero", "fifo-filo-unresolved-pulses",
             "fifo-window-on-at-echo", "gem-window-on-at-echo", "gem-odd-windows",
             "fifo-filo-three-pulses",
             "gem-flip-before-the-pulses", "fifo-echo-past-t-extent", "sweep-echo-overlaps",
-            "sweep-echo-past-t-extent"])
+            "sweep-echo-past-t-extent", "gem-without-coupling", "gem-without-atoms",
+            "gem-eta-zero", "fifo-filo-eta-zero"])
     def test_each_rule_is_the_builders_and_exits_2(self, text, message, tmp_path):
         assert message in assert_rule_rejects(text, tmp_path)
 
@@ -693,10 +697,17 @@ class TestParsing:
     # declared, and the run then failed, replaced the value or ignored the key
     @pytest.mark.parametrize("text, binding, message", [
         (GOOD_DISPERSION, "power_ratio = -1e-5",
-         r"dispersion.power_ratio must lie in \(0, inf\), got -1e-05"),
+         r"dispersion.power_ratio must lie in \(0, 1\), got -1e-05"),
         # a probe without power seeds no density change to read
         (GOOD_DISPERSION, "power_ratio = 0",
-         r"dispersion.power_ratio must lie in \(0, inf\), got 0.0"),
+         r"dispersion.power_ratio must lie in \(0, 1\), got 0.0"),
+        # a probe as strong as its background is no linear-response
+        # measurement: the shipped dispersion config ran at 1 and read c_s
+        # 0.68% low; sound-scaling at 50 exited 2 only at its first kick
+        (GOOD_DISPERSION, "power_ratio = 1",
+         r"dispersion.power_ratio must lie in \(0, 1\), got 1.0"),
+        (GOOD_SOUND_SCALING, "power_ratio = 50",
+         r"sound-scaling.power_ratio must lie in \(0, 1\), got 50.0"),
         (GOOD_GEM.replace("nz = 64\n", ""), "nz = 8",
          r"gem-efficiency-sweep.nz must lie in \[32, inf\), got 8"),
         (PROPAGATE_GAUSSIAN.replace("waist = 150e-6\n", ""), "waist = -1e-4",
@@ -712,7 +723,8 @@ class TestParsing:
         (GOOD_DISPERSION.replace("k_perp_list = 20000, 30000, 40000, 60000, 90000\n", ""),
          "k_perp_list = 40000, 60000, 90000",
          r"dispersion.k_perp_list needs at least 5 values, got 3"),
-    ], ids=["dispersion-power-ratio", "dispersion-zero-power-ratio", "gem-nz", "source-waist",
+    ], ids=["dispersion-power-ratio", "dispersion-zero-power-ratio",
+            "dispersion-unit-power-ratio", "ratio-50", "gem-nz", "source-waist",
             "precondensation-bins",
             "sound-scaling-tau", "structure-factor-nbins", "structure-factor-noise-amplitude",
             "uniform-amplitude",
@@ -883,13 +895,16 @@ class TestCli:
         # Each of the nine shipped configs validates as its own scenario, and
         # a zero-intensity structure-factor or dispersion source is refused,
         # as is a vortices stripe on a plane wave of zero intensity or a
-        # gaussian of zero power
+        # gaussian of zero power, and a recall order from a memory that
+        # stores nothing (g, density or eta0 zero)
         bads = [(PROPAGATE_GAUSSIAN, "n0 = 1.0", "n0 = -1.0"),
                 (STRUCTURE_FACTOR, "\nintensity = 1.3272e-3", "\nintensity = 0.0"),
                 (DISPERSION, "\nintensity = 132720.0", "\nintensity = 0.0"),
                 (VORTEX_STRIPE, "\nintensity = 132720.0", "\nintensity = 0.0"),
                 (VORTEX_STRIPE, "kind = plane\nintensity = 132720.0",
-                 "kind = gaussian\nwaist = 1e-4\npower = 0.0")]
+                 "kind = gaussian\nwaist = 1e-4\npower = 0.0"),
+                (GEM, "g = 1.7841", "g = 0.0"), (GEM, "density = 1.7841", "density = 0.0"),
+                (GEM, "eta0 = 20.0", "eta0 = 0.0"), (FIFO_FILO, "eta0 = 20.0", "eta0 = 0.0")]
         for i, (text, old, new) in enumerate(bads):
             (tmp_path / f"bad-{i}.ini").write_text(swap(text, old, new))
         inis = []
@@ -906,9 +921,11 @@ class TestCli:
                 "if m.partition('.')[0] in ('numpy', 'scipy')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{[0] * (len(CONFIGS) + 15) + [2] * 5 + [0]} []"
+        assert proc.stdout.splitlines()[-1] == f"{[0] * (len(CONFIGS) + 15) + [2] * 9 + [0]} []"
         assert "line 17: medium.n0 must lie in (0, inf), got -1.0" in proc.stderr
         assert proc.stderr.count("the source intensity is zero") == 4
+        assert proc.stderr.count("the memory stores nothing") == 2
+        assert proc.stderr.count("eta must be nonzero") == 2
         assert len(CONFIGS) == 9
         assert all(line.startswith("ok: scenario") for line in proc.stdout.splitlines()[:9])
 

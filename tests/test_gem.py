@@ -281,12 +281,13 @@ class TestOrdering:
         assert [rules.echo_time("FILO", (3.0,), t) for t in (1.0, 2.0)] == [5.0, 4.0]
         assert [rules.echo_time("FIFO", (3.0, 5.5), t) for t in (1.0, 2.0)] == [6.0, 7.0]
 
-    @pytest.mark.parametrize("eta0", ["0.0", "0.5"])
+    @pytest.mark.parametrize("eta0", ["0.5"])
     def test_an_echo_away_from_its_echo_time_is_no_recall(self, eta0, tmp_path):
         # a gradient too weak to store the pulses: the output still peaks
-        # twice after the last flip, 0.8 to 4.5 widths from the echo times
+        # twice after the last flip, 2.0 and 4.3 widths from the echo times
         # 6 and 7, in the order A, B that FIFO expects. No rule of `pfl
-        # validate` bounds eta0 below, so the run exits 3 without an order
+        # validate` bounds a nonzero eta0 below, so the run exits 3 without
+        # an order (eta0 = 0 is refused: test_config_cli's fifo-filo-eta-zero)
         path = tmp_path / "weak.ini"
         path.write_text((CONFIGS / "fifo_filo.ini").read_text()
                         .replace("eta0 = 20.0", f"eta0 = {eta0}"))

@@ -6,12 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfl import plans, rules
 from pfl.cli import main as cli_main
-from pfl.config import parse_config
+from pfl.config import SCENARIOS, parse_config
 from pfl.grid import make_grid
-from pfl.medium import MediumParams, bogoliubov_omega
+from pfl.medium import MediumParams, bogoliubov_omega, fluid_scales
 from pfl.plans import ProbeSpec, StepPlan, probe_stack, sound_scaling_runs
 from pfl.scenarios import build_grid, build_medium
 
@@ -104,7 +106,7 @@ class TestProbeStack:
 
     @pytest.mark.parametrize("bad, match", [
         ({"k_perp": 1e9}, "Nyquist"), ({"power_ratio": -1e-5}, "power_ratio"),
-        ({"power_ratio": 0.0}, "power_ratio must be positive"),
+        ({"power_ratio": 0.0}, r"power_ratio must lie in \(0, 1\)"),
         ({"waist": 1e-6}, "waist")], ids=["k_perp", "power_ratio", "zero-power-ratio", "waist"])
     def test_a_bad_probe_fails_before_anything_propagates(self, monkeypatch, bad, match):
         # a bad probe anywhere in the stack refuses the whole stack, so no line
@@ -124,7 +126,7 @@ class TestProbeStack:
     def test_rejects_a_negative_power_ratio(self):
         grid, medium, _, scales = defocusing_setup(nx=64)
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1e4, power_ratio=-1e-5)
-        with pytest.raises(ValueError, match="power_ratio must be positive, got -1e-05"):
+        with pytest.raises(ValueError, match=r"power_ratio must lie in \(0, 1\), got -1e-05"):
             probe_stack(medium, 1.0, [probe], StepPlan(n_steps=10, snapshot_every=2), grid)
 
     def test_refuses_snapshots_the_arccos_aliases(self):
@@ -196,10 +198,28 @@ class TestSoundScalingRuns:
         runs = sound_scaling_runs(self.MEDIUM, [10.0, 1.0, 4.0, 2.0], self.GRID, **self.PROBE)
         assert [run.density for run in runs] == [1.0, 2.0, 4.0, 10.0]
         for i, run in enumerate(runs):
-            alone = probe_stack(run.medium, run.density, run.probes, run.plan, self.GRID,
-                                steps_set=True)
+            alone = probe_stack(run.medium, run.density, run.probes, run.plan, self.GRID)
             assert run == dataclasses.replace(alone, members=slice(i, i + 1), tau=25.0)
         assert runs[0].plan == StepPlan(n_steps=375, snapshot_every=7)
+
+    # the sound-scaling key's own interval, so that widening it past the
+    # ratio of 34.3 at which the first kick reaches pi breaks this test
+    WITHIN = SCENARIOS["sound-scaling"]["sound-scaling"]["power_ratio"].within
+    LO, HI = map(float, WITHIN[1:-1].split(","))
+
+    @settings(max_examples=200, deadline=None)
+    @given(power_ratio=st.floats(LO, HI, exclude_min=WITHIN[0] == "(",
+                                 exclude_max=WITHIN[-1] == ")", allow_infinity=False),
+           tau=st.floats(0.3, 1000.0), density=st.floats(1e-3, 1e3),
+           isat=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_the_first_kick_passes_at_every_power_ratio_the_key_takes(self, power_ratio, tau,
+                                                                       density, isat):
+        # |g| rho z_nl = 1, so the first kick is (1 + sqrt(p))^2 tau /
+        # ceil(STEPS_PER_Z_NL tau) rad < 4/15 at p < 1; saturation only lowers it
+        medium = dataclasses.replace(self.MEDIUM, i_sat=isat)
+        z_nl, _, _ = fluid_scales(medium, density)
+        rules.probe_kick(medium.with_length(tau * z_nl), density, power_ratio,
+                         math.ceil(tau * plans.STEPS_PER_Z_NL))
 
     @pytest.mark.parametrize("densities, match", [
         ([1.0, 2.0, 10.0], "need at least 4 densities"),
