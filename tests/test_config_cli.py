@@ -366,16 +366,6 @@ class TestParsing:
         validate_rejects(text, message, tmp_path)
         assert "source" in capsys.readouterr().err
 
-    def test_benchmark_workload_inis_parse(self):
-        # the benchmark runs pfl on the INIs perfbench/workloads.py writes;
-        # one that stops parsing would fail every benchmark run
-        scenarios = {"beam-512": "propagate", "sf-ensemble-64": "structure-factor",
-                     "bogoliubov-256": "dispersion"}
-        for name in BENCHMARK_WORKLOADS:
-            for seed in range(5):
-                cfg = parse_config(workload_ini(name, seed))
-                assert (cfg.scenario, cfg.run["seed"]) == (scenarios[name], seed)
-
     @pytest.mark.parametrize("text", [GOOD_SOUND_SCALING, GOOD_PRECONDENSATION],
                              ids=["sound-scaling", "precondensation"])
     def test_round_trip_without_the_values_the_scenario_sets(self, text):
@@ -476,6 +466,17 @@ class TestParsing:
          .replace("realizations = 100", "realizations = 8"),
          "structure-factor: the noise band holds no mode but k = 0: its edge band_fraction "
          "* pi / max(dx, dy) = 6283.19 lies below the first mode 2 pi / (n d) = 19635"),
+        # the noise, the probes and a stripe ride on the source amplitude: on a
+        # zero source nothing carries them
+        (swap(STRUCTURE_FACTOR, "\nintensity = 1.3272e-3", "\nintensity = 0.0"),
+         "structure-factor: the source intensity is zero"),
+        (swap(DISPERSION, "\nintensity = 132720.0", "\nintensity = 0.0"),
+         "dispersion: the source intensity is zero"),
+        (swap(VORTEX_STRIPE, "\nintensity = 132720.0", "\nintensity = 0.0"),
+         "vortices: the source intensity is zero"),
+        (swap(VORTEX_STRIPE, "kind = plane\nintensity = 132720.0",
+              "kind = gaussian\nwaist = 1e-4\npower = 0.0"),
+         "vortices: the source intensity is zero"),
         # each passed `pfl validate`, and the run then exited 3 with no packet to fit
         (swap(GOOD_DISPERSION, "n_steps = 240", "n_steps = 0"),
          "the plan makes 0 snapshots (0 steps, one every 8); reading a probe's modes "
@@ -538,6 +539,9 @@ class TestParsing:
         (swap(FIFO_FILO, "coupling_windows = 0.0, 3.2, 5.7, 9.0",
               "coupling_windows = 0.0, 3.2, 5.7"),
          "gem.coupling_windows must list (on, off) pairs"),
+        # every pulse is simulated, so each has a width
+        (swap(FIFO_FILO, "pulse_widths = 0.15, 0.15", "pulse_widths = 0.15"),
+         "gem: gem.pulse_centers and pulse_widths must have equal lengths"),
         # a third pulse takes the run out of the ordering rules, not out of the
         # pulse margins, which hold for every pulse
         (swap(FIFO_FILO, "pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 8.8")
@@ -568,7 +572,9 @@ class TestParsing:
             "defect-unresolved", "lattice-past-nyquist", "probe-unresolved", "probe-wraps",
             "probe-past-nyquist", "repeated-k-perp", "repeated-tau", "repeated-ratio",
             "repeated-intensity", "precondensation-chi3-zero",
-            "precondensation-without-light", "noise-band-without-a-mode", "dispersion-without-steps",
+            "precondensation-without-light", "noise-band-without-a-mode",
+            "structure-factor-without-light", "dispersion-without-light",
+            "stripe-without-light", "gaussian-stripe-without-light", "dispersion-without-steps",
             "dispersion-too-few-snapshots", "dispersion-first-kick",
             "dispersion-focusing", "dispersion-aliasing", "dispersion-modes-past-nyquist",
             "intensities-within-a-decade",
@@ -577,7 +583,7 @@ class TestParsing:
             "charge-zero", "vortex-off-grid", "gem-pulse-margins", "sweep-pulse-margins",
             "gradient-phase", "sweep-eta-zero", "fifo-filo-unresolved-pulses",
             "fifo-window-on-at-echo", "gem-window-on-at-echo", "gem-odd-windows",
-            "fifo-filo-three-pulses",
+            "fifo-filo-one-width", "fifo-filo-three-pulses",
             "gem-flip-before-the-pulses", "fifo-echo-past-t-extent", "sweep-echo-overlaps",
             "sweep-echo-past-t-extent", "gem-without-coupling", "gem-without-atoms",
             "gem-eta-zero", "fifo-filo-eta-zero"])
@@ -652,11 +658,8 @@ class TestParsing:
     def test_vortices_take_only_the_keys_of_their_kind(self, text, message, tmp_path):
         validate_rejects(text, message, tmp_path)
 
-    # every pulse is simulated: a pulse has a center and a width, and a label
-    # list names each pulse or is empty
+    # every pulse is simulated: a label list names each pulse or is empty
     @pytest.mark.parametrize("text, message", [
-        (FIFO_FILO.replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15"),
-         r"gem.pulse_centers and pulse_widths must have equal lengths"),
         (FIFO_FILO.replace("pulse_centers = 1.0, 2.0", "pulse_centers = 1.0, 2.0, 2.6")
          .replace("pulse_widths = 0.15, 0.15", "pulse_widths = 0.15, 0.15, 0.15"),
          r"gem.pulse_labels needs one label per pulse or none"),
@@ -668,7 +671,7 @@ class TestParsing:
          "t_extent = 8.0\nflip_times = 3.0\npulse_centers = 1.0, 2.0\n"
          "pulse_widths = 0.15, 0.15\npulse_labels = A\n",
          r"gem.pulse_labels needs one label per pulse or none"),
-    ], ids=["fifo-filo-one-width", "fifo-filo-three-pulses", "fifo-filo-three-labelled-pulses",
+    ], ids=["fifo-filo-three-pulses", "fifo-filo-three-labelled-pulses",
             "fifo-filo-one-label", "gem-one-label"])
     def test_every_pulse_is_simulated(self, text, message, tmp_path):
         validate_rejects(text, message, tmp_path)
@@ -890,44 +893,36 @@ class TestCli:
     def test_validate_and_version_load_neither_numpy_nor_scipy(self, tmp_path):
         # the CLI imports the scenarios only to run one, and the package
         # exports resolve on first access, so these commands touch no array;
-        # nor does a range error
-        # nor do the benchmark's workload INIs, whose validation setup_s times.
-        # Each of the nine shipped configs validates as its own scenario, and
-        # a zero-intensity structure-factor or dispersion source is refused,
-        # as is a vortices stripe on a plane wave of zero intensity or a
-        # gaussian of zero power, and a recall order from a memory that
-        # stores nothing (g, density or eta0 zero)
-        bads = [(PROPAGATE_GAUSSIAN, "n0 = 1.0", "n0 = -1.0"),
-                (STRUCTURE_FACTOR, "\nintensity = 1.3272e-3", "\nintensity = 0.0"),
-                (DISPERSION, "\nintensity = 132720.0", "\nintensity = 0.0"),
-                (VORTEX_STRIPE, "\nintensity = 132720.0", "\nintensity = 0.0"),
-                (VORTEX_STRIPE, "kind = plane\nintensity = 132720.0",
-                 "kind = gaussian\nwaist = 1e-4\npower = 0.0"),
-                (GEM, "g = 1.7841", "g = 0.0"), (GEM, "density = 1.7841", "density = 0.0"),
-                (GEM, "eta0 = 20.0", "eta0 = 0.0"), (FIFO_FILO, "eta0 = 20.0", "eta0 = 0.0")]
-        for i, (text, old, new) in enumerate(bads):
-            (tmp_path / f"bad-{i}.ini").write_text(swap(text, old, new))
-        inis = []
+        # nor does a range error, nor do the benchmark's workload INIs, whose
+        # validation setup_s times and each of which validates as its
+        # workload's scenario and seed. A config a rule refuses is a row of
+        # test_each_rule_is_the_builders_and_exits_2, which checks it
+        # without numpy
+        bad = tmp_path / "bad.ini"
+        bad.write_text(swap(PROPAGATE_GAUSSIAN, "n0 = 1.0", "n0 = -1.0"))
+        scenarios = {"beam-512": "propagate", "sf-ensemble-64": "structure-factor",
+                     "bogoliubov-256": "dispersion"}
+        inis, oks = [], []
         for name in BENCHMARK_WORKLOADS:
             for seed in range(5):
                 inis.append(tmp_path / f"{name}-{seed}.ini")
                 inis[-1].write_text(workload_ini(name, seed))
-        commands = ([["validate", "--config", str(c)] for c in CONFIGS + inis]
-                    + [["validate", "--config", str(tmp_path / f"bad-{i}.ini")]
-                       for i in range(len(bads))] + [["version"]])
+                oks.append(f"ok: scenario {scenarios[name]!r}, seed {seed}")
+        commands = ([["validate", "--config", str(c)] for c in CONFIGS + inis + [bad]]
+                    + [["version"]])
         code = ("import sys; from pfl.cli import main; "
                 f"codes = [main(argv) for argv in {commands!r}]; "
                 "print(codes, sorted(m for m in sys.modules "
                 "if m.partition('.')[0] in ('numpy', 'scipy')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{[0] * (len(CONFIGS) + 15) + [2] * 9 + [0]} []"
-        assert "line 17: medium.n0 must lie in (0, inf), got -1.0" in proc.stderr
-        assert proc.stderr.count("the source intensity is zero") == 4
-        assert proc.stderr.count("the memory stores nothing") == 2
-        assert proc.stderr.count("eta must be nonzero") == 2
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == f"{[0] * (len(CONFIGS) + len(inis)) + [2, 0]} []"
+        assert proc.stderr == ("config error: line 17: medium.n0 must lie in (0, inf), "
+                               "got -1.0\n")
         assert len(CONFIGS) == 9
-        assert all(line.startswith("ok: scenario") for line in proc.stdout.splitlines()[:9])
+        assert all(line.startswith("ok: scenario") for line in lines[:9])
+        assert lines[9:9 + len(inis)] == oks
 
     def test_shipped_dispersion_config_runs(self, shipped_runs):
         # one stacked propagation of one line per probe: the background is
