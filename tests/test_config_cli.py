@@ -366,6 +366,16 @@ class TestParsing:
         validate_rejects(text, message, tmp_path)
         assert "source" in capsys.readouterr().err
 
+    def test_benchmark_workload_inis_parse(self):
+        # the benchmark runs pfl on the INIs perfbench/workloads.py writes;
+        # one that stops parsing would fail every benchmark run
+        scenarios = {"beam-512": "propagate", "sf-ensemble-64": "structure-factor",
+                     "bogoliubov-256": "dispersion"}
+        for name in BENCHMARK_WORKLOADS:
+            for seed in range(5):
+                cfg = parse_config(workload_ini(name, seed))
+                assert (cfg.scenario, cfg.run["seed"]) == (scenarios[name], seed)
+
     @pytest.mark.parametrize("text", [GOOD_SOUND_SCALING, GOOD_PRECONDENSATION],
                              ids=["sound-scaling", "precondensation"])
     def test_round_trip_without_the_values_the_scenario_sets(self, text):
