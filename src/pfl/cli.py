@@ -4,8 +4,9 @@
     pfl validate --config FILE
     pfl version
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error. Without
---out, a run writes to $PFL_OUT/<scenario> ($PFL_OUT defaults to ./pfl-out).
+Exit codes: 0 success, 2 configuration error (an output directory that is
+an existing file included), 3 runtime error. Without --out, a run writes to
+$PFL_OUT/<scenario> ($PFL_OUT defaults to ./pfl-out).
 --jobs has no effect: a run takes no thread count.
 """
 
@@ -87,9 +88,13 @@ def main(argv=None) -> int:
         print("config error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_CONFIG
 
+    out_dir = Path(args.out or Path(os.environ.get("PFL_OUT", "pfl-out")) / cfg.scenario)
+    if out_dir.exists() and not out_dir.is_dir():
+        print(f"config error: output directory {out_dir} is an existing file", file=sys.stderr)
+        return EXIT_CONFIG
+
     from .scenarios import run_scenario  # loads numpy and the solver
 
-    out_dir = Path(args.out or Path(os.environ.get("PFL_OUT", "pfl-out")) / cfg.scenario)
     try:
         writer = run_scenario(cfg, out_dir)
     except Exception as exc:  # noqa: BLE001 - scenario failures map to exit 3

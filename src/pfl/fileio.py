@@ -1,4 +1,7 @@
-"""File formats: PFL1 field snapshots (layout in pfl1), 16-bit PGM dumps, CSV.
+"""The run directory's one write path and its formats: PFL1 field snapshots
+(layout in pfl1), 16-bit PGM dumps, CSV. ArtifactWriter.write hashes each
+file's bytes as it writes them, so the manifest reads no file back;
+save_field and write_density_pgm write through an ArtifactWriter too.
 
 Density dumps are binary PGM (P5) with maxval 65535, scaled so the frame
 maximum maps to 65535; the scale is recorded in a sidecar text file next
@@ -16,20 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .grid import Field2D, make_grid
-from .pfl1 import HEADER, read_header
+from .pfl1 import HEADER, pack_header, read_header
 
 
 def save_field(path, field: Field2D, z: float = 0.0) -> Path:
-    path = Path(path)
-    grid = field.grid
-    header = HEADER.pack(b"PFL1", grid.nx, grid.ny, grid.dx, grid.dy, 0, float(z))  # unit: V/m
-    # "<c16" samples are the interleaved little-endian (re, im) float64 pairs;
-    # for a contiguous complex128 field this is the field's own memory
-    samples = np.ascontiguousarray(field.values, dtype="<c16")
-    with path.open("wb") as fh:
-        fh.write(header)
-        fh.write(samples.data)
-    return path
+    """Write a PFL1 snapshot of field at z to path (see ArtifactWriter.field)."""
+    return ArtifactWriter(Path(path).parent).field(Path(path).name, field, z)
 
 
 def load_field(path, grid=None) -> tuple[Field2D, float]:
@@ -46,18 +41,8 @@ def load_field(path, grid=None) -> tuple[Field2D, float]:
 
 
 def write_density_pgm(path, density: np.ndarray) -> Path:
-    """Write a density array (ny, nx) as 16-bit binary PGM, max-scaled per
-    frame, and its scale to the sidecar file path + ".scale.txt"."""
-    path = Path(path)
-    peak = float(np.max(density))
-    scale = peak if peak > 0 else 1.0
-    ny, nx = density.shape
-    header = f"P5\n{nx} {ny}\n65535\n".encode("ascii")
-    samples = np.round(density / scale * 65535.0).astype(">u2")
-    path.write_bytes(header + samples.tobytes())
-    path.with_suffix(path.suffix + ".scale.txt").write_text(
-        f"max_value = {fmt(scale)}\nmaxval_code = 65535\n")
-    return path
+    """Write a density array as 16-bit PGM with its sidecar (see ArtifactWriter.pgm)."""
+    return ArtifactWriter(Path(path).parent).pgm(Path(path).name, density)
 
 
 def fmt(x) -> str:
@@ -76,41 +61,50 @@ def _csv_text(header: list[str], columns) -> str:
     return "\n".join([",".join(header), *rows]) + "\n"
 
 
-def sha256_of(path) -> str:
-    digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
-
-
 class ArtifactWriter:
-    """Collects every file written into a run directory and emits a manifest
-    listing exactly those files with their checksums."""
+    """Writes every file of a run directory, records the sha256 of the bytes
+    of each, and emits a manifest listing exactly those files."""
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.paths: list[Path] = []
+        self.digests: dict[str, str] = {}  # name: sha256 of the bytes written
 
-    def register(self, path) -> Path:
-        path = Path(path)
-        self.paths.append(path)
+    @property
+    def paths(self) -> list[Path]:  # in the order first written
+        return [self.out_dir / name for name in self.digests]
+
+    def write(self, name: str, *chunks) -> Path:
+        """Write the chunks (bytes-like, contiguous) to name in order, feeding
+        each to the file's sha256 as it is written; no chunk is copied."""
+        path, digest = self.out_dir / name, hashlib.sha256()
+        with path.open("wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+                digest.update(chunk)
+        self.digests[name] = digest.hexdigest()
         return path
-
-    def path(self, name: str) -> Path:
-        return self.register(self.out_dir / name)
 
     def csv(self, name: str, header: list[str], *columns) -> Path:
         """CSV of the columns, in the order of header's names."""
         return self.text(name, _csv_text(header, columns))
 
     def field(self, name: str, field: Field2D, z: float = 0.0) -> Path:
-        return save_field(self.path(name), field, z)
+        """A PFL1 snapshot of field at z. The "<c16" samples are the interleaved
+        (re, im) pairs: a contiguous complex128 field's own memory."""
+        return self.write(name, pack_header(field.grid, z),
+                          np.ascontiguousarray(field.values, dtype="<c16"))
 
     def pgm(self, name: str, density) -> Path:
-        out = write_density_pgm(self.out_dir / name, density)
-        self.register(out)
-        self.register(out.with_suffix(out.suffix + ".scale.txt"))
-        return out
+        """A density array (ny, nx) as 16-bit binary PGM, max-scaled per frame,
+        and its scale to the sidecar name + ".scale.txt"."""
+        peak = float(np.max(density))
+        scale = peak if peak > 0 else 1.0
+        ny, nx = density.shape
+        path = self.write(name, f"P5\n{nx} {ny}\n65535\n".encode("ascii"),
+                          np.round(density / scale * 65535.0).astype(">u2"))
+        self.text(name + ".scale.txt", f"max_value = {fmt(scale)}\nmaxval_code = 65535\n")
+        return path
 
     def metrics(self, name: str, record) -> Path:
         """Per-run metrics: key = value block, then a (z, power) CSV trace."""
@@ -119,14 +113,12 @@ class ArtifactWriter:
                                + _csv_text(["z", "power"], record.power_trace.T))
 
     def text(self, name: str, content: str) -> Path:
-        p = self.path(name)
-        p.write_text(content)
-        return p
+        return self.write(name, content.encode("utf-8"))
 
     def write_manifest(self) -> Path:
+        """manifest.txt: "<sha256>  <name>" for each file written, by name. The
+        digests are those recorded as the files were written: no file is read."""
         manifest = self.out_dir / "manifest.txt"
-        lines = []
-        for p in sorted(set(self.paths)):
-            lines.append(f"{sha256_of(p)}  {p.relative_to(self.out_dir)}")
-        manifest.write_text("\n".join(lines) + "\n")
+        lines = [f"{self.digests[name]}  {name}" for name in sorted(self.digests)]
+        manifest.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
         return manifest

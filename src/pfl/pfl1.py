@@ -1,13 +1,18 @@
-"""The PFL1 snapshot header, read without numpy so that `pfl validate` can
-check a `file` source. All little-endian: the magic "PFL1", nx, ny (uint64),
-dx, dy (float64), unit (uint64, 0: the field in V/m) and z (float64), then
-nx*ny interleaved (re, im) float64 pairs, row-major (y rows, x in a row)."""
+"""The PFL1 snapshot header, packed for fileio and read without numpy for
+`pfl validate`'s check of a `file` source. Little-endian: the magic "PFL1",
+nx, ny (uint64), dx, dy (float64), unit (uint64, 0: a field in V/m), z
+(float64), then nx*ny (re, im) float64 pairs, row-major (y rows, x in a row)."""
 
 import os
 import struct
 
 HEADER = struct.Struct("<4sQQddQd")  # magic, nx, ny, dx, dy, unit code, z
 _GRID = "Grid(nx={}, ny={}, dx={!r}, dy={!r})".format
+
+
+def pack_header(grid, z: float) -> bytes:
+    """The header of a snapshot of a field in V/m on grid (nx, ny, dx, dy) at z."""
+    return HEADER.pack(b"PFL1", grid.nx, grid.ny, grid.dx, grid.dy, 0, float(z))
 
 
 def read_header(path, grid=None) -> tuple[int, int, float, float, float]:

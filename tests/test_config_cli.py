@@ -830,6 +830,18 @@ class TestCli:
         actual = {p.name for p in out.iterdir() if p.name != "manifest.txt"}
         assert listed == actual  # exactly the files written, no orphans
 
+    def test_out_that_is_an_existing_file_exits_2_without_numpy(self, tmp_path):
+        cfg, out = tmp_path / "gem.ini", tmp_path / "taken"
+        cfg.write_text(GOOD_GEM)
+        out.write_text("not a directory\n")
+        argv = ["gem-efficiency-sweep", "--config", str(cfg), "--out", str(out)]
+        code = (f"import sys; from pfl.cli import main; code = main({argv!r}); "
+                "print('exit', code, 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.splitlines()[-1] == "exit 2 False", proc.stderr
+        assert proc.stderr == f"config error: output directory {out} is an existing file\n"
+        assert out.read_text() == "not a directory\n"
+
     def test_pfl_out_env_used(self, tmp_path, monkeypatch):
         cfg = tmp_path / "gem.ini"
         cfg.write_text(GOOD_GEM)

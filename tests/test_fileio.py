@@ -1,11 +1,14 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pfl.fileio import ArtifactWriter, fmt, load_field, save_field, sha256_of, write_density_pgm
+from pfl.fileio import ArtifactWriter, fmt, load_field, save_field, write_density_pgm
 from pfl.grid import Field2D, make_grid
 from pfl.sources import speckle
+
+from conftest import BENCHMARK_WORKLOADS, CONFIGS
 
 
 def test_pfl1_round_trip(tmp_path):
@@ -62,20 +65,25 @@ def test_pfl1_round_trip_is_bit_exact(tmp_path):
 
 
 def test_save_field_writes_without_copies(tmp_path):
-    # a 512^2 field (4 MB) is written from its own memory; copying it into
-    # interleaved and byte buffers took about 12 MB. A strided field is
-    # made contiguous first and reads back the same.
+    # a 512^2 field (4 MB) is written, and hashed, from its own memory by
+    # save_field and by ArtifactWriter.field; copying it into interleaved
+    # and byte buffers took about 12 MB. A strided field is made contiguous
+    # first and reads back the same.
     g = make_grid(512, 512, 1.0)
     rng = np.random.default_rng(3)
     full = rng.standard_normal((512, 1024)) + 1j * rng.standard_normal((512, 1024))
     contiguous = Field2D(grid=g, values=full[:, :512].copy())
-    tracemalloc.start()
-    try:
-        save_field(tmp_path / "big.pfl1", contiguous)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    writer = ArtifactWriter(tmp_path / "run")
+    for write in (lambda: save_field(tmp_path / "big.pfl1", contiguous),
+                  lambda: writer.field("big.pfl1", contiguous)):
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    assert (tmp_path / "run" / "big.pfl1").read_bytes() == (tmp_path / "big.pfl1").read_bytes()
     for f in (contiguous, Field2D(grid=g, values=full[:, ::2])):
         loaded, _ = load_field(save_field(tmp_path / "big.pfl1", f))
         assert np.array_equal(loaded.values, f.values)
@@ -180,4 +188,23 @@ def test_artifact_writer_manifest_exact(tmp_path):
     names = sorted(line.split(maxsplit=1)[1] for line in lines)
     assert names == ["data.csv", "note.txt"]
     digest, name = lines[0].split(maxsplit=1)
-    assert digest == sha256_of(tmp_path / "run" / name)
+    assert digest == hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+
+
+def test_manifest_lists_the_bytes_written_and_reads_no_file_back(tmp_path):
+    w = ArtifactWriter(tmp_path)
+    w.text("kept.txt", "kept\n")
+    w.text("changed.txt", "as written\n")
+    (tmp_path / "changed.txt").write_text("changed on disk\n")
+    assert w.write_manifest().read_text() == "".join(
+        f"{hashlib.sha256(content).hexdigest()}  {name}\n"
+        for name, content in (("changed.txt", b"as written\n"), ("kept.txt", b"kept\n")))
+
+
+@pytest.mark.parametrize("name", [*(c.stem for c in CONFIGS), *BENCHMARK_WORKLOADS])
+def test_each_manifest_lists_its_run_directory_with_the_digests_on_disk(shipped_runs, name):
+    out = shipped_runs[name].out
+    lines = (out / "manifest.txt").read_text().splitlines()
+    on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.txt")
+    assert lines == [f"{hashlib.sha256((out / n).read_bytes()).hexdigest()}  {n}"
+                     for n in on_disk]
