@@ -14,10 +14,13 @@ differs. Every run directory is compared file by file, manifest included.
 Prints each file that differs or exists in one tree only, and each run that
 exits non-zero, then a summary line. A differing CSV file whose header and
 row count match is printed with the largest relative difference of each of
-its columns (`structure_factor.csv: k 0, s_k 1.9e-11, sigma 2.4e-11`), so
-that a move in the last digits reads apart from a changed result. Exits 0 when every run succeeds and
-every run directory is byte-identical, 1 otherwise, 2 when BASE cannot be
-unpacked. Two runs go at a time, one per tree, single-threaded.
+its columns (`structure_factor.csv: k 0, s_k 1.9e-11, sigma 2.4e-11`), and
+a differing `key = value` text file whose keys match (`metrics.txt`,
+`fit.txt`, `ordering.txt`) with that of each key (`fit.txt: c_s 3e-16,
+...`), so that a move in the last digits reads apart from a changed result.
+Exits 0 when every run succeeds and every run directory is byte-identical,
+1 otherwise, 2 when BASE cannot be unpacked. Two runs go at a time, one per
+tree, single-threaded.
 """
 
 from __future__ import annotations
@@ -90,14 +93,14 @@ def differences(a: Path, b: Path) -> list[str]:
 
 
 def column_differences(a: Path, b: Path) -> str | None:
-    """The largest relative difference of each column of the CSV files a and
-    b, as "name value, ...", when both exist and their headers and row
-    counts match; None otherwise. A cell that is not a number counts inf
-    where it differs."""
-    if not (a.suffix == ".csv" and a.is_file() and b.is_file()):
+    """The largest relative difference of each column of the tables (see
+    table) of the files a and b, as "name value, ...", when both exist and
+    their headers and row counts match; None otherwise. A cell that is not a
+    number counts inf where it differs."""
+    if not (a.is_file() and b.is_file()):
         return None
-    rows_a, rows_b = (list(csv.reader(path.read_text().splitlines())) for path in (a, b))
-    if not rows_a or len(rows_a) != len(rows_b) or rows_a[0] != rows_b[0]:
+    rows_a, rows_b = table(a), table(b)
+    if not rows_a or not rows_b or len(rows_a) != len(rows_b) or rows_a[0] != rows_b[0]:
         return None
     largest = dict.fromkeys(rows_a[0], 0.0)
     for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
@@ -105,6 +108,19 @@ def column_differences(a: Path, b: Path) -> str | None:
             if x != y:
                 largest[name] = max(largest[name], relative_difference(x, y))
     return ", ".join(f"{name} {value:.2g}" for name, value in largest.items())
+
+
+def table(path: Path) -> list[list[str]] | None:
+    """The rows of a CSV file, header first; of a text file of `key = value`
+    lines, its keys and one row of their values; None for any other file."""
+    if path.suffix == ".csv":
+        return list(csv.reader(path.read_text().splitlines()))
+    if path.suffix != ".txt":
+        return None
+    pairs = [line.split(" = ", 1) for line in path.read_text().splitlines()]
+    if not pairs or any(len(pair) != 2 for pair in pairs):
+        return None
+    return [list(column) for column in zip(*pairs)]
 
 
 def relative_difference(x: str, y: str) -> float:

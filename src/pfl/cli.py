@@ -5,8 +5,8 @@
     pfl version
 
 Exit codes: 0 success, 2 configuration error (an output directory that is
-an existing file included), 3 runtime error. Without --out, a run writes to
-$PFL_OUT/<scenario> ($PFL_OUT defaults to ./pfl-out).
+or lies under an existing file included), 3 runtime error. Without --out,
+a run writes to $PFL_OUT/<scenario> ($PFL_OUT defaults to ./pfl-out).
 --jobs has no effect: a run takes no thread count.
 """
 
@@ -89,8 +89,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(args.out or Path(os.environ.get("PFL_OUT", "pfl-out")) / cfg.scenario)
-    if out_dir.exists() and not out_dir.is_dir():
-        print(f"config error: output directory {out_dir} is an existing file", file=sys.stderr)
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        at = "is" if existing == out_dir else f"lies under {existing}, which is"
+        print(f"config error: output directory {out_dir} {at} an existing file", file=sys.stderr)
         return EXIT_CONFIG
 
     from .scenarios import run_scenario  # loads numpy and the solver

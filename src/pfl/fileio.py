@@ -4,8 +4,8 @@ file's bytes as it writes them, so the manifest reads no file back;
 save_field and write_density_pgm write through an ArtifactWriter too.
 
 Density dumps are binary PGM (P5) with maxval 65535, scaled so the frame
-maximum maps to 65535; the scale is recorded in a sidecar text file next
-to the image. Per the netpbm convention the 16-bit samples are big-endian.
+maximum maps to 65535; the scale is a "# max_value = <scale>" comment in
+the header. Per the netpbm convention the 16-bit samples are big-endian.
 
 CSV floats are written with repr-level precision so equal inputs produce
 byte-identical files.
@@ -41,7 +41,7 @@ def load_field(path, grid=None) -> tuple[Field2D, float]:
 
 
 def write_density_pgm(path, density: np.ndarray) -> Path:
-    """Write a density array as 16-bit PGM with its sidecar (see ArtifactWriter.pgm)."""
+    """Write a density array as 16-bit PGM, its scale in the header (see ArtifactWriter.pgm)."""
     return ArtifactWriter(Path(path).parent).pgm(Path(path).name, density)
 
 
@@ -97,20 +97,19 @@ class ArtifactWriter:
 
     def pgm(self, name: str, density) -> Path:
         """A density array (ny, nx) as 16-bit binary PGM, max-scaled per frame,
-        and its scale to the sidecar name + ".scale.txt"."""
+        the density that code 65535 stands for in a header comment."""
         peak = float(np.max(density))
         scale = peak if peak > 0 else 1.0
         ny, nx = density.shape
-        path = self.write(name, f"P5\n{nx} {ny}\n65535\n".encode("ascii"),
+        header = f"P5\n# max_value = {fmt(scale)}\n{nx} {ny}\n65535\n"
+        return self.write(name, header.encode("ascii"),
                           np.round(density / scale * 65535.0).astype(">u2"))
-        self.text(name + ".scale.txt", f"max_value = {fmt(scale)}\nmaxval_code = 65535\n")
-        return path
 
-    def metrics(self, name: str, record) -> Path:
-        """Per-run metrics: key = value block, then a (z, power) CSV trace."""
-        return self.text(name, f"n_steps = {record.n_steps}\ndz = {fmt(record.dz)}\n"
-                               f"max_phase_per_step = {fmt(record.max_phase_per_step)}\n\n"
-                               + _csv_text(["z", "power"], record.power_trace.T))
+    def metrics(self, record) -> Path:
+        """A propagation record's key = value lines to metrics.txt, its trace to power.csv."""
+        self.csv("power.csv", ["z", "power"], *record.power_trace.T)
+        return self.text("metrics.txt", f"n_steps = {record.n_steps}\ndz = {fmt(record.dz)}\n"
+                                         f"max_phase_per_step = {fmt(record.max_phase_per_step)}\n")
 
     def text(self, name: str, content: str) -> Path:
         return self.write(name, content.encode("utf-8"))

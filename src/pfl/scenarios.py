@@ -104,10 +104,9 @@ def _scenario_propagate(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
 
     (record,) = propagate(source(), run.medium, run.plan, keep=write_snapshot)
     w.field("final.pfl1", record.final_field, record.z_final)
-    w.csv("power.csv", ["z", "power"], *record.power_trace.T)
     if cfg.run["pgm"]:
         w.pgm("final_density.pgm", record.final_field.density())
-    w.metrics("metrics.txt", record)
+    w.metrics(record)
 
 
 def _scenario_dispersion(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
@@ -211,7 +210,7 @@ def _scenario_vortices(cfg: RunConfig, runs, grid: Grid, w: ArtifactWriter):
 
     (record,) = propagate(source(), run.medium, run.plan)
     field = record.final_field
-    w.metrics("metrics.txt", record)
+    w.metrics(record)
     w.field("final.pfl1", field, record.z_final)
     vortices = detect_vortices(field)
     w.csv("vortices.csv", ["x", "y", "charge"], *vortices.positions.T, vortices.charges)

@@ -417,13 +417,6 @@ def propagate(field_in: Field2D | Iterable[Field2D], medium: MediumParams,
     """
     lone = isinstance(field_in, Field2D)
     grid, stack = _read_stack(field_in)
-    if plan.n_steps == 0:
-        records = [PropagationRecord(
-            final_field=Field2D(grid=grid, values=member[:, :grid.nx].copy()), z_final=0.0,
-            n_steps=0, dz=0.0, power_trace=np.array([[0.0, p0]]))
-            for member, p0 in zip(stack, _stack_power(stack, grid))]
-        return records[0] if lone else records
-    dz = plan.resolve_dz(medium.length)
     keep = keep or (lambda z, field: field)
     snapshots = [[] for _ in stack]
 
@@ -431,14 +424,20 @@ def propagate(field_in: Field2D | Iterable[Field2D], medium: MediumParams,
         for member, kept in zip(fields, snapshots):
             kept.append((z, keep(z, Field2D(grid=grid, values=member))))
 
-    final, power, max_phase = SplitStepKernel(grid, medium, dz).run(stack, plan, hand_off)
+    if plan.n_steps:
+        dz, z_final = plan.resolve_dz(medium.length), medium.length
+        final, power, max_phase = SplitStepKernel(grid, medium, dz).run(stack, plan, hand_off)
+    else:  # the input as it is: one power row, no phase and no snapshot
+        dz = z_final = 0.0
+        final, power, max_phase = (stack[..., :grid.nx].copy(), _stack_power(stack, grid)[None],
+                                   np.zeros(len(stack)))
     del stack  # overwritten by the kernel, and freed before the final fields are handed out
     finals = [Field2D(grid=grid, values=v).validate_finite() for v in final]
     if plan.n_steps in snapshot_steps(plan.n_steps, plan.snapshot_every):
-        hand_off(medium.length, final.copy())
+        hand_off(z_final, final.copy())
     z = np.arange(plan.n_steps + 1) * dz
     records = [PropagationRecord(
-        final_field=final_field, z_final=medium.length, n_steps=plan.n_steps, dz=dz,
+        final_field=final_field, z_final=z_final, n_steps=plan.n_steps, dz=dz,
         power_trace=np.column_stack((z, power[:, b])), snapshots=snapshots[b],
         max_phase_per_step=float(max_phase[b]))
         for b, final_field in enumerate(finals)]

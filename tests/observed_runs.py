@@ -4,11 +4,14 @@ Runs each INI once through pfl.cli.main into OUT/NAME and pickles what the
 run did to OUT/NAME.pickle (see conftest.shipped_runs). Each run is a child
 forked from this process, which loaded numpy and pfl.scenarios, as every run
 does, but no scipy and no scenario module (dispersion, stats, hydro, gem,
-potentials)."""
+potentials). Two children run at a time where this process may use two or
+more cores, one otherwise; every child is joined before it exits."""
 
 import contextlib
 import io
 import multiprocessing
+import multiprocessing.connection
+import os
 import pickle
 import re
 import sys
@@ -77,10 +80,22 @@ def observe(ini: Path, out: Path):
     Path(f"{out}.pickle").write_bytes(pickle.dumps(record))
 
 
-if __name__ == "__main__":
+def observe_all(out: Path, inis: dict[str, Path]) -> bool:
+    """Observe each named INI's run into out in a forked child of its own,
+    at most one child per core and two at a time; True if any child failed.
+    A function, so that the loop binds no global of the forked children."""
     fork, children = multiprocessing.get_context("fork"), []
-    for name, ini in (arg.split("=", 1) for arg in sys.argv[2:]):
-        children.append(fork.Process(target=observe, args=(Path(ini), Path(sys.argv[1], name))))
+    at_once = min(2, len(os.sched_getaffinity(0)))
+    for name, ini in inis.items():
+        while len(busy := [child for child in children if child.is_alive()]) == at_once:
+            multiprocessing.connection.wait([child.sentinel for child in busy])
+        children.append(fork.Process(target=observe, args=(ini, out / name)))
         children[-1].start()
-        children[-1].join()
-    sys.exit(any(child.exitcode for child in children))
+    for child in children:
+        child.join()
+    return any(child.exitcode for child in children)
+
+
+if __name__ == "__main__":
+    sys.exit(observe_all(Path(sys.argv[1]), {name: Path(ini) for name, ini in
+                                             (arg.split("=", 1) for arg in sys.argv[2:])}))

@@ -1,4 +1,4 @@
-"""bench/compare_runs.py reports how far a differing CSV file moved, and
+"""bench/compare_runs.py reports how far a differing CSV or key = value file moved, and
 bench/costs.py summarizes each run's samples."""
 
 import importlib.util
@@ -27,7 +27,10 @@ def test_a_differing_csv_reports_each_columns_largest_relative_difference(tmp_pa
         "peaks.csv": ("time,label\n1.5,A\n", "time,label\n1.5,B\n"),
         "rows.csv": ("k,s_k\n1.0,0.5\n", "k,s_k\n1.0,0.5\n2.0,0.2\n"),
         "header.csv": ("k,s_k\n1.0,0.5\n", "k,S\n1.0,0.5\n"),
-        "fit.txt": ("c_s = 1.0\n", "c_s = 1.1\n"),
+        "fit.txt": ("c_s = 1.0\nxi_fit = 2.0\n", "c_s = 1.1\nxi_fit = 2.0\n"),
+        "ordering.txt": ("mode = lifo\norder = B,A\n", "mode = fifo\norder = B,A\n"),
+        "keys.txt": ("dz = 1.0\n", "n_steps = 1\n"),
+        "notes.txt": ("a\n", "b\n"),
         "manifest.txt": ("a\n", "a\n"),
     }
     for side, root in enumerate((base, head)):
@@ -37,11 +40,14 @@ def test_a_differing_csv_reports_each_columns_largest_relative_difference(tmp_pa
     (head / "only.csv").write_text("k\n1\n")
 
     assert compare_runs.differences(base, head) == [
-        "fit.txt", "header.csv", "moments.csv", "only.csv", "peaks.csv", "rows.csv",
-        "structure_factor.csv"]
+        "fit.txt", "header.csv", "keys.txt", "moments.csv", "notes.txt", "only.csv",
+        "ordering.txt", "peaks.csv", "rows.csv", "structure_factor.csv"]
     report = {name: compare_runs.column_differences(base / name, head / name)
               for name in compare_runs.differences(base, head)}
-    assert report == {"fit.txt": None, "header.csv": None, "only.csv": None, "rows.csv": None,
+    # a key = value text file whose keys match is read as one column per key
+    assert report == {"header.csv": None, "keys.txt": None, "notes.txt": None,
+                      "only.csv": None, "rows.csv": None,
+                      "fit.txt": "c_s 0.091, xi_fit 0", "ordering.txt": "mode inf, order 0",
                       "moments.csv": "tau 0, mode 0", "peaks.csv": "time 0, label inf",
                       "structure_factor.csv": "k 0, s_k 2e-10, sigma 1e-05"}
 

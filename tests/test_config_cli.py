@@ -842,6 +842,20 @@ class TestCli:
         assert proc.stderr == f"config error: output directory {out} is an existing file\n"
         assert out.read_text() == "not a directory\n"
 
+    def test_out_under_an_existing_file_exits_2_without_numpy(self, tmp_path):
+        cfg, taken = tmp_path / "gem.ini", tmp_path / "taken"
+        cfg.write_text(GOOD_GEM)
+        taken.write_text("not a directory\n")
+        out = taken / "runs" / "gem"
+        argv = ["gem-efficiency-sweep", "--config", str(cfg), "--out", str(out)]
+        code = (f"import sys; from pfl.cli import main; code = main({argv!r}); "
+                "print('exit', code, 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.splitlines()[-1] == "exit 2 False", proc.stderr
+        assert proc.stderr == (f"config error: output directory {out} lies under {taken}, "
+                               f"which is an existing file\n")
+        assert taken.read_text() == "not a directory\n"
+
     def test_pfl_out_env_used(self, tmp_path, monkeypatch):
         cfg = tmp_path / "gem.ini"
         cfg.write_text(GOOD_GEM)

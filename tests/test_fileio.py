@@ -139,20 +139,19 @@ def test_pfl1_short_header_is_truncated(tmp_path):
         load_field(p)
 
 
-def test_pgm_format_and_sidecar(tmp_path):
+def test_pgm_format_and_its_scale_in_the_header(tmp_path):
     g = make_grid(16, 8, 1.0)
     values = np.linspace(0, 1, 16 * 8).reshape(8, 16).astype(complex)
     f = Field2D(grid=g, values=values)
     path = write_density_pgm(tmp_path / "rho.pgm", f.density())
-    raw = path.read_bytes()
-    header, rest = raw.split(b"65535\n", 1)
-    assert header == b"P5\n16 8\n"
+    magic, comment, size, maxval, rest = path.read_bytes().split(b"\n", 4)
+    assert (magic, size, maxval) == (b"P5", b"16 8", b"65535")
     samples = np.frombuffer(rest, dtype=">u2").reshape(8, 16)
     assert samples.max() == 65535  # max-scaled per frame
-    sidecar = (tmp_path / "rho.pgm.scale.txt").read_text()
-    assert "max_value" in sidecar
-    peak = float(sidecar.splitlines()[0].split("=")[1])
-    assert peak == pytest.approx(float(f.density().max()))
+    key, scale = comment.decode("ascii").split(" = ")
+    assert key == "# max_value"
+    assert float(scale) * samples.max() / 65535 == pytest.approx(float(f.density().max()))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rho.pgm"]  # no sidecar
 
 
 def test_fmt_round_trips_doubles():

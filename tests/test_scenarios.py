@@ -107,9 +107,8 @@ intensity = 50.0
 """
     cfg, writer, out = run(tmp_path, text)
     metrics = (out / "metrics.txt").read_text().splitlines()
-    keys = [line.split("=")[0].strip() for line in metrics if "=" in line]
+    keys = [line.split(" = ")[0] for line in metrics]
     assert keys == ["n_steps", "dz", "max_phase_per_step"]  # no wall_time: reruns match
-    assert "z,power" in metrics
     header, rows = read_csv(out / "power.csv")
     assert header == ["z", "power"]
     assert len(rows) == 81
@@ -498,7 +497,7 @@ ys = 0.5e-5, 0.5e-5
     charges = sorted(int(r[2]) for r in rows)
     assert charges == [-1, 1]
     assert (out / "density.pgm").exists()
-    assert (out / "density.pgm.scale.txt").exists()
+    assert not (out / "density.pgm.scale.txt").exists()  # the scale is in the image's header
 
 
 def test_vortices_stripe_mode(tmp_path):
@@ -648,3 +647,37 @@ def test_every_csv_of_every_shipped_run_is_well_formed(shipped_runs):
             assert end == "" and rows, f"{name}/{path.name}"
             widths = {len(row.split(",")) for row in rows}
             assert widths == {len(header.split(","))}, f"{name}/{path.name}: {widths}"
+
+
+def test_each_shipped_propagation_writes_its_trace_once(shipped_runs):
+    # metrics.txt holds the record's three key = value lines; the (z, power)
+    # trace is power.csv beside it, and no other file repeats its rows
+    with_metrics = {name for name, run in shipped_runs.items()
+                    if (run.out / "metrics.txt").exists()}
+    assert with_metrics == {"propagate_gaussian", "vortex_pair", "beam-512"}
+    for name in with_metrics:
+        out = shipped_runs[name].out
+        metrics = (out / "metrics.txt").read_text().splitlines()
+        assert [line.split(" = ")[0] for line in metrics] == [
+            "n_steps", "dz", "max_phase_per_step"], name
+        header, rows = (out / "power.csv").read_bytes().split(b"\n", 1)
+        assert header == b"z,power" and rows.count(b"\n") == int(metrics[0].split(" = ")[1]) + 1
+        holding = [p.name for p in out.iterdir() if rows in p.read_bytes()]
+        assert holding == ["power.csv"], name
+
+
+def test_each_shipped_image_holds_its_scale_in_its_header(shipped_runs):
+    # P5, one "# max_value = " comment, the size and maxval 65535, then the
+    # samples; no .scale.txt sidecar
+    images = {name: sorted(run.out.glob("*.pgm")) for name, run in shipped_runs.items()}
+    assert {name for name, paths in images.items() if paths} == {
+        "propagate_gaussian", "vortex_pair", "gem", "beam-512"}
+    for name, paths in images.items():
+        assert list(shipped_runs[name].out.glob("*.scale.txt")) == [], name
+        for path in paths:
+            magic, comment, size, maxval, samples = path.read_bytes().split(b"\n", 4)
+            assert (magic, maxval) == (b"P5", b"65535"), path.name
+            key, scale = comment.decode("ascii").split(" = ")
+            assert key == "# max_value" and float(scale) > 0, path.name
+            nx, ny = map(int, size.split(b" "))
+            assert len(samples) == 2 * nx * ny, path.name

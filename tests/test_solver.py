@@ -502,11 +502,23 @@ class TestSnapshotSchedule:
 
 class TestPropagate:
     def test_zero_steps_identity(self, small_grid):
-        f = plane_wave(small_grid, 10.0, 1.0)
+        # a zero-step plan's records, lone and stacked: each final field a
+        # copy of its input, one power row at z = 0, no phase, no snapshot
+        fields = [plane_wave(small_grid, 10.0, 1.0), gaussian_beam(small_grid, 5e-5, 0.5, 1.0)]
         med = MediumParams(wavelength=WAVELENGTH, n0=1.0, chi3=0.0, length=0.01)
-        rec = propagate(f, med, StepPlan(n_steps=0))
-        assert np.array_equal(rec.final_field.values, f.values)
-        assert rec.n_steps == 0
+        kept = []
+        plan = StepPlan(n_steps=0, snapshot_every=1)
+        records = propagate(fields, med, plan, keep=lambda z, snap: kept.append(z))
+        assert [type(r) for r in records] == [solver.PropagationRecord] * 2
+        assert isinstance(propagate(fields[0], med, plan), solver.PropagationRecord)
+        for rec, f in zip(records, fields):
+            assert np.array_equal(rec.final_field.values, f.values)
+            assert not np.shares_memory(rec.final_field.values, f.values)
+            assert rec.power_trace.shape == (1, 2) and rec.power_trace[0, 0] == 0.0
+            assert rec.power_trace[0, 1] == pytest.approx(f.power(), rel=1e-12)
+            assert (rec.n_steps, rec.dz, rec.z_final) == (0, 0.0, 0.0)
+            assert rec.max_phase_per_step == 0.0 and rec.snapshots == []
+        assert kept == []
 
     def test_zero_steps_power_is_the_kernels(self):
         # the beam of configs/propagate_gaussian.ini: its z = 0 power reads
