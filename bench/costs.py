@@ -8,8 +8,10 @@ with compare_runs.unpack, and its bytecode cache is built with compileall
 before the first run, so that neither tree compiles while it is timed. The
 runs are the nine shipped `configs/*.ini` and the three benchmark workloads
 at seed 1, whose INI files perfbench/workloads.py writes; both trees run the
-configs and INIs of this checkout, so only the program differs. `--only`
-keeps the runs named (`beam-512`, `structure_factor`, ...).
+configs and INIs of this checkout, so only the program differs. Each is
+also validated on its own (`pfl validate --config`), as the row
+`validate:<name>`. `--only` keeps the configs named (`beam-512`,
+`structure_factor`, ...), both rows of each.
 
 Each run is a fresh process, one at a time, pinned to one core, with BLAS
 and OpenMP threads 1. The child times `pfl.cli.main` from before its import
@@ -69,16 +71,22 @@ def inputs(into: Path) -> dict[str, Path]:
     return named
 
 
-def measure(tree: Path, config: Path, out: Path, core: int) -> dict:
-    """{"exit": code, "wall_s": seconds, "vmhwm_mib": VmHWM} of one run of
-    config with the program of tree, in a fresh process pinned to core; only
-    the exit code of a child that died before it could report."""
+def commands(name: str, config: Path, out: Path) -> dict[str, list[str]]:
+    """{row: CLI arguments}: the run of config into out, and its validation."""
     scenario = re.search(r"^scenario\s*=\s*(\S+)", config.read_text(), re.M).group(1)
+    return {name: [scenario, "--config", str(config), "--out", str(out)],
+            f"validate:{name}": ["validate", "--config", str(config)]}
+
+
+def measure(tree: Path, argv: list[str], core: int) -> dict:
+    """{"exit": code, "wall_s": seconds, "vmhwm_mib": VmHWM} of the CLI on
+    argv with the program of tree, in a fresh process pinned to core; only
+    the exit code of a child that died before it could report."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                **dict.fromkeys(compare_runs.THREAD_VARS, "1"))
-    proc = subprocess.run([sys.executable, "-c", CHILD, scenario, "--config", str(config),
-                           "--out", str(out)], env=env, cwd=tree, capture_output=True,
-                          text=True, preexec_fn=lambda: os.sched_setaffinity(0, {core}))
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env, cwd=tree,
+                          capture_output=True, text=True,
+                          preexec_fn=lambda: os.sched_setaffinity(0, {core}))
     last = (proc.stdout.splitlines() or [""])[-1].split()
     if last[:1] != ["COSTS"]:
         return {"exit": proc.returncode or 1}
@@ -141,15 +149,17 @@ def main(argv: list[str] | None = None) -> int:
             if unknown:
                 parser.error(f"no run named {', '.join(sorted(unknown))}")
             named = {name: path for name, path in named.items() if name in args.only}
-        samples = [{name: {"wall_s": [], "vmhwm_mib": [], "exit": []} for name in named}
+        rows = [row for name, config in named.items() for row in commands(name, config, tmp)]
+        samples = [{row: {"wall_s": [], "vmhwm_mib": [], "exit": []} for row in rows}
                    for _ in trees]
         for round_ in range(args.rounds):
             order = [0, 1] if round_ % 2 == 0 else [1, 0]
             for name, config in named.items():
                 for i in order:
                     out = tmp / "runs" / f"{i}-{round_}-{name}"
-                    for key, value in measure(trees[i], config, out, core).items():
-                        samples[i][name][key].append(value)
+                    for row, argv in commands(name, config, out).items():
+                        for key, value in measure(trees[i], argv, core).items():
+                            samples[i][row][key].append(value)
                     shutil.rmtree(out, ignore_errors=True)
     record = machine(core)
     failed = 0
@@ -160,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
                    "samples": run} for name, run in runs.items()}}
         (args.out / f"BENCH_{sha}.json").write_text(json.dumps(bench, indent=1) + "\n")
         failed += sum(any(run["exit"]) for run in runs.values())
-    for name in named:
+    for name in rows:
         cells = []
         for key, unit in (("wall_s", "s"), ("vmhwm_mib", "MiB")):
             a, b = (summary(runs[name][key]) for runs in samples)
@@ -169,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
                              + (" (apart)" if apart(a, b) else ""))
         codes = sorted({code for runs in samples for code in runs[name]["exit"]})
         print(f"{name}: " + ", ".join(cells) + ("" if codes == [0] else f", exits {codes}"))
-    print(f"{shas[0]} -> {shas[1]}: {len(named)} runs, {args.rounds} rounds, {failed} failed")
+    print(f"{shas[0]} -> {shas[1]}: {len(rows)} runs, {args.rounds} rounds, {failed} failed")
     return 1 if failed else 0
 
 

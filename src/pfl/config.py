@@ -20,9 +20,8 @@ on the MediumParams the run builds (medium_params) and on the fluid scales
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
-from types import SimpleNamespace
-from typing import Any
+from types import MappingProxyType, SimpleNamespace
+from typing import Any, NamedTuple
 
 from . import plans, rules
 from .medium import MediumParams
@@ -37,8 +36,7 @@ class ConfigError(Exception):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(NamedTuple):
     """Schema entry for one key: type, default (REQUIRED if mandatory), the
     interval a number or each list item lies in, such as "(0, inf)", and
     the fewest items a list takes."""
@@ -66,8 +64,7 @@ def inside(value, within: str) -> bool:
             and (value < hi if within[-1] == ")" else value <= hi))
 
 
-@dataclass(frozen=True)
-class Kinds:
+class Kinds(NamedTuple):
     """A section whose `kind` key picks its other keys: the keys of each
     kind a scenario takes, why it takes no other, and whether the section
     may be left out."""
@@ -254,7 +251,7 @@ SCENARIOS: dict[str, dict[str, Any]] = {
             "eta0": Key("float", 20.0),
             "z_extent": _GEM["z_extent"],
             "nz": _GEM["nz"],
-            "t_extent": replace(_GEM["t_extent"], default=8.0),
+            "t_extent": _GEM["t_extent"]._replace(default=8.0),
             "nt": _GEM["nt"],
             "flip_time": Key("float", 3.0, within=_NON_NEGATIVE),
             "pulse_center": Key("float", 1.5),
@@ -264,15 +261,18 @@ SCENARIOS: dict[str, dict[str, Any]] = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
+    """A parsed config: each section's values by key (None for a section the
+    scenario does not read, or an optional one left out), and the
+    scenario's own section as params."""
+
     run: dict
     grid: dict | None = None
     medium: dict | None = None
     plan: dict | None = None
     source: dict | None = None
     potential: dict | None = None
-    params: dict = dc_field(default_factory=dict)
+    params: dict = MappingProxyType({})  # read-only: no default is shared and mutable
 
     @property
     def scenario(self) -> str:

@@ -52,7 +52,7 @@ so its Omega and v_g equal those of a one-probe stack bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ from .plans import ProbeSpec, Propagation
 from .solver import propagate
 
 
-@dataclass
-class GroupVelocityMeasurement:
+class GroupVelocityMeasurement(NamedTuple):
     """A probe's k_perp, its group velocity signed as k_perp, and Omega(|k_perp|)."""
 
     k_perp: float
@@ -72,8 +71,7 @@ class GroupVelocityMeasurement:
     omega: float
 
 
-@dataclass
-class DispersionCurve:
+class DispersionCurve(NamedTuple):
     """Sampled dispersion relation and its Bogoliubov fit."""
 
     k_perp: np.ndarray
@@ -232,8 +230,7 @@ def _fit_bogoliubov(k: np.ndarray, omega: np.ndarray, k0: float, n0: float,
     return dn, float(np.sqrt((r @ r) / (len(k) - 1) / (jac @ jac)))
 
 
-@dataclass
-class SoundSpeedScaling:
+class SoundSpeedScaling(NamedTuple):
     densities: np.ndarray
     sound_speeds: np.ndarray
     exponent: float

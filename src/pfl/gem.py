@@ -25,7 +25,7 @@ with the time grid) and the gate C(t) at every midpoint and grid time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ PEAK_REL_HEIGHT = 0.2
 ECHO_TIME_WIDTHS = 1.0
 
 
-@dataclass
-class GemResult:
+class GemResult(NamedTuple):
     times: np.ndarray
     input_field: np.ndarray
     output_field: np.ndarray
@@ -133,8 +132,7 @@ def gem_efficiency_theory(g: float, density: float, eta: float) -> float:
     return float((1.0 - np.exp(-2.0 * np.pi * g * density / abs(eta))) ** 2)
 
 
-@dataclass
-class EfficiencyMeasurement:
+class EfficiencyMeasurement(NamedTuple):
     sigma: float
     echo_time: float
 
@@ -159,8 +157,7 @@ def gem_efficiency_measured(config: GemConfig, pulse: GaussianPulse) -> Efficien
     return EfficiencyMeasurement(sigma=energy_echo / energy_in, echo_time=echo_time)
 
 
-@dataclass
-class PulseOrderingResult:
+class PulseOrderingResult(NamedTuple):
     mode: str
     peak_times: list[float]
     labels: list[str]

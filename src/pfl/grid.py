@@ -24,13 +24,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple):
     """Uniform periodic grid in the transverse (x, y) plane."""
 
     nx: int
@@ -93,27 +92,35 @@ def make_grid(nx: int, ny: int, dx: float, dy: float | None = None) -> Grid:
     return Grid(nx=int(nx), ny=int(ny), dx=float(dx), dy=float(dy))
 
 
-@dataclass
-class Field2D:
-    """Complex scalar field sampled on a Grid.
-
-    ``values`` has shape (ny, nx), in V/m.
-    """
-
+class _Sampled(NamedTuple):
     grid: Grid
     values: np.ndarray
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.shape != (self.grid.ny, self.grid.nx):
+
+class Field2D(_Sampled):
+    """Complex scalar field sampled on a Grid.
+
+    ``values`` has shape (ny, nx), in V/m; construction and _replace take
+    it as a complex128 array and check its shape.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, grid: Grid, values: np.ndarray):
+        values = np.asarray(values, dtype=np.complex128)
+        if values.shape != (grid.ny, grid.nx):
             raise ValueError(
                 f"values shape {values.shape} does not match grid "
-                f"({self.grid.ny}, {self.grid.nx})"
+                f"({grid.ny}, {grid.nx})"
             )
-        self.values = values
+        return super().__new__(cls, grid, values)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check there too
+        return cls(*iterable)
 
     def copy(self) -> "Field2D":
-        return replace(self, values=self.values.copy())
+        return self._replace(values=self.values.copy())
 
     def with_values(self, values: np.ndarray) -> "Field2D":
         """New field on the same grid."""

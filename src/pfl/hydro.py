@@ -8,7 +8,7 @@ therefore has v_x = +k, and its density drifts toward +x under propagation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .grid import Field2D
 DENSITY_FLOOR = 1e-3
 
 
-@dataclass
-class VortexSet:
+class VortexSet(NamedTuple):
     """Quantized vortices found by plaquette winding."""
 
     positions: np.ndarray  # shape (n, 2), columns (x, y) in meters
@@ -28,9 +27,6 @@ class VortexSet:
     @property
     def total_winding(self) -> int:
         return int(np.sum(self.charges))
-
-    def __len__(self) -> int:
-        return len(self.charges)
 
 
 def wrap_phase(delta: np.ndarray) -> np.ndarray:

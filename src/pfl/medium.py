@@ -12,8 +12,7 @@ density and intensity conversions take a float or an ndarray.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -22,16 +21,7 @@ C_LIGHT = 299792458.0  # speed of light in vacuum, m/s
 EPS0 = 8.8541878188e-12  # vacuum permittivity, F/m
 
 
-@dataclass
-class MediumParams:
-    """Physical description of the nonlinear slab.
-
-    potential is the complex index variation delta_n(r_perp): the real part
-    shifts the linear index, a positive imaginary part is loss, a negative
-    one gain. It is an array sampled on the grid, fixed along z, or None;
-    the solver's kernel checks its shape.
-    """
-
+class _Medium(NamedTuple):
     wavelength: float
     n0: float
     chi3: float
@@ -40,7 +30,21 @@ class MediumParams:
     potential: np.ndarray | None = None
     i_sat: float | None = None
 
-    def __post_init__(self):
+
+class MediumParams(_Medium):
+    """Physical description of the nonlinear slab.
+
+    potential is the complex index variation delta_n(r_perp): the real part
+    shifts the linear index, a positive imaginary part is loss, a negative
+    one gain. It is an array sampled on the grid, fixed along z, or None;
+    the solver's kernel checks its shape. Construction and _replace check
+    the scalars.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.wavelength <= 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         if self.n0 <= 0:
@@ -49,6 +53,12 @@ class MediumParams:
             raise ValueError(f"length must be non-negative, got {self.length}")
         if self.i_sat is not None and self.i_sat <= 0:
             raise ValueError(f"i_sat must be positive when given, got {self.i_sat}")
+        return self
+    __new__.__wrapped__ = _Medium.__new__  # so that help() and inspect show the fields
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check there too
+        return cls(*iterable)
 
     @classmethod
     def from_n2(cls, wavelength: float, n0: float, n2: float, **kwargs) -> "MediumParams":
@@ -71,7 +81,7 @@ class MediumParams:
         return self.chi3 / (self.n0**2 * C_LIGHT * EPS0)
 
     def with_length(self, length: float) -> "MediumParams":
-        return replace(self, length=length)
+        return self._replace(length=length)
 
 
 def fluid_scales(medium: MediumParams, density: float) -> tuple[float, float, float]:

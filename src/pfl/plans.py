@@ -10,7 +10,7 @@ plan carries unread. A `grid` has nx, ny, dx, dy."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import rules
 from .medium import MediumParams, fluid_scales, intensity_to_density
@@ -24,29 +24,39 @@ BLOCK_SITES = 2**15
 STEPS_PER_Z_NL = 15  # sound-scaling steps per nonlinear length
 
 
-@dataclass
-class StepPlan:
-    """Stepping schedule for one propagation: n_steps equal steps of
-    dz = length / n_steps, with snapshots after the steps that
-    rules.snapshot_steps lists (none for snapshot_every = 0).
-    """
-
+class _Steps(NamedTuple):
     n_steps: int
     snapshot_every: int = 0
 
-    def __post_init__(self):
+
+class StepPlan(_Steps):
+    """Stepping schedule for one propagation: n_steps equal steps of
+    dz = length / n_steps, with snapshots after the steps that
+    rules.snapshot_steps lists (none for snapshot_every = 0). Construction
+    and _replace check that both counts are non-negative.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {self.n_steps}")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be non-negative")
+        return self
+    __new__.__wrapped__ = _Steps.__new__  # so that help() and inspect show the fields
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check there too
+        return cls(*iterable)
 
     def resolve_dz(self, length: float) -> float:
         """The step length over a medium of this length (0 without steps)."""
         return length / self.n_steps if self.n_steps else 0.0
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
+class ProbeSpec(NamedTuple):
     """Probe beam riding on the background fluid.
 
     power_ratio sets how weak the probe is: the ratio of its peak intensity
@@ -63,8 +73,7 @@ class ProbeSpec:
     power_ratio: float
 
 
-@dataclass(frozen=True)
-class Propagation:
+class Propagation(NamedTuple):
     """One stack a run propagates: the run's members it holds (ensemble
     members, probes or densities), each a field of shape (ny, nx), (1, nx)
     for a probe line, stepped by plan through medium. density is the
@@ -150,7 +159,7 @@ def sound_scaling_runs(medium: MediumParams, densities, grid, tau: float, k_perp
         z_nl, xi, _ = fluid_scales(medium, density)
         probe = ProbeSpec(probe_waist_xi * xi, k_perp_xi / xi, power_ratio)
         run = probe_stack(medium.with_length(tau * z_nl), density, [probe], plan, grid)
-        runs.append(replace(run, members=slice(i, i + 1), tau=tau))
+        runs.append(run._replace(members=slice(i, i + 1), tau=tau))
     return runs
 
 
@@ -224,23 +233,14 @@ def propagations(cfg, grid, medium: MediumParams | None) -> list[Propagation]:
     return plan(cfg, grid, medium) if plan else []
 
 
-@dataclass(frozen=True)
-class GaussianPulse:
+class GaussianPulse(NamedTuple):
     center: float
     width: float
     amplitude: complex = 1.0
     label: str = ""
 
 
-@dataclass
-class GemConfig:
-    """Lattice, coupling and schedule parameters of one memory run.
-
-    eta_flips lists the times at which the gradient slope changes sign,
-    starting from +eta0. coupling_windows lists (t_on, t_off) intervals
-    during which the coupling gate is open; () means always on.
-    """
-
+class _Lattice(NamedTuple):
     g: float
     density: float
     eta0: float
@@ -252,7 +252,20 @@ class GemConfig:
     coupling_windows: tuple[tuple[float, float], ...] = ()
     decay: float = 0.0
 
-    def __post_init__(self):
+
+class GemConfig(_Lattice):
+    """Lattice, coupling and schedule parameters of one memory run.
+
+    eta_flips lists the times at which the gradient slope changes sign,
+    starting from +eta0. coupling_windows lists (t_on, t_off) intervals
+    during which the coupling gate is open; () means always on.
+    Construction and _replace apply the lattice and schedule rules.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.nz < rules.MIN_LATTICE or self.nt < rules.MIN_LATTICE:
             raise ValueError(f"nz and nt must be at least {rules.MIN_LATTICE}")
         if self.z_extent <= 0 or self.t_extent <= 0:
@@ -261,6 +274,12 @@ class GemConfig:
             raise ValueError("decay must be non-negative")
         rules.schedule(self.eta_flips, self.coupling_windows, self.t_extent)
         rules.gradient_phase(self.eta0, self.z_extent, self.t_extent, self.nt)
+        return self
+    __new__.__wrapped__ = _Lattice.__new__  # so that help() and inspect show the fields
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check there too
+        return cls(*iterable)
 
     @property
     def dt(self) -> float:
@@ -271,8 +290,7 @@ class GemConfig:
         return self.z_extent / (self.nz - 1)
 
 
-@dataclass(frozen=True)
-class Memory:
+class Memory(NamedTuple):
     """One memory run: pulses on config, and an efficiency sweep's ratio 2 pi g N / |eta0|."""
 
     config: GemConfig

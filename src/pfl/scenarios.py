@@ -8,7 +8,6 @@ without a grid the memories `plans.memories` lists."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
@@ -36,7 +35,7 @@ def build_grid(cfg: RunConfig) -> Grid:
 def build_medium(cfg: RunConfig, grid: Grid) -> MediumParams:
     """The medium pfl validate checks, with the potential sampled on grid."""
     potential = None if cfg.potential is None else _build_potential(cfg, grid)
-    return replace(medium_params(cfg.medium), potential=potential)
+    return medium_params(cfg.medium)._replace(potential=potential)
 
 
 def _build_potential(cfg: RunConfig, grid: Grid) -> np.ndarray:

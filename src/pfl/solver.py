@@ -72,8 +72,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -93,8 +92,7 @@ OCCUPIED_MODE_FLOOR = 1e-9
 ROW_PAD = 4
 
 
-@dataclass
-class PropagationRecord:
+class PropagationRecord(NamedTuple):
     """Final field plus per-run diagnostics."""
 
     final_field: Field2D
@@ -103,7 +101,7 @@ class PropagationRecord:
     dz: float
     power_trace: np.ndarray            # columns (z, power), one row per step boundary
     # (z, keep(z, field)) per snapshot: the field itself unless propagate got a keep
-    snapshots: list[tuple[float, Any]] = field(default_factory=list)
+    snapshots: Sequence[tuple[float, Any]] = ()
     max_phase_per_step: float = 0.0
 
 

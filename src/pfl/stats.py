@@ -7,15 +7,14 @@ kept."""
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import Field2D, Grid, fft2, ifft2
 
 
-@dataclass
-class IntensityStatistics:
+class IntensityStatistics(NamedTuple):
     """Normalized histogram of per-sample intensity plus its low moments.
 
     mode is the left edge of the most populated bin, so a fresh speckle
@@ -33,6 +32,8 @@ class IntensityStatistics:
 def intensity_statistics(fields: list[Field2D], bins: int) -> IntensityStatistics:
     """Histogram P(I), in bins equal bins, and normalized second moment
     g2 = <I^2>/<I>^2 of the samples of a list of fields."""
+    if isinstance(fields, Field2D):  # a record, so a tuple, but not a list of fields
+        raise TypeError("intensity_statistics takes a list of fields, not a Field2D")
     if not fields:
         raise ValueError("intensity_statistics needs at least one field")
     samples = np.concatenate([f.density().ravel() for f in fields])
@@ -46,8 +47,7 @@ def intensity_statistics(fields: list[Field2D], bins: int) -> IntensityStatistic
     return IntensityStatistics(bin_edges=edges, pdf=counts, mode=mode, mean=mean, g2=g2)
 
 
-@dataclass
-class CoherenceProfile:
+class CoherenceProfile(NamedTuple):
     separation: np.ndarray
     g1: np.ndarray
 
@@ -64,6 +64,8 @@ def coherence_g1(fields: list[Field2D], method: str = "rotate_pair") -> Coherenc
     rotate_pair and // 4 for ensemble, and normalized to g1 in [0, 1].
     fields is a list of fields on one grid.
     """
+    if isinstance(fields, Field2D):  # a record, so a tuple, but not a list of fields
+        raise TypeError("coherence_g1 takes a list of fields, not a Field2D")
     if not fields:
         raise ValueError("coherence_g1 needs at least one field")
     values, grid = [f.values for f in fields], fields[0].grid
@@ -131,8 +133,7 @@ def _g1_ensemble(values: list[np.ndarray], grid) -> CoherenceProfile:
     return CoherenceProfile(separation=centres[good], g1=np.clip(g1, 0.0, 1.0))
 
 
-@dataclass
-class StructureFactor:
+class StructureFactor(NamedTuple):
     k: np.ndarray
     s_k: np.ndarray
     sigma: np.ndarray  # statistical standard error per bin

@@ -61,7 +61,7 @@ def test_criterion_02_unitarity():
     grid, medium, background, scales = defocusing_setup(nx=64, dx=5e-6,
                                                         xi_cells=3.0, tau=10.0)
     dn = lattice_potential(grid, 0.05 / (medium.k0 * medium.length), 16 * grid.dx)
-    medium.potential = dn.real.astype(complex)
+    medium = medium._replace(potential=dn.real.astype(complex))
     record = propagate(background, medium, StepPlan(n_steps=1000))
     power = record.power_trace[:, 1]
     drift = float(np.max(np.abs(power / power[0] - 1.0)))

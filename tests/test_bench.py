@@ -75,3 +75,10 @@ def test_costs_call_two_trees_apart_when_their_quartile_ranges_do_not_overlap():
     after = costs.summary([47.1328125, 47.10546875, 47.1328125, 47.1328125, 47.08984375])
     assert costs.apart(before, after) and costs.apart(after, before)
     assert not costs.apart(costs.summary([1.0, 2.0, 3.0]), costs.summary([2.0, 3.0, 4.0]))
+
+
+def test_costs_time_each_config_run_and_validated(tmp_path):
+    config = ROOT / "configs" / "gem.ini"
+    assert costs.commands("gem", config, tmp_path / "out") == {
+        "gem": ["gem", "--config", str(config), "--out", str(tmp_path / "out")],
+        "validate:gem": ["validate", "--config", str(config)]}

@@ -960,6 +960,42 @@ class TestCli:
         assert all(line.startswith("ok: scenario") for line in lines[:9])
         assert lines[9:9 + len(inis)] == oks
 
+    @pytest.mark.parametrize("config", CONFIGS, ids=[c.name for c in CONFIGS])
+    def test_validate_loads_no_numpy_dataclasses_or_inspect(self, config):
+        # every record is a typing.NamedTuple, so a process that validates
+        # a config loads no dataclasses, nor the inspect it imports, beyond
+        # the modules it had before it imported pfl
+        code = ("import sys; before = set(sys.modules); from pfl.cli import main; "
+                f"code = main(['validate', '--config', {str(config)!r}]); "
+                "print('exit', code, sorted({'numpy', 'dataclasses', 'inspect'} "
+                "& (set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.splitlines()[-1] == "exit 0 []", proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["validate", "--config", "x.ini", "--out", "run"], "validate takes no --out"),
+        (["validate", "--config", "x.ini", "--jobs", "1", "--seed", "3"],
+         "validate takes no --jobs, --seed"),
+        (["version", "--config", "x.ini"], "version takes no --config"),
+        (["validate"], "the following arguments are required: --config"),
+        (["gem", "--out", "run"], "the following arguments are required: --config"),
+        (["warp", "--config", "x.ini"], "argument command: invalid choice: 'warp'"),
+    ], ids=["validate-out", "validate-jobs-seed", "version-config", "validate-no-config",
+            "run-no-config", "unknown-command"])
+    def test_an_option_its_command_does_not_take_exits_2(self, argv, message, capsys):
+        # one parser takes every option; main refuses the ones a command
+        # does not take, through the parser, before any config is read
+        with pytest.raises(SystemExit) as exited:
+            cli_main(argv)
+        assert exited.value.code == 2
+        assert f"pfl: error: {message}" in capsys.readouterr().err
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["--help"])
+        assert exited.value.code == 0
+        assert "{" + ",".join(["version", "validate", *SCENARIOS]) + "}" in capsys.readouterr().out
+
     def test_shipped_dispersion_config_runs(self, shipped_runs):
         # one stacked propagation of one line per probe: the background is
         # not propagated

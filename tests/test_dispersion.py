@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from pathlib import Path
 import warnings
@@ -303,7 +302,7 @@ class TestProbeLine:
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=3 * (2 * np.pi / grid.extent_x),
                           power_ratio=1e-4)
         line = probe_line(grid, 1.0, probe)  # defocusing_setup's density
-        assert line.grid == dataclasses.replace(grid, ny=1)
+        assert line.grid == grid._replace(ny=1)
         np.testing.assert_allclose(line.values[0],
                                    _probe_plane(background, probe).values.mean(axis=0),
                                    rtol=1e-15, atol=0.0)
@@ -414,7 +413,7 @@ class TestMeasurement:
         # (i_sat = 1e-3 W/m^2 is below the fluid's 1.3e-3 W/m^2)
         grid, medium, background, _ = defocusing_setup(nx=64, dx=5e-6, xi_cells=2.0,
                                                        tau=8.0)
-        medium = dataclasses.replace(medium, alpha=alpha, i_sat=i_sat)
+        medium = medium._replace(alpha=alpha, i_sat=i_sat)
         plan = StepPlan(n_steps=160, snapshot_every=10)
         record = propagate(background, medium, plan,
                            keep=lambda z, field: field.density().sum(axis=0))
@@ -489,7 +488,7 @@ class TestMeasurement:
         # (see the gap test), 9.5e-6 relative at power_ratio 1e-4
         grid, medium, background, scales = defocusing_setup(nx=128, dx=5e-6,
                                                             xi_cells=2.0, tau=8.0)
-        medium = dataclasses.replace(medium, alpha=0.2 / medium.length)
+        medium = medium._replace(alpha=0.2 / medium.length)
         plan = StepPlan(n_steps=160, snapshot_every=16)
         probe = ProbeSpec(waist=10 * scales["xi"], k_perp=1.0 / scales["xi"],
                           power_ratio=1e-4)
@@ -552,7 +551,7 @@ class TestMeasurement:
         grid, medium, _, scales = defocusing_setup(nx=192, dx=5e-6,
                                                             xi_cells=1.8, rho=1.0,
                                                             tau=25.0)
-        medium_2chi = dataclasses.replace(medium, chi3=2.0 * medium.chi3)
+        medium_2chi = medium._replace(chi3=2.0 * medium.chi3)
         xi_half = scales["xi"] / np.sqrt(2.0)  # both cases halve z_nl identically
         plan = StepPlan(n_steps=500, snapshot_every=10)
         probe = ProbeSpec(waist=14 * xi_half, k_perp=0.22 / xi_half,

@@ -12,7 +12,7 @@ class TestDetectVortices:
         base = plane_wave(small_grid, 10.0, 1.0)
         center = (7.5e-5, -4.5e-5)
         found = detect_vortices(imprint_vortex(base, +1, center=center))
-        assert len(found) == 1
+        assert len(found.charges) == 1
         assert found.charges[0] == 1
         assert abs(found.positions[0, 0] - center[0]) <= small_grid.dx
         assert abs(found.positions[0, 1] - center[1]) <= small_grid.dy
@@ -22,18 +22,18 @@ class TestDetectVortices:
         f = imprint_vortex(base, +1, center=(-5.5e-5, 0.5e-5))
         f = imprint_vortex(f, -1, center=(4.5e-5, 0.5e-5))
         found = detect_vortices(f)
-        assert len(found) == 2
+        assert len(found.charges) == 2
         assert found.total_winding == 0
         assert sorted(found.charges) == [-1, 1]
 
     def test_smooth_field_empty(self, small_grid):
         with pytest.warns(UserWarning, match="beam waist"):
             f = gaussian_beam(small_grid, 1e-4, 1.0, 1.0)
-        assert len(detect_vortices(f)) == 0
+        assert len(detect_vortices(f).charges) == 0
 
     def test_zero_field_has_no_vortex(self, small_grid):
         zero = Field2D(grid=small_grid, values=np.zeros((64, 64), dtype=np.complex128))
-        assert len(detect_vortices(zero)) == 0
+        assert len(detect_vortices(zero).charges) == 0
 
     @pytest.mark.parametrize("charge", [-3, -2, -1, 1, 2, 3])
     def test_total_winding_exact(self, charge):

@@ -1,3 +1,5 @@
+import inspect
+import pickle
 import sys
 from importlib import import_module
 from types import SimpleNamespace
@@ -6,7 +8,13 @@ import numpy as np
 import pytest
 
 import pfl
-from conftest import defocusing_setup
+from pfl import plans, rules
+from pfl.config import parse_config
+from pfl.grid import Field2D, make_grid
+from pfl.medium import MediumParams
+from pfl.plans import GaussianPulse, GemConfig, StepPlan
+from pfl.scenarios import build_grid, build_medium
+from conftest import CONFIGS, defocusing_setup
 
 
 @pytest.mark.parametrize("name", [n for n in pfl.__all__ if n != "__version__"])
@@ -102,3 +110,54 @@ def test_callable_potential_is_refused_when_the_kernel_is_built():
                           potential=lambda z: np.zeros((8, 8)))
     with pytest.raises(ValueError, match=r"potential shape \(\) does not match grid \(8, 8\)"):
         SplitStepKernel(grid, medium, 1e-4)
+
+
+GRID = make_grid(8, 8, 1e-5)
+CHECKED_RECORDS = {  # a valid record, a change that breaks its check, the message
+    "negative-wavelength": (MediumParams(wavelength=780e-9, n0=1.0, chi3=-1e-20, length=1e-3),
+                            {"wavelength": -780e-9}, "wavelength must be positive"),
+    "negative-steps": (StepPlan(n_steps=10, snapshot_every=2), {"n_steps": -1},
+                       "n_steps must be non-negative"),
+    "short-lattice": (GemConfig(g=1.0, density=1.0, eta0=20.0, z_extent=2.0, nz=256,
+                                t_extent=8.0, nt=1600, eta_flips=(3.0,)),
+                      {"nz": rules.MIN_LATTICE - 1},
+                      f"nz and nt must be at least {rules.MIN_LATTICE}"),
+    "misshaped-values": (Field2D(grid=GRID, values=np.zeros((8, 8))),
+                         {"values": np.zeros((8, 4))},
+                         r"values shape \(8, 4\) does not match grid \(8, 8\)"),
+}
+
+
+@pytest.mark.parametrize("record, change, message", CHECKED_RECORDS.values(),
+                         ids=CHECKED_RECORDS)
+def test_replace_checks_a_record_as_its_construction_does(record, change, message):
+    # records are typing.NamedTuples; _replace, like dataclasses.replace
+    # before them, builds through the class, so the checks run again
+    with pytest.raises(ValueError, match=message):
+        record._replace(**change)
+    with pytest.raises(ValueError, match=message):
+        type(record)(**{**record._asdict(), **change})
+
+
+def test_replace_takes_field_values_as_complex_arrays():
+    moved = Field2D(grid=GRID, values=np.zeros((8, 8)))._replace(values=[[1] * 8] * 8)
+    assert isinstance(moved, Field2D) and moved.values.dtype == np.complex128
+    assert np.array_equal(moved.values, np.ones((8, 8)))
+
+
+def test_plans_and_media_pickle_round_trip_equal():
+    # tests/observed_runs.py pickles each run's plans out of a forked child
+    cfg = parse_config(next(c for c in CONFIGS if c.stem == "sound_scaling").read_text())
+    grid = build_grid(cfg)
+    medium = build_medium(cfg, grid)
+    runs = plans.propagations(cfg, grid, medium)
+    assert len(runs) >= 4 and all(run.probes for run in runs)
+    for record in (medium, *runs):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is type(record)
+
+
+@pytest.mark.parametrize("record", [MediumParams, StepPlan, GemConfig, GaussianPulse, Field2D])
+def test_a_records_constructor_takes_its_fields(record):
+    # perfbench builds these records by keyword
+    assert list(inspect.signature(record).parameters) == list(record._fields)

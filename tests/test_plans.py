@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import subprocess
 import sys
@@ -60,8 +59,7 @@ def test_a_zero_source_intensity_is_refused_where_noise_or_probes_ride_on_it(nam
     grid = build_grid(cfg)
 
     def planned(source, medium):
-        run = dataclasses.replace(cfg, source={**cfg.source, **source},
-                                  medium={**cfg.medium, **medium})
+        run = cfg._replace(source={**cfg.source, **source}, medium={**cfg.medium, **medium})
         return plans.propagations(run, grid, build_medium(run, grid))
 
     with pytest.raises(ValueError, match="the source intensity is zero"):
@@ -82,7 +80,7 @@ def test_a_stripe_on_a_zero_source_is_refused(source):
               "stripe_contrast": 0.8}
 
     def planned(source, params):
-        run = dataclasses.replace(cfg, source=source, params=params)
+        run = cfg._replace(source=source, params=params)
         return plans.propagations(run, grid, build_medium(run, grid))
 
     with pytest.raises(ValueError, match="^the source intensity is zero: the noise, the "
@@ -116,7 +114,7 @@ class TestProbeStack:
         monkeypatch.setattr(dispersion, "propagate", lambda *args, **kwargs: calls.append(args))
         grid, medium, _, scales = defocusing_setup(nx=64)
         good = ProbeSpec(waist=10 * scales["xi"], k_perp=1e4, power_ratio=1e-4)
-        probes = [good, dataclasses.replace(good, k_perp=2e4), dataclasses.replace(good, **bad)]
+        probes = [good, good._replace(k_perp=2e4), good._replace(**bad)]
         with pytest.raises(ValueError, match=match):
             dispersion.measure_group_velocity(
                 probe_stack(medium, 1.0, probes, StepPlan(n_steps=40, snapshot_every=4), grid),
@@ -158,7 +156,7 @@ class TestProbeStack:
             probe_stack(medium, 1.0, [probe], plan, grid)
             with pytest.raises(ValueError, match=r"^probe \|k_perp\| = 625000 1/m reads mode 65, "
                                r"past the grid's Nyquist mode nx/2 = 64: .* = 623410 1/m$"):
-                probe_stack(medium, 1.0, [dataclasses.replace(probe, k_perp=sign * 625000.0)],
+                probe_stack(medium, 1.0, [probe._replace(k_perp=sign * 625000.0)],
                             plan, grid)
 
     @pytest.mark.parametrize("cells", [3.9, 32.5])
@@ -182,7 +180,7 @@ class TestProbeStack:
         flat = np.zeros((grid.ny, grid.nx), dtype=np.complex128)
         with pytest.raises(ValueError, match="the background must be homogeneous: the medium "
                                              "has a potential"):
-            probe_stack(dataclasses.replace(medium, potential=flat), 1.0, [probe],
+            probe_stack(medium._replace(potential=flat), 1.0, [probe],
                         StepPlan(n_steps=40, snapshot_every=10), grid)
 
 
@@ -199,7 +197,7 @@ class TestSoundScalingRuns:
         assert [run.density for run in runs] == [1.0, 2.0, 4.0, 10.0]
         for i, run in enumerate(runs):
             alone = probe_stack(run.medium, run.density, run.probes, run.plan, self.GRID)
-            assert run == dataclasses.replace(alone, members=slice(i, i + 1), tau=25.0)
+            assert run == alone._replace(members=slice(i, i + 1), tau=25.0)
         assert runs[0].plan == StepPlan(n_steps=375, snapshot_every=7)
 
     # the sound-scaling key's own interval, so that widening it past the
@@ -216,7 +214,7 @@ class TestSoundScalingRuns:
                                                                        density, isat):
         # |g| rho z_nl = 1, so the first kick is (1 + sqrt(p))^2 tau /
         # ceil(STEPS_PER_Z_NL tau) rad < 4/15 at p < 1; saturation only lowers it
-        medium = dataclasses.replace(self.MEDIUM, i_sat=isat)
+        medium = self.MEDIUM._replace(i_sat=isat)
         z_nl, _, _ = fluid_scales(medium, density)
         rules.probe_kick(medium.with_length(tau * z_nl), density, power_ratio,
                          math.ceil(tau * plans.STEPS_PER_Z_NL))
