@@ -5,7 +5,7 @@ one-dimensional gradient-echo-memory simulator.
 The public names are imported from their modules on first access (PEP 562),
 so ``pfl validate`` and ``pfl version`` load no numpy. Every record (a
 config, a plan, a medium, a field, a result) is a ``typing.NamedTuple``,
-so no module imports ``dataclasses`` or the ``inspect`` it loads: use
+so records need nothing beyond ``typing`` (no ``inspect``): use
 ``_replace``, ``_fields`` and ``_asdict``. A record whose fields are checked
 (``MediumParams``, ``StepPlan``, ``GemConfig``, ``Field2D``) checks them
 again on ``_replace``. No module imports scipy, which only the tests use.
