@@ -1,7 +1,7 @@
 """Measure the wall time and peak memory of every run, with the programs of
 two revisions.
 
-    python3 bench/costs.py BASE HEAD [--rounds 5] [--only NAME ...] [--out DIR]
+    python3 bench/costs.py BASE HEAD [--rounds 11] [--only NAME ...] [--out DIR]
 
 BASE and HEAD are git revisions of this repository. Each tree is unpacked
 with compare_runs.unpack, and its bytecode cache is built with compileall
@@ -123,12 +123,17 @@ def machine(core: int) -> dict:
     return info
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("revisions", nargs=2, metavar="REV", help="two git revisions")
-    parser.add_argument("--rounds", type=int, default=5, help="runs per tree (at least 5)")
+    parser.add_argument("--rounds", type=int, default=11, help="runs per tree (at least 5)")
     parser.add_argument("--only", nargs="+", metavar="NAME", help="keep these runs")
     parser.add_argument("--out", type=Path, default=ROOT / "bench", help="where BENCH files go")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if args.rounds < 5:
         parser.error("--rounds must be at least 5")

@@ -30,8 +30,9 @@ giving |E0|^2 exp(-alpha z). To linear order in the probe amplitude the
 k_y = 0 line of the density change is seeded only by the y-mean of the
 perturbation field: mean_y delta rho = 2 Re(E0* mean_y delta E) plus terms
 quadratic in delta E. So the y-mean of the probed field is propagated on a
-one-row grid Grid(nx, 1, dx, dy), and each snapshot is kept as its density
-over the background's decay exp(-alpha z), minus the background's density.
+one-row grid Grid(nx, 1, dx, dy), and each snapshot and the final field are
+kept as their density over the background's decay exp(-alpha z), minus the
+background's density.
 The quadratic terms the line drops shrink with the probe amplitude,
 sqrt(power_ratio).
 
@@ -45,7 +46,8 @@ measure_group_velocity steps one probe stack that `plans` built
 after every rule of the stack: its lines run as one (K, 1, nx) stack
 through a single propagate call, whose per-step cost on a 1D line is
 mostly dispatch. After the run one fft2 of the (K, S, 1, nx) stack of the
-S evenly spaced snapshots (an uneven last one is dropped), one pass along
+S evenly spaced samples, the snapshots and then the final field at z = L
+(dropped when its spacing from the last snapshot is uneven), one pass along
 x, gives every mode's amplitudes, and each probe reads its own three modes,
 so its Omega and v_g equal those of a one-probe stack bit for bit.
 """
@@ -126,12 +128,13 @@ def measure_group_velocity(run: Propagation, grid: Grid) -> list[GroupVelocityMe
     The probe lines (see probe_line) run as one (K, 1, nx) stack through a
     single propagate call, with run.medium and run.plan; the measurements
     come back as a list in probe order, each equal to that of a one-probe
-    stack bit for bit. Each snapshot is kept as its density over the
-    background's decay exp(-alpha z), minus run.density. After the run the
-    evenly spaced snapshots' changes are transformed along x, and each
-    probe's Omega and v_g are read from its modes j - 1, j and j + 1 (see
-    the module docstring; on a lossy medium they read the branch of a
-    decaying density). The stack's rules were applied when `plans` built it.
+    stack bit for bit. Each snapshot, and the final field at z = L, is kept
+    as its density over the background's decay exp(-alpha z), minus
+    run.density. After the run the evenly spaced changes are transformed
+    along x, and each probe's Omega and v_g are read from its modes j - 1,
+    j and j + 1 (see the module docstring; on a lossy medium they read the
+    branch of a decaying density). The stack's rules were applied when
+    `plans` built it.
     """
     medium, density = run.medium, run.density
 
@@ -140,8 +143,9 @@ def measure_group_velocity(run: Propagation, grid: Grid) -> list[GroupVelocityMe
 
     records = propagate([probe_line(grid, density, p) for p in run.probes], medium,
                         run.plan, keep=line_change)
-    even = run.plan.n_steps // run.plan.snapshot_every  # an uneven last snapshot is dropped
-    changes = np.array([[change for _, change in r.snapshots[:even]] for r in records])
+    even = run.plan.n_steps // run.plan.snapshot_every  # an uneven final field is dropped
+    changes = np.array([([change for _, change in r.snapshots]
+                         + [line_change(medium.length, r.final_field)])[:even] for r in records])
     omega, v_g = _group_velocities(changes, run.probes, grid, run.plan.snapshot_every * run.dz)
     return [GroupVelocityMeasurement(k_perp=p.k_perp, v_g=float(v), omega=float(o))
             for p, o, v in zip(run.probes, omega, v_g)]
@@ -247,6 +251,8 @@ def sound_speed_scaling(runs, grid: Grid) -> SoundSpeedScaling:
     measured over grid, is taken as the sound speed. Returns the log-log
     slope with its standard error.
     """
+    if isinstance(runs, Propagation):  # a record, so a tuple, but not a list of runs
+        raise TypeError("sound_speed_scaling takes a list of runs, not a Propagation")
     densities = np.array([run.density for run in runs])
     speeds = np.array([measure_group_velocity(run, grid)[0].v_g for run in runs])
     exponent, _, stderr = _line_fit(np.log(densities), np.log(speeds))

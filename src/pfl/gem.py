@@ -85,6 +85,8 @@ def _schedule(config: GemConfig, t: np.ndarray):
 def gem_evolve(config: GemConfig, pulses: list[GaussianPulse],
                store_polarization: bool = True) -> GemResult:
     """Integrate the memory equations for an input field, the sum of the pulses."""
+    if isinstance(pulses, GaussianPulse):  # a record, so a tuple, but not a list of pulses
+        raise TypeError("gem_evolve takes a list of pulses, not a GaussianPulse")
     rules.pulses([p.center for p in pulses], [p.width for p in pulses], config.t_extent)
     dt, dz = config.dt, config.dz
     z = np.linspace(-config.z_extent / 2.0, config.z_extent / 2.0, config.nz)
@@ -197,6 +199,8 @@ def recall_order(config: GemConfig, pulses: list[GaussianPulse],
     across those echoes, a second flip) in input order, each at its
     rules.echo_time. Raises RuntimeError if a peak lies past ECHO_TIME_WIDTHS
     widths from its echo time or the order found is not the mode's."""
+    if isinstance(pulses, GaussianPulse):  # a record, so a tuple, but not a list of pulses
+        raise TypeError("recall_order takes a list of pulses, not a GaussianPulse")
     if (mode := rules.ordering(config.eta_flips, config.coupling_windows,
                                [p.center for p in pulses], [p.width for p in pulses],
                                config.t_extent)) is None:

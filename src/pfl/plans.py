@@ -32,7 +32,8 @@ class _Steps(NamedTuple):
 class StepPlan(_Steps):
     """Stepping schedule for one propagation: n_steps equal steps of
     dz = length / n_steps, with snapshots after the steps that
-    rules.snapshot_steps lists (none for snapshot_every = 0). Construction
+    rules.snapshot_steps lists, each before the last (none for
+    snapshot_every = 0); the field at z = L is the final field. Construction
     and _replace check that both counts are non-negative.
     """
 

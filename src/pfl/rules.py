@@ -17,22 +17,22 @@ FEATURE_CELLS = 2.0  # cells a speckle grain or a defect spans, at least
 PULSE_WIDTHS = 4.0  # widths from a memory pulse to t = 0, t_extent and the other pulse
 ECHO_WINDOW_WIDTHS = 4.0  # input and echo energies: center +- this many widths
 MAX_GRADIENT_PHASE = 0.5  # rad of |eta| z_max dt per memory time step, at most
-MIN_TRACKED_SNAPSHOTS = 4  # snapshots of a probe stack, at least; 3 or more evenly spaced
+MIN_TRACKED_SNAPSHOTS = 3  # snapshots of a probe stack before z = L, at least
 WARN_PHASE_PER_STEP = 0.5  # rad of phase per propagation step from which a run warns
 ABORT_PHASE_PER_STEP = math.pi  # rad of phase per propagation step above which it aborts
 
 
 def snapshot_steps(n_steps: int, snapshot_every: int) -> list[int]:
     """The steps after which a plan makes a snapshot: each multiple of
-    snapshot_every below n_steps, then n_steps; none for 0 steps or 0 every."""
-    if not n_steps or not snapshot_every:
-        return []
-    return [*range(snapshot_every, n_steps, snapshot_every), n_steps]
+    snapshot_every below n_steps, none for 0 every. The field after the last
+    step, at z = L, is the run's final field, never a snapshot."""
+    return list(range(snapshot_every, n_steps, snapshot_every)) if snapshot_every else []
 
 
 def tracked_snapshots(n_steps: int, snapshot_every: int):
     """Refuse a plan whose schedule makes too few snapshots for the per-mode
-    recurrence of a probe stack, which reads the evenly spaced ones."""
+    recurrence of a probe stack, which reads the evenly spaced snapshots and
+    then the final field when it lies evenly spaced after the last one."""
     count = len(snapshot_steps(n_steps, snapshot_every))
     if count < MIN_TRACKED_SNAPSHOTS:
         raise ValueError(f"the plan makes {count} snapshots ({n_steps} steps, one every "

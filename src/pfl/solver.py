@@ -61,8 +61,8 @@ The step-resolution guard (the step-size limit of time-splitting spectral
 methods; Bao, Jaksch and Markowich, J. Comput. Phys. 187 (2003)) runs in
 SplitStepKernel.run on what the loop computes anyway: the kinetic phase
 from the first forward transform, and the kick's peak phase at every step.
-Its constants live in `rules`, as does the snapshot schedule that run and
-propagate follow (snapshot_steps), so that `pfl validate` reads the same.
+Its constants live in `rules`, as does the snapshot schedule that run
+follows (snapshot_steps), so that `pfl validate` reads the same.
 StepPlan and the block size, which also sets the scenarios' member stacks
 (member_runs), live in the numpy-free `plans`, which says what each run
 propagates.
@@ -259,15 +259,15 @@ class SplitStepKernel:
         """Take plan.n_steps steps of the stack values in the kernel's layout
         (see kernel_stack), which the kernel owns and overwrites: the
         transforms run in place on its fields, the pointwise passes over the
-        whole buffer. Each snapshot of snapshot_steps before the last step
-        goes to on_snapshot(z, stack) as it is made. Returns the final
+        whole buffer. Each snapshot of snapshot_steps, all before the last
+        step, goes to on_snapshot(z, stack) as it is made. Returns the final
         stack, the power per step boundary and member (n_steps + 1, B) and
         each member's max_phase_per_step: its kinetic phase per step plus
         its largest kick phase, both passed through the step-resolution
         guard (_guard) as they are made. Snapshot and final stacks leave through
         _fields as new C-contiguous (B, ny, nx) arrays the callee may keep."""
         n_steps, dz = plan.n_steps, self.dz
-        handed_out = set(snapshot_steps(n_steps, plan.snapshot_every)[:-1])
+        handed_out = set(snapshot_steps(n_steps, plan.snapshot_every))
         (ny, nx), (ey, ex) = (self.grid.ny, self.grid.nx), self.half_axes
         power = np.empty((n_steps + 1, len(values)))
         power[0] = _stack_power(values, self.grid)
@@ -402,8 +402,8 @@ def propagate(field_in: Field2D | Iterable[Field2D], medium: MediumParams,
     kernel's stack and never written to; propagate keeps no reference to
     it or its fields, so a field that only an iterable such as a generator
     holds is freed before the first step.
-    Snapshots are taken after the steps snapshot_steps lists, z = L among
-    them, none without steps. Each
+    Snapshots are taken after the steps snapshot_steps lists, each before
+    the last: the field at z = L leaves only as final_field. Each
     member's record stores (z, keep(z, member_field)) as the snapshot is
     made, so nothing else holds the field once keep returns; the default
     keep stores the field itself. keep is called in z order and, at each z,
@@ -429,10 +429,8 @@ def propagate(field_in: Field2D | Iterable[Field2D], medium: MediumParams,
         dz = z_final = 0.0
         final, power, max_phase = (stack[..., :grid.nx].copy(), _stack_power(stack, grid)[None],
                                    np.zeros(len(stack)))
-    del stack  # overwritten by the kernel, and freed before the final fields are handed out
+    del stack  # overwritten by the kernel, and freed before the final fields are checked
     finals = [Field2D(grid=grid, values=v).validate_finite() for v in final]
-    if plan.n_steps in snapshot_steps(plan.n_steps, plan.snapshot_every):
-        hand_off(z_final, final.copy())
     z = np.arange(plan.n_steps + 1) * dz
     records = [PropagationRecord(
         final_field=final_field, z_final=z_final, n_steps=plan.n_steps, dz=dz,

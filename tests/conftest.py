@@ -73,7 +73,7 @@ def shipped_runs(tmp_path_factory):
     and numpy.ma), warnings ((category, message), none filtered) and its
     calls: planned, the Propagations `pfl validate` planned; kernel_runs,
     (stack shape, plan, dz, snapshot z) per SplitStepKernel.run; propagates,
-    per propagate call, (length, snapshot z) per member; calls, the names of
+    per propagate call, (length, z_final, snapshot z) per member; calls, the names of
     the rules.probe, probe_kick, tracked_snapshots, build_source and
     plane_wave calls in run_scenario; memories, (config, pulses) per
     gem_evolve call; echo_peaks, (power, height, distance, peaks) per call."""

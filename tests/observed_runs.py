@@ -46,7 +46,7 @@ def kernel_run(kernel, values, plan, on_snapshot, run=solver.SplitStepKernel.run
 solver.SplitStepKernel.run = kernel_run
 # before scenarios and dispersion bind propagate
 spy(solver, "propagate", lambda args, records: record.propagates.append(
-    [(args[1].length, [z for z, _ in r.snapshots]) for r in records]))
+    [(args[1].length, r.z_final, [z for z, _ in r.snapshots]) for r in records]))
 spy(plans, "propagations", lambda args, runs: running or record.planned.extend(runs))
 from pfl import scenarios  # noqa: E402
 from pfl.cli import main  # noqa: E402

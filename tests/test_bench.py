@@ -5,6 +5,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -75,6 +77,16 @@ def test_costs_call_two_trees_apart_when_their_quartile_ranges_do_not_overlap():
     after = costs.summary([47.1328125, 47.10546875, 47.1328125, 47.1328125, 47.08984375])
     assert costs.apart(before, after) and costs.apart(after, before)
     assert not costs.apart(costs.summary([1.0, 2.0, 3.0]), costs.summary([2.0, 3.0, 4.0]))
+
+
+def test_costs_run_eleven_rounds_by_default_and_at_least_five(capsys):
+    # at 5 rounds a load phase of the machine called unchanged code apart
+    assert costs._build_parser().parse_args(["BASE", "HEAD"]).rounds == 11
+    assert costs._build_parser().parse_args(["BASE", "HEAD", "--rounds", "5"]).rounds == 5
+    with pytest.raises(SystemExit) as refused:
+        costs.main(["BASE", "HEAD", "--rounds", "4"])
+    assert refused.value.code == 2
+    assert "--rounds must be at least 5" in capsys.readouterr().err
 
 
 def test_costs_time_each_config_run_and_validated(tmp_path):

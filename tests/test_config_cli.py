@@ -490,10 +490,10 @@ class TestParsing:
         # each passed `pfl validate`, and the run then exited 3 with no packet to fit
         (swap(GOOD_DISPERSION, "n_steps = 240", "n_steps = 0"),
          "the plan makes 0 snapshots (0 steps, one every 8); reading a probe's modes "
-         "needs at least 4"),
+         "needs at least 3"),
         (swap(GOOD_DISPERSION, "snapshot_every = 8", "snapshot_every = 200"),
-         "the plan makes 2 snapshots (240 steps, one every 200); reading a probe's modes "
-         "needs at least 4"),
+         "the plan makes 1 snapshots (240 steps, one every 200); reading a probe's modes "
+         "needs at least 3"),
         # passed `pfl validate`, and the run then exited 3 at its first kick
         (swap(DISPERSION, "n0 = 1.0", "n0 = 0.1"),
          "the first kick gives 6.71 rad of phase per step (> pi) with 240 steps; the run "
@@ -523,8 +523,8 @@ class TestParsing:
          "sound-scaling: probe waist inf exceeds half the grid extent 0.00016"),
         # passed `pfl validate`, and the run then exited 3 with no packet to fit
         (swap(SOUND_SCALING, "tau = 25\n", "tau = 0.2\n"),
-         "sound-scaling: the plan makes 3 snapshots (3 steps, one every 1); reading a probe's "
-         "modes needs at least 4"),
+         "sound-scaling: the plan makes 2 snapshots (3 steps, one every 1); reading a probe's "
+         "modes needs at least 3"),
         (swap(VORTEX_PAIR, "charges = 1, -1", "charges = 1, 0"),
          "charge must satisfy |charge| >= 1"),
         (swap(VORTEX_PAIR, "xs = 2e-4, -2e-4", "xs = 2e-4, -7e-4"),

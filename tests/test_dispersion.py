@@ -63,14 +63,18 @@ def _plane_reference(background, probe, medium, plan):
     """v_g read from the 2D probe run: the background is propagated with
     whole densities kept, the probe sums their difference over y over the
     decay exp(-alpha z), and the recurrence reads the evenly spaced
-    snapshots."""
-    planes = iter(propagate(background, medium, plan,
-                            keep=lambda z, f: f.density()).snapshots)
-    record = propagate(_probe_plane(background, probe), medium, plan,
-                       keep=lambda z, f: (f.density() - next(planes)[1]).sum(
-                           axis=0, keepdims=True) / np.exp(-medium.alpha * z))
+    snapshots, then the final fields, as measure_group_velocity does."""
+    plain = propagate(background, medium, plan, keep=lambda z, f: f.density())
+    planes = iter([density for _, density in plain.snapshots] + [plain.final_field.density()])
+
+    def change(z, f):
+        return ((f.density() - next(planes)).sum(axis=0, keepdims=True)
+                / np.exp(-medium.alpha * z))
+
+    record = propagate(_probe_plane(background, probe), medium, plan, keep=change)
     even = plan.n_steps // plan.snapshot_every
-    changes = np.array([[change for _, change in record.snapshots[:even]]])
+    changes = np.array([([change for _, change in record.snapshots]
+                         + [change(medium.length, record.final_field)])[:even]])
     _, (v_g,) = _group_velocities(changes, [probe], background.grid,
                                   plan.snapshot_every * plan.resolve_dz(medium.length))
     return v_g
@@ -418,12 +422,13 @@ class TestMeasurement:
         record = propagate(background, medium, plan,
                            keep=lambda z, field: field.density().sum(axis=0))
         line0 = background.density().sum(axis=0)
-        assert len(record.snapshots) == 16
-        for z, rho in record.snapshots:
+        final = (record.z_final, record.final_field.density().sum(axis=0))
+        assert len(record.snapshots) == 15
+        for z, rho in [*record.snapshots, final]:
             expected = line0 * np.exp(-alpha * z)
             assert np.max(np.abs(rho / expected - 1.0)) < 1e-12
         if alpha:
-            assert record.snapshots[-1][1][0] < 0.8 * line0[0]
+            assert final[1][0] < 0.8 * line0[0]
 
     @pytest.fixture
     def propagated(self, monkeypatch):
@@ -497,14 +502,14 @@ class TestMeasurement:
         assert m.v_g == pytest.approx(reference, rel=1e-4)
 
     def test_background_record_keeps_line_densities(self):
-        # 40 snapshots of a 128^2 background: one (nx,) line density each,
+        # 39 snapshots of a 128^2 background: one (nx,) line density each,
         # less in all than one float64 density of the plane
         grid, medium, background, _ = defocusing_setup(nx=128, dx=5e-6, xi_cells=2.0,
                                                        tau=8.0)
         plan = StepPlan(n_steps=120, snapshot_every=3)
         record = propagate(background, medium, plan,
                            keep=lambda z, field: field.density().sum(axis=0))
-        assert len(record.snapshots) == 40
+        assert len(record.snapshots) == 39
         assert all(rho.shape == (grid.nx,) for _, rho in record.snapshots)
         assert sum(rho.nbytes for _, rho in record.snapshots) < 8 * grid.nx * grid.ny
 

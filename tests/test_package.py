@@ -75,6 +75,11 @@ REMOVED_FORMS = {  # each function takes one input form, and a config Key holds 
         [1.0, 2.0, 4.0, 10.0], s.medium, s.grid, tau=25.0, k_perp_xi=0.2, probe_waist_xi=10.0,
         power_ratio=1e-5),
     "background_line": lambda s: pfl.probe_line(s.background, s.probe),
+    # a record is a tuple, so a lone one iterates its fields where a list belongs
+    "lone_pulse_evolve": lambda s: pfl.gem_evolve(s.memory, GaussianPulse(1.5, 0.18)),
+    "lone_pulse_order": lambda s: pfl.gem.recall_order(s.memory, GaussianPulse(1.5, 0.18), None),
+    "lone_run_scaling": lambda s: pfl.sound_speed_scaling(
+        plans.Propagation(slice(0, 1), (1, s.grid.nx), s.plan, s.medium, 1.0), s.grid),
 }
 
 
@@ -83,7 +88,9 @@ def test_removed_form_is_a_type_error(call):
     grid, medium, background, _ = defocusing_setup(nx=16)
     setup = SimpleNamespace(grid=grid, medium=medium, background=background,
                             probe=pfl.ProbeSpec(waist=4 * grid.dx, k_perp=0.0, power_ratio=1e-4),
-                            plan=pfl.StepPlan(n_steps=40, snapshot_every=4))
+                            plan=pfl.StepPlan(n_steps=40, snapshot_every=4),
+                            memory=GemConfig(g=1.0, density=1.0, eta0=20.0, z_extent=2.0, nz=128,
+                                             t_extent=8.0, nt=1200, eta_flips=(3.0,)))
     with pytest.raises(TypeError):
         call(setup)
 

@@ -116,7 +116,8 @@ intensity = 50.0
 
 def test_propagate_streams_snapshot_files(tmp_path):
     # each snapshot is written as the step loop hands it over; the files
-    # equal save_field of the default record's snapshots, z = L included
+    # equal save_field of the default record's snapshots, and the field at
+    # z = L is written once, as final.pfl1
     text = """
 [run]
 scenario = propagate
@@ -135,12 +136,13 @@ power = 1e-3
     with pytest.warns(UserWarning, match="beam waist"):
         beam = scenarios.build_source(cfg, grid, medium)
     record = propagate(beam, medium, scenarios.build_plan(cfg))
-    assert len(record.snapshots) == 10
+    assert len(record.snapshots) == 9
     for i, (z, snap) in enumerate(record.snapshots):
         expected = save_field(tmp_path / "expected.pfl1", snap, z).read_bytes()
         assert (out / f"snapshot_{i:04d}.pfl1").read_bytes() == expected
     assert not (out / f"snapshot_{len(record.snapshots):04d}.pfl1").exists()
-    assert (out / "final.pfl1").read_bytes() == expected
+    final = save_field(tmp_path / "final.pfl1", record.final_field, record.z_final)
+    assert (out / "final.pfl1").read_bytes() == final.read_bytes()
 
 
 def test_propagate_makes_no_snapshot_it_does_not_write(tmp_path, monkeypatch):
@@ -168,7 +170,7 @@ intensity = 50.0
     _, _, off = run(tmp_path, text.format(""), "off")
     assert kept == []
     _, _, on = run(tmp_path, text.format("snapshots = true\n"), "on")
-    assert len(kept) == 10
+    assert len(kept) == 9
     names = sorted(p.name for p in off.iterdir())
     assert names == ["final.pfl1", "input.pfl1", "manifest.txt", "metrics.txt", "power.csv"]
     for name in set(names) - {"manifest.txt"}:
@@ -258,7 +260,7 @@ power = 0.5
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(p.name.startswith("snapshot_") for p in writer.paths) == 4
+    assert sum(p.name.startswith("snapshot_") for p in writer.paths) == 3
     assert peak <= 3.5 * 16 * 512 * 512
 
 
@@ -664,6 +666,17 @@ def test_each_shipped_propagation_writes_its_trace_once(shipped_runs):
         assert header == b"z,power" and rows.count(b"\n") == int(metrics[0].split(" = ")[1]) + 1
         holding = [p.name for p in out.iterdir() if rows in p.read_bytes()]
         assert holding == ["power.csv"], name
+
+
+def test_no_shipped_run_writes_two_files_of_the_same_bytes(shipped_runs):
+    # manifest.txt lists each file's sha256; no digest appears twice, so the
+    # field at z = L is final.pfl1 alone, not also the last snapshot
+    for name, run in shipped_runs.items():
+        files = {}
+        for line in (run.out / "manifest.txt").read_text().splitlines():
+            digest, file = line.split("  ")
+            files.setdefault(digest, []).append(file)
+        assert [names for names in files.values() if len(names) > 1] == [], name
 
 
 def test_each_shipped_image_holds_its_scale_in_its_header(shipped_runs):

@@ -243,7 +243,7 @@ class TestBlockedKick:
             assert np.array_equal(blocked.final_field.values, whole.final_field.values)
             assert np.array_equal(blocked.power_trace, whole.power_trace)
             assert blocked.max_phase_per_step == whole.max_phase_per_step
-            assert len(blocked.snapshots) == len(whole.snapshots) == 3
+            assert len(blocked.snapshots) == len(whole.snapshots) == 2
             for (z_b, s_b), (z_w, s_w) in zip(blocked.snapshots, whole.snapshots):
                 assert z_b == z_w and np.array_equal(s_b.values, s_w.values)
 
@@ -364,8 +364,8 @@ class TestPaddedLayout:
         assert kernel.width == start.grid.nx + solver.ROW_PAD
         finals, snapshots, power = unitary_loop([start], medium, plan)
         assert np.array_equal(record.final_field.values, finals[0])
-        assert len(record.snapshots) == len(snapshots) + 1 == 3
-        for (_, snap), expected in zip(record.snapshots, [*snapshots, finals]):
+        assert len(record.snapshots) == len(snapshots) == 2
+        for (_, snap), expected in zip(record.snapshots, snapshots):
             assert np.array_equal(snap.values, expected[0])
         np.testing.assert_allclose(record.power_trace[:, 1], power[:, 0], rtol=1e-13, atol=0)
 
@@ -384,8 +384,8 @@ class TestPaddedLayout:
         for b, record in enumerate(records):
             got = [record.final_field.values, *(snap.values for _, snap in record.snapshots)]
             for (finals, snapshots, power), atol in ((unitary, tol), (stored, 0.0)):
-                references = [finals[b], *(snap[b] for snap in snapshots), finals[b]]
-                assert len(got) == len(references) == 4
+                references = [finals[b], *(snap[b] for snap in snapshots)]
+                assert len(got) == len(references) == 3
                 for values, reference in zip(got, references):
                     np.testing.assert_allclose(values, reference, rtol=0,
                                                atol=atol * np.abs(reference).max())
@@ -414,7 +414,7 @@ class TestPaddedLayout:
         in_place, copied = records
         assert in_place.final_field.values.tobytes() == copied.final_field.values.tobytes()
         assert in_place.power_trace.tobytes() == copied.power_trace.tobytes()
-        assert len(in_place.snapshots) == len(copied.snapshots) == 3
+        assert len(in_place.snapshots) == len(copied.snapshots) == 2
         for (_, a), (_, b) in zip(in_place.snapshots, copied.snapshots):
             assert a.values.tobytes() == b.values.tobytes()
 
@@ -436,17 +436,32 @@ def handed_out_steps(plan):
 
 class TestSnapshotSchedule:
     """rules.snapshot_steps is the one schedule: the kernel hands out a
-    snapshot after each of its steps but the last, propagate adds the one at
-    z = L when it lists n_steps, and `pfl validate` counts it."""
+    snapshot after each of its steps it lists, all before the last, and
+    `pfl validate` counts them; the field at z = L is the final field."""
 
-    def test_the_schedule_is_the_modulo_loop_then_the_last_step(self):
+    def test_the_schedule_is_the_modulo_loop_before_the_last_step(self):
         for n_steps in range(30):
             for every in range(12):
                 plan = StepPlan(n_steps, every)
-                last = [n_steps] if n_steps and every else []
-                assert rules.snapshot_steps(n_steps, every) == handed_out_steps(plan) + last
-        # the bogoliubov-256 workload's uneven last snapshot
-        assert rules.snapshot_steps(525, 10)[-3:] == [510, 520, 525]
+                assert rules.snapshot_steps(n_steps, every) == handed_out_steps(plan)
+                assert n_steps not in rules.snapshot_steps(n_steps, every)
+        # the bogoliubov-256 workload's last snapshots, 5 steps before z = L
+        assert rules.snapshot_steps(525, 10)[-3:] == [500, 510, 520]
+
+    def test_tracked_snapshots_refuses_the_plans_it_refused_with_a_z_l_snapshot(self):
+        # the count once held a snapshot at z = L for a plan with steps and
+        # snapshots, against a minimum of 4; the plans refused are the same
+        for n_steps in range(61):
+            for every in range(21):
+                before = (len(range(every, n_steps, every)) if every else 0) + (
+                    n_steps > 0 and every > 0)
+                try:
+                    rules.tracked_snapshots(n_steps, every)
+                except ValueError:
+                    refused = True
+                else:
+                    refused = False
+                assert refused == (before < 4), (n_steps, every)
 
     def test_a_plan_without_snapshots_is_not_tracked(self):
         with pytest.raises(ValueError, match=r"^the plan makes 0 snapshots \(240 steps, one "
@@ -455,18 +470,19 @@ class TestSnapshotSchedule:
 
     # (calls, stack shape, n_steps, snapshots) of SplitStepKernel.run in a
     # run of each shipped config and of each benchmark workload at seed 1,
-    # as a spy counted them before the plans module existed
+    # as a spy counted them before the plans module existed, less the one
+    # at z = L that propagate then copied from the final field
     KERNEL_RUNS = {
-        "bogoliubov_dispersion": [(1, (5, 1, 132), 240, 30)],
-        "sound_scaling": [(5, (1, 1, 260), 375, 54)],
+        "bogoliubov_dispersion": [(1, (5, 1, 132), 240, 29)],
+        "sound_scaling": [(5, (1, 1, 260), 375, 53)],
         "precondensation": [(4, (2, 128, 132), 60, 0)],
         "structure_factor": [(12, (8, 64, 68), 180, 0), (1, (4, 64, 68), 180, 0)],
-        "propagate_gaussian": [(1, (1, 256, 260), 300, 6)],
+        "propagate_gaussian": [(1, (1, 256, 260), 300, 5)],
         "vortex_pair": [(1, (1, 256, 260), 200, 0)],
         "gem": [], "fifo_filo": [], "gem_efficiency_sweep": [],
-        "beam-512": [(1, (1, 512, 516), 300, 6)],
+        "beam-512": [(1, (1, 512, 516), 300, 5)],
         "sf-ensemble-64": [(25, (8, 64, 68), 160, 0)],
-        "bogoliubov-256": [(1, (5, 1, 260), 525, 53)],
+        "bogoliubov-256": [(1, (5, 1, 260), 525, 52)],
     }
 
     # the one warning of these runs: the sf-ensemble-64 workload steps at
@@ -493,10 +509,9 @@ class TestSnapshotSchedule:
         members = (member for call in run.propagates for member in call)
         for (shape, plan, dz, zs), p in zip(stepped, planned):
             assert zs == [step * dz for step in handed_out_steps(plan)]
-            at_end = plan.n_steps in rules.snapshot_steps(plan.n_steps, plan.snapshot_every)
-            for _ in range(shape[0]):  # each member's record keeps the z = L snapshot
+            for _ in range(shape[0]):  # each member's record ends at z = L in its final field
                 length = p.medium.length
-                assert next(members) == (length, zs + [length] * at_end)
+                assert next(members) == (length, length, zs)
 
 
 class TestPropagate:
@@ -690,7 +705,7 @@ class TestPropagate:
         scale = np.abs(field.values).max()
         assert np.allclose(record.final_field.values, field.values,
                            atol=1e-12 * scale)
-        assert len(record.snapshots) == len(plain_snapshots) + 1
+        assert len(record.snapshots) == len(plain_snapshots) == 2
         for (z, snap), plain in zip(record.snapshots, plain_snapshots):
             assert np.allclose(snap.values, plain, atol=1e-12 * scale)
 
@@ -715,7 +730,7 @@ class TestPropagate:
             assert np.array_equal(record.final_field.values, lone.final_field.values)
             assert np.array_equal(record.power_trace, lone.power_trace)
             assert record.max_phase_per_step == lone.max_phase_per_step
-            assert len(record.snapshots) == len(lone.snapshots) == 3
+            assert len(record.snapshots) == len(lone.snapshots) == 2
             for (z_s, s_s), (z_l, s_l) in zip(record.snapshots, lone.snapshots):
                 assert z_s == z_l and np.array_equal(s_s.values, s_l.values)
 
@@ -736,7 +751,7 @@ class TestPropagate:
         n_steps, every = 12, 5
         record = propagate(start, medium, StepPlan(n_steps=n_steps, snapshot_every=every))
         dz = medium.length / n_steps
-        for i, (z, snap) in enumerate(record.snapshots[:-1]):
+        for i, (z, snap) in enumerate(record.snapshots):
             steps = (i + 1) * every
             assert z == pytest.approx(steps * dz, rel=1e-15)
             short = propagate(start, medium.with_length(steps * dz), StepPlan(n_steps=steps))
@@ -753,15 +768,13 @@ class TestPropagate:
         record = propagate(start, medium, StepPlan(n_steps=12, snapshot_every=5))
         assert np.array_equal(start.values, original)
         snaps = [f for _, f in record.snapshots]
-        assert len(snaps) == 3
+        assert len(snaps) == 2
         kept = [s.values.copy() for s in snaps]
         record.final_field.values[:] = 7.0
         for snap, values in zip(snaps, kept):
             assert np.array_equal(snap.values, values)
-        for later in (2, 1):
-            snaps[later].values[:] = -3.0
-            for earlier in range(later):
-                assert np.array_equal(snaps[earlier].values, kept[earlier])
+        snaps[1].values[:] = -3.0
+        assert np.array_equal(snaps[0].values, kept[0])
         assert np.array_equal(start.values, original)
 
     def test_a_handed_over_field_is_freed_before_the_first_step(self):
@@ -784,7 +797,7 @@ class TestPropagate:
             return field
 
         (record,) = propagate(source(), medium, StepPlan(n_steps=12, snapshot_every=5), keep)
-        assert len(record.snapshots) == 3 and len(refs) == 1
+        assert len(record.snapshots) == 2 and len(refs) == 1
 
     def test_snapshot_run_peaks_below_three_and_a_half_planes(self):
         # above its input, a 512^2 run with a snapshot at every step holds
@@ -806,11 +819,11 @@ class TestPropagate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(record.snapshots) == 4
+        assert len(record.snapshots) == 3
         assert peak <= 3.5 * 16 * grid.nx * grid.ny
 
     def test_keep_maps_each_snapshot_as_the_default_record_would(self):
-        # keep(z, field) sees every snapshot, z = L included, and the record
+        # keep(z, field) sees every snapshot, all before z = L, and the record
         # stores what it returns: the default record's snapshots mapped
         # afterwards, bit for bit, for a lone field and for a stack
         grid, medium, _, _ = defocusing_setup(nx=64, dx=5e-6, xi_cells=3.0, tau=2.0)
@@ -829,8 +842,8 @@ class TestPropagate:
             assert len(plain) == len(kept)
             for p, k in zip(plain, kept):
                 assert np.array_equal(k.final_field.values, p.final_field.values)
-                assert len(k.snapshots) == len(p.snapshots) == 4
-                assert k.snapshots[-1][0] == medium.length
+                assert len(k.snapshots) == len(p.snapshots) == 3
+                assert k.z_final == p.z_final == medium.length
                 for (z_p, f_p), (z_k, (z_seen, seen)) in zip(p.snapshots, k.snapshots):
                     assert z_k == z_seen == z_p
                     assert np.array_equal(seen, profile(z_p, f_p)[1])
@@ -839,9 +852,9 @@ class TestPropagate:
         grid, medium, background, _ = defocusing_setup(nx=64, xi_cells=3.0, tau=5.0)
         rec = propagate(background, medium, StepPlan(n_steps=50, snapshot_every=10))
         zs = [z for z, _ in rec.snapshots]
-        assert len(zs) == 5
-        assert all(b > a for a, b in zip(zs, zs[1:]))
-        assert zs[-1] == pytest.approx(medium.length, rel=1e-12)
+        assert len(zs) == 4
+        assert all(b > a for a, b in zip(zs, [*zs[1:], rec.z_final]))
+        assert rec.z_final == medium.length
 
 
 class TestTimeReversal:
